@@ -48,13 +48,9 @@ from .leakage import (
     PatternCheck,
     WiretapAnalyzer,
     WiretapPattern,
-    bound_rhs,
-    decomposition_identity_check,
-    exact_leakage,
     extremal_max_pattern,
     grid_curve_rows,
     minmax_curves,
-    minmax_oracle,
     sample_patterns,
     z_mu_leakage,
     z_trace_rows,
@@ -63,7 +59,6 @@ from .seqmodel import (
     SequenceModel,
     SequenceTriple,
     build_model,
-    enumerate_support,
     sequence_summary,
     z_consistency_counts,
 )

@@ -15,16 +15,16 @@ enumerating the source support together with the uniform key space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, log2
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError, ValidationError
-from .info import InfoSummary
+from .info import InfoSummary, code_entropy, pack_bits
 from .seqmodel import SUPPORT_GUARD, SequenceModel
-from .swcodec import PartitionScheme
+from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
 #: Empirical desk-scale slack when comparing measured levels to targets.
 SECURITY_EPS = 0.05
@@ -120,15 +120,7 @@ def build_ciphertexts(
     common X) and the Y analogue.  ``branch`` overrides the scheme's key
     assignment with one of the named templates."""
     if branch is not None:
-        scheme = CipherScheme(
-            m_x=scheme.m_x,
-            m_y=scheme.m_y,
-            m_x1=scheme.m_x1,
-            m_y1=scheme.m_y1,
-            m_cx=scheme.m_cx,
-            m_cy=scheme.m_cy,
-            key_assignment=_branch_assignment(branch),
-        )
+        scheme = replace(scheme, key_assignment=_branch_assignment(branch))
     if not 0 <= wx < scheme.m_x:
         raise UsageError(f"wx={wx} outside index space of size {scheme.m_x}")
     if not 0 <= wy < scheme.m_y:
@@ -157,15 +149,7 @@ def decrypt_ciphertexts(
 ) -> tuple[int, int, int, int]:
     """Invert ``build_ciphertexts``: returns (wx, wy, wcx, wcy)."""
     if branch is not None:
-        scheme = CipherScheme(
-            m_x=scheme.m_x,
-            m_y=scheme.m_y,
-            m_x1=scheme.m_x1,
-            m_y1=scheme.m_y1,
-            m_cx=scheme.m_cx,
-            m_cy=scheme.m_cy,
-            key_assignment=_branch_assignment(branch),
-        )
+        scheme = replace(scheme, key_assignment=_branch_assignment(branch))
     wx1 = _masked(w1[0], "x1", keys, scheme, -1)
     wcx = _masked(w1[2], "cx", keys, scheme, -1)
     wy1 = _masked(w2[0], "y1", keys, scheme, -1)
@@ -299,20 +283,7 @@ def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVer
     if case not in CASES:
         raise UsageError(f"unknown case {case!r}; expected one of {CASES}")
     if case == "y-only":
-        reduced = RegionQuery(
-            r_x=q.r_x,
-            r_y=q.r_y,
-            r_kx=q.r_kx,
-            r_ky=q.r_ky,
-            h_x=0.0,
-            h_y=q.h_y,
-            h_xy=q.h_xy,
-            alpha_cx=q.alpha_cx,
-            alpha_cy=q.alpha_cy,
-            alpha_z=q.alpha_z,
-            i_xyz=q.i_xyz,
-        )
-        return region_membership(reduced, "individual", info)
+        return region_membership(replace(q, h_x=0.0), "individual", info)
 
     if case == "joint":
         limit = info.h_xy - q.alpha_cx - q.alpha_cy + q.i_xyz
@@ -398,28 +369,17 @@ def desk_scheme(
     W_CX/W_CY the common-role segments.  With ``full_split`` the first
     sub-codewords cover the whole private spaces (so the pads, when present,
     cover every private bit)."""
-    bits = _portion_bits(s)
-    m_x = 1 << len(bits["x_private"])
-    m_y = 1 << len(bits["y_private"])
+    m_x = 1 << len(s.role_positions("x", "private"))
+    m_y = 1 << len(s.role_positions("y", "private"))
     return CipherScheme(
         m_x=m_x,
         m_y=m_y,
         m_x1=m_x if full_split else 1,
         m_y1=m_y if full_split else 1,
-        m_cx=1 << len(bits["x_common"]),
-        m_cy=1 << len(bits["y_common"]),
+        m_cx=1 << len(s.role_positions("x", "common")),
+        m_cy=1 << len(s.role_positions("y", "common")),
         key_assignment=_branch_assignment(branch),
     )
-
-
-def _portion_bits(s: PartitionScheme) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {}
-    for side in ("x", "y"):
-        for role in ("private", "common"):
-            out[f"{side}_{role}"] = [
-                i for i in range(s.syndrome_len(side)) if s.role_of(side, i) == role
-            ]
-    return out
 
 
 def measure_security(
@@ -432,47 +392,25 @@ def measure_security(
     """Exact per-symbol conditional entropies of the sources given both
     codewords and the leaked Z prefix, enumerating plaintexts x keys."""
     if branch is not None:
-        scheme = CipherScheme(
-            m_x=scheme.m_x,
-            m_y=scheme.m_y,
-            m_x1=scheme.m_x1,
-            m_y1=scheme.m_y1,
-            m_cx=scheme.m_cx,
-            m_cy=scheme.m_cy,
-            key_assignment=_branch_assignment(branch),
-        )
-    if not model.is_binary or model.K != s.n:
-        raise UsageError("measurement needs a binary model with K equal to the code length")
+        scheme = replace(scheme, key_assignment=_branch_assignment(branch))
+    require_code_model(s, model, "measurement")
     if not 0 <= mu <= model.K:
         raise DomainError(f"mu must lie in 0..{model.K}, got {mu}")
 
     X, Y, Z, probs = model.support_arrays()
-    bits = _portion_bits(s)
-    tx = (X.astype(np.int64) @ s.g_x.cells.astype(np.int64)) % 2
-    ty = (Y.astype(np.int64) @ s.g_y.cells.astype(np.int64)) % 2
-
-    def packed(mat: np.ndarray, cols: list[int]) -> np.ndarray:
-        code = np.zeros(mat.shape[0], dtype=np.int64)
-        for c in cols:
-            code = (code << 1) | mat[:, c]
-        return code
-
     # Collapse support rows that agree on everything the measurement sees:
     # (x, y, leaked z prefix).  Unobserved z symbols only add multiplicity.
-    x_full = packed(X, list(range(model.K)))
-    y_full = packed(Y, list(range(model.K)))
-    z_pref = packed(Z, list(range(mu)))
-    row_key = (x_full << model.K | y_full) << mu | z_pref
+    row_key = pack_bits(np.hstack([X, Y, Z[:, :mu]]))
     _, keep, inv = np.unique(row_key, return_index=True, return_inverse=True)
     probs = np.bincount(inv, weights=probs)
     X, Y, Z = X[keep], Y[keep], Z[keep]
-    tx, ty = tx[keep], ty[keep]
+    tx, ty = support_syndromes(s, X, Y)
     n_rows = X.shape[0]
 
-    wx = packed(tx, bits["x_private"])
-    wcx = packed(tx, bits["x_common"])
-    wy = packed(ty, bits["y_private"])
-    wcy = packed(ty, bits["y_common"])
+    wx = pack_bits(tx[:, s.role_positions("x", "private")])
+    wcx = pack_bits(tx[:, s.role_positions("x", "common")])
+    wy = pack_bits(ty[:, s.role_positions("y", "private")])
+    wcy = pack_bits(ty[:, s.role_positions("y", "common")])
     if wx.size and (wx.max() >= scheme.m_x or wy.max() >= scheme.m_y):
         raise UsageError("scheme index spaces are smaller than the syndrome portions")
     if wcx.size and (wcx.max() >= scheme.m_cx or wcy.max() >= scheme.m_cy):
@@ -523,20 +461,14 @@ def measure_security(
     for i in range(mu):
         obs = (obs << 1) | Z[idx, i]
 
-    x_code = packed(X, list(range(model.K)))[idx]
-    y_code = packed(Y, list(range(model.K)))[idx]
+    x_code = pack_bits(X)[idx]
+    y_code = pack_bits(Y)[idx]
 
-    def entropy_of(code: np.ndarray) -> float:
-        _, inv = np.unique(code, return_inverse=True)
-        mass = np.bincount(inv, weights=weights)
-        mass = mass[mass > 0]
-        return float(-(mass * np.log2(mass)).sum())
-
-    h_obs = entropy_of(obs)
+    h_obs = code_entropy(obs, weights)
     shift = 1 << model.K
-    h_x_hat = entropy_of(obs * shift + x_code) - h_obs
-    h_y_hat = entropy_of(obs * shift + y_code) - h_obs
-    h_xy_hat = entropy_of((obs * shift + x_code) * shift + y_code) - h_obs
+    h_x_hat = code_entropy(obs * shift + x_code, weights) - h_obs
+    h_y_hat = code_entropy(obs * shift + y_code, weights) - h_obs
+    h_xy_hat = code_entropy((obs * shift + x_code) * shift + y_code, weights) - h_obs
     key_bits = sum(log2(v) for v in key_sizes.values())
     return SecurityMeasurement(
         h_x_hat=h_x_hat / model.K,

@@ -170,6 +170,56 @@ def triple_mutual_information(joint: JointPmf) -> float:
     )
 
 
+# -- entropy kernel over support tables ------------------------------------------
+#
+# A support table lists outcomes row by row with their probabilities; a
+# deterministic function of the outcome is an integer code per row.  Every
+# entropy over a support table in the package goes through these functions.
+
+
+def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
+    """Pack a (rows, width) array of symbols in 0..base-1 into one int64
+    code per row, column 0 most significant.  A width of 0 gives all zeros.
+
+    The caller keeps ``base**width`` below 2**63; codes then order rows
+    exactly as the symbol tuples order lexicographically.
+    """
+    code = np.zeros(cols.shape[0], dtype=np.int64)
+    for i in range(cols.shape[1]):
+        code = code * base + cols[:, i]
+    return code
+
+
+def code_entropy(code: np.ndarray, probs: np.ndarray | None = None) -> float:
+    """H of a coded variable, in bits.  ``probs`` are the row probabilities;
+    None means every row has the same probability (entropy from counts)."""
+    if probs is None:
+        _, counts = np.unique(code, return_counts=True)
+        n = float(code.size)
+        return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
+    _, inv = np.unique(code, return_inverse=True)
+    mass = np.bincount(inv, weights=probs)
+    mass = mass[mass > 0]
+    return float(-(mass * np.log2(mass)).sum())
+
+
+def code_conditional_entropy(
+    target: np.ndarray, observed: np.ndarray, probs: np.ndarray
+) -> float:
+    """H(T | O) = -sum p(t,o) log2(p(t,o) / p(o)), in bits.
+
+    The terms are summed one after another (``np.cumsum``) in the order of
+    the sorted joint codes.  Taking the difference H(T,O) - H(O), or a
+    pairwise ``np.sum``, moves results in the last place.
+    """
+    _, o_inv = np.unique(observed, return_inverse=True)
+    t_vals, t_inv = np.unique(target, return_inverse=True)
+    joint, j_inv = np.unique(o_inv * t_vals.size + t_inv, return_inverse=True)
+    p_joint = np.bincount(j_inv, weights=probs)
+    p_obs = np.bincount(o_inv, weights=probs)[joint // t_vals.size]
+    return float(-np.cumsum(p_joint * np.log2(p_joint / p_obs))[-1])
+
+
 @dataclass(frozen=True)
 class InfoSummary:
     """All the standard single/joint/conditional measures of one JointPmf, in bits."""

@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UsageError
 from .gf2 import rank, remove_columns
+from .info import code_entropy, pack_bits
 from .seqmodel import SequenceModel
-from .swcodec import PartitionScheme
+from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
 #: Slack for exact-enumeration bound verdicts (rounding tolerance only).
 DELTA = 1e-9
@@ -115,57 +116,45 @@ class _Var:
         self.masked = masked
 
 
-def _pack_cols(cols: Sequence[np.ndarray], length: int) -> tuple[np.ndarray, int]:
-    code = np.zeros(length, dtype=np.int64)
-    for col in cols:
-        code = (code << 1) | col
-    return code, len(cols)
-
-
 class WiretapAnalyzer:
     """Precomputed enumeration engine for one (scheme, model) pair.
 
-    Building the engine enumerates the support once; every leakage, bound
-    and identity evaluation then reduces to entropies of integer-coded
+    Building the engine reads the model's support table once; every leakage,
+    bound and identity evaluation then reduces to entropies of integer-coded
     columns over the support, with shared-pad bits folded in analytically.
     """
 
     def __init__(self, s: PartitionScheme, model: SequenceModel):
-        if not model.is_binary or model.K != s.n:
-            raise UsageError("analyzer needs a binary model with K equal to the code length")
+        require_code_model(s, model, "analyzer")
         self.scheme = s
         self.model = model
         self.K = model.K
 
-        X, Y, Z, probs = model.support_arrays()
-        tx_bits = ((X.astype(np.int64) @ s.g_x.cells.astype(np.int64)) % 2).astype(np.uint8)
-        ty_bits = ((Y.astype(np.int64) @ s.g_y.cells.astype(np.int64)) % 2).astype(np.uint8)
-        self.probs = probs
+        X, Y, Z, _ = model.support_arrays()
+        tx_bits, ty_bits = support_syndromes(s, X, Y)
+        self._weights = model.entropy_weights()
         self._rows = X.shape[0]
-        self._uniform = bool(np.allclose(probs, probs[0]))
 
-        # Per syndrome bit: either a clear column or a shared-pad reference.
+        # Syndrome bits plus their shared-pad references; other bits are clear.
         def describe(side: str, bits: np.ndarray):
-            cols, masked = {}, {}
+            masked = {}
             for i in range(bits.shape[1]):
                 pcol = s.parity_column(side, i)
                 if s.role_of(side, i) == "common" and pcol is not None:
                     masked[i] = (pcol, side)
-                else:
-                    cols[i] = bits[:, i]
-            return cols, masked
+            return bits, masked
 
-        self._tx_clear, self._tx_masked = describe("x", tx_bits)
-        self._ty_clear, self._ty_masked = describe("y", ty_bits)
+        self._tx = describe("x", tx_bits)
+        self._ty = describe("y", ty_bits)
         # Raw parity XOR per pad column (the pads cancel in the pair).
         self._xor_col = {
             c: tx_bits[:, s.x_info_len + c] ^ ty_bits[:, s.y_info_len + c]
             for c in range(s.parity_len)
         }
-        self._z_cols = [Z[:, i] for i in range(self.K)]
+        self._Z = Z
 
-        self._x_var = _Var([_pack_cols([X[:, i] for i in range(self.K)], self._rows)], [])
-        self._y_var = _Var([_pack_cols([Y[:, i] for i in range(self.K)], self._rows)], [])
+        self._x_var = _Var([(pack_bits(X), self.K)], [])
+        self._y_var = _Var([(pack_bits(Y), self.K)], [])
 
         self.h_x_total = self._set_entropy([self._x_var])
         self.h_y_total = self._set_entropy([self._y_var])
@@ -183,28 +172,14 @@ class WiretapAnalyzer:
     # -- low-level -----------------------------------------------------------
 
     def _side_var(self, side: str, role: str) -> _Var:
-        positions = [
-            i for i in range(self.scheme.syndrome_len(side)) if self.scheme.role_of(side, i) == role
-        ]
-        return self._syndrome_var(side, positions)
+        return self._syndrome_var(side, self.scheme.role_positions(side, role))
 
     def _syndrome_var(self, side: str, positions: Sequence[int]) -> _Var:
-        clear = self._tx_clear if side == "x" else self._ty_clear
-        masked = self._tx_masked if side == "x" else self._ty_masked
-        cols = [clear[i] for i in positions if i in clear]
+        bits, masked = self._tx if side == "x" else self._ty
+        cols = [i for i in positions if i not in masked]
         refs = [masked[i] for i in positions if i in masked]
-        chunks = [_pack_cols(cols, self._rows)] if cols else []
+        chunks = [(pack_bits(bits[:, cols]), len(cols))] if cols else []
         return _Var(chunks, refs)
-
-    def _entropy(self, code: np.ndarray) -> float:
-        if self._uniform:
-            _, counts = np.unique(code, return_counts=True)
-            n = float(self._rows)
-            return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
-        _, inv = np.unique(code, return_inverse=True)
-        mass = np.bincount(inv, weights=self.probs)
-        mass = mass[mass > 0]
-        return float(-(mass * np.log2(mass)).sum())
 
     def _set_entropy(self, vars: Sequence[_Var]) -> float:
         """Entropy of the joint of several variables: pack the deterministic
@@ -223,7 +198,7 @@ class WiretapAnalyzer:
             bonus += 1.0
             if len(sides) == 2:
                 code = (code << 1) | self._xor_col[col]
-        return self._entropy(code) + bonus
+        return code_entropy(code, self._weights) + bonus
 
     def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
         pattern.validate(self.scheme, self.K)
@@ -233,7 +208,7 @@ class WiretapAnalyzer:
             zsel = sorted(pattern.z_positions)
         else:
             zsel = list(range(pattern.mu))
-        z = _Var([_pack_cols([self._z_cols[i] for i in zsel], self._rows)] if zsel else [], [])
+        z = _Var([(pack_bits(self._Z[:, zsel]), len(zsel))] if zsel else [], [])
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
     def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":
@@ -408,37 +383,6 @@ def _identity_terms(ev: _Evaluation, t: str) -> dict[str, float]:
         "i(z;tx)": ev.H("z") + ev.H("tx") - ev.H("z", "tx"),
         "i(ty;z|tx)": ev.H("ty", "tx") + ev.H("z", "tx") - ev.H("ty", "z", "tx") - ev.H("tx"),
     }
-
-
-# -- module-level conveniences mirroring the analyzer ---------------------------
-
-
-def exact_leakage(
-    target: str, pattern: WiretapPattern, s: PartitionScheme, model: SequenceModel
-) -> LeakageValue:
-    return WiretapAnalyzer(s, model).exact_leakage(target, pattern)
-
-
-def decomposition_identity_check(
-    pattern: WiretapPattern, s: PartitionScheme, model: SequenceModel, target: str = "y"
-) -> float:
-    return WiretapAnalyzer(s, model).decomposition_residual(pattern, target)
-
-
-def bound_rhs(
-    target: str,
-    pattern: WiretapPattern,
-    s: PartitionScheme,
-    model: SequenceModel,
-    delta: float = DELTA,
-) -> BoundReport:
-    return WiretapAnalyzer(s, model).bound_report(target, pattern, delta)
-
-
-def minmax_oracle(
-    s: PartitionScheme, mu_tx: int, mu_ty: int, model: SequenceModel
-) -> tuple[float, float]:
-    return WiretapAnalyzer(s, model).minmax_oracle(mu_tx, mu_ty)
 
 
 # -- closed-form min/max curves -------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError, ValidationError
-from .info import JointPmf, ZERO_EPS
+from .info import ZERO_EPS, InfoSummary, JointPmf, code_entropy, pack_bits
 
 #: Exact enumeration refuses supports larger than this many triples.
 SUPPORT_GUARD = 1 << 26
@@ -65,15 +65,19 @@ class SequenceModel:
             )
 
     @property
-    def is_binary(self) -> bool:
+    def alphabet_sizes(self) -> tuple[int, int, int]:
         if self.kind == "hamming":
-            return True
-        return max(self.base.alphabet_sizes) <= 2  # type: ignore[union-attr]
+            return (2, 2, 2)
+        return self.base.alphabet_sizes  # type: ignore[union-attr]
+
+    @property
+    def is_binary(self) -> bool:
+        return max(self.alphabet_sizes) <= 2
 
     def support_size(self) -> int:
         """Number of enumerated triples (including zero-probability iid cells)."""
         if self.kind == "iid":
-            nx, ny, nz = self.base.alphabet_sizes  # type: ignore[union-attr]
+            nx, ny, nz = self.alphabet_sizes
             return (nx * ny * nz) ** self.K
         ball_xy = _ball_size(self.K, self.d_xy_max)
         ball_yz = _ball_size(self.K, self.d_yz_max)
@@ -111,19 +115,70 @@ class SequenceModel:
                         yield SequenceTriple(x=x, y=y, z=z, prob=p)
 
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Support as (X, Y, Z, probs) arrays; rows follow ``iter_support`` order."""
-        xs, ys, zs, ps = [], [], [], []
-        for t in self.iter_support():
-            xs.append(t.x)
-            ys.append(t.y)
-            zs.append(t.z)
-            ps.append(t.prob)
-        return (
-            np.array(xs, dtype=np.uint8),
-            np.array(ys, dtype=np.uint8),
-            np.array(zs, dtype=np.uint8),
-            np.array(ps, dtype=float),
-        )
+        """Support as read-only (X, Y, Z, probs) arrays; rows follow ``iter_support``
+        order.  Built once per model and shared by every caller."""
+        return self._table()[:4]
+
+    def entropy_weights(self) -> Optional[np.ndarray]:
+        """Row probabilities for the entropy kernel, or None when every row has
+        exactly the same probability (entropies then come from counts)."""
+        return self._table()[4]
+
+    def _table(self):
+        table = self.__dict__.get("_support")
+        if table is None:
+            y, x, z, probs = self._hamming_codes() if self.kind == "hamming" else self._iid_codes()
+            nx, ny, nz = self.alphabet_sizes
+            table = (
+                _digits(x, nx, self.K),
+                _digits(y, ny, self.K),
+                _digits(z, nz, self.K),
+                probs,
+            )
+            for arr in table:
+                arr.flags.writeable = False
+            uniform = bool(np.all(probs == probs[0]))
+            table += (None if uniform else probs,)
+            object.__setattr__(self, "_support", table)
+        return table
+
+    def _hamming_codes(self):
+        """Each y's x and z rows are y XOR the offsets of weight <= d, sorted per y."""
+        ys = np.arange(1 << self.K, dtype=np.int64)
+        weight = _digits(ys, 2, self.K).sum(axis=1)
+        x_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_xy_max], axis=1)
+        z_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_yz_max], axis=1)
+        bx, bz = x_ball.shape[1], z_ball.shape[1]
+        y = np.repeat(ys, bx * bz)
+        x = np.repeat(x_ball.ravel(), bz)
+        z = np.broadcast_to(z_ball[:, None, :], (ys.size, bx, bz)).ravel()
+        return y, x, z, np.full(y.size, 1.0 / self.support_size())
+
+    def _iid_codes(self):
+        """Row probabilities as an iterated outer product of the per-symbol law,
+        multiplied position by position exactly as ``iter_support`` does."""
+        K = self.K
+        nx, _, nz = self.alphabet_sizes
+        cell = np.transpose(self.base.probs, (1, 0, 2))  # type: ignore[union-attr]
+        p = cell
+        for _ in range(K - 1):
+            p = np.multiply.outer(p, cell)
+        # axes (y0, x0, z0, y1, ...) -> (y0..y_K-1, x0..x_K-1, z0..z_K-1)
+        p = p.transpose([3 * i + v for v in range(3) for i in range(K)]).ravel()
+        idx = np.flatnonzero(p > ZERO_EPS)
+        NX, NZ = nx**K, nz**K
+        return idx // (NX * NZ), idx // NZ % NX, idx % NZ, p[idx]
+
+
+
+def _digits(code: np.ndarray, base: int, K: int) -> np.ndarray:
+    """(rows, K) uint8 symbols of base-``base`` codes, position 0 most significant."""
+    values = np.arange(base**K)
+    symbols = np.empty((values.size, K), dtype=np.uint8)
+    for i in range(K - 1, -1, -1):
+        symbols[:, i] = values % base
+        values //= base
+    return symbols[code]
 
 
 def _ball_size(K: int, d: int) -> int:
@@ -141,11 +196,6 @@ def _sorted_ball(center: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
                 v[i] ^= 1
             out.add(tuple(v))
     return sorted(out)
-
-
-def enumerate_support(model: SequenceModel) -> Iterator[SequenceTriple]:
-    """Stream the support in deterministic lexicographic (y, x, z) order."""
-    return model.iter_support()
 
 
 def build_model(spec: dict) -> SequenceModel:
@@ -197,37 +247,27 @@ def per_symbol_entropy(model: SequenceModel, total_bits: float) -> float:
     return total_bits / model.K
 
 
-def sequence_summary(model: SequenceModel):
+def sequence_summary(model: SequenceModel) -> InfoSummary:
     """Per-symbol information summary of the sequence law, by enumeration.
 
     Sequence-level entropies are divided by K, so for iid models these agree
     with the base pmf's summary.
     """
-    from .info import InfoSummary  # local import to avoid a cycle at module load
+    X, Y, Z, _ = model.support_arrays()
+    weights = model.entropy_weights()
+    nx, ny, nz = model.alphabet_sizes
+    K = model.K
+    x, y, z = pack_bits(X, nx), pack_bits(Y, ny), pack_bits(Z, nz)
+    # Joint codes stay below the support size, which the guard bounds.
+    xy = x * ny**K + y
 
-    groups: dict[str, dict] = {key: {} for key in ("x", "y", "z", "xy", "xz", "yz", "xyz")}
-    pick = {
-        "x": lambda t: t.x,
-        "y": lambda t: t.y,
-        "z": lambda t: t.z,
-        "xy": lambda t: (t.x, t.y),
-        "xz": lambda t: (t.x, t.z),
-        "yz": lambda t: (t.y, t.z),
-        "xyz": lambda t: (t.x, t.y, t.z),
-    }
-    for t in model.iter_support():
-        for key, fn in pick.items():
-            val = fn(t)
-            groups[key][val] = groups[key].get(val, 0.0) + t.prob
+    def h(code: np.ndarray) -> float:
+        return code_entropy(code, weights)
 
-    def h(key: str) -> float:
-        return float(-sum(p * np.log2(p) for p in groups[key].values()))
-
-    hx, hy, hz = h("x"), h("y"), h("z")
-    hxy, hxz, hyz, hxyz = h("xy"), h("xz"), h("yz"), h("xyz")
+    hx, hy, hz = h(x), h(y), h(z)
+    hxy, hxz, hyz, hxyz = h(xy), h(x * nz**K + z), h(y * nz**K + z), h(xy * nz**K + z)
     i_xy = hx + hy - hxy
     i_xy_given_z = hxz + hyz - hxyz - hz
-    K = model.K
     return InfoSummary(
         h_x=hx / K,
         h_y=hy / K,

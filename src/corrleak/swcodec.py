@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .gf2 import Gf2Matrix, mat_vec_mul, rank
+from .info import code_conditional_entropy, code_entropy, pack_bits
 from .seqmodel import SequenceModel, SequenceTriple
 
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
@@ -204,6 +205,10 @@ class PartitionScheme:
     def role_of(self, side: str, bit: int) -> str:
         return self.segment_roles.get(self.syndrome_segment(side, bit), "private")
 
+    def role_positions(self, side: str, role: str) -> list[int]:
+        """Syndrome bit positions of T_X ('x') or T_Y ('y') whose segment has ``role``."""
+        return [i for i in range(self.syndrome_len(side)) if self.role_of(side, i) == role]
+
     def parity_column(self, side: str, bit: int) -> int | None:
         """Parity-column index of a syndrome bit, or None for an info bit."""
         info = self.x_info_len if side == "x" else self.y_info_len
@@ -269,6 +274,22 @@ def encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
     return Syndrome(bits=tuple(u2 + parity), info_len=len(u2), parity_len=s.parity_len)
 
 
+def support_syndromes(
+    s: PartitionScheme, X: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """T_X and T_Y of every row of the word arrays X and Y, as uint8 bit
+    arrays: one matrix product per side."""
+    tx = (X.astype(np.int64) @ s.g_x.cells.astype(np.int64)) % 2
+    ty = (Y.astype(np.int64) @ s.g_y.cells.astype(np.int64)) % 2
+    return tx.astype(np.uint8), ty.astype(np.uint8)
+
+
+def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> None:
+    """Raise ``UsageError`` unless the model is binary with K equal to the code length."""
+    if model.K != s.n or not model.is_binary:
+        raise UsageError(f"{what} needs a binary model with K equal to the code length")
+
+
 # -- decoding ----------------------------------------------------------------
 
 
@@ -287,14 +308,6 @@ class DecodeResult:
         return not self.candidates
 
 
-def _support_pairs(model: SequenceModel) -> dict[tuple, float]:
-    pairs: dict[tuple, float] = {}
-    for t in model.iter_support():
-        key = (t.x, t.y)
-        pairs[key] = pairs.get(key, 0.0) + t.prob
-    return pairs
-
-
 def joint_decode(
     tx: Syndrome, ty: Syndrome, model: SequenceModel, s: PartitionScheme
 ) -> DecodeResult:
@@ -303,27 +316,26 @@ def joint_decode(
     Ambiguity (several candidates) and inconsistency (none) are reported in
     the result, not raised.
     """
-    if model.K != s.n or not model.is_binary:
-        raise UsageError("decode needs a binary model with K equal to the code length")
-    hits = []
-    for x, y in _support_pairs(model):
-        if encode_x(x, s).bits == tx.bits and encode_y(y, s).bits == ty.bits:
-            hits.append((x, y))
-    return DecodeResult(candidates=tuple(sorted(hits)))
+    require_code_model(s, model, "decode")
+    X, Y, _, _ = model.support_arrays()
+    TX, TY = support_syndromes(s, X, Y)
+    hit = (TX == tx.bits).all(axis=1) & (TY == ty.bits).all(axis=1)
+    pairs = np.unique(np.hstack([X[hit], Y[hit]]), axis=0).tolist()
+    return DecodeResult(
+        candidates=tuple((tuple(r[: s.n]), tuple(r[s.n :])) for r in pairs)
+    )
 
 
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     """Probability mass of source pairs whose syndrome pair does not decode uniquely."""
-    pairs = _support_pairs(model)
-    groups: dict[tuple, list[tuple]] = {}
-    for (x, y) in pairs:
-        key = (encode_x(x, s).bits, encode_y(y, s).bits)
-        groups.setdefault(key, []).append((x, y))
-    ambiguous = 0.0
-    for members in groups.values():
-        if len(members) > 1:
-            ambiguous += sum(pairs[m] for m in members)
-    return ambiguous
+    require_code_model(s, model, "decode")
+    X, Y, _, probs = model.support_arrays()
+    pair_code = pack_bits(np.hstack([X, Y]))
+    _, first, pair = np.unique(pair_code, return_index=True, return_inverse=True)
+    mass = np.bincount(pair, weights=probs)
+    syndromes = pack_bits(np.hstack(support_syndromes(s, X[first], Y[first])))
+    _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
+    return float(mass[size[group] > 1].sum())
 
 
 # -- equivocation ------------------------------------------------------------
@@ -438,54 +450,39 @@ class ConditionRow:
         return self.rhs_bits - self.lhs_bits
 
 
-def _entropy_of(model: SequenceModel, fn: Observable) -> float:
-    groups: dict[Hashable, float] = {}
-    for t in model.iter_support():
-        key = fn(t)
-        groups[key] = groups.get(key, 0.0) + t.prob
-    return float(-sum(p * log2(p) for p in groups.values()))
-
-
-def _cond_entropy(model: SequenceModel, target: str, observed: Sequence[Observable]) -> float:
-    return enumeration_equivocation(observed, target, model)
-
-
-def _segment_bits_observable(s: PartitionScheme, side: str, role: str) -> Observable:
-    length = s.syndrome_len(side)
-    sel = tuple(i for i in range(length) if s.role_of(side, i) == role)
-    return syndrome_observable(s, side, sel)
-
-
 def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list[ConditionRow]:
     """Evaluate every prototype-code condition exactly and report signed gaps.
 
     Rates are per symbol; the private/common channel portions are read off
     the role-designated syndrome segments of the bundled partition.
     """
+    require_code_model(s, model, "the condition report")
     K = model.K
-    w_x = _segment_bits_observable(s, "x", "private")
-    w_cx = _segment_bits_observable(s, "x", "common")
-    w_y = _segment_bits_observable(s, "y", "private")
-    w_cy = _segment_bits_observable(s, "y", "common")
+    X, Y, Z, probs = model.support_arrays()
+    TX, TY = support_syndromes(s, X, Y)
+    weights = model.entropy_weights()
+    x, y, z = pack_bits(X), pack_bits(Y), pack_bits(Z)
+    x_private, y_private = s.role_positions("x", "private"), s.role_positions("y", "private")
+    w_x = pack_bits(TX[:, x_private])
+    w_cx = pack_bits(TX[:, s.role_positions("x", "common")])
+    w_y = pack_bits(TY[:, y_private])
+    w_cy = pack_bits(TY[:, s.role_positions("y", "common")])
 
-    n_wx = sum(1 for i in range(s.syndrome_len("x")) if s.role_of("x", i) == "private")
-    n_wy = sum(1 for i in range(s.syndrome_len("y")) if s.role_of("y", i) == "private")
+    def h(code: np.ndarray) -> float:
+        return code_entropy(code, weights) / K
 
-    h_x = _entropy_of(model, _TARGETS["x"]) / K
-    h_y = _entropy_of(model, _TARGETS["y"]) / K
-    h_z = _entropy_of(model, _TARGETS["z"]) / K
-    h_xy = _entropy_of(model, _TARGETS["xy"]) / K
-    h_x_given_yz = _cond_entropy(model, "x", [_TARGETS["y"], _TARGETS["z"]]) / K
-    h_y_given_xz = _cond_entropy(model, "y", [_TARGETS["x"], _TARGETS["z"]]) / K
-    h_y_given_x = _cond_entropy(model, "y", [_TARGETS["x"]]) / K
+    def h_given(target: np.ndarray, observed: np.ndarray) -> float:
+        return code_conditional_entropy(target, observed, probs) / K
+
+    h_x, h_y, h_z, h_xy = h(x), h(y), h(z), h((x << K) | y)
+    h_x_given_yz = h_given(x, (y << K) | z)
+    h_y_given_xz = h_given(y, (x << K) | z)
+    h_y_given_x = h_given(y, x)
     i_xy = h_x + h_y - h_xy
 
-    h_wx = _entropy_of(model, w_x) / K
-    h_wy = _entropy_of(model, w_y) / K
-    h_wcx = _entropy_of(model, w_cx) / K
-    h_wcy = _entropy_of(model, w_cy) / K
-    log_mx = n_wx / K
-    log_my = n_wy / K
+    h_wx, h_wy, h_wcx, h_wcy = h(w_x), h(w_y), h(w_cx), h(w_cy)
+    log_mx = len(x_private) / K
+    log_my = len(y_private) / K
 
     rows = [
         ConditionRow(
@@ -506,11 +503,11 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "x_unc_given_y_private", "h(x)", h_x,
-            "h(x^k|v_y)/k", _cond_entropy(model, "x", [w_y]) / K,
+            "h(x^k|v_y)/k", h_given(x, w_y),
         ),
         ConditionRow(
             "y_unc_given_x_private", "h(y)", h_y,
-            "h(y^k|v_x)/k", _cond_entropy(model, "y", [w_x]) / K,
+            "h(y^k|v_x)/k", h_given(y, w_x),
         ),
         ConditionRow(
             "joint_rate_sum:lower", "h(x,y)", h_xy,
@@ -522,7 +519,7 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "z_unc_given_y_private", "h(z)", h_z,
-            "h(z^k|v_y)/k", _cond_entropy(model, "z", [w_y]) / K,
+            "h(z^k|v_y)/k", h_given(z, w_y),
         ),
     ]
     return rows

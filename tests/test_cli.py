@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,22 @@ def test_load_bundled_scenario():
     assert sc["model"]["K"] == 7
     with pytest.raises(ValidationError):
         load_scenario("no_such_scenario")
+
+
+GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "ref_k7.json"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reference_outputs_byte_identical(tmp_path, fmt):
+    # Every command on the bundled scenario at seed 0 reproduces the stored
+    # SHA-256 digests byte for byte.
+    expected = json.loads(GOLDEN_DIGESTS.read_text())[fmt]
+    for command, files in expected.items():
+        out = tmp_path / command
+        args = [command, "--scenario", "reference_k7", "--out", str(out), "--format", fmt]
+        assert run(args + ["--seed", "0"]) == 0
+        for name, digest in files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_analyze_golden_header(tmp_path):

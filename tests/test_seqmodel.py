@@ -163,13 +163,31 @@ def test_build_model_json():
         build_model({"kind": "iid", "K": 3})
 
 
-def test_support_arrays_match_iteration():
-    model = SequenceModel(kind="hamming", K=3)
+def _iid_with_zero_cell() -> SequenceModel:
+    probs = np.random.default_rng(5).dirichlet(np.ones(12)).reshape(3, 2, 2)
+    probs[1, 0, 1] = 0.0
+    return SequenceModel(kind="iid", K=2, base=JointPmf(probs / probs.sum()))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        SequenceModel(kind="hamming", K=3),
+        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=1),
+        SequenceModel(kind="hamming", K=4, d_xy_max=1, d_yz_max=2),
+        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=2),
+        _iid_with_zero_cell(),
+    ],
+    ids=["hamming-1-1", "hamming-2-1", "hamming-1-2", "hamming-2-2", "iid-3x2x2-zero-cell"],
+)
+def test_support_arrays_match_iteration(model):
     X, Y, Z, probs = model.support_arrays()
     triples = list(model.iter_support())
-    assert X.shape == (len(triples), 3)
-    for row, t in zip(range(len(triples)), triples):
-        assert tuple(X[row]) == t.x
-        assert tuple(Y[row]) == t.y
-        assert tuple(Z[row]) == t.z
+    assert X.shape == Y.shape == Z.shape == (len(triples), model.K)
+    assert X.tolist() == [list(t.x) for t in triples]
+    assert Y.tolist() == [list(t.y) for t in triples]
+    assert Z.tolist() == [list(t.z) for t in triples]
+    assert probs.tolist() == [t.prob for t in triples]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert model.support_arrays()[0] is X  # built once per model
+    assert not X.flags.writeable and not probs.flags.writeable

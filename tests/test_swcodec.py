@@ -6,6 +6,8 @@ import pytest
 
 from corrleak import (
     Gf2Matrix,
+    JointPmf,
+    SequenceModel,
     UsageError,
     ValidationError,
     clamped_equivocation,
@@ -17,6 +19,7 @@ from corrleak import (
     mat_vec_mul,
     prototype_condition_report,
     rank_equivocation,
+    sequence_summary,
     syndrome_observable,
     z_prefix_observable,
 )
@@ -205,3 +208,83 @@ def test_roles_default(scheme):
     assert scheme.role_of("y", 4) == "common"
     assert scheme.parity_column("x", 3) == 1
     assert scheme.parity_column("x", 1) is None
+
+
+def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
+    # [4,2] code, complementary split, over a non-uniform full-support iid
+    # law: 4,096 weighted rows, and 256 source pairs share 64 syndrome pairs.
+    s = PartitionScheme(
+        generator=Gf2Matrix.from_rows(["1011", "0110"]),
+        x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
+        y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3)},
+    )
+    probs = np.array(
+        [
+            (0.3 if y else 0.7) * (0.1 if x != y else 0.9) * (0.2 if z != y else 0.8)
+            for x, y, z in itertools.product((0, 1), repeat=3)
+        ]
+    ).reshape(2, 2, 2)
+    K = 4
+    model = SequenceModel(kind="iid", K=K, base=JointPmf(probs))
+    assert model.entropy_weights() is not None
+
+    def H(target, *observed):
+        return enumeration_equivocation(list(observed), target, model)
+
+    x_obs, y_obs, z_obs = (bit_observable(v, range(K)) for v in "xyz")
+    # T_X / T_Y bit 0 is the private info bit; bits 1-2 are the common parity.
+    w_x, w_cx = syndrome_observable(s, "x", [0]), syndrome_observable(s, "x", [1, 2])
+    w_y, w_cy = syndrome_observable(s, "y", [0]), syndrome_observable(s, "y", [1, 2])
+
+    h = {v: H(v) for v in ("x", "y", "z", "xy", "xz", "yz", "xyz")}
+    summary = sequence_summary(model)
+    i_xy_given_z = h["xz"] + h["yz"] - h["xyz"] - h["z"]
+    expected = {
+        "h_x": h["x"], "h_y": h["y"], "h_z": h["z"], "h_xy": h["xy"],
+        "h_x_given_y": h["xy"] - h["y"], "h_y_given_x": h["xy"] - h["x"],
+        "i_xy": h["x"] + h["y"] - h["xy"], "i_xz": h["x"] + h["z"] - h["xz"],
+        "i_yz": h["y"] + h["z"] - h["yz"],
+        "i_xyz": h["x"] + h["y"] - h["xy"] - i_xy_given_z,
+    }
+    for name, value in expected.items():
+        assert getattr(summary, name) == pytest.approx(value / K, abs=1e-9), name
+
+    pairs = {}
+    for t in model.iter_support():
+        pairs[(t.x, t.y)] = pairs.get((t.x, t.y), 0.0) + t.prob
+    groups = {}
+    for x, y in pairs:
+        groups.setdefault((encode_x(x, s).bits, encode_y(y, s).bits), []).append((x, y))
+    ambiguous = sum(pairs[m] for ms in groups.values() if len(ms) > 1 for m in ms)
+    assert ambiguous > 0.1
+    assert decode_ambiguity_rate(s, model) == pytest.approx(ambiguous, abs=1e-9)
+    for (tx, ty), members in groups.items():
+        result = joint_decode(Syndrome(tx, 1, 2), Syndrome(ty, 1, 2), model, s)
+        assert result.candidates == tuple(sorted(members))
+
+    h_wx, h_wcx = h["x"] - H("x", w_x), h["x"] - H("x", w_cx)
+    h_wy, h_wcy = h["y"] - H("y", w_y), h["y"] - H("y", w_cy)
+    i_xy = h["x"] + h["y"] - h["xy"]
+    portions = h_wx + h_wcx + h_wy + h_wcy
+    oracle = [
+        (ambiguous, 0.0),
+        (H("x", y_obs, z_obs), h_wx),
+        (h_wx, 1.0),
+        (1.0, H("x", y_obs, z_obs)),
+        (H("y", x_obs, z_obs), h_wy),
+        (h_wy, 1.0),
+        (1.0, H("y", x_obs)),
+        (i_xy, h_wcx + h_wcy),
+        (h_wcx + h_wcy, i_xy),
+        (h["x"], H("x", w_y)),
+        (h["y"], H("y", w_x)),
+        (h["xy"], portions),
+        (portions, h["xy"]),
+        (h["z"], H("z", w_y)),
+    ]
+    rows = prototype_condition_report(s, model)
+    assert len(rows) == len(oracle)
+    for row, (lhs, rhs) in zip(rows, oracle):
+        scale = 1.0 if row.label == "decode_error" else K
+        assert row.lhs_bits == pytest.approx(lhs / scale, abs=1e-9), row.label
+        assert row.rhs_bits == pytest.approx(rhs / scale, abs=1e-9), row.label
