@@ -116,6 +116,10 @@ class _Context:
         if self.verbose:
             print(f"corrleak: {msg}", file=sys.stderr)
 
+    def log_entropy_counters(self):
+        a = self.analyzer
+        self.log(f"entropy: {a.entropy_calls} calls, {a.entropy_sets} sets computed")
+
 
 def _golden_comments(ctx: _Context) -> list[str]:
     golden = ctx.scenario.get("golden")
@@ -176,6 +180,7 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
         h_xy=trace_cfg.get("h_xy_bits"),
         h_x_given_y=trace_cfg.get("h_x_given_y_bits"),
     )
+    ctx.log_entropy_counters()
     dicts = [r.as_dict() for r in rows]
     fields = list(dicts[0].keys())
     disagree = sorted(
@@ -228,6 +233,7 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
                     "identity_residual": residual,
                 }
             )
+    ctx.log_entropy_counters()
     comments = [f"scenario={ctx.scenario.get('name', '?')}", f"seed={seed}"]
     if fmt == "json":
         path = out / "bounds.json"

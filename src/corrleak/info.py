@@ -177,28 +177,77 @@ def triple_mutual_information(joint: JointPmf) -> float:
 # entropy over a support table in the package goes through these functions.
 
 
+#: Running width, in bits, up to which ``pack_chunks`` shifts chunks into one
+#: int64 code before it re-ranks the code so far.
+PACK_LIMIT_BITS = 62
+
+
 def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
     """Pack a (rows, width) array of symbols in 0..base-1 into one int64
     code per row, column 0 most significant.  A width of 0 gives all zeros.
 
-    The caller keeps ``base**width`` below 2**63; codes then order rows
-    exactly as the symbol tuples order lexicographically.
+    Codes order rows exactly as the symbol tuples order lexicographically.
+    Raises ``InternalConsistencyError`` when ``base**width`` reaches 2**63,
+    where int64 arithmetic would wrap.
     """
+    if base ** cols.shape[1] >= 1 << 63:
+        raise InternalConsistencyError(
+            f"{cols.shape[1]} symbols of base {base} do not fit one int64 code"
+        )
     code = np.zeros(cols.shape[0], dtype=np.int64)
     for i in range(cols.shape[1]):
         code = code * base + cols[:, i]
     return code
 
 
+def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarray:
+    """Join ``(code, width)`` chunks, codes in 0..2**width-1, into one int64
+    code per row, the first chunk most significant.
+
+    Before a chunk would take the running width past ``PACK_LIMIT_BITS``,
+    the code so far is re-ranked to 0..distinct-1.  Re-ranking keeps the
+    order of the rows, so the result always orders rows as the tuples of
+    their chunks do, and it is the plain shifted code when no re-rank is
+    needed.
+    """
+    code = np.zeros(rows, dtype=np.int64)
+    used = 0
+    for chunk, width in chunks:
+        if not width:
+            continue
+        if used + width > PACK_LIMIT_BITS:
+            values, code = np.unique(code, return_inverse=True)
+            used = (values.size - 1).bit_length()
+            if used + width > PACK_LIMIT_BITS:
+                raise InternalConsistencyError(
+                    f"a {width}-bit chunk does not fit beside {used} ranked bits"
+                )
+        code = (code << width) | chunk
+        used += width
+    return code
+
+
 def code_entropy(code: np.ndarray, probs: np.ndarray | None = None) -> float:
     """H of a coded variable, in bits.  ``probs`` are the row probabilities;
-    None means every row has the same probability (entropy from counts)."""
+    None means every row has the same probability (entropy from counts).
+
+    Codes in 0..2*rows-1 are counted with ``np.bincount`` on the code itself,
+    others through ``np.unique``.  Both give the bins in ascending code order
+    with the weights summed in row order, so the result is the same bit for
+    bit; the dense count array is at most twice the size of ``code``.
+    """
+    dense = code.size > 0 and code.min() >= 0 and code.max() < 2 * code.size
     if probs is None:
-        _, counts = np.unique(code, return_counts=True)
+        if dense:
+            counts = np.bincount(code)
+            counts = counts[counts > 0]
+        else:
+            _, counts = np.unique(code, return_counts=True)
         n = float(code.size)
         return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
-    _, inv = np.unique(code, return_inverse=True)
-    mass = np.bincount(inv, weights=probs)
+    if not dense:
+        _, code = np.unique(code, return_inverse=True)
+    mass = np.bincount(code, weights=probs)
     mass = mass[mass > 0]
     return float(-(mass * np.log2(mass)).sum())
 

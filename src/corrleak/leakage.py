@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UsageError
 from .gf2 import rank, remove_columns
-from .info import code_entropy, pack_bits
+from .info import code_entropy, pack_bits, pack_chunks
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
@@ -106,14 +106,18 @@ class _Var:
     bit of fresh uniform randomness, and a column observed on both sides
     contributes one fresh bit plus the deterministic XOR of the two raw
     parity bits.  ``masked`` holds (column, side) references that the
-    evaluation resolves per entropy set.
+    evaluation resolves per entropy set.  ``key`` names the variable by what
+    it observes and fixes its chunks and references.
     """
 
-    __slots__ = ("chunks", "masked")
+    __slots__ = ("chunks", "masked", "key")
 
-    def __init__(self, chunks: list[tuple[np.ndarray, int]], masked: list[tuple[int, str]]):
+    def __init__(
+        self, chunks: list[tuple[np.ndarray, int]], masked: list[tuple[int, str]], key: tuple
+    ):
         self.chunks = chunks
         self.masked = masked
+        self.key = key
 
 
 class WiretapAnalyzer:
@@ -122,6 +126,9 @@ class WiretapAnalyzer:
     Building the engine reads the model's support table once; every leakage,
     bound and identity evaluation then reduces to entropies of integer-coded
     columns over the support, with shared-pad bits folded in analytically.
+    Entropies are memoised across patterns by the keys of their variables;
+    ``entropy_calls`` counts the entropy sets asked for and
+    ``entropy_sets`` the ones computed.
     """
 
     def __init__(self, s: PartitionScheme, model: SequenceModel):
@@ -152,9 +159,12 @@ class WiretapAnalyzer:
             for c in range(s.parity_len)
         }
         self._Z = Z
+        self._entropy_memo: dict[tuple, float] = {}
+        self.entropy_calls = 0
+        self.entropy_sets = 0
 
-        self._x_var = _Var([(pack_bits(X), self.K)], [])
-        self._y_var = _Var([(pack_bits(Y), self.K)], [])
+        self._x_var = _Var([(pack_bits(X), self.K)], [], ("X",))
+        self._y_var = _Var([(pack_bits(Y), self.K)], [], ("Y",))
 
         self.h_x_total = self._set_entropy([self._x_var])
         self.h_y_total = self._set_entropy([self._y_var])
@@ -179,16 +189,21 @@ class WiretapAnalyzer:
         cols = [i for i in positions if i not in masked]
         refs = [masked[i] for i in positions if i in masked]
         chunks = [(pack_bits(bits[:, cols]), len(cols))] if cols else []
-        return _Var(chunks, refs)
+        return _Var(chunks, refs, (side, tuple(cols), tuple(refs)))
 
     def _set_entropy(self, vars: Sequence[_Var]) -> float:
         """Entropy of the joint of several variables: pack the deterministic
-        chunks, resolve pad references, and add one bit per touched pad."""
-        code = np.zeros(self._rows, dtype=np.int64)
-        for v in vars:
-            for chunk, width in v.chunks:
-                if width:
-                    code = (code << width) | chunk
+        chunks, resolve pad references, and add one bit per touched pad.
+
+        The memo key lists the variable keys in the order given, which is
+        also the packing order, so a hit returns the very float a fresh
+        computation would."""
+        self.entropy_calls += 1
+        key = tuple(v.key for v in vars)
+        value = self._entropy_memo.get(key)
+        if value is not None:
+            return value
+        chunks = [chunk for v in vars for chunk in v.chunks]
         touched: dict[int, set[str]] = {}
         for v in vars:
             for col, side in v.masked:
@@ -197,8 +212,11 @@ class WiretapAnalyzer:
         for col, sides in sorted(touched.items()):
             bonus += 1.0
             if len(sides) == 2:
-                code = (code << 1) | self._xor_col[col]
-        return code_entropy(code, self._weights) + bonus
+                chunks.append((self._xor_col[col], 1))
+        value = code_entropy(pack_chunks(chunks, self._rows), self._weights) + bonus
+        self._entropy_memo[key] = value
+        self.entropy_sets += 1
+        return value
 
     def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
         pattern.validate(self.scheme, self.K)
@@ -208,7 +226,9 @@ class WiretapAnalyzer:
             zsel = sorted(pattern.z_positions)
         else:
             zsel = list(range(pattern.mu))
-        z = _Var([(pack_bits(self._Z[:, zsel]), len(zsel))] if zsel else [], [])
+        z = _Var(
+            [(pack_bits(self._Z[:, zsel]), len(zsel))] if zsel else [], [], ("z", tuple(zsel))
+        )
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
     def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":
@@ -352,7 +372,8 @@ class PatternCheck:
 
 
 class _Evaluation:
-    """Entropy calculator with per-pattern memoisation."""
+    """Entropy calculator for one pattern.  Its cache by variable names sits
+    in front of the analyzer's memo, so a repeated ``H`` call builds no key."""
 
     def __init__(self, engine: WiretapAnalyzer, vars: dict[str, _Var]):
         self._engine = engine

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, UsageError, ValidationError
+from .errors import CapacityError, DomainError, ValidationError
 from .info import ZERO_EPS, InfoSummary, JointPmf, code_entropy, pack_bits
 
 #: Exact enumeration refuses supports larger than this many triples.
@@ -238,13 +238,6 @@ def z_consistency_counts(K: int, mu: int) -> tuple[int, int, int]:
         raise DomainError(f"mu must lie in 1..K, got mu={mu}, K={K}")
     repeated = 1 << (K - mu)
     return repeated, K - mu + 1, mu * repeated
-
-
-def per_symbol_entropy(model: SequenceModel, total_bits: float) -> float:
-    """Per-symbol rate (1/K) * total_bits used wherever quantities are per symbol."""
-    if model.K < 1:
-        raise UsageError("model has no symbols")
-    return total_bits / model.K
 
 
 def sequence_summary(model: SequenceModel) -> InfoSummary:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,26 @@ def test_reference_outputs_byte_identical(tmp_path, fmt):
         assert run(args + ["--seed", "0"]) == 0
         for name, digest in files.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_verbose_logs_entropy_counters(tmp_path, capsys):
+    # --verbose reports the analyzer's entropy counters on stderr; the
+    # outputs stay byte-identical to the stored digests.
+    expected = json.loads(GOLDEN_DIGESTS.read_text())["csv"]
+    counts = {}
+    for command in ("verify-bounds", "curves"):
+        out = tmp_path / command
+        args = [command, "--scenario", "reference_k7", "--out", str(out), "--seed", "0"]
+        assert run(args + ["--verbose"]) == 0
+        err = capsys.readouterr().err
+        found = re.findall(r"^corrleak: entropy: (\d+) calls, (\d+) sets computed$", err, re.M)
+        assert len(found) == 1
+        counts[command] = tuple(int(v) for v in found[0])
+        for name, digest in expected[command].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert counts["verify-bounds"] == (16006, 3041)
+    calls, sets = counts["curves"]
+    assert 0 < sets < calls
 
 
 def test_analyze_golden_header(tmp_path):

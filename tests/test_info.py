@@ -1,7 +1,11 @@
+from collections import Counter
+from math import log2
+
 import numpy as np
 import pytest
 
 from corrleak import (
+    InternalConsistencyError,
     JointPmf,
     UsageError,
     ValidationError,
@@ -11,6 +15,7 @@ from corrleak import (
     summarize,
     triple_mutual_information,
 )
+from corrleak.info import PACK_LIMIT_BITS, code_entropy, pack_bits, pack_chunks
 
 
 def random_pmf(rng, shape) -> JointPmf:
@@ -193,3 +198,91 @@ def test_pmf_validation():
     bad[0, 0, 0] = 0.5
     with pytest.raises(ValidationError):
         JointPmf(bad)
+
+
+# -- entropy kernel over integer codes ---------------------------------------------
+
+
+def entropy_by_unique(code, probs=None):
+    """The kernel's np.unique form, the reference for its counting fast path."""
+    if probs is None:
+        _, counts = np.unique(code, return_counts=True)
+        n = float(code.size)
+        return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
+    _, inv = np.unique(code, return_inverse=True)
+    mass = np.bincount(inv, weights=probs)
+    mass = mass[mass > 0]
+    return float(-(mass * np.log2(mass)).sum())
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["counts", "weights"])
+@pytest.mark.parametrize("top", [0, 1], ids=["max-2n-1", "max-2n"])
+def test_code_entropy_counting_paths_agree(monkeypatch, weighted, top):
+    rng = np.random.default_rng(11)
+    n = 2000
+    code = rng.integers(0, 300, size=n) * 3
+    code[0] = 2 * n - 1 + top  # 2n-1 is still counted densely, 2n is not
+    probs = None
+    if weighted:
+        probs = rng.dirichlet(np.ones(n))
+        probs[rng.choice(n, size=200, replace=False)] = 0.0
+        code[1], probs[1] = 1, 0.0  # a code seen only on a zero-weight row
+    expected = entropy_by_unique(code, probs)
+    # Far above the dense range the kernel takes its np.unique path.
+    assert code_entropy(code + 4 * n, probs) == expected
+    if top == 0:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense code went through np.unique")
+
+        monkeypatch.setattr(np, "unique", refuse)
+    assert code_entropy(code, probs) == expected
+
+
+def tuple_entropy(chunks):
+    """Entropy of the per-row tuples of chunk values, by a plain Counter."""
+    rows = list(zip(*(c.tolist() for c, _ in chunks)))
+    n = len(rows)
+    return -sum(c / n * log2(c / n) for c in Counter(rows).values())
+
+
+def test_pack_chunks_past_64_bits_matches_tuple_oracle():
+    rng = np.random.default_rng(12)
+    widths = [20, 17, 13, 9, 1, 1, 6]  # 67 bits: needs re-ranking
+    assert sum(widths) > 64
+    pool = [rng.integers(0, 1 << w, size=300) for w in widths]
+    pick = rng.integers(0, 300, size=5000)  # repeated rows
+    chunks = [(col[pick], w) for col, w in zip(pool, widths)]
+    code = pack_chunks(chunks, pick.size)
+    # Same partition and the same order as the tuples of chunk values.
+    rows = list(zip(*(c.tolist() for c, _ in chunks)))
+    rank = {t: i for i, t in enumerate(sorted(set(rows)))}
+    _, inv = np.unique(code, return_inverse=True)
+    assert inv.tolist() == [rank[t] for t in rows]
+    assert code_entropy(code) == pytest.approx(tuple_entropy(chunks), abs=1e-12)
+
+
+def test_pack_chunks_is_the_shifted_code_within_the_limit():
+    rng = np.random.default_rng(13)
+    widths = [30, 0, 20, 12]  # exactly the limit; width 0 adds nothing
+    assert sum(widths) == PACK_LIMIT_BITS
+    chunks = [(rng.integers(0, 1 << w, size=100), w) for w in widths]
+    shifted = np.zeros(100, dtype=np.int64)
+    for c, w in chunks:
+        shifted = (shifted << w) | c
+    assert (pack_chunks(chunks, 100) == shifted).all()
+
+
+def test_pack_chunks_refuses_a_chunk_that_cannot_fit():
+    bit = np.array([0, 1, 1, 0])
+    wide = np.array([0, 1, 2, 3])
+    with pytest.raises(InternalConsistencyError):
+        pack_chunks([(bit, 1), (wide, PACK_LIMIT_BITS)], 4)
+
+
+def test_pack_bits_width_check():
+    assert pack_bits(np.ones((2, 62), dtype=np.int64)).tolist() == [(1 << 62) - 1] * 2
+    assert pack_bits(np.full((1, 39), 2), base=3).tolist() == [3**39 - 1]
+    with pytest.raises(InternalConsistencyError):
+        pack_bits(np.zeros((2, 63), dtype=np.int64))
+    with pytest.raises(InternalConsistencyError):
+        pack_bits(np.zeros((2, 40), dtype=np.int64), base=3)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from corrleak import (
     DomainError,
     UsageError,
+    WiretapAnalyzer,
     WiretapPattern,
     extremal_max_pattern,
     grid_curve_rows,
@@ -13,8 +15,9 @@ from corrleak import (
     z_mu_leakage,
     z_trace_rows,
 )
+from corrleak.info import code_entropy
 from corrleak.leakage import sample_patterns
-from corrleak.swcodec import enumeration_equivocation, z_prefix_observable
+from corrleak.swcodec import enumeration_equivocation, support_syndromes, z_prefix_observable
 
 
 def pattern(tx=(), ty=(), mu=0):
@@ -227,3 +230,42 @@ def test_sample_patterns_deterministic(scheme):
     assert a == b
     c = sample_patterns(scheme, 5, seed=4, mu_values=(0, 2))
     assert a != c
+
+
+# -- the analyzer's cross-pattern entropy memo ---------------------------------------
+
+
+def test_memo_shared_across_patterns_matches_fresh_analyzers(scheme, hamming7):
+    patterns = sample_patterns(scheme, 13, seed=21, mu_values=(0, 2, 5, 7))
+    random.Random(22).shuffle(patterns)
+    assert len(patterns) >= 50
+    shared = WiretapAnalyzer(scheme, hamming7)
+    for p in patterns:
+        assert shared.pattern_checks(p) == WiretapAnalyzer(scheme, hamming7).pattern_checks(p)
+        for target in ("x", "y", "xy"):
+            fresh = WiretapAnalyzer(scheme, hamming7).exact_leakage(target, p)
+            assert shared.exact_leakage(target, p) == fresh
+    sizes = [(2, 3), (0, 5), (5, 5), (3, 1), (1, 0)]
+    for mu_tx, mu_ty in sizes:
+        fresh = WiretapAnalyzer(scheme, hamming7).minmax_oracle(mu_tx, mu_ty)
+        assert shared.minmax_oracle(mu_tx, mu_ty) == fresh
+    assert 0 < shared.entropy_sets < shared.entropy_calls
+
+
+def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
+    # Parity column 0 seen on x only, on y only, and on both sides.
+    px, py = scheme.x_info_len, scheme.y_info_len
+    assert scheme.parity_column("x", px) == scheme.parity_column("y", py) == 0
+    analyzer = WiretapAnalyzer(scheme, hamming7)
+    sets = analyzer.entropy_sets
+    h_x = analyzer.evaluation(pattern(tx=[px])).H("tx")
+    h_y = analyzer.evaluation(pattern(ty=[py])).H("ty")
+    h_pair = analyzer.evaluation(pattern(tx=[px], ty=[py])).H("tx", "ty")
+    assert analyzer.entropy_sets == sets + 3
+    # One padded bit alone is one fresh bit; the pair adds the raw-parity XOR.
+    assert h_x == h_y == 1.0
+    X, Y, _, _ = hamming7.support_arrays()
+    tx, ty = support_syndromes(scheme, X, Y)
+    h_xor = code_entropy((tx[:, px] ^ ty[:, py]).astype(np.int64))
+    assert h_xor > 0.0
+    assert h_pair == pytest.approx(1.0 + h_xor, abs=1e-12)
