@@ -8,21 +8,24 @@ codeword layout masks the first sub-codeword of X with *Y's* key component
 variant is available so the effect of the shared pad can be measured rather
 than argued about.
 
-Security levels are exact conditional entropies per symbol, computed by
-enumerating the source support together with the uniform key space.
+Security levels are exact conditional entropies per symbol over the source
+support.  Uniform keys are folded in analytically: a key whose masked
+components all share its size leaves only their differences mod that size
+visible, as the leakage analyzer does for its shared parity pad.  Only a key
+that masks a component of another size (a shared pad over unequal sizes) is
+enumerated together with the support rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
-from math import ceil, log2
+from math import ceil, log2, prod
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError, ValidationError
-from .info import InfoSummary, code_entropy, pack_bits
+from .info import InfoSummary, code_entropy, pack_bits, pack_chunks
 from .seqmodel import SUPPORT_GUARD, SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
@@ -96,7 +99,11 @@ class CipherScheme:
 
 
 def _component_sizes(scheme: CipherScheme) -> dict[str, int]:
-    return {"x1": scheme.m_x1, "cx": scheme.m_cx, "y1": scheme.m_y1, "cy": scheme.m_cy}
+    """Alphabet size of every codeword component, in codeword order."""
+    return {
+        "x1": scheme.m_x1, "x2": scheme.m_x2, "cx": scheme.m_cx,
+        "y1": scheme.m_y1, "y2": scheme.m_y2, "cy": scheme.m_cy,
+    }
 
 
 def _masked(value: int, comp: str, keys: Mapping[str, int], scheme: CipherScheme, sign: int) -> int:
@@ -390,7 +397,13 @@ def measure_security(
     branch: Optional[str] = None,
 ) -> SecurityMeasurement:
     """Exact per-symbol conditional entropies of the sources given both
-    codewords and the leaked Z prefix, enumerating plaintexts x keys."""
+    codewords and the leaked Z prefix.
+
+    A key of size m whose masked components all have size m folds: the
+    codewords then show only each component's difference from the first
+    one, mod m, and the key's log2(m) fresh bits cancel between H(obs) and
+    H(obs, target).  Any other key is enumerated together with the rows.
+    """
     if branch is not None:
         scheme = replace(scheme, key_assignment=_branch_assignment(branch))
     require_code_model(s, model, "measurement")
@@ -416,63 +429,48 @@ def measure_security(
     if wcx.size and (wcx.max() >= scheme.m_cx or wcy.max() >= scheme.m_cy):
         raise UsageError("scheme common spaces are smaller than the syndrome portions")
 
+    sizes = _component_sizes(scheme)
     key_sizes = scheme.key_sizes()
-    key_names = list(key_sizes)
-    key_space = 1
-    for size in key_sizes.values():
-        key_space *= size
+    masked = {k: [c for c in sizes if scheme.key_assignment.get(c) == k] for k in key_sizes}
+    enumerated = [k for k, m in key_sizes.items() if any(sizes[c] != m for c in masked[k])]
+    key_space = prod(key_sizes[k] for k in enumerated)
     if n_rows * key_space > SUPPORT_GUARD:
         raise CapacityError(
-            f"{n_rows} support rows x {key_space} keys exceeds guard {SUPPORT_GUARD}"
+            f"{n_rows} support rows x {key_space} enumerated keys exceeds guard {SUPPORT_GUARD}"
         )
 
-    key_grid = np.array(
-        list(itertools.product(*(range(key_sizes[k]) for k in key_names))), dtype=np.int64
-    ).reshape(max(key_space, 1), len(key_names))
+    # Row index and enumerated key values of every (row, key tuple) cell.
+    idx, *key_values = np.indices((n_rows, *(key_sizes[k] for k in enumerated))).reshape(
+        len(enumerated) + 1, -1
+    )
+    pads = dict(zip(enumerated, key_values))
+    weights = probs[idx] / key_space
+    values = {
+        "x1": wx[idx] % scheme.m_x1, "x2": wx[idx] // scheme.m_x1, "cx": wcx[idx],
+        "y1": wy[idx] % scheme.m_y1, "y2": wy[idx] // scheme.m_y1, "cy": wcy[idx],
+    }
+    for key, comps in masked.items():
+        if key in pads:
+            for c in comps:
+                values[c] = (values[c] + pads[key]) % sizes[c]
+        else:
+            first = values.pop(comps[0])
+            for c in comps[1:]:
+                values[c] = (values[c] - first) % sizes[c]
 
-    idx = np.repeat(np.arange(n_rows), key_space)
-    kidx = np.tile(np.arange(key_space), n_rows)
-    weights = np.repeat(probs, key_space) / key_space
-    keys = {name: key_grid[kidx, j] for j, name in enumerate(key_names)}
+    obs = [(code, (sizes[c] - 1).bit_length()) for c, code in values.items()]
+    obs.append((pack_bits(Z[:, :mu])[idx], mu))
+    x_chunk = (pack_bits(X)[idx], model.K)
+    y_chunk = (pack_bits(Y)[idx], model.K)
 
-    wx1 = wx[idx] % scheme.m_x1
-    wx2 = wx[idx] // scheme.m_x1
-    wy1 = wy[idx] % scheme.m_y1
-    wy2 = wy[idx] // scheme.m_y1
+    def h(*targets: tuple[np.ndarray, int]) -> float:
+        return code_entropy(pack_chunks(obs + list(targets), idx.size), weights)
 
-    def mask(values: np.ndarray, comp: str, size: int) -> np.ndarray:
-        key_name = scheme.key_assignment.get(comp)
-        if key_name is None or key_name not in keys:
-            return values
-        return (values + keys[key_name]) % size
-
-    comps = [
-        mask(wx1, "x1", scheme.m_x1),
-        wx2,
-        mask(wcx[idx], "cx", scheme.m_cx),
-        mask(wy1, "y1", scheme.m_y1),
-        wy2,
-        mask(wcy[idx], "cy", scheme.m_cy),
-    ]
-    sizes = [scheme.m_x1, scheme.m_x2, scheme.m_cx, scheme.m_y1, scheme.m_y2, scheme.m_cy]
-    obs = np.zeros(len(idx), dtype=np.int64)
-    for comp, size in zip(comps, sizes):
-        obs = obs * size + comp
-    for i in range(mu):
-        obs = (obs << 1) | Z[idx, i]
-
-    x_code = pack_bits(X)[idx]
-    y_code = pack_bits(Y)[idx]
-
-    h_obs = code_entropy(obs, weights)
-    shift = 1 << model.K
-    h_x_hat = code_entropy(obs * shift + x_code, weights) - h_obs
-    h_y_hat = code_entropy(obs * shift + y_code, weights) - h_obs
-    h_xy_hat = code_entropy((obs * shift + x_code) * shift + y_code, weights) - h_obs
+    h_obs = h()
     key_bits = sum(log2(v) for v in key_sizes.values())
     return SecurityMeasurement(
-        h_x_hat=h_x_hat / model.K,
-        h_y_hat=h_y_hat / model.K,
-        h_xy_hat=h_xy_hat / model.K,
+        h_x_hat=(h(x_chunk) - h_obs) / model.K,
+        h_y_hat=(h(y_chunk) - h_obs) / model.K,
+        h_xy_hat=(h(x_chunk, y_chunk) - h_obs) / model.K,
         key_bits=key_bits / model.K,
     )

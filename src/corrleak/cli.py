@@ -68,6 +68,17 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _emit(out: Path, fmt: str, stem: str, comments, rows, fields) -> list[Path]:
+    """Write ``<stem>.json`` (header plus rows) or ``<stem>.csv``; return its path."""
+    if fmt == "json":
+        path = out / f"{stem}.json"
+        _write_json(path, {"header": comments, "rows": rows})
+    else:
+        path = out / f"{stem}.csv"
+        _write_csv(path, fields, rows, comments)
+    return [path]
+
+
 def load_scenario(ref: str) -> dict:
     """Load a scenario from a file path or a bundled name."""
     p = Path(ref)
@@ -182,7 +193,6 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     )
     ctx.log_entropy_counters()
     dicts = [r.as_dict() for r in rows]
-    fields = list(dicts[0].keys())
     disagree = sorted(
         {
             (r.mu_tx, r.mu_ty)
@@ -196,13 +206,7 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
         + (";".join(f"({a},{b})" for a, b in disagree) if disagree else "none")
         + "; see variant_match for the oracle-confirmed variant"
     )
-    if fmt == "json":
-        path = out / "curves.json"
-        _write_json(path, {"header": comments, "rows": dicts})
-        return [path]
-    path = out / "curves.csv"
-    _write_csv(path, fields, dicts, comments)
-    return [path]
+    return _emit(out, fmt, "curves", comments, dicts, list(dicts[0]))
 
 
 def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Path]:
@@ -235,13 +239,7 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
             )
     ctx.log_entropy_counters()
     comments = [f"scenario={ctx.scenario.get('name', '?')}", f"seed={seed}"]
-    if fmt == "json":
-        path = out / "bounds.json"
-        _write_json(path, {"header": comments, "rows": rows})
-        return [path]
-    path = out / "bounds.csv"
-    _write_csv(path, list(rows[0].keys()), rows, comments)
-    return [path]
+    return _emit(out, fmt, "bounds", comments, rows, list(rows[0]))
 
 
 def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
@@ -277,13 +275,7 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
             }
         )
     comments = [f"scenario={ctx.scenario.get('name', '?')}"]
-    if fmt == "json":
-        path = out / "region.json"
-        _write_json(path, {"header": comments, "rows": rows})
-        return [path]
-    path = out / "region.csv"
-    _write_csv(path, list(rows[0].keys()), rows, comments)
-    return [path]
+    return _emit(out, fmt, "region", comments, rows, list(rows[0]))
 
 
 def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Path]:
@@ -318,13 +310,9 @@ def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Pat
         f"scenario={ctx.scenario.get('name', '?')}",
         f"t_x={tx} t_y={ty} candidates={len(rows)} unique={str(result.unique).lower()}",
     ]
-    if fmt == "json":
-        path = out / "decode.json"
-        _write_json(path, {"header": comments, "rows": rows})
-        return [path]
-    path = out / "decode.csv"
-    _write_csv(path, ["candidate", "x_bits", "y_bits", "x_hex", "y_hex"], rows, comments)
-    return [path]
+    # Explicit fields: a decode may have no candidates.
+    fields = ["candidate", "x_bits", "y_bits", "x_hex", "y_hex"]
+    return _emit(out, fmt, "decode", comments, rows, fields)
 
 
 def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
@@ -364,13 +352,7 @@ def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
             }
         )
     comments = [f"scenario={ctx.scenario.get('name', '?')}"]
-    if fmt == "json":
-        path = out / "cipher.json"
-        _write_json(path, {"header": comments, "rows": rows})
-        return [path]
-    path = out / "cipher.csv"
-    _write_csv(path, list(rows[0].keys()), rows, comments)
-    return [path]
+    return _emit(out, fmt, "cipher", comments, rows, list(rows[0]))
 
 
 def build_parser() -> argparse.ArgumentParser:

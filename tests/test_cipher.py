@@ -1,5 +1,7 @@
 import itertools
 import math
+from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from corrleak import (
     CipherScheme,
     DomainError,
+    Gf2Matrix,
     InfoSummary,
     RegionQuery,
     UsageError,
@@ -20,8 +23,15 @@ from corrleak import (
     region_membership,
     split_index,
 )
-from corrleak.seqmodel import sequence_summary
-from corrleak.swcodec import enumeration_equivocation, syndrome_observable
+from corrleak.cipher import BRANCHES
+from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
+from corrleak.swcodec import (
+    PartitionScheme,
+    encode_x,
+    encode_y,
+    enumeration_equivocation,
+    syndrome_observable,
+)
 
 
 def test_split_index_examples():
@@ -301,3 +311,97 @@ def test_measure_security_mu_reduces_uncertainty(scheme, hamming7):
     base = measure_security(sch, hamming7, scheme, mu=0)
     leaked = measure_security(sch, hamming7, scheme, mu=7)
     assert leaked.h_xy_hat < base.h_xy_hat - 0.1
+
+
+def partition(rows: list[str], v1: tuple[int, ...], u2: tuple[int, ...]) -> PartitionScheme:
+    """Systematic [n,k] scheme sending v1 of X and u2 of Y in the clear."""
+    k, n = len(rows), len(rows[0])
+    parity = tuple(range(k, n))
+    return PartitionScheme(
+        generator=Gf2Matrix.from_rows(rows),
+        x_segments={"a1": tuple(p for p in range(k) if p not in v1), "v1": v1, "q1": parity},
+        y_segments={"u2": u2, "a2": tuple(p for p in range(k) if p not in u2), "q2": parity},
+    )
+
+
+def cipher_oracle(cipher: CipherScheme, model, s: PartitionScheme, mu_values):
+    """Per mu: H(x | ct, z-prefix), H(y | ...), H(xy | ...) per symbol, by
+    sending every support triple with every key tuple through build_ciphertexts."""
+    key_sizes = cipher.key_sizes()
+    key_tuples = list(itertools.product(*(range(m) for m in key_sizes.values())))
+    mass = {mu: [defaultdict(float) for _ in range(4)] for mu in mu_values}
+
+    def index(bits, side, role):
+        value = 0
+        for i in s.role_positions(side, role):
+            value = 2 * value + bits[i]
+        return value
+
+    for t in model.iter_support():
+        tx, ty = encode_x(t.x, s).bits, encode_y(t.y, s).bits
+        plain = (index(tx, "x", "private"), index(ty, "y", "private"),
+                 index(tx, "x", "common"), index(ty, "y", "common"))
+        p = t.prob / len(key_tuples)
+        for key_vals in key_tuples:
+            ct = build_ciphertexts(*plain, dict(zip(key_sizes, key_vals)), cipher)
+            for mu, acc in mass.items():
+                obs = (ct, t.z[:mu])
+                for counter, cell in zip(acc, (obs, (obs, t.x), (obs, t.y), (obs, t.x, t.y))):
+                    counter[cell] += p
+
+    def h(counter):
+        return -math.fsum(q * math.log2(q) for q in counter.values())
+
+    out = {}
+    for mu, acc in mass.items():
+        h_obs = h(acc[0])
+        out[mu] = tuple((h(c) - h_obs) / model.K for c in acc[1:])
+    return out
+
+
+ORACLE_CASES = {
+    # name: (generator rows, v1, u2, full_split)
+    "equal-split": (["1011", "0101"], (1,), (0,), True),
+    # Both private parts are bits 0..1: a reused pad shows y1 - x1 mod 4.
+    "equal-split-wide": (["10001", "01001", "00101", "00011"], (0, 1), (0, 1), True),
+    "v1-longer": (["10011", "01010", "00111"], (1, 2), (0,), True),
+    "u2-longer": (["10011", "01010", "00111"], (2,), (0, 1), True),
+    "v1-longer-partial": (["10011", "01010", "00111"], (1, 2), (0,), False),
+}
+
+
+#: Pads across components: kx1 covers both first parts, ky1 covers cx.
+CROSSED_PADS = {"x1": "kx1", "cx": "ky1", "y1": "kx1", "cy": "kcy"}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_measure_security_matches_key_enumeration_oracle(case):
+    # The equal splits fold every branch's keys; |v1| != |u2| leaves
+    # reused-pad's shared key over two sizes, which measure_security
+    # enumerates, and CROSSED_PADS enumerates two keys there.
+    rows, v1, u2, full_split = ORACLE_CASES[case]
+    s = partition(rows, v1, u2)
+    model = SequenceModel(kind="hamming", K=s.n, d_xy_max=1, d_yz_max=0)
+    for name, assignment in [*BRANCHES.items(), ("crossed", CROSSED_PADS)]:
+        cipher = replace(desk_scheme(s, full_split=full_split), key_assignment=assignment)
+        for mu, expected in cipher_oracle(cipher, model, s, (0, 2)).items():
+            m = measure_security(cipher, model, s, mu=mu)
+            assert (m.h_x_hat, m.h_y_hat, m.h_xy_hat) == pytest.approx(expected, abs=1e-12), (
+                name, mu
+            )
+
+
+def test_measure_security_folds_keys_past_the_enumeration_guard():
+    # [10,6] shortened Hamming code at K=10: 11,264 (x, y) rows x 16,384
+    # independent-pad key tuples would exceed SUPPORT_GUARD if enumerated.
+    columns = [format(v, "04b") for v in range(16) if bin(v).count("1") >= 2][:6]
+    rows = ["".join("1" if j == i else "0" for j in range(6)) + c for i, c in enumerate(columns)]
+    s = partition(rows, (3, 4, 5), (0, 1, 2))
+    model = SequenceModel(kind="hamming", K=10)
+    cipher = desk_scheme(s, branch="independent-pads")
+    assert 11_264 * math.prod(cipher.key_sizes().values()) > SUPPORT_GUARD
+    m = measure_security(cipher, model, s, mu=0)
+    summary = sequence_summary(model)
+    assert m.h_x_hat == pytest.approx(summary.h_x, abs=1e-9)
+    assert m.h_y_hat == pytest.approx(summary.h_y, abs=1e-9)
+    assert m.h_xy_hat == pytest.approx(summary.h_xy, abs=1e-9)
