@@ -121,13 +121,9 @@ def build_ciphertexts(
     wcy: int,
     keys: Mapping[str, int],
     scheme: CipherScheme,
-    branch: Optional[str] = None,
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Assemble the two codewords (masked X split, clear X remainder, masked
-    common X) and the Y analogue.  ``branch`` overrides the scheme's key
-    assignment with one of the named templates."""
-    if branch is not None:
-        scheme = replace(scheme, key_assignment=_branch_assignment(branch))
+    common X) and the Y analogue."""
     if not 0 <= wx < scheme.m_x:
         raise UsageError(f"wx={wx} outside index space of size {scheme.m_x}")
     if not 0 <= wy < scheme.m_y:
@@ -152,11 +148,8 @@ def decrypt_ciphertexts(
     w2: tuple[int, int, int],
     keys: Mapping[str, int],
     scheme: CipherScheme,
-    branch: Optional[str] = None,
 ) -> tuple[int, int, int, int]:
     """Invert ``build_ciphertexts``: returns (wx, wy, wcx, wcy)."""
-    if branch is not None:
-        scheme = replace(scheme, key_assignment=_branch_assignment(branch))
     wx1 = _masked(w1[0], "x1", keys, scheme, -1)
     wcx = _masked(w1[2], "cx", keys, scheme, -1)
     wy1 = _masked(w2[0], "y1", keys, scheme, -1)
@@ -333,10 +326,11 @@ def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVer
     )
 
 
-def security_verdict(measured: float, target: float, eps: float = SECURITY_EPS) -> bool:
+def security_verdict(measured: float, target: float) -> bool:
     """Desk-scale check that a measured level meets its target within the
-    empirical slack; the raw values are reported alongside, never replaced."""
-    return bool(measured >= target - eps)
+    empirical slack ``SECURITY_EPS``; the raw values are reported alongside,
+    never replaced."""
+    return bool(measured >= target - SECURITY_EPS)
 
 
 def guaranteed_level(h_target: float, alpha_cx: float, alpha_cy: float, i_xyz: float) -> float:
@@ -390,11 +384,7 @@ def desk_scheme(
 
 
 def measure_security(
-    scheme: CipherScheme,
-    model: SequenceModel,
-    s: PartitionScheme,
-    mu: int = 0,
-    branch: Optional[str] = None,
+    scheme: CipherScheme, model: SequenceModel, s: PartitionScheme, mu: int = 0
 ) -> SecurityMeasurement:
     """Exact per-symbol conditional entropies of the sources given both
     codewords and the leaked Z prefix.
@@ -404,8 +394,6 @@ def measure_security(
     one, mod m, and the key's log2(m) fresh bits cancel between H(obs) and
     H(obs, target).  Any other key is enumerated together with the rows.
     """
-    if branch is not None:
-        scheme = replace(scheme, key_assignment=_branch_assignment(branch))
     require_code_model(s, model, "measurement")
     if not 0 <= mu <= model.K:
         raise DomainError(f"mu must lie in 0..{model.K}, got {mu}")

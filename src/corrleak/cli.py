@@ -24,6 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -111,14 +113,11 @@ class _Context:
             raise ValidationError("scenario.scheme: missing")
         self.model = build_model(scenario["model"])
         self.scheme = PartitionScheme.from_json(scenario["scheme"])
-        self._analyzer = None
 
-    @property
+    @cached_property
     def analyzer(self) -> WiretapAnalyzer:
-        if self._analyzer is None:
-            self.log("building enumeration engine")
-            self._analyzer = WiretapAnalyzer(self.scheme, self.model)
-        return self._analyzer
+        self.log("building enumeration engine")
+        return WiretapAnalyzer(self.scheme, self.model)
 
     def sweep(self, key: str, default):
         return self.scenario.get("sweep", {}).get(key, default)
@@ -153,15 +152,7 @@ def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     ]
     ctx.log("evaluating prototype-code conditions")
     cond_rows = [
-        {
-            "label": r.label,
-            "lhs_name": r.lhs_name,
-            "lhs_bits": r.lhs_bits,
-            "rhs_name": r.rhs_name,
-            "rhs_bits": r.rhs_bits,
-            "gap": r.gap,
-        }
-        for r in prototype_condition_report(ctx.scheme, ctx.model)
+        {**asdict(r), "gap": r.gap} for r in prototype_condition_report(ctx.scheme, ctx.model)
     ]
     if fmt == "json":
         path = out / "analyze.json"
@@ -192,7 +183,7 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
         h_x_given_y=trace_cfg.get("h_x_given_y_bits"),
     )
     ctx.log_entropy_counters()
-    dicts = [r.as_dict() for r in rows]
+    dicts = [asdict(r) for r in rows]
     disagree = sorted(
         {
             (r.mu_tx, r.mu_ty)

@@ -87,8 +87,8 @@ class BoundReport:
     target: str
     lhs_bits: float          # exact leakage, bits per symbol
     rhs_bits: float          # bound value, bits per symbol (slack excluded)
-    delta: float
     term_breakdown: Mapping[str, float]
+    delta: float = DELTA
 
     @property
     def holds(self) -> bool:
@@ -96,6 +96,27 @@ class BoundReport:
 
 
 _TARGET_VARS = {"x": ("x",), "y": ("y",), "xy": ("x", "y")}
+
+#: Signs of the nine mutual-information terms in the bound's right side;
+#: the chain-rule reconstruction of H(target | T_Y, T_X, Z^mu) takes each
+#: with the opposite sign.
+_TERM_SIGNS = {
+    "i(ty;t)": 1.0,
+    "i(tx;t)": 1.0,
+    "i(ty;tx|t)": 1.0,
+    "i(t;z)": 1.0,
+    "i(ty;z|t)": 1.0,
+    "i(tx;z|t,ty)": 1.0,
+    "i(tx;ty)": -1.0,
+    "i(z;tx)": -1.0,
+    "i(ty;z|tx)": -1.0,
+}
+
+
+def _target_vars(target: str) -> tuple[str, ...]:
+    if target not in _TARGET_VARS:
+        raise UsageError(f"target must be one of {sorted(_TARGET_VARS)}, got {target!r}")
+    return _TARGET_VARS[target]
 
 
 class _Var:
@@ -142,17 +163,17 @@ class WiretapAnalyzer:
         self._weights = model.entropy_weights()
         self._rows = X.shape[0]
 
-        # Syndrome bits plus their shared-pad references; other bits are clear.
-        def describe(side: str, bits: np.ndarray):
-            masked = {}
-            for i in range(bits.shape[1]):
-                pcol = s.parity_column(side, i)
-                if s.role_of(side, i) == "common" and pcol is not None:
-                    masked[i] = (pcol, side)
-            return bits, masked
+        # Syndrome bits plus the shared-pad reference of every common-role
+        # parity bit; other bits are clear.
+        def padded(side: str) -> dict[int, tuple[int, str]]:
+            return {
+                i: (col, side)
+                for i in s.role_positions(side, "common")
+                if (col := s.parity_column(side, i)) is not None
+            }
 
-        self._tx = describe("x", tx_bits)
-        self._ty = describe("y", ty_bits)
+        self._tx = (tx_bits, padded("x"))
+        self._ty = (ty_bits, padded("y"))
         # Raw parity XOR per pad column (the pads cancel in the pair).
         self._xor_col = {
             c: tx_bits[:, s.x_info_len + c] ^ ty_bits[:, s.y_info_len + c]
@@ -238,10 +259,8 @@ class WiretapAnalyzer:
 
     def exact_leakage(self, target: str, pattern: WiretapPattern) -> LeakageValue:
         """L = H(target^K) - H(target^K | observed bits), exact."""
-        if target not in _TARGET_VARS:
-            raise UsageError(f"target must be one of {sorted(_TARGET_VARS)}, got {target!r}")
+        tgt = _target_vars(target)
         ev = self.evaluation(pattern)
-        tgt = _TARGET_VARS[target]
         total = ev.H(*tgt) + ev.H("tx", "ty", "z") - ev.H(*tgt, "tx", "ty", "z")
         if total < -DELTA:
             raise InternalConsistencyError(f"negative leakage {total!r}")
@@ -250,91 +269,77 @@ class WiretapAnalyzer:
 
     def equivocation(self, target: str, pattern: WiretapPattern) -> float:
         """H(target^K | observed bits) in total bits."""
-        if target not in _TARGET_VARS:
-            raise UsageError(f"target must be one of {sorted(_TARGET_VARS)}, got {target!r}")
+        tgt = _target_vars(target)
         ev = self.evaluation(pattern)
-        tgt = _TARGET_VARS[target]
         return ev.H(*tgt, "tx", "ty", "z") - ev.H("tx", "ty", "z")
 
     def decomposition_residual(self, pattern: WiretapPattern, target: str = "y") -> float:
         """|direct conditional entropy - ten-term chain-rule reconstruction|, bits."""
-        tgt = self._bound_target(target, pattern)
-        return self._residual_from(self.evaluation(pattern), tgt)
+        return self._check(self._prefix_evaluation(pattern), target)[0]
 
-    @staticmethod
-    def _residual_from(ev: "_Evaluation", t: str) -> float:
-        terms = _identity_terms(ev, t)
-        direct = ev.H(t, "ty", "tx", "z") - ev.H("ty", "tx", "z")
-        recon = (
-            ev.H(t)
-            - terms["i(ty;t)"]
-            - terms["i(tx;t)"]
-            - terms["i(ty;tx|t)"]
-            - terms["i(t;z)"]
-            - terms["i(ty;z|t)"]
-            - terms["i(tx;z|t,ty)"]
-            + terms["i(tx;ty)"]
-            + terms["i(z;tx)"]
-            + terms["i(ty;z|tx)"]
-        )
-        return abs(direct - recon)
-
-    def bound_report(
-        self, target: str, pattern: WiretapPattern, delta: float = DELTA
-    ) -> BoundReport:
+    def bound_report(self, target: str, pattern: WiretapPattern) -> BoundReport:
         """Exact leakage against the common/private-portion upper bound.
 
         The right side combines the nine observation mutual-information
         terms with the entropy of the target's private channel portion and
         the joint entropy of the common portions of both syndromes.
         """
-        tgt = self._bound_target(target, pattern)
-        return self._bound_from(self.evaluation(pattern), tgt, delta)
+        return self._check(self._prefix_evaluation(pattern), target)[1]
 
-    def _bound_from(self, ev: "_Evaluation", tgt: str, delta: float) -> BoundReport:
-        terms = _identity_terms(ev, tgt)
-        h_private = self.h_private_x if tgt == "x" else self.h_private_y
-        h_target = self.h_x_total if tgt == "x" else self.h_y_total
-        rhs_total = (
-            h_private
-            + self.h_common
-            - h_target
-            + terms["i(ty;t)"]
-            + terms["i(tx;t)"]
-            + terms["i(ty;tx|t)"]
-            + terms["i(t;z)"]
-            + terms["i(ty;z|t)"]
-            + terms["i(tx;z|t,ty)"]
-            - terms["i(tx;ty)"]
-            - terms["i(z;tx)"]
-            - terms["i(ty;z|tx)"]
-        )
-        lhs_total = ev.H(tgt) + ev.H("tx", "ty", "z") - ev.H(tgt, "tx", "ty", "z")
-        breakdown = dict(terms)
-        breakdown["h(v_private)"] = h_private
-        breakdown["h(v_common)"] = self.h_common
-        breakdown["h(target_seq)"] = h_target
-        return BoundReport(
-            target=tgt,
-            lhs_bits=max(0.0, lhs_total) / self.K,
-            rhs_bits=rhs_total / self.K,
-            delta=delta,
-            term_breakdown=breakdown,
-        )
-
-    def pattern_checks(self, pattern: WiretapPattern, delta: float = DELTA) -> "PatternCheck":
+    def pattern_checks(self, pattern: WiretapPattern) -> "PatternCheck":
         """Identity residuals and bound reports for both targets, sharing one
         entropy cache; the workhorse of the sweep commands."""
+        ev = self._prefix_evaluation(pattern)
+        residual_y, bound_y = self._check(ev, "y")
+        residual_x, bound_x = self._check(ev, "x")
+        return PatternCheck(pattern, residual_y, residual_x, bound_y, bound_x)
+
+    def _prefix_evaluation(self, pattern: WiretapPattern) -> "_Evaluation":
         if pattern.z_positions is not None:
             raise UsageError("arbitrary z position sets are supported in exact_leakage only")
-        ev = self.evaluation(pattern)
-        return PatternCheck(
-            pattern=pattern,
-            residual_y=self._residual_from(ev, "y"),
-            residual_x=self._residual_from(ev, "x"),
-            bound_y=self._bound_from(ev, "y", delta),
-            bound_x=self._bound_from(ev, "x", delta),
+        return self.evaluation(pattern)
+
+    def _check(self, ev: "_Evaluation", t: str) -> tuple[float, BoundReport]:
+        """Identity residual and bound report of target ``t`` from one pass
+        over the nine mutual-information terms of the chain-rule expansion of
+        H(t | T_Y, T_X, Z^mu), each computed from exact joint entropies."""
+        if t not in ("x", "y"):
+            raise UsageError(f"bound target must be 'x' or 'y', got {t!r}")
+        terms = {
+            "i(ty;t)": ev.H("ty") + ev.H(t) - ev.H("ty", t),
+            "i(tx;t)": ev.H("tx") + ev.H(t) - ev.H("tx", t),
+            "i(ty;tx|t)": ev.H("ty", t) + ev.H("tx", t) - ev.H("ty", "tx", t) - ev.H(t),
+            "i(t;z)": ev.H(t) + ev.H("z") - ev.H(t, "z"),
+            "i(ty;z|t)": ev.H("ty", t) + ev.H("z", t) - ev.H("ty", "z", t) - ev.H(t),
+            "i(tx;z|t,ty)": ev.H("tx", t, "ty")
+            + ev.H("z", t, "ty")
+            - ev.H("tx", "z", t, "ty")
+            - ev.H(t, "ty"),
+            "i(tx;ty)": ev.H("tx") + ev.H("ty") - ev.H("tx", "ty"),
+            "i(z;tx)": ev.H("z") + ev.H("tx") - ev.H("z", "tx"),
+            "i(ty;z|tx)": ev.H("ty", "tx") + ev.H("z", "tx") - ev.H("ty", "z", "tx") - ev.H("tx"),
+        }
+        h_t, h_obs, h_t_obs = ev.H(t), ev.H("tx", "ty", "z"), ev.H(t, "tx", "ty", "z")
+        h_private = self.h_private_x if t == "x" else self.h_private_y
+        h_target = self.h_x_total if t == "x" else self.h_y_total
+        # Left to right, so each sum rounds as its written-out form would.
+        recon = h_t
+        rhs_total = h_private + self.h_common - h_target
+        for name, sign in _TERM_SIGNS.items():
+            recon -= sign * terms[name]
+            rhs_total += sign * terms[name]
+        report = BoundReport(
+            target=t,
+            lhs_bits=max(0.0, h_t + h_obs - h_t_obs) / self.K,
+            rhs_bits=rhs_total / self.K,
+            term_breakdown={
+                **terms,
+                "h(v_private)": h_private,
+                "h(v_common)": self.h_common,
+                "h(target_seq)": h_target,
+            },
         )
+        return abs(h_t_obs - h_obs - recon), report
 
     def minmax_oracle(self, mu_tx: int, mu_ty: int) -> tuple[float, float]:
         """Min and max joint-target leakage over all position subsets of the
@@ -350,14 +355,6 @@ class WiretapAnalyzer:
                 ).total_bits
                 lo, hi = min(lo, val), max(hi, val)
         return lo, hi
-
-    @staticmethod
-    def _bound_target(target: str, pattern: WiretapPattern) -> str:
-        if target not in ("x", "y"):
-            raise UsageError(f"bound target must be 'x' or 'y', got {target!r}")
-        if pattern.z_positions is not None:
-            raise UsageError("arbitrary z position sets are supported in exact_leakage only")
-        return target
 
 
 @dataclass(frozen=True)
@@ -385,25 +382,6 @@ class _Evaluation:
         if key not in self._cache:
             self._cache[key] = self._engine._set_entropy([self._vars[n] for n in key])
         return self._cache[key]
-
-
-def _identity_terms(ev: _Evaluation, t: str) -> dict[str, float]:
-    """The nine mutual-information terms of the chain-rule expansion of
-    H(target | T_Y, T_X, Z^mu), each computed from exact joint entropies."""
-    return {
-        "i(ty;t)": ev.H("ty") + ev.H(t) - ev.H("ty", t),
-        "i(tx;t)": ev.H("tx") + ev.H(t) - ev.H("tx", t),
-        "i(ty;tx|t)": ev.H("ty", t) + ev.H("tx", t) - ev.H("ty", "tx", t) - ev.H(t),
-        "i(t;z)": ev.H(t) + ev.H("z") - ev.H(t, "z"),
-        "i(ty;z|t)": ev.H("ty", t) + ev.H("z", t) - ev.H("ty", "z", t) - ev.H(t),
-        "i(tx;z|t,ty)": ev.H("tx", t, "ty")
-        + ev.H("z", t, "ty")
-        - ev.H("tx", "z", t, "ty")
-        - ev.H(t, "ty"),
-        "i(tx;ty)": ev.H("tx") + ev.H("ty") - ev.H("tx", "ty"),
-        "i(z;tx)": ev.H("z") + ev.H("tx") - ev.H("z", "tx"),
-        "i(ty;z|tx)": ev.H("ty", "tx") + ev.H("z", "tx") - ev.H("ty", "z", "tx") - ev.H("tx"),
-    }
 
 
 # -- closed-form min/max curves -------------------------------------------------
@@ -561,26 +539,10 @@ class CurveRow:
     bound_holds: bool
     variant_match: str
 
-    def as_dict(self) -> dict:
-        return {
-            "mu_tx": self.mu_tx,
-            "mu_ty": self.mu_ty,
-            "mu_z": self.mu_z,
-            "formula_min": self.formula_min,
-            "formula_max": self.formula_max,
-            "formula_max_verbatim": self.formula_max_verbatim,
-            "oracle_min": self.oracle_min,
-            "oracle_max": self.oracle_max,
-            "bound_lhs": self.bound_lhs,
-            "bound_rhs": self.bound_rhs,
-            "bound_holds": self.bound_holds,
-            "variant_match": self.variant_match,
-        }
 
-
-def _match_label(formula: FormulaMinMax, oracle_max: float, tol: float = DELTA) -> str:
-    corr = abs(formula.max_bits_corrected - oracle_max) <= tol
-    verb = abs(formula.max_bits_verbatim - oracle_max) <= tol
+def _match_label(formula: FormulaMinMax, oracle_max: float) -> str:
+    corr = abs(formula.max_bits_corrected - oracle_max) <= DELTA
+    verb = abs(formula.max_bits_verbatim - oracle_max) <= DELTA
     if corr and verb:
         return "both"
     if corr:
@@ -590,9 +552,7 @@ def _match_label(formula: FormulaMinMax, oracle_max: float, tol: float = DELTA) 
     return "neither"
 
 
-def grid_curve_rows(
-    analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int, delta: float = DELTA
-) -> list[CurveRow]:
+def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -> list[CurveRow]:
     """Sweep the (mu_tx, mu_ty) grid: formulas, oracle, and the Y-target
     bound at the maximum-leakage extremal pattern."""
     rows = []
@@ -601,7 +561,7 @@ def grid_curve_rows(
         for mu_ty in range(mu_ty_max + 1):
             formula = minmax_curves(s, mu_tx, mu_ty)
             omin, omax = analyzer.minmax_oracle(mu_tx, mu_ty)
-            bound = analyzer.bound_report("y", extremal_max_pattern(s, mu_tx, mu_ty), delta)
+            bound = analyzer.bound_report("y", extremal_max_pattern(s, mu_tx, mu_ty))
             rows.append(
                 CurveRow(
                     mu_tx=mu_tx,
@@ -615,7 +575,7 @@ def grid_curve_rows(
                     bound_lhs=bound.lhs_bits,
                     bound_rhs=bound.rhs_bits,
                     bound_holds=bound.holds,
-                    variant_match=_match_label(formula, omax, delta),
+                    variant_match=_match_label(formula, omax),
                 )
             )
     return rows
@@ -626,7 +586,6 @@ def z_trace_rows(
     mu_values: Sequence[int],
     h_xy: Optional[float] = None,
     h_x_given_y: Optional[float] = None,
-    delta: float = DELTA,
 ) -> list[CurveRow]:
     """Leakage-from-Z trace: closed form vs. enumeration at each mu.
 
@@ -641,8 +600,8 @@ def z_trace_rows(
         formula = z_mu_leakage(mu, analyzer.K, h_xy, h_x_given_y)
         pattern = WiretapPattern(frozenset(), frozenset(), mu)
         oracle = analyzer.exact_leakage("xy", pattern).total_bits
-        bound = analyzer.bound_report("y", pattern, delta)
-        match = "both" if abs(formula - oracle) <= delta else "neither"
+        bound = analyzer.bound_report("y", pattern)
+        match = "both" if abs(formula - oracle) <= DELTA else "neither"
         rows.append(
             CurveRow(
                 mu_tx=0,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterator, Optional
 
@@ -117,30 +118,27 @@ class SequenceModel:
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Support as read-only (X, Y, Z, probs) arrays; rows follow ``iter_support``
         order.  Built once per model and shared by every caller."""
-        return self._table()[:4]
+        return self._table[:4]
 
     def entropy_weights(self) -> Optional[np.ndarray]:
         """Row probabilities for the entropy kernel, or None when every row has
         exactly the same probability (entropies then come from counts)."""
-        return self._table()[4]
+        return self._table[4]
 
+    @cached_property
     def _table(self):
-        table = self.__dict__.get("_support")
-        if table is None:
-            y, x, z, probs = self._hamming_codes() if self.kind == "hamming" else self._iid_codes()
-            nx, ny, nz = self.alphabet_sizes
-            table = (
-                _digits(x, nx, self.K),
-                _digits(y, ny, self.K),
-                _digits(z, nz, self.K),
-                probs,
-            )
-            for arr in table:
-                arr.flags.writeable = False
-            uniform = bool(np.all(probs == probs[0]))
-            table += (None if uniform else probs,)
-            object.__setattr__(self, "_support", table)
-        return table
+        y, x, z, probs = self._hamming_codes() if self.kind == "hamming" else self._iid_codes()
+        nx, ny, nz = self.alphabet_sizes
+        table = (
+            _digits(x, nx, self.K),
+            _digits(y, ny, self.K),
+            _digits(z, nz, self.K),
+            probs,
+        )
+        for arr in table:
+            arr.flags.writeable = False
+        uniform = bool(np.all(probs == probs[0]))
+        return table + (None if uniform else probs,)
 
     def _hamming_codes(self):
         """Each y's x and z rows are y XOR the offsets of weight <= d, sorted per y."""

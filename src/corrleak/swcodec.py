@@ -20,6 +20,7 @@ segments are common.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import log2
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -85,7 +86,6 @@ class PartitionScheme:
         object.__setattr__(self, "x_segments", {s: tuple(v) for s, v in self.x_segments.items()})
         object.__setattr__(self, "y_segments", {s: tuple(v) for s, v in self.y_segments.items()})
         object.__setattr__(self, "segment_roles", dict(self.segment_roles))
-        object.__setattr__(self, "_derived", {})
         self._check_segments(self.x_segments, ("a1", "v1", "q1"), k, n)
         self._check_segments(self.y_segments, ("u2", "a2", "q2"), k, n)
         for name, role in self.segment_roles.items():
@@ -93,11 +93,6 @@ class PartitionScheme:
                 raise ValidationError(f"segment_roles names unknown segment {name!r}")
             if role not in ("private", "common"):
                 raise ValidationError(f"segment role must be private/common, got {role!r}")
-
-    def _memo(self, name, build):
-        if name not in self._derived:
-            self._derived[name] = build()
-        return self._derived[name]
 
     @staticmethod
     def _check_segments(segs, names, k, n):
@@ -136,34 +131,25 @@ class PartitionScheme:
 
     # -- derived matrices ---------------------------------------------------
 
-    @property
+    @cached_property
     def parity_block(self) -> Gf2Matrix:
         """The P^T block of G (k x (n-k))."""
-        return self._memo("parity_block", lambda: Gf2Matrix(self.generator.cells[:, self.k :]))
+        return Gf2Matrix(self.generator.cells[:, self.k :])
 
-    @property
+    @cached_property
     def p1_t(self) -> Gf2Matrix:
         """Transposed a1-rows of the parity block ((n-k) x |a1|)."""
-        return self._memo(
-            "p1_t",
-            lambda: Gf2Matrix(self.parity_block.cells[list(self.x_segments["a1"]), :].T),
-        )
+        return Gf2Matrix(self.parity_block.cells[list(self.x_segments["a1"]), :].T)
 
-    @property
+    @cached_property
     def p2_t(self) -> Gf2Matrix:
         """Transposed a2-rows of the parity block ((n-k) x |a2|)."""
-        return self._memo(
-            "p2_t",
-            lambda: Gf2Matrix(self.parity_block.cells[list(self.y_segments["a2"]), :].T),
-        )
+        return Gf2Matrix(self.parity_block.cells[list(self.y_segments["a2"]), :].T)
 
-    @property
+    @cached_property
     def parity_check(self) -> Gf2Matrix:
         """H = [P | I_(n-k)], the standard companion of the systematic G."""
-        return self._memo(
-            "parity_check",
-            lambda: self.parity_block.transpose().hstack(Gf2Matrix.identity(self.parity_len)),
-        )
+        return self.parity_block.transpose().hstack(Gf2Matrix.identity(self.parity_len))
 
     def _encoder_matrix(self, info_seg: str, keyed_seg: str, segs) -> Gf2Matrix:
         info = segs[info_seg]
@@ -178,15 +164,15 @@ class PartitionScheme:
             m[p, len(info) + j] = 1
         return Gf2Matrix(m)
 
-    @property
+    @cached_property
     def g_x(self) -> Gf2Matrix:
         """Generator mapping a source word x to its syndrome: T_X = x . G_X."""
-        return self._memo("g_x", lambda: self._encoder_matrix("v1", "a1", self.x_segments))
+        return self._encoder_matrix("v1", "a1", self.x_segments)
 
-    @property
+    @cached_property
     def g_y(self) -> Gf2Matrix:
         """Generator mapping a source word y to its syndrome: T_Y = y . G_Y."""
-        return self._memo("g_y", lambda: self._encoder_matrix("u2", "a2", self.y_segments))
+        return self._encoder_matrix("u2", "a2", self.y_segments)
 
     # -- syndrome layout / roles ---------------------------------------------
 

@@ -8,6 +8,7 @@ budget of its criterion.
 import itertools
 import math
 import timeit
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from corrleak import (
     z_consistency_counts,
     z_mu_leakage,
 )
+from corrleak.cipher import BRANCHES
 from corrleak.info import InfoSummary
 from corrleak.leakage import sample_patterns
 
@@ -179,6 +181,7 @@ def test_criterion_6_counting_identities():
 def _exhaustive_secrecy_and_roundtrip(sch: CipherScheme, failures: list):
     """I(plaintext; ciphertext) with independent pads, plus exact roundtrip,
     both by full enumeration of plaintexts x keys."""
+    sch = replace(sch, key_assignment=BRANCHES["independent-pads"])
     key_sizes = {"kx1": sch.m_x1, "ky1": sch.m_y1, "kcx": sch.m_cx, "kcy": sch.m_cy}
     names = sorted(key_sizes)
     joint, pt_marg, ct_marg = {}, {}, {}
@@ -188,8 +191,8 @@ def _exhaustive_secrecy_and_roundtrip(sch: CipherScheme, failures: list):
     ):
         for key_vals in itertools.product(*(range(key_sizes[n]) for n in names)):
             keys = dict(zip(names, key_vals))
-            ct = build_ciphertexts(*pt, keys, sch, branch="independent-pads")
-            if decrypt_ciphertexts(*ct, keys, sch, branch="independent-pads") != pt:
+            ct = build_ciphertexts(*pt, keys, sch)
+            if decrypt_ciphertexts(*ct, keys, sch) != pt:
                 failures.append(f"roundtrip failed at {pt} keys {keys}")
                 return float("nan")
             joint[(pt, ct)] = joint.get((pt, ct), 0) + 1

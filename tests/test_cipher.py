@@ -61,7 +61,7 @@ def test_scheme_ceiling_split():
 
 def test_zero_keys_are_identity():
     sch = CipherScheme(m_x=8, m_y=8, m_x1=4, m_y1=4, m_cx=4, m_cy=4)
-    w1, w2 = build_ciphertexts(5, 6, 3, 2, {}, sch, branch="none")
+    w1, w2 = build_ciphertexts(5, 6, 3, 2, {}, replace(sch, key_assignment=BRANCHES["none"]))
     assert w1 == (*split_index(5, 4), 3)
     assert w2 == (*split_index(6, 4), 2)
 
@@ -79,10 +79,11 @@ def test_default_masks_x1_with_y_key():
 def test_roundtrip_exhaustive_small():
     sch = CipherScheme(m_x=8, m_y=6, m_x1=4, m_y1=3, m_cx=3, m_cy=2)
     for branch in ("none", "common-only", "reused-pad", "independent-pads"):
+        keyed = replace(sch, key_assignment=BRANCHES[branch])
         for wx, wy, wcx, wcy in itertools.product(range(8), range(6), range(3), range(2)):
             keys = {"kx1": wx % 4, "ky1": wy % 3, "kcx": wcx % 3, "kcy": wcy % 2}
-            w1, w2 = build_ciphertexts(wx, wy, wcx, wcy, keys, sch, branch=branch)
-            assert decrypt_ciphertexts(w1, w2, keys, sch, branch=branch) == (wx, wy, wcx, wcy)
+            w1, w2 = build_ciphertexts(wx, wy, wcx, wcy, keys, keyed)
+            assert decrypt_ciphertexts(w1, w2, keys, keyed) == (wx, wy, wcx, wcy)
 
 
 def test_component_range_checks():
@@ -92,24 +93,21 @@ def test_component_range_checks():
     with pytest.raises(UsageError):
         build_ciphertexts(0, 0, 2, 0, {}, sch)
     with pytest.raises(UsageError):
-        build_ciphertexts(0, 0, 0, 0, {"ky1": 2}, sch, branch="reused-pad")
+        reused = replace(sch, key_assignment=BRANCHES["reused-pad"])
+        build_ciphertexts(0, 0, 0, 0, {"ky1": 2}, reused)
 
 
 def perfect_secrecy_mi(sch: CipherScheme, branch: str) -> float:
     """Exhaustive I(plaintext; ciphertext) in bits, by dictionary counting."""
-    key_sizes = CipherScheme(
-        m_x=sch.m_x, m_y=sch.m_y, m_x1=sch.m_x1, m_y1=sch.m_y1,
-        m_cx=sch.m_cx, m_cy=sch.m_cy, key_assignment=dict(
-            __import__("corrleak").cipher.BRANCHES[branch]
-        ),
-    ).key_sizes()
+    sch = replace(sch, key_assignment=BRANCHES[branch])
+    key_sizes = sch.key_sizes()
     names = sorted(key_sizes)
     joint, pt_marg, ct_marg = {}, {}, {}
     total = 0
     for pt in itertools.product(range(sch.m_x), range(sch.m_y), range(sch.m_cx), range(sch.m_cy)):
         for key_vals in itertools.product(*(range(key_sizes[n]) for n in names)):
             keys = dict(zip(names, key_vals))
-            ct = build_ciphertexts(*pt, keys, sch, branch=branch)
+            ct = build_ciphertexts(*pt, keys, sch)
             joint[(pt, ct)] = joint.get((pt, ct), 0) + 1
             pt_marg[pt] = pt_marg.get(pt, 0) + 1
             ct_marg[ct] = ct_marg.get(ct, 0) + 1

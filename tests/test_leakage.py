@@ -31,6 +31,12 @@ def test_pattern_validation(scheme, analyzer):
         analyzer.exact_leakage("y", pattern(mu=8))
     with pytest.raises(UsageError):
         analyzer.exact_leakage("nope", pattern())
+    with pytest.raises(UsageError):
+        analyzer.equivocation("nope", pattern())
+    with pytest.raises(UsageError):
+        analyzer.bound_report("xy", pattern())
+    with pytest.raises(UsageError):
+        analyzer.decomposition_residual(pattern(), "xy")
 
 
 def test_empty_pattern_leaks_nothing(analyzer):
@@ -72,6 +78,8 @@ def test_arbitrary_z_positions(analyzer):
         analyzer.bound_report("y", p)
     with pytest.raises(UsageError):
         analyzer.pattern_checks(p)
+    with pytest.raises(UsageError):
+        analyzer.decomposition_residual(p)
 
 
 def test_decomposition_residual_small_everywhere(analyzer):
@@ -241,7 +249,13 @@ def test_memo_shared_across_patterns_matches_fresh_analyzers(scheme, hamming7):
     assert len(patterns) >= 50
     shared = WiretapAnalyzer(scheme, hamming7)
     for p in patterns:
-        assert shared.pattern_checks(p) == WiretapAnalyzer(scheme, hamming7).pattern_checks(p)
+        checks = shared.pattern_checks(p)
+        assert checks == WiretapAnalyzer(scheme, hamming7).pattern_checks(p)
+        fresh = WiretapAnalyzer(scheme, hamming7)
+        assert checks.residual_y == fresh.decomposition_residual(p, "y")
+        assert checks.residual_x == fresh.decomposition_residual(p, "x")
+        assert checks.bound_y == fresh.bound_report("y", p)
+        assert checks.bound_x == fresh.bound_report("x", p)
         for target in ("x", "y", "xy"):
             fresh = WiretapAnalyzer(scheme, hamming7).exact_leakage(target, p)
             assert shared.exact_leakage(target, p) == fresh

@@ -75,6 +75,7 @@ def test_encode_linearity_all_pairs(scheme):
 
 def test_encode_matches_generator_matrix(scheme):
     rng = np.random.default_rng(0)
+    assert scheme.g_x is scheme.g_x and scheme.parity_check is scheme.parity_check  # built once
     gx = scheme.g_x.cells
     gy = scheme.g_y.cells
     for _ in range(50):
