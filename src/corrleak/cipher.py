@@ -26,11 +26,16 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError, ValidationError
 from .info import InfoSummary, code_entropy, pack_bits, pack_chunks
-from .seqmodel import SUPPORT_GUARD, SequenceModel
+from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
 #: Empirical desk-scale slack when comparing measured levels to targets.
 SECURITY_EPS = 0.05
+
+#: Bytes that the (row, enumerated key) cell arrays of ``measure_security``
+#: may take at their peak; a larger enumeration raises ``CapacityError``
+#: before any cell array is allocated.
+MEASURE_BYTES_GUARD = 1 << 32
 
 #: Security cases: which uncertainty the construction must keep high.
 CASES = ("joint", "individual", "y-only")
@@ -422,9 +427,15 @@ def measure_security(
     masked = {k: [c for c in sizes if scheme.key_assignment.get(c) == k] for k in key_sizes}
     enumerated = [k for k, m in key_sizes.items() if any(sizes[c] != m for c in masked[k])]
     key_space = prod(key_sizes[k] for k in enumerated)
-    if n_rows * key_space > SUPPORT_GUARD:
+    # Peak int64 words per cell: 17, plus two per enumerated key (its index
+    # row and the temporaries of padding a component); tracemalloc reads
+    # 16.1 and 18.1 words with none and one enumerated key.
+    peak_bytes = 8 * (17 + 2 * len(enumerated)) * n_rows * key_space
+    if peak_bytes > MEASURE_BYTES_GUARD:
         raise CapacityError(
-            f"{n_rows} support rows x {key_space} enumerated keys exceeds guard {SUPPORT_GUARD}"
+            f"{n_rows} support rows x {key_space} enumerated keys need about "
+            f"{peak_bytes >> 20} MiB of cell arrays, over the guard of "
+            f"{MEASURE_BYTES_GUARD >> 20} MiB"
         )
 
     # Row index and enumerated key values of every (row, key tuple) cell.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import log2
 from typing import Mapping, Optional, Sequence
 
@@ -120,25 +121,34 @@ def _target_vars(target: str) -> tuple[str, ...]:
 
 
 class _Var:
-    """Observation variable: packed deterministic chunks plus padded-bit refs.
+    """Observation variable: deterministic columns plus padded-bit refs.
 
     A bit protected by the shared parity pad is not materialised: within any
     entropy set, a pad column observed on one side contributes exactly one
     bit of fresh uniform randomness, and a column observed on both sides
     contributes one fresh bit plus the deterministic XOR of the two raw
     parity bits.  ``masked`` holds (column, side) references that the
-    evaluation resolves per entropy set.  ``key`` names the variable by what
-    it observes and fixes its chunks and references.
+    evaluation resolves per entropy set.  ``key`` names the deterministic
+    part, the columns ``cols`` of ``source``; ``chunks`` packs them on first
+    use, so a variable whose entropy sets all hit the memo is never packed.
     """
 
-    __slots__ = ("chunks", "masked", "key")
-
     def __init__(
-        self, chunks: list[tuple[np.ndarray, int]], masked: list[tuple[int, str]], key: tuple
+        self,
+        key: tuple,
+        masked: list[tuple[int, str]],
+        source: np.ndarray,
+        cols: list[int] | slice,
     ):
-        self.chunks = chunks
-        self.masked = masked
         self.key = key
+        self.masked = masked
+        self._source = source
+        self._cols = cols
+
+    @cached_property
+    def chunks(self) -> list[tuple[np.ndarray, int]]:
+        bits = self._source[:, self._cols]
+        return [(pack_bits(bits), bits.shape[1])] if bits.shape[1] else []
 
 
 class WiretapAnalyzer:
@@ -147,9 +157,10 @@ class WiretapAnalyzer:
     Building the engine reads the model's support table once; every leakage,
     bound and identity evaluation then reduces to entropies of integer-coded
     columns over the support, with shared-pad bits folded in analytically.
-    Entropies are memoised across patterns by the keys of their variables;
-    ``entropy_calls`` counts the entropy sets asked for and
-    ``entropy_sets`` the ones computed.
+    Kernel entropies are memoised across patterns by observation class: the
+    deterministic keys of the variables and the pad columns read on both
+    sides.  ``entropy_calls`` counts the entropy sets asked for and
+    ``entropy_sets`` the kernel evaluations.
     """
 
     def __init__(self, s: PartitionScheme, model: SequenceModel):
@@ -184,8 +195,8 @@ class WiretapAnalyzer:
         self.entropy_calls = 0
         self.entropy_sets = 0
 
-        self._x_var = _Var([(pack_bits(X), self.K)], [], ("X",))
-        self._y_var = _Var([(pack_bits(Y), self.K)], [], ("Y",))
+        self._x_var = _Var(("X",), [], X, slice(None))
+        self._y_var = _Var(("Y",), [], Y, slice(None))
 
         self.h_x_total = self._set_entropy([self._x_var])
         self.h_y_total = self._set_entropy([self._y_var])
@@ -209,35 +220,39 @@ class WiretapAnalyzer:
         bits, masked = self._tx if side == "x" else self._ty
         cols = [i for i in positions if i not in masked]
         refs = [masked[i] for i in positions if i in masked]
-        chunks = [(pack_bits(bits[:, cols]), len(cols))] if cols else []
-        return _Var(chunks, refs, (side, tuple(cols), tuple(refs)))
+        return _Var((side, tuple(cols)), refs, bits, cols)
 
     def _set_entropy(self, vars: Sequence[_Var]) -> float:
-        """Entropy of the joint of several variables: pack the deterministic
-        chunks, resolve pad references, and add one bit per touched pad.
+        """Entropy of the joint of several variables: the kernel entropy of
+        their deterministic chunks and the raw-parity XOR of every pad column
+        touched on both sides, plus one bit per touched pad column.
 
-        The memo key lists the variable keys in the order given, which is
-        also the packing order, so a hit returns the very float a fresh
-        computation would."""
+        Only the kernel value is memoised.  Its key lists the variable keys
+        in the order given, which is also the packing order, and the pad
+        columns touched on both sides; a pad column read on one side changes
+        only the bonus, which is added on every call.  So a hit returns the
+        very float a fresh computation would, and chunks are packed only on
+        a miss."""
         self.entropy_calls += 1
-        key = tuple(v.key for v in vars)
-        value = self._entropy_memo.get(key)
-        if value is not None:
-            return value
-        chunks = [chunk for v in vars for chunk in v.chunks]
         touched: dict[int, set[str]] = {}
         for v in vars:
             for col, side in v.masked:
                 touched.setdefault(col, set()).add(side)
         bonus = 0.0
+        both = []
         for col, sides in sorted(touched.items()):
             bonus += 1.0
             if len(sides) == 2:
-                chunks.append((self._xor_col[col], 1))
-        value = code_entropy(pack_chunks(chunks, self._rows), self._weights) + bonus
-        self._entropy_memo[key] = value
-        self.entropy_sets += 1
-        return value
+                both.append(col)
+        key = (tuple(v.key for v in vars), tuple(both))
+        value = self._entropy_memo.get(key)
+        if value is None:
+            chunks = [chunk for v in vars for chunk in v.chunks]
+            chunks += [(self._xor_col[col], 1) for col in both]
+            value = code_entropy(pack_chunks(chunks, self._rows), self._weights)
+            self._entropy_memo[key] = value
+            self.entropy_sets += 1
+        return value + bonus
 
     def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
         pattern.validate(self.scheme, self.K)
@@ -247,9 +262,7 @@ class WiretapAnalyzer:
             zsel = sorted(pattern.z_positions)
         else:
             zsel = list(range(pattern.mu))
-        z = _Var(
-            [(pack_bits(self._Z[:, zsel]), len(zsel))] if zsel else [], [], ("z", tuple(zsel))
-        )
+        z = _Var(("z", tuple(zsel)), [], self._Z, zsel)
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
     def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":

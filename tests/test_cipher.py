@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import corrleak.cipher as cipher_module
 from corrleak import (
+    CapacityError,
     CipherScheme,
     DomainError,
     Gf2Matrix,
@@ -23,7 +25,7 @@ from corrleak import (
     region_membership,
     split_index,
 )
-from corrleak.cipher import BRANCHES
+from corrleak.cipher import BRANCHES, MEASURE_BYTES_GUARD
 from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
 from corrleak.swcodec import (
     PartitionScheme,
@@ -387,6 +389,24 @@ def test_measure_security_matches_key_enumeration_oracle(case):
             assert (m.h_x_hat, m.h_y_hat, m.h_xy_hat) == pytest.approx(expected, abs=1e-12), (
                 name, mu
             )
+
+
+def test_measure_security_refuses_over_budget_cells_before_allocating(
+    scheme, hamming7, monkeypatch
+):
+    # A reused y1 pad over a 2**15 index space does not fold against the
+    # 4-valued x1, so it is enumerated with the 1,024 (x, y) rows: 2**25
+    # cells, within SUPPORT_GUARD, but their arrays would pass the byte guard.
+    cipher = replace(desk_scheme(scheme, branch="reused-pad"), m_y=1 << 15, m_y1=1 << 15)
+    assert 1024 * (1 << 15) <= SUPPORT_GUARD
+    assert 8 * 17 * 1024 * (1 << 15) > MEASURE_BYTES_GUARD
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("cell arrays allocated")
+
+    monkeypatch.setattr(cipher_module.np, "indices", unreachable)
+    with pytest.raises(CapacityError, match="MiB"):
+        measure_security(cipher, hamming7, scheme, mu=0)
 
 
 def test_measure_security_folds_keys_past_the_enumeration_guard():

@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
+import corrleak.leakage as leakage_module
 from corrleak import (
     DomainError,
+    Gf2Matrix,
+    SequenceModel,
     UsageError,
     WiretapAnalyzer,
     WiretapPattern,
@@ -15,9 +18,14 @@ from corrleak import (
     z_mu_leakage,
     z_trace_rows,
 )
-from corrleak.info import code_entropy
+from corrleak.info import JointPmf, code_entropy, pack_bits
 from corrleak.leakage import sample_patterns
-from corrleak.swcodec import enumeration_equivocation, support_syndromes, z_prefix_observable
+from corrleak.swcodec import (
+    PartitionScheme,
+    enumeration_equivocation,
+    support_syndromes,
+    z_prefix_observable,
+)
 
 
 def pattern(tx=(), ty=(), mu=0):
@@ -283,3 +291,87 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     h_xor = code_entropy((tx[:, px] ^ ty[:, py]).astype(np.int64))
     assert h_xor > 0.0
     assert h_pair == pytest.approx(1.0 + h_xor, abs=1e-12)
+
+
+def random_systematic_scheme(k: int, n: int, v1: tuple, u2: tuple, seed: int) -> PartitionScheme:
+    """Seeded random systematic [n,k] code; v1 of X and u2 of Y sent in the clear."""
+    parity = np.random.default_rng(seed).integers(0, 2, size=(k, n - k))
+    rows = [
+        "".join("1" if j == i else "0" for j in range(k)) + "".join(map(str, p))
+        for i, p in enumerate(parity)
+    ]
+    return PartitionScheme(
+        generator=Gf2Matrix.from_rows(rows),
+        x_segments={"a1": tuple(p for p in range(k) if p not in v1), "v1": v1,
+                    "q1": tuple(range(k, n))},
+        y_segments={"u2": u2, "a2": tuple(p for p in range(k) if p not in u2),
+                    "q2": tuple(range(k, n))},
+    )
+
+
+def weighted_iid_law() -> JointPmf:
+    """Skewed Y, X = Y ^ Bern(0.1) and a constant Z: weighted rows, 4**K of them."""
+    cells = [(0.7 if y == 0 else 0.3) * (0.9 if x == y else 0.1) for x in (0, 1) for y in (0, 1)]
+    return JointPmf(np.array(cells).reshape(2, 2, 1))
+
+
+#: (k, n, generator seed, model) for the memo cases.  The [10,6] model keeps
+#: Z = Y so that its support stays at 11,264 rows.
+MEMO_CODES = {
+    "k7-hamming": (4, 7, 31, lambda: SequenceModel(kind="hamming", K=7)),
+    "k7-iid": (4, 7, 32, lambda: SequenceModel(kind="iid", K=7, base=weighted_iid_law())),
+    "k10-hamming": (6, 10, 33, lambda: SequenceModel(kind="hamming", K=10, d_yz_max=0)),
+}
+
+#: Split name -> (v1, u2) as functions of k.
+MEMO_SPLITS = {
+    "complementary": lambda k: (tuple(range(k // 2, k)), tuple(range(k // 2))),
+    "crossed": lambda k: ((0, 2), (1, 2)),
+    "unequal": lambda k: (tuple(range(1, k)), (0,)),
+}
+
+
+@pytest.mark.parametrize("split", sorted(MEMO_SPLITS))
+@pytest.mark.parametrize("code", sorted(MEMO_CODES))
+def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
+    k, n, seed, make_model = MEMO_CODES[code]
+    s = random_systematic_scheme(k, n, *MEMO_SPLITS[split](k), seed=seed)
+    model = make_model()
+    patterns = sample_patterns(s, 6, seed=seed, mu_values=(0, 3, n))
+    random.Random(seed).shuffle(patterns)
+    shared = WiretapAnalyzer(s, model)
+    for p in patterns:
+        fresh = WiretapAnalyzer(s, model)
+        assert shared.pattern_checks(p) == fresh.pattern_checks(p)
+        for target in ("x", "y", "xy"):
+            assert shared.exact_leakage(target, p) == fresh.exact_leakage(target, p)
+    for mu_tx, mu_ty in [(1, 2), (2, 1), (0, 3)]:
+        fresh = WiretapAnalyzer(s, model).minmax_oracle(mu_tx, mu_ty)
+        assert shared.minmax_oracle(mu_tx, mu_ty) == fresh
+
+    # Reading one more pad column on the x side only adds a fresh bit outside
+    # the memo: no new kernel entry and no packing.
+    wider = []
+    for p in patterns:
+        read_y = {s.parity_column("y", i) for i in p.ty_positions} - {None}
+        free = [
+            i for i in range(s.x_info_len, s.syndrome_len("x"))
+            if i not in p.tx_positions and s.parity_column("x", i) not in read_y
+        ]
+        if free:
+            wider.append(WiretapPattern(p.tx_positions | {free[0]}, p.ty_positions, p.mu))
+    assert wider
+
+    def results(analyzer, p):
+        leaks = [analyzer.exact_leakage(target, p) for target in ("x", "y", "xy")]
+        return analyzer.pattern_checks(p), leaks
+
+    expected = [results(WiretapAnalyzer(s, model), p) for p in wider]
+    packed = []
+    monkeypatch.setattr(
+        leakage_module, "pack_bits", lambda *args: packed.append(args) or pack_bits(*args)
+    )
+    sets = shared.entropy_sets
+    assert [results(shared, p) for p in wider] == expected
+    assert shared.entropy_sets == sets
+    assert packed == []
