@@ -30,7 +30,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gf2 import Gf2Matrix, mat_vec_mul, rank, remove_columns
+from .gf2 import Gf2Matrix, rank, remove_columns
 from .info import (
     InfoSummary,
     JointPmf,
@@ -57,7 +57,6 @@ from .leakage import (
 )
 from .seqmodel import (
     SequenceModel,
-    SequenceTriple,
     build_model,
     sequence_summary,
     z_consistency_counts,
@@ -67,17 +66,12 @@ from .swcodec import (
     DecodeResult,
     PartitionScheme,
     Syndrome,
-    clamped_equivocation,
     decode_ambiguity_rate,
     encode_x,
     encode_y,
-    enumeration_equivocation,
     joint_decode,
     prototype_condition_report,
-    rank_equivocation,
     reference_scheme,
-    syndrome_observable,
-    z_prefix_observable,
 )
 
 __version__ = "0.1.0"

@@ -248,8 +248,16 @@ class RegionQuery:
 
     @classmethod
     def from_json(cls, data: dict) -> "RegionQuery":
+        if not isinstance(data, dict):
+            raise ValidationError(f"region query must be a JSON object, got {data!r}")
+        values = {}
+        for k, v in data.items():
+            try:
+                values[k] = float(v)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{k}: expected a number, got {v!r}") from exc
         try:
-            return cls(**{k: float(v) for k, v in data.items()})
+            return cls(**values)
         except TypeError as exc:
             raise ValidationError(f"bad region query: {exc}") from exc
 

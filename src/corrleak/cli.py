@@ -37,7 +37,7 @@ from .cipher import (
     region_membership,
     security_verdict,
 )
-from .errors import CapacityError, ToolkitError, UsageError, ValidationError
+from .errors import CapacityError, ToolkitError, UsageError, ValidationError, int_field
 from .leakage import WiretapAnalyzer, grid_curve_rows, sample_patterns, z_trace_rows
 from .seqmodel import build_model, sequence_summary
 from .swcodec import (
@@ -119,8 +119,23 @@ class _Context:
         self.log("building enumeration engine")
         return WiretapAnalyzer(self.scheme, self.model)
 
-    def sweep(self, key: str, default):
-        return self.scenario.get("sweep", {}).get(key, default)
+    def section(self, name: str) -> dict:
+        """The ``scenario.<name>`` object, or {} when it is absent."""
+        value = self.scenario.get(name, {})
+        if not isinstance(value, dict):
+            raise ValidationError(f"scenario.{name}: must be a JSON object")
+        return value
+
+    def sweep(self, key: str, default) -> int:
+        """The integer ``scenario.sweep.<key>``, or ``default`` when it is absent."""
+        return int_field(self.section("sweep").get(key, default), f"scenario.sweep.{key}")
+
+    def mu_z_values(self) -> list[int]:
+        """``scenario.sweep.mu_z_values``; every Z prefix length 0..K by default."""
+        values = self.section("sweep").get("mu_z_values", range(self.model.K + 1))
+        if not isinstance(values, (list, range)):
+            raise ValidationError("scenario.sweep.mu_z_values: must be a list of integers")
+        return [int_field(v, "scenario.sweep.mu_z_values") for v in values]
 
     def log(self, msg: str):
         if self.verbose:
@@ -131,14 +146,26 @@ class _Context:
         self.log(f"entropy: {a.entropy_calls} calls, {a.entropy_sets} sets computed")
 
 
+def _golden_syndromes(ctx: _Context) -> tuple[str, str]:
+    """T_X and T_Y of the ``scenario.golden`` word pair, as 0/1 strings."""
+    golden = ctx.section("golden")
+    syndromes = []
+    for side, encode in (("x", encode_x), ("y", encode_y)):
+        word = golden.get(side)
+        try:
+            syndromes.append(encode([int(b) for b in word], ctx.scheme).as_string())
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"scenario.golden.{side}: expected {ctx.scheme.n} bits of 0/1, got {word!r}"
+            ) from exc
+    return syndromes[0], syndromes[1]
+
+
 def _golden_comments(ctx: _Context) -> list[str]:
     golden = ctx.scenario.get("golden")
     if not golden:
         return []
-    x = [int(b) for b in golden["x"]]
-    y = [int(b) for b in golden["y"]]
-    tx = encode_x(x, ctx.scheme).as_string()
-    ty = encode_y(y, ctx.scheme).as_string()
+    tx, ty = _golden_syndromes(ctx)
     return [f"x={golden['x']} y={golden['y']}", f"t_x={tx} t_y={ty}"]
 
 
@@ -172,13 +199,11 @@ def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
 
 def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     ctx.log("sweeping the wiretap grid against the brute-force oracle")
-    rows = grid_curve_rows(
-        ctx.analyzer, int(ctx.sweep("mu_tx_max", 5)), int(ctx.sweep("mu_ty_max", 5))
-    )
-    trace_cfg = ctx.scenario.get("z_trace", {})
+    rows = grid_curve_rows(ctx.analyzer, ctx.sweep("mu_tx_max", 5), ctx.sweep("mu_ty_max", 5))
+    trace_cfg = ctx.section("z_trace")
     rows += z_trace_rows(
         ctx.analyzer,
-        [int(v) for v in ctx.sweep("mu_z_values", range(ctx.model.K + 1))],
+        ctx.mu_z_values(),
         h_xy=trace_cfg.get("h_xy_bits"),
         h_x_given_y=trace_cfg.get("h_x_given_y_bits"),
     )
@@ -201,9 +226,9 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
 
 
 def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Path]:
-    count = int(ctx.sweep("random_patterns", 100))
-    mu_values = [int(v) for v in ctx.sweep("mu_z_values", range(ctx.model.K + 1))]
-    patterns = sample_patterns(ctx.scheme, count, seed, mu_values)
+    patterns = sample_patterns(
+        ctx.scheme, ctx.sweep("random_patterns", 100), seed, ctx.mu_z_values()
+    )
     if not patterns:
         raise ValidationError("scenario.sweep.random_patterns: sweep produced no patterns")
     ctx.log(f"checking {len(patterns)} patterns")
@@ -239,12 +264,14 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
         raise ValidationError("scenario.region_queries: missing or empty")
     info = sequence_summary(ctx.model)
     rows = []
-    for entry in queries:
+    for i, entry in enumerate(queries):
         try:
             case = entry["case"]
             q = RegionQuery.from_json(entry["query"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"scenario.region_queries: bad entry ({exc})") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"scenario.region_queries[{i}].query: {exc}") from exc
         verdict = region_membership(q, case, info)
         flags = {c.name: c.satisfied for c in verdict.constraints}
         rows.append(
@@ -272,11 +299,9 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
 def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Path]:
     s = ctx.scheme
     if tx is None or ty is None:
-        golden = ctx.scenario.get("golden")
-        if not golden:
+        if not ctx.scenario.get("golden"):
             raise ValidationError("decode: pass --tx/--ty or add scenario.golden")
-        tx = encode_x([int(b) for b in golden["x"]], s).as_string()
-        ty = encode_y([int(b) for b in golden["y"]], s).as_string()
+        tx, ty = _golden_syndromes(ctx)
     if len(tx) != s.syndrome_len("x") or any(c not in "01" for c in tx):
         raise UsageError(f"--tx must be {s.syndrome_len('x')} bits of 0/1, got {tx!r}")
     if len(ty) != s.syndrome_len("y") or any(c not in "01" for c in ty):
@@ -307,8 +332,8 @@ def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Pat
 
 
 def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
-    cfg = ctx.scenario.get("cipher", {})
-    mu = int(cfg.get("mu", 0))
+    cfg = ctx.section("cipher")
+    mu = int_field(cfg.get("mu", 0), "scenario.cipher.mu")
     branches = cfg.get("branches", ["none", "reused-pad", "independent-pads"])
     if not branches:
         raise ValidationError("scenario.cipher.branches: must name at least one branch")

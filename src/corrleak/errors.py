@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer-field check
+that turns a malformed input field into a ``ValidationError``."""
 
 
 class ToolkitError(Exception):
@@ -23,3 +24,11 @@ class CapacityError(ToolkitError):
 
 class InternalConsistencyError(ToolkitError, RuntimeError):
     """A computed quantity violated an exact identity beyond tolerance."""
+
+
+def int_field(value, field: str) -> int:
+    """``int(value)``, or a ``ValidationError`` naming the input field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field}: expected an integer, got {value!r}") from exc

@@ -1,4 +1,4 @@
-"""Dense GF(2) matrix arithmetic: parsing, multiply, rank, column surgery.
+"""Dense GF(2) matrix arithmetic: parsing, rank, column surgery.
 
 Matrices in this domain are tiny (at most ~16x16), so everything is plain
 Gaussian elimination with XOR row operations on uint8 arrays.
@@ -114,17 +114,6 @@ def rank(m: Gf2Matrix) -> int:
         if pivot_row == n_rows:
             break
     return pivot_row
-
-
-def mat_vec_mul(m: Gf2Matrix, v: Iterable[int]) -> tuple[int, ...]:
-    """XOR-accumulated product m @ v over GF(2)."""
-    vec = np.asarray(list(v), dtype=np.uint8)
-    if vec.ndim != 1 or vec.size != m.cols:
-        raise UsageError(f"vector length {vec.size} does not match {m.cols} columns")
-    if not np.all((vec == 0) | (vec == 1)):
-        raise UsageError("vector entries must be 0 or 1")
-    out = (m.cells @ vec.astype(np.int64)) % 2
-    return tuple(int(b) for b in out)
 
 
 def remove_columns(m: Gf2Matrix, positions: Iterable[int]) -> Gf2Matrix:

@@ -7,36 +7,25 @@ Two model kinds are supported:
   and d_H(y, z) <= d_yz_max.  Uniformity is the maximum-entropy completion
   of the distance constraints and reproduces the usual counting results.
 
-Enumeration is deterministic and lexicographic on (y, x, z), with position 0
-as the most significant symbol, so oracle outputs are reproducible.  Exact
-enumeration is guarded at ``SUPPORT_GUARD`` triples.
+The support table is deterministic: rows are in lexicographic (y, x, z)
+order, with position 0 as the most significant symbol, so outputs are
+reproducible.  Exact enumeration is guarded at ``SUPPORT_GUARD`` triples.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError
+from .errors import CapacityError, DomainError, ValidationError, int_field
 from .info import ZERO_EPS, InfoSummary, JointPmf, code_entropy, pack_bits
 
 #: Exact enumeration refuses supports larger than this many triples.
 SUPPORT_GUARD = 1 << 26
-
-
-@dataclass(frozen=True)
-class SequenceTriple:
-    """One support point: three length-K symbol vectors and their probability."""
-
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: tuple[int, ...]
-    prob: float
 
 
 @dataclass(frozen=True)
@@ -84,40 +73,10 @@ class SequenceModel:
         ball_yz = _ball_size(self.K, self.d_yz_max)
         return (1 << self.K) * ball_xy * ball_yz
 
-    def iter_support(self) -> Iterator[SequenceTriple]:
-        """Yield support triples with prob > 0 in lexicographic (y, x, z) order."""
-        if self.kind == "hamming":
-            yield from self._iter_hamming()
-        else:
-            yield from self._iter_iid()
-
-    def _iter_hamming(self) -> Iterator[SequenceTriple]:
-        p = 1.0 / self.support_size()
-        for y in itertools.product((0, 1), repeat=self.K):
-            x_ball = _sorted_ball(y, self.d_xy_max)
-            z_ball = _sorted_ball(y, self.d_yz_max)
-            for x in x_ball:
-                for z in z_ball:
-                    yield SequenceTriple(x=x, y=y, z=z, prob=p)
-
-    def _iter_iid(self) -> Iterator[SequenceTriple]:
-        base = self.base
-        nx, ny, nz = base.alphabet_sizes  # type: ignore[union-attr]
-        probs = base.probs  # type: ignore[union-attr]
-        for y in itertools.product(range(ny), repeat=self.K):
-            for x in itertools.product(range(nx), repeat=self.K):
-                for z in itertools.product(range(nz), repeat=self.K):
-                    p = 1.0
-                    for xi, yi, zi in zip(x, y, z):
-                        p *= probs[xi, yi, zi]
-                        if p <= 0.0:
-                            break
-                    if p > ZERO_EPS:
-                        yield SequenceTriple(x=x, y=y, z=z, prob=p)
-
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Support as read-only (X, Y, Z, probs) arrays; rows follow ``iter_support``
-        order.  Built once per model and shared by every caller."""
+        """Support as read-only (X, Y, Z, probs) arrays; rows with prob > 0 in
+        lexicographic (y, x, z) order.  Built once per model and shared by
+        every caller."""
         return self._table[:4]
 
     def entropy_weights(self) -> Optional[np.ndarray]:
@@ -153,8 +112,9 @@ class SequenceModel:
         return y, x, z, np.full(y.size, 1.0 / self.support_size())
 
     def _iid_codes(self):
-        """Row probabilities as an iterated outer product of the per-symbol law,
-        multiplied position by position exactly as ``iter_support`` does."""
+        """Row probabilities as an iterated outer product of the per-symbol law:
+        each is the product over positions, taken left to right.  Rows are in
+        lexicographic (y, x, z) order."""
         K = self.K
         nx, _, nz = self.alphabet_sizes
         cell = np.transpose(self.base.probs, (1, 0, 2))  # type: ignore[union-attr]
@@ -166,7 +126,6 @@ class SequenceModel:
         idx = np.flatnonzero(p > ZERO_EPS)
         NX, NZ = nx**K, nz**K
         return idx // (NX * NZ), idx // NZ % NX, idx % NZ, p[idx]
-
 
 
 def _digits(code: np.ndarray, base: int, K: int) -> np.ndarray:
@@ -183,19 +142,6 @@ def _ball_size(K: int, d: int) -> int:
     return sum(comb(K, i) for i in range(d + 1))
 
 
-def _sorted_ball(center: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
-    """All vectors within Hamming distance d of center, in lexicographic order."""
-    K = len(center)
-    out = {center}
-    for radius in range(1, d + 1):
-        for flips in itertools.combinations(range(K), radius):
-            v = list(center)
-            for i in flips:
-                v[i] ^= 1
-            out.add(tuple(v))
-    return sorted(out)
-
-
 def build_model(spec: dict) -> SequenceModel:
     """Build a model from its JSON description.
 
@@ -208,16 +154,16 @@ def build_model(spec: dict) -> SequenceModel:
     if kind == "hamming":
         return SequenceModel(
             kind="hamming",
-            K=int(spec.get("K", 0)),
-            d_xy_max=int(spec.get("d_xy", 1)),
-            d_yz_max=int(spec.get("d_yz", 1)),
+            K=int_field(spec.get("K", 0), "model.K"),
+            d_xy_max=int_field(spec.get("d_xy", 1), "model.d_xy"),
+            d_yz_max=int_field(spec.get("d_yz", 1), "model.d_yz"),
         )
     if kind == "iid":
         if "pmf" not in spec:
             raise ValidationError("model.pmf: required for iid models")
         return SequenceModel(
             kind="iid",
-            K=int(spec.get("K", 0)),
+            K=int_field(spec.get("K", 0), "model.K"),
             base=JointPmf.from_json(spec["pmf"]),
         )
     raise ValidationError(f"model.kind: unknown kind {kind!r}")

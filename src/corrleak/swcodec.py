@@ -5,7 +5,9 @@ fixes the parity structure; each source's word is split into labeled
 segments.  Source X transmits its ``v1`` segment directly plus the parity
 combination ``P1^T a1 + q1``; source Y transmits ``u2`` plus
 ``P2^T a2 + q2``.  ``P1^T`` / ``P2^T`` are the transposed row blocks of the
-parity part of G selected by the ``a1`` / ``a2`` positions.
+parity part of G selected by the ``a1`` / ``a2`` positions.  Each side's
+segment layout and parity block fold into one generator, ``G_X`` / ``G_Y``,
+so a syndrome is the matrix product ``x . G_X`` (``y . G_Y``).
 
 The receiver resolves both words from the two syndromes by exhaustive
 search constrained by the correlation model; at this scale exhaustive coset
@@ -21,15 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import log2
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .gf2 import Gf2Matrix, mat_vec_mul, rank
+from .gf2 import Gf2Matrix
 from .info import code_conditional_entropy, code_entropy, pack_bits
-from .seqmodel import SequenceModel, SequenceTriple
+from .seqmodel import SequenceModel
 
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
 
@@ -137,16 +138,6 @@ class PartitionScheme:
         return Gf2Matrix(self.generator.cells[:, self.k :])
 
     @cached_property
-    def p1_t(self) -> Gf2Matrix:
-        """Transposed a1-rows of the parity block ((n-k) x |a1|)."""
-        return Gf2Matrix(self.parity_block.cells[list(self.x_segments["a1"]), :].T)
-
-    @cached_property
-    def p2_t(self) -> Gf2Matrix:
-        """Transposed a2-rows of the parity block ((n-k) x |a2|)."""
-        return Gf2Matrix(self.parity_block.cells[list(self.y_segments["a2"]), :].T)
-
-    @cached_property
     def parity_check(self) -> Gf2Matrix:
         """H = [P | I_(n-k)], the standard companion of the systematic G."""
         return self.parity_block.transpose().hstack(Gf2Matrix.identity(self.parity_len))
@@ -240,24 +231,21 @@ def reference_scheme() -> PartitionScheme:
 # -- encoding ----------------------------------------------------------------
 
 
+def _syndromes(words: np.ndarray, g: Gf2Matrix) -> np.ndarray:
+    """Each row of ``words`` times ``g`` over GF(2), as uint8 bits."""
+    return ((words.astype(np.int64) @ g.cells.astype(np.int64)) % 2).astype(np.uint8)
+
+
 def encode_x(x: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_X: the v1 segment followed by P1^T a1 + q1."""
-    bits = _as_bits(x, s.n, "x")
-    a1 = [bits[p] for p in s.x_segments["a1"]]
-    v1 = [bits[p] for p in s.x_segments["v1"]]
-    q1 = [bits[p] for p in sorted(s.x_segments["q1"])]
-    parity = [pa ^ qb for pa, qb in zip(mat_vec_mul(s.p1_t, a1), q1)]
-    return Syndrome(bits=tuple(v1 + parity), info_len=len(v1), parity_len=s.parity_len)
+    """T_X = x . G_X: the v1 segment followed by P1^T a1 + q1."""
+    t = _syndromes(np.array(_as_bits(x, s.n, "x")), s.g_x)
+    return Syndrome(bits=tuple(t.tolist()), info_len=s.x_info_len, parity_len=s.parity_len)
 
 
 def encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_Y: the u2 segment followed by P2^T a2 + q2."""
-    bits = _as_bits(y, s.n, "y")
-    u2 = [bits[p] for p in s.y_segments["u2"]]
-    a2 = [bits[p] for p in s.y_segments["a2"]]
-    q2 = [bits[p] for p in sorted(s.y_segments["q2"])]
-    parity = [pa ^ qb for pa, qb in zip(mat_vec_mul(s.p2_t, a2), q2)]
-    return Syndrome(bits=tuple(u2 + parity), info_len=len(u2), parity_len=s.parity_len)
+    """T_Y = y . G_Y: the u2 segment followed by P2^T a2 + q2."""
+    t = _syndromes(np.array(_as_bits(y, s.n, "y")), s.g_y)
+    return Syndrome(bits=tuple(t.tolist()), info_len=s.y_info_len, parity_len=s.parity_len)
 
 
 def support_syndromes(
@@ -265,9 +253,7 @@ def support_syndromes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """T_X and T_Y of every row of the word arrays X and Y, as uint8 bit
     arrays: one matrix product per side."""
-    tx = (X.astype(np.int64) @ s.g_x.cells.astype(np.int64)) % 2
-    ty = (Y.astype(np.int64) @ s.g_y.cells.astype(np.int64)) % 2
-    return tx.astype(np.uint8), ty.astype(np.uint8)
+    return _syndromes(X, s.g_x), _syndromes(Y, s.g_y)
 
 
 def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> None:
@@ -322,96 +308,6 @@ def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     syndromes = pack_bits(np.hstack(support_syndromes(s, X[first], Y[first])))
     _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
     return float(mass[size[group] > 1].sum())
-
-
-# -- equivocation ------------------------------------------------------------
-
-
-def rank_equivocation(g: Gf2Matrix, g_sub: Gf2Matrix) -> int:
-    """Signed rank difference rank(g) - rank(g_sub).
-
-    The sign is preserved deliberately: for the bundled scheme the sub-matrix
-    outranks the generator, and hiding that would misreport the formula.
-    Use ``clamped_equivocation`` for the floor-at-zero companion.
-    """
-    return rank(g) - rank(g_sub)
-
-
-def clamped_equivocation(g: Gf2Matrix, g_sub: Gf2Matrix) -> int:
-    return max(0, rank_equivocation(g, g_sub))
-
-
-Observable = Callable[[SequenceTriple], Hashable]
-
-_TARGETS = {
-    "x": lambda t: t.x,
-    "y": lambda t: t.y,
-    "z": lambda t: t.z,
-    "xy": lambda t: (t.x, t.y),
-    "xz": lambda t: (t.x, t.z),
-    "yz": lambda t: (t.y, t.z),
-    "xyz": lambda t: (t.x, t.y, t.z),
-}
-
-
-def enumeration_equivocation(
-    observed: Sequence[Observable], target: str, model: SequenceModel
-) -> float:
-    """H(target | observations) in bits, by exact enumeration of the support.
-
-    ``observed`` is a sequence of deterministic functions of a support
-    triple; an empty sequence gives the unconditional entropy.  This is the
-    ground-truth oracle the fast paths are checked against.
-    """
-    if target not in _TARGETS:
-        raise UsageError(f"unknown target {target!r}")
-    pick = _TARGETS[target]
-    cells: dict[Hashable, dict[Hashable, float]] = {}
-    for t in model.iter_support():
-        okey = tuple(fn(t) for fn in observed)
-        cells.setdefault(okey, {})
-        tkey = pick(t)
-        cells[okey][tkey] = cells[okey].get(tkey, 0.0) + t.prob
-    h = 0.0
-    for groups in cells.values():
-        mass = sum(groups.values())
-        for p in groups.values():
-            h -= p * log2(p / mass)
-    return h
-
-
-def syndrome_observable(s: PartitionScheme, side: str, positions=None) -> Observable:
-    """Observable returning (selected bits of) T_X or T_Y for a support triple."""
-    if side not in ("x", "y"):
-        raise UsageError("side must be 'x' or 'y'")
-    enc = encode_x if side == "x" else encode_y
-    sel = None if positions is None else tuple(sorted(positions))
-
-    def fn(t: SequenceTriple) -> Hashable:
-        bits = enc(getattr(t, side), s).bits
-        return bits if sel is None else tuple(bits[i] for i in sel)
-
-    return fn
-
-
-def z_prefix_observable(mu: int) -> Observable:
-    """Observable exposing the first ``mu`` symbols of Z^K."""
-
-    def fn(t: SequenceTriple) -> Hashable:
-        return t.z[:mu]
-
-    return fn
-
-
-def bit_observable(which: str, positions: Sequence[int]) -> Observable:
-    """Observable exposing raw source symbols at the given positions."""
-    sel = tuple(positions)
-
-    def fn(t: SequenceTriple) -> Hashable:
-        vec = getattr(t, which)
-        return tuple(vec[i] for i in sel)
-
-    return fn
 
 
 # -- prototype-code condition report ------------------------------------------

@@ -27,11 +27,12 @@ from corrleak import (
 )
 from corrleak.cipher import BRANCHES, MEASURE_BYTES_GUARD
 from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
-from corrleak.swcodec import (
-    PartitionScheme,
-    encode_x,
-    encode_y,
+from corrleak.swcodec import PartitionScheme
+from oracle import (
     enumeration_equivocation,
+    formula_encode_x,
+    formula_encode_y,
+    iter_support,
     syndrome_observable,
 )
 
@@ -337,8 +338,8 @@ def cipher_oracle(cipher: CipherScheme, model, s: PartitionScheme, mu_values):
             value = 2 * value + bits[i]
         return value
 
-    for t in model.iter_support():
-        tx, ty = encode_x(t.x, s).bits, encode_y(t.y, s).bits
+    for t in iter_support(model):
+        tx, ty = formula_encode_x(t.x, s).bits, formula_encode_y(t.y, s).bits
         plain = (index(tx, "x", "private"), index(ty, "y", "private"),
                  index(tx, "x", "common"), index(ty, "y", "common"))
         p = t.prob / len(key_tuples)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,8 +202,63 @@ def test_exit_code_capacity_guard(tmp_path, capsys):
     assert "capacity guard" in capsys.readouterr().err
 
 
-def test_exit_code_field_diagnostic(tmp_path, capsys):
-    path = tmp_path / "nofield.json"
-    path.write_text(json.dumps({"name": "x", "scheme": {}}))
-    assert run(["analyze", "--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "scenario.model" in capsys.readouterr().err
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "command, path, value, field",
+    [
+        pytest.param("analyze", ("model",), DELETE, "scenario.model", id="missing-model"),
+        pytest.param("curves", ("sweep",), [], "scenario.sweep", id="sweep-not-object"),
+        pytest.param("cipher-sim", ("cipher",), [], "scenario.cipher", id="cipher-not-object"),
+        pytest.param(
+            "curves", ("sweep", "mu_tx_max"), "five", "scenario.sweep.mu_tx_max",
+            id="sweep-mu-tx-max-not-int",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "mu"), "zero", "scenario.cipher.mu", id="cipher-mu-not-int"
+        ),
+        pytest.param("analyze", ("model", "K"), "seven", "model.K", id="model-k-not-int"),
+        pytest.param(
+            "region", ("region_queries", 0, "query", "r_x"), "half",
+            "scenario.region_queries[0].query: r_x", id="query-r-x-not-number",
+        ),
+        pytest.param(
+            "region", ("region_queries", 0, "query"), [1, 2],
+            "scenario.region_queries[0].query", id="query-not-object",
+        ),
+        pytest.param("analyze", ("golden", "x"), DELETE, "scenario.golden.x", id="golden-no-x"),
+        pytest.param(
+            "decode", ("golden", "x"), "10a1001", "scenario.golden.x", id="golden-x-not-bits"
+        ),
+    ],
+)
+def test_exit_code_field_diagnostic(tmp_path, capsys, command, path, value, field):
+    # A malformed field of the bundled scenario exits 2 with a one-line
+    # diagnostic that names the field, not with a traceback.
+    scenario = load_scenario("reference_k7")
+    *parents, last = path
+    node = scenario
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    scenario_path = tmp_path / "malformed.json"
+    scenario_path.write_text(json.dumps(scenario))
+    assert run([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert len(err.splitlines()) == 1
+
+
+def test_package_imports_without_tests_dir(tmp_path):
+    # Nothing under src/ may depend on the tests' reference oracle.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import corrleak, corrleak.cli"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from corrleak import Gf2Matrix, UsageError, ValidationError, mat_vec_mul, rank, remove_columns
+from corrleak import Gf2Matrix, UsageError, ValidationError, rank, remove_columns
+from oracle import mat_vec_mul
 
 
 def rank_oracle(m: Gf2Matrix) -> int:

@@ -20,12 +20,8 @@ from corrleak import (
 )
 from corrleak.info import JointPmf, code_entropy, pack_bits
 from corrleak.leakage import sample_patterns
-from corrleak.swcodec import (
-    PartitionScheme,
-    enumeration_equivocation,
-    support_syndromes,
-    z_prefix_observable,
-)
+from corrleak.swcodec import PartitionScheme, support_syndromes
+from oracle import enumeration_equivocation, z_prefix_observable
 
 
 def pattern(tx=(), ty=(), mu=0):

@@ -10,20 +10,25 @@ from corrleak import (
     SequenceModel,
     UsageError,
     ValidationError,
-    clamped_equivocation,
     decode_ambiguity_rate,
     encode_x,
     encode_y,
-    enumeration_equivocation,
     joint_decode,
-    mat_vec_mul,
     prototype_condition_report,
-    rank_equivocation,
     sequence_summary,
+)
+from corrleak.swcodec import PartitionScheme, Syndrome
+from oracle import (
+    bit_observable,
+    enumeration_equivocation,
+    formula_encode_x,
+    formula_encode_y,
+    iter_support,
+    mat_vec_mul,
+    p1_t,
     syndrome_observable,
     z_prefix_observable,
 )
-from corrleak.swcodec import PartitionScheme, Syndrome, bit_observable
 
 
 def bits(s: str) -> list[int]:
@@ -42,7 +47,7 @@ def test_encode_zero_words(scheme):
 
 def test_encode_hand_worked_variants(scheme):
     # x = 0111010: a1=01, v1=11, q1=010; parity = P1^T(0,1) + 010
-    p1t_col = mat_vec_mul(scheme.p1_t, [0, 1])
+    p1t_col = mat_vec_mul(p1_t(scheme), [0, 1])
     parity = tuple(a ^ b for a, b in zip(p1t_col, (0, 1, 0)))
     assert encode_x(bits("0111010"), scheme).bits == (1, 1) + parity
     assert encode_x(bits("0111010"), scheme).as_string() == "11100"
@@ -73,15 +78,28 @@ def test_encode_linearity_all_pairs(scheme):
             assert ty[s] == tuple(x ^ y for x, y in zip(ty[a], ty[b]))
 
 
+def random_systematic_scheme(rng, k: int, n: int) -> PartitionScheme:
+    """A random [n,k] generator [I_k | P^T] with random, unsorted a1/v1 and
+    u2/a2 splits of the message positions."""
+    parity = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
+    g = Gf2Matrix(np.hstack([np.eye(k, dtype=np.uint8), parity]))
+    x_msg, y_msg = rng.permutation(k).tolist(), rng.permutation(k).tolist()
+    cx, cy = int(rng.integers(0, k + 1)), int(rng.integers(0, k + 1))
+    return PartitionScheme(
+        generator=g,
+        x_segments={"a1": x_msg[:cx], "v1": x_msg[cx:], "q1": range(k, n)},
+        y_segments={"u2": y_msg[:cy], "a2": y_msg[cy:], "q2": range(k, n)},
+    )
+
+
 def test_encode_matches_generator_matrix(scheme):
-    rng = np.random.default_rng(0)
+    # The matrix encoder equals the paper's per-word formula on every word of
+    # the reference [7,4] scheme and of a seeded random [10,6] scheme.
     assert scheme.g_x is scheme.g_x and scheme.parity_check is scheme.parity_check  # built once
-    gx = scheme.g_x.cells
-    gy = scheme.g_y.cells
-    for _ in range(50):
-        w = rng.integers(0, 2, size=7)
-        assert encode_x(w, scheme).bits == tuple((w @ gx) % 2)
-        assert encode_y(w, scheme).bits == tuple((w @ gy) % 2)
+    for s in (scheme, random_systematic_scheme(np.random.default_rng(7), 6, 10)):
+        for w in itertools.product((0, 1), repeat=s.n):
+            assert encode_x(w, s) == formula_encode_x(w, s)
+            assert encode_y(w, s) == formula_encode_y(w, s)
 
 
 def test_joint_decode_golden_pair(scheme, hamming7):
@@ -104,10 +122,10 @@ def test_decode_candidates_contain_truth_everywhere(scheme, hamming7):
     # the candidate set joint_decode would return
     groups = {}
     pairs = set()
-    for t in hamming7.iter_support():
+    for t in iter_support(hamming7):
         pairs.add((t.x, t.y))
     for x, y in pairs:
-        key = (encode_x(x, scheme).bits, encode_y(y, scheme).bits)
+        key = (formula_encode_x(x, scheme).bits, formula_encode_y(y, scheme).bits)
         groups.setdefault(key, set()).add((x, y))
     assert all(members for members in groups.values())
     # measured ambiguity: how much mass decodes non-uniquely
@@ -115,15 +133,6 @@ def test_decode_candidates_contain_truth_everywhere(scheme, hamming7):
     expected = sum(len(m) for m in groups.values() if len(m) > 1) / len(pairs)
     assert rate == pytest.approx(expected, abs=1e-12)
     assert rate == pytest.approx(0.0, abs=1e-12)
-
-
-def test_rank_equivocation_values(scheme):
-    g = scheme.generator
-    gy = scheme.g_y
-    assert rank_equivocation(g, g) == 0
-    assert rank_equivocation(g, gy) == -1
-    assert clamped_equivocation(g, gy) == 0
-    assert rank_equivocation(g, Gf2Matrix.zeros(3, 5)) == 4
 
 
 def test_enumeration_equivocation_unconditional(scheme, hamming7):
@@ -142,7 +151,7 @@ def test_enumeration_equivocation_syndrome(scheme, hamming7):
     preimages = sum(
         1
         for w in itertools.product((0, 1), repeat=7)
-        if encode_y(w, scheme).as_string() == "10111"
+        if formula_encode_y(w, scheme).as_string() == "10111"
     )
     assert got == pytest.approx(math.log2(preimages), abs=1e-9)
     assert got == pytest.approx(2.0, abs=1e-9)
@@ -251,11 +260,13 @@ def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
         assert getattr(summary, name) == pytest.approx(value / K, abs=1e-9), name
 
     pairs = {}
-    for t in model.iter_support():
+    for t in iter_support(model):
         pairs[(t.x, t.y)] = pairs.get((t.x, t.y), 0.0) + t.prob
     groups = {}
     for x, y in pairs:
-        groups.setdefault((encode_x(x, s).bits, encode_y(y, s).bits), []).append((x, y))
+        groups.setdefault(
+            (formula_encode_x(x, s).bits, formula_encode_y(y, s).bits), []
+        ).append((x, y))
     ambiguous = sum(pairs[m] for ms in groups.values() if len(ms) > 1 for m in ms)
     assert ambiguous > 0.1
     assert decode_ambiguity_rate(s, model) == pytest.approx(ambiguous, abs=1e-9)
