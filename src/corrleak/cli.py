@@ -30,6 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from .cipher import (
+    BRANCHES,
     RegionQuery,
     desk_scheme,
     guaranteed_level,
@@ -37,7 +38,14 @@ from .cipher import (
     region_membership,
     security_verdict,
 )
-from .errors import CapacityError, ToolkitError, UsageError, ValidationError, int_field
+from .errors import (
+    CapacityError,
+    ToolkitError,
+    UsageError,
+    ValidationError,
+    float_field,
+    int_field,
+)
 from .leakage import WiretapAnalyzer, grid_curve_rows, sample_patterns, z_trace_rows
 from .seqmodel import build_model, sequence_summary
 from .swcodec import (
@@ -201,12 +209,11 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     ctx.log("sweeping the wiretap grid against the brute-force oracle")
     rows = grid_curve_rows(ctx.analyzer, ctx.sweep("mu_tx_max", 5), ctx.sweep("mu_ty_max", 5))
     trace_cfg = ctx.section("z_trace")
-    rows += z_trace_rows(
-        ctx.analyzer,
-        ctx.mu_z_values(),
-        h_xy=trace_cfg.get("h_xy_bits"),
-        h_x_given_y=trace_cfg.get("h_x_given_y_bits"),
+    h_xy, h_x_given_y = (
+        None if trace_cfg.get(k) is None else float_field(trace_cfg[k], f"scenario.z_trace.{k}")
+        for k in ("h_xy_bits", "h_x_given_y_bits")
     )
+    rows += z_trace_rows(ctx.analyzer, ctx.mu_z_values(), h_xy=h_xy, h_x_given_y=h_x_given_y)
     ctx.log_entropy_counters()
     dicts = [asdict(r) for r in rows]
     disagree = sorted(
@@ -335,6 +342,13 @@ def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     cfg = ctx.section("cipher")
     mu = int_field(cfg.get("mu", 0), "scenario.cipher.mu")
     branches = cfg.get("branches", ["none", "reused-pad", "independent-pads"])
+    if not isinstance(branches, list) or not all(
+        isinstance(b, str) and b in BRANCHES for b in branches
+    ):
+        raise ValidationError(
+            f"scenario.cipher.branches: expected a list of names from {sorted(BRANCHES)}, "
+            f"got {branches!r}"
+        )
     if not branches:
         raise ValidationError("scenario.cipher.branches: must name at least one branch")
     info = sequence_summary(ctx.model)
@@ -342,10 +356,11 @@ def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     guaranteed = ""
     if target is not None:
         guaranteed = guaranteed_level(
-            float(target),
-            float(cfg.get("alpha_cx", 0.0)),
-            float(cfg.get("alpha_cy", 0.0)),
-            float(cfg.get("i_xyz", 0.0)),
+            float_field(target, "scenario.cipher.h_target_xy"),
+            *(
+                float_field(cfg.get(k, 0.0), f"scenario.cipher.{k}")
+                for k in ("alpha_cx", "alpha_cy", "i_xyz")
+            ),
         )
     rows = []
     for branch in branches:

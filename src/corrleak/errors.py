@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the integer-field check
-that turns a malformed input field into a ``ValidationError``."""
+"""Exception types shared across the toolkit, and the integer and number
+field checks that turn a malformed input field into a ``ValidationError``."""
 
 
 class ToolkitError(Exception):
@@ -32,3 +32,11 @@ def int_field(value, field: str) -> int:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{field}: expected an integer, got {value!r}") from exc
+
+
+def float_field(value, field: str) -> float:
+    """``float(value)``, or a ``ValidationError`` naming the input field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field}: expected a number, got {value!r}") from exc

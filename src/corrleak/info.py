@@ -196,7 +196,8 @@ def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
         )
     code = np.zeros(cols.shape[0], dtype=np.int64)
     for i in range(cols.shape[1]):
-        code = code * base + cols[:, i]
+        code *= base
+        code += cols[:, i]
     return code
 
 
@@ -208,12 +209,17 @@ def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarr
     the code so far is re-ranked to 0..distinct-1.  Re-ranking keeps the
     order of the rows, so the result always orders rows as the tuples of
     their chunks do, and it is the plain shifted code when no re-rank is
-    needed.
+    needed.  The first chunk is copied and the rest are shifted in place
+    into the copy, so the input arrays are never written.
     """
-    code = np.zeros(rows, dtype=np.int64)
+    code = None
     used = 0
     for chunk, width in chunks:
         if not width:
+            continue
+        if code is None:
+            code = chunk.astype(np.int64)
+            used = width
             continue
         if used + width > PACK_LIMIT_BITS:
             values, code = np.unique(code, return_inverse=True)
@@ -222,19 +228,22 @@ def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarr
                 raise InternalConsistencyError(
                     f"a {width}-bit chunk does not fit beside {used} ranked bits"
                 )
-        code = (code << width) | chunk
+        code <<= width
+        code |= chunk
         used += width
-    return code
+    return np.zeros(rows, dtype=np.int64) if code is None else code
 
 
 def code_entropy(code: np.ndarray, probs: np.ndarray | None = None) -> float:
     """H of a coded variable, in bits.  ``probs`` are the row probabilities;
     None means every row has the same probability (entropy from counts).
 
-    Codes in 0..2*rows-1 are counted with ``np.bincount`` on the code itself,
-    others through ``np.unique``.  Both give the bins in ascending code order
-    with the weights summed in row order, so the result is the same bit for
-    bit; the dense count array is at most twice the size of ``code``.
+    Codes in 0..2*rows-1 are counted with ``np.bincount`` on the code itself.
+    Other codes are counted as the run lengths of the sorted code, or, with
+    weights, binned through ``np.unique``.  Every path gives the bins in
+    ascending code order with the weights summed in row order, so the result
+    is the same bit for bit; the dense count array is at most twice the size
+    of ``code``.
     """
     dense = code.size > 0 and code.min() >= 0 and code.max() < 2 * code.size
     if probs is None:
@@ -242,7 +251,9 @@ def code_entropy(code: np.ndarray, probs: np.ndarray | None = None) -> float:
             counts = np.bincount(code)
             counts = counts[counts > 0]
         else:
-            _, counts = np.unique(code, return_counts=True)
+            ordered = np.sort(code)
+            starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+            counts = np.diff(starts, prepend=0, append=code.size)
         n = float(code.size)
         return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
     if not dense:

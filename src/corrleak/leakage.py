@@ -120,6 +120,23 @@ def _target_vars(target: str) -> tuple[str, ...]:
     return _TARGET_VARS[target]
 
 
+def _column_code(code: np.ndarray, width: int, cols: Sequence[int]) -> np.ndarray:
+    """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
+    most significant, packed the same way.  A prefix is a shift of the code;
+    other columns go through a lookup table over all ``2**width`` codes, one
+    gather per call, unless the table would be larger than ``code``."""
+    cols = list(cols)
+    if cols == list(range(len(cols))):
+        return code if len(cols) == width else code >> (width - len(cols))
+    table = (1 << width) <= code.size
+    values = np.arange(1 << width, dtype=np.int64) if table else code
+    out = np.zeros(values.size, dtype=np.int64)
+    for c in cols:
+        out <<= 1
+        out |= (values >> (width - 1 - c)) & 1
+    return out[code] if table else out
+
+
 class _Var:
     """Observation variable: deterministic columns plus padded-bit refs.
 
@@ -129,26 +146,30 @@ class _Var:
     contributes one fresh bit plus the deterministic XOR of the two raw
     parity bits.  ``masked`` holds (column, side) references that the
     evaluation resolves per entropy set.  ``key`` names the deterministic
-    part, the columns ``cols`` of ``source``; ``chunks`` packs them on first
-    use, so a variable whose entropy sets all hit the memo is never packed.
+    part, the columns ``cols`` of the packed ``(code, width)`` source;
+    ``width`` counts them.  ``chunks`` selects them from the source code on
+    first use, so a variable whose entropy sets all hit the memo costs no
+    array pass, and a variable with no deterministic column has no chunk.
     """
 
     def __init__(
         self,
         key: tuple,
         masked: list[tuple[int, str]],
-        source: np.ndarray,
-        cols: list[int] | slice,
+        source: tuple[np.ndarray, int],
+        cols: Sequence[int],
     ):
         self.key = key
         self.masked = masked
+        self.width = len(cols)
         self._source = source
         self._cols = cols
 
     @cached_property
     def chunks(self) -> list[tuple[np.ndarray, int]]:
-        bits = self._source[:, self._cols]
-        return [(pack_bits(bits), bits.shape[1])] if bits.shape[1] else []
+        if not self.width:
+            return []
+        return [(_column_code(*self._source, self._cols), self.width)]
 
 
 class WiretapAnalyzer:
@@ -183,20 +204,21 @@ class WiretapAnalyzer:
                 if (col := s.parity_column(side, i)) is not None
             }
 
-        self._tx = (tx_bits, padded("x"))
-        self._ty = (ty_bits, padded("y"))
+        # Every variable is a column subset of one of these packed codes.
+        self._tx = ((pack_bits(tx_bits), tx_bits.shape[1]), padded("x"))
+        self._ty = ((pack_bits(ty_bits), ty_bits.shape[1]), padded("y"))
+        self._z = (pack_bits(Z), self.K)
         # Raw parity XOR per pad column (the pads cancel in the pair).
         self._xor_col = {
             c: tx_bits[:, s.x_info_len + c] ^ ty_bits[:, s.y_info_len + c]
             for c in range(s.parity_len)
         }
-        self._Z = Z
         self._entropy_memo: dict[tuple, float] = {}
         self.entropy_calls = 0
         self.entropy_sets = 0
 
-        self._x_var = _Var(("X",), [], X, slice(None))
-        self._y_var = _Var(("Y",), [], Y, slice(None))
+        self._x_var = _Var(("X",), [], (pack_bits(X), self.K), range(self.K))
+        self._y_var = _Var(("Y",), [], (pack_bits(Y), self.K), range(self.K))
 
         self.h_x_total = self._set_entropy([self._x_var])
         self.h_y_total = self._set_entropy([self._y_var])
@@ -217,22 +239,24 @@ class WiretapAnalyzer:
         return self._syndrome_var(side, self.scheme.role_positions(side, role))
 
     def _syndrome_var(self, side: str, positions: Sequence[int]) -> _Var:
-        bits, masked = self._tx if side == "x" else self._ty
+        source, masked = self._tx if side == "x" else self._ty
         cols = [i for i in positions if i not in masked]
         refs = [masked[i] for i in positions if i in masked]
-        return _Var((side, tuple(cols)), refs, bits, cols)
+        return _Var((side, tuple(cols)), refs, source, cols)
 
     def _set_entropy(self, vars: Sequence[_Var]) -> float:
         """Entropy of the joint of several variables: the kernel entropy of
         their deterministic chunks and the raw-parity XOR of every pad column
         touched on both sides, plus one bit per touched pad column.
 
-        Only the kernel value is memoised.  Its key lists the variable keys
-        in the order given, which is also the packing order, and the pad
-        columns touched on both sides; a pad column read on one side changes
-        only the bonus, which is added on every call.  So a hit returns the
-        very float a fresh computation would, and chunks are packed only on
-        a miss."""
+        Only the kernel value is memoised.  Its key lists, in the order
+        given, which is also the packing order, the keys of the variables
+        that have a deterministic column, and the pad columns touched on
+        both sides.  A variable with no deterministic column (the ``mu = 0``
+        Z prefix, a syndrome read whose bits are all padded) packs nothing,
+        and a pad column read on one side changes only the bonus, which is
+        added on every call.  So a hit returns the very float a fresh
+        computation would, and chunks are packed only on a miss."""
         self.entropy_calls += 1
         touched: dict[int, set[str]] = {}
         for v in vars:
@@ -244,7 +268,7 @@ class WiretapAnalyzer:
             bonus += 1.0
             if len(sides) == 2:
                 both.append(col)
-        key = (tuple(v.key for v in vars), tuple(both))
+        key = (tuple(v.key for v in vars if v.width), tuple(both))
         value = self._entropy_memo.get(key)
         if value is None:
             chunks = [chunk for v in vars for chunk in v.chunks]
@@ -262,7 +286,7 @@ class WiretapAnalyzer:
             zsel = sorted(pattern.z_positions)
         else:
             zsel = list(range(pattern.mu))
-        z = _Var(("z", tuple(zsel)), [], self._Z, zsel)
+        z = _Var(("z", tuple(zsel)), [], self._z, zsel)
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
     def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":

@@ -7,7 +7,9 @@ combination ``P1^T a1 + q1``; source Y transmits ``u2`` plus
 ``P2^T a2 + q2``.  ``P1^T`` / ``P2^T`` are the transposed row blocks of the
 parity part of G selected by the ``a1`` / ``a2`` positions.  Each side's
 segment layout and parity block fold into one generator, ``G_X`` / ``G_Y``,
-so a syndrome is the matrix product ``x . G_X`` (``y . G_Y``).
+so a syndrome is the matrix product ``x . G_X`` (``y . G_Y``).  Each of its
+bits is computed as the parity of the popcount of the packed word ANDed with
+the packed generator column.
 
 The receiver resolves both words from the two syndromes by exhaustive
 search constrained by the correlation model; at this scale exhaustive coset
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .gf2 import Gf2Matrix
-from .info import code_conditional_entropy, code_entropy, pack_bits
+from .info import PACK_LIMIT_BITS, code_conditional_entropy, code_entropy, pack_bits
 from .seqmodel import SequenceModel
 
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
@@ -232,27 +234,36 @@ def reference_scheme() -> PartitionScheme:
 
 
 def _syndromes(words: np.ndarray, g: Gf2Matrix) -> np.ndarray:
-    """Each row of ``words`` times ``g`` over GF(2), as uint8 bits."""
-    return ((words.astype(np.int64) @ g.cells.astype(np.int64)) % 2).astype(np.uint8)
+    """Each row of the (rows, n) word array times ``g`` over GF(2), as uint8
+    bits.  Words are packed into int64 codes of at most ``PACK_LIMIT_BITS``
+    columns each; bit j is the parity of the popcounts of those codes ANDed
+    with the matching slices of column j of ``g``."""
+    out = np.zeros((words.shape[0], g.cols), dtype=np.uint8)
+    for lo in range(0, g.rows, PACK_LIMIT_BITS):
+        hi = lo + PACK_LIMIT_BITS
+        code = pack_bits(words[:, lo:hi])
+        for j, mask in enumerate(pack_bits(g.cells[lo:hi].T).tolist()):
+            out[:, j] ^= np.bitwise_count(code & mask) & 1
+    return out
 
 
 def encode_x(x: Iterable[int], s: PartitionScheme) -> Syndrome:
     """T_X = x . G_X: the v1 segment followed by P1^T a1 + q1."""
-    t = _syndromes(np.array(_as_bits(x, s.n, "x")), s.g_x)
-    return Syndrome(bits=tuple(t.tolist()), info_len=s.x_info_len, parity_len=s.parity_len)
+    t = _syndromes(np.array([_as_bits(x, s.n, "x")]), s.g_x)
+    return Syndrome(bits=tuple(t[0].tolist()), info_len=s.x_info_len, parity_len=s.parity_len)
 
 
 def encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
     """T_Y = y . G_Y: the u2 segment followed by P2^T a2 + q2."""
-    t = _syndromes(np.array(_as_bits(y, s.n, "y")), s.g_y)
-    return Syndrome(bits=tuple(t.tolist()), info_len=s.y_info_len, parity_len=s.parity_len)
+    t = _syndromes(np.array([_as_bits(y, s.n, "y")]), s.g_y)
+    return Syndrome(bits=tuple(t[0].tolist()), info_len=s.y_info_len, parity_len=s.parity_len)
 
 
 def support_syndromes(
     s: PartitionScheme, X: np.ndarray, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """T_X and T_Y of every row of the word arrays X and Y, as uint8 bit
-    arrays: one matrix product per side."""
+    arrays: one generator product per side, by popcount parities."""
     return _syndromes(X, s.g_x), _syndromes(Y, s.g_y)
 
 

@@ -54,8 +54,8 @@ def test_verbose_logs_entropy_counters(tmp_path, capsys):
         counts[command] = tuple(int(v) for v in found[0])
         for name, digest in expected[command].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-    assert counts["verify-bounds"] == (16006, 1579)
-    assert counts["curves"] == (3674, 365)
+    assert counts["verify-bounds"] == (16006, 1284)
+    assert counts["curves"] == (3674, 290)
 
 
 def test_analyze_golden_header(tmp_path):
@@ -230,6 +230,38 @@ DELETE = object()
         pytest.param("analyze", ("golden", "x"), DELETE, "scenario.golden.x", id="golden-no-x"),
         pytest.param(
             "decode", ("golden", "x"), "10a1001", "scenario.golden.x", id="golden-x-not-bits"
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "h_target_xy"), "high", "scenario.cipher.h_target_xy",
+            id="cipher-h-target-not-number",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "alpha_cx"), "x", "scenario.cipher.alpha_cx",
+            id="cipher-alpha-cx-not-number",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "alpha_cy"), [1], "scenario.cipher.alpha_cy",
+            id="cipher-alpha-cy-not-number",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "i_xyz"), {}, "scenario.cipher.i_xyz",
+            id="cipher-i-xyz-not-number",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "branches"), "none", "scenario.cipher.branches",
+            id="cipher-branches-not-list",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "branches"), ["none", 5], "scenario.cipher.branches",
+            id="cipher-branch-not-string",
+        ),
+        pytest.param(
+            "curves", ("z_trace", "h_xy_bits"), "ten", "scenario.z_trace.h_xy_bits",
+            id="z-trace-h-xy-not-number",
+        ),
+        pytest.param(
+            "curves", ("z_trace", "h_x_given_y_bits"), [3], "scenario.z_trace.h_x_given_y_bits",
+            id="z-trace-h-x-given-y-not-number",
         ),
     ],
 )

@@ -228,7 +228,8 @@ def test_code_entropy_counting_paths_agree(monkeypatch, weighted, top):
         probs[rng.choice(n, size=200, replace=False)] = 0.0
         code[1], probs[1] = 1, 0.0  # a code seen only on a zero-weight row
     expected = entropy_by_unique(code, probs)
-    # Far above the dense range the kernel takes its np.unique path.
+    # Far above the dense range the kernel sorts: run lengths for counts,
+    # np.unique for weights.
     assert code_entropy(code + 4 * n, probs) == expected
     if top == 0:
         def refuse(*args, **kwargs):
@@ -236,6 +237,50 @@ def test_code_entropy_counting_paths_agree(monkeypatch, weighted, top):
 
         monkeypatch.setattr(np, "unique", refuse)
     assert code_entropy(code, probs) == expected
+
+
+RUN_LENGTH_CASES = {
+    "single-row": np.array([7]),
+    "all-equal": np.full(500, 1 << 40),
+    "all-distinct": np.random.default_rng(14).permutation(1000) * 5 + 2000,
+    "at-least-2n": np.random.default_rng(15).integers(0, 40, size=1000) * 1000 + 2000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_LENGTH_CASES))
+def test_code_entropy_run_lengths_equal_unique(monkeypatch, name):
+    # Codes outside 0..2n-1 are counted as run lengths of the sorted code,
+    # without np.unique, to the same float.
+    code = RUN_LENGTH_CASES[name]
+    assert code.min() >= 2 * code.size
+    expected = entropy_by_unique(code)
+    before = code.copy()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count path went through np.unique")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    assert code_entropy(code) == expected
+    assert (code == before).all()
+
+
+def test_pack_chunks_leaves_its_inputs_unchanged():
+    # Variable chunks are cached and shared, so packing never writes into them:
+    # not the first chunk, which becomes the running code, nor a later one,
+    # nor any chunk when a re-rank is needed.
+    rng = np.random.default_rng(16)
+    cases = [
+        [(rng.integers(0, 1 << 10, size=200), 10)],
+        [(rng.integers(0, 2, size=200).astype(np.uint8), 1), (rng.integers(0, 8, size=200), 3)],
+        [(rng.integers(0, 1 << 40, size=200), 40), (rng.integers(0, 1 << 30, size=200), 30)],
+    ]
+    for chunks in cases:
+        before = [chunk.copy() for chunk, _ in chunks]
+        code = pack_chunks(chunks, 200)
+        assert code.dtype == np.int64
+        for (chunk, _), copy in zip(chunks, before):
+            assert chunk.dtype == copy.dtype and (chunk == copy).all()
+            assert not np.shares_memory(code, chunk)
 
 
 def tuple_entropy(chunks):

@@ -18,7 +18,7 @@ from corrleak import (
     z_mu_leakage,
     z_trace_rows,
 )
-from corrleak.info import JointPmf, code_entropy, pack_bits
+from corrleak.info import JointPmf, code_entropy, pack_bits, pack_chunks
 from corrleak.leakage import sample_patterns
 from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import enumeration_equivocation, z_prefix_observable
@@ -279,7 +279,8 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     h_x = analyzer.evaluation(pattern(tx=[px])).H("tx")
     h_y = analyzer.evaluation(pattern(ty=[py])).H("ty")
     h_pair = analyzer.evaluation(pattern(tx=[px], ty=[py])).H("tx", "ty")
-    assert analyzer.entropy_sets == sets + 3
+    # The two one-side reads pack no chunk, so they share one kernel entry.
+    assert analyzer.entropy_sets == sets + 2
     # One padded bit alone is one fresh bit; the pair adds the raw-parity XOR.
     assert h_x == h_y == 1.0
     X, Y, _, _ = hamming7.support_arrays()
@@ -287,6 +288,49 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     h_xor = code_entropy((tx[:, px] ^ ty[:, py]).astype(np.int64))
     assert h_xor > 0.0
     assert h_pair == pytest.approx(1.0 + h_xor, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [40, 5000], ids=["table-larger", "table-smaller"])
+def test_column_code_equals_packing_the_columns(rows):
+    # A column subset of a packed code, by shift, by direct selection when
+    # the 2**width table would outgrow the code, or by table gather, is the
+    # code packed from those columns.
+    bits = np.random.default_rng(rows).integers(0, 2, size=(rows, 10)).astype(np.uint8)
+    code = pack_bits(bits)
+    for cols in ([0], [9], [1], [0, 1, 2], [3, 7], [0, 2, 9], [8, 9], list(range(10)), [4, 4]):
+        expected = pack_bits(bits[:, cols])
+        assert (leakage_module._column_code(code, 10, cols) == expected).all(), cols
+
+
+@pytest.mark.parametrize(
+    "base, extra",
+    [
+        pytest.param(pattern(tx=[0], ty=[0, 1], mu=0), "z", id="mu-0-z-prefix"),
+        pytest.param(pattern(tx=[2], ty=[0, 1], mu=3), "tx", id="all-padded-tx"),
+    ],
+)
+def test_memo_skips_a_variable_without_chunks(scheme, hamming7, base, extra):
+    # The mu = 0 Z prefix and a syndrome read whose bits are all padded pack
+    # no chunk: adding either to an entropy set adds no kernel entry, only
+    # the padded read's fresh bit, and every value equals a fresh analyzer's.
+    assert scheme.parity_column("x", 2) == 0 and scheme.role_of("x", 2) == "common"
+    analyzer = WiretapAnalyzer(scheme, hamming7)
+    ev = analyzer.evaluation(base)
+    sets_of_names = [("ty",), ("x", "ty"), ("y", "ty"), ("x", "y", "ty")]
+    if extra == "tx":
+        sets_of_names += [("z",), ("ty", "z"), ("y", "ty", "z")]
+    else:
+        sets_of_names += [("tx",), ("tx", "ty"), ("x", "tx", "ty")]
+    without = {names: ev.H(*names) for names in sets_of_names}
+    sets, memo = analyzer.entropy_sets, len(analyzer._entropy_memo)
+    bonus = 1.0 if extra == "tx" else 0.0
+    for names, value in without.items():
+        assert ev.H(*names, extra) == value + bonus
+    assert (analyzer.entropy_sets, len(analyzer._entropy_memo)) == (sets, memo)
+    fresh = WiretapAnalyzer(scheme, hamming7).evaluation(base)
+    for names in without:
+        assert ev.H(*names, extra) == fresh.H(*names, extra)
+        assert ev.H(*names) == fresh.H(*names)
 
 
 def random_systematic_scheme(k: int, n: int, v1: tuple, u2: tuple, seed: int) -> PartitionScheme:
@@ -365,7 +409,7 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
     expected = [results(WiretapAnalyzer(s, model), p) for p in wider]
     packed = []
     monkeypatch.setattr(
-        leakage_module, "pack_bits", lambda *args: packed.append(args) or pack_bits(*args)
+        leakage_module, "pack_chunks", lambda *args: packed.append(args) or pack_chunks(*args)
     )
     sets = shared.entropy_sets
     assert [results(shared, p) for p in wider] == expected

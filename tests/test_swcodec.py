@@ -17,7 +17,8 @@ from corrleak import (
     prototype_condition_report,
     sequence_summary,
 )
-from corrleak.swcodec import PartitionScheme, Syndrome
+from corrleak.info import PACK_LIMIT_BITS
+from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
 from oracle import (
     bit_observable,
     enumeration_equivocation,
@@ -100,6 +101,29 @@ def test_encode_matches_generator_matrix(scheme):
         for w in itertools.product((0, 1), repeat=s.n):
             assert encode_x(w, s) == formula_encode_x(w, s)
             assert encode_y(w, s) == formula_encode_y(w, s)
+
+
+def test_support_syndromes_match_formula_encoder():
+    # The popcount encoder over a whole word table equals the paper's
+    # per-word formula on every word of a seeded random [10,6] scheme.
+    s = random_systematic_scheme(np.random.default_rng(8), 6, 10)
+    X = np.array(list(itertools.product((0, 1), repeat=s.n)), dtype=np.uint8)
+    Y = X[::-1]
+    tx, ty = support_syndromes(s, X, Y)
+    assert tx.dtype == ty.dtype == np.uint8
+    for x, t_x, y, t_y in zip(X.tolist(), tx.tolist(), Y.tolist(), ty.tolist()):
+        assert tuple(t_x) == formula_encode_x(x, s).bits
+        assert tuple(t_y) == formula_encode_y(y, s).bits
+
+
+def test_encode_words_longer_than_one_packed_slice():
+    # Words of more than PACK_LIMIT_BITS bits are encoded slice by slice.
+    rng = np.random.default_rng(9)
+    s = random_systematic_scheme(rng, 64, 70)
+    assert s.n > PACK_LIMIT_BITS
+    for w in rng.integers(0, 2, size=(8, s.n)).tolist():
+        assert encode_x(w, s) == formula_encode_x(w, s)
+        assert encode_y(w, s) == formula_encode_y(w, s)
 
 
 def test_joint_decode_golden_pair(scheme, hamming7):
