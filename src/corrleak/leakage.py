@@ -124,17 +124,17 @@ def _column_code(code: np.ndarray, width: int, cols: Sequence[int]) -> np.ndarra
     """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
     most significant, packed the same way.  A prefix is a shift of the code;
     other columns go through a lookup table over all ``2**width`` codes, one
-    gather per call, unless the table would be larger than ``code``."""
+    gather per call.  The analyzer's widths are at most K and its supports
+    hold at least 2**K rows, so the table is never larger than the code."""
     cols = list(cols)
     if cols == list(range(len(cols))):
         return code if len(cols) == width else code >> (width - len(cols))
-    table = (1 << width) <= code.size
-    values = np.arange(1 << width, dtype=np.int64) if table else code
+    values = np.arange(1 << width, dtype=np.int64)
     out = np.zeros(values.size, dtype=np.int64)
     for c in cols:
         out <<= 1
         out |= (values >> (width - 1 - c)) & 1
-    return out[code] if table else out
+    return out[code]
 
 
 class _Var:

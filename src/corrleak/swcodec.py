@@ -238,6 +238,8 @@ def _syndromes(words: np.ndarray, g: Gf2Matrix) -> np.ndarray:
     bits.  Words are packed into int64 codes of at most ``PACK_LIMIT_BITS``
     columns each; bit j is the parity of the popcounts of those codes ANDed
     with the matching slices of column j of ``g``."""
+    if words.ndim != 2 or words.shape[1] != g.rows:
+        raise UsageError(f"word table has shape {words.shape}, expected (rows, {g.rows})")
     out = np.zeros((words.shape[0], g.cols), dtype=np.uint8)
     for lo in range(0, g.rows, PACK_LIMIT_BITS):
         hi = lo + PACK_LIMIT_BITS

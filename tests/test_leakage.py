@@ -292,9 +292,9 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
 
 @pytest.mark.parametrize("rows", [40, 5000], ids=["table-larger", "table-smaller"])
 def test_column_code_equals_packing_the_columns(rows):
-    # A column subset of a packed code, by shift, by direct selection when
-    # the 2**width table would outgrow the code, or by table gather, is the
-    # code packed from those columns.
+    # A column subset of a packed code, by shift or by table gather, is the
+    # code packed from those columns, whether the 2**width table is larger
+    # or smaller than the code.
     bits = np.random.default_rng(rows).integers(0, 2, size=(rows, 10)).astype(np.uint8)
     code = pack_bits(bits)
     for cols in ([0], [9], [1], [0, 1, 2], [3, 7], [0, 2, 9], [8, 9], list(range(10)), [4, 4]):

@@ -116,6 +116,15 @@ def test_support_syndromes_match_formula_encoder():
         assert tuple(t_y) == formula_encode_y(y, s).bits
 
 
+@pytest.mark.parametrize("width", [6, 8], ids=["narrow", "wide"])
+def test_support_syndromes_refuse_a_word_table_of_the_wrong_width(scheme, width):
+    # Words are packed in slices apart from the generator's columns, so a
+    # table of the wrong width is refused rather than misaligned or cut.
+    words = np.zeros((4, width), dtype=np.uint8)
+    with pytest.raises(UsageError, match="word table"):
+        support_syndromes(scheme, words, words)
+
+
 def test_encode_words_longer_than_one_packed_slice():
     # Words of more than PACK_LIMIT_BITS bits are encoded slice by slice.
     rng = np.random.default_rng(9)
