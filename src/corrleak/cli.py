@@ -408,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         scenario = load_scenario(args.scenario)
         ctx = _Context(scenario, args.verbose)
         out = Path(args.out)

@@ -201,7 +201,9 @@ def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
     return code
 
 
-def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarray:
+def pack_chunks(
+    chunks: Iterable[tuple[np.ndarray, int]], rows: int, owned: bool = False
+) -> np.ndarray:
     """Join ``(code, width)`` chunks, codes in 0..2**width-1, into one int64
     code per row, the first chunk most significant.
 
@@ -210,7 +212,9 @@ def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarr
     order of the rows, so the result always orders rows as the tuples of
     their chunks do, and it is the plain shifted code when no re-rank is
     needed.  The first chunk is copied and the rest are shifted in place
-    into the copy, so the input arrays are never written.
+    into the copy, so the input arrays are never written.  With ``owned``,
+    the caller hands over the first chunk, an int64 array: it becomes the
+    running code without a copy.
     """
     code = None
     used = 0
@@ -218,7 +222,7 @@ def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarr
         if not width:
             continue
         if code is None:
-            code = chunk.astype(np.int64)
+            code = chunk if owned else chunk.astype(np.int64)
             used = width
             continue
         if used + width > PACK_LIMIT_BITS:
@@ -239,28 +243,57 @@ def code_entropy(code: np.ndarray, probs: np.ndarray | None = None) -> float:
     None means every row has the same probability (entropy from counts).
 
     Codes in 0..2*rows-1 are counted with ``np.bincount`` on the code itself.
-    Other codes are counted as the run lengths of the sorted code, or, with
-    weights, binned through ``np.unique``.  Every path gives the bins in
-    ascending code order with the weights summed in row order, so the result
-    is the same bit for bit; the dense count array is at most twice the size
-    of ``code``.
+    Other codes are counted as the run lengths of a sorted copy of the code,
+    or, with weights, binned through ``np.unique``.  Every path gives the
+    bins in ascending code order with the weights summed in row order, so
+    the result is the same bit for bit; the dense count array is at most
+    twice the size of ``code``.  ``code`` is never written.
     """
-    dense = code.size > 0 and code.min() >= 0 and code.max() < 2 * code.size
     if probs is None:
-        if dense:
-            counts = np.bincount(code)
-            counts = counts[counts > 0]
-        else:
-            ordered = np.sort(code)
-            starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-            counts = np.diff(starts, prepend=0, append=code.size)
-        n = float(code.size)
-        return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
-    if not dense:
+        return _count_entropy(_bin_counts(code, owned=False), code.size)
+    if not _is_dense(code):
         _, code = np.unique(code, return_inverse=True)
     mass = np.bincount(code, weights=probs)
     mass = mass[mass > 0]
     return float(-(mass * np.log2(mass)).sum())
+
+
+def owned_code_entropy(code: np.ndarray, multiplicity: int = 1) -> float:
+    """H of a coded variable over equally weighted rows, each of which
+    stands for ``multiplicity`` rows with the same code, in bits.
+
+    The caller hands ``code`` over: it may be sorted in place.  The bins,
+    their ascending order and their integer counts are those of the code
+    with every row repeated ``multiplicity`` times, so the result equals
+    ``code_entropy`` of that repeated code bit for bit.
+    """
+    counts = _bin_counts(code, owned=True)
+    if multiplicity != 1:
+        counts *= multiplicity
+    return _count_entropy(counts, code.size * multiplicity)
+
+
+def _is_dense(code: np.ndarray) -> bool:
+    return code.size > 0 and code.min() >= 0 and code.max() < 2 * code.size
+
+
+def _bin_counts(code: np.ndarray, owned: bool) -> np.ndarray:
+    """Row count of every distinct code, in ascending code order.  Sorts
+    ``code`` in place when it is ``owned``, else a copy of it."""
+    if _is_dense(code):
+        counts = np.bincount(code)
+        return counts[counts > 0]
+    if owned:
+        code.sort()
+    else:
+        code = np.sort(code)
+    starts = np.flatnonzero(code[1:] != code[:-1]) + 1
+    return np.diff(starts, prepend=0, append=code.size)
+
+
+def _count_entropy(counts: np.ndarray, rows: int) -> float:
+    n = float(rows)
+    return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
 
 
 def code_conditional_entropy(

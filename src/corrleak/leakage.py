@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UsageError
 from .gf2 import rank, remove_columns
-from .info import code_entropy, pack_bits, pack_chunks
+from .info import code_entropy, owned_code_entropy, pack_bits, pack_chunks
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
@@ -124,8 +124,8 @@ def _column_code(code: np.ndarray, width: int, cols: Sequence[int]) -> np.ndarra
     """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
     most significant, packed the same way.  A prefix is a shift of the code;
     other columns go through a lookup table over all ``2**width`` codes, one
-    gather per call.  The analyzer's widths are at most K and its supports
-    hold at least 2**K rows, so the table is never larger than the code."""
+    gather per call.  The analyzer's widths are at most K, so the table has
+    at most 2**K entries."""
     cols = list(cols)
     if cols == list(range(len(cols))):
         return code if len(cols) == width else code >> (width - len(cols))
@@ -147,8 +147,11 @@ class _Var:
     parity bits.  ``masked`` holds (column, side) references that the
     evaluation resolves per entropy set.  ``key`` names the deterministic
     part, the columns ``cols`` of the packed ``(code, width)`` source;
-    ``width`` counts them.  ``chunks`` selects them from the source code on
-    first use, so a variable whose entropy sets all hit the memo costs no
+    ``width`` counts them.  The source lives on the analyzer's pair table
+    (X, Y, T_X and T_Y are functions of the (x, y) pair) or, for Z, on the
+    full support rows; ``on_pairs`` says which.  ``chunks`` selects the
+    columns from the source code on first use, as ``(code, width,
+    on_pairs)``, so a variable whose entropy sets all hit the memo costs no
     array pass, and a variable with no deterministic column has no chunk.
     """
 
@@ -158,18 +161,20 @@ class _Var:
         masked: list[tuple[int, str]],
         source: tuple[np.ndarray, int],
         cols: Sequence[int],
+        on_pairs: bool = True,
     ):
         self.key = key
         self.masked = masked
         self.width = len(cols)
+        self.on_pairs = on_pairs
         self._source = source
         self._cols = cols
 
     @cached_property
-    def chunks(self) -> list[tuple[np.ndarray, int]]:
+    def chunks(self) -> list[tuple[np.ndarray, int, bool]]:
         if not self.width:
             return []
-        return [(_column_code(*self._source, self._cols), self.width)]
+        return [(_column_code(*self._source, self._cols), self.width, self.on_pairs)]
 
 
 class WiretapAnalyzer:
@@ -178,6 +183,9 @@ class WiretapAnalyzer:
     Building the engine reads the model's support table once; every leakage,
     bound and identity evaluation then reduces to entropies of integer-coded
     columns over the support, with shared-pad bits folded in analytically.
+    Every column but Z is a function of the source pair (x, y), so it is
+    kept on a pair table with one row per distinct pair; ``_set_entropy``
+    counts the sets that read no Z there when it can.
     Kernel entropies are memoised across patterns by observation class: the
     deterministic keys of the variables and the pad columns read on both
     sides.  ``entropy_calls`` counts the entropy sets asked for and
@@ -190,10 +198,19 @@ class WiretapAnalyzer:
         self.model = model
         self.K = model.K
 
-        X, Y, Z, _ = model.support_arrays()
-        tx_bits, ty_bits = support_syndromes(s, X, Y)
+        X, Y, _, _ = model.support_arrays()
+        x, y, z = model.support_codes()
+        first, counts = model.support_pairs()
         self._weights = model.entropy_weights()
-        self._rows = X.shape[0]
+        self._rows = x.size
+        self._pairs = first.size
+        # Rows per pair, for np.repeat from the pair table to the rows.
+        even = bool((counts == counts[0]).all())
+        self._repeats = int(counts[0]) if even else counts
+        # With equal row weights and pairs that all span the same number of
+        # rows, a Z-free entropy set is counted on the pair table.
+        self._multiplicity = self._repeats if even and self._weights is None else None
+        tx_bits, ty_bits = support_syndromes(s, X[first], Y[first])
 
         # Syndrome bits plus the shared-pad reference of every common-role
         # parity bit; other bits are clear.
@@ -204,10 +221,11 @@ class WiretapAnalyzer:
                 if (col := s.parity_column(side, i)) is not None
             }
 
-        # Every variable is a column subset of one of these packed codes.
+        # Every variable is a column subset of one of these packed codes;
+        # all but Z are on the pair table.
         self._tx = ((pack_bits(tx_bits), tx_bits.shape[1]), padded("x"))
         self._ty = ((pack_bits(ty_bits), ty_bits.shape[1]), padded("y"))
-        self._z = (pack_bits(Z), self.K)
+        self._z = (z, self.K)
         # Raw parity XOR per pad column (the pads cancel in the pair).
         self._xor_col = {
             c: tx_bits[:, s.x_info_len + c] ^ ty_bits[:, s.y_info_len + c]
@@ -217,8 +235,8 @@ class WiretapAnalyzer:
         self.entropy_calls = 0
         self.entropy_sets = 0
 
-        self._x_var = _Var(("X",), [], (pack_bits(X), self.K), range(self.K))
-        self._y_var = _Var(("Y",), [], (pack_bits(Y), self.K), range(self.K))
+        self._x_var = _Var(("X",), [], (x[first], self.K), range(self.K))
+        self._y_var = _Var(("Y",), [], (y[first], self.K), range(self.K))
 
         self.h_x_total = self._set_entropy([self._x_var])
         self.h_y_total = self._set_entropy([self._y_var])
@@ -256,7 +274,14 @@ class WiretapAnalyzer:
         Z prefix, a syndrome read whose bits are all padded) packs nothing,
         and a pad column read on one side changes only the bonus, which is
         added on every call.  So a hit returns the very float a fresh
-        computation would, and chunks are packed only on a miss."""
+        computation would, and chunks are packed only on a miss.
+
+        On a miss, a set whose chunks all live on the pair table is counted
+        there when ``_multiplicity`` is set: each pair stands for that many
+        equal rows, so the bins, their order and their integer counts are
+        those of the full support, and so is the float.  Any other set (it
+        reads Z, or the rows are weighted or repeat unevenly) is packed
+        over the full rows by ``_row_code``."""
         self.entropy_calls += 1
         touched: dict[int, set[str]] = {}
         for v in vars:
@@ -272,11 +297,33 @@ class WiretapAnalyzer:
         value = self._entropy_memo.get(key)
         if value is None:
             chunks = [chunk for v in vars for chunk in v.chunks]
-            chunks += [(self._xor_col[col], 1) for col in both]
-            value = code_entropy(pack_chunks(chunks, self._rows), self._weights)
+            chunks += [(self._xor_col[col], 1, True) for col in both]
+            if self._multiplicity and all(on_pairs for *_, on_pairs in chunks):
+                code = pack_chunks([chunk[:2] for chunk in chunks], self._pairs)
+                value = owned_code_entropy(code, self._multiplicity)
+            elif self._weights is None:
+                value = owned_code_entropy(self._row_code(chunks))
+            else:
+                value = code_entropy(self._row_code(chunks), self._weights)
             self._entropy_memo[key] = value
             self.entropy_sets += 1
         return value + bonus
+
+    def _row_code(self, chunks: list[tuple[np.ndarray, int, bool]]) -> np.ndarray:
+        """One code per support row from ``(code, width, on_pairs)`` chunks,
+        ordering rows as the tuples of their chunks do.  Each run of
+        adjacent pair-table chunks is packed on the pair table and repeated
+        out to the rows, one ``np.repeat`` per run.  A leading run's rows
+        become the running code without a copy."""
+        row_chunks = []
+        for on_pairs, run in itertools.groupby(chunks, key=lambda chunk: chunk[2]):
+            run = [chunk[:2] for chunk in run]
+            if on_pairs:
+                code = pack_chunks(run, self._pairs)
+                width = max(1, int(code.max()).bit_length())
+                run = [(np.repeat(code, self._repeats), width)]
+            row_chunks += run
+        return pack_chunks(row_chunks, self._rows, owned=bool(chunks) and chunks[0][2])
 
     def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
         pattern.validate(self.scheme, self.K)
@@ -286,7 +333,7 @@ class WiretapAnalyzer:
             zsel = sorted(pattern.z_positions)
         else:
             zsel = list(range(pattern.mu))
-        z = _Var(("z", tuple(zsel)), [], self._z, zsel)
+        z = _Var(("z", tuple(zsel)), [], self._z, zsel, on_pairs=False)
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
     def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":

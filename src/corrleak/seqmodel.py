@@ -9,7 +9,10 @@ Two model kinds are supported:
 
 The support table is deterministic: rows are in lexicographic (y, x, z)
 order, with position 0 as the most significant symbol, so outputs are
-reproducible.  Exact enumeration is guarded at ``SUPPORT_GUARD`` triples.
+reproducible.  It keeps each word both as a digit array and as an integer
+code, and it lists the distinct (x, y) pairs as runs of rows, since every
+pair's rows are adjacent.  Exact enumeration is guarded at
+``SUPPORT_GUARD`` triples.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError, int_field
-from .info import ZERO_EPS, InfoSummary, JointPmf, code_entropy, pack_bits
+from .info import ZERO_EPS, InfoSummary, JointPmf, code_entropy
 
 #: Exact enumeration refuses supports larger than this many triples.
 SUPPORT_GUARD = 1 << 26
@@ -77,27 +80,48 @@ class SequenceModel:
         """Support as read-only (X, Y, Z, probs) arrays; rows with prob > 0 in
         lexicographic (y, x, z) order.  Built once per model and shared by
         every caller."""
-        return self._table[:4]
+        return self._table[0]
+
+    def support_codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of ``support_arrays`` as read-only int64 (x, y, z) codes:
+        each word's symbols in base ``alphabet_sizes``, position 0 most
+        significant, as ``pack_bits`` would pack them."""
+        return self._table[1]
 
     def entropy_weights(self) -> Optional[np.ndarray]:
         """Row probabilities for the entropy kernel, or None when every row has
         exactly the same probability (entropies then come from counts)."""
-        return self._table[4]
+        return self._table[2]
+
+    def support_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (x, y) pairs of the support, as read-only int64
+        arrays: the first row of every pair and its number of rows.
+
+        Rows are in (y, x, z) order, so the rows of one pair form one run:
+        pairs need no sort, and ``np.repeat(per_pair, counts)`` lays a
+        per-pair column out over the rows."""
+        return self._pairs
 
     @cached_property
     def _table(self):
         y, x, z, probs = self._hamming_codes() if self.kind == "hamming" else self._iid_codes()
         nx, ny, nz = self.alphabet_sizes
-        table = (
-            _digits(x, nx, self.K),
-            _digits(y, ny, self.K),
-            _digits(z, nz, self.K),
-            probs,
-        )
-        for arr in table:
+        digits = (_digits(x, nx, self.K), _digits(y, ny, self.K), _digits(z, nz, self.K))
+        codes = (x, y, z)
+        for arr in digits + codes + (probs,):
             arr.flags.writeable = False
         uniform = bool(np.all(probs == probs[0]))
-        return table + (None if uniform else probs,)
+        return digits + (probs,), codes, None if uniform else probs
+
+    @cached_property
+    def _pairs(self):
+        x, y, _ = self.support_codes()
+        starts = np.flatnonzero((x[1:] != x[:-1]) | (y[1:] != y[:-1])) + 1
+        first = np.concatenate(([0], starts))
+        counts = np.diff(first, append=x.size)
+        for arr in (first, counts):
+            arr.flags.writeable = False
+        return first, counts
 
     def _hamming_codes(self):
         """Each y's x and z rows are y XOR the offsets of weight <= d, sorted per y."""
@@ -190,11 +214,11 @@ def sequence_summary(model: SequenceModel) -> InfoSummary:
     Sequence-level entropies are divided by K, so for iid models these agree
     with the base pmf's summary.
     """
-    X, Y, Z, _ = model.support_arrays()
+    model.support_arrays()  # builds the support table on first use
+    x, y, z = model.support_codes()
     weights = model.entropy_weights()
-    nx, ny, nz = model.alphabet_sizes
+    _, ny, nz = model.alphabet_sizes
     K = model.K
-    x, y, z = pack_bits(X, nx), pack_bits(Y, ny), pack_bits(Z, nz)
     # Joint codes stay below the support size, which the guard bounds.
     xy = x * ny**K + y
 

@@ -315,8 +315,8 @@ def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     """Probability mass of source pairs whose syndrome pair does not decode uniquely."""
     require_code_model(s, model, "decode")
     X, Y, _, probs = model.support_arrays()
-    pair_code = pack_bits(np.hstack([X, Y]))
-    _, first, pair = np.unique(pair_code, return_index=True, return_inverse=True)
+    x, y, _ = model.support_codes()
+    _, first, pair = np.unique((x << model.K) | y, return_index=True, return_inverse=True)
     mass = np.bincount(pair, weights=probs)
     syndromes = pack_bits(np.hstack(support_syndromes(s, X[first], Y[first])))
     _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
@@ -353,10 +353,10 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     """
     require_code_model(s, model, "the condition report")
     K = model.K
-    X, Y, Z, probs = model.support_arrays()
+    X, Y, _, probs = model.support_arrays()
     TX, TY = support_syndromes(s, X, Y)
     weights = model.entropy_weights()
-    x, y, z = pack_bits(X), pack_bits(Y), pack_bits(Z)
+    x, y, z = model.support_codes()
     x_private, y_private = s.role_positions("x", "private"), s.role_positions("y", "private")
     w_x = pack_bits(TX[:, x_private])
     w_cx = pack_bits(TX[:, s.role_positions("x", "common")])

@@ -190,6 +190,15 @@ def test_exit_code_malformed_json(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+def test_exit_code_negative_seed(tmp_path, capsys):
+    # numpy refuses a negative seed; the CLI names the option instead.
+    args = ["verify-bounds", "--scenario", "reference_k7", "--out", str(tmp_path)]
+    assert run(args + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_capacity_guard(tmp_path, capsys):
     scenario = {
         "name": "huge",

@@ -15,7 +15,13 @@ from corrleak import (
     summarize,
     triple_mutual_information,
 )
-from corrleak.info import PACK_LIMIT_BITS, code_entropy, pack_bits, pack_chunks
+from corrleak.info import (
+    PACK_LIMIT_BITS,
+    code_entropy,
+    owned_code_entropy,
+    pack_bits,
+    pack_chunks,
+)
 
 
 def random_pmf(rng, shape) -> JointPmf:
@@ -264,6 +270,31 @@ def test_code_entropy_run_lengths_equal_unique(monkeypatch, name):
     assert (code == before).all()
 
 
+@pytest.mark.parametrize("name", sorted(RUN_LENGTH_CASES))
+def test_code_entropy_reads_a_read_only_code(name):
+    # The public kernel never writes its argument, so a read-only array works
+    # on every path: the run lengths sort a copy.
+    for code in (RUN_LENGTH_CASES[name], RUN_LENGTH_CASES[name] % 7):
+        frozen = code.copy()
+        frozen.flags.writeable = False
+        assert code_entropy(frozen) == entropy_by_unique(code)
+        assert (frozen == code).all()
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2, 11])
+@pytest.mark.parametrize("name", sorted(RUN_LENGTH_CASES) + ["dense"])
+def test_owned_code_entropy_equals_the_repeated_code(name, multiplicity):
+    # Counting each row as `multiplicity` equal rows gives the very float of
+    # the public kernel over the repeated code, dense or sorted; a code that
+    # is not dense is sorted in place.
+    code = RUN_LENGTH_CASES.get(name, np.random.default_rng(17).integers(0, 50, size=400))
+    expected = code_entropy(np.repeat(code, multiplicity))
+    owned = code.copy()
+    assert owned_code_entropy(owned, multiplicity) == expected
+    if code.max() >= 2 * code.size:
+        assert (owned == np.sort(code)).all()
+
+
 def test_pack_chunks_leaves_its_inputs_unchanged():
     # Variable chunks are cached and shared, so packing never writes into them:
     # not the first chunk, which becomes the running code, nor a later one,
@@ -281,6 +312,17 @@ def test_pack_chunks_leaves_its_inputs_unchanged():
         for (chunk, _), copy in zip(chunks, before):
             assert chunk.dtype == copy.dtype and (chunk == copy).all()
             assert not np.shares_memory(code, chunk)
+
+
+def test_pack_chunks_packs_into_an_owned_first_chunk():
+    # An owned int64 first chunk becomes the running code itself; later
+    # chunks are still only read.
+    first = np.arange(6, dtype=np.int64)
+    second = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
+    code = pack_chunks([(first, 3), (second, 1)], 6, owned=True)
+    assert code is first
+    assert code.tolist() == [(v << 1) | b for v, b in zip(range(6), [1, 0, 1, 1, 0, 0])]
+    assert second.tolist() == [1, 0, 1, 1, 0, 0]
 
 
 def tuple_entropy(chunks):

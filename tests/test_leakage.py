@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import corrleak.leakage as leakage_module
 from corrleak import (
@@ -21,7 +24,13 @@ from corrleak import (
 from corrleak.info import JointPmf, code_entropy, pack_bits, pack_chunks
 from corrleak.leakage import sample_patterns
 from corrleak.swcodec import PartitionScheme, support_syndromes
-from oracle import enumeration_equivocation, z_prefix_observable
+from oracle import (
+    enumeration_equivocation,
+    formula_encode_x,
+    formula_encode_y,
+    syndrome_observable,
+    z_prefix_observable,
+)
 
 
 def pattern(tx=(), ty=(), mu=0):
@@ -415,3 +424,198 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
     assert [results(shared, p) for p in wider] == expected
     assert shared.entropy_sets == sets
     assert packed == []
+
+
+# -- the pair table: Z-free sets counted on distinct (x, y) pairs ---------------------
+
+
+def full_table_kernel(s: PartitionScheme, model: SequenceModel):
+    """The kernel entropy behind an analyzer memo key, packed from the
+    model's digit arrays over every support row: the reference for the pair
+    table and for the row path's repeated pair chunks."""
+    X, Y, Z, _ = model.support_arrays()
+    TX, TY = support_syndromes(s, X, Y)
+    tables = {"X": X, "Y": Y, "x": TX, "y": TY, "z": Z}
+
+    def kernel(key) -> float:
+        var_keys, both = key
+        chunks = []
+        for name, *cols in var_keys:
+            part = tables[name] if not cols else tables[name][:, list(cols[0])]
+            chunks.append((pack_bits(part), part.shape[1]))
+        for c in both:
+            xor = TX[:, s.x_info_len + c] ^ TY[:, s.y_info_len + c]
+            chunks.append((xor.astype(np.int64), 1))
+        return code_entropy(pack_chunks(chunks, X.shape[0]), model.entropy_weights())
+
+    return kernel
+
+
+def reads_z(key) -> bool:
+    return any(var_key[0] == "z" for var_key in key[0])
+
+
+def spy_kernel_rows(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows, multiplicity) of every counting-kernel input."""
+    seen = []
+    real = leakage_module.owned_code_entropy
+
+    def spy(code, multiplicity=1):
+        seen.append((code.size, multiplicity))
+        return real(code, multiplicity)
+
+    monkeypatch.setattr(leakage_module, "owned_code_entropy", spy)
+    return seen
+
+
+def assert_memo_equals_full_table(analyzer: WiretapAnalyzer) -> None:
+    kernel = full_table_kernel(analyzer.scheme, analyzer.model)
+    for key, value in analyzer._entropy_memo.items():
+        assert value == kernel(key), key
+
+
+def test_reference_sweep_counts_z_free_sets_on_1024_pairs(scheme, hamming7, monkeypatch):
+    # verify-bounds' 800-pattern sweep (seed 0) on reference_k7: every Z-free
+    # kernel input has one row per (x, y) pair, 1,024 of them, each standing
+    # for 8 rows; sets that read Z run over all 8,192 rows.  Every kernel
+    # value is == the full-table kernel of its set.
+    seen = spy_kernel_rows(monkeypatch)
+    analyzer = WiretapAnalyzer(scheme, hamming7)
+    for p in sample_patterns(scheme, 100, seed=0, mu_values=range(8)):
+        analyzer.pattern_checks(p)
+    keys = list(analyzer._entropy_memo)
+    assert len(keys) == len(seen) == analyzer.entropy_sets == 1284
+    for key, rows in zip(keys, seen):
+        assert rows == ((8192, 1) if reads_z(key) else (1024, 8)), key
+    assert sum(not reads_z(key) for key in keys) > 0 and sum(map(reads_z, keys)) > 0
+    assert_memo_equals_full_table(analyzer)
+
+
+def test_pair_table_equals_full_table_on_a_10_6_sweep(monkeypatch):
+    # A random [10,6] code over the unit-distance model: 123,904 rows,
+    # 11,264 pairs of 11 rows each.
+    s = random_systematic_scheme(6, 10, (3, 4, 5), (0, 1, 2), seed=41)
+    model = SequenceModel(kind="hamming", K=10)
+    seen = spy_kernel_rows(monkeypatch)
+    analyzer = WiretapAnalyzer(s, model)
+    for p in sample_patterns(s, 4, seed=42, mu_values=(0, 4, 10)):
+        analyzer.pattern_checks(p)
+        analyzer.exact_leakage("xy", p)
+    analyzer.minmax_oracle(1, 2)
+    keys = list(analyzer._entropy_memo)
+    assert len(keys) == len(seen)
+    for key, rows in zip(keys, seen):
+        assert rows == ((123_904, 1) if reads_z(key) else (11_264, 11)), key
+    assert_memo_equals_full_table(analyzer)
+
+
+def uneven_equal_weight_law() -> JointPmf:
+    """Cells (0,0,0), (0,0,1) and (1,1,0), 1/3 each: every row has weight
+    3**-K, and a pair has 2**(zeros of y) rows."""
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = probs[0, 0, 1] = probs[1, 1, 0] = 1 / 3
+    return JointPmf(probs)
+
+
+def constant_pair_law() -> JointPmf:
+    """X = Y = 0 and a fair Z: one (x, y) pair, so every pair column is constant."""
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = probs[0, 0, 1] = 0.5
+    return JointPmf(probs)
+
+
+MODELS = {
+    "hamming-1-1": lambda K: SequenceModel(kind="hamming", K=K),
+    "hamming-2-0": lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=2, d_yz_max=0),
+    "hamming-0-2": lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=0, d_yz_max=2),
+    "iid-uneven": lambda K: SequenceModel(kind="iid", K=K, base=uneven_equal_weight_law()),
+    "iid-weighted": lambda K: SequenceModel(kind="iid", K=K, base=weighted_iid_law()),
+    "iid-one-pair": lambda K: SequenceModel(kind="iid", K=K, base=constant_pair_law()),
+}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    k=st.integers(2, 4),
+    parity=st.integers(1, 3),
+    model_name=st.sampled_from(sorted(MODELS)),
+    data=st.data(),
+)
+def test_pair_table_equals_full_table_over_random_schemes(k, parity, model_name, data):
+    n = k + parity
+    v1 = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)), label="v1")))
+    u2 = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)), label="u2")))
+    s = random_systematic_scheme(k, n, v1, u2, seed=data.draw(st.integers(0, 999), label="code"))
+    model = MODELS[model_name](n)
+    analyzer = WiretapAnalyzer(s, model)
+    _, counts = model.support_pairs()
+    even = model.entropy_weights() is None and (counts == counts[0]).all()
+    assert analyzer._multiplicity == (int(counts[0]) if even else None)
+    seed = data.draw(st.integers(0, 999), label="patterns")
+    for p in sample_patterns(s, 3, seed=seed, mu_values=(0, data.draw(st.integers(1, n)))):
+        analyzer.pattern_checks(p)
+        analyzer.exact_leakage("xy", p)
+    assert_memo_equals_full_table(analyzer)
+
+
+def test_uneven_pairs_take_the_row_path_and_match_the_oracle():
+    # Equal row weights, but pairs of 1 to 16 rows at K=4: no set is counted
+    # on the pair table, and every leakage equals the dictionary oracle's.
+    s = PartitionScheme(
+        generator=Gf2Matrix.from_rows(["1011", "0110"]),
+        x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
+        y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3)},
+    )
+    model = SequenceModel(kind="iid", K=4, base=uneven_equal_weight_law())
+    assert model.entropy_weights() is None
+    _, counts = model.support_pairs()
+    assert (counts.min(), counts.max()) == (1, 16)
+    analyzer = WiretapAnalyzer(s, model)
+    assert analyzer._multiplicity is None
+    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
+    info_x, info_y = s.x_info_len, s.y_info_len
+
+    def xor_observable(col):
+        def fn(t):
+            bit_x = formula_encode_x(t.x, s).bits[info_x + col]
+            return bit_x ^ formula_encode_y(t.y, s).bits[info_y + col]
+
+        return fn
+
+    def subsets(length):
+        return [c for r in range(length + 1) for c in itertools.combinations(range(length), r)]
+
+    unconditional = {t: enumeration_equivocation([], t, model) for t in ("y", "xy")}
+    for tx, ty in itertools.product(subsets(lx), subsets(ly)):
+        mu = 3 if (len(tx) + len(ty)) % 2 else 0
+        # Clear info bits, the raw XOR of each pad column read on both sides,
+        # and the Z prefix; a pad bit read on one side shows nothing.
+        both = {i - info_x for i in tx if i >= info_x} & {i - info_y for i in ty if i >= info_y}
+        observed = [
+            syndrome_observable(s, "x", [i for i in tx if i < info_x]),
+            syndrome_observable(s, "y", [i for i in ty if i < info_y]),
+            *(xor_observable(c) for c in sorted(both)),
+            z_prefix_observable(mu),
+        ]
+        for target, h in unconditional.items():
+            expected = max(0.0, h - enumeration_equivocation(observed, target, model))
+            got = analyzer.exact_leakage(target, pattern(tx, ty, mu)).total_bits
+            assert got == pytest.approx(expected, abs=1e-9), (tx, ty, mu, target)
+    assert_memo_equals_full_table(analyzer)
+
+
+def test_row_code_orders_rows_as_their_chunk_tuples(scheme, hamming7):
+    # Pair runs are repeated out to the rows around a row chunk.  A constant
+    # leading run still starts the running code, so the shared (read-only)
+    # Z code after it is never written.
+    analyzer = WiretapAnalyzer(scheme, hamming7)
+    first, counts = hamming7.support_pairs()
+    x, _, z = hamming7.support_codes()
+    bit = x[first] & 1
+    for lead in (np.zeros(first.size, dtype=np.int64), x[first]):
+        code = analyzer._row_code([(lead, 7, True), (z, 7, False), (bit, 1, True)])
+        rows = [(np.repeat(lead, counts), 7), (z, 7), (np.repeat(bit, counts), 1)]
+        expected = pack_chunks(rows, z.size)
+        rank = np.unique(expected, return_inverse=True)[1]
+        assert (np.unique(code, return_inverse=True)[1] == rank).all()
+    assert (z == hamming7.support_codes()[2]).all() and not z.flags.writeable

@@ -13,7 +13,7 @@ from corrleak import (
     z_consistency_counts,
 )
 from corrleak.seqmodel import sequence_summary
-from corrleak.info import summarize
+from corrleak.info import pack_bits, summarize
 from oracle import iter_support, sorted_ball
 
 
@@ -180,3 +180,33 @@ def test_support_arrays_match_iteration(model):
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert model.support_arrays()[0] is X  # built once per model
     assert not X.flags.writeable and not probs.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        SequenceModel(kind="hamming", K=3),
+        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=1),
+        SequenceModel(kind="hamming", K=4, d_xy_max=1, d_yz_max=2),
+        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=2),
+        _iid_with_zero_cell(),
+    ],
+    ids=["hamming-1-1", "hamming-2-1", "hamming-1-2", "hamming-2-2", "iid-3x2x2-zero-cell"],
+)
+def test_support_codes_and_pairs_match_the_digits(model):
+    # The kept codes are pack_bits of the digit arrays, in each alphabet's
+    # base; the pairs are the distinct (x, y) rows, each one run of rows.
+    X, Y, Z, _ = model.support_arrays()
+    nx, ny, nz = model.alphabet_sizes
+    codes = model.support_codes()
+    for code, digits, base in zip(codes, (X, Y, Z), (nx, ny, nz)):
+        assert code.dtype == np.int64 and not code.flags.writeable
+        assert (code == pack_bits(digits, base)).all()
+    first, counts = model.support_pairs()
+    assert not first.flags.writeable and not counts.flags.writeable
+    assert counts.sum() == X.shape[0] and (counts > 0).all()
+    pairs = [tuple(X[r]) + tuple(Y[r]) for r in first.tolist()]
+    assert len(set(pairs)) == len(pairs)
+    per_row = np.repeat(np.arange(first.size), counts)
+    assert (X == X[first][per_row]).all() and (Y == Y[first][per_row]).all()
+    assert model.support_pairs()[0] is first  # built once per model
