@@ -109,6 +109,11 @@ def load_scenario(ref: str) -> dict:
     return data
 
 
+def _require_range(field: str, value: int, upper: int) -> None:
+    if not 0 <= value <= upper:
+        raise ValidationError(f"{field}: must lie in 0..{upper}, got {value}")
+
+
 class _Context:
     """Parsed scenario pieces shared by the commands."""
 
@@ -138,12 +143,27 @@ class _Context:
         """The integer ``scenario.sweep.<key>``, or ``default`` when it is absent."""
         return int_field(self.section("sweep").get(key, default), f"scenario.sweep.{key}")
 
+    def grid_size(self, side: str) -> int:
+        """``scenario.sweep.mu_t<side>_max`` (default 5): the largest number of
+        wiretapped bits of one syndrome, in 0..its length."""
+        key = f"mu_t{side}_max"
+        value = self.sweep(key, 5)
+        _require_range(f"scenario.sweep.{key}", value, self.scheme.syndrome_len(side))
+        return value
+
     def mu_z_values(self) -> list[int]:
-        """``scenario.sweep.mu_z_values``; every Z prefix length 0..K by default."""
+        """``scenario.sweep.mu_z_values``: a non-empty list of Z prefix
+        lengths in 0..K; every length by default."""
+        field = "scenario.sweep.mu_z_values"
         values = self.section("sweep").get("mu_z_values", range(self.model.K + 1))
         if not isinstance(values, (list, range)):
-            raise ValidationError("scenario.sweep.mu_z_values: must be a list of integers")
-        return [int_field(v, "scenario.sweep.mu_z_values") for v in values]
+            raise ValidationError(f"{field}: must be a list of integers")
+        if not values:
+            raise ValidationError(f"{field}: must list at least one value")
+        values = [int_field(v, field) for v in values]
+        for v in values:
+            _require_range(field, v, self.model.K)
+        return values
 
     def log(self, msg: str):
         if self.verbose:
@@ -207,7 +227,8 @@ def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
 
 def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     ctx.log("sweeping the wiretap grid against the brute-force oracle")
-    rows = grid_curve_rows(ctx.analyzer, ctx.sweep("mu_tx_max", 5), ctx.sweep("mu_ty_max", 5))
+    mu_tx_max, mu_ty_max = ctx.grid_size("x"), ctx.grid_size("y")
+    rows = grid_curve_rows(ctx.analyzer, mu_tx_max, mu_ty_max)
     trace_cfg = ctx.section("z_trace")
     h_xy, h_x_given_y = (
         None if trace_cfg.get(k) is None else float_field(trace_cfg[k], f"scenario.z_trace.{k}")

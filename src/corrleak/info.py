@@ -201,9 +201,7 @@ def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
     return code
 
 
-def pack_chunks(
-    chunks: Iterable[tuple[np.ndarray, int]], rows: int, owned: bool = False
-) -> np.ndarray:
+def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarray:
     """Join ``(code, width)`` chunks, codes in 0..2**width-1, into one int64
     code per row, the first chunk most significant.
 
@@ -212,9 +210,7 @@ def pack_chunks(
     order of the rows, so the result always orders rows as the tuples of
     their chunks do, and it is the plain shifted code when no re-rank is
     needed.  The first chunk is copied and the rest are shifted in place
-    into the copy, so the input arrays are never written.  With ``owned``,
-    the caller hands over the first chunk, an int64 array: it becomes the
-    running code without a copy.
+    into the copy, so the input arrays are never written.
     """
     code = None
     used = 0
@@ -222,7 +218,7 @@ def pack_chunks(
         if not width:
             continue
         if code is None:
-            code = chunk if owned else chunk.astype(np.int64)
+            code = chunk.astype(np.int64)
             used = width
             continue
         if used + width > PACK_LIMIT_BITS:

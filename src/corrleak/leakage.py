@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UsageError
 from .gf2 import rank, remove_columns
-from .info import code_entropy, owned_code_entropy, pack_bits, pack_chunks
+from .info import PACK_LIMIT_BITS, code_entropy, owned_code_entropy, pack_bits, pack_chunks
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
@@ -120,21 +120,30 @@ def _target_vars(target: str) -> tuple[str, ...]:
     return _TARGET_VARS[target]
 
 
-def _column_code(code: np.ndarray, width: int, cols: Sequence[int]) -> np.ndarray:
+def _column_code(
+    code: np.ndarray, width: int, cols: Sequence[int], out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
     most significant, packed the same way.  A prefix is a shift of the code;
     other columns go through a lookup table over all ``2**width`` codes, one
     gather per call.  The analyzer's widths are at most K, so the table has
-    at most 2**K entries."""
+    at most 2**K entries.  With ``out``, the result is written there (cast
+    to its dtype) and no array is allocated beyond the table."""
     cols = list(cols)
     if cols == list(range(len(cols))):
+        if out is not None:
+            return np.right_shift(code, width - len(cols), out=out)
         return code if len(cols) == width else code >> (width - len(cols))
     values = np.arange(1 << width, dtype=np.int64)
-    out = np.zeros(values.size, dtype=np.int64)
+    table = np.zeros(values.size, dtype=np.int64)
     for c in cols:
-        out <<= 1
-        out |= (values >> (width - 1 - c)) & 1
-    return out[code]
+        table <<= 1
+        table |= (values >> (width - 1 - c)) & 1
+    if out is None:
+        return table[code]
+    # Codes lie in 0..2**width-1, so "clip" never clips; unlike the default
+    # mode it writes into ``out`` without an intermediate buffer.
+    return np.take(table, code, out=out, mode="clip")
 
 
 class _Var:
@@ -150,9 +159,11 @@ class _Var:
     ``width`` counts them.  The source lives on the analyzer's pair table
     (X, Y, T_X and T_Y are functions of the (x, y) pair) or, for Z, on the
     full support rows; ``on_pairs`` says which.  ``chunks`` selects the
-    columns from the source code on first use, as ``(code, width,
-    on_pairs)``, so a variable whose entropy sets all hit the memo costs no
-    array pass, and a variable with no deterministic column has no chunk.
+    columns of a pair-table source on first use, as ``(code, width)``, so a
+    variable whose entropy sets all hit the memo costs no array pass, and a
+    variable with no deterministic column has no chunk.  Z's columns are
+    never selected into an array of their own: the analyzer writes them
+    straight into its row buffer.
     """
 
     def __init__(
@@ -167,14 +178,14 @@ class _Var:
         self.masked = masked
         self.width = len(cols)
         self.on_pairs = on_pairs
+        self.cols = cols
         self._source = source
-        self._cols = cols
 
     @cached_property
-    def chunks(self) -> list[tuple[np.ndarray, int, bool]]:
+    def chunks(self) -> list[tuple[np.ndarray, int]]:
         if not self.width:
             return []
-        return [(_column_code(*self._source, self._cols), self.width, self.on_pairs)]
+        return [(_column_code(*self._source, self.cols), self.width)]
 
 
 class WiretapAnalyzer:
@@ -204,12 +215,12 @@ class WiretapAnalyzer:
         self._weights = model.entropy_weights()
         self._rows = x.size
         self._pairs = first.size
-        # Rows per pair, for np.repeat from the pair table to the rows.
-        even = bool((counts == counts[0]).all())
-        self._repeats = int(counts[0]) if even else counts
+        self._counts = counts
+        # Rows per pair when every pair spans the same number of rows.
+        self._run = int(counts[0]) if bool((counts == counts[0]).all()) else None
         # With equal row weights and pairs that all span the same number of
         # rows, a Z-free entropy set is counted on the pair table.
-        self._multiplicity = self._repeats if even and self._weights is None else None
+        self._multiplicity = self._run if self._weights is None else None
         tx_bits, ty_bits = support_syndromes(s, X[first], Y[first])
 
         # Syndrome bits plus the shared-pad reference of every common-role
@@ -276,12 +287,12 @@ class WiretapAnalyzer:
         added on every call.  So a hit returns the very float a fresh
         computation would, and chunks are packed only on a miss.
 
-        On a miss, a set whose chunks all live on the pair table is counted
-        there when ``_multiplicity`` is set: each pair stands for that many
-        equal rows, so the bins, their order and their integer counts are
-        those of the full support, and so is the float.  Any other set (it
-        reads Z, or the rows are weighted or repeat unevenly) is packed
-        over the full rows by ``_row_code``."""
+        On a miss, a set that reads no Z is counted on the pair table when
+        ``_multiplicity`` is set: each pair stands for that many equal rows,
+        so the bins, their order and their integer counts are those of the
+        full support, and so is the float.  Any other set (it reads Z, or
+        the rows are weighted or repeat unevenly) is coded over the full
+        rows by ``_row_code``."""
         self.entropy_calls += 1
         touched: dict[int, set[str]] = {}
         for v in vars:
@@ -296,34 +307,84 @@ class WiretapAnalyzer:
         key = (tuple(v.key for v in vars if v.width), tuple(both))
         value = self._entropy_memo.get(key)
         if value is None:
-            chunks = [chunk for v in vars for chunk in v.chunks]
-            chunks += [(self._xor_col[col], 1, True) for col in both]
-            if self._multiplicity and all(on_pairs for *_, on_pairs in chunks):
-                code = pack_chunks([chunk[:2] for chunk in chunks], self._pairs)
+            # Packing order: the pair chunks before Z, Z, the pair chunks
+            # after it, then the XOR of every pad column read on both sides.
+            head: list[tuple[np.ndarray, int]] = []
+            tail: list[tuple[np.ndarray, int]] = []
+            zcols: Sequence[int] = ()
+            for v in vars:
+                if v.on_pairs:
+                    (tail if zcols else head).extend(v.chunks)
+                elif v.width:
+                    zcols = v.cols
+            (tail if zcols else head).extend((self._xor_col[col], 1) for col in both)
+            if not zcols and self._multiplicity:
+                code = pack_chunks(head, self._pairs)
                 value = owned_code_entropy(code, self._multiplicity)
             elif self._weights is None:
-                value = owned_code_entropy(self._row_code(chunks))
+                value = owned_code_entropy(self._row_code(head, zcols, tail))
             else:
-                value = code_entropy(self._row_code(chunks), self._weights)
+                value = code_entropy(self._row_code(head, zcols, tail), self._weights)
             self._entropy_memo[key] = value
             self.entropy_sets += 1
         return value + bonus
 
-    def _row_code(self, chunks: list[tuple[np.ndarray, int, bool]]) -> np.ndarray:
-        """One code per support row from ``(code, width, on_pairs)`` chunks,
-        ordering rows as the tuples of their chunks do.  Each run of
-        adjacent pair-table chunks is packed on the pair table and repeated
-        out to the rows, one ``np.repeat`` per run.  A leading run's rows
-        become the running code without a copy."""
-        row_chunks = []
-        for on_pairs, run in itertools.groupby(chunks, key=lambda chunk: chunk[2]):
-            run = [chunk[:2] for chunk in run]
-            if on_pairs:
-                code = pack_chunks(run, self._pairs)
-                width = max(1, int(code.max()).bit_length())
-                run = [(np.repeat(code, self._repeats), width)]
-            row_chunks += run
-        return pack_chunks(row_chunks, self._rows, owned=bool(chunks) and chunks[0][2])
+    @cached_property
+    def _buffer(self) -> np.ndarray:
+        """Scratch space for one row code, rewritten by every ``_row_code``."""
+        return np.empty(self._rows, dtype=np.int64)
+
+    def _row_code(
+        self,
+        head: list[tuple[np.ndarray, int]],
+        zcols: Sequence[int],
+        tail: list[tuple[np.ndarray, int]],
+    ) -> np.ndarray:
+        """One code per support row, ordering rows as the tuples of the pair
+        chunks ``head``, the Z columns ``zcols`` and the pair chunks ``tail``
+        do, built in the analyzer's row buffer.  The result is a view of the
+        buffer, int32 when the code fits 31 bits and int64 otherwise, and it
+        is overwritten by the next call.
+
+        The buffer gets the Z columns straight from the model's Z code,
+        shifted past ``tail``.  The pair chunks are packed into one code on
+        the pair table, ``head`` above a gap as wide as Z and ``tail``, and
+        that code is spread over each pair's rows and ORed in: by
+        broadcasting when every pair spans the same number of rows, by one
+        ``np.repeat`` otherwise.  When the whole code would pass
+        ``PACK_LIMIT_BITS``, ``head`` is first re-ranked on the pair table,
+        which keeps its order."""
+        lead = pack_chunks(head, self._pairs)
+        trail = pack_chunks(tail, self._pairs)
+        trail_width = int(trail.max()).bit_length()
+        gap = len(zcols) + trail_width
+        lead_width = int(lead.max()).bit_length()
+        if lead_width + gap > PACK_LIMIT_BITS:
+            lead = np.unique(lead, return_inverse=True)[1]
+            lead_width = int(lead.max()).bit_length()
+            if lead_width + gap > PACK_LIMIT_BITS:
+                raise InternalConsistencyError(
+                    f"{lead_width} ranked bits do not fit beside {gap} row bits"
+                )
+        buf = self._buffer
+        if lead_width + gap <= 31:
+            buf = buf.view(np.int32)[: self._rows]
+        lead <<= gap
+        lead |= trail
+        pair_code = lead.astype(buf.dtype, copy=False)
+        if self._run:
+            rows, spread = buf.reshape(self._pairs, self._run), pair_code[:, None]
+        else:
+            rows, spread = buf, np.repeat(pair_code, self._counts)
+        if not zcols:
+            rows[...] = spread
+            return buf
+        _column_code(*self._z, zcols, out=buf)
+        if trail_width:
+            buf <<= trail_width
+        if head or tail:
+            rows |= spread
+        return buf
 
     def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
         pattern.validate(self.scheme, self.K)

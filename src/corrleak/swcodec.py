@@ -298,11 +298,16 @@ def joint_decode(
 ) -> DecodeResult:
     """Exhaustive search over the model support for pairs matching both syndromes.
 
+    The syndromes are functions of the (x, y) pair, so they are matched on
+    the distinct pairs of ``support_pairs`` only.
+
     Ambiguity (several candidates) and inconsistency (none) are reported in
     the result, not raised.
     """
     require_code_model(s, model, "decode")
     X, Y, _, _ = model.support_arrays()
+    first, _ = model.support_pairs()
+    X, Y = X[first], Y[first]
     TX, TY = support_syndromes(s, X, Y)
     hit = (TX == tx.bits).all(axis=1) & (TY == ty.bits).all(axis=1)
     pairs = np.unique(np.hstack([X[hit], Y[hit]]), axis=0).tolist()
@@ -354,14 +359,20 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     require_code_model(s, model, "the condition report")
     K = model.K
     X, Y, _, probs = model.support_arrays()
-    TX, TY = support_syndromes(s, X, Y)
+    first, counts = model.support_pairs()
+    TX, TY = support_syndromes(s, X[first], Y[first])
     weights = model.entropy_weights()
     x, y, z = model.support_codes()
     x_private, y_private = s.role_positions("x", "private"), s.role_positions("y", "private")
-    w_x = pack_bits(TX[:, x_private])
-    w_cx = pack_bits(TX[:, s.role_positions("x", "common")])
-    w_y = pack_bits(TY[:, y_private])
-    w_cy = pack_bits(TY[:, s.role_positions("y", "common")])
+
+    def rows(bits: np.ndarray) -> np.ndarray:
+        """Syndrome bits packed on the pairs, laid out over the support rows."""
+        return np.repeat(pack_bits(bits), counts)
+
+    w_x = rows(TX[:, x_private])
+    w_cx = rows(TX[:, s.role_positions("x", "common")])
+    w_y = rows(TY[:, y_private])
+    w_cy = rows(TY[:, s.role_positions("y", "common")])
 
     def h(code: np.ndarray) -> float:
         return code_entropy(code, weights) / K

@@ -272,6 +272,34 @@ DELETE = object()
             "curves", ("z_trace", "h_x_given_y_bits"), [3], "scenario.z_trace.h_x_given_y_bits",
             id="z-trace-h-x-given-y-not-number",
         ),
+        pytest.param(
+            "verify-bounds", ("sweep", "mu_z_values"), [], "scenario.sweep.mu_z_values",
+            id="sweep-mu-z-values-empty",
+        ),
+        pytest.param(
+            "curves", ("sweep", "mu_z_values"), [], "scenario.sweep.mu_z_values",
+            id="sweep-mu-z-values-empty-curves",
+        ),
+        pytest.param(
+            "verify-bounds", ("sweep", "mu_z_values"), [0, 8], "scenario.sweep.mu_z_values",
+            id="sweep-mu-z-value-past-k",
+        ),
+        pytest.param(
+            "curves", ("sweep", "mu_z_values"), [-1], "scenario.sweep.mu_z_values",
+            id="sweep-mu-z-value-negative",
+        ),
+        pytest.param(
+            "curves", ("sweep", "mu_tx_max"), 6, "scenario.sweep.mu_tx_max",
+            id="sweep-mu-tx-max-past-syndrome",
+        ),
+        pytest.param(
+            "curves", ("sweep", "mu_ty_max"), 6, "scenario.sweep.mu_ty_max",
+            id="sweep-mu-ty-max-past-syndrome",
+        ),
+        pytest.param(
+            "curves", ("sweep", "mu_ty_max"), -1, "scenario.sweep.mu_ty_max",
+            id="sweep-mu-ty-max-negative",
+        ),
     ],
 )
 def test_exit_code_field_diagnostic(tmp_path, capsys, command, path, value, field):

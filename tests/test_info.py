@@ -314,17 +314,6 @@ def test_pack_chunks_leaves_its_inputs_unchanged():
             assert not np.shares_memory(code, chunk)
 
 
-def test_pack_chunks_packs_into_an_owned_first_chunk():
-    # An owned int64 first chunk becomes the running code itself; later
-    # chunks are still only read.
-    first = np.arange(6, dtype=np.int64)
-    second = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
-    code = pack_chunks([(first, 3), (second, 1)], 6, owned=True)
-    assert code is first
-    assert code.tolist() == [(v << 1) | b for v, b in zip(range(6), [1, 0, 1, 1, 0, 0])]
-    assert second.tolist() == [1, 0, 1, 1, 0, 0]
-
-
 def tuple_entropy(chunks):
     """Entropy of the per-row tuples of chunk values, by a plain Counter."""
     rows = list(zip(*(c.tolist() for c, _ in chunks)))

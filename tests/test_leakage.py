@@ -605,17 +605,117 @@ def test_uneven_pairs_take_the_row_path_and_match_the_oracle():
 
 
 def test_row_code_orders_rows_as_their_chunk_tuples(scheme, hamming7):
-    # Pair runs are repeated out to the rows around a row chunk.  A constant
-    # leading run still starts the running code, so the shared (read-only)
-    # Z code after it is never written.
+    # Pair chunks are spread out to the rows around the Z columns, which are
+    # written into the analyzer's row buffer: the shared (read-only) Z code
+    # is never written, and a constant leading chunk still orders nothing.
     analyzer = WiretapAnalyzer(scheme, hamming7)
     first, counts = hamming7.support_pairs()
     x, _, z = hamming7.support_codes()
     bit = x[first] & 1
     for lead in (np.zeros(first.size, dtype=np.int64), x[first]):
-        code = analyzer._row_code([(lead, 7, True), (z, 7, False), (bit, 1, True)])
+        code = analyzer._row_code([(lead, 7)], range(7), [(bit, 1)])
         rows = [(np.repeat(lead, counts), 7), (z, 7), (np.repeat(bit, counts), 1)]
         expected = pack_chunks(rows, z.size)
         rank = np.unique(expected, return_inverse=True)[1]
         assert (np.unique(code, return_inverse=True)[1] == rank).all()
     assert (z == hamming7.support_codes()[2]).all() and not z.flags.writeable
+
+
+# -- the row buffer: every row-path code is built in one reused array ----------------
+
+
+def spy_row_code_dtypes(monkeypatch, analyzer: WiretapAnalyzer) -> list[np.dtype]:
+    """Record the dtype of every row code the analyzer builds."""
+    seen = []
+    real = analyzer._row_code
+
+    def spy(*args):
+        code = real(*args)
+        seen.append(code.dtype)
+        return code
+
+    monkeypatch.setattr(analyzer, "_row_code", spy)
+    return seen
+
+
+def test_row_buffer_equals_full_table_on_wide_gathered_and_padded_sets(monkeypatch):
+    # A random [10,6] code over the unit-distance model with Z = Y (11,264
+    # rows, one per pair): a set of 40 bits (the int64 view), Z columns that
+    # are not a prefix (the table gather) and a Z set followed by the XOR of
+    # pad columns read on both sides.
+    k, n, seed, make_model = MEMO_CODES["k10-hamming"]
+    s = random_systematic_scheme(k, n, (3, 4, 5), (0, 1, 2), seed=seed)
+    model = make_model()
+    analyzer = WiretapAnalyzer(s, model)
+    seen = spy_row_code_dtypes(monkeypatch, analyzer)
+    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
+    px, py = s.x_info_len, s.y_info_len
+    assert s.parity_column("x", px) == s.parity_column("y", py) == 0
+
+    wide = analyzer.evaluation(pattern(tx=range(lx), ty=range(ly), mu=n))
+    wide.H("tx", "ty", "x", "y", "z")
+    assert seen == [np.dtype(np.int64)]
+    gathered = analyzer.evaluation(WiretapPattern(frozenset({0}), frozenset({1}), 0, (1, 4, 8)))
+    for names in [("z",), ("tx", "z"), ("y", "z"), ("tx", "ty", "x", "z")]:
+        gathered.H(*names)
+    padded = analyzer.evaluation(pattern(tx=[px], ty=[py], mu=3))
+    for names in [("tx", "ty", "z"), ("tx", "ty", "y", "z"), ("tx", "ty", "x", "y", "z")]:
+        padded.H(*names)
+    assert np.dtype(np.int32) in seen
+    keys = list(analyzer._entropy_memo)
+    assert any(key[1] and reads_z(key) for key in keys)
+    assert any(var_key == ("z", (1, 4, 8)) for key in keys for var_key in key[0])
+    assert_memo_equals_full_table(analyzer)
+
+
+def test_row_code_re_ranks_a_lead_past_62_bits(scheme, hamming7):
+    # A 40-bit lead, 7 Z columns and a 21-bit tail pass 62 bits: the lead is
+    # re-ranked on the pair table and the code, in the int64 view, still
+    # orders rows as their chunk tuples do.
+    analyzer = WiretapAnalyzer(scheme, hamming7)
+    first, counts = hamming7.support_pairs()
+    _, _, z = hamming7.support_codes()
+    rng = np.random.default_rng(61)
+    lead = rng.integers(0, 1 << 40, size=first.size)
+    bit, wide = rng.integers(0, 2, size=first.size), rng.integers(0, 1 << 20, size=first.size)
+    code = analyzer._row_code([(lead, 40)], range(7), [(bit, 1), (wide, 20)])
+    assert code.dtype == np.int64 and code.size == z.size
+    rows = [(np.repeat(lead, counts), 40), (z, 7), (np.repeat(bit, counts), 1),
+            (np.repeat(wide, counts), 20)]
+    rank = np.unique(pack_chunks(rows, z.size), return_inverse=True)[1]
+    assert (np.unique(code, return_inverse=True)[1] == rank).all()
+
+
+BUFFER_MODELS = {
+    "hamming-k7": lambda: SequenceModel(kind="hamming", K=7),
+    "iid-weighted-k5": lambda: SequenceModel(kind="iid", K=5, base=weighted_iid_law()),
+    "iid-uneven-k5": lambda: SequenceModel(kind="iid", K=5, base=uneven_equal_weight_law()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUFFER_MODELS))
+def test_row_buffer_carries_no_state_between_sets(name):
+    # Every entropy set of a few patterns, prefix and gathered Z, asked for
+    # in one order and, on a fresh analyzer, in the reverse order: the two
+    # memos are identical and equal the full-table kernel, so the reused
+    # buffer never leaks one set's code into the next.
+    model = BUFFER_MODELS[name]()
+    n = model.K
+    s = random_systematic_scheme(n - 2, n, (0, 1), (2,), seed=len(name))
+    patterns = sample_patterns(s, 3, seed=7, mu_values=(0, 2, n))
+    patterns.append(WiretapPattern(frozenset({0}), frozenset({1}), 0, (1, n - 1)))
+    names = ("tx", "ty", "x", "y", "z")
+    subsets = [c for r in range(1, 6) for c in itertools.combinations(names, r)]
+    asks = [(p, c) for p in patterns for c in subsets]
+
+    def run(order):
+        analyzer = WiretapAnalyzer(s, model)
+        values = {(p, c): analyzer.evaluation(p).H(*c) for p, c in order}
+        return analyzer, values
+
+    forward, forward_values = run(asks)
+    backward, backward_values = run(asks[::-1])
+    assert forward_values == backward_values
+    assert forward._entropy_memo == backward._entropy_memo
+    assert any(map(reads_z, forward._entropy_memo))
+    assert_memo_equals_full_table(forward)

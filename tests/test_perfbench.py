@@ -32,11 +32,13 @@ def load_perfbench(name: str):
     return module
 
 
-@pytest.mark.parametrize("command", ["curves", "region", "cipher-sim"])
+@pytest.mark.parametrize("command", ["curves", "verify-bounds", "region", "cipher-sim", "decode"])
 @pytest.mark.parametrize("workload", ["hamming_k10", "iid_k5"])
 def test_generated_workloads_match_stored_rows(tmp_path, workload, command):
     # The benchmark's generated scenarios (123,904 equal-weight rows and
-    # 32,768 weighted rows) against the rows stored beside them.
+    # 32,768 weighted rows) against the rows stored beside them; for
+    # verify-bounds and decode, against their row count, verdicts,
+    # residuals and the encoded support pair.
     scenarios, checks = load_perfbench("scenarios"), load_perfbench("checks")
     w = scenarios.make_workload(workload, 0, tmp_path)
     out = tmp_path / command

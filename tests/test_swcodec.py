@@ -333,3 +333,44 @@ def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
         scale = 1.0 if row.label == "decode_error" else K
         assert row.lhs_bits == pytest.approx(lhs / scale, abs=1e-9), row.label
         assert row.rhs_bits == pytest.approx(rhs / scale, abs=1e-9), row.label
+
+
+def uneven_law() -> JointPmf:
+    """Cells (0,0,0), (0,0,1) and (1,1,0), 1/3 each: pairs of 1 to 2**K rows."""
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = probs[0, 0, 1] = probs[1, 1, 0] = 1 / 3
+    return JointPmf(probs)
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        pytest.param(lambda: SequenceModel(kind="hamming", K=4), id="hamming-k4"),
+        pytest.param(lambda: SequenceModel(kind="iid", K=4, base=uneven_law()), id="uneven-k4"),
+    ],
+)
+def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
+    # Syndromes are functions of the (x, y) pair, so the decoder and the
+    # condition report, which encode the distinct pairs only, give exactly
+    # what encoding every support row as a pair of its own gives.
+    s = PartitionScheme(
+        generator=Gf2Matrix.from_rows(["1011", "0110"]),
+        x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
+        y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3)},
+    )
+    model = make_model()
+    X, Y, _, _ = model.support_arrays()
+    queries = {(encode_x(x, s).bits, encode_y(y, s).bits) for x, y in zip(X.tolist(), Y.tolist())}
+    report = prototype_condition_report(s, model)
+    decoded = {
+        (tx, ty): joint_decode(Syndrome(tx, 1, 2), Syndrome(ty, 1, 2), model, s)
+        for tx, ty in queries
+    }
+
+    rows = X.shape[0]
+    assert model.support_pairs()[0].size < rows
+    every_row = (np.arange(rows), np.ones(rows, dtype=np.int64))
+    monkeypatch.setattr(SequenceModel, "support_pairs", lambda self: every_row)
+    assert prototype_condition_report(s, model) == report
+    for (tx, ty), result in decoded.items():
+        assert joint_decode(Syndrome(tx, 1, 2), Syndrome(ty, 1, 2), model, s) == result
