@@ -31,15 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .gf2 import Gf2Matrix, rank, remove_columns
-from .info import (
-    InfoSummary,
-    JointPmf,
-    conditional_mutual_information,
-    entropy,
-    mutual_information,
-    summarize,
-    triple_mutual_information,
-)
+from .info import InfoSummary, JointPmf
 from .leakage import (
     BoundReport,
     CurveRow,

@@ -411,15 +411,16 @@ def measure_security(
     if not 0 <= mu <= model.K:
         raise DomainError(f"mu must lie in 0..{model.K}, got {mu}")
 
-    X, Y, Z, probs = model.support_arrays()
+    K = model.K
+    x, y, z, probs = model.support_arrays()
     # Collapse support rows that agree on everything the measurement sees:
     # (x, y, leaked z prefix).  Unobserved z symbols only add multiplicity.
-    row_key = pack_bits(np.hstack([X, Y, Z[:, :mu]]))
-    _, keep, inv = np.unique(row_key, return_index=True, return_inverse=True)
+    z = z >> (K - mu)  # the leaked prefix
+    _, keep, inv = np.unique((((x << K) | y) << mu) | z, return_index=True, return_inverse=True)
     probs = np.bincount(inv, weights=probs)
-    X, Y, Z = X[keep], Y[keep], Z[keep]
-    tx, ty = support_syndromes(s, X, Y)
-    n_rows = X.shape[0]
+    x, y, z = x[keep], y[keep], z[keep]
+    tx, ty = support_syndromes(s, x, y)
+    n_rows = x.size
 
     wx = pack_bits(tx[:, s.role_positions("x", "private")])
     wcx = pack_bits(tx[:, s.role_positions("x", "common")])
@@ -466,9 +467,9 @@ def measure_security(
                 values[c] = (values[c] - first) % sizes[c]
 
     obs = [(code, (sizes[c] - 1).bit_length()) for c, code in values.items()]
-    obs.append((pack_bits(Z[:, :mu])[idx], mu))
-    x_chunk = (pack_bits(X)[idx], model.K)
-    y_chunk = (pack_bits(Y)[idx], model.K)
+    obs.append((z[idx], mu))
+    x_chunk = (x[idx], K)
+    y_chunk = (y[idx], K)
 
     def h(*targets: tuple[np.ndarray, int]) -> float:
         return code_entropy(pack_chunks(obs + list(targets), idx.size), weights)

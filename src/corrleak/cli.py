@@ -144,11 +144,13 @@ class _Context:
         return int_field(self.section("sweep").get(key, default), f"scenario.sweep.{key}")
 
     def grid_size(self, side: str) -> int:
-        """``scenario.sweep.mu_t<side>_max`` (default 5): the largest number of
-        wiretapped bits of one syndrome, in 0..its length."""
+        """``scenario.sweep.mu_t<side>_max``: the largest number of wiretapped
+        bits of one syndrome, in 0..its length; by default 5, or the length
+        when that is shorter."""
         key = f"mu_t{side}_max"
-        value = self.sweep(key, 5)
-        _require_range(f"scenario.sweep.{key}", value, self.scheme.syndrome_len(side))
+        length = self.scheme.syndrome_len(side)
+        value = self.sweep(key, min(5, length))
+        _require_range(f"scenario.sweep.{key}", value, length)
         return value
 
     def mu_z_values(self) -> list[int]:

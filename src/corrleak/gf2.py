@@ -69,9 +69,6 @@ class Gf2Matrix:
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix(self.cells.T)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Gf2Matrix":
-        return Gf2Matrix(self.cells[np.ix_(list(row_idx), list(col_idx))])
-
     def hstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.rows != other.rows:
             raise UsageError(f"row counts differ: {self.rows} vs {other.rows}")

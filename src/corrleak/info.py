@@ -1,52 +1,25 @@
-"""Exact Shannon measures over finite joint distributions of (X, Y, Z).
+"""Exact Shannon measures over enumerated support tables, in bits.
 
-All public quantities are in bits (base-2 logarithms).  Probabilities below
-``ZERO_EPS`` are treated as exact zeros inside p*log2(p) terms, so point
-masses and structural zeros never produce NaNs.
-
-Mutual informations that are mathematically nonnegative are clamped to 0
-when they land within ``-NEG_TOL`` of zero; anything more negative raises
-``InternalConsistencyError`` instead of being silently corrected.
+A support table lists outcomes row by row with their probabilities; a
+deterministic function of the outcome is an integer code per row, and every
+entropy in the package is an entropy of such a code.  ``JointPmf`` is the
+validated per-symbol law of (X, Y, Z) that an iid sequence model extends.
+Probabilities below ``ZERO_EPS`` are treated as exact zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
-from .errors import InternalConsistencyError, UsageError, ValidationError
+from .errors import InternalConsistencyError, ValidationError
 
-#: Probabilities below this are exact zeros in p*log2(p) terms.
+#: Probabilities below this are exact zeros.
 ZERO_EPS = 1e-15
 #: Tolerance on the total probability mass of a pmf.
 MASS_TOL = 1e-12
-#: Nonnegative quantities may undershoot zero by at most this much.
-NEG_TOL = 1e-12
-
-_AXES = {"x": 0, "y": 1, "z": 2}
-
-VarSelector = Union[str, Sequence[str]]
-
-
-def entropy(dist) -> float:
-    """Shannon entropy -sum(p * log2 p) of a pmf, in bits.
-
-    Accepts any array-like of probabilities (flattened before use).
-    Raises ``ValidationError`` if an entry is negative or the total mass
-    differs from 1 by more than ``MASS_TOL``.
-    """
-    p = np.asarray(dist, dtype=float).ravel()
-    if p.size == 0:
-        raise ValidationError("pmf is empty")
-    if np.any(p < -ZERO_EPS):
-        raise ValidationError(f"pmf has a negative entry (min {p.min():.3g})")
-    total = float(p.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValidationError(f"pmf mass is {total!r}, expected 1 within {MASS_TOL}")
-    live = p[p > ZERO_EPS]
-    return float(-(live * np.log2(live)).sum())
 
 
 @dataclass(frozen=True)
@@ -78,12 +51,6 @@ class JointPmf:
     def alphabet_sizes(self) -> tuple[int, int, int]:
         return tuple(self.probs.shape)  # type: ignore[return-value]
 
-    def marginal(self, vars: VarSelector) -> np.ndarray:
-        """Marginal pmf over the selected variables, axes in x, y, z order."""
-        keep = _resolve(vars)
-        drop = tuple(ax for ax in range(3) if ax not in keep)
-        return self.probs.sum(axis=drop)
-
     def to_json(self) -> dict:
         nx, ny, nz = self.alphabet_sizes
         return {"alphabets": [nx, ny, nz], "probs": [float(v) for v in self.probs.ravel()]}
@@ -102,80 +69,7 @@ class JointPmf:
         return cls(flat.reshape(nx, ny, nz))
 
 
-def _resolve(vars: VarSelector) -> tuple[int, ...]:
-    """Turn a selector like "x", "xy" or ("x", "y") into sorted axis indices."""
-    if isinstance(vars, str):
-        names: Iterable[str] = vars
-    else:
-        names = vars
-    axes = []
-    for name in names:
-        key = name.lower()
-        if key not in _AXES:
-            raise UsageError(f"unknown variable {name!r}; expected one of x, y, z")
-        axes.append(_AXES[key])
-    if len(set(axes)) != len(axes):
-        raise UsageError(f"selector {vars!r} repeats a variable")
-    return tuple(sorted(axes))
-
-
-def _clamp_nonneg(value: float, what: str) -> float:
-    if value < -NEG_TOL:
-        raise InternalConsistencyError(f"{what} = {value!r} is negative beyond tolerance")
-    return max(0.0, value)
-
-
-def marginal_entropy(joint: JointPmf, vars: VarSelector) -> float:
-    """H of the selected marginal, in bits."""
-    return entropy(joint.marginal(vars))
-
-
-def mutual_information(joint: JointPmf, a: VarSelector = "x", b: VarSelector = "y") -> float:
-    """I(A;B) = H(A) + H(B) - H(A,B), clamped to 0 near zero."""
-    ax_a, ax_b = _resolve(a), _resolve(b)
-    if set(ax_a) & set(ax_b):
-        raise UsageError(f"selectors {a!r} and {b!r} overlap")
-    value = (
-        marginal_entropy(joint, a)
-        + marginal_entropy(joint, b)
-        - entropy(joint.marginal(tuple("xyz"[i] for i in sorted(ax_a + ax_b))))
-    )
-    return _clamp_nonneg(value, f"I({a};{b})")
-
-
-def conditional_mutual_information(
-    joint: JointPmf, a: VarSelector, b: VarSelector, given: VarSelector = ()
-) -> float:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), clamped to 0 near zero.
-
-    With an empty conditioning set this reduces to ``mutual_information``.
-    """
-    ax_a, ax_b, ax_c = _resolve(a), _resolve(b), _resolve(given)
-    if (set(ax_a) & set(ax_b)) or (set(ax_a) & set(ax_c)) or (set(ax_b) & set(ax_c)):
-        raise UsageError(f"selectors {a!r}, {b!r}, {given!r} must be disjoint")
-    if not ax_c:
-        return mutual_information(joint, a, b)
-
-    def h(axes: tuple[int, ...]) -> float:
-        return entropy(joint.marginal(tuple("xyz"[i] for i in sorted(axes))))
-
-    value = h(ax_a + ax_c) + h(ax_b + ax_c) - h(ax_a + ax_b + ax_c) - h(ax_c)
-    return _clamp_nonneg(value, f"I({a};{b}|{given})")
-
-
-def triple_mutual_information(joint: JointPmf) -> float:
-    """I(X;Y;Z) = I(X;Y) - I(X;Y|Z).  May be negative (XOR-style coupling)."""
-    return mutual_information(joint, "x", "y") - conditional_mutual_information(
-        joint, "x", "y", "z"
-    )
-
-
 # -- entropy kernel over support tables ------------------------------------------
-#
-# A support table lists outcomes row by row with their probabilities; a
-# deterministic function of the outcome is an integer code per row.  Every
-# entropy over a support table in the package goes through these functions.
-
 
 #: Running width, in bits, up to which ``pack_chunks`` shifts chunks into one
 #: int64 code before it re-ranks the code so far.
@@ -311,7 +205,8 @@ def code_conditional_entropy(
 
 @dataclass(frozen=True)
 class InfoSummary:
-    """All the standard single/joint/conditional measures of one JointPmf, in bits."""
+    """The standard single, joint and conditional measures of a law of
+    (X, Y, Z), in bits per symbol."""
 
     h_x: float
     h_y: float
@@ -323,24 +218,3 @@ class InfoSummary:
     i_xz: float
     i_yz: float
     i_xyz: float
-
-
-def summarize(joint: JointPmf) -> InfoSummary:
-    """Compute an ``InfoSummary``; conditionals are entropy differences so the
-    chain-rule identities hold exactly."""
-    h_x = marginal_entropy(joint, "x")
-    h_y = marginal_entropy(joint, "y")
-    h_z = marginal_entropy(joint, "z")
-    h_xy = marginal_entropy(joint, "xy")
-    return InfoSummary(
-        h_x=h_x,
-        h_y=h_y,
-        h_z=h_z,
-        h_xy=h_xy,
-        h_x_given_y=h_xy - h_y,
-        h_y_given_x=h_xy - h_x,
-        i_xy=mutual_information(joint, "x", "y"),
-        i_xz=mutual_information(joint, "x", "z"),
-        i_yz=mutual_information(joint, "y", "z"),
-        i_xyz=triple_mutual_information(joint),
-    )

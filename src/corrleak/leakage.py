@@ -64,13 +64,6 @@ class WiretapPattern:
         ):
             raise UsageError(f"z_positions out of range 0..{K - 1}")
 
-    def is_subset_of(self, other: "WiretapPattern") -> bool:
-        return (
-            self.tx_positions <= other.tx_positions
-            and self.ty_positions <= other.ty_positions
-            and self.mu <= other.mu
-        )
-
 
 @dataclass(frozen=True)
 class LeakageValue:
@@ -209,8 +202,7 @@ class WiretapAnalyzer:
         self.model = model
         self.K = model.K
 
-        X, Y, _, _ = model.support_arrays()
-        x, y, z = model.support_codes()
+        x, y, z, _ = model.support_arrays()
         first, counts = model.support_pairs()
         self._weights = model.entropy_weights()
         self._rows = x.size
@@ -221,7 +213,7 @@ class WiretapAnalyzer:
         # With equal row weights and pairs that all span the same number of
         # rows, a Z-free entropy set is counted on the pair table.
         self._multiplicity = self._run if self._weights is None else None
-        tx_bits, ty_bits = support_syndromes(s, X[first], Y[first])
+        tx_bits, ty_bits = support_syndromes(s, x[first], y[first])
 
         # Syndrome bits plus the shared-pad reference of every common-role
         # parity bit; other bits are clear.

@@ -9,9 +9,9 @@ Two model kinds are supported:
 
 The support table is deterministic: rows are in lexicographic (y, x, z)
 order, with position 0 as the most significant symbol, so outputs are
-reproducible.  It keeps each word both as a digit array and as an integer
-code, and it lists the distinct (x, y) pairs as runs of rows, since every
-pair's rows are adjacent.  Exact enumeration is guarded at
+reproducible.  It keeps each word as one integer code, its symbols as the
+digits of the code, and it lists the distinct (x, y) pairs as runs of rows,
+since every pair's rows are adjacent.  Exact enumeration is guarded at
 ``SUPPORT_GUARD`` triples.
 """
 
@@ -77,21 +77,17 @@ class SequenceModel:
         return (1 << self.K) * ball_xy * ball_yz
 
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Support as read-only (X, Y, Z, probs) arrays; rows with prob > 0 in
-        lexicographic (y, x, z) order.  Built once per model and shared by
+        """Support as read-only (x, y, z, probs) arrays; rows with prob > 0 in
+        lexicographic (y, x, z) order.  Each word is one int64 code: its
+        symbols in base ``alphabet_sizes``, position 0 most significant, as
+        ``pack_bits`` would pack them.  Built once per model and shared by
         every caller."""
         return self._table[0]
-
-    def support_codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of ``support_arrays`` as read-only int64 (x, y, z) codes:
-        each word's symbols in base ``alphabet_sizes``, position 0 most
-        significant, as ``pack_bits`` would pack them."""
-        return self._table[1]
 
     def entropy_weights(self) -> Optional[np.ndarray]:
         """Row probabilities for the entropy kernel, or None when every row has
         exactly the same probability (entropies then come from counts)."""
-        return self._table[2]
+        return self._table[1]
 
     def support_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct (x, y) pairs of the support, as read-only int64
@@ -105,17 +101,14 @@ class SequenceModel:
     @cached_property
     def _table(self):
         y, x, z, probs = self._hamming_codes() if self.kind == "hamming" else self._iid_codes()
-        nx, ny, nz = self.alphabet_sizes
-        digits = (_digits(x, nx, self.K), _digits(y, ny, self.K), _digits(z, nz, self.K))
-        codes = (x, y, z)
-        for arr in digits + codes + (probs,):
+        for arr in (x, y, z, probs):
             arr.flags.writeable = False
         uniform = bool(np.all(probs == probs[0]))
-        return digits + (probs,), codes, None if uniform else probs
+        return (x, y, z, probs), None if uniform else probs
 
     @cached_property
     def _pairs(self):
-        x, y, _ = self.support_codes()
+        x, y, _, _ = self._table[0]
         starts = np.flatnonzero((x[1:] != x[:-1]) | (y[1:] != y[:-1])) + 1
         first = np.concatenate(([0], starts))
         counts = np.diff(first, append=x.size)
@@ -126,7 +119,7 @@ class SequenceModel:
     def _hamming_codes(self):
         """Each y's x and z rows are y XOR the offsets of weight <= d, sorted per y."""
         ys = np.arange(1 << self.K, dtype=np.int64)
-        weight = _digits(ys, 2, self.K).sum(axis=1)
+        weight = np.bitwise_count(ys)
         x_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_xy_max], axis=1)
         z_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_yz_max], axis=1)
         bx, bz = x_ball.shape[1], z_ball.shape[1]
@@ -150,16 +143,6 @@ class SequenceModel:
         idx = np.flatnonzero(p > ZERO_EPS)
         NX, NZ = nx**K, nz**K
         return idx // (NX * NZ), idx // NZ % NX, idx % NZ, p[idx]
-
-
-def _digits(code: np.ndarray, base: int, K: int) -> np.ndarray:
-    """(rows, K) uint8 symbols of base-``base`` codes, position 0 most significant."""
-    values = np.arange(base**K)
-    symbols = np.empty((values.size, K), dtype=np.uint8)
-    for i in range(K - 1, -1, -1):
-        symbols[:, i] = values % base
-        values //= base
-    return symbols[code]
 
 
 def _ball_size(K: int, d: int) -> int:
@@ -214,8 +197,7 @@ def sequence_summary(model: SequenceModel) -> InfoSummary:
     Sequence-level entropies are divided by K, so for iid models these agree
     with the base pmf's summary.
     """
-    model.support_arrays()  # builds the support table on first use
-    x, y, z = model.support_codes()
+    x, y, z, _ = model.support_arrays()
     weights = model.entropy_weights()
     _, ny, nz = model.alphabet_sizes
     K = model.K

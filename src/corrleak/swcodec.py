@@ -233,19 +233,22 @@ def reference_scheme() -> PartitionScheme:
 # -- encoding ----------------------------------------------------------------
 
 
+def _xor_parities(code: np.ndarray, cells: np.ndarray, out: np.ndarray) -> None:
+    """XOR into bit j of ``out`` the parity of the popcount of ``code`` ANDed
+    with column j of ``cells``, packed as the code is: column 0 of the code
+    is row 0 of ``cells``."""
+    for j, mask in enumerate(pack_bits(cells.T).tolist()):
+        out[:, j] ^= np.bitwise_count(code & mask) & 1
+
+
 def _syndromes(words: np.ndarray, g: Gf2Matrix) -> np.ndarray:
     """Each row of the (rows, n) word array times ``g`` over GF(2), as uint8
     bits.  Words are packed into int64 codes of at most ``PACK_LIMIT_BITS``
-    columns each; bit j is the parity of the popcounts of those codes ANDed
-    with the matching slices of column j of ``g``."""
-    if words.ndim != 2 or words.shape[1] != g.rows:
-        raise UsageError(f"word table has shape {words.shape}, expected (rows, {g.rows})")
+    columns each, one slice of the rows of ``g`` per code."""
     out = np.zeros((words.shape[0], g.cols), dtype=np.uint8)
     for lo in range(0, g.rows, PACK_LIMIT_BITS):
         hi = lo + PACK_LIMIT_BITS
-        code = pack_bits(words[:, lo:hi])
-        for j, mask in enumerate(pack_bits(g.cells[lo:hi].T).tolist()):
-            out[:, j] ^= np.bitwise_count(code & mask) & 1
+        _xor_parities(pack_bits(words[:, lo:hi]), g.cells[lo:hi], out)
     return out
 
 
@@ -262,11 +265,20 @@ def encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
 
 
 def support_syndromes(
-    s: PartitionScheme, X: np.ndarray, Y: np.ndarray
+    s: PartitionScheme, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """T_X and T_Y of every row of the word arrays X and Y, as uint8 bit
-    arrays: one generator product per side, by popcount parities."""
-    return _syndromes(X, s.g_x), _syndromes(Y, s.g_y)
+    """T_X and T_Y of every pair of word codes ``x``, ``y`` (the n bits of a
+    word, position 0 most significant), as uint8 bit arrays: one generator
+    product per side, by popcount parities.  Raises ``UsageError`` for a
+    code outside 0..2**n-1."""
+    out = []
+    for code, g in ((x, s.g_x), (y, s.g_y)):
+        if code.ndim != 1 or code.size and (code.min() < 0 or code.max() >> s.n):
+            raise UsageError(f"word codes must be one array of integers in 0..2**{s.n}-1")
+        bits = np.zeros((code.size, g.cols), dtype=np.uint8)
+        _xor_parities(code, g.cells, bits)
+        out.append(bits)
+    return out[0], out[1]
 
 
 def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> None:
@@ -305,27 +317,31 @@ def joint_decode(
     the result, not raised.
     """
     require_code_model(s, model, "decode")
-    X, Y, _, _ = model.support_arrays()
+    x, y, _, _ = model.support_arrays()
     first, _ = model.support_pairs()
-    X, Y = X[first], Y[first]
-    TX, TY = support_syndromes(s, X, Y)
+    x, y = x[first], y[first]
+    TX, TY = support_syndromes(s, x, y)
     hit = (TX == tx.bits).all(axis=1) & (TY == ty.bits).all(axis=1)
-    pairs = np.unique(np.hstack([X[hit], Y[hit]]), axis=0).tolist()
-    return DecodeResult(
-        candidates=tuple((tuple(r[: s.n]), tuple(r[s.n :])) for r in pairs)
-    )
+    n = s.n
+    pairs = [
+        tuple((code >> (2 * n - 1 - i)) & 1 for i in range(2 * n))
+        for code in np.unique((x[hit] << n) | y[hit]).tolist()
+    ]
+    return DecodeResult(candidates=tuple((r[:n], r[n:]) for r in pairs))
 
 
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     """Probability mass of source pairs whose syndrome pair does not decode uniquely."""
     require_code_model(s, model, "decode")
-    X, Y, _, probs = model.support_arrays()
-    x, y, _ = model.support_codes()
-    _, first, pair = np.unique((x << model.K) | y, return_index=True, return_inverse=True)
-    mass = np.bincount(pair, weights=probs)
-    syndromes = pack_bits(np.hstack(support_syndromes(s, X[first], Y[first])))
+    x, y, _, probs = model.support_arrays()
+    first, counts = model.support_pairs()
+    mass = np.bincount(np.repeat(np.arange(first.size), counts), weights=probs)
+    syndromes = pack_bits(np.hstack(support_syndromes(s, x[first], y[first])))
     _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
-    return float(mass[size[group] > 1].sum())
+    # The ambiguous masses are summed in (x, y) pair order; pairs come in
+    # (y, x) order, and summing in that order moves the float.
+    order = np.lexsort((y[first], x[first]))
+    return float(mass[order][size[group[order]] > 1].sum())
 
 
 # -- prototype-code condition report ------------------------------------------
@@ -358,11 +374,10 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     """
     require_code_model(s, model, "the condition report")
     K = model.K
-    X, Y, _, probs = model.support_arrays()
+    x, y, z, probs = model.support_arrays()
     first, counts = model.support_pairs()
-    TX, TY = support_syndromes(s, X[first], Y[first])
+    TX, TY = support_syndromes(s, x[first], y[first])
     weights = model.entropy_weights()
-    x, y, z = model.support_codes()
     x_private, y_private = s.role_positions("x", "private"), s.role_positions("y", "private")
 
     def rows(bits: np.ndarray) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Per-triple reference oracle for the tests.
+"""Per-triple and per-symbol reference oracle for the tests.
 
-The package computes every result from one numpy support table and encodes
-words through the generator matrices ``G_X`` / ``G_Y``.  This module keeps a
-second, independent route to the same numbers: a plain Python stream of
-support triples, the paper's per-word syndrome formula ``P1^T a1 + q1``,
-and a dictionary-based conditional entropy over observables of a triple.
-The tests check the fast paths against it; nothing under ``src/`` imports
-it.
+The package computes every result from one numpy support table of integer
+word codes and encodes words through the generator matrices ``G_X`` /
+``G_Y``.  This module keeps a second, independent route to the same
+numbers: a plain Python stream of support triples, the words of the table
+as digit arrays, the paper's per-word syndrome formula ``P1^T a1 + q1``, a
+dictionary-based conditional entropy over observables of a triple, and the
+Shannon measures of a per-symbol ``JointPmf`` tensor, which the per-symbol
+summary of an iid sequence model must match.  The tests check the fast
+paths against it; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import log2
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from corrleak.errors import UsageError
+from corrleak.errors import InternalConsistencyError, UsageError, ValidationError
 from corrleak.gf2 import Gf2Matrix
-from corrleak.info import ZERO_EPS
+from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf
+from corrleak.leakage import WiretapPattern
 from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import PartitionScheme, Syndrome
 
@@ -81,6 +84,37 @@ def sorted_ball(center: Sequence[int], d: int) -> list[tuple[int, ...]]:
                 v[i] ^= 1
             out.add(tuple(v))
     return sorted(out)
+
+
+def word_digits(code: np.ndarray, base: int, K: int) -> np.ndarray:
+    """(rows, K) uint8 symbols of base-``base`` word codes, position 0 most
+    significant: the inverse of ``pack_bits``."""
+    symbols = np.empty((code.size, K), dtype=np.uint8)
+    rest = np.array(code, dtype=np.int64)
+    for i in range(K - 1, -1, -1):
+        symbols[:, i] = rest % base
+        rest //= base
+    return symbols
+
+
+def support_digits(model: SequenceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (X, Y, Z) words of ``model.support_arrays()`` as (rows, K) digit arrays."""
+    x, y, z, _ = model.support_arrays()
+    nx, ny, nz = model.alphabet_sizes
+    return word_digits(x, nx, model.K), word_digits(y, ny, model.K), word_digits(z, nz, model.K)
+
+
+def submatrix(m: Gf2Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Gf2Matrix:
+    return Gf2Matrix(m.cells[np.ix_(list(row_idx), list(col_idx))])
+
+
+def is_subset_of(small: WiretapPattern, big: WiretapPattern) -> bool:
+    """Every position ``small`` wiretaps, ``big`` wiretaps too."""
+    return (
+        small.tx_positions <= big.tx_positions
+        and small.ty_positions <= big.ty_positions
+        and small.mu <= big.mu
+    )
 
 
 # -- the paper's per-word encoder ----------------------------------------------
@@ -200,3 +234,132 @@ def bit_observable(which: str, positions: Sequence[int]) -> Observable:
         return tuple(vec[i] for i in sel)
 
     return fn
+
+
+# -- Shannon measures of a per-symbol pmf tensor -------------------------------
+#
+# Mutual informations that are mathematically nonnegative are clamped to 0
+# when they land within -NEG_TOL of zero; anything more negative raises
+# ``InternalConsistencyError`` instead of being silently corrected.
+
+#: Nonnegative quantities may undershoot zero by at most this much.
+NEG_TOL = 1e-12
+
+_AXES = {"x": 0, "y": 1, "z": 2}
+
+VarSelector = Union[str, Sequence[str]]
+
+
+def entropy(dist) -> float:
+    """Shannon entropy -sum(p * log2 p) of a pmf, in bits.
+
+    Accepts any array-like of probabilities (flattened before use).
+    Raises ``ValidationError`` if an entry is negative or the total mass
+    differs from 1 by more than ``MASS_TOL``.
+    """
+    p = np.asarray(dist, dtype=float).ravel()
+    if p.size == 0:
+        raise ValidationError("pmf is empty")
+    if np.any(p < -ZERO_EPS):
+        raise ValidationError(f"pmf has a negative entry (min {p.min():.3g})")
+    total = float(p.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValidationError(f"pmf mass is {total!r}, expected 1 within {MASS_TOL}")
+    live = p[p > ZERO_EPS]
+    return float(-(live * np.log2(live)).sum())
+
+
+def _resolve(vars: VarSelector) -> tuple[int, ...]:
+    """Turn a selector like "x", "xy" or ("x", "y") into sorted axis indices."""
+    if isinstance(vars, str):
+        names: Iterable[str] = vars
+    else:
+        names = vars
+    axes = []
+    for name in names:
+        key = name.lower()
+        if key not in _AXES:
+            raise UsageError(f"unknown variable {name!r}; expected one of x, y, z")
+        axes.append(_AXES[key])
+    if len(set(axes)) != len(axes):
+        raise UsageError(f"selector {vars!r} repeats a variable")
+    return tuple(sorted(axes))
+
+
+def _clamp_nonneg(value: float, what: str) -> float:
+    if value < -NEG_TOL:
+        raise InternalConsistencyError(f"{what} = {value!r} is negative beyond tolerance")
+    return max(0.0, value)
+
+
+def marginal(joint: JointPmf, vars: VarSelector) -> np.ndarray:
+    """Marginal pmf over the selected variables, axes in x, y, z order."""
+    keep = _resolve(vars)
+    drop = tuple(ax for ax in range(3) if ax not in keep)
+    return joint.probs.sum(axis=drop)
+
+
+def marginal_entropy(joint: JointPmf, vars: VarSelector) -> float:
+    """H of the selected marginal, in bits."""
+    return entropy(marginal(joint, vars))
+
+
+def mutual_information(joint: JointPmf, a: VarSelector = "x", b: VarSelector = "y") -> float:
+    """I(A;B) = H(A) + H(B) - H(A,B), clamped to 0 near zero."""
+    ax_a, ax_b = _resolve(a), _resolve(b)
+    if set(ax_a) & set(ax_b):
+        raise UsageError(f"selectors {a!r} and {b!r} overlap")
+    value = (
+        marginal_entropy(joint, a)
+        + marginal_entropy(joint, b)
+        - entropy(marginal(joint, tuple("xyz"[i] for i in sorted(ax_a + ax_b))))
+    )
+    return _clamp_nonneg(value, f"I({a};{b})")
+
+
+def conditional_mutual_information(
+    joint: JointPmf, a: VarSelector, b: VarSelector, given: VarSelector = ()
+) -> float:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), clamped to 0 near zero.
+
+    With an empty conditioning set this reduces to ``mutual_information``.
+    """
+    ax_a, ax_b, ax_c = _resolve(a), _resolve(b), _resolve(given)
+    if (set(ax_a) & set(ax_b)) or (set(ax_a) & set(ax_c)) or (set(ax_b) & set(ax_c)):
+        raise UsageError(f"selectors {a!r}, {b!r}, {given!r} must be disjoint")
+    if not ax_c:
+        return mutual_information(joint, a, b)
+
+    def h(axes: tuple[int, ...]) -> float:
+        return entropy(marginal(joint, tuple("xyz"[i] for i in sorted(axes))))
+
+    value = h(ax_a + ax_c) + h(ax_b + ax_c) - h(ax_a + ax_b + ax_c) - h(ax_c)
+    return _clamp_nonneg(value, f"I({a};{b}|{given})")
+
+
+def triple_mutual_information(joint: JointPmf) -> float:
+    """I(X;Y;Z) = I(X;Y) - I(X;Y|Z).  May be negative (XOR-style coupling)."""
+    return mutual_information(joint, "x", "y") - conditional_mutual_information(
+        joint, "x", "y", "z"
+    )
+
+
+def summarize(joint: JointPmf) -> InfoSummary:
+    """Compute an ``InfoSummary``; conditionals are entropy differences so the
+    chain-rule identities hold exactly."""
+    h_x = marginal_entropy(joint, "x")
+    h_y = marginal_entropy(joint, "y")
+    h_z = marginal_entropy(joint, "z")
+    h_xy = marginal_entropy(joint, "xy")
+    return InfoSummary(
+        h_x=h_x,
+        h_y=h_y,
+        h_z=h_z,
+        h_xy=h_xy,
+        h_x_given_y=h_xy - h_y,
+        h_y_given_x=h_xy - h_x,
+        i_xy=mutual_information(joint, "x", "y"),
+        i_xz=mutual_information(joint, "x", "z"),
+        i_yz=mutual_information(joint, "y", "z"),
+        i_xyz=triple_mutual_information(joint),
+    )

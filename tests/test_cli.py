@@ -112,6 +112,33 @@ def test_curves_deterministic_and_rederivable(tmp_path, analyzer):
     assert float(corner["formula_min"]) == 0.0 and float(corner["oracle_max"]) == 0.0
 
 
+def test_curves_default_grid_stops_at_a_short_syndrome(tmp_path, capsys):
+    # Without a sweep section the grid runs to 5 wiretapped bits per side, or
+    # to the syndrome length when that is shorter; an explicit 5 past a
+    # 4-bit syndrome is still refused.
+    scenario = {
+        "name": "short-syndromes",
+        "model": {"kind": "hamming", "K": 5},
+        "scheme": {
+            "generator": {"rows": ["10110", "01011"]},
+            "x_segments": {"a1": [0], "v1": [1], "q1": [2, 3, 4]},
+            "y_segments": {"u2": [0], "a2": [1], "q2": [2, 3, 4]},
+        },
+    }
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(scenario))
+    args = ["curves", "--scenario", str(path), "--out", str(tmp_path), "--format", "json"]
+    assert run(args) == 0
+    rows = json.loads((tmp_path / "curves.json").read_text())["rows"]
+    grid = {(row["mu_tx"], row["mu_ty"]) for row in rows}
+    assert grid == {(a, b) for a in range(5) for b in range(5)}
+    capsys.readouterr()
+    scenario["sweep"] = {"mu_tx_max": 5}
+    path.write_text(json.dumps(scenario))
+    assert run(args) == 2
+    assert "scenario.sweep.mu_tx_max: must lie in 0..4, got 5" in capsys.readouterr().err
+
+
 def test_verify_bounds_all_hold(tmp_path):
     scenario = {
         "name": "mini-bounds",

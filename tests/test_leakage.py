@@ -28,6 +28,8 @@ from oracle import (
     enumeration_equivocation,
     formula_encode_x,
     formula_encode_y,
+    is_subset_of,
+    support_digits,
     syndrome_observable,
     z_prefix_observable,
 )
@@ -168,7 +170,7 @@ def test_monotone_under_pattern_growth(scheme, analyzer):
         small = WiretapPattern(tx, ty, mu)
         extra_tx = tx | {int(v) for v in rng.choice(5, size=min(5, a + 1), replace=False)}
         big = WiretapPattern(frozenset(extra_tx), ty, min(7, mu + int(rng.integers(0, 3))))
-        assert small.is_subset_of(big)
+        assert is_subset_of(small, big)
         lo = analyzer.exact_leakage("xy", small).total_bits
         hi = analyzer.exact_leakage("xy", big).total_bits
         assert hi >= lo - 1e-9
@@ -292,8 +294,8 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     assert analyzer.entropy_sets == sets + 2
     # One padded bit alone is one fresh bit; the pair adds the raw-parity XOR.
     assert h_x == h_y == 1.0
-    X, Y, _, _ = hamming7.support_arrays()
-    tx, ty = support_syndromes(scheme, X, Y)
+    x, y, _, _ = hamming7.support_arrays()
+    tx, ty = support_syndromes(scheme, x, y)
     h_xor = code_entropy((tx[:, px] ^ ty[:, py]).astype(np.int64))
     assert h_xor > 0.0
     assert h_pair == pytest.approx(1.0 + h_xor, abs=1e-12)
@@ -433,8 +435,8 @@ def full_table_kernel(s: PartitionScheme, model: SequenceModel):
     """The kernel entropy behind an analyzer memo key, packed from the
     model's digit arrays over every support row: the reference for the pair
     table and for the row path's repeated pair chunks."""
-    X, Y, Z, _ = model.support_arrays()
-    TX, TY = support_syndromes(s, X, Y)
+    X, Y, Z = support_digits(model)
+    TX, TY = support_syndromes(s, pack_bits(X), pack_bits(Y))
     tables = {"X": X, "Y": Y, "x": TX, "y": TY, "z": Z}
 
     def kernel(key) -> float:
@@ -610,7 +612,7 @@ def test_row_code_orders_rows_as_their_chunk_tuples(scheme, hamming7):
     # is never written, and a constant leading chunk still orders nothing.
     analyzer = WiretapAnalyzer(scheme, hamming7)
     first, counts = hamming7.support_pairs()
-    x, _, z = hamming7.support_codes()
+    x, _, z, _ = hamming7.support_arrays()
     bit = x[first] & 1
     for lead in (np.zeros(first.size, dtype=np.int64), x[first]):
         code = analyzer._row_code([(lead, 7)], range(7), [(bit, 1)])
@@ -618,7 +620,7 @@ def test_row_code_orders_rows_as_their_chunk_tuples(scheme, hamming7):
         expected = pack_chunks(rows, z.size)
         rank = np.unique(expected, return_inverse=True)[1]
         assert (np.unique(code, return_inverse=True)[1] == rank).all()
-    assert (z == hamming7.support_codes()[2]).all() and not z.flags.writeable
+    assert (z == hamming7.support_arrays()[2]).all() and not z.flags.writeable
 
 
 # -- the row buffer: every row-path code is built in one reused array ----------------
@@ -674,7 +676,7 @@ def test_row_code_re_ranks_a_lead_past_62_bits(scheme, hamming7):
     # orders rows as their chunk tuples do.
     analyzer = WiretapAnalyzer(scheme, hamming7)
     first, counts = hamming7.support_pairs()
-    _, _, z = hamming7.support_codes()
+    _, _, z, _ = hamming7.support_arrays()
     rng = np.random.default_rng(61)
     lead = rng.integers(0, 1 << 40, size=first.size)
     bit, wide = rng.integers(0, 2, size=first.size), rng.integers(0, 1 << 20, size=first.size)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -13,8 +14,7 @@ from corrleak import (
     z_consistency_counts,
 )
 from corrleak.seqmodel import sequence_summary
-from corrleak.info import pack_bits, summarize
-from oracle import iter_support, sorted_ball
+from oracle import iter_support, sorted_ball, summarize
 
 
 def test_hamming_k7_support_and_ball():
@@ -170,43 +170,26 @@ def _iid_with_zero_cell() -> SequenceModel:
     ids=["hamming-1-1", "hamming-2-1", "hamming-1-2", "hamming-2-2", "iid-3x2x2-zero-cell"],
 )
 def test_support_arrays_match_iteration(model):
-    X, Y, Z, probs = model.support_arrays()
+    # Each word is one int64 code, its symbols in its alphabet's base with
+    # position 0 most significant; the pairs are the distinct (x, y) rows,
+    # each one run of rows.
+    x, y, z, probs = model.support_arrays()
     triples = list(iter_support(model))
-    assert X.shape == Y.shape == Z.shape == (len(triples), model.K)
-    assert X.tolist() == [list(t.x) for t in triples]
-    assert Y.tolist() == [list(t.y) for t in triples]
-    assert Z.tolist() == [list(t.z) for t in triples]
+    for code, word, base in zip((x, y, z), "xyz", model.alphabet_sizes):
+        assert code.dtype == np.int64 and code.shape == (len(triples),)
+        assert code.tolist() == [
+            functools.reduce(lambda c, symbol: c * base + symbol, getattr(t, word), 0)
+            for t in triples
+        ]
     assert probs.tolist() == [t.prob for t in triples]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert model.support_arrays()[0] is X  # built once per model
-    assert not X.flags.writeable and not probs.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        SequenceModel(kind="hamming", K=3),
-        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=1),
-        SequenceModel(kind="hamming", K=4, d_xy_max=1, d_yz_max=2),
-        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=2),
-        _iid_with_zero_cell(),
-    ],
-    ids=["hamming-1-1", "hamming-2-1", "hamming-1-2", "hamming-2-2", "iid-3x2x2-zero-cell"],
-)
-def test_support_codes_and_pairs_match_the_digits(model):
-    # The kept codes are pack_bits of the digit arrays, in each alphabet's
-    # base; the pairs are the distinct (x, y) rows, each one run of rows.
-    X, Y, Z, _ = model.support_arrays()
-    nx, ny, nz = model.alphabet_sizes
-    codes = model.support_codes()
-    for code, digits, base in zip(codes, (X, Y, Z), (nx, ny, nz)):
-        assert code.dtype == np.int64 and not code.flags.writeable
-        assert (code == pack_bits(digits, base)).all()
+    assert model.support_arrays()[0] is x  # built once per model
+    assert not any(arr.flags.writeable for arr in (x, y, z, probs))
     first, counts = model.support_pairs()
     assert not first.flags.writeable and not counts.flags.writeable
-    assert counts.sum() == X.shape[0] and (counts > 0).all()
-    pairs = [tuple(X[r]) + tuple(Y[r]) for r in first.tolist()]
+    assert counts.sum() == len(triples) and (counts > 0).all()
+    pairs = [(triples[r].x, triples[r].y) for r in first.tolist()]
     assert len(set(pairs)) == len(pairs)
-    per_row = np.repeat(np.arange(first.size), counts)
-    assert (X == X[first][per_row]).all() and (Y == Y[first][per_row]).all()
+    run = np.repeat(np.arange(first.size), counts).tolist()
+    assert [(t.x, t.y) for t in triples] == [pairs[i] for i in run]
     assert model.support_pairs()[0] is first  # built once per model

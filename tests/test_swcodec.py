@@ -17,7 +17,7 @@ from corrleak import (
     prototype_condition_report,
     sequence_summary,
 )
-from corrleak.info import PACK_LIMIT_BITS
+from corrleak.info import PACK_LIMIT_BITS, pack_bits
 from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
 from oracle import (
     bit_observable,
@@ -27,6 +27,7 @@ from oracle import (
     iter_support,
     mat_vec_mul,
     p1_t,
+    support_digits,
     syndrome_observable,
     z_prefix_observable,
 )
@@ -109,20 +110,31 @@ def test_support_syndromes_match_formula_encoder():
     s = random_systematic_scheme(np.random.default_rng(8), 6, 10)
     X = np.array(list(itertools.product((0, 1), repeat=s.n)), dtype=np.uint8)
     Y = X[::-1]
-    tx, ty = support_syndromes(s, X, Y)
+    tx, ty = support_syndromes(s, pack_bits(X), pack_bits(Y))
     assert tx.dtype == ty.dtype == np.uint8
     for x, t_x, y, t_y in zip(X.tolist(), tx.tolist(), Y.tolist(), ty.tolist()):
         assert tuple(t_x) == formula_encode_x(x, s).bits
         assert tuple(t_y) == formula_encode_y(y, s).bits
 
 
-@pytest.mark.parametrize("width", [6, 8], ids=["narrow", "wide"])
-def test_support_syndromes_refuse_a_word_table_of_the_wrong_width(scheme, width):
-    # Words are packed in slices apart from the generator's columns, so a
-    # table of the wrong width is refused rather than misaligned or cut.
-    words = np.zeros((4, width), dtype=np.uint8)
-    with pytest.raises(UsageError, match="word table"):
-        support_syndromes(scheme, words, words)
+@pytest.mark.parametrize(
+    "words",
+    [
+        np.zeros((4, 6), dtype=np.uint8),
+        np.zeros((4, 8), dtype=np.uint8),
+        np.array([0, (1 << 7) - 1, 1 << 7]),
+        np.array([0, (1 << 7) - 1, -1]),
+    ],
+    ids=["narrow", "wide", "too-wide-code", "negative-code"],
+)
+def test_support_syndromes_refuse_a_word_table_of_the_wrong_width(scheme, words):
+    # Words are n-bit codes in 0..2**n-1.  The generator columns would drop
+    # the bits of a code past n (and the sign bits of a negative one), and a
+    # table of digit rows is no array of codes: all are refused, on either side.
+    zeros = np.zeros(words.shape[0], dtype=np.int64)
+    for x, y in ((words, zeros), (zeros, words)):
+        with pytest.raises(UsageError, match="word codes"):
+            support_syndromes(scheme, x, y)
 
 
 def test_encode_words_longer_than_one_packed_slice():
@@ -352,14 +364,16 @@ def uneven_law() -> JointPmf:
 def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     # Syndromes are functions of the (x, y) pair, so the decoder and the
     # condition report, which encode the distinct pairs only, give exactly
-    # what encoding every support row as a pair of its own gives.
+    # what encoding every support row as a pair of its own gives.  The
+    # decode_error row is left out: it sums the masses of the pairs of
+    # support_pairs, which must be distinct, and is checked on its own.
     s = PartitionScheme(
         generator=Gf2Matrix.from_rows(["1011", "0110"]),
         x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
         y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3)},
     )
     model = make_model()
-    X, Y, _, _ = model.support_arrays()
+    X, Y, _ = support_digits(model)
     queries = {(encode_x(x, s).bits, encode_y(y, s).bits) for x, y in zip(X.tolist(), Y.tolist())}
     report = prototype_condition_report(s, model)
     decoded = {
@@ -371,6 +385,45 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     assert model.support_pairs()[0].size < rows
     every_row = (np.arange(rows), np.ones(rows, dtype=np.int64))
     monkeypatch.setattr(SequenceModel, "support_pairs", lambda self: every_row)
-    assert prototype_condition_report(s, model) == report
+    assert prototype_condition_report(s, model)[1:] == report[1:]
+    assert report[0].label == "decode_error"
     for (tx, ty), result in decoded.items():
         assert joint_decode(Syndrome(tx, 1, 2), Syndrome(ty, 1, 2), model, s) == result
+
+
+def weighted_k5_case() -> tuple[PartitionScheme, SequenceModel]:
+    """A [5,2] code over the iid law with Y uniform, X = Y xor Bern(0.1) and
+    Z = Y xor Bern(0.2): 32,768 weighted rows, 1,024 pairs."""
+    s = PartitionScheme(
+        generator=Gf2Matrix.from_rows(["10110", "01011"]),
+        x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3, 4)},
+        y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3, 4)},
+    )
+    probs = np.zeros((2, 2, 2))
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        probs[x, y, z] = 0.5 * (0.9 if x == y else 0.1) * (0.8 if z == y else 0.2)
+    return s, SequenceModel(kind="iid", K=5, base=JointPmf(probs))
+
+
+def test_decode_ambiguity_rate_sums_the_pair_masses_in_x_y_order():
+    # The rate is the float of the per-pair formula: each pair's mass summed
+    # over its rows in row order, then the ambiguous masses summed in (x, y)
+    # order.  Summing them in the (y, x) order of the support rows moves the
+    # last place on this law, so the order is pinned here.
+    s, model = weighted_k5_case()
+    X, Y, _ = support_digits(model)
+    probs = model.support_arrays()[3]
+    _, first, pair = np.unique(
+        pack_bits(np.hstack([X, Y])), return_index=True, return_inverse=True
+    )
+    mass = np.bincount(pair, weights=probs)
+    syndromes = [
+        formula_encode_x(x, s).bits + formula_encode_y(y, s).bits
+        for x, y in zip(X[first].tolist(), Y[first].tolist())
+    ]
+    _, group, size = np.unique(syndromes, axis=0, return_inverse=True, return_counts=True)
+    ambiguous = size[group.ravel()] > 1
+    expected = float(mass[ambiguous].sum())
+    yx = np.argsort(pack_bits(np.hstack([Y[first], X[first]])))
+    assert float(mass[yx][ambiguous[yx]].sum()) != expected
+    assert decode_ambiguity_rate(s, model) == expected
