@@ -14,7 +14,8 @@ from corrleak import (
     z_consistency_counts,
 )
 from corrleak.seqmodel import sequence_summary
-from oracle import iter_support, sorted_ball, summarize
+from corrleak.info import pack_bits
+from oracle import iter_support, sorted_ball, summarize, support_digits
 
 
 def test_hamming_k7_support_and_ball():
@@ -171,8 +172,7 @@ def _iid_with_zero_cell() -> SequenceModel:
 )
 def test_support_arrays_match_iteration(model):
     # Each word is one int64 code, its symbols in its alphabet's base with
-    # position 0 most significant; the pairs are the distinct (x, y) rows,
-    # each one run of rows.
+    # position 0 most significant.
     x, y, z, probs = model.support_arrays()
     triples = list(iter_support(model))
     for code, word, base in zip((x, y, z), "xyz", model.alphabet_sizes):
@@ -185,11 +185,34 @@ def test_support_arrays_match_iteration(model):
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert model.support_arrays()[0] is x  # built once per model
     assert not any(arr.flags.writeable for arr in (x, y, z, probs))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        SequenceModel(kind="hamming", K=3),
+        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=1),
+        SequenceModel(kind="hamming", K=4, d_xy_max=1, d_yz_max=2),
+        SequenceModel(kind="hamming", K=4, d_xy_max=2, d_yz_max=2),
+        _iid_with_zero_cell(),
+    ],
+    ids=["hamming-1-1", "hamming-2-1", "hamming-1-2", "hamming-2-2", "iid-3x2x2-zero-cell"],
+)
+def test_support_codes_and_pairs_match_the_digits(model):
+    # The kept codes are pack_bits of their digit expansion, in each
+    # alphabet's base; the pairs are the distinct (x, y) rows, each one run
+    # of rows.
+    codes = model.support_arrays()[:3]
+    X, Y, Z = support_digits(model)
+    for code, digits, base in zip(codes, (X, Y, Z), model.alphabet_sizes):
+        assert code.dtype == np.int64 and not code.flags.writeable
+        assert digits.shape == (code.size, model.K) and (digits < base).all()
+        assert (code == pack_bits(digits, base)).all()
     first, counts = model.support_pairs()
     assert not first.flags.writeable and not counts.flags.writeable
-    assert counts.sum() == len(triples) and (counts > 0).all()
-    pairs = [(triples[r].x, triples[r].y) for r in first.tolist()]
+    assert counts.sum() == X.shape[0] and (counts > 0).all()
+    pairs = [tuple(X[r]) + tuple(Y[r]) for r in first.tolist()]
     assert len(set(pairs)) == len(pairs)
-    run = np.repeat(np.arange(first.size), counts).tolist()
-    assert [(t.x, t.y) for t in triples] == [pairs[i] for i in run]
+    per_row = np.repeat(np.arange(first.size), counts)
+    assert (X == X[first][per_row]).all() and (Y == Y[first][per_row]).all()
     assert model.support_pairs()[0] is first  # built once per model
