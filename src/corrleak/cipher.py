@@ -412,13 +412,9 @@ def measure_security(
         raise DomainError(f"mu must lie in 0..{model.K}, got {mu}")
 
     K = model.K
-    x, y, z, probs = model.support_arrays()
-    # Collapse support rows that agree on everything the measurement sees:
-    # (x, y, leaked z prefix).  Unobserved z symbols only add multiplicity.
-    z = z >> (K - mu)  # the leaked prefix
-    _, keep, inv = np.unique((((x << K) | y) << mu) | z, return_index=True, return_inverse=True)
-    probs = np.bincount(inv, weights=probs)
-    x, y, z = x[keep], y[keep], z[keep]
+    # The rows collapsed to what the measurement sees: (x, y, leaked z
+    # prefix).  Unobserved z symbols only add multiplicity.
+    x, y, z, probs = model.table.prefix_classes(mu)
     tx, ty = support_syndromes(s, x, y)
     n_rows = x.size
 

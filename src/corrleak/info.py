@@ -2,15 +2,20 @@
 
 A support table lists outcomes row by row with their probabilities; a
 deterministic function of the outcome is an integer code per row, and every
-entropy in the package is an entropy of such a code.  ``JointPmf`` is the
-validated per-symbol law of (X, Y, Z) that an iid sequence model extends.
-Probabilities below ``ZERO_EPS`` are treated as exact zeros.
+entropy in the package is an entropy of such a code, taken by the one
+kernel ``code_entropy``.  ``SupportTable`` is the one table of a sequence
+model: its distinct (x, y) pairs with their run lengths, and its rows.  It
+counts a set that reads no Z on the pairs and codes every other set over
+the rows in one reused buffer.  ``JointPmf`` is the validated per-symbol
+law of (X, Y, Z) that an iid sequence model extends.  Probabilities below
+``ZERO_EPS`` are treated as exact zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -128,57 +133,71 @@ def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarr
     return np.zeros(rows, dtype=np.int64) if code is None else code
 
 
-def code_entropy(code: np.ndarray, probs: np.ndarray | None = None) -> float:
-    """H of a coded variable, in bits.  ``probs`` are the row probabilities;
-    None means every row has the same probability (entropy from counts).
+def column_code(
+    code: np.ndarray, width: int, cols: Sequence[int], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
+    most significant, packed the same way.  A prefix is a shift of the code;
+    other columns take one gather through a lookup table over all
+    ``2**width`` codes (width is at most K in the package).  With ``out``,
+    the result is written there, cast to its dtype; only the table is
+    allocated."""
+    cols = list(cols)
+    if cols == list(range(len(cols))):
+        if out is not None:
+            return np.right_shift(code, width - len(cols), out=out)
+        return code if len(cols) == width else code >> (width - len(cols))
+    values = np.arange(1 << width, dtype=np.int64)
+    table = np.zeros(values.size, dtype=np.int64)
+    for c in cols:
+        table <<= 1
+        table |= (values >> (width - 1 - c)) & 1
+    if out is None:
+        return table[code]
+    # Codes lie in 0..2**width-1, so "clip" never clips; unlike the default
+    # mode it writes into ``out`` without an intermediate buffer.
+    return np.take(table, code, out=out, mode="clip")
 
-    Codes in 0..2*rows-1 are counted with ``np.bincount`` on the code itself.
-    Other codes are counted as the run lengths of a sorted copy of the code,
-    or, with weights, binned through ``np.unique``.  Every path gives the
-    bins in ascending code order with the weights summed in row order, so
-    the result is the same bit for bit; the dense count array is at most
-    twice the size of ``code``.  ``code`` is never written.
+
+def code_entropy(code: np.ndarray, weights: int | np.ndarray | None = 1) -> float:
+    """H of a coded variable, in bits.  ``weights`` is the integer count of
+    rows that every row of ``code`` stands for (None counts each row once),
+    one integer count per row, or one probability per row.
+
+    The caller hands ``code`` over: the kernel may sort it in place (a
+    read-only code is sorted in a copy).  Codes in 0..2*rows-1 are binned
+    with ``np.bincount`` on the code itself, at most twice its size; other
+    codes are sorted and counted run by run or, with per-row weights,
+    binned through ``np.unique``.  Every path gives the bins in ascending
+    code order, with integer counts or with the probabilities summed in row
+    order, so the result is the same bit for bit, and counting a row m
+    times gives the float of repeating it m times.
     """
-    if probs is None:
-        return _count_entropy(_bin_counts(code, owned=False), code.size)
-    if not _is_dense(code):
-        _, code = np.unique(code, return_inverse=True)
-    mass = np.bincount(code, weights=probs)
-    mass = mass[mass > 0]
-    return float(-(mass * np.log2(mass)).sum())
-
-
-def owned_code_entropy(code: np.ndarray, multiplicity: int = 1) -> float:
-    """H of a coded variable over equally weighted rows, each of which
-    stands for ``multiplicity`` rows with the same code, in bits.
-
-    The caller hands ``code`` over: it may be sorted in place.  The bins,
-    their ascending order and their integer counts are those of the code
-    with every row repeated ``multiplicity`` times, so the result equals
-    ``code_entropy`` of that repeated code bit for bit.
-    """
-    counts = _bin_counts(code, owned=True)
-    if multiplicity != 1:
-        counts *= multiplicity
-    return _count_entropy(counts, code.size * multiplicity)
+    if isinstance(weights, np.ndarray):
+        if not _is_dense(code):
+            _, code = np.unique(code, return_inverse=True)
+        counts = np.bincount(code, weights=weights)
+        counts = counts[counts > 0]
+        if weights.dtype.kind == "f":
+            return float(-(counts * np.log2(counts)).sum())
+        return _count_entropy(counts, int(weights.sum()))
+    if _is_dense(code):
+        counts = np.bincount(code)
+        counts = counts[counts > 0]
+    else:
+        if not code.flags.writeable:
+            code = code.copy()
+        code.sort()
+        starts = np.flatnonzero(code[1:] != code[:-1]) + 1
+        counts = np.diff(starts, prepend=0, append=code.size)
+    m = weights or 1
+    if m != 1:
+        counts *= m
+    return _count_entropy(counts, code.size * m)
 
 
 def _is_dense(code: np.ndarray) -> bool:
     return code.size > 0 and code.min() >= 0 and code.max() < 2 * code.size
-
-
-def _bin_counts(code: np.ndarray, owned: bool) -> np.ndarray:
-    """Row count of every distinct code, in ascending code order.  Sorts
-    ``code`` in place when it is ``owned``, else a copy of it."""
-    if _is_dense(code):
-        counts = np.bincount(code)
-        return counts[counts > 0]
-    if owned:
-        code.sort()
-    else:
-        code = np.sort(code)
-    starts = np.flatnonzero(code[1:] != code[:-1]) + 1
-    return np.diff(starts, prepend=0, append=code.size)
 
 
 def _count_entropy(counts: np.ndarray, rows: int) -> float:
@@ -201,6 +220,124 @@ def code_conditional_entropy(
     p_joint = np.bincount(j_inv, weights=probs)
     p_obs = np.bincount(o_inv, weights=probs)[joint // t_vals.size]
     return float(-np.cumsum(p_joint * np.log2(p_joint / p_obs))[-1])
+
+
+class SupportTable:
+    """One enumerated support, as its distinct (x, y) pairs and its rows.
+
+    Built from row arrays ``x``, ``y``, ``z`` (one integer code per word)
+    and ``probs`` in which the rows of each (x, y) pair are adjacent.
+    ``x`` and ``y`` keep the word codes of each pair and ``runs`` its
+    number of rows; ``z`` and ``probs`` stay per row.  ``weights`` is
+    ``probs``, or None when every row has the same probability, so that
+    entropies come from integer counts.  A set reads bit columns of the
+    ``z_width``-bit Z code, column 0 most significant.
+    """
+
+    def __init__(self, x, y, z, probs, z_width: int):
+        first = np.flatnonzero(np.concatenate(([True], (x[1:] != x[:-1]) | (y[1:] != y[:-1]))))
+        self.runs = np.diff(first, append=x.size)
+        self.x, self.y, self.z, self.probs = x[first], y[first], z, probs
+        for arr in (self.x, self.y, self.runs):
+            arr.flags.writeable = False
+        self.weights = None if bool(np.all(probs == probs[0])) else probs
+        self.z_width = z_width
+        self.pairs, self.rows = first.size, z.size
+        # Rows per pair when every pair spans the same number of rows.
+        self._run = int(self.runs[0]) if bool((self.runs == self.runs[0]).all()) else None
+        self._classes: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def spread(self, per_pair: np.ndarray) -> np.ndarray:
+        """A per-pair column laid out over the rows."""
+        return np.repeat(per_pair, self.runs)
+
+    def entropy(
+        self,
+        head: Sequence[tuple[np.ndarray, int]],
+        zcols: Sequence[int] = (),
+        tail: Sequence[tuple[np.ndarray, int]] = (),
+    ) -> float:
+        """H of the joint of the pair chunks ``head``, the Z columns ``zcols``
+        and the pair chunks ``tail``, in bits.  A chunk is ``(code, width)``
+        with one code per pair; the set is packed in that order.
+
+        Under an equal-weight law a set that reads no Z is counted on the
+        pairs, each pair's code counted ``runs`` times: the bins, their order
+        and their integer counts are those of the rows, and so is the float.
+        Every other set is coded over the rows in the table's row buffer."""
+        if not zcols and self.weights is None:
+            code = pack_chunks([*head, *tail], self.pairs)
+            return code_entropy(code, self._run or self.runs)
+        return code_entropy(self._row_code(head, zcols, tail), self.weights)
+
+    @cached_property
+    def _buffer(self) -> np.ndarray:
+        """Scratch space for one row code, rewritten by every ``_row_code``."""
+        return np.empty(self.rows, dtype=np.int64)
+
+    def _row_code(self, head, zcols, tail) -> np.ndarray:
+        """One code per row, ordering rows as the tuples of ``head``, the Z
+        columns ``zcols`` and ``tail`` do: a view of the row buffer, int32
+        when the code fits 31 bits, overwritten by the next call.
+
+        The buffer gets the Z columns straight from the Z code, shifted past
+        ``tail``.  The pair chunks are packed into one code on the pairs,
+        ``head`` above a gap as wide as Z and ``tail``, and that code is
+        spread over each pair's rows and ORed in: by broadcasting when every
+        pair spans the same number of rows, by one ``np.repeat`` otherwise.
+        If the code would pass ``PACK_LIMIT_BITS``, ``head`` is re-ranked
+        on the pairs first, which keeps its order."""
+        lead = pack_chunks(head, self.pairs)
+        trail = pack_chunks(tail, self.pairs)
+        trail_width = int(trail.max()).bit_length()
+        gap = len(zcols) + trail_width
+        lead_width = int(lead.max()).bit_length()
+        if lead_width + gap > PACK_LIMIT_BITS:
+            lead = np.unique(lead, return_inverse=True)[1]
+            lead_width = int(lead.max()).bit_length()
+            if lead_width + gap > PACK_LIMIT_BITS:
+                raise InternalConsistencyError(
+                    f"{lead_width} ranked bits do not fit beside {gap} row bits"
+                )
+        buf = self._buffer
+        if lead_width + gap <= 31:
+            buf = buf.view(np.int32)[: self.rows]
+        lead <<= gap
+        lead |= trail
+        pair_code = lead.astype(buf.dtype, copy=False)
+        if self._run:
+            rows, spread = buf.reshape(self.pairs, self._run), pair_code[:, None]
+        else:
+            rows, spread = buf, self.spread(pair_code)
+        if not zcols:
+            rows[...] = spread
+            return buf
+        column_code(self.z, self.z_width, zcols, out=buf)
+        if trail_width:
+            buf <<= trail_width
+        if head or tail:
+            rows |= spread
+        return buf
+
+    def prefix_classes(self, mu: int) -> tuple[np.ndarray, ...]:
+        """The rows collapsed to their distinct (x, y, Z prefix of ``mu``
+        columns), as read-only ``(x, y, z prefix, probability)`` arrays with
+        one entry per class, in ascending (x, y, prefix) order; a class's
+        probability is summed over its rows in row order.  Built once per
+        ``mu`` and shared by every caller."""
+        if mu not in self._classes:
+            order = np.lexsort((self.y, self.x))
+            rank = np.argsort(order)
+            prefix = self.z >> (self.z_width - mu)
+            key = (self.spread(rank) << mu) | prefix
+            _, keep, inv = np.unique(key, return_index=True, return_inverse=True)
+            pair = order[key[keep] >> mu]
+            mass = np.bincount(inv, weights=self.probs)
+            classes = (self.x[pair], self.y[pair], prefix[keep], mass)
+            for arr in classes:
+                arr.flags.writeable = False
+            self._classes[mu] = classes
+        return self._classes[mu]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UsageError
 from .gf2 import rank, remove_columns
-from .info import PACK_LIMIT_BITS, code_entropy, owned_code_entropy, pack_bits, pack_chunks
+from .info import column_code, pack_bits
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
@@ -113,32 +113,6 @@ def _target_vars(target: str) -> tuple[str, ...]:
     return _TARGET_VARS[target]
 
 
-def _column_code(
-    code: np.ndarray, width: int, cols: Sequence[int], out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
-    most significant, packed the same way.  A prefix is a shift of the code;
-    other columns go through a lookup table over all ``2**width`` codes, one
-    gather per call.  The analyzer's widths are at most K, so the table has
-    at most 2**K entries.  With ``out``, the result is written there (cast
-    to its dtype) and no array is allocated beyond the table."""
-    cols = list(cols)
-    if cols == list(range(len(cols))):
-        if out is not None:
-            return np.right_shift(code, width - len(cols), out=out)
-        return code if len(cols) == width else code >> (width - len(cols))
-    values = np.arange(1 << width, dtype=np.int64)
-    table = np.zeros(values.size, dtype=np.int64)
-    for c in cols:
-        table <<= 1
-        table |= (values >> (width - 1 - c)) & 1
-    if out is None:
-        return table[code]
-    # Codes lie in 0..2**width-1, so "clip" never clips; unlike the default
-    # mode it writes into ``out`` without an intermediate buffer.
-    return np.take(table, code, out=out, mode="clip")
-
-
 class _Var:
     """Observation variable: deterministic columns plus padded-bit refs.
 
@@ -149,36 +123,33 @@ class _Var:
     parity bits.  ``masked`` holds (column, side) references that the
     evaluation resolves per entropy set.  ``key`` names the deterministic
     part, the columns ``cols`` of the packed ``(code, width)`` source;
-    ``width`` counts them.  The source lives on the analyzer's pair table
-    (X, Y, T_X and T_Y are functions of the (x, y) pair) or, for Z, on the
-    full support rows; ``on_pairs`` says which.  ``chunks`` selects the
-    columns of a pair-table source on first use, as ``(code, width)``, so a
-    variable whose entropy sets all hit the memo costs no array pass, and a
-    variable with no deterministic column has no chunk.  Z's columns are
-    never selected into an array of their own: the analyzer writes them
-    straight into its row buffer.
+    ``width`` counts them.  X, Y, T_X and T_Y are functions of the (x, y)
+    pair, so their ``source`` is a per-pair code of the support table; Z's is
+    None, as the table writes its columns straight from its row Z code.
+    ``chunks`` selects the columns of a pair source on first use, as
+    ``(code, width)``, so a variable whose entropy sets all hit the memo
+    costs no array pass, and a variable with no deterministic column has no
+    chunk.
     """
 
     def __init__(
         self,
         key: tuple,
         masked: list[tuple[int, str]],
-        source: tuple[np.ndarray, int],
+        source: Optional[tuple[np.ndarray, int]],
         cols: Sequence[int],
-        on_pairs: bool = True,
     ):
         self.key = key
         self.masked = masked
         self.width = len(cols)
-        self.on_pairs = on_pairs
         self.cols = cols
-        self._source = source
+        self.source = source
 
     @cached_property
     def chunks(self) -> list[tuple[np.ndarray, int]]:
         if not self.width:
             return []
-        return [(_column_code(*self._source, self.cols), self.width)]
+        return [(column_code(*self.source, self.cols), self.width)]
 
 
 class WiretapAnalyzer:
@@ -188,8 +159,8 @@ class WiretapAnalyzer:
     bound and identity evaluation then reduces to entropies of integer-coded
     columns over the support, with shared-pad bits folded in analytically.
     Every column but Z is a function of the source pair (x, y), so it is
-    kept on a pair table with one row per distinct pair; ``_set_entropy``
-    counts the sets that read no Z there when it can.
+    kept per distinct pair of the model's support table, which takes every
+    kernel entropy.
     Kernel entropies are memoised across patterns by observation class: the
     deterministic keys of the variables and the pad columns read on both
     sides.  ``entropy_calls`` counts the entropy sets asked for and
@@ -202,18 +173,8 @@ class WiretapAnalyzer:
         self.model = model
         self.K = model.K
 
-        x, y, z, _ = model.support_arrays()
-        first, counts = model.support_pairs()
-        self._weights = model.entropy_weights()
-        self._rows = x.size
-        self._pairs = first.size
-        self._counts = counts
-        # Rows per pair when every pair spans the same number of rows.
-        self._run = int(counts[0]) if bool((counts == counts[0]).all()) else None
-        # With equal row weights and pairs that all span the same number of
-        # rows, a Z-free entropy set is counted on the pair table.
-        self._multiplicity = self._run if self._weights is None else None
-        tx_bits, ty_bits = support_syndromes(s, x[first], y[first])
+        self._table = t = model.table
+        tx_bits, ty_bits = support_syndromes(s, t.x, t.y)
 
         # Syndrome bits plus the shared-pad reference of every common-role
         # parity bit; other bits are clear.
@@ -224,11 +185,10 @@ class WiretapAnalyzer:
                 if (col := s.parity_column(side, i)) is not None
             }
 
-        # Every variable is a column subset of one of these packed codes;
-        # all but Z are on the pair table.
+        # Every variable but Z is a column subset of one of these per-pair
+        # packed codes.
         self._tx = ((pack_bits(tx_bits), tx_bits.shape[1]), padded("x"))
         self._ty = ((pack_bits(ty_bits), ty_bits.shape[1]), padded("y"))
-        self._z = (z, self.K)
         # Raw parity XOR per pad column (the pads cancel in the pair).
         self._xor_col = {
             c: tx_bits[:, s.x_info_len + c] ^ ty_bits[:, s.y_info_len + c]
@@ -238,8 +198,8 @@ class WiretapAnalyzer:
         self.entropy_calls = 0
         self.entropy_sets = 0
 
-        self._x_var = _Var(("X",), [], (x[first], self.K), range(self.K))
-        self._y_var = _Var(("Y",), [], (y[first], self.K), range(self.K))
+        self._x_var = _Var(("X",), [], (t.x, self.K), range(self.K))
+        self._y_var = _Var(("Y",), [], (t.y, self.K), range(self.K))
 
         self.h_x_total = self._set_entropy([self._x_var])
         self.h_y_total = self._set_entropy([self._y_var])
@@ -277,14 +237,8 @@ class WiretapAnalyzer:
         Z prefix, a syndrome read whose bits are all padded) packs nothing,
         and a pad column read on one side changes only the bonus, which is
         added on every call.  So a hit returns the very float a fresh
-        computation would, and chunks are packed only on a miss.
-
-        On a miss, a set that reads no Z is counted on the pair table when
-        ``_multiplicity`` is set: each pair stands for that many equal rows,
-        so the bins, their order and their integer counts are those of the
-        full support, and so is the float.  Any other set (it reads Z, or
-        the rows are weighted or repeat unevenly) is coded over the full
-        rows by ``_row_code``."""
+        computation would, and chunks are packed only on a miss, for the
+        support table's ``entropy``."""
         self.entropy_calls += 1
         touched: dict[int, set[str]] = {}
         for v in vars:
@@ -305,78 +259,15 @@ class WiretapAnalyzer:
             tail: list[tuple[np.ndarray, int]] = []
             zcols: Sequence[int] = ()
             for v in vars:
-                if v.on_pairs:
+                if v.source is not None:
                     (tail if zcols else head).extend(v.chunks)
                 elif v.width:
                     zcols = v.cols
             (tail if zcols else head).extend((self._xor_col[col], 1) for col in both)
-            if not zcols and self._multiplicity:
-                code = pack_chunks(head, self._pairs)
-                value = owned_code_entropy(code, self._multiplicity)
-            elif self._weights is None:
-                value = owned_code_entropy(self._row_code(head, zcols, tail))
-            else:
-                value = code_entropy(self._row_code(head, zcols, tail), self._weights)
+            value = self._table.entropy(head, zcols, tail)
             self._entropy_memo[key] = value
             self.entropy_sets += 1
         return value + bonus
-
-    @cached_property
-    def _buffer(self) -> np.ndarray:
-        """Scratch space for one row code, rewritten by every ``_row_code``."""
-        return np.empty(self._rows, dtype=np.int64)
-
-    def _row_code(
-        self,
-        head: list[tuple[np.ndarray, int]],
-        zcols: Sequence[int],
-        tail: list[tuple[np.ndarray, int]],
-    ) -> np.ndarray:
-        """One code per support row, ordering rows as the tuples of the pair
-        chunks ``head``, the Z columns ``zcols`` and the pair chunks ``tail``
-        do, built in the analyzer's row buffer.  The result is a view of the
-        buffer, int32 when the code fits 31 bits and int64 otherwise, and it
-        is overwritten by the next call.
-
-        The buffer gets the Z columns straight from the model's Z code,
-        shifted past ``tail``.  The pair chunks are packed into one code on
-        the pair table, ``head`` above a gap as wide as Z and ``tail``, and
-        that code is spread over each pair's rows and ORed in: by
-        broadcasting when every pair spans the same number of rows, by one
-        ``np.repeat`` otherwise.  When the whole code would pass
-        ``PACK_LIMIT_BITS``, ``head`` is first re-ranked on the pair table,
-        which keeps its order."""
-        lead = pack_chunks(head, self._pairs)
-        trail = pack_chunks(tail, self._pairs)
-        trail_width = int(trail.max()).bit_length()
-        gap = len(zcols) + trail_width
-        lead_width = int(lead.max()).bit_length()
-        if lead_width + gap > PACK_LIMIT_BITS:
-            lead = np.unique(lead, return_inverse=True)[1]
-            lead_width = int(lead.max()).bit_length()
-            if lead_width + gap > PACK_LIMIT_BITS:
-                raise InternalConsistencyError(
-                    f"{lead_width} ranked bits do not fit beside {gap} row bits"
-                )
-        buf = self._buffer
-        if lead_width + gap <= 31:
-            buf = buf.view(np.int32)[: self._rows]
-        lead <<= gap
-        lead |= trail
-        pair_code = lead.astype(buf.dtype, copy=False)
-        if self._run:
-            rows, spread = buf.reshape(self._pairs, self._run), pair_code[:, None]
-        else:
-            rows, spread = buf, np.repeat(pair_code, self._counts)
-        if not zcols:
-            rows[...] = spread
-            return buf
-        _column_code(*self._z, zcols, out=buf)
-        if trail_width:
-            buf <<= trail_width
-        if head or tail:
-            rows |= spread
-        return buf
 
     def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
         pattern.validate(self.scheme, self.K)
@@ -386,7 +277,7 @@ class WiretapAnalyzer:
             zsel = sorted(pattern.z_positions)
         else:
             zsel = list(range(pattern.mu))
-        z = _Var(("z", tuple(zsel)), [], self._z, zsel, on_pairs=False)
+        z = _Var(("z", tuple(zsel)), [], None, zsel)
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
     def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":

@@ -7,11 +7,12 @@ Two model kinds are supported:
   and d_H(y, z) <= d_yz_max.  Uniformity is the maximum-entropy completion
   of the distance constraints and reproduces the usual counting results.
 
-The support table is deterministic: rows are in lexicographic (y, x, z)
-order, with position 0 as the most significant symbol, so outputs are
-reproducible.  It keeps each word as one integer code, its symbols as the
-digits of the code, and it lists the distinct (x, y) pairs as runs of rows,
-since every pair's rows are adjacent.  Exact enumeration is guarded at
+The support is deterministic: rows are in lexicographic (y, x, z) order,
+with position 0 as the most significant symbol, so outputs are
+reproducible.  Each word is one integer code, its symbols the digits of the
+code.  Every pair's rows are adjacent, so ``SequenceModel.table``, the one
+``SupportTable`` that every entropy of the package is taken over, keeps the
+distinct (x, y) pairs as runs of rows.  Exact enumeration is guarded at
 ``SUPPORT_GUARD`` triples.
 """
 
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError, int_field
-from .info import ZERO_EPS, InfoSummary, JointPmf, code_entropy
+from .info import ZERO_EPS, InfoSummary, JointPmf, SupportTable
 
 #: Exact enumeration refuses supports larger than this many triples.
 SUPPORT_GUARD = 1 << 26
@@ -80,41 +81,23 @@ class SequenceModel:
         """Support as read-only (x, y, z, probs) arrays; rows with prob > 0 in
         lexicographic (y, x, z) order.  Each word is one int64 code: its
         symbols in base ``alphabet_sizes``, position 0 most significant, as
-        ``pack_bits`` would pack them.  Built once per model and shared by
-        every caller."""
-        return self._table[0]
-
-    def entropy_weights(self) -> Optional[np.ndarray]:
-        """Row probabilities for the entropy kernel, or None when every row has
-        exactly the same probability (entropies then come from counts)."""
-        return self._table[1]
-
-    def support_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct (x, y) pairs of the support, as read-only int64
-        arrays: the first row of every pair and its number of rows.
-
-        Rows are in (y, x, z) order, so the rows of one pair form one run:
-        pairs need no sort, and ``np.repeat(per_pair, counts)`` lays a
-        per-pair column out over the rows."""
-        return self._pairs
+        ``pack_bits`` would pack them.  Built once per model."""
+        return self._rows
 
     @cached_property
-    def _table(self):
+    def table(self) -> SupportTable:
+        """The one support table every entropy of the model is taken over.
+        Rows are in (y, x, z) order, so the rows of each (x, y) pair form one
+        run.  A binary Z code has K bit columns."""
+        _, _, nz = self.alphabet_sizes
+        return SupportTable(*self.support_arrays(), (max(nz, 2) ** self.K - 1).bit_length())
+
+    @cached_property
+    def _rows(self):
         y, x, z, probs = self._hamming_codes() if self.kind == "hamming" else self._iid_codes()
         for arr in (x, y, z, probs):
             arr.flags.writeable = False
-        uniform = bool(np.all(probs == probs[0]))
-        return (x, y, z, probs), None if uniform else probs
-
-    @cached_property
-    def _pairs(self):
-        x, y, _, _ = self._table[0]
-        starts = np.flatnonzero((x[1:] != x[:-1]) | (y[1:] != y[:-1])) + 1
-        first = np.concatenate(([0], starts))
-        counts = np.diff(first, append=x.size)
-        for arr in (first, counts):
-            arr.flags.writeable = False
-        return first, counts
+        return x, y, z, probs
 
     def _hamming_codes(self):
         """Each y's x and z rows are y XOR the offsets of weight <= d, sorted per y."""
@@ -197,18 +180,13 @@ def sequence_summary(model: SequenceModel) -> InfoSummary:
     Sequence-level entropies are divided by K, so for iid models these agree
     with the base pmf's summary.
     """
-    x, y, z, _ = model.support_arrays()
-    weights = model.entropy_weights()
-    _, ny, nz = model.alphabet_sizes
+    t = model.table
     K = model.K
-    # Joint codes stay below the support size, which the guard bounds.
-    xy = x * ny**K + y
-
-    def h(code: np.ndarray) -> float:
-        return code_entropy(code, weights)
-
-    hx, hy, hz = h(x), h(y), h(z)
-    hxy, hxz, hyz, hxyz = h(xy), h(x * nz**K + z), h(y * nz**K + z), h(xy * nz**K + z)
+    nx, ny, _ = model.alphabet_sizes
+    X, Y = (t.x, (nx**K - 1).bit_length()), (t.y, (ny**K - 1).bit_length())
+    Z, H = range(t.z_width), t.entropy
+    hx, hy, hz = H([X]), H([Y]), H([], Z)
+    hxy, hxz, hyz, hxyz = H([X, Y]), H([X], Z), H([Y], Z), H([X, Y], Z)
     i_xy = hx + hy - hxy
     i_xy_given_z = hxz + hyz - hxyz - hz
     return InfoSummary(

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
 from .gf2 import Gf2Matrix
-from .info import PACK_LIMIT_BITS, code_conditional_entropy, code_entropy, pack_bits
+from .info import PACK_LIMIT_BITS, code_conditional_entropy, pack_bits
 from .seqmodel import SequenceModel
 
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
@@ -311,15 +311,13 @@ def joint_decode(
     """Exhaustive search over the model support for pairs matching both syndromes.
 
     The syndromes are functions of the (x, y) pair, so they are matched on
-    the distinct pairs of ``support_pairs`` only.
+    the distinct pairs of the support table only.
 
     Ambiguity (several candidates) and inconsistency (none) are reported in
     the result, not raised.
     """
     require_code_model(s, model, "decode")
-    x, y, _, _ = model.support_arrays()
-    first, _ = model.support_pairs()
-    x, y = x[first], y[first]
+    x, y = model.table.x, model.table.y
     TX, TY = support_syndromes(s, x, y)
     hit = (TX == tx.bits).all(axis=1) & (TY == ty.bits).all(axis=1)
     n = s.n
@@ -331,17 +329,15 @@ def joint_decode(
 
 
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
-    """Probability mass of source pairs whose syndrome pair does not decode uniquely."""
+    """Probability mass of source pairs whose syndrome pair does not decode
+    uniquely, clamped to 1 (an iid law's float row probabilities may sum
+    past 1).  The pair masses are the table's classes with no Z prefix, in
+    (x, y) order, and the ambiguous ones are summed in that order."""
     require_code_model(s, model, "decode")
-    x, y, _, probs = model.support_arrays()
-    first, counts = model.support_pairs()
-    mass = np.bincount(np.repeat(np.arange(first.size), counts), weights=probs)
-    syndromes = pack_bits(np.hstack(support_syndromes(s, x[first], y[first])))
+    x, y, _, mass = model.table.prefix_classes(0)
+    syndromes = pack_bits(np.hstack(support_syndromes(s, x, y)))
     _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
-    # The ambiguous masses are summed in (x, y) pair order; pairs come in
-    # (y, x) order, and summing in that order moves the float.
-    order = np.lexsort((y[first], x[first]))
-    return float(mass[order][size[group[order]] > 1].sum())
+    return min(1.0, float(mass[size[group] > 1].sum()))
 
 
 # -- prototype-code condition report ------------------------------------------
@@ -374,34 +370,32 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     """
     require_code_model(s, model, "the condition report")
     K = model.K
-    x, y, z, probs = model.support_arrays()
-    first, counts = model.support_pairs()
-    TX, TY = support_syndromes(s, x[first], y[first])
-    weights = model.entropy_weights()
+    t = model.table
+    TX, TY = support_syndromes(s, t.x, t.y)
     x_private, y_private = s.role_positions("x", "private"), s.role_positions("y", "private")
+    x_common, y_common = s.role_positions("x", "common"), s.role_positions("y", "common")
+    # The channel portions, packed on the pairs as chunks of the table.
+    w_x, w_cx = [(pack_bits(TX[:, c]), len(c)) for c in (x_private, x_common)]
+    w_y, w_cy = [(pack_bits(TY[:, c]), len(c)) for c in (y_private, y_common)]
 
-    def rows(bits: np.ndarray) -> np.ndarray:
-        """Syndrome bits packed on the pairs, laid out over the support rows."""
-        return np.repeat(pack_bits(bits), counts)
+    def h(*chunks: tuple[np.ndarray, int], z: Sequence[int] = ()) -> float:
+        return t.entropy(chunks, z) / K
 
-    w_x = rows(TX[:, x_private])
-    w_cx = rows(TX[:, s.role_positions("x", "common")])
-    w_y = rows(TY[:, y_private])
-    w_cy = rows(TY[:, s.role_positions("y", "common")])
-
-    def h(code: np.ndarray) -> float:
-        return code_entropy(code, weights) / K
+    # The conditionals sum float probabilities in row order, so they read
+    # the pair columns spread over the rows.
+    x, y, z = t.spread(t.x), t.spread(t.y), t.z
 
     def h_given(target: np.ndarray, observed: np.ndarray) -> float:
-        return code_conditional_entropy(target, observed, probs) / K
+        return code_conditional_entropy(target, observed, t.probs) / K
 
-    h_x, h_y, h_z, h_xy = h(x), h(y), h(z), h((x << K) | y)
+    h_x, h_y, h_z, h_xy = h((t.x, K)), h((t.y, K)), h(z=range(K)), h((t.x, K), (t.y, K))
     h_x_given_yz = h_given(x, (y << K) | z)
     h_y_given_xz = h_given(y, (x << K) | z)
     h_y_given_x = h_given(y, x)
     i_xy = h_x + h_y - h_xy
 
     h_wx, h_wy, h_wcx, h_wcy = h(w_x), h(w_y), h(w_cx), h(w_cy)
+    v_x, v_y = t.spread(w_x[0]), t.spread(w_y[0])
     log_mx = len(x_private) / K
     log_my = len(y_private) / K
 
@@ -424,11 +418,11 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "x_unc_given_y_private", "h(x)", h_x,
-            "h(x^k|v_y)/k", h_given(x, w_y),
+            "h(x^k|v_y)/k", h_given(x, v_y),
         ),
         ConditionRow(
             "y_unc_given_x_private", "h(y)", h_y,
-            "h(y^k|v_x)/k", h_given(y, w_x),
+            "h(y^k|v_x)/k", h_given(y, v_x),
         ),
         ConditionRow(
             "joint_rate_sum:lower", "h(x,y)", h_xy,
@@ -440,7 +434,7 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "z_unc_given_y_private", "h(z)", h_z,
-            "h(z^k|v_y)/k", h_given(z, w_y),
+            "h(z^k|v_y)/k", h_given(z, v_y),
         ),
     ]
     return rows

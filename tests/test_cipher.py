@@ -26,6 +26,7 @@ from corrleak import (
     split_index,
 )
 from corrleak.cipher import BRANCHES, MEASURE_BYTES_GUARD
+from corrleak.info import SupportTable
 from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
 from oracle import (
@@ -305,6 +306,26 @@ def test_measured_levels_never_exceed_unconditional(scheme, hamming7):
             m = measure_security(desk_scheme(scheme, branch=branch), hamming7, scheme, mu=mu)
             assert m.h_xy_hat <= summary.h_xy + 1e-9
             assert m.h_x_hat <= summary.h_x + 1e-9
+
+
+def test_cipher_branches_share_one_prefix_collapse(scheme, monkeypatch):
+    # cipher-sim measures every branch on one model at one mu: the support
+    # table collapses its rows to (x, y, z prefix) classes once, and every
+    # branch measures what it measures on a fresh model.
+    model = SequenceModel(kind="hamming", K=7)
+    seen = []
+    real = SupportTable.prefix_classes
+    monkeypatch.setattr(
+        SupportTable, "prefix_classes", lambda self, mu: seen.append(real(self, mu)) or seen[-1]
+    )
+    shared = {b: measure_security(desk_scheme(scheme, branch=b), model, scheme, mu=4) for b in BRANCHES}
+    monkeypatch.undo()
+    assert len(seen) == len(BRANCHES) == 4
+    assert all(classes is seen[0] for classes in seen)
+    assert list(model.table._classes) == [4]
+    for branch, m in shared.items():
+        fresh = SequenceModel(kind="hamming", K=7)
+        assert m == measure_security(desk_scheme(scheme, branch=branch), fresh, scheme, mu=4)
 
 
 def test_measure_security_mu_reduces_uncertainty(scheme, hamming7):

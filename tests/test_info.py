@@ -3,12 +3,13 @@ from math import log2
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrleak import InternalConsistencyError, JointPmf, UsageError, ValidationError
 from corrleak.info import (
     PACK_LIMIT_BITS,
     code_entropy,
-    owned_code_entropy,
     pack_bits,
     pack_chunks,
 )
@@ -254,24 +255,25 @@ RUN_LENGTH_CASES = {
 @pytest.mark.parametrize("name", sorted(RUN_LENGTH_CASES))
 def test_code_entropy_run_lengths_equal_unique(monkeypatch, name):
     # Codes outside 0..2n-1 are counted as run lengths of the sorted code,
-    # without np.unique, to the same float.
+    # without np.unique, to the same float.  The code is handed over, so the
+    # kernel may sort it in place.
     code = RUN_LENGTH_CASES[name]
     assert code.min() >= 2 * code.size
     expected = entropy_by_unique(code)
-    before = code.copy()
 
     def refuse(*args, **kwargs):
         raise AssertionError("the count path went through np.unique")
 
     monkeypatch.setattr(np, "unique", refuse)
-    assert code_entropy(code) == expected
-    assert (code == before).all()
+    owned = code.copy()
+    assert code_entropy(owned) == expected
+    assert (np.sort(owned) == np.sort(code)).all()
 
 
 @pytest.mark.parametrize("name", sorted(RUN_LENGTH_CASES))
 def test_code_entropy_reads_a_read_only_code(name):
-    # The public kernel never writes its argument, so a read-only array works
-    # on every path: the run lengths sort a copy.
+    # A read-only array works on every path: the run lengths sort a copy of
+    # it, where a writable code handed over would be sorted in place.
     for code in (RUN_LENGTH_CASES[name], RUN_LENGTH_CASES[name] % 7):
         frozen = code.copy()
         frozen.flags.writeable = False
@@ -282,15 +284,36 @@ def test_code_entropy_reads_a_read_only_code(name):
 @pytest.mark.parametrize("multiplicity", [1, 2, 11])
 @pytest.mark.parametrize("name", sorted(RUN_LENGTH_CASES) + ["dense"])
 def test_owned_code_entropy_equals_the_repeated_code(name, multiplicity):
-    # Counting each row as `multiplicity` equal rows gives the very float of
-    # the public kernel over the repeated code, dense or sorted; a code that
-    # is not dense is sorted in place.
+    # Counting each row of an owned code as `multiplicity` equal rows gives
+    # the very float of the kernel over the repeated code, dense or sorted;
+    # a code that is not dense is sorted in place.
     code = RUN_LENGTH_CASES.get(name, np.random.default_rng(17).integers(0, 50, size=400))
     expected = code_entropy(np.repeat(code, multiplicity))
     owned = code.copy()
-    assert owned_code_entropy(owned, multiplicity) == expected
+    assert code_entropy(owned, multiplicity) == expected
     if code.max() >= 2 * code.size:
         assert (owned == np.sort(code)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    code=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    data=st.data(),
+    offset=st.sampled_from([0, 1 << 40]),
+)
+def test_code_entropy_counts_integer_multiplicities_as_repeated_rows(code, data, offset):
+    # One integer count per row gives the float of the code with every row
+    # repeated that many times, on the dense path (codes in 0..2n-1, offset
+    # 0) and on the sorted path (offset 2**40).
+    mult = np.array(
+        data.draw(st.lists(st.integers(1, 30), min_size=len(code), max_size=len(code))),
+        dtype=np.int64,
+    )
+    code = np.array(code, dtype=np.int64) * 3 // 2 + offset
+    if offset:
+        assert code.min() >= 2 * code.size
+    expected = code_entropy(np.repeat(code, mult))
+    assert code_entropy(code.copy(), mult) == expected
 
 
 def test_pack_chunks_leaves_its_inputs_unchanged():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import corrleak.leakage as leakage_module
+import corrleak.info as info_module
 from corrleak import (
     DomainError,
     Gf2Matrix,
@@ -21,7 +21,7 @@ from corrleak import (
     z_mu_leakage,
     z_trace_rows,
 )
-from corrleak.info import JointPmf, code_entropy, pack_bits, pack_chunks
+from corrleak.info import JointPmf, code_entropy, column_code, pack_bits, pack_chunks
 from corrleak.leakage import sample_patterns
 from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
@@ -310,7 +310,7 @@ def test_column_code_equals_packing_the_columns(rows):
     code = pack_bits(bits)
     for cols in ([0], [9], [1], [0, 1, 2], [3, 7], [0, 2, 9], [8, 9], list(range(10)), [4, 4]):
         expected = pack_bits(bits[:, cols])
-        assert (leakage_module._column_code(code, 10, cols) == expected).all(), cols
+        assert (column_code(code, 10, cols) == expected).all(), cols
 
 
 @pytest.mark.parametrize(
@@ -401,7 +401,7 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
         assert shared.minmax_oracle(mu_tx, mu_ty) == fresh
 
     # Reading one more pad column on the x side only adds a fresh bit outside
-    # the memo: no new kernel entry and no packing.
+    # the memo: no new kernel entry and no packing by the support table.
     wider = []
     for p in patterns:
         read_y = {s.parity_column("y", i) for i in p.ty_positions} - {None}
@@ -420,7 +420,7 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
     expected = [results(WiretapAnalyzer(s, model), p) for p in wider]
     packed = []
     monkeypatch.setattr(
-        leakage_module, "pack_chunks", lambda *args: packed.append(args) or pack_chunks(*args)
+        info_module, "pack_chunks", lambda *args: packed.append(args) or pack_chunks(*args)
     )
     sets = shared.entropy_sets
     assert [results(shared, p) for p in wider] == expected
@@ -448,7 +448,7 @@ def full_table_kernel(s: PartitionScheme, model: SequenceModel):
         for c in both:
             xor = TX[:, s.x_info_len + c] ^ TY[:, s.y_info_len + c]
             chunks.append((xor.astype(np.int64), 1))
-        return code_entropy(pack_chunks(chunks, X.shape[0]), model.entropy_weights())
+        return code_entropy(pack_chunks(chunks, X.shape[0]), model.table.weights)
 
     return kernel
 
@@ -457,17 +457,32 @@ def reads_z(key) -> bool:
     return any(var_key[0] == "z" for var_key in key[0])
 
 
-def spy_kernel_rows(monkeypatch) -> list[tuple[int, int]]:
-    """Record (rows, multiplicity) of every counting-kernel input."""
+def spy_kernel_rows(monkeypatch) -> list[tuple[int, object]]:
+    """Record (code size, weights) of every kernel input of the support table."""
     seen = []
-    real = leakage_module.owned_code_entropy
+    real = info_module.code_entropy
 
-    def spy(code, multiplicity=1):
-        seen.append((code.size, multiplicity))
-        return real(code, multiplicity)
+    def spy(code, weights=1):
+        seen.append((code.size, weights))
+        return real(code, weights)
 
-    monkeypatch.setattr(leakage_module, "owned_code_entropy", spy)
+    monkeypatch.setattr(info_module, "code_entropy", spy)
     return seen
+
+
+def assert_kernel_inputs(analyzer: WiretapAnalyzer, seen: list[tuple[int, object]]) -> None:
+    """Under an equal-weight law every Z-free memo entry was counted on the
+    pairs, each counted as its run of rows (one integer for even runs), and
+    every other one over all rows."""
+    table = analyzer.model.table
+    keys = list(analyzer._entropy_memo)
+    assert len(keys) == len(seen)
+    for key, (size, weights) in zip(keys, seen):
+        if table.weights is None and not reads_z(key):
+            assert size == table.pairs, key
+            assert (np.broadcast_to(weights, size) == table.runs).all(), key
+        else:
+            assert size == table.rows and weights is table.weights, key
 
 
 def assert_memo_equals_full_table(analyzer: WiretapAnalyzer) -> None:
@@ -487,8 +502,9 @@ def test_reference_sweep_counts_z_free_sets_on_1024_pairs(scheme, hamming7, monk
         analyzer.pattern_checks(p)
     keys = list(analyzer._entropy_memo)
     assert len(keys) == len(seen) == analyzer.entropy_sets == 1284
-    for key, rows in zip(keys, seen):
-        assert rows == ((8192, 1) if reads_z(key) else (1024, 8)), key
+    assert (hamming7.table.pairs, hamming7.table.rows) == (1024, 8192)
+    assert (hamming7.table.runs == 8).all()
+    assert_kernel_inputs(analyzer, seen)
     assert sum(not reads_z(key) for key in keys) > 0 and sum(map(reads_z, keys)) > 0
     assert_memo_equals_full_table(analyzer)
 
@@ -504,10 +520,9 @@ def test_pair_table_equals_full_table_on_a_10_6_sweep(monkeypatch):
         analyzer.pattern_checks(p)
         analyzer.exact_leakage("xy", p)
     analyzer.minmax_oracle(1, 2)
-    keys = list(analyzer._entropy_memo)
-    assert len(keys) == len(seen)
-    for key, rows in zip(keys, seen):
-        assert rows == ((123_904, 1) if reads_z(key) else (11_264, 11)), key
+    assert (model.table.pairs, model.table.rows) == (11_264, 123_904)
+    assert (model.table.runs == 11).all()
+    assert_kernel_inputs(analyzer, seen)
     assert_memo_equals_full_table(analyzer)
 
 
@@ -549,31 +564,35 @@ def test_pair_table_equals_full_table_over_random_schemes(k, parity, model_name,
     u2 = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)), label="u2")))
     s = random_systematic_scheme(k, n, v1, u2, seed=data.draw(st.integers(0, 999), label="code"))
     model = MODELS[model_name](n)
-    analyzer = WiretapAnalyzer(s, model)
-    _, counts = model.support_pairs()
-    even = model.entropy_weights() is None and (counts == counts[0]).all()
-    assert analyzer._multiplicity == (int(counts[0]) if even else None)
-    seed = data.draw(st.integers(0, 999), label="patterns")
-    for p in sample_patterns(s, 3, seed=seed, mu_values=(0, data.draw(st.integers(1, n)))):
-        analyzer.pattern_checks(p)
-        analyzer.exact_leakage("xy", p)
+    probs = model.support_arrays()[3]
+    assert (model.table.weights is None) == bool((probs == probs[0]).all())
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_kernel_rows(mp)
+        analyzer = WiretapAnalyzer(s, model)
+        seed = data.draw(st.integers(0, 999), label="patterns")
+        for p in sample_patterns(s, 3, seed=seed, mu_values=(0, data.draw(st.integers(1, n)))):
+            analyzer.pattern_checks(p)
+            analyzer.exact_leakage("xy", p)
+    assert_kernel_inputs(analyzer, seen)
     assert_memo_equals_full_table(analyzer)
 
 
-def test_uneven_pairs_take_the_row_path_and_match_the_oracle():
-    # Equal row weights, but pairs of 1 to 16 rows at K=4: no set is counted
-    # on the pair table, and every leakage equals the dictionary oracle's.
+def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
+    # Equal row weights, but pairs of 1 to 16 rows at K=4: every Z-free set
+    # is counted on the pairs with their uneven runs, its count equals the
+    # count of its code over the rows, and every leakage equals the
+    # dictionary oracle's.
     s = PartitionScheme(
         generator=Gf2Matrix.from_rows(["1011", "0110"]),
         x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
         y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3)},
     )
     model = SequenceModel(kind="iid", K=4, base=uneven_equal_weight_law())
-    assert model.entropy_weights() is None
-    _, counts = model.support_pairs()
-    assert (counts.min(), counts.max()) == (1, 16)
+    table = model.table
+    assert table.weights is None
+    assert (table.runs.min(), table.runs.max()) == (1, 16)
+    seen = spy_kernel_rows(monkeypatch)
     analyzer = WiretapAnalyzer(s, model)
-    assert analyzer._multiplicity is None
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     info_x, info_y = s.x_info_len, s.y_info_len
 
@@ -603,40 +622,45 @@ def test_uneven_pairs_take_the_row_path_and_match_the_oracle():
             expected = max(0.0, h - enumeration_equivocation(observed, target, model))
             got = analyzer.exact_leakage(target, pattern(tx, ty, mu)).total_bits
             assert got == pytest.approx(expected, abs=1e-9), (tx, ty, mu, target)
+    # Every Z-free set was counted on the pairs, and every memo entry is ==
+    # the count of its code over the rows.
+    assert sum(not reads_z(key) for key in analyzer._entropy_memo) > 1
+    assert_kernel_inputs(analyzer, seen)
     assert_memo_equals_full_table(analyzer)
 
 
-def test_row_code_orders_rows_as_their_chunk_tuples(scheme, hamming7):
+def test_row_code_orders_rows_as_their_chunk_tuples(hamming7):
     # Pair chunks are spread out to the rows around the Z columns, which are
-    # written into the analyzer's row buffer: the shared (read-only) Z code
-    # is never written, and a constant leading chunk still orders nothing.
-    analyzer = WiretapAnalyzer(scheme, hamming7)
-    first, counts = hamming7.support_pairs()
+    # written into the table's row buffer: the shared (read-only) Z code is
+    # never written, and a constant leading chunk still orders nothing.
+    table = hamming7.table
     x, _, z, _ = hamming7.support_arrays()
-    bit = x[first] & 1
-    for lead in (np.zeros(first.size, dtype=np.int64), x[first]):
-        code = analyzer._row_code([(lead, 7)], range(7), [(bit, 1)])
-        rows = [(np.repeat(lead, counts), 7), (z, 7), (np.repeat(bit, counts), 1)]
+    assert (table.spread(table.x) == x).all()
+    bit = table.x & 1
+    for lead in (np.zeros(table.pairs, dtype=np.int64), table.x):
+        code = table._row_code([(lead, 7)], range(7), [(bit, 1)])
+        rows = [(table.spread(lead), 7), (z, 7), (table.spread(bit), 1)]
         expected = pack_chunks(rows, z.size)
         rank = np.unique(expected, return_inverse=True)[1]
         assert (np.unique(code, return_inverse=True)[1] == rank).all()
     assert (z == hamming7.support_arrays()[2]).all() and not z.flags.writeable
+    assert table.z is z
 
 
 # -- the row buffer: every row-path code is built in one reused array ----------------
 
 
-def spy_row_code_dtypes(monkeypatch, analyzer: WiretapAnalyzer) -> list[np.dtype]:
-    """Record the dtype of every row code the analyzer builds."""
+def spy_row_code_dtypes(monkeypatch, table) -> list[np.dtype]:
+    """Record the dtype of every row code the support table builds."""
     seen = []
-    real = analyzer._row_code
+    real = table._row_code
 
     def spy(*args):
         code = real(*args)
         seen.append(code.dtype)
         return code
 
-    monkeypatch.setattr(analyzer, "_row_code", spy)
+    monkeypatch.setattr(table, "_row_code", spy)
     return seen
 
 
@@ -649,7 +673,7 @@ def test_row_buffer_equals_full_table_on_wide_gathered_and_padded_sets(monkeypat
     s = random_systematic_scheme(k, n, (3, 4, 5), (0, 1, 2), seed=seed)
     model = make_model()
     analyzer = WiretapAnalyzer(s, model)
-    seen = spy_row_code_dtypes(monkeypatch, analyzer)
+    seen = spy_row_code_dtypes(monkeypatch, model.table)
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     px, py = s.x_info_len, s.y_info_len
     assert s.parity_column("x", px) == s.parity_column("y", py) == 0
@@ -670,20 +694,18 @@ def test_row_buffer_equals_full_table_on_wide_gathered_and_padded_sets(monkeypat
     assert_memo_equals_full_table(analyzer)
 
 
-def test_row_code_re_ranks_a_lead_past_62_bits(scheme, hamming7):
+def test_row_code_re_ranks_a_lead_past_62_bits(hamming7):
     # A 40-bit lead, 7 Z columns and a 21-bit tail pass 62 bits: the lead is
-    # re-ranked on the pair table and the code, in the int64 view, still
-    # orders rows as their chunk tuples do.
-    analyzer = WiretapAnalyzer(scheme, hamming7)
-    first, counts = hamming7.support_pairs()
-    _, _, z, _ = hamming7.support_arrays()
+    # re-ranked on the pairs and the code, in the int64 view, still orders
+    # rows as their chunk tuples do.
+    table = hamming7.table
+    z = table.z
     rng = np.random.default_rng(61)
-    lead = rng.integers(0, 1 << 40, size=first.size)
-    bit, wide = rng.integers(0, 2, size=first.size), rng.integers(0, 1 << 20, size=first.size)
-    code = analyzer._row_code([(lead, 40)], range(7), [(bit, 1), (wide, 20)])
+    lead = rng.integers(0, 1 << 40, size=table.pairs)
+    bit, wide = rng.integers(0, 2, size=table.pairs), rng.integers(0, 1 << 20, size=table.pairs)
+    code = table._row_code([(lead, 40)], range(7), [(bit, 1), (wide, 20)])
     assert code.dtype == np.int64 and code.size == z.size
-    rows = [(np.repeat(lead, counts), 40), (z, 7), (np.repeat(bit, counts), 1),
-            (np.repeat(wide, counts), 20)]
+    rows = [(table.spread(lead), 40), (z, 7), (table.spread(bit), 1), (table.spread(wide), 20)]
     rank = np.unique(pack_chunks(rows, z.size), return_inverse=True)[1]
     assert (np.unique(code, return_inverse=True)[1] == rank).all()
 

@@ -32,7 +32,9 @@ def load_perfbench(name: str):
     return module
 
 
-@pytest.mark.parametrize("command", ["curves", "verify-bounds", "region", "cipher-sim", "decode"])
+@pytest.mark.parametrize(
+    "command", ["analyze", "curves", "verify-bounds", "region", "cipher-sim", "decode"]
+)
 @pytest.mark.parametrize("workload", ["hamming_k10", "iid_k5"])
 def test_generated_workloads_match_stored_rows(tmp_path, workload, command):
     # The benchmark's generated scenarios (123,904 equal-weight rows and

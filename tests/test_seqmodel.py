@@ -208,11 +208,16 @@ def test_support_codes_and_pairs_match_the_digits(model):
         assert code.dtype == np.int64 and not code.flags.writeable
         assert digits.shape == (code.size, model.K) and (digits < base).all()
         assert (code == pack_bits(digits, base)).all()
-    first, counts = model.support_pairs()
-    assert not first.flags.writeable and not counts.flags.writeable
-    assert counts.sum() == X.shape[0] and (counts > 0).all()
+    table = model.table
+    for arr in (table.x, table.y, table.runs):
+        assert not arr.flags.writeable and arr.size == table.pairs
+    runs = table.runs
+    assert runs.sum() == X.shape[0] == table.rows and (runs > 0).all()
+    first = np.cumsum(runs) - runs
     pairs = [tuple(X[r]) + tuple(Y[r]) for r in first.tolist()]
     assert len(set(pairs)) == len(pairs)
-    per_row = np.repeat(np.arange(first.size), counts)
+    assert (table.x == codes[0][first]).all() and (table.y == codes[1][first]).all()
+    per_row = np.repeat(np.arange(table.pairs), runs)
     assert (X == X[first][per_row]).all() and (Y == Y[first][per_row]).all()
-    assert model.support_pairs()[0] is first  # built once per model
+    assert (table.spread(table.x) == codes[0]).all() and table.z is codes[2]
+    assert model.table is table  # built once per model

@@ -17,7 +17,7 @@ from corrleak import (
     prototype_condition_report,
     sequence_summary,
 )
-from corrleak.info import PACK_LIMIT_BITS, pack_bits
+from corrleak.info import PACK_LIMIT_BITS, SupportTable, pack_bits
 from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
 from oracle import (
     bit_observable,
@@ -281,7 +281,7 @@ def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
     ).reshape(2, 2, 2)
     K = 4
     model = SequenceModel(kind="iid", K=K, base=JointPmf(probs))
-    assert model.entropy_weights() is not None
+    assert model.table.weights is not None
 
     def H(target, *observed):
         return enumeration_equivocation(list(observed), target, model)
@@ -364,9 +364,10 @@ def uneven_law() -> JointPmf:
 def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     # Syndromes are functions of the (x, y) pair, so the decoder and the
     # condition report, which encode the distinct pairs only, give exactly
-    # what encoding every support row as a pair of its own gives.  The
-    # decode_error row is left out: it sums the masses of the pairs of
-    # support_pairs, which must be distinct, and is checked on its own.
+    # what encoding every support row as a pair of its own gives: a table of
+    # the same equal-weight rows, reordered so that every run is one row.
+    # The decode_error row is left out: it sums the masses of the table's
+    # pairs, which must be distinct, and is checked on its own.
     s = PartitionScheme(
         generator=Gf2Matrix.from_rows(["1011", "0110"]),
         x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
@@ -381,10 +382,12 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
         for tx, ty in queries
     }
 
-    rows = X.shape[0]
-    assert model.support_pairs()[0].size < rows
-    every_row = (np.arange(rows), np.ones(rows, dtype=np.int64))
-    monkeypatch.setattr(SequenceModel, "support_pairs", lambda self: every_row)
+    x, y, z, probs = model.support_arrays()
+    assert model.table.weights is None and model.table.pairs < x.size
+    order = np.lexsort((x, y, z))
+    every_row = SupportTable(x[order], y[order], z[order], probs[order], model.K)
+    assert every_row.pairs == x.size
+    monkeypatch.setitem(model.__dict__, "table", every_row)
     assert prototype_condition_report(s, model)[1:] == report[1:]
     assert report[0].label == "decode_error"
     for (tx, ty), result in decoded.items():
@@ -408,8 +411,10 @@ def weighted_k5_case() -> tuple[PartitionScheme, SequenceModel]:
 def test_decode_ambiguity_rate_sums_the_pair_masses_in_x_y_order():
     # The rate is the float of the per-pair formula: each pair's mass summed
     # over its rows in row order, then the ambiguous masses summed in (x, y)
-    # order.  Summing them in the (y, x) order of the support rows moves the
-    # last place on this law, so the order is pinned here.
+    # order, and clamped to 1.  Summing them in the (y, x) order of the
+    # support rows moves the last place on this law.  Every pair of this law
+    # is ambiguous and its float row probabilities sum past 1, so the clamp
+    # gives exactly 1.
     s, model = weighted_k5_case()
     X, Y, _ = support_digits(model)
     probs = model.support_arrays()[3]
@@ -426,4 +431,6 @@ def test_decode_ambiguity_rate_sums_the_pair_masses_in_x_y_order():
     expected = float(mass[ambiguous].sum())
     yx = np.argsort(pack_bits(np.hstack([Y[first], X[first]])))
     assert float(mass[yx][ambiguous[yx]].sum()) != expected
-    assert decode_ambiguity_rate(s, model) == expected
+    assert expected > 1.0
+    rate = decode_ambiguity_rate(s, model)
+    assert rate == min(1.0, expected) and rate <= 1.0
