@@ -4,7 +4,8 @@ A support table lists outcomes row by row with their probabilities; a
 deterministic function of the outcome is an integer code per row, and every
 entropy in the package is an entropy of such a code, taken by the one
 kernel ``code_entropy``.  ``SupportTable`` is the one table of a sequence
-model: its distinct (x, y) pairs with their run lengths, and its rows.  It
+model: its distinct (x, y) pairs with their run lengths, and one Z code
+per row (plus one probability per row only for a weighted law).  It
 counts a set that reads no Z on the pairs and codes every other set over
 the rows in one reused buffer.  ``JointPmf`` is the validated per-symbol
 law of (X, Y, Z) that an iid sequence model extends.  Probabilities below
@@ -167,11 +168,12 @@ def code_entropy(code: np.ndarray, weights: int | np.ndarray | None = 1) -> floa
     The caller hands ``code`` over: the kernel may sort it in place (a
     read-only code is sorted in a copy).  Codes in 0..2*rows-1 are binned
     with ``np.bincount`` on the code itself, at most twice its size; other
-    codes are sorted and counted run by run or, with per-row weights,
-    binned through ``np.unique``.  Every path gives the bins in ascending
-    code order, with integer counts or with the probabilities summed in row
-    order, so the result is the same bit for bit, and counting a row m
-    times gives the float of repeating it m times.
+    codes are sorted and counted run by run from one bool array of run
+    edges or, with per-row weights, binned through ``np.unique``.  Every
+    path gives the bins in ascending code order, with integer counts or
+    with the probabilities summed in row order, so the result is the same
+    bit for bit, and counting a row m times gives the float of repeating it
+    m times.
     """
     if isinstance(weights, np.ndarray):
         if not _is_dense(code):
@@ -179,7 +181,7 @@ def code_entropy(code: np.ndarray, weights: int | np.ndarray | None = 1) -> floa
         counts = np.bincount(code, weights=weights)
         counts = counts[counts > 0]
         if weights.dtype.kind == "f":
-            return float(-(counts * np.log2(counts)).sum())
+            return float(-_xlogx_sum(counts))
         return _count_entropy(counts, int(weights.sum()))
     if _is_dense(code):
         counts = np.bincount(code)
@@ -188,8 +190,10 @@ def code_entropy(code: np.ndarray, weights: int | np.ndarray | None = 1) -> floa
         if not code.flags.writeable:
             code = code.copy()
         code.sort()
-        starts = np.flatnonzero(code[1:] != code[:-1]) + 1
-        counts = np.diff(starts, prepend=0, append=code.size)
+        edge = np.empty(code.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(code[1:], code[:-1], out=edge[1:-1])
+        counts = np.diff(np.flatnonzero(edge))
     m = weights or 1
     if m != 1:
         counts *= m
@@ -200,9 +204,16 @@ def _is_dense(code: np.ndarray) -> bool:
     return code.size > 0 and code.min() >= 0 and code.max() < 2 * code.size
 
 
+def _xlogx_sum(counts: np.ndarray) -> float:
+    """sum(c * log2(c)), the products taken in place in one float array."""
+    terms = np.log2(counts)
+    terms *= counts
+    return terms.sum()
+
+
 def _count_entropy(counts: np.ndarray, rows: int) -> float:
     n = float(rows)
-    return float(np.log2(n) - (counts * np.log2(counts)).sum() / n)
+    return float(np.log2(n) - _xlogx_sum(counts) / n)
 
 
 def code_conditional_entropy(
@@ -225,26 +236,47 @@ def code_conditional_entropy(
 class SupportTable:
     """One enumerated support, as its distinct (x, y) pairs and its rows.
 
-    Built from row arrays ``x``, ``y``, ``z`` (one integer code per word)
-    and ``probs`` in which the rows of each (x, y) pair are adjacent.
-    ``x`` and ``y`` keep the word codes of each pair and ``runs`` its
-    number of rows; ``z`` and ``probs`` stay per row.  ``weights`` is
-    ``probs``, or None when every row has the same probability, so that
-    entropies come from integer counts.  A set reads bit columns of the
-    ``z_width``-bit Z code, column 0 most significant.
+    ``x`` and ``y`` hold the word codes of each pair and ``runs`` its number
+    of rows; the rows of each pair are one run, the runs in pair order.
+    ``z`` holds one Z code per row, strictly ascending within each run, kept
+    as int32.  ``probs`` is one probability per row or one for every row.
+    When every row has the same probability the table keeps only that value,
+    ``p``, and ``weights`` is None, so that entropies come from integer
+    counts; otherwise ``weights`` holds the row probabilities.  A set reads
+    bit columns of the ``z_width``-bit Z code, column 0 most significant.
+
+    Raises ``InternalConsistencyError`` when the runs do not cover the rows,
+    a run's Z codes do not ascend, or a Z code does not fit ``z_width`` bits
+    of an int32 (``SUPPORT_GUARD`` keeps every model's Z code below 27 bits).
     """
 
-    def __init__(self, x, y, z, probs, z_width: int):
-        first = np.flatnonzero(np.concatenate(([True], (x[1:] != x[:-1]) | (y[1:] != y[:-1]))))
-        self.runs = np.diff(first, append=x.size)
-        self.x, self.y, self.z, self.probs = x[first], y[first], z, probs
-        for arr in (self.x, self.y, self.runs):
-            arr.flags.writeable = False
-        self.weights = None if bool(np.all(probs == probs[0])) else probs
+    def __init__(self, x, y, runs, z, probs, z_width: int):
+        if z_width > 31:
+            raise InternalConsistencyError(f"a {z_width}-bit Z code does not fit int32")
+        if z.size and (z.min() < 0 or int(z.max()) >> z_width):
+            raise InternalConsistencyError(f"a Z code does not fit {z_width} bits")
+        z = z.astype(np.int32, copy=False)
+        if int(runs.sum()) != z.size or (runs < 1).any():
+            raise InternalConsistencyError(f"runs of {int(runs.sum())} rows cover {z.size} rows")
+        rising = np.less(z[:-1], z[1:])
+        last = np.cumsum(runs[:-1])
+        last -= 1
+        rising[last] = True  # a pair's last row against the next pair's first
+        if not rising.all():
+            raise InternalConsistencyError("the Z codes of a pair's run do not ascend")
+        del rising, last
+        self.x, self.y, self.runs, self.z = x, y, runs, z
+        if np.ndim(probs) and (probs != probs[0]).any():
+            self.p, self.weights = None, probs
+        else:
+            self.p, self.weights = float(np.ravel(probs)[0]), None
+        for arr in (x, y, runs, z, self.weights):
+            if arr is not None:
+                arr.flags.writeable = False
         self.z_width = z_width
-        self.pairs, self.rows = first.size, z.size
+        self.pairs, self.rows = x.size, z.size
         # Rows per pair when every pair spans the same number of rows.
-        self._run = int(self.runs[0]) if bool((self.runs == self.runs[0]).all()) else None
+        self._run = int(runs[0]) if bool((runs == runs[0]).all()) else None
         self._classes: dict[int, tuple[np.ndarray, ...]] = {}
 
     def spread(self, per_pair: np.ndarray) -> np.ndarray:
@@ -324,16 +356,41 @@ class SupportTable:
         columns), as read-only ``(x, y, z prefix, probability)`` arrays with
         one entry per class, in ascending (x, y, prefix) order; a class's
         probability is summed over its rows in row order.  Built once per
-        ``mu`` and shared by every caller."""
+        ``mu`` and shared by every caller.
+
+        Z ascends within each pair's run, so a class is a run of rows that
+        starts a pair or a new prefix, and only the pairs are sorted.  A
+        class of m equal-weight rows gets the m-th running sum of ``p``,
+        the float that adding its rows' probabilities one by one gives.
+        Raises ``InternalConsistencyError`` when two runs hold the same
+        pair, whose rows would then split across classes."""
         if mu not in self._classes:
+            edge = np.zeros(self.rows, dtype=bool)
+            if mu:
+                prefix = self.z >> (self.z_width - mu)
+                np.not_equal(prefix[1:], prefix[:-1], out=edge[1:])
+                del prefix
+            starts = np.cumsum(self.runs) - self.runs
+            edge[starts] = True
+            first = np.flatnonzero(edge)
+            # Classes per pair, and the classes re-laid pair by pair in
+            # (x, y) order, each pair's classes kept in prefix order.
+            pair_first = np.searchsorted(first, starts)
+            count = np.diff(pair_first, append=first.size)
             order = np.lexsort((self.y, self.x))
-            rank = np.argsort(order)
-            prefix = self.z >> (self.z_width - mu)
-            key = (self.spread(rank) << mu) | prefix
-            _, keep, inv = np.unique(key, return_index=True, return_inverse=True)
-            pair = order[key[keep] >> mu]
-            mass = np.bincount(inv, weights=self.probs)
-            classes = (self.x[pair], self.y[pair], prefix[keep], mass)
+            x, y = self.x[order], self.y[order]
+            if ((x[1:] == x[:-1]) & (y[1:] == y[:-1])).any():
+                raise InternalConsistencyError("an (x, y) pair spans two runs of rows")
+            count = count[order]
+            offset = pair_first[order] - (np.cumsum(count) - count)
+            keep = np.repeat(offset, count) + np.arange(first.size)
+            if self.weights is None:
+                size = np.diff(first, append=self.rows)[keep]
+                mass = np.cumsum(np.full(int(size.max()), self.p))[size - 1]
+            else:
+                mass = np.bincount(np.cumsum(edge) - 1, weights=self.weights)[keep]
+            prefix = (self.z[first[keep]] >> (self.z_width - mu)).astype(np.int64)
+            classes = (np.repeat(x, count), np.repeat(y, count), prefix, mass)
             for arr in classes:
                 arr.flags.writeable = False
             self._classes[mu] = classes

@@ -11,8 +11,9 @@ The support is deterministic: rows are in lexicographic (y, x, z) order,
 with position 0 as the most significant symbol, so outputs are
 reproducible.  Each word is one integer code, its symbols the digits of the
 code.  Every pair's rows are adjacent, so ``SequenceModel.table``, the one
-``SupportTable`` that every entropy of the package is taken over, keeps the
-distinct (x, y) pairs as runs of rows.  Exact enumeration is guarded at
+``SupportTable`` that every entropy of the package is taken over, is built
+straight as the distinct (x, y) pairs with their run lengths and one Z code
+per row; no per-row X or Y code is kept.  Exact enumeration is guarded at
 ``SUPPORT_GUARD`` triples.
 """
 
@@ -53,9 +54,12 @@ class SequenceModel:
         else:
             if not 0 <= self.d_xy_max <= self.K or not 0 <= self.d_yz_max <= self.K:
                 raise ValidationError("distance bounds must lie in 0..K")
-        if self.support_size() > SUPPORT_GUARD:
+        size = self.support_size()
+        if size > SUPPORT_GUARD:
+            # The size may have thousands of digits; name its power of two.
             raise CapacityError(
-                f"support of {self.support_size()} triples exceeds guard {SUPPORT_GUARD}"
+                f"support of at least 2**{size.bit_length() - 1} triples exceeds the guard "
+                f"of 2**{SUPPORT_GUARD.bit_length() - 1}"
             )
 
     @property
@@ -77,44 +81,35 @@ class SequenceModel:
         ball_yz = _ball_size(self.K, self.d_yz_max)
         return (1 << self.K) * ball_xy * ball_yz
 
-    def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Support as read-only (x, y, z, probs) arrays; rows with prob > 0 in
-        lexicographic (y, x, z) order.  Each word is one int64 code: its
-        symbols in base ``alphabet_sizes``, position 0 most significant, as
-        ``pack_bits`` would pack them.  Built once per model."""
-        return self._rows
-
     @cached_property
     def table(self) -> SupportTable:
-        """The one support table every entropy of the model is taken over.
-        Rows are in (y, x, z) order, so the rows of each (x, y) pair form one
-        run.  A binary Z code has K bit columns."""
+        """The one support table every entropy of the model is taken over,
+        built straight as pairs and per-row Z codes.  Rows are in (y, x, z)
+        order, so the rows of each (x, y) pair form one run, with Z
+        ascending.  A binary Z code has K bit columns."""
         _, _, nz = self.alphabet_sizes
-        return SupportTable(*self.support_arrays(), (max(nz, 2) ** self.K - 1).bit_length())
+        z_width = (max(nz, 2) ** self.K - 1).bit_length()
+        build = self._hamming_pairs if self.kind == "hamming" else self._iid_pairs
+        return SupportTable(*build(), z_width)
 
-    @cached_property
-    def _rows(self):
-        y, x, z, probs = self._hamming_codes() if self.kind == "hamming" else self._iid_codes()
-        for arr in (x, y, z, probs):
-            arr.flags.writeable = False
-        return x, y, z, probs
-
-    def _hamming_codes(self):
-        """Each y's x and z rows are y XOR the offsets of weight <= d, sorted per y."""
+    def _hamming_pairs(self):
+        """Each y's x and z words are y XOR the offsets of weight <= d,
+        sorted per y: y's pairs take its x words, and every pair's run is
+        y's z words.  One probability stands for every row."""
         ys = np.arange(1 << self.K, dtype=np.int64)
         weight = np.bitwise_count(ys)
         x_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_xy_max], axis=1)
-        z_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_yz_max], axis=1)
+        z_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_yz_max], axis=1).astype(np.int32)
         bx, bz = x_ball.shape[1], z_ball.shape[1]
-        y = np.repeat(ys, bx * bz)
-        x = np.repeat(x_ball.ravel(), bz)
         z = np.broadcast_to(z_ball[:, None, :], (ys.size, bx, bz)).ravel()
-        return y, x, z, np.full(y.size, 1.0 / self.support_size())
+        runs = np.full(ys.size * bx, bz)
+        return x_ball.ravel(), np.repeat(ys, bx), runs, z, 1.0 / self.support_size()
 
-    def _iid_codes(self):
+    def _iid_pairs(self):
         """Row probabilities as an iterated outer product of the per-symbol law:
         each is the product over positions, taken left to right.  Rows are in
-        lexicographic (y, x, z) order."""
+        lexicographic (y, x, z) order; a pair's run is its rows of mass above
+        ``ZERO_EPS``."""
         K = self.K
         nx, _, nz = self.alphabet_sizes
         cell = np.transpose(self.base.probs, (1, 0, 2))  # type: ignore[union-attr]
@@ -124,8 +119,10 @@ class SequenceModel:
         # axes (y0, x0, z0, y1, ...) -> (y0..y_K-1, x0..x_K-1, z0..z_K-1)
         p = p.transpose([3 * i + v for v in range(3) for i in range(K)]).ravel()
         idx = np.flatnonzero(p > ZERO_EPS)
-        NX, NZ = nx**K, nz**K
-        return idx // (NX * NZ), idx // NZ % NX, idx % NZ, p[idx]
+        probs = p[idx]
+        pair, z = np.divmod(idx, nz**K)
+        pair, runs = np.unique(pair, return_counts=True)  # pair codes ascend with the rows
+        return pair % nx**K, pair // nx**K, runs, z.astype(np.int32), probs
 
 
 def _ball_size(K: int, d: int) -> int:

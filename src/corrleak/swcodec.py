@@ -206,11 +206,19 @@ class PartitionScheme:
     @classmethod
     def from_json(cls, data: dict) -> "PartitionScheme":
         try:
+            generator = Gf2Matrix.from_json(data["generator"])
+            x_segments, y_segments = data["x_segments"], data["y_segments"]
+            roles = data.get("segment_roles", DEFAULT_ROLES)
+            for name, value in [
+                ("x_segments", x_segments), ("y_segments", y_segments), ("segment_roles", roles)
+            ]:
+                if not isinstance(value, dict):
+                    raise ValidationError(f"scheme.{name}: expected an object, got {value!r}")
             return cls(
-                generator=Gf2Matrix.from_json(data["generator"]),
-                x_segments={k: tuple(v) for k, v in data["x_segments"].items()},
-                y_segments={k: tuple(v) for k, v in data["y_segments"].items()},
-                segment_roles=dict(data.get("segment_roles", DEFAULT_ROLES)),
+                generator=generator,
+                x_segments={k: tuple(v) for k, v in x_segments.items()},
+                y_segments={k: tuple(v) for k, v in y_segments.items()},
+                segment_roles=roles,
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad scheme JSON: {exc}") from exc
@@ -382,11 +390,12 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         return t.entropy(chunks, z) / K
 
     # The conditionals sum float probabilities in row order, so they read
-    # the pair columns spread over the rows.
+    # the pair columns spread over the rows and one probability per row.
     x, y, z = t.spread(t.x), t.spread(t.y), t.z
+    probs = np.full(t.rows, t.p) if t.weights is None else t.weights
 
     def h_given(target: np.ndarray, observed: np.ndarray) -> float:
-        return code_conditional_entropy(target, observed, t.probs) / K
+        return code_conditional_entropy(target, observed, probs) / K
 
     h_x, h_y, h_z, h_xy = h((t.x, K)), h((t.y, K)), h(z=range(K)), h((t.x, K), (t.y, K))
     h_x_given_yz = h_given(x, (y << K) | z)

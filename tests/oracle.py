@@ -97,9 +97,52 @@ def word_digits(code: np.ndarray, base: int, K: int) -> np.ndarray:
     return symbols
 
 
+def support_arrays(model: SequenceModel) -> tuple[np.ndarray, ...]:
+    """The support row by row, as (x, y, z, probs) arrays: rows with prob > 0
+    in lexicographic (y, x, z) order, each word one int64 code (its symbols
+    in base ``alphabet_sizes``, position 0 most significant, as
+    ``pack_bits`` packs them).  Built independently of the model's table,
+    with every word expanded onto every row."""
+    K = model.K
+    if model.kind == "hamming":
+        ys = np.arange(1 << K, dtype=np.int64)
+        weight = np.bitwise_count(ys)
+        x_ball = np.sort(ys[:, None] ^ ys[weight <= model.d_xy_max], axis=1)
+        z_ball = np.sort(ys[:, None] ^ ys[weight <= model.d_yz_max], axis=1)
+        bx, bz = x_ball.shape[1], z_ball.shape[1]
+        y = np.repeat(ys, bx * bz)
+        x = np.repeat(x_ball.ravel(), bz)
+        z = np.broadcast_to(z_ball[:, None, :], (ys.size, bx, bz)).ravel()
+        return x, y, z, np.full(y.size, 1.0 / model.support_size())
+    nx, _, nz = model.alphabet_sizes
+    cell = np.transpose(model.base.probs, (1, 0, 2))  # type: ignore[union-attr]
+    p = cell
+    for _ in range(K - 1):
+        p = np.multiply.outer(p, cell)
+    # axes (y0, x0, z0, y1, ...) -> (y0..y_K-1, x0..x_K-1, z0..z_K-1)
+    p = p.transpose([3 * i + v for v in range(3) for i in range(K)]).ravel()
+    idx = np.flatnonzero(p > ZERO_EPS)
+    NX, NZ = nx**K, nz**K
+    return idx // NZ % NX, idx // (NX * NZ), idx % NZ, p[idx]
+
+
+def prefix_classes(model: SequenceModel, mu: int) -> tuple[np.ndarray, ...]:
+    """The support rows collapsed by one ``np.unique`` to their distinct
+    (x, y, Z prefix of ``mu`` columns): ``(x, y, z prefix, probability)``
+    arrays in ascending (x, y, prefix) order, each class's probability
+    summed over its rows in row order."""
+    x, y, z, probs = support_arrays(model)
+    z_width = (max(model.alphabet_sizes[2], 2) ** model.K - 1).bit_length()
+    prefix = z >> (z_width - mu)
+    _, keep, inv = np.unique(
+        np.stack([x, y, prefix], axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return x[keep], y[keep], prefix[keep], np.bincount(inv.ravel(), weights=probs)
+
+
 def support_digits(model: SequenceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (X, Y, Z) words of ``model.support_arrays()`` as (rows, K) digit arrays."""
-    x, y, z, _ = model.support_arrays()
+    """The (X, Y, Z) words of ``support_arrays(model)`` as (rows, K) digit arrays."""
+    x, y, z, _ = support_arrays(model)
     nx, ny, nz = model.alphabet_sizes
     return word_digits(x, nx, model.K), word_digits(y, ny, model.K), word_digits(z, nz, model.K)
 

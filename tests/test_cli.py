@@ -238,6 +238,26 @@ def test_exit_code_capacity_guard(tmp_path, capsys):
     assert "capacity guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "hamming", "K": 20000},
+        {"kind": "iid", "K": 5000, "pmf": {"alphabets": [2, 2, 2], "probs": [0.125] * 8}},
+    ],
+    ids=["hamming", "iid"],
+)
+def test_exit_code_capacity_guard_past_4300_digits(tmp_path, capsys, model):
+    # A support size of more than 4,300 decimal digits is past Python's
+    # int-to-str limit: the guard names its power of two instead.
+    scenario = {"name": "huge", "model": model, "scheme": load_scenario("reference_k7")["scheme"]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["analyze", "--scenario", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "capacity guard" in err and "2**" in err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+
+
 DELETE = object()
 
 
@@ -326,6 +346,18 @@ DELETE = object()
         pytest.param(
             "curves", ("sweep", "mu_ty_max"), -1, "scenario.sweep.mu_ty_max",
             id="sweep-mu-ty-max-negative",
+        ),
+        pytest.param(
+            "analyze", ("scheme", "x_segments"), "a1", "scheme.x_segments",
+            id="scheme-x-segments-string",
+        ),
+        pytest.param(
+            "decode", ("scheme", "y_segments"), [[0, 1]], "scheme.y_segments",
+            id="scheme-y-segments-list",
+        ),
+        pytest.param(
+            "region", ("scheme", "segment_roles"), "private", "scheme.segment_roles",
+            id="scheme-segment-roles-string",
         ),
     ],
 )

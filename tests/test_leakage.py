@@ -29,6 +29,7 @@ from oracle import (
     formula_encode_x,
     formula_encode_y,
     is_subset_of,
+    support_arrays,
     support_digits,
     syndrome_observable,
     z_prefix_observable,
@@ -294,7 +295,7 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     assert analyzer.entropy_sets == sets + 2
     # One padded bit alone is one fresh bit; the pair adds the raw-parity XOR.
     assert h_x == h_y == 1.0
-    x, y, _, _ = hamming7.support_arrays()
+    x, y, _, _ = support_arrays(hamming7)
     tx, ty = support_syndromes(scheme, x, y)
     h_xor = code_entropy((tx[:, px] ^ ty[:, py]).astype(np.int64))
     assert h_xor > 0.0
@@ -564,7 +565,7 @@ def test_pair_table_equals_full_table_over_random_schemes(k, parity, model_name,
     u2 = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)), label="u2")))
     s = random_systematic_scheme(k, n, v1, u2, seed=data.draw(st.integers(0, 999), label="code"))
     model = MODELS[model_name](n)
-    probs = model.support_arrays()[3]
+    probs = support_arrays(model)[3]
     assert (model.table.weights is None) == bool((probs == probs[0]).all())
     with pytest.MonkeyPatch.context() as mp:
         seen = spy_kernel_rows(mp)
@@ -631,10 +632,11 @@ def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
 
 def test_row_code_orders_rows_as_their_chunk_tuples(hamming7):
     # Pair chunks are spread out to the rows around the Z columns, which are
-    # written into the table's row buffer: the shared (read-only) Z code is
-    # never written, and a constant leading chunk still orders nothing.
+    # written into the table's row buffer: the shared (read-only, int32) Z
+    # code is never written, and a constant leading chunk still orders
+    # nothing.
     table = hamming7.table
-    x, _, z, _ = hamming7.support_arrays()
+    x, _, z, _ = support_arrays(hamming7)
     assert (table.spread(table.x) == x).all()
     bit = table.x & 1
     for lead in (np.zeros(table.pairs, dtype=np.int64), table.x):
@@ -643,8 +645,8 @@ def test_row_code_orders_rows_as_their_chunk_tuples(hamming7):
         expected = pack_chunks(rows, z.size)
         rank = np.unique(expected, return_inverse=True)[1]
         assert (np.unique(code, return_inverse=True)[1] == rank).all()
-    assert (z == hamming7.support_arrays()[2]).all() and not z.flags.writeable
-    assert table.z is z
+    assert (table.z == z).all() and not table.z.flags.writeable
+    assert table.z.dtype == np.int32
 
 
 # -- the row buffer: every row-path code is built in one reused array ----------------

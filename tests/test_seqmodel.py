@@ -1,12 +1,16 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrleak import (
     CapacityError,
     DomainError,
+    InternalConsistencyError,
     JointPmf,
     SequenceModel,
     ValidationError,
@@ -14,8 +18,15 @@ from corrleak import (
     z_consistency_counts,
 )
 from corrleak.seqmodel import sequence_summary
-from corrleak.info import pack_bits
-from oracle import iter_support, sorted_ball, summarize, support_digits
+from corrleak.info import SupportTable, pack_bits
+from oracle import (
+    iter_support,
+    prefix_classes,
+    sorted_ball,
+    summarize,
+    support_arrays,
+    support_digits,
+)
 
 
 def test_hamming_k7_support_and_ball():
@@ -171,9 +182,9 @@ def _iid_with_zero_cell() -> SequenceModel:
     ids=["hamming-1-1", "hamming-2-1", "hamming-1-2", "hamming-2-2", "iid-3x2x2-zero-cell"],
 )
 def test_support_arrays_match_iteration(model):
-    # Each word is one int64 code, its symbols in its alphabet's base with
-    # position 0 most significant.
-    x, y, z, probs = model.support_arrays()
+    # The oracle's per-row expansion: each word is one int64 code, its
+    # symbols in its alphabet's base with position 0 most significant.
+    x, y, z, probs = support_arrays(model)
     triples = list(iter_support(model))
     for code, word, base in zip((x, y, z), "xyz", model.alphabet_sizes):
         assert code.dtype == np.int64 and code.shape == (len(triples),)
@@ -183,8 +194,6 @@ def test_support_arrays_match_iteration(model):
         ]
     assert probs.tolist() == [t.prob for t in triples]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert model.support_arrays()[0] is x  # built once per model
-    assert not any(arr.flags.writeable for arr in (x, y, z, probs))
 
 
 @pytest.mark.parametrize(
@@ -199,13 +208,14 @@ def test_support_arrays_match_iteration(model):
     ids=["hamming-1-1", "hamming-2-1", "hamming-1-2", "hamming-2-2", "iid-3x2x2-zero-cell"],
 )
 def test_support_codes_and_pairs_match_the_digits(model):
-    # The kept codes are pack_bits of their digit expansion, in each
-    # alphabet's base; the pairs are the distinct (x, y) rows, each one run
-    # of rows.
-    codes = model.support_arrays()[:3]
+    # The oracle's row codes are pack_bits of their digit expansion, in each
+    # alphabet's base; the table's pairs are the distinct (x, y) rows of
+    # that expansion, each one run of rows, and its Z codes and
+    # probabilities are the expansion's.
+    *codes, probs = support_arrays(model)
     X, Y, Z = support_digits(model)
     for code, digits, base in zip(codes, (X, Y, Z), model.alphabet_sizes):
-        assert code.dtype == np.int64 and not code.flags.writeable
+        assert code.dtype == np.int64
         assert digits.shape == (code.size, model.K) and (digits < base).all()
         assert (code == pack_bits(digits, base)).all()
     table = model.table
@@ -219,5 +229,89 @@ def test_support_codes_and_pairs_match_the_digits(model):
     assert (table.x == codes[0][first]).all() and (table.y == codes[1][first]).all()
     per_row = np.repeat(np.arange(table.pairs), runs)
     assert (X == X[first][per_row]).all() and (Y == Y[first][per_row]).all()
-    assert (table.spread(table.x) == codes[0]).all() and table.z is codes[2]
+    assert (table.spread(table.x) == codes[0]).all() and (table.z == codes[2]).all()
+    assert table.z.dtype == np.int32 and not table.z.flags.writeable
+    if table.weights is None:
+        assert (probs == table.p).all()
+    else:
+        assert (table.weights == probs).all() and not table.weights.flags.writeable
     assert model.table is table  # built once per model
+
+
+def _iid_k5_law() -> JointPmf:
+    """Y uniform, X = Y xor Bern(0.1), Z = Y xor Bern(0.2): every cell weighted."""
+    probs = np.zeros((2, 2, 2))
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        probs[x, y, z] = 0.5 * (0.9 if x == y else 0.1) * (0.8 if z == y else 0.2)
+    return JointPmf(probs)
+
+
+# Model kind -> (model of length K, the K range drawn).
+CLASS_MODELS = {
+    "hamming-1-1": (lambda K: SequenceModel(kind="hamming", K=K), (1, 7)),
+    "hamming-2-1": (lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=2), (2, 6)),
+    "hamming-1-2": (lambda K: SequenceModel(kind="hamming", K=K, d_yz_max=2), (2, 6)),
+    "hamming-2-2": (
+        lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=2, d_yz_max=2), (2, 6)
+    ),
+    "iid-zero-cell": (lambda K: SequenceModel(kind="iid", K=K, base=_iid_with_zero_cell().base),
+                      (1, 3)),
+    "iid-uniform": (
+        lambda K: SequenceModel(kind="iid", K=K, base=JointPmf(np.full((2, 2, 2), 0.125))), (1, 4)
+    ),
+    "iid-k5-weighted": (lambda K: SequenceModel(kind="iid", K=K, base=_iid_k5_law()), (1, 5)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(CLASS_MODELS)), data=st.data())
+def test_prefix_classes_equal_the_unique_collapse(name, data):
+    # The sort-free classes (runs of rows, only the pairs sorted) are == the
+    # oracle's np.unique collapse of the rows, all four arrays, at every mu:
+    # uneven runs (the zero cell), equal weights on runs longer than K+1
+    # (uniform iid), running-sum masses and row-order float masses.
+    make, (lo, hi) = CLASS_MODELS[name]
+    model = make(data.draw(st.integers(lo, hi), label="K"))
+    table = model.table
+    assert (table.weights is None) == (name != "iid-zero-cell" and name != "iid-k5-weighted")
+    for mu in range(table.z_width + 1):
+        got, want = table.prefix_classes(mu), prefix_classes(model, mu)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), mu
+            assert not a.flags.writeable
+        assert table.prefix_classes(mu) is got  # built once per mu
+
+
+def test_hamming_k10_table_build_peaks_under_10_bytes_per_row():
+    # The table keeps the pairs and one int32 Z code per row; building it
+    # allocates no per-row X, Y or probability array.
+    model = SequenceModel(kind="hamming", K=10)
+    tracemalloc.start()
+    try:
+        table = model.table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.rows == 123_904 and table.weights is None
+    assert peak <= 10 * table.rows, peak / table.rows
+
+
+def test_support_table_refuses_a_broken_run():
+    # Sort-free prefix classes need each pair's rows to be one run with Z
+    # strictly ascending, and Z codes that fit the table's int32 Z width.
+    x, y = np.array([0, 1]), np.array([0, 0])
+    runs, probs = np.array([2, 2]), 0.25
+    assert SupportTable(x, y, runs, np.array([0, 1, 0, 3]), probs, 2).rows == 4
+    for z in ([1, 0, 0, 3], [0, 1, 3, 3]):  # a descending run, a repeated code
+        with pytest.raises(InternalConsistencyError, match="ascend"):
+            SupportTable(x, y, runs, np.array(z), probs, 2)
+    with pytest.raises(InternalConsistencyError, match="cover"):
+        SupportTable(x, y, np.array([2, 1]), np.array([0, 1, 0, 3]), probs, 2)
+    with pytest.raises(InternalConsistencyError, match="fit"):
+        SupportTable(x, y, runs, np.array([0, 1, 0, 4]), probs, 2)
+    with pytest.raises(InternalConsistencyError, match="int32"):
+        SupportTable(x, y, runs, np.array([0, 1, 0, 3]), probs, 32)
+    # A pair that spans two runs would split its rows across classes.
+    split = SupportTable(np.array([0, 0]), y, runs, np.array([0, 1, 2, 3]), probs, 2)
+    with pytest.raises(InternalConsistencyError, match="two runs"):
+        split.prefix_classes(0)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import corrleak.swcodec as swcodec_module
 from corrleak import (
     Gf2Matrix,
+    InternalConsistencyError,
     JointPmf,
     SequenceModel,
     UsageError,
@@ -27,6 +29,7 @@ from oracle import (
     iter_support,
     mat_vec_mul,
     p1_t,
+    support_arrays,
     support_digits,
     syndrome_observable,
     z_prefix_observable,
@@ -367,7 +370,8 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     # what encoding every support row as a pair of its own gives: a table of
     # the same equal-weight rows, reordered so that every run is one row.
     # The decode_error row is left out: it sums the masses of the table's
-    # pairs, which must be distinct, and is checked on its own.
+    # prefix classes, which refuse a pair that spans two runs, and is
+    # checked on its own.
     s = PartitionScheme(
         generator=Gf2Matrix.from_rows(["1011", "0110"]),
         x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
@@ -382,12 +386,16 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
         for tx, ty in queries
     }
 
-    x, y, z, probs = model.support_arrays()
+    x, y, z, probs = support_arrays(model)
     assert model.table.weights is None and model.table.pairs < x.size
     order = np.lexsort((x, y, z))
-    every_row = SupportTable(x[order], y[order], z[order], probs[order], model.K)
+    runs = np.ones(x.size, dtype=np.int64)
+    every_row = SupportTable(x[order], y[order], runs, z[order], probs[order], model.K)
     assert every_row.pairs == x.size
+    with pytest.raises(InternalConsistencyError, match="two runs"):
+        every_row.prefix_classes(0)
     monkeypatch.setitem(model.__dict__, "table", every_row)
+    monkeypatch.setattr(swcodec_module, "decode_ambiguity_rate", lambda s, model: 0.0)
     assert prototype_condition_report(s, model)[1:] == report[1:]
     assert report[0].label == "decode_error"
     for (tx, ty), result in decoded.items():
@@ -417,7 +425,7 @@ def test_decode_ambiguity_rate_sums_the_pair_masses_in_x_y_order():
     # gives exactly 1.
     s, model = weighted_k5_case()
     X, Y, _ = support_digits(model)
-    probs = model.support_arrays()[3]
+    probs = support_arrays(model)[3]
     _, first, pair = np.unique(
         pack_bits(np.hstack([X, Y])), return_index=True, return_inverse=True
     )
