@@ -190,10 +190,7 @@ def code_entropy(code: np.ndarray, weights: int | np.ndarray | None = 1) -> floa
         if not code.flags.writeable:
             code = code.copy()
         code.sort()
-        edge = np.empty(code.size + 1, dtype=bool)
-        edge[0] = edge[-1] = True
-        np.not_equal(code[1:], code[:-1], out=edge[1:-1])
-        counts = np.diff(np.flatnonzero(edge))
+        counts = np.diff(_run_starts(code))
     m = weights or 1
     if m != 1:
         counts *= m
@@ -216,21 +213,11 @@ def _count_entropy(counts: np.ndarray, rows: int) -> float:
     return float(np.log2(n) - _xlogx_sum(counts) / n)
 
 
-def code_conditional_entropy(
-    target: np.ndarray, observed: np.ndarray, probs: np.ndarray
-) -> float:
-    """H(T | O) = -sum p(t,o) log2(p(t,o) / p(o)), in bits.
-
-    The terms are summed one after another (``np.cumsum``) in the order of
-    the sorted joint codes.  Taking the difference H(T,O) - H(O), or a
-    pairwise ``np.sum``, moves results in the last place.
-    """
-    _, o_inv = np.unique(observed, return_inverse=True)
-    t_vals, t_inv = np.unique(target, return_inverse=True)
-    joint, j_inv = np.unique(o_inv * t_vals.size + t_inv, return_inverse=True)
-    p_joint = np.bincount(j_inv, weights=probs)
-    p_obs = np.bincount(o_inv, weights=probs)[joint // t_vals.size]
-    return float(-np.cumsum(p_joint * np.log2(p_joint / p_obs))[-1])
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``values`` starts, then ``values.size``."""
+    edge = np.ones(values.size + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
 
 
 class SupportTable:
@@ -301,6 +288,27 @@ class SupportTable:
             code = pack_chunks([*head, *tail], self.pairs)
             return code_entropy(code, self._run or self.runs)
         return code_entropy(self._row_code(head, zcols, tail), self.weights)
+
+    def conditional_entropy(self, head, zcols: Sequence[int] = (), tail=()) -> float:
+        """H(T | O) in bits, T the last part of the set that ``entropy`` takes (its
+        last ``tail`` chunk, else ``zcols``, else its last ``head`` chunk), O the
+        rest.  Terms are summed by ``np.cumsum`` in (o, t) order and masses over
+        rows in row order; H(O,T) - H(O) or a pairwise sum moves the last place."""
+        width = len(zcols) if zcols and not tail else int((tail or head)[-1][0].max()).bit_length()
+        code = self._row_code(head, zcols, tail)  # T in the low ``width`` bits
+        if self.weights is None:
+            code.sort()
+            first = _run_starts(code)
+            o_first = _run_starts(code[first[:-1]] >> width)
+            count, o_count = np.diff(first), np.diff(first[o_first])
+            run = np.cumsum(np.full(int(o_count.max()), self.p))  # m rows: p added m times
+            p_joint, p_obs = run[count - 1], run[np.repeat(o_count, np.diff(o_first)) - 1]
+        else:
+            bins, inv = np.unique(code, return_inverse=True)
+            o_rank = np.unique(bins >> width, return_inverse=True)[1]
+            p_joint = np.bincount(inv, weights=self.weights)
+            p_obs = np.bincount(o_rank[inv], weights=self.weights)[o_rank]
+        return float(-np.cumsum(p_joint * np.log2(p_joint / p_obs))[-1])
 
     @cached_property
     def _buffer(self) -> np.ndarray:

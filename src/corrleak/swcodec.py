@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .gf2 import Gf2Matrix
-from .info import PACK_LIMIT_BITS, code_conditional_entropy, pack_bits
+from .info import PACK_LIMIT_BITS, pack_bits
 from .seqmodel import SequenceModel
 
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
@@ -389,22 +389,14 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     def h(*chunks: tuple[np.ndarray, int], z: Sequence[int] = ()) -> float:
         return t.entropy(chunks, z) / K
 
-    # The conditionals sum float probabilities in row order, so they read
-    # the pair columns spread over the rows and one probability per row.
-    x, y, z = t.spread(t.x), t.spread(t.y), t.z
-    probs = np.full(t.rows, t.p) if t.weights is None else t.weights
-
-    def h_given(target: np.ndarray, observed: np.ndarray) -> float:
-        return code_conditional_entropy(target, observed, probs) / K
-
-    h_x, h_y, h_z, h_xy = h((t.x, K)), h((t.y, K)), h(z=range(K)), h((t.x, K), (t.y, K))
-    h_x_given_yz = h_given(x, (y << K) | z)
-    h_y_given_xz = h_given(y, (x << K) | z)
-    h_y_given_x = h_given(y, x)
+    X, Y, Z = (t.x, K), (t.y, K), range(K)
+    h_x, h_y, h_z, h_xy = h(X), h(Y), h(z=Z), h(X, Y)
+    h_x_given_yz = t.conditional_entropy([Y], Z, [X]) / K
+    h_y_given_xz = t.conditional_entropy([X], Z, [Y]) / K
+    h_y_given_x = t.conditional_entropy([X], (), [Y]) / K
     i_xy = h_x + h_y - h_xy
 
     h_wx, h_wy, h_wcx, h_wcy = h(w_x), h(w_y), h(w_cx), h(w_cy)
-    v_x, v_y = t.spread(w_x[0]), t.spread(w_y[0])
     log_mx = len(x_private) / K
     log_my = len(y_private) / K
 
@@ -427,11 +419,11 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "x_unc_given_y_private", "h(x)", h_x,
-            "h(x^k|v_y)/k", h_given(x, v_y),
+            "h(x^k|v_y)/k", t.conditional_entropy([w_y], (), [X]) / K,
         ),
         ConditionRow(
             "y_unc_given_x_private", "h(y)", h_y,
-            "h(y^k|v_x)/k", h_given(y, v_x),
+            "h(y^k|v_x)/k", t.conditional_entropy([w_x], (), [Y]) / K,
         ),
         ConditionRow(
             "joint_rate_sum:lower", "h(x,y)", h_xy,
@@ -443,7 +435,7 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "z_unc_given_y_private", "h(z)", h_z,
-            "h(z^k|v_y)/k", h_given(z, v_y),
+            "h(z^k|v_y)/k", t.conditional_entropy([w_y], Z) / K,
         ),
     ]
     return rows

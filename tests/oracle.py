@@ -5,10 +5,12 @@ word codes and encodes words through the generator matrices ``G_X`` /
 ``G_Y``.  This module keeps a second, independent route to the same
 numbers: a plain Python stream of support triples, the words of the table
 as digit arrays, the paper's per-word syndrome formula ``P1^T a1 + q1``, a
-dictionary-based conditional entropy over observables of a triple, and the
-Shannon measures of a per-symbol ``JointPmf`` tensor, which the per-symbol
-summary of an iid sequence model must match.  The tests check the fast
-paths against it; nothing under ``src/`` imports it.
+dictionary-based conditional entropy over observables of a triple, a
+three-sort conditional entropy over per-row codes, which the table's
+``conditional_entropy`` must match bit for bit, and the Shannon measures of
+a per-symbol ``JointPmf`` tensor, which the per-symbol summary of an iid
+sequence model must match.  The tests check the fast paths against it;
+nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -138,6 +140,23 @@ def prefix_classes(model: SequenceModel, mu: int) -> tuple[np.ndarray, ...]:
         np.stack([x, y, prefix], axis=1), axis=0, return_index=True, return_inverse=True
     )
     return x[keep], y[keep], prefix[keep], np.bincount(inv.ravel(), weights=probs)
+
+
+def code_conditional_entropy(
+    target: np.ndarray, observed: np.ndarray, probs: np.ndarray
+) -> float:
+    """H(T | O) = -sum p(t,o) log2(p(t,o) / p(o)), in bits, over per-row codes
+    of the target and the observation and one probability per row.
+
+    Each code is ranked by its own ``np.unique``; the terms are summed one
+    after another (``np.cumsum``) in the order of the sorted joint codes,
+    with every mass summed over its rows in row order."""
+    _, o_inv = np.unique(observed, return_inverse=True)
+    t_vals, t_inv = np.unique(target, return_inverse=True)
+    joint, j_inv = np.unique(o_inv * t_vals.size + t_inv, return_inverse=True)
+    p_joint = np.bincount(j_inv, weights=probs)
+    p_obs = np.bincount(o_inv, weights=probs)[joint // t_vals.size]
+    return float(-np.cumsum(p_joint * np.log2(p_joint / p_obs))[-1])
 
 
 def support_digits(model: SequenceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrleak.swcodec as swcodec_module
 from corrleak import (
@@ -23,6 +26,7 @@ from corrleak.info import PACK_LIMIT_BITS, SupportTable, pack_bits
 from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
 from oracle import (
     bit_observable,
+    code_conditional_entropy,
     enumeration_equivocation,
     formula_encode_x,
     formula_encode_y,
@@ -32,6 +36,7 @@ from oracle import (
     support_arrays,
     support_digits,
     syndrome_observable,
+    word_digits,
     z_prefix_observable,
 )
 
@@ -442,3 +447,125 @@ def test_decode_ambiguity_rate_sums_the_pair_masses_in_x_y_order():
     assert expected > 1.0
     rate = decode_ambiguity_rate(s, model)
     assert rate == min(1.0, expected) and rate <= 1.0
+
+
+def _weighted_law(zero_cell: bool) -> JointPmf:
+    """Y uniform, X = Y xor Bern(0.1), Z = Y xor Bern(0.2); with ``zero_cell``
+    the cell (1, 0, 1) is dropped and the rest renormalised (uneven runs)."""
+    probs = weighted_k5_case()[1].base.probs.copy()
+    if zero_cell:
+        probs[1, 0, 1] = 0.0
+    return JointPmf(probs / probs.sum())
+
+
+# Model kind -> (binary model of length K, the K range drawn).
+CONDITIONAL_MODELS = {
+    **{
+        f"hamming-{dxy}-{dyz}": (
+            lambda K, dxy=dxy, dyz=dyz: SequenceModel(
+                kind="hamming", K=K, d_xy_max=dxy, d_yz_max=dyz
+            ),
+            (2, 6),
+        )
+        for dxy, dyz in itertools.product((1, 2), repeat=2)
+    },
+    "iid-zero-cell": (lambda K: SequenceModel(kind="iid", K=K, base=_weighted_law(True)), (2, 4)),
+    "iid-uneven-equal": (lambda K: SequenceModel(kind="iid", K=K, base=uneven_law()), (2, 4)),
+    "iid-uniform": (
+        lambda K: SequenceModel(kind="iid", K=K, base=JointPmf(np.full((2, 2, 2), 0.125))), (2, 4)
+    ),
+    "iid-weighted": (lambda K: SequenceModel(kind="iid", K=K, base=_weighted_law(False)), (2, 5)),
+}
+
+
+def _private_syndromes(s: PartitionScheme, side: str, words: np.ndarray, K: int) -> np.ndarray:
+    """The private syndrome bits of each word code, packed, by the paper's formula."""
+    encode = formula_encode_x if side == "x" else formula_encode_y
+    private = s.role_positions(side, "private")
+    values, inv = np.unique(words, return_inverse=True)
+    codes = []
+    for digits in word_digits(values, 2, K).tolist():
+        bits = encode(digits, s).bits
+        codes.append(sum(bits[p] << i for i, p in enumerate(reversed(private))))
+    return np.array(codes, dtype=np.int64)[inv]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CONDITIONAL_MODELS)), data=st.data())
+def test_report_conditionals_equal_the_three_sort_oracle(name, data):
+    # The six Slepian-Wolf conditionals of the report come from the table's
+    # row code and are == the oracle's three np.unique sorts over the
+    # per-row codes of the support rows, on random systematic schemes:
+    # equal-weight runs, uneven runs, running-sum and row-order masses.
+    make, (lo, hi) = CONDITIONAL_MODELS[name]
+    K = data.draw(st.integers(lo, hi), label="K")
+    k = data.draw(st.integers(1, K - 1), label="k")
+    parity = data.draw(st.lists(st.integers(0, 1), min_size=k * (K - k), max_size=k * (K - k)))
+    generator = [
+        "".join("1" if j == i else "0" for j in range(k))
+        + "".join(map(str, parity[i * (K - k) : (i + 1) * (K - k)]))
+        for i in range(k)
+    ]
+    a1 = data.draw(st.sets(st.integers(0, k - 1)), label="a1")
+    u2 = data.draw(st.sets(st.integers(0, k - 1)), label="u2")
+    q = tuple(range(k, K))
+    s = PartitionScheme(
+        generator=Gf2Matrix.from_rows(generator),
+        x_segments={"a1": tuple(sorted(a1)), "v1": tuple(sorted(set(range(k)) - a1)), "q1": q},
+        y_segments={"u2": tuple(sorted(u2)), "a2": tuple(sorted(set(range(k)) - u2)), "q2": q},
+    )
+    model = make(K)
+    table = model.table
+    assert (table.weights is None) == (name not in ("iid-zero-cell", "iid-weighted"))
+
+    x, y, z, probs = support_arrays(model)
+    v_x, v_y = (_private_syndromes(s, side, w, K) for side, w in (("x", x), ("y", y)))
+    want = {
+        ("x_private_rate:lower", "lhs"): (x, (y << K) | z),
+        ("y_private_rate:lower", "lhs"): (y, (x << K) | z),
+        ("y_private_rate:upper", "rhs"): (y, x),
+        ("x_unc_given_y_private", "rhs"): (x, v_y),
+        ("y_unc_given_x_private", "rhs"): (y, v_x),
+        ("z_unc_given_y_private", "rhs"): (z, v_y),
+    }
+    rows = {r.label: r for r in prototype_condition_report(s, model)}
+    for (label, side), (target, observed) in want.items():
+        got = getattr(rows[label], f"{side}_bits")
+        assert got == code_conditional_entropy(target, observed, probs) / K, label
+
+    # The target is the last part of any set: a later tail chunk, the Z
+    # columns, or the last head chunk, whatever lies in front of it.  A
+    # chunk may declare more bits than its codes use.
+    X, Y, Z = (table.x, K), (table.y, K), range(K)
+    assert table.conditional_entropy([Y], Z, [(table.x, K + 2)]) == code_conditional_entropy(
+        x, (y << K) | z, probs
+    )
+    assert table.conditional_entropy([Y, X]) == code_conditional_entropy(x, y, probs)
+    assert table.conditional_entropy([X], Z[:1], [Y, X]) == code_conditional_entropy(
+        x, (((x << 1) | z >> (K - 1)) << K) | y, probs
+    )
+    assert table.conditional_entropy([], Z) == code_conditional_entropy(z, 0 * z, probs)
+
+
+def test_condition_report_on_the_k10_hamming_model_peaks_under_80_bytes_per_row():
+    # The report's conditionals are taken on the table's row code: it
+    # spreads no X, Y, syndrome or probability column over the rows and
+    # runs no per-call np.unique sorts on an equal-weight law.
+    columns = [format(v, "04b") for v in range(16) if bin(v).count("1") >= 2][:6]
+    rows = ["".join("1" if j == i else "0" for j in range(6)) + c for i, c in enumerate(columns)]
+    parity = tuple(range(6, 10))
+    s = PartitionScheme(
+        generator=Gf2Matrix.from_rows(rows),
+        x_segments={"a1": (0, 1, 2), "v1": (3, 4, 5), "q1": parity},
+        y_segments={"u2": (0, 1, 2), "a2": (3, 4, 5), "q2": parity},
+    )
+    model = SequenceModel(kind="hamming", K=10)
+    table = model.table
+    tracemalloc.start()
+    try:
+        prototype_condition_report(s, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.rows == 123_904 and table.weights is None
+    assert peak <= 80 * table.rows, peak / table.rows
