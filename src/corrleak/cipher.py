@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, UsageError, ValidationError
+from .errors import CapacityError, DomainError, UsageError, ValidationError, float_field
 from .info import InfoSummary, code_entropy, pack_bits, pack_chunks
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
@@ -250,12 +250,7 @@ class RegionQuery:
     def from_json(cls, data: dict) -> "RegionQuery":
         if not isinstance(data, dict):
             raise ValidationError(f"region query must be a JSON object, got {data!r}")
-        values = {}
-        for k, v in data.items():
-            try:
-                values[k] = float(v)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{k}: expected a number, got {v!r}") from exc
+        values = {k: float_field(v, k) for k, v in data.items()}
         try:
             return cls(**values)
         except TypeError as exc:

@@ -1,6 +1,8 @@
 """Exception types shared across the toolkit, and the integer and number
 field checks that turn a malformed input field into a ``ValidationError``."""
 
+import math
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit-specific errors."""
@@ -27,16 +29,26 @@ class InternalConsistencyError(ToolkitError, RuntimeError):
 
 
 def int_field(value, field: str) -> int:
-    """``int(value)``, or a ``ValidationError`` naming the input field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{field}: expected an integer, got {value!r}") from exc
+    """``value`` as an int, or a ``ValidationError`` naming the input field:
+    a bool, a fractional or non-finite number or a non-integer string is
+    refused, never truncated."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{field}: expected an integer, got {value!r}")
 
 
 def float_field(value, field: str) -> float:
-    """``float(value)``, or a ``ValidationError`` naming the input field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{field}: expected a number, got {value!r}") from exc
+    """``value`` as a finite float, or a ``ValidationError`` naming the input
+    field: a bool, NaN, an infinity or a non-number is refused."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{field}: expected a finite number, got {value!r}")

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ValidationError, int_field
 
 #: Probabilities below this are exact zeros.
 ZERO_EPS = 1e-15
@@ -44,6 +44,8 @@ class JointPmf:
             raise ValidationError(f"probs must be 3-dimensional, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError(f"every alphabet must have size >= 1, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("probs has a non-finite entry")
         if np.any(arr < -ZERO_EPS):
             raise ValidationError("probs has a negative entry")
         total = float(arr.sum())
@@ -64,10 +66,12 @@ class JointPmf:
     @classmethod
     def from_json(cls, data: dict) -> "JointPmf":
         try:
-            nx, ny, nz = (int(v) for v in data["alphabets"])
+            nx, ny, nz = (int_field(v, "alphabets") for v in data["alphabets"])
             flat = np.asarray(data["probs"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad JointPmf JSON: {exc}") from exc
+        if min(nx, ny, nz) < 1:
+            raise ValidationError(f"every alphabet must have size >= 1, got {[nx, ny, nz]}")
         if flat.size != nx * ny * nz:
             raise ValidationError(
                 f"probs has {flat.size} entries, alphabets imply {nx * ny * nz}"

@@ -148,11 +148,12 @@ def build_model(spec: dict) -> SequenceModel:
     if kind == "iid":
         if "pmf" not in spec:
             raise ValidationError("model.pmf: required for iid models")
-        return SequenceModel(
-            kind="iid",
-            K=int_field(spec.get("K", 0), "model.K"),
-            base=JointPmf.from_json(spec["pmf"]),
-        )
+        K = int_field(spec.get("K", 0), "model.K")
+        try:
+            base = JointPmf.from_json(spec["pmf"])
+        except ValidationError as exc:
+            raise ValidationError(f"model.pmf: {exc}") from exc
+        return SequenceModel(kind="iid", K=K, base=base)
     raise ValidationError(f"model.kind: unknown kind {kind!r}")
 
 

@@ -89,8 +89,8 @@ class PartitionScheme:
         object.__setattr__(self, "x_segments", {s: tuple(v) for s, v in self.x_segments.items()})
         object.__setattr__(self, "y_segments", {s: tuple(v) for s, v in self.y_segments.items()})
         object.__setattr__(self, "segment_roles", dict(self.segment_roles))
-        self._check_segments(self.x_segments, ("a1", "v1", "q1"), k, n)
-        self._check_segments(self.y_segments, ("u2", "a2", "q2"), k, n)
+        self._check_segments("x_segments", self.x_segments, ("a1", "v1", "q1"), k, n)
+        self._check_segments("y_segments", self.y_segments, ("u2", "a2", "q2"), k, n)
         for name, role in self.segment_roles.items():
             if name not in ("v1", "u2", "q1", "q2"):
                 raise ValidationError(f"segment_roles names unknown segment {name!r}")
@@ -98,9 +98,14 @@ class PartitionScheme:
                 raise ValidationError(f"segment role must be private/common, got {role!r}")
 
     @staticmethod
-    def _check_segments(segs, names, k, n):
+    def _check_segments(field, segs, names, k, n):
         if set(segs) != set(names):
             raise ValidationError(f"segments must be exactly {names}, got {sorted(segs)}")
+        for name, positions in segs.items():
+            if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in positions):
+                raise ValidationError(
+                    f"scheme.{field}.{name}: positions must be integers, got {list(positions)!r}"
+                )
         flat = sorted(p for v in segs.values() for p in v)
         if flat != list(range(n)):
             raise ValidationError("segments must partition positions 0..n-1")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -261,6 +262,10 @@ def test_exit_code_capacity_guard_past_4300_digits(tmp_path, capsys, model):
 DELETE = object()
 
 
+def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
+    return {"kind": "iid", "K": 2, "pmf": {"alphabets": list(alphabets), "probs": probs}}
+
+
 @pytest.mark.parametrize(
     "command, path, value, field",
     [
@@ -358,6 +363,43 @@ DELETE = object()
         pytest.param(
             "region", ("scheme", "segment_roles"), "private", "scheme.segment_roles",
             id="scheme-segment-roles-string",
+        ),
+        pytest.param(
+            "region", ("model",), _iid_model([math.nan] + [1 / 7] * 7), "model.pmf",
+            id="iid-pmf-nan-cell",
+        ),
+        pytest.param(
+            "analyze", ("model",), _iid_model([0.125] * 8, [-2, -2, 2]), "model.pmf",
+            id="iid-pmf-negative-alphabets",
+        ),
+        pytest.param("analyze", ("model", "K"), 7.5, "model.K", id="model-k-fractional"),
+        pytest.param("analyze", ("model", "K"), True, "model.K", id="model-k-bool"),
+        pytest.param(
+            "verify-bounds", ("sweep", "random_patterns"), 2.9, "scenario.sweep.random_patterns",
+            id="sweep-random-patterns-fractional",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "mu"), 0.9, "scenario.cipher.mu", id="cipher-mu-fractional"
+        ),
+        pytest.param(
+            "curves", ("z_trace", "h_xy_bits"), math.nan, "scenario.z_trace.h_xy_bits",
+            id="z-trace-h-xy-nan",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "h_target_xy"), math.inf, "scenario.cipher.h_target_xy",
+            id="cipher-h-target-infinite",
+        ),
+        pytest.param(
+            "region", ("region_queries", 0, "query", "r_x"), math.nan,
+            "scenario.region_queries[0].query: r_x", id="query-r-x-nan",
+        ),
+        pytest.param(
+            "decode", ("scheme", "y_segments", "a2"), [2.0, 3.0], "scheme.y_segments.a2",
+            id="scheme-float-positions-decode",
+        ),
+        pytest.param(
+            "analyze", ("scheme", "y_segments", "a2"), [2.0, 3.0], "scheme.y_segments.a2",
+            id="scheme-float-positions-analyze",
         ),
     ],
 )
