@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError, ValidationError, float_field
-from .info import InfoSummary, code_entropy, pack_bits, pack_chunks
+from .info import InfoSummary, code_entropy, column_code, pack_chunks
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
@@ -413,10 +413,9 @@ def measure_security(
     tx, ty = support_syndromes(s, x, y)
     n_rows = x.size
 
-    wx = pack_bits(tx[:, s.role_positions("x", "private")])
-    wcx = pack_bits(tx[:, s.role_positions("x", "common")])
-    wy = pack_bits(ty[:, s.role_positions("y", "private")])
-    wcy = pack_bits(ty[:, s.role_positions("y", "common")])
+    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
+    wx, wcx = (column_code(tx, lx, s.role_positions("x", r)) for r in ("private", "common"))
+    wy, wcy = (column_code(ty, ly, s.role_positions("y", r)) for r in ("private", "common"))
     if wx.size and (wx.max() >= scheme.m_x or wy.max() >= scheme.m_y):
         raise UsageError("scheme index spaces are smaller than the syndrome portions")
     if wcx.size and (wcx.max() >= scheme.m_cx or wcy.max() >= scheme.m_cy):

@@ -102,7 +102,7 @@ def load_scenario(ref: str) -> dict:
             raise ValidationError(f"scenario: {ref!r} is neither a file nor a bundled name") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ValidationError(f"scenario: malformed JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError("scenario: top level must be a JSON object")

@@ -86,25 +86,6 @@ class JointPmf:
 PACK_LIMIT_BITS = 62
 
 
-def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
-    """Pack a (rows, width) array of symbols in 0..base-1 into one int64
-    code per row, column 0 most significant.  A width of 0 gives all zeros.
-
-    Codes order rows exactly as the symbol tuples order lexicographically.
-    Raises ``InternalConsistencyError`` when ``base**width`` reaches 2**63,
-    where int64 arithmetic would wrap.
-    """
-    if base ** cols.shape[1] >= 1 << 63:
-        raise InternalConsistencyError(
-            f"{cols.shape[1]} symbols of base {base} do not fit one int64 code"
-        )
-    code = np.zeros(cols.shape[0], dtype=np.int64)
-    for i in range(cols.shape[1]):
-        code *= base
-        code += cols[:, i]
-    return code
-
-
 def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarray:
     """Join ``(code, width)`` chunks, codes in 0..2**width-1, into one int64
     code per row, the first chunk most significant.
@@ -305,14 +286,20 @@ class SupportTable:
             first = _run_starts(code)
             o_first = _run_starts(code[first[:-1]] >> width)
             count, o_count = np.diff(first), np.diff(first[o_first])
+            del first
             run = np.cumsum(np.full(int(o_count.max()), self.p))  # m rows: p added m times
-            p_joint, p_obs = run[count - 1], run[np.repeat(o_count, np.diff(o_first)) - 1]
+            p_joint = run[count - 1]
+            del count
+            p_obs = run[np.repeat(o_count - 1, np.diff(o_first))]
         else:
             bins, inv = np.unique(code, return_inverse=True)
             o_rank = np.unique(bins >> width, return_inverse=True)[1]
             p_joint = np.bincount(inv, weights=self.weights)
             p_obs = np.bincount(o_rank[inv], weights=self.weights)[o_rank]
-        return float(-np.cumsum(p_joint * np.log2(p_joint / p_obs))[-1])
+        # p_joint * log2(p_joint / p_obs), taken in place: each array is one float per bin.
+        np.log2(np.divide(p_joint, p_obs, out=p_obs), out=p_obs)
+        p_obs *= p_joint
+        return float(-np.cumsum(p_obs, out=p_obs)[-1])
 
     @cached_property
     def _buffer(self) -> np.ndarray:

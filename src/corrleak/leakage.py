@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UsageError
 from .gf2 import rank, remove_columns
-from .info import column_code, pack_bits
+from .info import column_code
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
@@ -124,8 +124,10 @@ class _Var:
     evaluation resolves per entropy set.  ``key`` names the deterministic
     part, the columns ``cols`` of the packed ``(code, width)`` source;
     ``width`` counts them.  X, Y, T_X and T_Y are functions of the (x, y)
-    pair, so their ``source`` is a per-pair code of the support table; Z's is
-    None, as the table writes its columns straight from its row Z code.
+    pair, so their ``source`` is a per-pair code of the support table: the
+    word codes for X and Y, the syndrome codes of ``support_syndromes`` for
+    T_X and T_Y; Z's is None, as the table writes its columns straight from
+    its row Z code.
     ``chunks`` selects the columns of a pair source on first use, as
     ``(code, width)``, so a variable whose entropy sets all hit the memo
     costs no array pass, and a variable with no deterministic column has no
@@ -174,7 +176,7 @@ class WiretapAnalyzer:
         self.K = model.K
 
         self._table = t = model.table
-        tx_bits, ty_bits = support_syndromes(s, t.x, t.y)
+        tx, ty = support_syndromes(s, t.x, t.y)
 
         # Syndrome bits plus the shared-pad reference of every common-role
         # parity bit; other bits are clear.
@@ -187,11 +189,13 @@ class WiretapAnalyzer:
 
         # Every variable but Z is a column subset of one of these per-pair
         # packed codes.
-        self._tx = ((pack_bits(tx_bits), tx_bits.shape[1]), padded("x"))
-        self._ty = ((pack_bits(ty_bits), ty_bits.shape[1]), padded("y"))
-        # Raw parity XOR per pad column (the pads cancel in the pair).
+        self._tx = ((tx, s.syndrome_len("x")), padded("x"))
+        self._ty = ((ty, s.syndrome_len("y")), padded("y"))
+        # Raw parity XOR per pad column (the pads cancel in the pair): both
+        # codes end in the parity bits, so column c is one bit of tx ^ ty.
+        raw = tx ^ ty
         self._xor_col = {
-            c: tx_bits[:, s.x_info_len + c] ^ ty_bits[:, s.y_info_len + c]
+            c: ((raw >> (s.parity_len - 1 - c)) & 1).astype(np.uint8)
             for c in range(s.parity_len)
         }
         self._entropy_memo: dict[tuple, float] = {}

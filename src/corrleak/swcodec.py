@@ -7,9 +7,10 @@ combination ``P1^T a1 + q1``; source Y transmits ``u2`` plus
 ``P2^T a2 + q2``.  ``P1^T`` / ``P2^T`` are the transposed row blocks of the
 parity part of G selected by the ``a1`` / ``a2`` positions.  Each side's
 segment layout and parity block fold into one generator, ``G_X`` / ``G_Y``,
-so a syndrome is the matrix product ``x . G_X`` (``y . G_Y``).  Each of its
-bits is computed as the parity of the popcount of the packed word ANDed with
-the packed generator column.
+so a syndrome is the matrix product ``x . G_X`` (``y . G_Y``).  Over a
+support table it is one int64 code per pair, packed like the word codes,
+and each of its bits is the parity of the popcount of the word code ANDed
+with the packed generator column.
 
 The receiver resolves both words from the two syndromes by exhaustive
 search constrained by the correlation model; at this scale exhaustive coset
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .gf2 import Gf2Matrix
-from .info import PACK_LIMIT_BITS, pack_bits
+from .info import column_code, pack_chunks
 from .seqmodel import SequenceModel
 
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
@@ -219,12 +220,13 @@ class PartitionScheme:
             ]:
                 if not isinstance(value, dict):
                     raise ValidationError(f"scheme.{name}: expected an object, got {value!r}")
-            return cls(
-                generator=generator,
-                x_segments={k: tuple(v) for k, v in x_segments.items()},
-                y_segments={k: tuple(v) for k, v in y_segments.items()},
-                segment_roles=roles,
-            )
+            for name, segs in (("x_segments", x_segments), ("y_segments", y_segments)):
+                for seg, positions in segs.items():
+                    if not isinstance(positions, list):
+                        raise ValidationError(
+                            f"scheme.{name}.{seg}: expected a list of positions, got {positions!r}"
+                        )
+            return cls(generator, x_segments, y_segments, roles)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad scheme JSON: {exc}") from exc
 
@@ -246,51 +248,38 @@ def reference_scheme() -> PartitionScheme:
 # -- encoding ----------------------------------------------------------------
 
 
-def _xor_parities(code: np.ndarray, cells: np.ndarray, out: np.ndarray) -> None:
-    """XOR into bit j of ``out`` the parity of the popcount of ``code`` ANDed
-    with column j of ``cells``, packed as the code is: column 0 of the code
-    is row 0 of ``cells``."""
-    for j, mask in enumerate(pack_bits(cells.T).tolist()):
-        out[:, j] ^= np.bitwise_count(code & mask) & 1
-
-
-def _syndromes(words: np.ndarray, g: Gf2Matrix) -> np.ndarray:
-    """Each row of the (rows, n) word array times ``g`` over GF(2), as uint8
-    bits.  Words are packed into int64 codes of at most ``PACK_LIMIT_BITS``
-    columns each, one slice of the rows of ``g`` per code."""
-    out = np.zeros((words.shape[0], g.cols), dtype=np.uint8)
-    for lo in range(0, g.rows, PACK_LIMIT_BITS):
-        hi = lo + PACK_LIMIT_BITS
-        _xor_parities(pack_bits(words[:, lo:hi]), g.cells[lo:hi], out)
-    return out
-
-
 def encode_x(x: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_X = x . G_X: the v1 segment followed by P1^T a1 + q1."""
-    t = _syndromes(np.array([_as_bits(x, s.n, "x")]), s.g_x)
-    return Syndrome(bits=tuple(t[0].tolist()), info_len=s.x_info_len, parity_len=s.parity_len)
+    """T_X = x . G_X mod 2, one vector-matrix product for any n: the v1
+    segment followed by P1^T a1 + q1."""
+    t = np.array(_as_bits(x, s.n, "x")) @ s.g_x.cells % 2
+    return Syndrome(bits=tuple(t.tolist()), info_len=s.x_info_len, parity_len=s.parity_len)
 
 
 def encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_Y = y . G_Y: the u2 segment followed by P2^T a2 + q2."""
-    t = _syndromes(np.array([_as_bits(y, s.n, "y")]), s.g_y)
-    return Syndrome(bits=tuple(t[0].tolist()), info_len=s.y_info_len, parity_len=s.parity_len)
+    """T_Y = y . G_Y mod 2, one vector-matrix product for any n: the u2
+    segment followed by P2^T a2 + q2."""
+    t = np.array(_as_bits(y, s.n, "y")) @ s.g_y.cells % 2
+    return Syndrome(bits=tuple(t.tolist()), info_len=s.y_info_len, parity_len=s.parity_len)
 
 
 def support_syndromes(
     s: PartitionScheme, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """T_X and T_Y of every pair of word codes ``x``, ``y`` (the n bits of a
-    word, position 0 most significant), as uint8 bit arrays: one generator
-    product per side, by popcount parities.  Raises ``UsageError`` for a
-    code outside 0..2**n-1."""
+    word, position 0 most significant), as one int64 code per pair and side,
+    syndrome bit 0 most significant, so that ``info.column_code`` selects its
+    segments.  Bit j is the parity of the popcount of the word code ANDed
+    with column j of the generator, packed as the word is.  Raises
+    ``UsageError`` for a code outside 0..2**n-1."""
     out = []
     for code, g in ((x, s.g_x), (y, s.g_y)):
         if code.ndim != 1 or code.size and (code.min() < 0 or code.max() >> s.n):
             raise UsageError(f"word codes must be one array of integers in 0..2**{s.n}-1")
-        bits = np.zeros((code.size, g.cols), dtype=np.uint8)
-        _xor_parities(code, g.cells, bits)
-        out.append(bits)
+        syndrome = np.zeros(code.size, dtype=np.int64)
+        for column in g.cells.T.tolist():
+            syndrome <<= 1
+            syndrome |= np.bitwise_count(code & int("".join(map(str, column)), 2)) & 1
+        out.append(syndrome)
     return out[0], out[1]
 
 
@@ -324,7 +313,8 @@ def joint_decode(
     """Exhaustive search over the model support for pairs matching both syndromes.
 
     The syndromes are functions of the (x, y) pair, so they are matched on
-    the distinct pairs of the support table only.
+    the distinct pairs of the support table only: each pair's syndrome codes
+    are compared with the integers of the given syndromes' bits.
 
     Ambiguity (several candidates) and inconsistency (none) are reported in
     the result, not raised.
@@ -332,7 +322,7 @@ def joint_decode(
     require_code_model(s, model, "decode")
     x, y = model.table.x, model.table.y
     TX, TY = support_syndromes(s, x, y)
-    hit = (TX == tx.bits).all(axis=1) & (TY == ty.bits).all(axis=1)
+    hit = (TX == int(tx.as_string(), 2)) & (TY == int(ty.as_string(), 2))
     n = s.n
     pairs = [
         tuple((code >> (2 * n - 1 - i)) & 1 for i in range(2 * n))
@@ -348,7 +338,8 @@ def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     (x, y) order, and the ambiguous ones are summed in that order."""
     require_code_model(s, model, "decode")
     x, y, _, mass = model.table.prefix_classes(0)
-    syndromes = pack_bits(np.hstack(support_syndromes(s, x, y)))
+    tx, ty = support_syndromes(s, x, y)
+    syndromes = pack_chunks([(tx, s.syndrome_len("x")), (ty, s.syndrome_len("y"))], x.size)
     _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
     return min(1.0, float(mass[size[group] > 1].sum()))
 
@@ -385,11 +376,12 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     K = model.K
     t = model.table
     TX, TY = support_syndromes(s, t.x, t.y)
+    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     x_private, y_private = s.role_positions("x", "private"), s.role_positions("y", "private")
     x_common, y_common = s.role_positions("x", "common"), s.role_positions("y", "common")
-    # The channel portions, packed on the pairs as chunks of the table.
-    w_x, w_cx = [(pack_bits(TX[:, c]), len(c)) for c in (x_private, x_common)]
-    w_y, w_cy = [(pack_bits(TY[:, c]), len(c)) for c in (y_private, y_common)]
+    # The channel portions, selected on the pairs as chunks of the table.
+    w_x, w_cx = [(column_code(TX, lx, c), len(c)) for c in (x_private, x_common)]
+    w_y, w_cy = [(column_code(TY, ly, c), len(c)) for c in (y_private, y_common)]
 
     def h(*chunks: tuple[np.ndarray, int], z: Sequence[int] = ()) -> float:
         return t.entropy(chunks, z) / K

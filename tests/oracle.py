@@ -4,7 +4,8 @@ The package computes every result from one numpy support table of integer
 word codes and encodes words through the generator matrices ``G_X`` /
 ``G_Y``.  This module keeps a second, independent route to the same
 numbers: a plain Python stream of support triples, the words of the table
-as digit arrays, the paper's per-word syndrome formula ``P1^T a1 + q1``, a
+as digit arrays and their packing back into codes (``word_digits``,
+``pack_bits``), the paper's per-word syndrome formula ``P1^T a1 + q1``, a
 dictionary-based conditional entropy over observables of a triple, a
 three-sort conditional entropy over per-row codes, which the table's
 ``conditional_entropy`` must match bit for bit, and the Shannon measures of
@@ -86,6 +87,25 @@ def sorted_ball(center: Sequence[int], d: int) -> list[tuple[int, ...]]:
                 v[i] ^= 1
             out.add(tuple(v))
     return sorted(out)
+
+
+def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
+    """Pack a (rows, width) array of symbols in 0..base-1 into one int64
+    code per row, column 0 most significant.  A width of 0 gives all zeros.
+
+    Codes order rows exactly as the symbol tuples order lexicographically.
+    Raises ``InternalConsistencyError`` when ``base**width`` reaches 2**63,
+    where int64 arithmetic would wrap.
+    """
+    if base ** cols.shape[1] >= 1 << 63:
+        raise InternalConsistencyError(
+            f"{cols.shape[1]} symbols of base {base} do not fit one int64 code"
+        )
+    code = np.zeros(cols.shape[0], dtype=np.int64)
+    for i in range(cols.shape[1]):
+        code *= base
+        code += cols[:, i]
+    return code
 
 
 def word_digits(code: np.ndarray, base: int, K: int) -> np.ndarray:

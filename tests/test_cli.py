@@ -260,6 +260,8 @@ def test_exit_code_capacity_guard_past_4300_digits(tmp_path, capsys, model):
 
 
 DELETE = object()
+# Written as a bare integer literal past Python's 4,300-digit int conversion limit.
+HUGE_INT = "1" + "0" * 5000
 
 
 def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
@@ -401,6 +403,18 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
             "analyze", ("scheme", "y_segments", "a2"), [2.0, 3.0], "scheme.y_segments.a2",
             id="scheme-float-positions-analyze",
         ),
+        pytest.param(
+            "region", ("scheme", "y_segments", "a2"), 5, "scheme.y_segments.a2: expected a list",
+            id="scheme-segment-integer",
+        ),
+        pytest.param(
+            "region", ("scheme", "x_segments", "v1"), {"2": 3},
+            "scheme.x_segments.v1: expected a list", id="scheme-segment-object",
+        ),
+        pytest.param(
+            "analyze", ("model", "K"), HUGE_INT, "scenario: malformed JSON",
+            id="model-k-huge-literal",
+        ),
     ],
 )
 def test_exit_code_field_diagnostic(tmp_path, capsys, command, path, value, field):
@@ -416,7 +430,7 @@ def test_exit_code_field_diagnostic(tmp_path, capsys, command, path, value, fiel
     else:
         node[last] = value
     scenario_path = tmp_path / "malformed.json"
-    scenario_path.write_text(json.dumps(scenario))
+    scenario_path.write_text(json.dumps(scenario).replace(json.dumps(HUGE_INT), HUGE_INT))
     assert run([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert field in err

@@ -10,7 +10,6 @@ from corrleak import InternalConsistencyError, JointPmf, UsageError, ValidationE
 from corrleak.info import (
     PACK_LIMIT_BITS,
     code_entropy,
-    pack_bits,
     pack_chunks,
 )
 from oracle import (
@@ -18,6 +17,7 @@ from oracle import (
     entropy,
     marginal,
     mutual_information,
+    pack_bits,
     summarize,
     triple_mutual_information,
 )

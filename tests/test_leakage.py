@@ -21,7 +21,7 @@ from corrleak import (
     z_mu_leakage,
     z_trace_rows,
 )
-from corrleak.info import JointPmf, code_entropy, column_code, pack_bits, pack_chunks
+from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
 from corrleak.leakage import sample_patterns
 from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
@@ -29,9 +29,11 @@ from oracle import (
     formula_encode_x,
     formula_encode_y,
     is_subset_of,
+    pack_bits,
     support_arrays,
     support_digits,
     syndrome_observable,
+    word_digits,
     z_prefix_observable,
 )
 
@@ -296,7 +298,10 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     # One padded bit alone is one fresh bit; the pair adds the raw-parity XOR.
     assert h_x == h_y == 1.0
     x, y, _, _ = support_arrays(hamming7)
-    tx, ty = support_syndromes(scheme, x, y)
+    tx, ty = (
+        word_digits(code, 2, scheme.syndrome_len(side))
+        for code, side in zip(support_syndromes(scheme, x, y), "xy")
+    )
     h_xor = code_entropy((tx[:, px] ^ ty[:, py]).astype(np.int64))
     assert h_xor > 0.0
     assert h_pair == pytest.approx(1.0 + h_xor, abs=1e-12)
@@ -437,7 +442,10 @@ def full_table_kernel(s: PartitionScheme, model: SequenceModel):
     model's digit arrays over every support row: the reference for the pair
     table and for the row path's repeated pair chunks."""
     X, Y, Z = support_digits(model)
-    TX, TY = support_syndromes(s, pack_bits(X), pack_bits(Y))
+    TX, TY = (
+        word_digits(code, 2, s.syndrome_len(side))
+        for code, side in zip(support_syndromes(s, pack_bits(X), pack_bits(Y)), "xy")
+    )
     tables = {"X": X, "Y": Y, "x": TX, "y": TY, "z": Z}
 
     def kernel(key) -> float:

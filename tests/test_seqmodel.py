@@ -18,9 +18,10 @@ from corrleak import (
     z_consistency_counts,
 )
 from corrleak.seqmodel import sequence_summary
-from corrleak.info import SupportTable, pack_bits
+from corrleak.info import SupportTable
 from oracle import (
     iter_support,
+    pack_bits,
     prefix_classes,
     sorted_ball,
     summarize,

@@ -22,7 +22,7 @@ from corrleak import (
     prototype_condition_report,
     sequence_summary,
 )
-from corrleak.info import PACK_LIMIT_BITS, SupportTable, pack_bits
+from corrleak.info import PACK_LIMIT_BITS, SupportTable
 from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
 from oracle import (
     bit_observable,
@@ -33,6 +33,7 @@ from oracle import (
     iter_support,
     mat_vec_mul,
     p1_t,
+    pack_bits,
     support_arrays,
     support_digits,
     syndrome_observable,
@@ -119,7 +120,8 @@ def test_support_syndromes_match_formula_encoder():
     X = np.array(list(itertools.product((0, 1), repeat=s.n)), dtype=np.uint8)
     Y = X[::-1]
     tx, ty = support_syndromes(s, pack_bits(X), pack_bits(Y))
-    assert tx.dtype == ty.dtype == np.uint8
+    assert tx.dtype == ty.dtype == np.int64
+    tx, ty = (word_digits(t, 2, s.syndrome_len(side)) for t, side in zip((tx, ty), "xy"))
     for x, t_x, y, t_y in zip(X.tolist(), tx.tolist(), Y.tolist(), ty.tolist()):
         assert tuple(t_x) == formula_encode_x(x, s).bits
         assert tuple(t_y) == formula_encode_y(y, s).bits
