@@ -12,15 +12,12 @@ from .cipher import (
     RegionVerdict,
     SecurityMeasurement,
     alpha_defaults,
-    build_ciphertexts,
-    decrypt_ciphertexts,
     derive_key_sizes,
     desk_scheme,
     guaranteed_level,
     measure_security,
     region_membership,
     security_verdict,
-    split_index,
 )
 from .errors import (
     CapacityError,
@@ -47,12 +44,7 @@ from .leakage import (
     z_mu_leakage,
     z_trace_rows,
 )
-from .seqmodel import (
-    SequenceModel,
-    build_model,
-    sequence_summary,
-    z_consistency_counts,
-)
+from .seqmodel import SequenceModel, build_model, sequence_summary
 from .swcodec import (
     ConditionRow,
     DecodeResult,

@@ -51,16 +51,6 @@ BRANCHES: dict[str, dict[str, Optional[str]]] = {
 _KEY_SIZES = {"kx1": "m_x1", "ky1": "m_y1", "kcx": "m_cx", "kcy": "m_cy"}
 
 
-def split_index(w: int, m1: int) -> tuple[int, int]:
-    """Split an index into (w mod m1, (w - w mod m1) / m1); w = w1 + m1*w2."""
-    if m1 < 1:
-        raise UsageError(f"m1 must be >= 1, got {m1}")
-    if w < 0:
-        raise UsageError(f"index must be nonnegative, got {w}")
-    w1 = w % m1
-    return w1, (w - w1) // m1
-
-
 @dataclass(frozen=True)
 class CipherScheme:
     """Alphabet sizes of the sub-codewords plus the key assignment."""
@@ -101,65 +91,6 @@ class CipherScheme:
         """Alphabet size of every key component the assignment actually uses."""
         used = sorted({k for k in self.key_assignment.values() if k is not None})
         return {k: getattr(self, _KEY_SIZES[k]) for k in used}
-
-
-def _component_sizes(scheme: CipherScheme) -> dict[str, int]:
-    """Alphabet size of every codeword component, in codeword order."""
-    return {
-        "x1": scheme.m_x1, "x2": scheme.m_x2, "cx": scheme.m_cx,
-        "y1": scheme.m_y1, "y2": scheme.m_y2, "cy": scheme.m_cy,
-    }
-
-
-def _masked(value: int, comp: str, keys: Mapping[str, int], scheme: CipherScheme, sign: int) -> int:
-    key_name = scheme.key_assignment.get(comp)
-    if key_name is None:
-        return value
-    size = _component_sizes(scheme)[comp]
-    return (value + sign * int(keys.get(key_name, 0))) % size
-
-
-def build_ciphertexts(
-    wx: int,
-    wy: int,
-    wcx: int,
-    wcy: int,
-    keys: Mapping[str, int],
-    scheme: CipherScheme,
-) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Assemble the two codewords (masked X split, clear X remainder, masked
-    common X) and the Y analogue."""
-    if not 0 <= wx < scheme.m_x:
-        raise UsageError(f"wx={wx} outside index space of size {scheme.m_x}")
-    if not 0 <= wy < scheme.m_y:
-        raise UsageError(f"wy={wy} outside index space of size {scheme.m_y}")
-    if not 0 <= wcx < scheme.m_cx:
-        raise UsageError(f"wcx={wcx} outside index space of size {scheme.m_cx}")
-    if not 0 <= wcy < scheme.m_cy:
-        raise UsageError(f"wcy={wcy} outside index space of size {scheme.m_cy}")
-    for key_name, size in scheme.key_sizes().items():
-        if not 0 <= int(keys.get(key_name, 0)) < size:
-            raise UsageError(f"key {key_name} outside index space of size {size}")
-
-    wx1, wx2 = split_index(wx, scheme.m_x1)
-    wy1, wy2 = split_index(wy, scheme.m_y1)
-    w1 = (_masked(wx1, "x1", keys, scheme, +1), wx2, _masked(wcx, "cx", keys, scheme, +1))
-    w2 = (_masked(wy1, "y1", keys, scheme, +1), wy2, _masked(wcy, "cy", keys, scheme, +1))
-    return w1, w2
-
-
-def decrypt_ciphertexts(
-    w1: tuple[int, int, int],
-    w2: tuple[int, int, int],
-    keys: Mapping[str, int],
-    scheme: CipherScheme,
-) -> tuple[int, int, int, int]:
-    """Invert ``build_ciphertexts``: returns (wx, wy, wcx, wcy)."""
-    wx1 = _masked(w1[0], "x1", keys, scheme, -1)
-    wcx = _masked(w1[2], "cx", keys, scheme, -1)
-    wy1 = _masked(w2[0], "y1", keys, scheme, -1)
-    wcy = _masked(w2[2], "cy", keys, scheme, -1)
-    return wx1 + scheme.m_x1 * w1[1], wy1 + scheme.m_y1 * w2[1], wcx, wcy
 
 
 def _branch_assignment(branch: str) -> dict[str, Optional[str]]:
@@ -274,10 +205,6 @@ class RegionVerdict:
     constraints: tuple[Constraint, ...]
     violated: tuple[str, ...]
     domain_note: str = ""
-
-    @property
-    def inside(self) -> bool:
-        return self.status == "inside"
 
 
 def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVerdict:
@@ -421,7 +348,11 @@ def measure_security(
     if wcx.size and (wcx.max() >= scheme.m_cx or wcy.max() >= scheme.m_cy):
         raise UsageError("scheme common spaces are smaller than the syndrome portions")
 
-    sizes = _component_sizes(scheme)
+    # Alphabet size of every codeword component, in codeword order.
+    sizes = {
+        "x1": scheme.m_x1, "x2": scheme.m_x2, "cx": scheme.m_cx,
+        "y1": scheme.m_y1, "y2": scheme.m_y2, "cy": scheme.m_cy,
+    }
     key_sizes = scheme.key_sizes()
     masked = {k: [c for c in sizes if scheme.key_assignment.get(c) == k] for k in key_sizes}
     enumerated = [k for k, m in key_sizes.items() if any(sizes[c] != m for c in masked[k])]

@@ -302,7 +302,10 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
             raise ValidationError(f"scenario.region_queries: bad entry ({exc})") from exc
         except ValidationError as exc:
             raise ValidationError(f"scenario.region_queries[{i}].query: {exc}") from exc
-        verdict = region_membership(q, case, info)
+        try:
+            verdict = region_membership(q, case, info)
+        except UsageError as exc:  # an unknown case
+            raise ValidationError(f"scenario.region_queries[{i}].case: {exc}") from exc
         flags = {c.name: c.satisfied for c in verdict.constraints}
         rows.append(
             {
@@ -364,6 +367,7 @@ def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Pat
 def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     cfg = ctx.section("cipher")
     mu = int_field(cfg.get("mu", 0), "scenario.cipher.mu")
+    _require_range("scenario.cipher.mu", mu, ctx.model.K)
     branches = cfg.get("branches", ["none", "reused-pad", "independent-pads"])
     if not isinstance(branches, list) or not all(
         isinstance(b, str) and b in BRANCHES for b in branches

@@ -49,10 +49,6 @@ class Gf2Matrix:
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(np.eye(n, dtype=np.uint8))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
     @property
     def rows(self) -> int:
         return int(self.cells.shape[0])
@@ -60,11 +56,6 @@ class Gf2Matrix:
     @property
     def cols(self) -> int:
         return int(self.cells.shape[1])
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """Row-major flat view of the entries."""
-        return tuple(int(v) for v in self.cells.ravel())
 
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix(self.cells.T)
@@ -74,18 +65,12 @@ class Gf2Matrix:
             raise UsageError(f"row counts differ: {self.rows} vs {other.rows}")
         return Gf2Matrix(np.hstack([self.cells, other.cells]))
 
-    def row_strings(self) -> list[str]:
-        return ["".join(str(int(v)) for v in row) for row in self.cells]
-
-    def to_json(self) -> dict:
-        return {"rows": self.row_strings()}
-
     @classmethod
     def from_json(cls, data: dict) -> "Gf2Matrix":
-        try:
-            rows = list(data["rows"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad Gf2Matrix JSON: {exc}") from exc
+        """Parse ``{"rows": [...]}``, each row a '0'/'1' string."""
+        rows = data.get("rows") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+            raise ValidationError(f"expected a list of 0/1 strings, got {rows!r}")
         return cls.from_rows(rows)
 
 

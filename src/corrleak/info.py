@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class JointPmf:
     @property
     def alphabet_sizes(self) -> tuple[int, int, int]:
         return tuple(self.probs.shape)  # type: ignore[return-value]
-
-    def to_json(self) -> dict:
-        nx, ny, nz = self.alphabet_sizes
-        return {"alphabets": [nx, ny, nz], "probs": [float(v) for v in self.probs.ravel()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "JointPmf":
@@ -119,30 +115,20 @@ def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarr
     return np.zeros(rows, dtype=np.int64) if code is None else code
 
 
-def column_code(
-    code: np.ndarray, width: int, cols: Sequence[int], out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def column_code(code: np.ndarray, width: int, cols: Sequence[int]) -> np.ndarray:
     """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
     most significant, packed the same way.  A prefix is a shift of the code;
     other columns take one gather through a lookup table over all
-    ``2**width`` codes (width is at most K in the package).  With ``out``,
-    the result is written there, cast to its dtype; only the table is
-    allocated."""
+    ``2**width`` codes (width is at most K in the package)."""
     cols = list(cols)
     if cols == list(range(len(cols))):
-        if out is not None:
-            return np.right_shift(code, width - len(cols), out=out)
         return code if len(cols) == width else code >> (width - len(cols))
     values = np.arange(1 << width, dtype=np.int64)
     table = np.zeros(values.size, dtype=np.int64)
     for c in cols:
         table <<= 1
         table |= (values >> (width - 1 - c)) & 1
-    if out is None:
-        return table[code]
-    # Codes lie in 0..2**width-1, so "clip" never clips; unlike the default
-    # mode it writes into ``out`` without an intermediate buffer.
-    return np.take(table, code, out=out, mode="clip")
+    return table[code]
 
 
 def code_entropy(code: np.ndarray, weights: int | np.ndarray | None = 1) -> float:
@@ -215,7 +201,7 @@ class SupportTable:
     When every row has the same probability the table keeps only that value,
     ``p``, and ``weights`` is None, so that entropies come from integer
     counts; otherwise ``weights`` holds the row probabilities.  A set reads
-    bit columns of the ``z_width``-bit Z code, column 0 most significant.
+    a prefix of the ``z_width``-bit Z code, column 0 most significant.
 
     Raises ``InternalConsistencyError`` when the runs do not cover the rows,
     a run's Z codes do not ascend, or a Z code does not fit ``z_width`` bits
@@ -251,36 +237,32 @@ class SupportTable:
         self._run = int(runs[0]) if bool((runs == runs[0]).all()) else None
         self._classes: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def spread(self, per_pair: np.ndarray) -> np.ndarray:
-        """A per-pair column laid out over the rows."""
-        return np.repeat(per_pair, self.runs)
-
     def entropy(
         self,
         head: Sequence[tuple[np.ndarray, int]],
-        zcols: Sequence[int] = (),
+        mu: int = 0,
         tail: Sequence[tuple[np.ndarray, int]] = (),
     ) -> float:
-        """H of the joint of the pair chunks ``head``, the Z columns ``zcols``
-        and the pair chunks ``tail``, in bits.  A chunk is ``(code, width)``
+        """H of the joint of the pair chunks ``head``, the Z prefix of ``mu``
+        columns and the pair chunks ``tail``, in bits.  A chunk is ``(code, width)``
         with one code per pair; the set is packed in that order.
 
         Under an equal-weight law a set that reads no Z is counted on the
         pairs, each pair's code counted ``runs`` times: the bins, their order
         and their integer counts are those of the rows, and so is the float.
         Every other set is coded over the rows in the table's row buffer."""
-        if not zcols and self.weights is None:
+        if not mu and self.weights is None:
             code = pack_chunks([*head, *tail], self.pairs)
             return code_entropy(code, self._run or self.runs)
-        return code_entropy(self._row_code(head, zcols, tail), self.weights)
+        return code_entropy(self._row_code(head, mu, tail), self.weights)
 
-    def conditional_entropy(self, head, zcols: Sequence[int] = (), tail=()) -> float:
+    def conditional_entropy(self, head, mu: int = 0, tail=()) -> float:
         """H(T | O) in bits, T the last part of the set that ``entropy`` takes (its
-        last ``tail`` chunk, else ``zcols``, else its last ``head`` chunk), O the
-        rest.  Terms are summed by ``np.cumsum`` in (o, t) order and masses over
+        last ``tail`` chunk, else the Z prefix, else its last ``head`` chunk), O
+        the rest.  Terms are summed by ``np.cumsum`` in (o, t) order and masses over
         rows in row order; H(O,T) - H(O) or a pairwise sum moves the last place."""
-        width = len(zcols) if zcols and not tail else int((tail or head)[-1][0].max()).bit_length()
-        code = self._row_code(head, zcols, tail)  # T in the low ``width`` bits
+        width = mu if mu and not tail else int((tail or head)[-1][0].max()).bit_length()
+        code = self._row_code(head, mu, tail)  # T in the low ``width`` bits
         if self.weights is None:
             code.sort()
             first = _run_starts(code)
@@ -306,13 +288,13 @@ class SupportTable:
         """Scratch space for one row code, rewritten by every ``_row_code``."""
         return np.empty(self.rows, dtype=np.int64)
 
-    def _row_code(self, head, zcols, tail) -> np.ndarray:
+    def _row_code(self, head, mu: int, tail) -> np.ndarray:
         """One code per row, ordering rows as the tuples of ``head``, the Z
-        columns ``zcols`` and ``tail`` do: a view of the row buffer, int32
-        when the code fits 31 bits, overwritten by the next call.
+        prefix of ``mu`` columns and ``tail`` do: a view of the row buffer,
+        int32 when the code fits 31 bits, overwritten by the next call.
 
-        The buffer gets the Z columns straight from the Z code, shifted past
-        ``tail``.  The pair chunks are packed into one code on the pairs,
+        The buffer gets the Z prefix by one right shift of the Z code, shifted
+        past ``tail``.  The pair chunks are packed into one code on the pairs,
         ``head`` above a gap as wide as Z and ``tail``, and that code is
         spread over each pair's rows and ORed in: by broadcasting when every
         pair spans the same number of rows, by one ``np.repeat`` otherwise.
@@ -321,7 +303,7 @@ class SupportTable:
         lead = pack_chunks(head, self.pairs)
         trail = pack_chunks(tail, self.pairs)
         trail_width = int(trail.max()).bit_length()
-        gap = len(zcols) + trail_width
+        gap = mu + trail_width
         lead_width = int(lead.max()).bit_length()
         if lead_width + gap > PACK_LIMIT_BITS:
             lead = np.unique(lead, return_inverse=True)[1]
@@ -339,11 +321,11 @@ class SupportTable:
         if self._run:
             rows, spread = buf.reshape(self.pairs, self._run), pair_code[:, None]
         else:
-            rows, spread = buf, self.spread(pair_code)
-        if not zcols:
+            rows, spread = buf, np.repeat(pair_code, self.runs)
+        if not mu:
             rows[...] = spread
             return buf
-        column_code(self.z, self.z_width, zcols, out=buf)
+        np.right_shift(self.z, self.z_width - mu, out=buf)
         if trail_width:
             buf <<= trail_width
         if head or tail:

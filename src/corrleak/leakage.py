@@ -3,7 +3,7 @@
 Observation model
 -----------------
 A wiretap pattern names bit positions of the two syndromes plus a count
-``mu`` of leaked Z symbols (a prefix by default).  Bits that belong to
+``mu`` of leaked Z symbols, always the prefix of Z.  Bits that belong to
 private-role segments are observed in the clear.  Parity bits whose segment
 role is "common" are protected by a one-time pad that is *shared per parity
 column* between the two syndromes: a single padded bit reveals nothing,
@@ -44,12 +44,12 @@ DELTA = 1e-9
 
 @dataclass(frozen=True)
 class WiretapPattern:
-    """Wiretapped positions: subsets of T_X and T_Y bits plus mu leaked Z symbols."""
+    """Wiretapped positions: subsets of T_X and T_Y bits plus the first ``mu``
+    symbols of Z, the leaked prefix that ``z_mu_leakage`` is stated for."""
 
     tx_positions: frozenset[int] = frozenset()
     ty_positions: frozenset[int] = frozenset()
     mu: int = 0
-    z_positions: Optional[tuple[int, ...]] = None
 
     def validate(self, s: PartitionScheme, K: int) -> None:
         lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
@@ -59,10 +59,6 @@ class WiretapPattern:
             raise UsageError(f"ty_positions out of range 0..{ly - 1}")
         if not 0 <= self.mu <= K:
             raise UsageError(f"mu must lie in 0..{K}, got {self.mu}")
-        if self.z_positions is not None and any(
-            not 0 <= p < K for p in self.z_positions
-        ):
-            raise UsageError(f"z_positions out of range 0..{K - 1}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +122,8 @@ class _Var:
     ``width`` counts them.  X, Y, T_X and T_Y are functions of the (x, y)
     pair, so their ``source`` is a per-pair code of the support table: the
     word codes for X and Y, the syndrome codes of ``support_syndromes`` for
-    T_X and T_Y; Z's is None, as the table writes its columns straight from
-    its row Z code.
+    T_X and T_Y; Z's is None, as the table shifts its prefix of ``width``
+    columns straight out of its row Z code.
     ``chunks`` selects the columns of a pair source on first use, as
     ``(code, width)``, so a variable whose entropy sets all hit the memo
     costs no array pass, and a variable with no deterministic column has no
@@ -261,14 +257,14 @@ class WiretapAnalyzer:
             # after it, then the XOR of every pad column read on both sides.
             head: list[tuple[np.ndarray, int]] = []
             tail: list[tuple[np.ndarray, int]] = []
-            zcols: Sequence[int] = ()
+            mu = 0
             for v in vars:
                 if v.source is not None:
-                    (tail if zcols else head).extend(v.chunks)
+                    (tail if mu else head).extend(v.chunks)
                 elif v.width:
-                    zcols = v.cols
-            (tail if zcols else head).extend((self._xor_col[col], 1) for col in both)
-            value = self._table.entropy(head, zcols, tail)
+                    mu = v.width
+            (tail if mu else head).extend((self._xor_col[col], 1) for col in both)
+            value = self._table.entropy(head, mu, tail)
             self._entropy_memo[key] = value
             self.entropy_sets += 1
         return value + bonus
@@ -277,11 +273,7 @@ class WiretapAnalyzer:
         pattern.validate(self.scheme, self.K)
         tx = self._syndrome_var("x", sorted(pattern.tx_positions))
         ty = self._syndrome_var("y", sorted(pattern.ty_positions))
-        if pattern.z_positions is not None:
-            zsel = sorted(pattern.z_positions)
-        else:
-            zsel = list(range(pattern.mu))
-        z = _Var(("z", tuple(zsel)), [], None, zsel)
+        z = _Var(("z", pattern.mu), [], None, range(pattern.mu))
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
     def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":
@@ -299,16 +291,6 @@ class WiretapAnalyzer:
         total = max(0.0, total)
         return LeakageValue(target=target, total_bits=total, per_symbol_bits=total / self.K)
 
-    def equivocation(self, target: str, pattern: WiretapPattern) -> float:
-        """H(target^K | observed bits) in total bits."""
-        tgt = _target_vars(target)
-        ev = self.evaluation(pattern)
-        return ev.H(*tgt, "tx", "ty", "z") - ev.H("tx", "ty", "z")
-
-    def decomposition_residual(self, pattern: WiretapPattern, target: str = "y") -> float:
-        """|direct conditional entropy - ten-term chain-rule reconstruction|, bits."""
-        return self._check(self._prefix_evaluation(pattern), target)[0]
-
     def bound_report(self, target: str, pattern: WiretapPattern) -> BoundReport:
         """Exact leakage against the common/private-portion upper bound.
 
@@ -316,20 +298,15 @@ class WiretapAnalyzer:
         terms with the entropy of the target's private channel portion and
         the joint entropy of the common portions of both syndromes.
         """
-        return self._check(self._prefix_evaluation(pattern), target)[1]
+        return self._check(self.evaluation(pattern), target)[1]
 
     def pattern_checks(self, pattern: WiretapPattern) -> "PatternCheck":
         """Identity residuals and bound reports for both targets, sharing one
         entropy cache; the workhorse of the sweep commands."""
-        ev = self._prefix_evaluation(pattern)
+        ev = self.evaluation(pattern)
         residual_y, bound_y = self._check(ev, "y")
         residual_x, bound_x = self._check(ev, "x")
         return PatternCheck(pattern, residual_y, residual_x, bound_y, bound_x)
-
-    def _prefix_evaluation(self, pattern: WiretapPattern) -> "_Evaluation":
-        if pattern.z_positions is not None:
-            raise UsageError("arbitrary z position sets are supported in exact_leakage only")
-        return self.evaluation(pattern)
 
     def _check(self, ev: "_Evaluation", t: str) -> tuple[float, BoundReport]:
         """Identity residual and bound report of target ``t`` from one pass
@@ -439,10 +416,6 @@ class FormulaMinMax:
     max_case: str
     rank_term_min: int
     rank_term_max: int
-
-    @property
-    def variants_agree(self) -> bool:
-        return self.max_bits_corrected == self.max_bits_verbatim
 
 
 def _rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError, int_field
+from .errors import CapacityError, ValidationError, int_field
 from .info import ZERO_EPS, InfoSummary, JointPmf, SupportTable
 
 #: Exact enumeration refuses supports larger than this many triples.
@@ -138,38 +138,24 @@ def build_model(spec: dict) -> SequenceModel:
     if not isinstance(spec, dict):
         raise ValidationError("model spec must be a JSON object")
     kind = spec.get("kind")
+    if kind not in ("hamming", "iid"):
+        raise ValidationError(f"model.kind: unknown kind {kind!r}")
+    K = int_field(spec.get("K", 0), "model.K")
+    if K < 1:
+        raise ValidationError(f"model.K: must be >= 1, got {K}")
     if kind == "hamming":
-        return SequenceModel(
-            kind="hamming",
-            K=int_field(spec.get("K", 0), "model.K"),
-            d_xy_max=int_field(spec.get("d_xy", 1), "model.d_xy"),
-            d_yz_max=int_field(spec.get("d_yz", 1), "model.d_yz"),
-        )
-    if kind == "iid":
-        if "pmf" not in spec:
-            raise ValidationError("model.pmf: required for iid models")
-        K = int_field(spec.get("K", 0), "model.K")
-        try:
-            base = JointPmf.from_json(spec["pmf"])
-        except ValidationError as exc:
-            raise ValidationError(f"model.pmf: {exc}") from exc
-        return SequenceModel(kind="iid", K=K, base=base)
-    raise ValidationError(f"model.kind: unknown kind {kind!r}")
-
-
-def z_consistency_counts(K: int, mu: int) -> tuple[int, int, int]:
-    """Candidate-sequence counts after observing the first ``mu`` symbols of Z.
-
-    For the unit-distance binary model, the sequences within distance 1 of
-    some completion of the observed prefix split into ``2**(K-mu)`` distinct
-    sequences that repeat ``K-mu+1`` times and ``mu * 2**(K-mu)`` sequences
-    occurring once.  Returns ``(repeated_count, repeated_multiplicity,
-    singleton_count)``; the total with multiplicity is ``2**(K-mu) * (K+1)``.
-    """
-    if not 0 < mu <= K:
-        raise DomainError(f"mu must lie in 1..K, got mu={mu}, K={K}")
-    repeated = 1 << (K - mu)
-    return repeated, K - mu + 1, mu * repeated
+        d_xy, d_yz = (int_field(spec.get(f, 1), f"model.{f}") for f in ("d_xy", "d_yz"))
+        for f, d in (("d_xy", d_xy), ("d_yz", d_yz)):
+            if not 0 <= d <= K:
+                raise ValidationError(f"model.{f}: must lie in 0..{K}, got {d}")
+        return SequenceModel(kind="hamming", K=K, d_xy_max=d_xy, d_yz_max=d_yz)
+    if "pmf" not in spec:
+        raise ValidationError("model.pmf: required for iid models")
+    try:
+        base = JointPmf.from_json(spec["pmf"])
+    except ValidationError as exc:
+        raise ValidationError(f"model.pmf: {exc}") from exc
+    return SequenceModel(kind="iid", K=K, base=base)
 
 
 def sequence_summary(model: SequenceModel) -> InfoSummary:
@@ -182,7 +168,7 @@ def sequence_summary(model: SequenceModel) -> InfoSummary:
     K = model.K
     nx, ny, _ = model.alphabet_sizes
     X, Y = (t.x, (nx**K - 1).bit_length()), (t.y, (ny**K - 1).bit_length())
-    Z, H = range(t.z_width), t.entropy
+    Z, H = t.z_width, t.entropy
     hx, hy, hz = H([X]), H([Y]), H([], Z)
     hxy, hxz, hyz, hxyz = H([X, Y]), H([X], Z), H([Y], Z), H([X, Y], Z)
     i_xy = hx + hy - hxy

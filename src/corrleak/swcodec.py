@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -49,14 +49,6 @@ class Syndrome:
     def __post_init__(self):
         if len(self.bits) != self.info_len + self.parity_len:
             raise ValidationError("syndrome length does not match info_len + parity_len")
-
-    @property
-    def info(self) -> tuple[int, ...]:
-        return self.bits[: self.info_len]
-
-    @property
-    def parity(self) -> tuple[int, ...]:
-        return self.bits[self.info_len :]
 
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -201,18 +193,13 @@ class PartitionScheme:
             return None
         return bit - info
 
-    def to_json(self) -> dict:
-        return {
-            "generator": self.generator.to_json(),
-            "x_segments": {k: list(v) for k, v in self.x_segments.items()},
-            "y_segments": {k: list(v) for k, v in self.y_segments.items()},
-            "segment_roles": dict(self.segment_roles),
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "PartitionScheme":
         try:
-            generator = Gf2Matrix.from_json(data["generator"])
+            try:
+                generator = Gf2Matrix.from_json(data["generator"])
+            except ValidationError as exc:
+                raise ValidationError(f"scheme.generator.rows: {exc}") from exc
             x_segments, y_segments = data["x_segments"], data["y_segments"]
             roles = data.get("segment_roles", DEFAULT_ROLES)
             for name, value in [
@@ -302,10 +289,6 @@ class DecodeResult:
     def unique(self) -> bool:
         return len(self.candidates) == 1
 
-    @property
-    def empty(self) -> bool:
-        return not self.candidates
-
 
 def joint_decode(
     tx: Syndrome, ty: Syndrome, model: SequenceModel, s: PartitionScheme
@@ -383,14 +366,14 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     w_x, w_cx = [(column_code(TX, lx, c), len(c)) for c in (x_private, x_common)]
     w_y, w_cy = [(column_code(TY, ly, c), len(c)) for c in (y_private, y_common)]
 
-    def h(*chunks: tuple[np.ndarray, int], z: Sequence[int] = ()) -> float:
-        return t.entropy(chunks, z) / K
+    def h(*chunks: tuple[np.ndarray, int], mu: int = 0) -> float:
+        return t.entropy(chunks, mu) / K
 
-    X, Y, Z = (t.x, K), (t.y, K), range(K)
-    h_x, h_y, h_z, h_xy = h(X), h(Y), h(z=Z), h(X, Y)
-    h_x_given_yz = t.conditional_entropy([Y], Z, [X]) / K
-    h_y_given_xz = t.conditional_entropy([X], Z, [Y]) / K
-    h_y_given_x = t.conditional_entropy([X], (), [Y]) / K
+    X, Y = (t.x, K), (t.y, K)
+    h_x, h_y, h_z, h_xy = h(X), h(Y), h(mu=K), h(X, Y)
+    h_x_given_yz = t.conditional_entropy([Y], K, [X]) / K
+    h_y_given_xz = t.conditional_entropy([X], K, [Y]) / K
+    h_y_given_x = t.conditional_entropy([X], 0, [Y]) / K
     i_xy = h_x + h_y - h_xy
 
     h_wx, h_wy, h_wcx, h_wcy = h(w_x), h(w_y), h(w_cx), h(w_cy)
@@ -416,11 +399,11 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "x_unc_given_y_private", "h(x)", h_x,
-            "h(x^k|v_y)/k", t.conditional_entropy([w_y], (), [X]) / K,
+            "h(x^k|v_y)/k", t.conditional_entropy([w_y], 0, [X]) / K,
         ),
         ConditionRow(
             "y_unc_given_x_private", "h(y)", h_y,
-            "h(y^k|v_x)/k", t.conditional_entropy([w_x], (), [Y]) / K,
+            "h(y^k|v_x)/k", t.conditional_entropy([w_x], 0, [Y]) / K,
         ),
         ConditionRow(
             "joint_rate_sum:lower", "h(x,y)", h_xy,
@@ -432,7 +415,7 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
         ),
         ConditionRow(
             "z_unc_given_y_private", "h(z)", h_z,
-            "h(z^k|v_y)/k", t.conditional_entropy([w_y], Z) / K,
+            "h(z^k|v_y)/k", t.conditional_entropy([w_y], K) / K,
         ),
     ]
     return rows

@@ -8,9 +8,11 @@ as digit arrays and their packing back into codes (``word_digits``,
 ``pack_bits``), the paper's per-word syndrome formula ``P1^T a1 + q1``, a
 dictionary-based conditional entropy over observables of a triple, a
 three-sort conditional entropy over per-row codes, which the table's
-``conditional_entropy`` must match bit for bit, and the Shannon measures of
+``conditional_entropy`` must match bit for bit, the Shannon measures of
 a per-symbol ``JointPmf`` tensor, which the per-symbol summary of an iid
-sequence model must match.  The tests check the fast paths against it;
+sequence model must match, the per-codeword cipher, which the folded pads
+of ``measure_security`` must agree with, and the candidate counts behind the
+leakage of a Z prefix.  The tests check the fast paths against it;
 nothing under ``src/`` imports it.
 """
 
@@ -19,11 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import log2
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from corrleak.errors import InternalConsistencyError, UsageError, ValidationError
+from corrleak.cipher import CipherScheme
+from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.gf2 import Gf2Matrix
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf
 from corrleak.leakage import WiretapPattern
@@ -87,6 +90,21 @@ def sorted_ball(center: Sequence[int], d: int) -> list[tuple[int, ...]]:
                 v[i] ^= 1
             out.add(tuple(v))
     return sorted(out)
+
+
+def z_consistency_counts(K: int, mu: int) -> tuple[int, int, int]:
+    """Candidate-sequence counts after observing the first ``mu`` symbols of Z.
+
+    For the unit-distance binary model, the sequences within distance 1 of
+    some completion of the observed prefix split into ``2**(K-mu)`` distinct
+    sequences that repeat ``K-mu+1`` times and ``mu * 2**(K-mu)`` sequences
+    occurring once.  Returns ``(repeated_count, repeated_multiplicity,
+    singleton_count)``; the total with multiplicity is ``2**(K-mu) * (K+1)``.
+    """
+    if not 0 < mu <= K:
+        raise DomainError(f"mu must lie in 1..K, got mu={mu}, K={K}")
+    repeated = 1 << (K - mu)
+    return repeated, K - mu + 1, mu * repeated
 
 
 def pack_bits(cols: np.ndarray, base: int = 2) -> np.ndarray:
@@ -316,6 +334,70 @@ def bit_observable(which: str, positions: Sequence[int]) -> Observable:
         return tuple(vec[i] for i in sel)
 
     return fn
+
+
+# -- the per-codeword cipher ----------------------------------------------------
+
+
+def split_index(w: int, m1: int) -> tuple[int, int]:
+    """Split an index into (w mod m1, (w - w mod m1) / m1); w = w1 + m1*w2."""
+    if m1 < 1:
+        raise UsageError(f"m1 must be >= 1, got {m1}")
+    if w < 0:
+        raise UsageError(f"index must be nonnegative, got {w}")
+    w1 = w % m1
+    return w1, (w - w1) // m1
+
+
+def _masked(value: int, comp: str, keys: Mapping[str, int], scheme: CipherScheme, sign: int) -> int:
+    key_name = scheme.key_assignment.get(comp)
+    if key_name is None:
+        return value
+    size = {"x1": scheme.m_x1, "cx": scheme.m_cx, "y1": scheme.m_y1, "cy": scheme.m_cy}[comp]
+    return (value + sign * int(keys.get(key_name, 0))) % size
+
+
+def build_ciphertexts(
+    wx: int,
+    wy: int,
+    wcx: int,
+    wcy: int,
+    keys: Mapping[str, int],
+    scheme: CipherScheme,
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Assemble the two codewords (masked X split, clear X remainder, masked
+    common X) and the Y analogue."""
+    if not 0 <= wx < scheme.m_x:
+        raise UsageError(f"wx={wx} outside index space of size {scheme.m_x}")
+    if not 0 <= wy < scheme.m_y:
+        raise UsageError(f"wy={wy} outside index space of size {scheme.m_y}")
+    if not 0 <= wcx < scheme.m_cx:
+        raise UsageError(f"wcx={wcx} outside index space of size {scheme.m_cx}")
+    if not 0 <= wcy < scheme.m_cy:
+        raise UsageError(f"wcy={wcy} outside index space of size {scheme.m_cy}")
+    for key_name, size in scheme.key_sizes().items():
+        if not 0 <= int(keys.get(key_name, 0)) < size:
+            raise UsageError(f"key {key_name} outside index space of size {size}")
+
+    wx1, wx2 = split_index(wx, scheme.m_x1)
+    wy1, wy2 = split_index(wy, scheme.m_y1)
+    w1 = (_masked(wx1, "x1", keys, scheme, +1), wx2, _masked(wcx, "cx", keys, scheme, +1))
+    w2 = (_masked(wy1, "y1", keys, scheme, +1), wy2, _masked(wcy, "cy", keys, scheme, +1))
+    return w1, w2
+
+
+def decrypt_ciphertexts(
+    w1: tuple[int, int, int],
+    w2: tuple[int, int, int],
+    keys: Mapping[str, int],
+    scheme: CipherScheme,
+) -> tuple[int, int, int, int]:
+    """Invert ``build_ciphertexts``: returns (wx, wy, wcx, wcy)."""
+    wx1 = _masked(w1[0], "x1", keys, scheme, -1)
+    wcx = _masked(w1[2], "cx", keys, scheme, -1)
+    wy1 = _masked(w2[0], "y1", keys, scheme, -1)
+    wcy = _masked(w2[2], "cy", keys, scheme, -1)
+    return wx1 + scheme.m_x1 * w1[1], wy1 + scheme.m_y1 * w2[1], wcx, wcy
 
 
 # -- Shannon measures of a per-symbol pmf tensor -------------------------------

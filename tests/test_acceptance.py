@@ -19,19 +19,17 @@ from corrleak import (
     Gf2Matrix,
     RegionQuery,
     WiretapPattern,
-    build_ciphertexts,
-    decrypt_ciphertexts,
     encode_x,
     encode_y,
     minmax_curves,
     rank,
     region_membership,
-    z_consistency_counts,
     z_mu_leakage,
 )
 from corrleak.cipher import BRANCHES
 from corrleak.info import InfoSummary
 from corrleak.leakage import sample_patterns
+from oracle import build_ciphertexts, decrypt_ciphertexts, z_consistency_counts
 
 
 def _report(n: int, failures: list, msg: str, dt: float):
@@ -134,7 +132,7 @@ def test_criterion_5_minmax_curves(scheme, analyzer):
                 failures.append(f"({mu_tx},{mu_ty}): formula min {f.min_bits} > oracle {omin}")
             if omax > max(f.max_bits_corrected, f.max_bits_verbatim) + 1e-9:
                 failures.append(f"({mu_tx},{mu_ty}): oracle max {omax} above both formulas")
-            if not f.variants_agree:
+            if f.max_bits_corrected != f.max_bits_verbatim:
                 flagged.append((mu_tx, mu_ty))
                 # the report must identify the oracle-confirmed variant
                 corr_ok = abs(f.max_bits_corrected - omax) <= 1e-9
@@ -320,7 +318,7 @@ def test_criterion_9_gf2_ranks(scheme):
                          dtype=np.uint8)
         )
         if rank(m) != rank(m.transpose()):
-            failures.append(f"rank/transpose mismatch on {m.row_strings()}")
+            failures.append(f"rank/transpose mismatch on {m.cells.tolist()}")
             break
     dt = perf_counter() - t0
     _report(9, failures, "rank(G)=4, rank(G_X)=rank(G_Y)=5, transpose-invariant on 500", dt)

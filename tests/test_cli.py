@@ -415,6 +415,20 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
             "analyze", ("model", "K"), HUGE_INT, "scenario: malformed JSON",
             id="model-k-huge-literal",
         ),
+        pytest.param(
+            "analyze", ("scheme", "generator", "rows"), "1000101",
+            "scheme.generator.rows: expected a list of 0/1 strings", id="generator-rows-string",
+        ),
+        pytest.param(
+            "cipher-sim", ("cipher", "mu"), 9, "scenario.cipher.mu", id="cipher-mu-past-k"
+        ),
+        pytest.param(
+            "region", ("region_queries", 1, "case"), "both", "scenario.region_queries[1].case",
+            id="query-case-unknown",
+        ),
+        pytest.param("analyze", ("model", "d_xy"), 8, "model.d_xy", id="model-d-xy-past-k"),
+        pytest.param("curves", ("model", "d_yz"), -1, "model.d_yz", id="model-d-yz-negative"),
+        pytest.param("analyze", ("model", "K"), 0, "model.K", id="model-k-zero"),
     ],
 )
 def test_exit_code_field_diagnostic(tmp_path, capsys, command, path, value, field):

@@ -50,11 +50,7 @@ def test_pattern_validation(scheme, analyzer):
     with pytest.raises(UsageError):
         analyzer.exact_leakage("nope", pattern())
     with pytest.raises(UsageError):
-        analyzer.equivocation("nope", pattern())
-    with pytest.raises(UsageError):
         analyzer.bound_report("xy", pattern())
-    with pytest.raises(UsageError):
-        analyzer.decomposition_residual(pattern(), "xy")
 
 
 def test_empty_pattern_leaks_nothing(analyzer):
@@ -66,7 +62,8 @@ def test_empty_pattern_leaks_nothing(analyzer):
 def test_full_pattern_definitional(analyzer):
     full = pattern(tx=range(5), ty=range(5), mu=7)
     val = analyzer.exact_leakage("y", full)
-    equiv = analyzer.equivocation("y", full)
+    ev = analyzer.evaluation(full)
+    equiv = ev.H("y", "tx", "ty", "z") - ev.H("tx", "ty", "z")
     assert val.total_bits == pytest.approx(analyzer.h_y_total - equiv, abs=1e-9)
     assert val.per_symbol_bits == pytest.approx(val.total_bits / 7, abs=1e-12)
 
@@ -85,21 +82,6 @@ def test_exact_leakage_matches_enumeration_oracle(scheme, hamming7, analyzer):
     assert val.total_bits == pytest.approx(h_y - h_y_given, abs=1e-9)
 
 
-def test_arbitrary_z_positions(analyzer):
-    # leaking positions {4, 6} instead of a prefix
-    p = WiretapPattern(frozenset(), frozenset(), 0, z_positions=(4, 6))
-    val = analyzer.exact_leakage("xy", p)
-    ref = analyzer.exact_leakage("xy", pattern(mu=2))
-    # symbol positions are exchangeable, any two positions leak like a prefix
-    assert val.total_bits == pytest.approx(ref.total_bits, abs=1e-9)
-    with pytest.raises(UsageError):
-        analyzer.bound_report("y", p)
-    with pytest.raises(UsageError):
-        analyzer.pattern_checks(p)
-    with pytest.raises(UsageError):
-        analyzer.decomposition_residual(p)
-
-
 def test_decomposition_residual_small_everywhere(analyzer):
     for p in (
         pattern(),
@@ -107,8 +89,9 @@ def test_decomposition_residual_small_everywhere(analyzer):
         pattern(tx=range(5), ty=range(5), mu=7),
         pattern(tx=[3], ty=[], mu=5),
     ):
-        assert analyzer.decomposition_residual(p, "y") < 1e-9
-        assert analyzer.decomposition_residual(p, "x") < 1e-9
+        checks = analyzer.pattern_checks(p)
+        assert checks.residual_y < 1e-9
+        assert checks.residual_x < 1e-9
 
 
 def test_mu_zero_kills_z_terms(analyzer):
@@ -187,7 +170,7 @@ def test_minmax_formula_examples(scheme, analyzer):
     f55 = minmax_curves(scheme, 5, 5)
     omin, omax = analyzer.minmax_oracle(5, 5)
     assert f55.min_bits == f55.max_bits_corrected == omin == omax
-    assert not f55.variants_agree  # the stray-term variant differs here
+    assert f55.max_bits_corrected != f55.max_bits_verbatim  # the stray-term variant differs here
 
 
 def test_minmax_formula_range_check(scheme):
@@ -270,8 +253,8 @@ def test_memo_shared_across_patterns_matches_fresh_analyzers(scheme, hamming7):
         checks = shared.pattern_checks(p)
         assert checks == WiretapAnalyzer(scheme, hamming7).pattern_checks(p)
         fresh = WiretapAnalyzer(scheme, hamming7)
-        assert checks.residual_y == fresh.decomposition_residual(p, "y")
-        assert checks.residual_x == fresh.decomposition_residual(p, "x")
+        assert checks.residual_y == fresh.pattern_checks(p).residual_y
+        assert checks.residual_x == fresh.pattern_checks(p).residual_x
         assert checks.bound_y == fresh.bound_report("y", p)
         assert checks.bound_x == fresh.bound_report("x", p)
         for target in ("x", "y", "xy"):
@@ -446,13 +429,16 @@ def full_table_kernel(s: PartitionScheme, model: SequenceModel):
         word_digits(code, 2, s.syndrome_len(side))
         for code, side in zip(support_syndromes(s, pack_bits(X), pack_bits(Y)), "xy")
     )
-    tables = {"X": X, "Y": Y, "x": TX, "y": TY, "z": Z}
+    tables = {"X": X, "Y": Y, "x": TX, "y": TY}
 
     def kernel(key) -> float:
         var_keys, both = key
         chunks = []
         for name, *cols in var_keys:
-            part = tables[name] if not cols else tables[name][:, list(cols[0])]
+            if name == "z":  # ("z", mu): the Z prefix
+                part = Z[:, : cols[0]]
+            else:
+                part = tables[name] if not cols else tables[name][:, list(cols[0])]
             chunks.append((pack_bits(part), part.shape[1]))
         for c in both:
             xor = TX[:, s.x_info_len + c] ^ TY[:, s.y_info_len + c]
@@ -645,11 +631,11 @@ def test_row_code_orders_rows_as_their_chunk_tuples(hamming7):
     # nothing.
     table = hamming7.table
     x, _, z, _ = support_arrays(hamming7)
-    assert (table.spread(table.x) == x).all()
+    assert (np.repeat(table.x, table.runs) == x).all()
     bit = table.x & 1
     for lead in (np.zeros(table.pairs, dtype=np.int64), table.x):
-        code = table._row_code([(lead, 7)], range(7), [(bit, 1)])
-        rows = [(table.spread(lead), 7), (z, 7), (table.spread(bit), 1)]
+        code = table._row_code([(lead, 7)], 7, [(bit, 1)])
+        rows = [(np.repeat(lead, table.runs), 7), (z, 7), (np.repeat(bit, table.runs), 1)]
         expected = pack_chunks(rows, z.size)
         rank = np.unique(expected, return_inverse=True)[1]
         assert (np.unique(code, return_inverse=True)[1] == rank).all()
@@ -674,11 +660,10 @@ def spy_row_code_dtypes(monkeypatch, table) -> list[np.dtype]:
     return seen
 
 
-def test_row_buffer_equals_full_table_on_wide_gathered_and_padded_sets(monkeypatch):
+def test_row_buffer_equals_full_table_on_wide_and_padded_sets(monkeypatch):
     # A random [10,6] code over the unit-distance model with Z = Y (11,264
-    # rows, one per pair): a set of 40 bits (the int64 view), Z columns that
-    # are not a prefix (the table gather) and a Z set followed by the XOR of
-    # pad columns read on both sides.
+    # rows, one per pair): a set of 40 bits (the int64 view) and a Z prefix
+    # followed by the XOR of pad columns read on both sides.
     k, n, seed, make_model = MEMO_CODES["k10-hamming"]
     s = random_systematic_scheme(k, n, (3, 4, 5), (0, 1, 2), seed=seed)
     model = make_model()
@@ -691,16 +676,12 @@ def test_row_buffer_equals_full_table_on_wide_gathered_and_padded_sets(monkeypat
     wide = analyzer.evaluation(pattern(tx=range(lx), ty=range(ly), mu=n))
     wide.H("tx", "ty", "x", "y", "z")
     assert seen == [np.dtype(np.int64)]
-    gathered = analyzer.evaluation(WiretapPattern(frozenset({0}), frozenset({1}), 0, (1, 4, 8)))
-    for names in [("z",), ("tx", "z"), ("y", "z"), ("tx", "ty", "x", "z")]:
-        gathered.H(*names)
     padded = analyzer.evaluation(pattern(tx=[px], ty=[py], mu=3))
     for names in [("tx", "ty", "z"), ("tx", "ty", "y", "z"), ("tx", "ty", "x", "y", "z")]:
         padded.H(*names)
     assert np.dtype(np.int32) in seen
     keys = list(analyzer._entropy_memo)
     assert any(key[1] and reads_z(key) for key in keys)
-    assert any(var_key == ("z", (1, 4, 8)) for key in keys for var_key in key[0])
     assert_memo_equals_full_table(analyzer)
 
 
@@ -713,9 +694,10 @@ def test_row_code_re_ranks_a_lead_past_62_bits(hamming7):
     rng = np.random.default_rng(61)
     lead = rng.integers(0, 1 << 40, size=table.pairs)
     bit, wide = rng.integers(0, 2, size=table.pairs), rng.integers(0, 1 << 20, size=table.pairs)
-    code = table._row_code([(lead, 40)], range(7), [(bit, 1), (wide, 20)])
+    code = table._row_code([(lead, 40)], 7, [(bit, 1), (wide, 20)])
     assert code.dtype == np.int64 and code.size == z.size
-    rows = [(table.spread(lead), 40), (z, 7), (table.spread(bit), 1), (table.spread(wide), 20)]
+    rows = [(np.repeat(lead, table.runs), 40), (z, 7), (np.repeat(bit, table.runs), 1),
+            (np.repeat(wide, table.runs), 20)]
     rank = np.unique(pack_chunks(rows, z.size), return_inverse=True)[1]
     assert (np.unique(code, return_inverse=True)[1] == rank).all()
 
@@ -729,7 +711,7 @@ BUFFER_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(BUFFER_MODELS))
 def test_row_buffer_carries_no_state_between_sets(name):
-    # Every entropy set of a few patterns, prefix and gathered Z, asked for
+    # Every entropy set of a few patterns, Z prefixes of several lengths, asked for
     # in one order and, on a fresh analyzer, in the reverse order: the two
     # memos are identical and equal the full-table kernel, so the reused
     # buffer never leaks one set's code into the next.
@@ -737,7 +719,7 @@ def test_row_buffer_carries_no_state_between_sets(name):
     n = model.K
     s = random_systematic_scheme(n - 2, n, (0, 1), (2,), seed=len(name))
     patterns = sample_patterns(s, 3, seed=7, mu_values=(0, 2, n))
-    patterns.append(WiretapPattern(frozenset({0}), frozenset({1}), 0, (1, n - 1)))
+    patterns.append(WiretapPattern(frozenset({0}), frozenset({1}), 1))
     names = ("tx", "ty", "x", "y", "z")
     subsets = [c for r in range(1, 6) for c in itertools.combinations(names, r)]
     asks = [(p, c) for p in patterns for c in subsets]
