@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gf2 import Gf2Matrix, rank, remove_columns
+from .gf2 import Gf2Matrix, rank
 from .info import InfoSummary, JointPmf
 from .leakage import (
     BoundReport,

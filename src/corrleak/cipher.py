@@ -297,21 +297,19 @@ class SecurityMeasurement:
     key_bits: float  # total key material, bits per symbol
 
 
-def desk_scheme(
-    s: PartitionScheme, branch: str = "reused-pad", full_split: bool = True
-) -> CipherScheme:
+def desk_scheme(s: PartitionScheme, branch: str = "reused-pad") -> CipherScheme:
     """Cipher scheme whose index spaces are the syndrome bit patterns of the
     partition: W_X/W_Y are the private-role segments read as integers and
-    W_CX/W_CY the common-role segments.  With ``full_split`` the first
-    sub-codewords cover the whole private spaces (so the pads, when present,
-    cover every private bit)."""
+    W_CX/W_CY the common-role segments.  The first sub-codewords cover the
+    whole private spaces (so the pads, when present, cover every private
+    bit)."""
     m_x = 1 << len(s.role_positions("x", "private"))
     m_y = 1 << len(s.role_positions("y", "private"))
     return CipherScheme(
         m_x=m_x,
         m_y=m_y,
-        m_x1=m_x if full_split else 1,
-        m_y1=m_y if full_split else 1,
+        m_x1=m_x,
+        m_y1=m_y,
         m_cx=1 << len(s.role_positions("x", "common")),
         m_cy=1 << len(s.role_positions("y", "common")),
         key_assignment=_branch_assignment(branch),

@@ -340,8 +340,8 @@ def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Pat
     if len(ty) != s.syndrome_len("y") or any(c not in "01" for c in ty):
         raise UsageError(f"--ty must be {s.syndrome_len('y')} bits of 0/1, got {ty!r}")
     result = joint_decode(
-        Syndrome(tuple(int(b) for b in tx), s.x_info_len, s.parity_len),
-        Syndrome(tuple(int(b) for b in ty), s.y_info_len, s.parity_len),
+        Syndrome(tuple(int(b) for b in tx)),
+        Syndrome(tuple(int(b) for b in ty)),
         ctx.model,
         s,
     )

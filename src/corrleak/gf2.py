@@ -1,4 +1,4 @@
-"""Dense GF(2) matrix arithmetic: parsing, rank, column surgery.
+"""Dense GF(2) matrix arithmetic: parsing and rank.
 
 Matrices in this domain are tiny (at most ~16x16), so everything is plain
 Gaussian elimination with XOR row operations on uint8 arrays.
@@ -7,11 +7,11 @@ Gaussian elimination with XOR row operations on uint8 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class Gf2Matrix:
             parsed.append([int(ch) for ch in text])
         return cls(np.array(parsed, dtype=np.uint8))
 
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
     @property
     def rows(self) -> int:
         return int(self.cells.shape[0])
@@ -56,14 +52,6 @@ class Gf2Matrix:
     @property
     def cols(self) -> int:
         return int(self.cells.shape[1])
-
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.cells.T)
-
-    def hstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.rows != other.rows:
-            raise UsageError(f"row counts differ: {self.rows} vs {other.rows}")
-        return Gf2Matrix(np.hstack([self.cells, other.cells]))
 
     @classmethod
     def from_json(cls, data: dict) -> "Gf2Matrix":
@@ -97,12 +85,3 @@ def rank(m: Gf2Matrix) -> int:
             break
     return pivot_row
 
-
-def remove_columns(m: Gf2Matrix, positions: Iterable[int]) -> Gf2Matrix:
-    """Drop the given columns; the surviving columns keep their order."""
-    drop = set(int(p) for p in positions)
-    for p in drop:
-        if not 0 <= p < m.cols:
-            raise UsageError(f"column {p} out of range 0..{m.cols - 1}")
-    keep = [c for c in range(m.cols) if c not in drop]
-    return Gf2Matrix(m.cells[:, keep].reshape(m.rows, len(keep)))

@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UsageError
-from .gf2 import rank, remove_columns
+from .gf2 import Gf2Matrix, rank
 from .info import column_code
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes
@@ -174,14 +174,11 @@ class WiretapAnalyzer:
         self._table = t = model.table
         tx, ty = support_syndromes(s, t.x, t.y)
 
-        # Syndrome bits plus the shared-pad reference of every common-role
-        # parity bit; other bits are clear.
+        # Syndrome bits plus the shared-pad reference (parity column, side)
+        # of every common-role parity bit; other bits are clear.
         def padded(side: str) -> dict[int, tuple[int, str]]:
-            return {
-                i: (col, side)
-                for i in s.role_positions(side, "common")
-                if (col := s.parity_column(side, i)) is not None
-            }
+            info = s.info_len(side)
+            return {i: (i - info, side) for i in s.role_positions(side, "common") if i >= info}
 
         # Every variable but Z is a column subset of one of these per-pair
         # packed codes.
@@ -419,9 +416,12 @@ class FormulaMinMax:
 
 
 def _rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
-    h = s.parity_check
-    removed = [s.k + c for c in parity_cols]
-    return rank(h) - rank(remove_columns(h, removed))
+    """rank(H) - rank(H without the identity columns of C), for H = [P | I]
+    and C the given parity columns.  The identity columns left in H cover
+    every row outside C, so the difference is |C| - rank(P_C), with P_C the
+    rows C of P: the columns C of the parity block P^T."""
+    cols = list(parity_cols)
+    return len(cols) - rank(Gf2Matrix(s.parity_block.cells[:, cols]))
 
 
 def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
@@ -431,7 +431,7 @@ def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
     case: aligned low columns for the maximum, maximally mismatched columns
     for the minimum.
     """
-    l_ix, l_iy, l_p = s.x_info_len, s.y_info_len, s.parity_len
+    l_ix, l_iy, l_p = s.info_len("x"), s.info_len("y"), s.parity_len
     if not 0 <= mu_tx <= l_ix + l_p:
         raise UsageError(f"mu_tx must lie in 0..{l_ix + l_p}, got {mu_tx}")
     if not 0 <= mu_ty <= l_iy + l_p:
@@ -482,19 +482,12 @@ def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
     )
 
 
-def extremal_max_pattern(s: PartitionScheme, mu_tx: int, mu_ty: int, mu: int = 0) -> WiretapPattern:
+def extremal_max_pattern(mu_tx: int, mu_ty: int, mu: int = 0) -> WiretapPattern:
     """The deterministic wiretap pattern behind the maximum-leakage case:
-    info positions first, then aligned parity columns from column 0."""
-    l_ix, l_iy = s.x_info_len, s.y_info_len
-
-    def side(count: int, info_len: int) -> frozenset[int]:
-        take_info = min(count, info_len)
-        take_par = count - take_info
-        return frozenset(range(take_info)) | frozenset(
-            info_len + j for j in range(take_par)
-        )
-
-    return WiretapPattern(side(mu_tx, l_ix), side(mu_ty, l_iy), mu)
+    info positions first, then aligned parity columns from column 0.  A
+    syndrome is its info bits followed by its parity bits, so that is the
+    first ``mu_tx`` bits of T_X and the first ``mu_ty`` of T_Y."""
+    return WiretapPattern(frozenset(range(mu_tx)), frozenset(range(mu_ty)), mu)
 
 
 # -- leakage from the wiretapped source ------------------------------------------
@@ -566,7 +559,7 @@ def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -
         for mu_ty in range(mu_ty_max + 1):
             formula = minmax_curves(s, mu_tx, mu_ty)
             omin, omax = analyzer.minmax_oracle(mu_tx, mu_ty)
-            bound = analyzer.bound_report("y", extremal_max_pattern(s, mu_tx, mu_ty))
+            bound = analyzer.bound_report("y", extremal_max_pattern(mu_tx, mu_ty))
             rows.append(
                 CurveRow(
                     mu_tx=mu_tx,

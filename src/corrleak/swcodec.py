@@ -5,12 +5,15 @@ fixes the parity structure; each source's word is split into labeled
 segments.  Source X transmits its ``v1`` segment directly plus the parity
 combination ``P1^T a1 + q1``; source Y transmits ``u2`` plus
 ``P2^T a2 + q2``.  ``P1^T`` / ``P2^T`` are the transposed row blocks of the
-parity part of G selected by the ``a1`` / ``a2`` positions.  Each side's
-segment layout and parity block fold into one generator, ``G_X`` / ``G_Y``,
-so a syndrome is the matrix product ``x . G_X`` (``y . G_Y``).  Over a
-support table it is one int64 code per pair, packed like the word codes,
-and each of its bits is the parity of the popcount of the word code ANDed
-with the packed generator column.
+parity part of G selected by the ``a1`` / ``a2`` positions.  ``SEGMENTS``
+names each side's (info, keyed, parity) segments, and ``PartitionScheme``
+alone reads it: the scheme gives every syndrome length and role position,
+and a ``Syndrome`` carries only its bits.  Each side's segment layout and
+parity block fold into one generator, ``G_X`` / ``G_Y``, so a syndrome is
+the matrix product ``x . G_X`` (``y . G_Y``).  Over a support table it is
+one int64 code per pair, packed like the word codes, and each of its bits
+is the parity of the popcount of the word code ANDed with the packed
+generator column.
 
 The receiver resolves both words from the two syndromes by exhaustive
 search constrained by the correlation model; at this scale exhaustive coset
@@ -35,20 +38,20 @@ from .gf2 import Gf2Matrix
 from .info import column_code, pack_chunks
 from .seqmodel import SequenceModel
 
+#: Each side's word segments as (info, keyed, parity).  The syndrome is the
+#: info segment followed by the parity bits: P^T of the keyed segment plus
+#: the parity segment.
+SEGMENTS = {"x": ("v1", "a1", "q1"), "y": ("u2", "a2", "q2")}
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
 
 
 @dataclass(frozen=True)
 class Syndrome:
-    """Transmitted channel information: info segment followed by parity bits."""
+    """Transmitted channel information: one side's syndrome bits, the info
+    segment followed by the parity bits.  Its lengths are the scheme's
+    (``PartitionScheme.syndrome_len``)."""
 
     bits: tuple[int, ...]
-    info_len: int
-    parity_len: int
-
-    def __post_init__(self):
-        if len(self.bits) != self.info_len + self.parity_len:
-            raise ValidationError("syndrome length does not match info_len + parity_len")
 
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -76,37 +79,50 @@ class PartitionScheme:
         g = self.generator
         k, n = g.rows, g.cols
         if n <= k:
-            raise ValidationError(f"generator must be wider than tall, got {k}x{n}")
+            raise ValidationError(
+                f"scheme.generator.rows: generator must be wider than tall, got {k}x{n}"
+            )
         if not np.array_equal(g.cells[:, :k], np.eye(k, dtype=np.uint8)):
-            raise ValidationError("generator must start with an identity block")
+            raise ValidationError(
+                "scheme.generator.rows: generator must start with an identity block"
+            )
         object.__setattr__(self, "x_segments", {s: tuple(v) for s, v in self.x_segments.items()})
         object.__setattr__(self, "y_segments", {s: tuple(v) for s, v in self.y_segments.items()})
         object.__setattr__(self, "segment_roles", dict(self.segment_roles))
-        self._check_segments("x_segments", self.x_segments, ("a1", "v1", "q1"), k, n)
-        self._check_segments("y_segments", self.y_segments, ("u2", "a2", "q2"), k, n)
+        for side in SEGMENTS:
+            self._check_segments(side, k, n)
         for name, role in self.segment_roles.items():
-            if name not in ("v1", "u2", "q1", "q2"):
-                raise ValidationError(f"segment_roles names unknown segment {name!r}")
+            if name not in DEFAULT_ROLES:
+                raise ValidationError(f"scheme.segment_roles.{name}: unknown segment {name!r}")
             if role not in ("private", "common"):
-                raise ValidationError(f"segment role must be private/common, got {role!r}")
+                raise ValidationError(
+                    f"scheme.segment_roles.{name}: segment role must be private/common,"
+                    f" got {role!r}"
+                )
 
-    @staticmethod
-    def _check_segments(field, segs, names, k, n):
+    def _check_segments(self, side: str, k: int, n: int) -> None:
+        field, names = f"scheme.{side}_segments", SEGMENTS[side]
+        segs = self.x_segments if side == "x" else self.y_segments
         if set(segs) != set(names):
-            raise ValidationError(f"segments must be exactly {names}, got {sorted(segs)}")
+            raise ValidationError(
+                f"{field}: segments must be exactly {sorted(names)}, got {sorted(segs)}"
+            )
         for name, positions in segs.items():
             if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in positions):
                 raise ValidationError(
-                    f"scheme.{field}.{name}: positions must be integers, got {list(positions)!r}"
+                    f"{field}.{name}: positions must be integers, got {list(positions)!r}"
                 )
-        flat = sorted(p for v in segs.values() for p in v)
-        if flat != list(range(n)):
-            raise ValidationError("segments must partition positions 0..n-1")
+        if sorted(p for v in segs.values() for p in v) != list(range(n)):
+            raise ValidationError(f"{field}: segments must partition positions 0..n-1")
         if sorted(segs[names[2]]) != list(range(k, n)):
-            raise ValidationError(f"{names[2]} must cover the parity positions {k}..{n - 1}")
-        for name in names[:2]:
-            if any(p >= k for p in segs[name]):
-                raise ValidationError(f"{name} must lie within the message positions 0..{k - 1}")
+            raise ValidationError(
+                f"{field}.{names[2]}: {names[2]} must cover the parity positions {k}..{n - 1}"
+            )
+
+    def _segments(self, side: str) -> tuple[tuple[int, ...], ...]:
+        """The (info, keyed, parity) positions of one side's word."""
+        segs = self.x_segments if side == "x" else self.y_segments
+        return tuple(segs[name] for name in SEGMENTS[side])
 
     # -- derived dimensions -------------------------------------------------
 
@@ -122,13 +138,11 @@ class PartitionScheme:
     def parity_len(self) -> int:
         return self.n - self.k
 
-    @property
-    def x_info_len(self) -> int:
-        return len(self.x_segments["v1"])
+    def info_len(self, side: str) -> int:
+        return len(self._segments(side)[0])
 
-    @property
-    def y_info_len(self) -> int:
-        return len(self.y_segments["u2"])
+    def syndrome_len(self, side: str) -> int:
+        return self.info_len(side) + self.parity_len
 
     # -- derived matrices ---------------------------------------------------
 
@@ -137,61 +151,37 @@ class PartitionScheme:
         """The P^T block of G (k x (n-k))."""
         return Gf2Matrix(self.generator.cells[:, self.k :])
 
-    @cached_property
-    def parity_check(self) -> Gf2Matrix:
-        """H = [P | I_(n-k)], the standard companion of the systematic G."""
-        return self.parity_block.transpose().hstack(Gf2Matrix.identity(self.parity_len))
-
-    def _encoder_matrix(self, info_seg: str, keyed_seg: str, segs) -> Gf2Matrix:
-        info = segs[info_seg]
-        keyed = segs[keyed_seg]
-        cols = len(info) + self.parity_len
-        m = np.zeros((self.n, cols), dtype=np.uint8)
+    def _encoder_matrix(self, side: str) -> Gf2Matrix:
+        info, keyed, _ = self._segments(side)
+        m = np.zeros((self.n, len(info) + self.parity_len), dtype=np.uint8)
         for j, p in enumerate(info):
             m[p, j] = 1
         for p in keyed:
-            m[p, len(info) :] = self.parity_block.cells[p, :]
-        for j, p in enumerate(sorted(segs[_PARITY_SEG[info_seg]])):
-            m[p, len(info) + j] = 1
+            m[p, len(info) :] = self.parity_block.cells[p]
+        # The parity segment is positions k..n-1, one identity column each.
+        m[self.k :, len(info) :] = np.eye(self.parity_len, dtype=np.uint8)
         return Gf2Matrix(m)
 
     @cached_property
     def g_x(self) -> Gf2Matrix:
         """Generator mapping a source word x to its syndrome: T_X = x . G_X."""
-        return self._encoder_matrix("v1", "a1", self.x_segments)
+        return self._encoder_matrix("x")
 
     @cached_property
     def g_y(self) -> Gf2Matrix:
         """Generator mapping a source word y to its syndrome: T_Y = y . G_Y."""
-        return self._encoder_matrix("u2", "a2", self.y_segments)
-
-    # -- syndrome layout / roles ---------------------------------------------
-
-    def syndrome_segment(self, side: str, bit: int) -> str:
-        """Segment name carrying syndrome bit ``bit`` of T_X ('x') or T_Y ('y')."""
-        if side == "x":
-            return "v1" if bit < self.x_info_len else "q1"
-        if side == "y":
-            return "u2" if bit < self.y_info_len else "q2"
-        raise UsageError(f"side must be 'x' or 'y', got {side!r}")
-
-    def syndrome_len(self, side: str) -> int:
-        info = self.x_info_len if side == "x" else self.y_info_len
-        return info + self.parity_len
-
-    def role_of(self, side: str, bit: int) -> str:
-        return self.segment_roles.get(self.syndrome_segment(side, bit), "private")
+        return self._encoder_matrix("y")
 
     def role_positions(self, side: str, role: str) -> list[int]:
-        """Syndrome bit positions of T_X ('x') or T_Y ('y') whose segment has ``role``."""
-        return [i for i in range(self.syndrome_len(side)) if self.role_of(side, i) == role]
-
-    def parity_column(self, side: str, bit: int) -> int | None:
-        """Parity-column index of a syndrome bit, or None for an info bit."""
-        info = self.x_info_len if side == "x" else self.y_info_len
-        if bit < info:
-            return None
-        return bit - info
+        """Syndrome bit positions of T_X ('x') or T_Y ('y') whose segment has
+        ``role``: the info segment's bits, then the parity segment's; a
+        segment with no role given is private."""
+        info, _, parity = SEGMENTS[side]
+        n = self.info_len(side)
+        return [
+            i for i in range(self.syndrome_len(side))
+            if self.segment_roles.get(info if i < n else parity, "private") == role
+        ]
 
     @classmethod
     def from_json(cls, data: dict) -> "PartitionScheme":
@@ -218,9 +208,6 @@ class PartitionScheme:
             raise ValidationError(f"bad scheme JSON: {exc}") from exc
 
 
-_PARITY_SEG = {"v1": "q1", "u2": "q2"}
-
-
 def reference_scheme() -> PartitionScheme:
     """The bundled rate-5/7 worked example: a [7,4] systematic code with
     two-bit keyed/transmitted splits on each source."""
@@ -239,14 +226,14 @@ def encode_x(x: Iterable[int], s: PartitionScheme) -> Syndrome:
     """T_X = x . G_X mod 2, one vector-matrix product for any n: the v1
     segment followed by P1^T a1 + q1."""
     t = np.array(_as_bits(x, s.n, "x")) @ s.g_x.cells % 2
-    return Syndrome(bits=tuple(t.tolist()), info_len=s.x_info_len, parity_len=s.parity_len)
+    return Syndrome(tuple(t.tolist()))
 
 
 def encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
     """T_Y = y . G_Y mod 2, one vector-matrix product for any n: the u2
     segment followed by P2^T a2 + q2."""
     t = np.array(_as_bits(y, s.n, "y")) @ s.g_y.cells % 2
-    return Syndrome(bits=tuple(t.tolist()), info_len=s.y_info_len, parity_len=s.parity_len)
+    return Syndrome(tuple(t.tolist()))
 
 
 def support_syndromes(
@@ -297,12 +284,17 @@ def joint_decode(
 
     The syndromes are functions of the (x, y) pair, so they are matched on
     the distinct pairs of the support table only: each pair's syndrome codes
-    are compared with the integers of the given syndromes' bits.
+    are compared with the integers of the given syndromes' bits.  Raises
+    ``UsageError`` unless each syndrome has the scheme's length
+    (``syndrome_len``), since an integer compare ignores leading zeros.
 
     Ambiguity (several candidates) and inconsistency (none) are reported in
     the result, not raised.
     """
     require_code_model(s, model, "decode")
+    for t, side in ((tx, "x"), (ty, "y")):
+        if len(t.bits) != (length := s.syndrome_len(side)):
+            raise UsageError(f"t_{side} must have {length} bits, got {len(t.bits)}")
     x, y = model.table.x, model.table.y
     TX, TY = support_syndromes(s, x, y)
     hit = (TX == int(tx.as_string(), 2)) & (TY == int(ty.as_string(), 2))

@@ -27,7 +27,7 @@ import numpy as np
 
 from corrleak.cipher import CipherScheme
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
-from corrleak.gf2 import Gf2Matrix
+from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf
 from corrleak.leakage import WiretapPattern
 from corrleak.seqmodel import SequenceModel
@@ -248,7 +248,7 @@ def formula_encode_x(x: Iterable[int], s: PartitionScheme) -> Syndrome:
     v1 = [bits[p] for p in s.x_segments["v1"]]
     q1 = [bits[p] for p in sorted(s.x_segments["q1"])]
     parity = [pa ^ qb for pa, qb in zip(mat_vec_mul(p1_t(s), a1), q1)]
-    return Syndrome(bits=tuple(v1 + parity), info_len=len(v1), parity_len=s.parity_len)
+    return Syndrome(bits=tuple(v1 + parity))
 
 
 def formula_encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
@@ -258,7 +258,16 @@ def formula_encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
     a2 = [bits[p] for p in s.y_segments["a2"]]
     q2 = [bits[p] for p in sorted(s.y_segments["q2"])]
     parity = [pa ^ qb for pa, qb in zip(mat_vec_mul(p2_t(s), a2), q2)]
-    return Syndrome(bits=tuple(u2 + parity), info_len=len(u2), parity_len=s.parity_len)
+    return Syndrome(bits=tuple(u2 + parity))
+
+
+def h_surgery_rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
+    """The min/max curves' rank term by column surgery on H = [P | I_(n-k)]:
+    rank(H) minus the rank of H without the identity columns of
+    ``parity_cols``."""
+    h = np.hstack([s.parity_block.cells.T, np.eye(s.parity_len, dtype=np.uint8)])
+    kept = np.delete(h, [s.k + c for c in parity_cols], axis=1)
+    return rank(Gf2Matrix(h)) - rank(Gf2Matrix(kept))
 
 
 # -- dictionary equivocation ---------------------------------------------------

@@ -403,9 +403,10 @@ def test_measure_security_matches_key_enumeration_oracle(case):
     # enumerates, and CROSSED_PADS enumerates two keys there.
     rows, v1, u2, full_split = ORACLE_CASES[case]
     s = partition(rows, v1, u2)
+    desk = desk_scheme(s) if full_split else replace(desk_scheme(s), m_x1=1, m_y1=1)
     model = SequenceModel(kind="hamming", K=s.n, d_xy_max=1, d_yz_max=0)
     for name, assignment in [*BRANCHES.items(), ("crossed", CROSSED_PADS)]:
-        cipher = replace(desk_scheme(s, full_split=full_split), key_assignment=assignment)
+        cipher = replace(desk, key_assignment=assignment)
         for mu, expected in cipher_oracle(cipher, model, s, (0, 2)).items():
             m = measure_security(cipher, model, s, mu=mu)
             assert (m.h_x_hat, m.h_y_hat, m.h_xy_hat) == pytest.approx(expected, abs=1e-12), (

@@ -429,6 +429,35 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
         pytest.param("analyze", ("model", "d_xy"), 8, "model.d_xy", id="model-d-xy-past-k"),
         pytest.param("curves", ("model", "d_yz"), -1, "model.d_yz", id="model-d-yz-negative"),
         pytest.param("analyze", ("model", "K"), 0, "model.K", id="model-k-zero"),
+        pytest.param(
+            "region", ("scheme", "generator", "rows"), ["1000", "0100", "0010", "0001"],
+            "scheme.generator.rows: generator must be wider", id="generator-square",
+        ),
+        pytest.param(
+            "analyze", ("scheme", "generator", "rows"),
+            ["0100101", "1000110", "0010111", "0001011"],
+            "scheme.generator.rows: generator must start", id="generator-permuted-identity",
+        ),
+        pytest.param(
+            "region", ("scheme", "segment_roles"), {"v1": "public"}, "scheme.segment_roles.v1",
+            id="segment-role-unknown",
+        ),
+        pytest.param(
+            "analyze", ("scheme", "segment_roles"), {"zz": "private"}, "scheme.segment_roles.zz",
+            id="segment-roles-unknown-segment",
+        ),
+        pytest.param(
+            "region", ("scheme", "x_segments", "v1"), [2, 7], "scheme.x_segments: segments must",
+            id="segments-not-a-partition",
+        ),
+        pytest.param(
+            "analyze", ("scheme", "x_segments", "q1"), DELETE, "scheme.x_segments: segments must",
+            id="segments-missing-q1",
+        ),
+        pytest.param(
+            "region", ("scheme", "y_segments"), {"u2": [0, 1], "a2": [3, 4], "q2": [2, 5, 6]},
+            "scheme.y_segments.q2", id="segments-q2-off-parity",
+        ),
     ],
 )
 def test_exit_code_field_diagnostic(tmp_path, capsys, command, path, value, field):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from corrleak import (
     z_trace_rows,
 )
 from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
-from corrleak.leakage import sample_patterns
+from corrleak.leakage import _rank_term, sample_patterns
 from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
     enumeration_equivocation,
     formula_encode_x,
     formula_encode_y,
+    h_surgery_rank_term,
     is_subset_of,
     pack_bits,
     support_arrays,
@@ -124,7 +126,7 @@ def test_bound_random_patterns_hold(scheme, analyzer):
 
 def extremal_min_pattern(scheme, mu_tx, mu_ty, mu):
     """Parity-first picks with minimal column overlap between the sides."""
-    l_ix, l_iy, l_p = scheme.x_info_len, scheme.y_info_len, scheme.parity_len
+    l_ix, l_iy, l_p = scheme.info_len("x"), scheme.info_len("y"), scheme.parity_len
     px, py = min(mu_tx, l_p), min(mu_ty, l_p)
     tx = {l_ix + c for c in range(px)} | set(range(mu_tx - px))
     ty = {l_iy + c for c in range(l_p - py, l_p)} | set(range(mu_ty - py))
@@ -137,7 +139,7 @@ def test_bound_holds_on_full_extremal_sweep(scheme, analyzer):
         for mu_ty in range(6):
             for mu in range(8):
                 for p in (
-                    extremal_max_pattern(scheme, mu_tx, mu_ty, mu),
+                    extremal_max_pattern(mu_tx, mu_ty, mu),
                     extremal_min_pattern(scheme, mu_tx, mu_ty, mu),
                 ):
                     checks = analyzer.pattern_checks(p)
@@ -173,6 +175,17 @@ def test_minmax_formula_examples(scheme, analyzer):
     assert f55.max_bits_corrected != f55.max_bits_verbatim  # the stray-term variant differs here
 
 
+def test_rank_term_equals_h_surgery():
+    # |C| - rank(P_C) equals the H = [P | I] surgery it replaces, on seeded
+    # random systematic [n, k] schemes with k, n - k in 1..7, for every
+    # subset C of the parity columns.
+    for k, p, seed in itertools.product(range(1, 8), range(1, 8), range(2)):
+        s = random_systematic_scheme(k, k + p, (0,), (0,), seed=100 * k + 10 * p + seed)
+        for size in range(p + 1):
+            for cols in itertools.combinations(range(p), size):
+                assert _rank_term(s, cols) == h_surgery_rank_term(s, cols), (k, p, seed, cols)
+
+
 def test_minmax_formula_range_check(scheme):
     with pytest.raises(UsageError):
         minmax_curves(scheme, 6, 0)
@@ -188,9 +201,14 @@ def test_minmax_oracle_monotone_spot(analyzer):
 
 
 def test_extremal_max_pattern_layout(scheme):
-    p = extremal_max_pattern(scheme, 4, 1)
+    p = extremal_max_pattern(4, 1)
     assert p.tx_positions == frozenset({0, 1, 2, 3})
     assert p.ty_positions == frozenset({0})
+    # Info positions first, then parity columns from column 0, at every size.
+    for count in range(scheme.syndrome_len("x") + 1):
+        info = min(count, scheme.info_len("x"))
+        picks = set(range(info)) | {scheme.info_len("x") + c for c in range(count - info)}
+        assert extremal_max_pattern(count, 0).tx_positions == picks
 
 
 def test_z_mu_leakage_endpoints():
@@ -269,9 +287,9 @@ def test_memo_shared_across_patterns_matches_fresh_analyzers(scheme, hamming7):
 
 def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     # Parity column 0 seen on x only, on y only, and on both sides.
-    px, py = scheme.x_info_len, scheme.y_info_len
-    assert scheme.parity_column("x", px) == scheme.parity_column("y", py) == 0
+    px, py = scheme.info_len("x"), scheme.info_len("y")
     analyzer = WiretapAnalyzer(scheme, hamming7)
+    assert analyzer._tx[1][px] == (0, "x") and analyzer._ty[1][py] == (0, "y")
     sets = analyzer.entropy_sets
     h_x = analyzer.evaluation(pattern(tx=[px])).H("tx")
     h_y = analyzer.evaluation(pattern(ty=[py])).H("ty")
@@ -288,6 +306,37 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     h_xor = code_entropy((tx[:, px] ^ ty[:, py]).astype(np.int64))
     assert h_xor > 0.0
     assert h_pair == pytest.approx(1.0 + h_xor, abs=1e-12)
+
+
+ALL_ROLES = ("v1", "u2", "q1", "q2")
+
+
+@pytest.mark.parametrize(
+    "roles",
+    [{"v1": "common"}, {"q1": "private"}, dict.fromkeys(ALL_ROLES, "private"),
+     dict.fromkeys(ALL_ROLES, "common")],
+    ids=["v1-common", "q1-private", "all-private", "all-common"],
+)
+def test_role_positions_and_pad_map_follow_the_segment_names(scheme, roles):
+    # Each syndrome bit is named by its segment: the info segment's bits
+    # first, then the parity segment's.  The role positions and the
+    # analyzer's pad map equal that per-bit reading, and only common-role
+    # parity bits are padded, each with its index past the info bits.
+    for s in (scheme, random_systematic_scheme(5, 8, (1, 2, 3), (4,), seed=3)):
+        s = replace(s, segment_roles=roles)
+        analyzer = WiretapAnalyzer(s, SequenceModel(kind="hamming", K=s.n))
+        for side, info, parity, pads in (
+            ("x", "v1", "q1", analyzer._tx[1]), ("y", "u2", "q2", analyzer._ty[1])
+        ):
+            n_info = len((s.x_segments if side == "x" else s.y_segments)[info])
+            names = [info] * n_info + [parity] * s.parity_len
+            role = [roles.get(name, "private") for name in names]
+            for r in ("private", "common"):
+                assert s.role_positions(side, r) == [i for i, v in enumerate(role) if v == r]
+            assert pads == {
+                i: (i - n_info, side)
+                for i, name in enumerate(names) if name == parity and role[i] == "common"
+            }
 
 
 @pytest.mark.parametrize("rows", [40, 5000], ids=["table-larger", "table-smaller"])
@@ -313,8 +362,8 @@ def test_memo_skips_a_variable_without_chunks(scheme, hamming7, base, extra):
     # The mu = 0 Z prefix and a syndrome read whose bits are all padded pack
     # no chunk: adding either to an entropy set adds no kernel entry, only
     # the padded read's fresh bit, and every value equals a fresh analyzer's.
-    assert scheme.parity_column("x", 2) == 0 and scheme.role_of("x", 2) == "common"
     analyzer = WiretapAnalyzer(scheme, hamming7)
+    assert analyzer._tx[1][2] == (0, "x")  # a padded common-role parity bit
     ev = analyzer.evaluation(base)
     sets_of_names = [("ty",), ("x", "ty"), ("y", "ty"), ("x", "y", "ty")]
     if extra == "tx":
@@ -393,10 +442,10 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
     # the memo: no new kernel entry and no packing by the support table.
     wider = []
     for p in patterns:
-        read_y = {s.parity_column("y", i) for i in p.ty_positions} - {None}
+        read_y = {i - s.info_len("y") for i in p.ty_positions if i >= s.info_len("y")}
         free = [
-            i for i in range(s.x_info_len, s.syndrome_len("x"))
-            if i not in p.tx_positions and s.parity_column("x", i) not in read_y
+            i for i in range(s.info_len("x"), s.syndrome_len("x"))
+            if i not in p.tx_positions and i - s.info_len("x") not in read_y
         ]
         if free:
             wider.append(WiretapPattern(p.tx_positions | {free[0]}, p.ty_positions, p.mu))
@@ -441,7 +490,7 @@ def full_table_kernel(s: PartitionScheme, model: SequenceModel):
                 part = tables[name] if not cols else tables[name][:, list(cols[0])]
             chunks.append((pack_bits(part), part.shape[1]))
         for c in both:
-            xor = TX[:, s.x_info_len + c] ^ TY[:, s.y_info_len + c]
+            xor = TX[:, s.info_len("x") + c] ^ TY[:, s.info_len("y") + c]
             chunks.append((xor.astype(np.int64), 1))
         return code_entropy(pack_chunks(chunks, X.shape[0]), model.table.weights)
 
@@ -589,7 +638,7 @@ def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
     seen = spy_kernel_rows(monkeypatch)
     analyzer = WiretapAnalyzer(s, model)
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
-    info_x, info_y = s.x_info_len, s.y_info_len
+    info_x, info_y = s.info_len("x"), s.info_len("y")
 
     def xor_observable(col):
         def fn(t):
@@ -670,8 +719,8 @@ def test_row_buffer_equals_full_table_on_wide_and_padded_sets(monkeypatch):
     analyzer = WiretapAnalyzer(s, model)
     seen = spy_row_code_dtypes(monkeypatch, model.table)
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
-    px, py = s.x_info_len, s.y_info_len
-    assert s.parity_column("x", px) == s.parity_column("y", py) == 0
+    px, py = s.info_len("x"), s.info_len("y")
+    assert analyzer._tx[1][px] == (0, "x") and analyzer._ty[1][py] == (0, "y")
 
     wide = analyzer.evaluation(pattern(tx=range(lx), ty=range(ly), mu=n))
     wide.H("tx", "ty", "x", "y", "z")

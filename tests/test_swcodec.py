@@ -68,9 +68,10 @@ def test_encode_hand_worked_variants(scheme):
 
 def test_syndrome_parts(scheme):
     t = encode_x(bits("1011001"), scheme)
-    assert t.bits[: t.info_len] == (1, 1)
-    assert t.bits[t.info_len :] == (1, 0, 0)
-    assert t.info_len == 2 and t.parity_len == 3
+    info = scheme.info_len("x")
+    assert t.bits[:info] == (1, 1)
+    assert t.bits[info:] == (1, 0, 0)
+    assert info == 2 and scheme.parity_len == 3 and len(t.bits) == scheme.syndrome_len("x")
 
 
 def test_encode_length_mismatch(scheme):
@@ -106,7 +107,7 @@ def random_systematic_scheme(rng, k: int, n: int) -> PartitionScheme:
 def test_encode_matches_generator_matrix(scheme):
     # The matrix encoder equals the paper's per-word formula on every word of
     # the reference [7,4] scheme and of a seeded random [10,6] scheme.
-    assert scheme.g_x is scheme.g_x and scheme.parity_check is scheme.parity_check  # built once
+    assert scheme.g_x is scheme.g_x and scheme.parity_block is scheme.parity_block  # built once
     for s in (scheme, random_systematic_scheme(np.random.default_rng(7), 6, 10)):
         for w in itertools.product((0, 1), repeat=s.n):
             assert encode_x(w, s) == formula_encode_x(w, s)
@@ -167,9 +168,21 @@ def test_joint_decode_golden_pair(scheme, hamming7):
 
 
 def test_joint_decode_zero_pair(scheme, hamming7):
-    zeros = Syndrome(bits=(0,) * 5, info_len=2, parity_len=3)
+    zeros = Syndrome(bits=(0,) * 5)
     result = joint_decode(zeros, zeros, hamming7, scheme)
     assert ((0,) * 7, (0,) * 7) in result.candidates
+
+
+def test_joint_decode_refuses_syndromes_of_the_wrong_length(scheme, hamming7):
+    # Syndromes are matched as integers, so a short or long t_x would match
+    # the pair whose 5-bit syndrome has that value; the scheme's lengths
+    # are enforced instead.
+    tx, ty = encode_x(bits("1011001"), scheme), encode_y(bits("1011011"), scheme)
+    for wrong in ((1, 0, 0), (0,) * 6):
+        with pytest.raises(UsageError, match="t_x must have 5 bits"):
+            joint_decode(Syndrome(wrong), ty, hamming7, scheme)
+    with pytest.raises(UsageError, match="t_y must have 5 bits"):
+        joint_decode(tx, Syndrome((0,) + ty.bits), hamming7, scheme)
 
 
 def test_decode_candidates_contain_truth_everywhere(scheme, hamming7):
@@ -274,12 +287,13 @@ def test_scheme_validation():
 
 
 def test_roles_default(scheme):
-    assert scheme.role_of("x", 0) == "private"   # v1 segment
-    assert scheme.role_of("x", 2) == "common"    # parity
-    assert scheme.role_of("y", 1) == "private"   # u2 segment
-    assert scheme.role_of("y", 4) == "common"
-    assert scheme.parity_column("x", 3) == 1
-    assert scheme.parity_column("x", 1) is None
+    assert scheme.role_positions("x", "private") == [0, 1]    # v1 segment
+    assert scheme.role_positions("x", "common") == [2, 3, 4]  # parity
+    assert scheme.role_positions("y", "private") == [0, 1]    # u2 segment
+    assert scheme.role_positions("y", "common") == [2, 3, 4]
+    # A parity bit's column is its index past the info bits: bit 3 of T_X is
+    # parity column 1, and bit 1 is an info bit.
+    assert scheme.info_len("x") == scheme.info_len("y") == 2
 
 
 def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
@@ -333,7 +347,7 @@ def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
     assert ambiguous > 0.1
     assert decode_ambiguity_rate(s, model) == pytest.approx(ambiguous, abs=1e-9)
     for (tx, ty), members in groups.items():
-        result = joint_decode(Syndrome(tx, 1, 2), Syndrome(ty, 1, 2), model, s)
+        result = joint_decode(Syndrome(tx), Syndrome(ty), model, s)
         assert result.candidates == tuple(sorted(members))
 
     h_wx, h_wcx = h["x"] - H("x", w_x), h["x"] - H("x", w_cx)
@@ -396,7 +410,7 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     queries = {(encode_x(x, s).bits, encode_y(y, s).bits) for x, y in zip(X.tolist(), Y.tolist())}
     report = prototype_condition_report(s, model)
     decoded = {
-        (tx, ty): joint_decode(Syndrome(tx, 1, 2), Syndrome(ty, 1, 2), model, s)
+        (tx, ty): joint_decode(Syndrome(tx), Syndrome(ty), model, s)
         for tx, ty in queries
     }
 
@@ -413,7 +427,7 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     assert prototype_condition_report(s, model)[1:] == report[1:]
     assert report[0].label == "decode_error"
     for (tx, ty), result in decoded.items():
-        assert joint_decode(Syndrome(tx, 1, 2), Syndrome(ty, 1, 2), model, s) == result
+        assert joint_decode(Syndrome(tx), Syndrome(ty), model, s) == result
 
 
 def weighted_k5_case() -> tuple[PartitionScheme, SequenceModel]:
