@@ -30,11 +30,11 @@ from .errors import (
 from .gf2 import Gf2Matrix, rank
 from .info import InfoSummary, JointPmf
 from .leakage import (
+    BoundColumns,
     BoundReport,
     CurveRow,
     FormulaMinMax,
     LeakageValue,
-    PatternCheck,
     WiretapAnalyzer,
     WiretapPattern,
     extremal_max_pattern,

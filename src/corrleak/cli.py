@@ -262,13 +262,10 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
     if not patterns:
         raise ValidationError("scenario.sweep.random_patterns: sweep produced no patterns")
     ctx.log(f"checking {len(patterns)} patterns")
+    checks = ctx.analyzer.pattern_checks(patterns)
     rows = []
     for i, pattern in enumerate(patterns):
-        check = ctx.analyzer.pattern_checks(pattern)
-        for target, bound, residual in (
-            ("y", check.bound_y, check.residual_y),
-            ("x", check.bound_x, check.residual_x),
-        ):
+        for target, c in checks.items():
             rows.append(
                 {
                     "pattern": i,
@@ -276,11 +273,11 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
                     "ty_positions": ";".join(str(p) for p in sorted(pattern.ty_positions)),
                     "mu_z": pattern.mu,
                     "target": target,
-                    "lhs_bits": bound.lhs_bits,
-                    "rhs_bits": bound.rhs_bits,
-                    "delta": bound.delta,
-                    "holds": bound.holds,
-                    "identity_residual": residual,
+                    "lhs_bits": c.lhs_bits[i],
+                    "rhs_bits": c.rhs_bits[i],
+                    "delta": c.delta,
+                    "holds": c.holds[i],
+                    "identity_residual": c.residual[i],
                 }
             )
     ctx.log_entropy_counters()

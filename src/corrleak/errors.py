@@ -2,6 +2,7 @@
 field checks that turn a malformed input field into a ``ValidationError``."""
 
 import math
+import numbers
 
 
 class ToolkitError(Exception):
@@ -26,6 +27,11 @@ class CapacityError(ToolkitError):
 
 class InternalConsistencyError(ToolkitError, RuntimeError):
     """A computed quantity violated an exact identity beyond tolerance."""
+
+
+def is_int(value) -> bool:
+    """True for an int or a numpy integer, never for a bool."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def int_field(value, field: str) -> int:

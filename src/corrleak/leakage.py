@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from math import log2
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, UsageError
+from .errors import DomainError, InternalConsistencyError, UsageError, is_int
 from .gf2 import Gf2Matrix, rank
 from .info import column_code
 from .seqmodel import SequenceModel
@@ -52,13 +51,19 @@ class WiretapPattern:
     mu: int = 0
 
     def validate(self, s: PartitionScheme, K: int) -> None:
-        lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
-        if any(not 0 <= p < lx for p in self.tx_positions):
-            raise UsageError(f"tx_positions out of range 0..{lx - 1}")
-        if any(not 0 <= p < ly for p in self.ty_positions):
-            raise UsageError(f"ty_positions out of range 0..{ly - 1}")
-        if not 0 <= self.mu <= K:
-            raise UsageError(f"mu must lie in 0..{K}, got {self.mu}")
+        """Raise ``UsageError`` naming the field unless every position is an
+        integer bit of its syndrome and ``mu`` an integer in 0..K; a bool or
+        a float is refused, never read as a number."""
+        for field, values, top in (
+            ("tx_positions", self.tx_positions, s.syndrome_len("x") - 1),
+            ("ty_positions", self.ty_positions, s.syndrome_len("y") - 1),
+            ("mu", (self.mu,), K),
+        ):
+            for v in values:
+                if not is_int(v):
+                    raise UsageError(f"{field}: expected an integer, got {v!r}")
+                if not 0 <= v <= top:
+                    raise UsageError(f"{field} out of range 0..{top}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -85,207 +90,288 @@ class BoundReport:
         return self.lhs_bits <= self.rhs_bits + self.delta
 
 
-_TARGET_VARS = {"x": ("x",), "y": ("y",), "xy": ("x", "y")}
+@dataclass(frozen=True)
+class BoundColumns:
+    """The bound reports and identity residuals of one target over a
+    sequence of patterns, as columns with one entry per pattern; ``terms``
+    holds the nine mutual-information terms, ``constants`` the three
+    entropies the right side adds to every pattern's terms."""
 
-#: Signs of the nine mutual-information terms in the bound's right side;
-#: the chain-rule reconstruction of H(target | T_Y, T_X, Z^mu) takes each
-#: with the opposite sign.
-_TERM_SIGNS = {
-    "i(ty;t)": 1.0,
-    "i(tx;t)": 1.0,
-    "i(ty;tx|t)": 1.0,
-    "i(t;z)": 1.0,
-    "i(ty;z|t)": 1.0,
-    "i(tx;z|t,ty)": 1.0,
-    "i(tx;ty)": -1.0,
-    "i(z;tx)": -1.0,
-    "i(ty;z|tx)": -1.0,
+    target: str
+    lhs_bits: list[float]
+    rhs_bits: list[float]
+    holds: list[bool]
+    residual: list[float]
+    terms: dict[str, list[float]]
+    constants: dict[str, float]
+    delta: float = DELTA
+
+    def report(self, i: int) -> BoundReport:
+        """The bound report of pattern ``i``."""
+        terms = {name: values[i] for name, values in self.terms.items()}
+        return BoundReport(
+            self.target, self.lhs_bits[i], self.rhs_bits[i], {**terms, **self.constants}
+        )
+
+
+#: The nine mutual-information terms of the chain-rule expansion of
+#: H(t | T_Y, T_X, Z^mu), I(A; B | C) = H(A, C) + H(B, C) - H(A, B, C) - H(C),
+#: as (sign, A, B, C) with ``t`` for the target.  The bound's right side adds
+#: each term with its sign; the chain-rule reconstruction subtracts it.
+_TERMS = {
+    "i(ty;t)": (1.0, "ty", "t", ""),
+    "i(tx;t)": (1.0, "tx", "t", ""),
+    "i(ty;tx|t)": (1.0, "ty", "tx", "t"),
+    "i(t;z)": (1.0, "t", "z", ""),
+    "i(ty;z|t)": (1.0, "ty", "z", "t"),
+    "i(tx;z|t,ty)": (1.0, "tx", "z", "t ty"),
+    "i(tx;ty)": (-1.0, "tx", "ty", ""),
+    "i(z;tx)": (-1.0, "z", "tx", ""),
+    "i(ty;z|tx)": (-1.0, "ty", "z", "tx"),
 }
 
-
-def _target_vars(target: str) -> tuple[str, ...]:
-    if target not in _TARGET_VARS:
-        raise UsageError(f"target must be one of {sorted(_TARGET_VARS)}, got {target!r}")
-    return _TARGET_VARS[target]
+#: Patterns per evaluator block, so that a sweep's class keys never cover
+#: more patterns than this at a time, however long the sweep.
+BLOCK = 1024
 
 
-class _Var:
-    """Observation variable: deterministic columns plus padded-bit refs.
+def _names(*parts: str, t: str = "") -> frozenset[str]:
+    """The variable names of space-separated parts; ``t`` is the target."""
+    return frozenset(t if name == "t" else name for part in parts for name in part.split())
 
-    A bit protected by the shared parity pad is not materialised: within any
-    entropy set, a pad column observed on one side contributes exactly one
-    bit of fresh uniform randomness, and a column observed on both sides
-    contributes one fresh bit plus the deterministic XOR of the two raw
-    parity bits.  ``masked`` holds (column, side) references that the
-    evaluation resolves per entropy set.  ``key`` names the deterministic
-    part, the columns ``cols`` of the packed ``(code, width)`` source;
-    ``width`` counts them.  X, Y, T_X and T_Y are functions of the (x, y)
-    pair, so their ``source`` is a per-pair code of the support table: the
-    word codes for X and Y, the syndrome codes of ``support_syndromes`` for
-    T_X and T_Y; Z's is None, as the table shifts its prefix of ``width``
-    columns straight out of its row Z code.
-    ``chunks`` selects the columns of a pair source on first use, as
-    ``(code, width)``, so a variable whose entropy sets all hit the memo
-    costs no array pass, and a variable with no deterministic column has no
-    chunk.
-    """
 
-    def __init__(
-        self,
-        key: tuple,
-        masked: list[tuple[int, str]],
-        source: Optional[tuple[np.ndarray, int]],
-        cols: Sequence[int],
-    ):
-        self.key = key
-        self.masked = masked
-        self.width = len(cols)
-        self.cols = cols
-        self.source = source
+#: Per target, the sets H(A, C), H(B, C), H(A, B, C) and H(C) of each term.
+_TERM_SETS = {
+    t: {
+        name: tuple(_names(*parts, t=t) for parts in ((a, c), (b, c), (a, b, c), (c,)))
+        for name, (_, a, b, c) in _TERMS.items()
+    }
+    for t in "xy"
+}
+#: Per target, every set that its bound and identity check reads: the terms
+#: hold H(t), H(T_X, T_Y, Z) and H(t, T_X, T_Y, Z) too.
+_CHECK_SETS = {t: {s for sets in _TERM_SETS[t].values() for s in sets if s} for t in "xy"}
 
-    @cached_property
-    def chunks(self) -> list[tuple[np.ndarray, int]]:
-        if not self.width:
-            return []
-        return [(column_code(*self.source, self.cols), self.width)]
+
+def _blocks(patterns: Iterable[WiretapPattern]) -> Iterator[list[WiretapPattern]]:
+    it = iter(patterns)
+    while block := list(itertools.islice(it, BLOCK)):
+        yield block
+
+
+def _mask(positions: Iterable[int]) -> int:
+    return sum(1 << int(p) for p in positions)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _key_shifts(widths: Mapping[str, int]) -> dict[str, int]:
+    """The shift of each field when fields of the given bit widths are packed
+    into one int64 key, the first field most significant; past 63 bits,
+    ``InternalConsistencyError``."""
+    if (used := sum(widths.values())) > 63:
+        raise InternalConsistencyError(f"a {used}-bit class key does not fit an int64")
+    names = list(widths)[::-1]
+    return dict(zip(names, itertools.accumulate([widths[n] for n in names], initial=0)))
 
 
 class WiretapAnalyzer:
-    """Precomputed enumeration engine for one (scheme, model) pair.
+    """Exact enumeration engine for one (scheme, model) pair.
 
-    Building the engine reads the model's support table once; every leakage,
-    bound and identity evaluation then reduces to entropies of integer-coded
-    columns over the support, with shared-pad bits folded in analytically.
-    Every column but Z is a function of the source pair (x, y), so it is
-    kept per distinct pair of the model's support table, which takes every
-    kernel entropy.
-    Kernel entropies are memoised across patterns by observation class: the
-    deterministic keys of the variables and the pad columns read on both
-    sides.  ``entropy_calls`` counts the entropy sets asked for and
-    ``entropy_sets`` the kernel evaluations.
+    Building the engine reads the model's support table once.  Every
+    leakage, bound and identity value is then a sum of joint entropies of
+    ``x`` (X), ``y`` (Y), ``tx`` (T_X), ``ty`` (T_Y) and ``z`` (the leaked Z
+    prefix), with shared-pad bits folded in analytically.  Every column but
+    Z is a function of the source pair (x, y), so it is kept per distinct
+    pair of the support table, which takes every kernel entropy.
+
+    Each public operation takes its patterns in blocks of ``BLOCK``, asks
+    the one evaluator, ``_entropies``, for every set it needs over a whole
+    block, and sums its terms as array expressions over the block, in the
+    order of their written-out form.  Kernel entropies are memoised by
+    observation class (``_class_values``) across blocks and operations.
+    ``entropy_calls`` counts the sets asked for, each distinct set once per
+    pattern, and ``entropy_sets`` the kernel evaluations.
     """
 
     def __init__(self, s: PartitionScheme, model: SequenceModel):
         require_code_model(s, model, "analyzer")
-        self.scheme = s
-        self.model = model
-        self.K = model.K
-
+        self.scheme, self.model, self.K = s, model, model.K
         self._table = t = model.table
         tx, ty = support_syndromes(s, t.x, t.y)
-
-        # Syndrome bits plus the shared-pad reference (parity column, side)
-        # of every common-role parity bit; other bits are clear.
-        def padded(side: str) -> dict[int, tuple[int, str]]:
-            info = s.info_len(side)
-            return {i: (i - info, side) for i in s.role_positions(side, "common") if i >= info}
-
-        # Every variable but Z is a column subset of one of these per-pair
-        # packed codes.
-        self._tx = ((tx, s.syndrome_len("x")), padded("x"))
-        self._ty = ((ty, s.syndrome_len("y")), padded("y"))
+        lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
+        # Per side, the packed per-pair syndrome code and its width, the info
+        # length, and the bits of its padded positions: the common-role ones
+        # at or past the info length, pad column = position - info length.
+        self._syndromes = {"x": (tx, lx), "y": (ty, ly)}
+        self._info = {side: s.info_len(side) for side in "xy"}
+        self._pads = {
+            side: _mask(i for i in s.role_positions(side, "common") if i >= self._info[side])
+            for side in "xy"
+        }
         # Raw parity XOR per pad column (the pads cancel in the pair): both
         # codes end in the parity bits, so column c is one bit of tx ^ ty.
         raw = tx ^ ty
-        self._xor_col = {
-            c: ((raw >> (s.parity_len - 1 - c)) & 1).astype(np.uint8)
-            for c in range(s.parity_len)
-        }
-        self._entropy_memo: dict[tuple, float] = {}
+        self._xor_col = [
+            ((raw >> (s.parity_len - 1 - c)) & 1).astype(np.uint8) for c in range(s.parity_len)
+        ]
+        self._width = {"x": 1, "y": 1, "tx": lx, "ty": ly, "z": self.K.bit_length()}
+        self._shift = _key_shifts(self._width)
+        self._class_values: dict[int, float] = {}
         self.entropy_calls = 0
         self.entropy_sets = 0
 
-        self._x_var = _Var(("X",), [], (t.x, self.K), range(self.K))
-        self._y_var = _Var(("Y",), [], (t.y, self.K), range(self.K))
+        def h(tx: Sequence[int], ty: Sequence[int], *specs: str) -> list[float]:
+            names = [_names(spec) for spec in specs]
+            values = self._entropies([WiretapPattern(frozenset(tx), frozenset(ty))], names)
+            return [values[n].item() for n in names]
 
-        self.h_x_total = self._set_entropy([self._x_var])
-        self.h_y_total = self._set_entropy([self._y_var])
-        self.h_xy_total = self._set_entropy([self._x_var, self._y_var])
-
+        self.h_x_total, self.h_y_total, self.h_xy_total = h((), (), "x", "y", "x y")
         # Private/common channel-portion entropies used by the bound right side:
         # the private portion of one syndrome, and the common portion taken
         # jointly across both syndromes (the common information is shared).
-        self.h_private_x = self._set_entropy([self._side_var("x", "private")])
-        self.h_private_y = self._set_entropy([self._side_var("y", "private")])
-        self.h_common = self._set_entropy(
-            [self._side_var("x", "common"), self._side_var("y", "common")]
-        )
+        private = [s.role_positions(side, "private") for side in "xy"]
+        common = [s.role_positions(side, "common") for side in "xy"]
+        self.h_private_x, self.h_private_y = h(*private, "tx", "ty")
+        (self.h_common,) = h(*common, "tx ty")
+        self._bound_constants = {
+            t: {"h(v_private)": private, "h(v_common)": self.h_common, "h(target_seq)": total}
+            for t, private, total in (
+                ("x", self.h_private_x, self.h_x_total), ("y", self.h_private_y, self.h_y_total)
+            )
+        }
 
-    # -- low-level -----------------------------------------------------------
+    # -- the evaluator ---------------------------------------------------------
 
-    def _side_var(self, side: str, role: str) -> _Var:
-        return self._syndrome_var(side, self.scheme.role_positions(side, role))
+    def _entropies(
+        self, patterns: Sequence[WiretapPattern], sets: Sequence[frozenset[str]]
+    ) -> dict[frozenset[str], np.ndarray]:
+        """H of each name set under each pattern of a block, in bits: one
+        float64 array per set, one entry per pattern.
 
-    def _syndrome_var(self, side: str, positions: Sequence[int]) -> _Var:
-        source, masked = self._tx if side == "x" else self._ty
-        cols = [i for i in positions if i not in masked]
-        refs = [masked[i] for i in positions if i in masked]
-        return _Var((side, tuple(cols)), refs, source, cols)
+        The observation class of a (pattern, set) pair is the set's X and Y
+        flags, the clear bits it reads of each side, its Z prefix length
+        and, when it reads both sides, the pad columns read on both, whose
+        raw-parity XOR it sees.  The class fixes the kernel entropy, and
+        every pad column read on either side adds one fresh bit to it.
 
-    def _set_entropy(self, vars: Sequence[_Var]) -> float:
-        """Entropy of the joint of several variables: the kernel entropy of
-        their deterministic chunks and the raw-parity XOR of every pad column
-        touched on both sides, plus one bit per touched pad column.
+        A block's classes are packed into int64 keys, deduplicated by one
+        ``np.unique``; a key the memo lacks calls the kernel once.  A key
+        holds, first field most significant, the two flags, each side's
+        syndrome bits and mu: the clear bits read sit at their positions,
+        and the pad columns read on both sides at the T_X field's padded
+        positions, which no clear bit takes.  That is 2 + l_x + l_y +
+        bit_length(K) bits, with l_x, l_y <= n = K.  A Hamming support holds
+        at least 2**K triples and an iid one has 3K axes, so ``SUPPORT_GUARD``
+        and numpy keep K <= 26, and the key within 2 + 52 + 5 = 59 bits."""
+        for p in patterns:
+            p.validate(self.scheme, self.K)
+        self.entropy_calls += len(patterns) * len(sets)
+        tx = np.array([_mask(p.tx_positions) for p in patterns], dtype=np.int64)
+        ty = np.array([_mask(p.ty_positions) for p in patterns], dtype=np.int64)
+        mu = np.array([p.mu for p in patterns], dtype=np.int64)
+        shift, pads, info = self._shift, self._pads, self._info
+        fields = np.stack(np.broadcast_arrays(
+            1 << shift["x"], 1 << shift["y"], (tx & ~pads["x"]) << shift["tx"],
+            (ty & ~pads["y"]) << shift["ty"], mu << shift["z"],
+        ))
+        # One row per set: which of x, y, tx, ty, z it reads.  The fields
+        # hold disjoint bits, so a row's product with them is their OR.
+        reads = np.array([[n in names for n in ("x", "y", "tx", "ty", "z")] for names in sets])
+        keys = reads.astype(np.int64) @ fields
+        read_x, read_y = reads[:, 2:3], reads[:, 3:4]
+        cols_x = (tx & pads["x"]) >> info["x"]  # pad columns read
+        cols_y = (ty & pads["y"]) >> info["y"]
+        keys |= np.where(read_x & read_y, (cols_x & cols_y) << (info["x"] + shift["tx"]), 0)
+        fresh = np.bitwise_count(np.where(read_x, cols_x, 0) | np.where(read_y, cols_y, 0))
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        memo = self._class_values
+        values = np.array([memo[k] if k in memo else self._kernel(k) for k in distinct.tolist()])
+        h = values[inverse.reshape(keys.shape)]
+        h += fresh  # one fresh bit per pad column read
+        return dict(zip(sets, h))
 
-        Only the kernel value is memoised.  Its key lists, in the order
-        given, which is also the packing order, the keys of the variables
-        that have a deterministic column, and the pad columns touched on
-        both sides.  A variable with no deterministic column (the ``mu = 0``
-        Z prefix, a syndrome read whose bits are all padded) packs nothing,
-        and a pad column read on one side changes only the bonus, which is
-        added on every call.  So a hit returns the very float a fresh
-        computation would, and chunks are packed only on a miss, for the
-        support table's ``entropy``."""
-        self.entropy_calls += 1
-        touched: dict[int, set[str]] = {}
-        for v in vars:
-            for col, side in v.masked:
-                touched.setdefault(col, set()).add(side)
-        bonus = 0.0
-        both = []
-        for col, sides in sorted(touched.items()):
-            bonus += 1.0
-            if len(sides) == 2:
-                both.append(col)
-        key = (tuple(v.key for v in vars if v.width), tuple(both))
-        value = self._entropy_memo.get(key)
-        if value is None:
-            # Packing order: the pair chunks before Z, Z, the pair chunks
-            # after it, then the XOR of every pad column read on both sides.
-            head: list[tuple[np.ndarray, int]] = []
-            tail: list[tuple[np.ndarray, int]] = []
-            mu = 0
-            for v in vars:
-                if v.source is not None:
-                    (tail if mu else head).extend(v.chunks)
-                elif v.width:
-                    mu = v.width
-            (tail if mu else head).extend((self._xor_col[col], 1) for col in both)
-            value = self._table.entropy(head, mu, tail)
-            self._entropy_memo[key] = value
-            self.entropy_sets += 1
-        return value + bonus
+    def _kernel(self, key: int) -> float:
+        """The kernel entropy of the class packed in ``key``, memoised: the
+        clear syndrome columns read of T_X, then of T_Y, then X, Y, the Z
+        prefix and the XOR bit of each pad column read on both sides."""
+        field = {name: key >> self._shift[name] & (1 << w) - 1 for name, w in self._width.items()}
+        head = [
+            (column_code(*self._syndromes[side], cols), len(cols))
+            for side in "xy" if (cols := _bits(field["t" + side] & ~self._pads[side]))
+        ]
+        t, both = self._table, _bits((field["tx"] & self._pads["x"]) >> self._info["x"])
+        head += [(word, self.K) for word, name in zip((t.x, t.y), "xy") if field[name]]
+        xor, mu = [(self._xor_col[c], 1) for c in both], field["z"]
+        value = t.entropy(head, mu, xor) if mu else t.entropy(head + xor)
+        self._class_values[key] = value
+        self.entropy_sets += 1
+        return value
 
-    def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
-        pattern.validate(self.scheme, self.K)
-        tx = self._syndrome_var("x", sorted(pattern.tx_positions))
-        ty = self._syndrome_var("y", sorted(pattern.ty_positions))
-        z = _Var(("z", pattern.mu), [], None, range(pattern.mu))
-        return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
+    def _check(self, h: Mapping[frozenset[str], np.ndarray], t: str) -> dict[str, np.ndarray]:
+        """The bound and identity columns of target ``t`` over a block, from
+        one pass over the nine mutual-information terms of the chain-rule
+        expansion of H(t | T_Y, T_X, Z^mu)."""
+        terms = {}
+        for name, (ac, bc, abc, c) in _TERM_SETS[t].items():
+            value = h[ac] + h[bc] - h[abc]
+            terms[name] = value - h[c] if c else value
+        h_t, h_obs, h_t_obs = h[_names("t", t=t)], h[_names("tx ty z")], h[_names("t tx ty z", t=t)]
+        private, common, target = self._bound_constants[t].values()
+        # Left to right, so each sum rounds as its written-out form would.
+        recon = h_t
+        rhs = private + common - target
+        for name, (sign, *_) in _TERMS.items():
+            recon = recon - sign * terms[name]
+            rhs = rhs + sign * terms[name]
+        lhs = h_t + h_obs - h_t_obs
+        lhs = np.where(lhs > 0.0, lhs, 0.0) / self.K  # max(0.0, lhs); np.maximum keeps -0.0
+        rhs = rhs / self.K
+        return {"lhs_bits": lhs, "rhs_bits": rhs, "holds": lhs <= rhs + DELTA,
+                "residual": np.abs(h_t_obs - h_obs - recon), **terms}
 
-    def evaluation(self, pattern: WiretapPattern) -> "_Evaluation":
-        return _Evaluation(self, self._pattern_vars(pattern))
+    def _bound_columns(
+        self, patterns: Iterable[WiretapPattern], targets: Sequence[str]
+    ) -> dict[str, BoundColumns]:
+        if bad := [t for t in targets if t not in ("x", "y")]:
+            raise UsageError(f"bound target must be 'x' or 'y', got {bad[0]!r}")
+        sets = list(set().union(*(_CHECK_SETS[t] for t in targets)))
+        fields = ("lhs_bits", "rhs_bits", "holds", "residual", *_TERMS)
+        columns = {t: {name: [] for name in fields} for t in targets}
+        for block in _blocks(patterns):
+            h = self._entropies(block, sets)
+            for t in targets:
+                for name, values in self._check(h, t).items():
+                    columns[t][name] += values.tolist()
+        return {
+            t: BoundColumns(
+                t, **{name: c.pop(name) for name in fields[:4]}, terms=c,
+                constants=self._bound_constants[t],
+            )
+            for t, c in columns.items()
+        }
+
+    def _leakage(self, target: str, patterns: Iterable[WiretapPattern]) -> Iterator[np.ndarray]:
+        """Total leakage of ``target`` under each pattern, in bits, one array
+        per block; a value below ``-DELTA`` raises ``InternalConsistencyError``,
+        one in ``-DELTA..0`` reads 0.0."""
+        if target not in ("x", "xy", "y"):
+            raise UsageError(f"target must be one of ['x', 'xy', 'y'], got {target!r}")
+        sets = [_names(*target), _names("tx ty z"), _names(*target, "tx ty z")]
+        for block in _blocks(patterns):
+            h = self._entropies(block, sets)
+            total = h[sets[0]] + h[sets[1]] - h[sets[2]]
+            if (negative := total[total < -DELTA]).size:
+                raise InternalConsistencyError(f"negative leakage {negative[0].item()!r}")
+            yield np.where(total > 0.0, total, 0.0)
 
     # -- public operations -------------------------------------------------------
 
     def exact_leakage(self, target: str, pattern: WiretapPattern) -> LeakageValue:
         """L = H(target^K) - H(target^K | observed bits), exact."""
-        tgt = _target_vars(target)
-        ev = self.evaluation(pattern)
-        total = ev.H(*tgt) + ev.H("tx", "ty", "z") - ev.H(*tgt, "tx", "ty", "z")
-        if total < -DELTA:
-            raise InternalConsistencyError(f"negative leakage {total!r}")
-        total = max(0.0, total)
+        total = next(self._leakage(target, [pattern])).item()
         return LeakageValue(target=target, total_bits=total, per_symbol_bits=total / self.K)
 
     def bound_report(self, target: str, pattern: WiretapPattern) -> BoundReport:
@@ -295,57 +381,15 @@ class WiretapAnalyzer:
         terms with the entropy of the target's private channel portion and
         the joint entropy of the common portions of both syndromes.
         """
-        return self._check(self.evaluation(pattern), target)[1]
+        return self._bound_columns([pattern], (target,))[target].report(0)
 
-    def pattern_checks(self, pattern: WiretapPattern) -> "PatternCheck":
-        """Identity residuals and bound reports for both targets, sharing one
-        entropy cache; the workhorse of the sweep commands."""
-        ev = self.evaluation(pattern)
-        residual_y, bound_y = self._check(ev, "y")
-        residual_x, bound_x = self._check(ev, "x")
-        return PatternCheck(pattern, residual_y, residual_x, bound_y, bound_x)
-
-    def _check(self, ev: "_Evaluation", t: str) -> tuple[float, BoundReport]:
-        """Identity residual and bound report of target ``t`` from one pass
-        over the nine mutual-information terms of the chain-rule expansion of
-        H(t | T_Y, T_X, Z^mu), each computed from exact joint entropies."""
-        if t not in ("x", "y"):
-            raise UsageError(f"bound target must be 'x' or 'y', got {t!r}")
-        terms = {
-            "i(ty;t)": ev.H("ty") + ev.H(t) - ev.H("ty", t),
-            "i(tx;t)": ev.H("tx") + ev.H(t) - ev.H("tx", t),
-            "i(ty;tx|t)": ev.H("ty", t) + ev.H("tx", t) - ev.H("ty", "tx", t) - ev.H(t),
-            "i(t;z)": ev.H(t) + ev.H("z") - ev.H(t, "z"),
-            "i(ty;z|t)": ev.H("ty", t) + ev.H("z", t) - ev.H("ty", "z", t) - ev.H(t),
-            "i(tx;z|t,ty)": ev.H("tx", t, "ty")
-            + ev.H("z", t, "ty")
-            - ev.H("tx", "z", t, "ty")
-            - ev.H(t, "ty"),
-            "i(tx;ty)": ev.H("tx") + ev.H("ty") - ev.H("tx", "ty"),
-            "i(z;tx)": ev.H("z") + ev.H("tx") - ev.H("z", "tx"),
-            "i(ty;z|tx)": ev.H("ty", "tx") + ev.H("z", "tx") - ev.H("ty", "z", "tx") - ev.H("tx"),
-        }
-        h_t, h_obs, h_t_obs = ev.H(t), ev.H("tx", "ty", "z"), ev.H(t, "tx", "ty", "z")
-        h_private = self.h_private_x if t == "x" else self.h_private_y
-        h_target = self.h_x_total if t == "x" else self.h_y_total
-        # Left to right, so each sum rounds as its written-out form would.
-        recon = h_t
-        rhs_total = h_private + self.h_common - h_target
-        for name, sign in _TERM_SIGNS.items():
-            recon -= sign * terms[name]
-            rhs_total += sign * terms[name]
-        report = BoundReport(
-            target=t,
-            lhs_bits=max(0.0, h_t + h_obs - h_t_obs) / self.K,
-            rhs_bits=rhs_total / self.K,
-            term_breakdown={
-                **terms,
-                "h(v_private)": h_private,
-                "h(v_common)": self.h_common,
-                "h(target_seq)": h_target,
-            },
-        )
-        return abs(h_t_obs - h_obs - recon), report
+    def pattern_checks(self, patterns: Iterable[WiretapPattern]) -> dict[str, BoundColumns]:
+        """Bound reports and identity residuals of both targets, ``"y"`` then
+        ``"x"``, over a sequence of patterns: the sweep commands' workhorse.
+        Each block of ``BLOCK`` patterns takes one evaluator call for the 20
+        sets both checks read, so the sweep's working memory beyond its
+        result columns does not grow with its length."""
+        return self._bound_columns(patterns, ("y", "x"))
 
     def minmax_oracle(self, mu_tx: int, mu_ty: int) -> tuple[float, float]:
         """Min and max joint-target leakage over all position subsets of the
@@ -354,40 +398,13 @@ class WiretapAnalyzer:
         if not 0 <= mu_tx <= lx or not 0 <= mu_ty <= ly:
             raise UsageError(f"subset sizes must lie in 0..{lx} / 0..{ly}")
         lo, hi = float("inf"), float("-inf")
-        for tx_sel in itertools.combinations(range(lx), mu_tx):
-            for ty_sel in itertools.combinations(range(ly), mu_ty):
-                val = self.exact_leakage(
-                    "xy", WiretapPattern(frozenset(tx_sel), frozenset(ty_sel), 0)
-                ).total_bits
-                lo, hi = min(lo, val), max(hi, val)
+        for values in self._leakage("xy", (
+            WiretapPattern(frozenset(tx), frozenset(ty))
+            for tx in itertools.combinations(range(lx), mu_tx)
+            for ty in itertools.combinations(range(ly), mu_ty)
+        )):
+            lo, hi = min(lo, values.min().item()), max(hi, values.max().item())
         return lo, hi
-
-
-@dataclass(frozen=True)
-class PatternCheck:
-    """Joint result of the identity and bound checks for one pattern."""
-
-    pattern: WiretapPattern
-    residual_y: float
-    residual_x: float
-    bound_y: BoundReport
-    bound_x: BoundReport
-
-
-class _Evaluation:
-    """Entropy calculator for one pattern.  Its cache by variable names sits
-    in front of the analyzer's memo, so a repeated ``H`` call builds no key."""
-
-    def __init__(self, engine: WiretapAnalyzer, vars: dict[str, _Var]):
-        self._engine = engine
-        self._vars = vars
-        self._cache: dict[tuple[str, ...], float] = {}
-
-    def H(self, *names: str) -> float:
-        key = tuple(sorted(names))
-        if key not in self._cache:
-            self._cache[key] = self._engine._set_entropy([self._vars[n] for n in key])
-        return self._cache[key]
 
 
 # -- closed-form min/max curves -------------------------------------------------
@@ -552,30 +569,20 @@ def _match_label(formula: FormulaMinMax, oracle_max: float) -> str:
 
 def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -> list[CurveRow]:
     """Sweep the (mu_tx, mu_ty) grid: formulas, oracle, and the Y-target
-    bound at the maximum-leakage extremal pattern."""
+    bound at the maximum-leakage extremal pattern, all grid points' bounds
+    as one batch."""
+    grid = list(itertools.product(range(mu_tx_max + 1), range(mu_ty_max + 1)))
+    formulas = [minmax_curves(analyzer.scheme, *size) for size in grid]
+    bounds = analyzer._bound_columns([extremal_max_pattern(*size) for size in grid], ("y",))["y"]
     rows = []
-    s = analyzer.scheme
-    for mu_tx in range(mu_tx_max + 1):
-        for mu_ty in range(mu_ty_max + 1):
-            formula = minmax_curves(s, mu_tx, mu_ty)
-            omin, omax = analyzer.minmax_oracle(mu_tx, mu_ty)
-            bound = analyzer.bound_report("y", extremal_max_pattern(mu_tx, mu_ty))
-            rows.append(
-                CurveRow(
-                    mu_tx=mu_tx,
-                    mu_ty=mu_ty,
-                    mu_z=0,
-                    formula_min=float(formula.min_bits),
-                    formula_max=float(formula.max_bits_corrected),
-                    formula_max_verbatim=float(formula.max_bits_verbatim),
-                    oracle_min=omin,
-                    oracle_max=omax,
-                    bound_lhs=bound.lhs_bits,
-                    bound_rhs=bound.rhs_bits,
-                    bound_holds=bound.holds,
-                    variant_match=_match_label(formula, omax),
-                )
-            )
+    for i, (size, formula) in enumerate(zip(grid, formulas)):
+        omin, omax = analyzer.minmax_oracle(*size)
+        bound = bounds.report(i)
+        rows.append(CurveRow(
+            *size, 0, float(formula.min_bits), float(formula.max_bits_corrected),
+            float(formula.max_bits_verbatim), omin, omax, bound.lhs_bits, bound.rhs_bits,
+            bound.holds, _match_label(formula, omax),
+        ))
     return rows
 
 
@@ -596,26 +603,13 @@ def z_trace_rows(
     rows = []
     for mu in mu_values:
         formula = z_mu_leakage(mu, analyzer.K, h_xy, h_x_given_y)
-        pattern = WiretapPattern(frozenset(), frozenset(), mu)
+        pattern = WiretapPattern(mu=mu)
         oracle = analyzer.exact_leakage("xy", pattern).total_bits
         bound = analyzer.bound_report("y", pattern)
-        match = "both" if abs(formula - oracle) <= DELTA else "neither"
-        rows.append(
-            CurveRow(
-                mu_tx=0,
-                mu_ty=0,
-                mu_z=mu,
-                formula_min=formula,
-                formula_max=formula,
-                formula_max_verbatim=formula,
-                oracle_min=oracle,
-                oracle_max=oracle,
-                bound_lhs=bound.lhs_bits,
-                bound_rhs=bound.rhs_bits,
-                bound_holds=bound.holds,
-                variant_match=match,
-            )
-        )
+        rows.append(CurveRow(
+            0, 0, mu, formula, formula, formula, oracle, oracle, bound.lhs_bits, bound.rhs_bits,
+            bound.holds, "both" if abs(formula - oracle) <= DELTA else "neither",
+        ))
     return rows
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, is_int
 from .gf2 import Gf2Matrix
 from .info import column_code, pack_chunks
 from .seqmodel import SequenceModel
@@ -286,7 +286,8 @@ def joint_decode(
     the distinct pairs of the support table only: each pair's syndrome codes
     are compared with the integers of the given syndromes' bits.  Raises
     ``UsageError`` unless each syndrome has the scheme's length
-    (``syndrome_len``), since an integer compare ignores leading zeros.
+    (``syndrome_len``), since an integer compare ignores leading zeros, and
+    holds only the integers 0 and 1 (a bool is refused).
 
     Ambiguity (several candidates) and inconsistency (none) are reported in
     the result, not raised.
@@ -295,6 +296,8 @@ def joint_decode(
     for t, side in ((tx, "x"), (ty, "y")):
         if len(t.bits) != (length := s.syndrome_len(side)):
             raise UsageError(f"t_{side} must have {length} bits, got {len(t.bits)}")
+        if any(not is_int(b) or b not in (0, 1) for b in t.bits):
+            raise UsageError(f"t_{side} must hold bits 0/1, got {t.bits!r}")
     x, y = model.table.x, model.table.y
     TX, TY = support_syndromes(s, x, y)
     hit = (TX == int(tx.as_string(), 2)) & (TY == int(ty.as_string(), 2))

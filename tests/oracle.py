@@ -11,8 +11,10 @@ three-sort conditional entropy over per-row codes, which the table's
 ``conditional_entropy`` must match bit for bit, the Shannon measures of
 a per-symbol ``JointPmf`` tensor, which the per-symbol summary of an iid
 sequence model must match, the per-codeword cipher, which the folded pads
-of ``measure_security`` must agree with, and the candidate counts behind the
-leakage of a Z prefix.  The tests check the fast paths against it;
+of ``measure_security`` must agree with, the candidate counts behind the
+leakage of a Z prefix, and the analyzer one pattern and one entropy set at a
+time (``ReferenceAnalyzer``), which the package's block evaluator must equal
+float for float.  The tests check the fast paths against it;
 nothing under ``src/`` imports it.
 """
 
@@ -28,10 +30,10 @@ import numpy as np
 from corrleak.cipher import CipherScheme
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.gf2 import Gf2Matrix, rank
-from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf
-from corrleak.leakage import WiretapPattern
+from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
+from corrleak.leakage import BoundReport, LeakageValue, WiretapPattern
 from corrleak.seqmodel import SequenceModel
-from corrleak.swcodec import PartitionScheme, Syndrome
+from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
 
 # -- support stream ----------------------------------------------------------
 
@@ -536,3 +538,249 @@ def summarize(joint: JointPmf) -> InfoSummary:
         i_yz=mutual_information(joint, "y", "z"),
         i_xyz=triple_mutual_information(joint),
     )
+
+
+# -- per-set reference analyzer --------------------------------------------------
+
+#: Signs of the nine mutual-information terms in the bound's right side; the
+#: chain-rule reconstruction of H(target | T_Y, T_X, Z^mu) takes each with the
+#: opposite sign.
+_TERM_SIGNS = {
+    "i(ty;t)": 1.0,
+    "i(tx;t)": 1.0,
+    "i(ty;tx|t)": 1.0,
+    "i(t;z)": 1.0,
+    "i(ty;z|t)": 1.0,
+    "i(tx;z|t,ty)": 1.0,
+    "i(tx;ty)": -1.0,
+    "i(z;tx)": -1.0,
+    "i(ty;z|tx)": -1.0,
+}
+
+
+class _Var:
+    """Observation variable: deterministic columns plus padded-bit refs.
+
+    ``masked`` holds the (pad column, side) reference of every padded bit;
+    ``key`` names the deterministic part, the columns ``cols`` of the packed
+    ``(code, width)`` pair ``source`` (None for Z, whose ``width`` columns
+    are a prefix of the table's row Z code).  ``chunks`` selects the columns
+    on first use."""
+
+    def __init__(self, key: tuple, masked: list, source, cols: Sequence[int]):
+        self.key = key
+        self.masked = masked
+        self.width = len(cols)
+        self.cols = cols
+        self.source = source
+
+    @property
+    def chunks(self) -> list:
+        if not self.width:
+            return []
+        if not hasattr(self, "_chunks"):
+            self._chunks = [(column_code(*self.source, self.cols), self.width)]
+        return self._chunks
+
+
+class _Evaluation:
+    """Entropy calculator for one pattern, cached by sorted variable names."""
+
+    def __init__(self, engine: "ReferenceAnalyzer", vars: dict):
+        self._engine = engine
+        self._vars = vars
+        self._cache: dict[tuple[str, ...], float] = {}
+
+    def H(self, *names: str) -> float:
+        key = tuple(sorted(names))
+        if key not in self._cache:
+            self._cache[key] = self._engine._set_entropy([self._vars[n] for n in key])
+        return self._cache[key]
+
+
+@dataclass(frozen=True)
+class ReferenceCheck:
+    """Identity residuals and bound reports of both targets for one pattern."""
+
+    residual_y: float
+    residual_x: float
+    bound_y: BoundReport
+    bound_x: BoundReport
+
+
+def readable_memo(analyzer) -> dict[tuple, float]:
+    """The kernel memo of a ``WiretapAnalyzer``, its int64 class keys
+    decoded to the readable keys of ``ReferenceAnalyzer._entropy_memo``, in
+    the analyzer's order.  A readable key is ``(parts, both)``: ``parts``
+    lists ``("x", cols)`` and ``("y", cols)`` for the clear syndrome bits
+    read, ``("X",)``, ``("Y",)`` and ``("z", mu)``, each only if present;
+    ``both`` lists the pad columns read on both sides, which the key holds at
+    the padded positions of its T_X field."""
+
+    def bits(mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    pads, out = analyzer._pads, {}
+    for key, value in analyzer._class_values.items():
+        field = {n: key >> analyzer._shift[n] & (1 << w) - 1 for n, w in analyzer._width.items()}
+        parts = [(side, cols) for side in "xy" if (cols := bits(field["t" + side] & ~pads[side]))]
+        parts += [(name.upper(),) for name in "xy" if field[name]]
+        parts += [("z", field["z"])] if field["z"] else []
+        both = bits((field["tx"] & pads["x"]) >> analyzer.scheme.info_len("x"))
+        out[(tuple(parts), both)] = value
+    return out
+
+
+class ReferenceAnalyzer:
+    """The analyzer one pattern and one entropy set at a time: each set's
+    kernel value memoised under the readable key that ``readable_memo``
+    decodes the package's class keys to, one fresh bit added per pad column read, and each
+    term written out as a sum of Python floats.  The package's block
+    evaluator must equal it ``==`` on every float and in both counters
+    (``entropy_calls``: distinct sets per pattern evaluation;
+    ``entropy_sets``: kernel evaluations)."""
+
+    def __init__(self, s: PartitionScheme, model: SequenceModel):
+        self.scheme, self.model, self.K = s, model, model.K
+        self._table = t = model.table
+        tx, ty = support_syndromes(s, t.x, t.y)
+
+        def padded(side: str) -> dict[int, tuple[int, str]]:
+            info = s.info_len(side)
+            return {i: (i - info, side) for i in s.role_positions(side, "common") if i >= info}
+
+        self._tx = ((tx, s.syndrome_len("x")), padded("x"))
+        self._ty = ((ty, s.syndrome_len("y")), padded("y"))
+        raw = tx ^ ty
+        self._xor_col = {
+            c: ((raw >> (s.parity_len - 1 - c)) & 1).astype(np.uint8) for c in range(s.parity_len)
+        }
+        self._entropy_memo: dict[tuple, float] = {}
+        self.entropy_calls = 0
+        self.entropy_sets = 0
+        self._x_var = _Var(("X",), [], (t.x, self.K), range(self.K))
+        self._y_var = _Var(("Y",), [], (t.y, self.K), range(self.K))
+        self.h_x_total = self._set_entropy([self._x_var])
+        self.h_y_total = self._set_entropy([self._y_var])
+        self.h_xy_total = self._set_entropy([self._x_var, self._y_var])
+        self.h_private_x = self._set_entropy([self._side_var("x", "private")])
+        self.h_private_y = self._set_entropy([self._side_var("y", "private")])
+        self.h_common = self._set_entropy(
+            [self._side_var("x", "common"), self._side_var("y", "common")]
+        )
+
+    def _side_var(self, side: str, role: str) -> _Var:
+        return self._syndrome_var(side, self.scheme.role_positions(side, role))
+
+    def _syndrome_var(self, side: str, positions: Sequence[int]) -> _Var:
+        source, masked = self._tx if side == "x" else self._ty
+        cols = [i for i in positions if i not in masked]
+        refs = [masked[i] for i in positions if i in masked]
+        return _Var((side, tuple(cols)), refs, source, cols)
+
+    def _set_entropy(self, vars: Sequence[_Var]) -> float:
+        """Kernel entropy of the deterministic chunks and the raw-parity XOR
+        of every pad column touched on both sides, plus one bit per touched
+        pad column; only the kernel value is memoised."""
+        self.entropy_calls += 1
+        touched: dict[int, set[str]] = {}
+        for v in vars:
+            for col, side in v.masked:
+                touched.setdefault(col, set()).add(side)
+        bonus = 0.0
+        both = []
+        for col, sides in sorted(touched.items()):
+            bonus += 1.0
+            if len(sides) == 2:
+                both.append(col)
+        key = (tuple(v.key for v in vars if v.width), tuple(both))
+        value = self._entropy_memo.get(key)
+        if value is None:
+            head: list = []
+            tail: list = []
+            mu = 0
+            for v in vars:
+                if v.source is not None:
+                    (tail if mu else head).extend(v.chunks)
+                elif v.width:
+                    mu = v.width
+            (tail if mu else head).extend((self._xor_col[col], 1) for col in both)
+            value = self._table.entropy(head, mu, tail)
+            self._entropy_memo[key] = value
+            self.entropy_sets += 1
+        return value + bonus
+
+    def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
+        pattern.validate(self.scheme, self.K)
+        tx = self._syndrome_var("x", sorted(pattern.tx_positions))
+        ty = self._syndrome_var("y", sorted(pattern.ty_positions))
+        z = _Var(("z", pattern.mu), [], None, range(pattern.mu))
+        return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
+
+    def evaluation(self, pattern: WiretapPattern) -> _Evaluation:
+        return _Evaluation(self, self._pattern_vars(pattern))
+
+    def exact_leakage(self, target: str, pattern: WiretapPattern) -> LeakageValue:
+        tgt = {"x": ("x",), "y": ("y",), "xy": ("x", "y")}[target]
+        ev = self.evaluation(pattern)
+        total = ev.H(*tgt) + ev.H("tx", "ty", "z") - ev.H(*tgt, "tx", "ty", "z")
+        if total < -1e-9:
+            raise InternalConsistencyError(f"negative leakage {total!r}")
+        total = max(0.0, total)
+        return LeakageValue(target=target, total_bits=total, per_symbol_bits=total / self.K)
+
+    def bound_report(self, target: str, pattern: WiretapPattern) -> BoundReport:
+        return self._check(self.evaluation(pattern), target)[1]
+
+    def pattern_check(self, pattern: WiretapPattern) -> ReferenceCheck:
+        ev = self.evaluation(pattern)
+        residual_y, bound_y = self._check(ev, "y")
+        residual_x, bound_x = self._check(ev, "x")
+        return ReferenceCheck(residual_y, residual_x, bound_y, bound_x)
+
+    def _check(self, ev: _Evaluation, t: str) -> tuple[float, BoundReport]:
+        terms = {
+            "i(ty;t)": ev.H("ty") + ev.H(t) - ev.H("ty", t),
+            "i(tx;t)": ev.H("tx") + ev.H(t) - ev.H("tx", t),
+            "i(ty;tx|t)": ev.H("ty", t) + ev.H("tx", t) - ev.H("ty", "tx", t) - ev.H(t),
+            "i(t;z)": ev.H(t) + ev.H("z") - ev.H(t, "z"),
+            "i(ty;z|t)": ev.H("ty", t) + ev.H("z", t) - ev.H("ty", "z", t) - ev.H(t),
+            "i(tx;z|t,ty)": ev.H("tx", t, "ty")
+            + ev.H("z", t, "ty")
+            - ev.H("tx", "z", t, "ty")
+            - ev.H(t, "ty"),
+            "i(tx;ty)": ev.H("tx") + ev.H("ty") - ev.H("tx", "ty"),
+            "i(z;tx)": ev.H("z") + ev.H("tx") - ev.H("z", "tx"),
+            "i(ty;z|tx)": ev.H("ty", "tx") + ev.H("z", "tx") - ev.H("ty", "z", "tx") - ev.H("tx"),
+        }
+        h_t, h_obs, h_t_obs = ev.H(t), ev.H("tx", "ty", "z"), ev.H(t, "tx", "ty", "z")
+        h_private = self.h_private_x if t == "x" else self.h_private_y
+        h_target = self.h_x_total if t == "x" else self.h_y_total
+        recon = h_t
+        rhs_total = h_private + self.h_common - h_target
+        for name, sign in _TERM_SIGNS.items():
+            recon -= sign * terms[name]
+            rhs_total += sign * terms[name]
+        report = BoundReport(
+            target=t,
+            lhs_bits=max(0.0, h_t + h_obs - h_t_obs) / self.K,
+            rhs_bits=rhs_total / self.K,
+            term_breakdown={
+                **terms,
+                "h(v_private)": h_private,
+                "h(v_common)": self.h_common,
+                "h(target_seq)": h_target,
+            },
+        )
+        return abs(h_t_obs - h_obs - recon), report
+
+    def minmax_oracle(self, mu_tx: int, mu_ty: int) -> tuple[float, float]:
+        lx, ly = self.scheme.syndrome_len("x"), self.scheme.syndrome_len("y")
+        lo, hi = float("inf"), float("-inf")
+        for tx_sel in itertools.combinations(range(lx), mu_tx):
+            for ty_sel in itertools.combinations(range(ly), mu_ty):
+                val = self.exact_leakage(
+                    "xy", WiretapPattern(frozenset(tx_sel), frozenset(ty_sel), 0)
+                ).total_bits
+                lo, hi = min(lo, val), max(hi, val)
+        return lo, hi

@@ -43,8 +43,8 @@ def sweep(scheme, analyzer):
     """Shared sweep for criteria 3 and 4: mu 0..7 x 100 random patterns."""
     t0 = perf_counter()
     patterns = sample_patterns(scheme, 100, seed=2026, mu_values=range(8))
-    checks = [analyzer.pattern_checks(p) for p in patterns]
-    return checks, perf_counter() - t0
+    checks = analyzer.pattern_checks(patterns)
+    return patterns, checks, perf_counter() - t0
 
 
 def test_criterion_1_golden_syndromes(scheme):
@@ -92,32 +92,32 @@ def test_criterion_2_z_observation_trace(analyzer):
 
 
 def test_criterion_3_decomposition_identity(sweep):
-    checks, dt = sweep
+    patterns, checks, dt = sweep
     failures = []
     worst = 0.0
-    for c in checks:
-        worst = max(worst, c.residual_y, c.residual_x)
-        if c.residual_y >= 1e-9 or c.residual_x >= 1e-9:
-            failures.append(f"pattern {c.pattern}: residuals {c.residual_y}, {c.residual_x}")
+    for p, res_y, res_x in zip(patterns, checks["y"].residual, checks["x"].residual):
+        worst = max(worst, res_y, res_x)
+        if res_y >= 1e-9 or res_x >= 1e-9:
+            failures.append(f"pattern {p}: residuals {res_y}, {res_x}")
             break
     if dt >= 60.0:
         failures.append(f"runtime {dt:.2f}s, budget 60s")
-    _report(3, failures, f"{len(checks)} pattern checks, worst residual {worst:.2e}", dt)
+    _report(3, failures, f"{len(patterns)} pattern checks, worst residual {worst:.2e}", dt)
 
 
 def test_criterion_4_bound_verdicts(sweep):
-    checks, dt = sweep
+    patterns, checks, dt = sweep
     failures = []
     margin = float("inf")
-    for c in checks:
-        for rep in (c.bound_y, c.bound_x):
+    for i, p in enumerate(patterns):
+        for rep in (checks["y"].report(i), checks["x"].report(i)):
             margin = min(margin, rep.rhs_bits - rep.lhs_bits)
             if not rep.holds:
                 failures.append(
-                    f"pattern {c.pattern} target {rep.target}: "
+                    f"pattern {p} target {rep.target}: "
                     f"lhs {rep.lhs_bits} > rhs {rep.rhs_bits} + 1e-9"
                 )
-    _report(4, failures, f"{2 * len(checks)} verdicts hold, min margin {margin:.6f}", dt)
+    _report(4, failures, f"{2 * len(patterns)} verdicts hold, min margin {margin:.6f}", dt)
 
 
 def test_criterion_5_minmax_curves(scheme, analyzer):

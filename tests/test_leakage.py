@@ -32,6 +32,7 @@ from oracle import (
     h_surgery_rank_term,
     is_subset_of,
     pack_bits,
+    readable_memo,
     support_arrays,
     support_digits,
     syndrome_observable,
@@ -42,6 +43,12 @@ from oracle import (
 
 def pattern(tx=(), ty=(), mu=0):
     return WiretapPattern(frozenset(tx), frozenset(ty), mu)
+
+
+def H(analyzer, p, *names):
+    """H of one entropy set under one pattern, through the analyzer's evaluator."""
+    names = frozenset(names)
+    return analyzer._entropies([p], [names])[names].item()
 
 
 def test_pattern_validation(scheme, analyzer):
@@ -64,8 +71,7 @@ def test_empty_pattern_leaks_nothing(analyzer):
 def test_full_pattern_definitional(analyzer):
     full = pattern(tx=range(5), ty=range(5), mu=7)
     val = analyzer.exact_leakage("y", full)
-    ev = analyzer.evaluation(full)
-    equiv = ev.H("y", "tx", "ty", "z") - ev.H("tx", "ty", "z")
+    equiv = H(analyzer, full, "y", "tx", "ty", "z") - H(analyzer, full, "tx", "ty", "z")
     assert val.total_bits == pytest.approx(analyzer.h_y_total - equiv, abs=1e-9)
     assert val.per_symbol_bits == pytest.approx(val.total_bits / 7, abs=1e-12)
 
@@ -85,20 +91,19 @@ def test_exact_leakage_matches_enumeration_oracle(scheme, hamming7, analyzer):
 
 
 def test_decomposition_residual_small_everywhere(analyzer):
-    for p in (
+    checks = analyzer.pattern_checks([
         pattern(),
         pattern(tx=[0, 2], ty=[1, 4], mu=0),
         pattern(tx=range(5), ty=range(5), mu=7),
         pattern(tx=[3], ty=[], mu=5),
-    ):
-        checks = analyzer.pattern_checks(p)
-        assert checks.residual_y < 1e-9
-        assert checks.residual_x < 1e-9
+    ])
+    for c in checks.values():
+        assert len(c.residual) == 4 and max(c.residual) < 1e-9
 
 
 def test_mu_zero_kills_z_terms(analyzer):
-    checks = analyzer.pattern_checks(pattern(tx=[0, 1], ty=[0, 1], mu=0))
-    for name, value in checks.bound_y.term_breakdown.items():
+    checks = analyzer.pattern_checks([pattern(tx=[0, 1], ty=[0, 1], mu=0)])
+    for name, value in checks["y"].report(0).term_breakdown.items():
         if "z" in name and name.startswith("i("):
             assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -119,9 +124,8 @@ def test_bound_full_wiretap_both_targets(analyzer):
 
 
 def test_bound_random_patterns_hold(scheme, analyzer):
-    for p in sample_patterns(scheme, 25, seed=7, mu_values=(0, 3, 7)):
-        checks = analyzer.pattern_checks(p)
-        assert checks.bound_y.holds and checks.bound_x.holds
+    checks = analyzer.pattern_checks(sample_patterns(scheme, 25, seed=7, mu_values=(0, 3, 7)))
+    assert all(checks["y"].holds) and all(checks["x"].holds)
 
 
 def extremal_min_pattern(scheme, mu_tx, mu_ty, mu):
@@ -135,16 +139,16 @@ def extremal_min_pattern(scheme, mu_tx, mu_ty, mu):
 
 def test_bound_holds_on_full_extremal_sweep(scheme, analyzer):
     # every size pair, extremal max and min subsets, every z prefix length
-    for mu_tx in range(6):
-        for mu_ty in range(6):
-            for mu in range(8):
-                for p in (
-                    extremal_max_pattern(mu_tx, mu_ty, mu),
-                    extremal_min_pattern(scheme, mu_tx, mu_ty, mu),
-                ):
-                    checks = analyzer.pattern_checks(p)
-                    assert checks.bound_y.holds and checks.bound_x.holds
-                    assert checks.residual_y < 1e-9 and checks.residual_x < 1e-9
+    patterns = [
+        p
+        for mu_tx, mu_ty, mu in itertools.product(range(6), range(6), range(8))
+        for p in (
+            extremal_max_pattern(mu_tx, mu_ty, mu), extremal_min_pattern(scheme, mu_tx, mu_ty, mu)
+        )
+    ]
+    for c in analyzer.pattern_checks(patterns).values():
+        assert len(c.holds) == 6 * 6 * 8 * 2
+        assert all(c.holds) and max(c.residual) < 1e-9
 
 
 def test_monotone_under_pattern_growth(scheme, analyzer):
@@ -268,13 +272,11 @@ def test_memo_shared_across_patterns_matches_fresh_analyzers(scheme, hamming7):
     assert len(patterns) >= 50
     shared = WiretapAnalyzer(scheme, hamming7)
     for p in patterns:
-        checks = shared.pattern_checks(p)
-        assert checks == WiretapAnalyzer(scheme, hamming7).pattern_checks(p)
+        checks = shared.pattern_checks([p])
+        assert checks == WiretapAnalyzer(scheme, hamming7).pattern_checks([p])
         fresh = WiretapAnalyzer(scheme, hamming7)
-        assert checks.residual_y == fresh.pattern_checks(p).residual_y
-        assert checks.residual_x == fresh.pattern_checks(p).residual_x
-        assert checks.bound_y == fresh.bound_report("y", p)
-        assert checks.bound_x == fresh.bound_report("x", p)
+        assert checks["y"].report(0) == fresh.bound_report("y", p)
+        assert checks["x"].report(0) == fresh.bound_report("x", p)
         for target in ("x", "y", "xy"):
             fresh = WiretapAnalyzer(scheme, hamming7).exact_leakage(target, p)
             assert shared.exact_leakage(target, p) == fresh
@@ -289,11 +291,11 @@ def test_memo_keys_a_pad_column_by_side(scheme, hamming7):
     # Parity column 0 seen on x only, on y only, and on both sides.
     px, py = scheme.info_len("x"), scheme.info_len("y")
     analyzer = WiretapAnalyzer(scheme, hamming7)
-    assert analyzer._tx[1][px] == (0, "x") and analyzer._ty[1][py] == (0, "y")
+    assert analyzer._pads["x"] >> px & 1 and analyzer._pads["y"] >> py & 1
     sets = analyzer.entropy_sets
-    h_x = analyzer.evaluation(pattern(tx=[px])).H("tx")
-    h_y = analyzer.evaluation(pattern(ty=[py])).H("ty")
-    h_pair = analyzer.evaluation(pattern(tx=[px], ty=[py])).H("tx", "ty")
+    h_x = H(analyzer, pattern(tx=[px]), "tx")
+    h_y = H(analyzer, pattern(ty=[py]), "ty")
+    h_pair = H(analyzer, pattern(tx=[px], ty=[py]), "tx", "ty")
     # The two one-side reads pack no chunk, so they share one kernel entry.
     assert analyzer.entropy_sets == sets + 2
     # One padded bit alone is one fresh bit; the pair adds the raw-parity XOR.
@@ -325,18 +327,17 @@ def test_role_positions_and_pad_map_follow_the_segment_names(scheme, roles):
     for s in (scheme, random_systematic_scheme(5, 8, (1, 2, 3), (4,), seed=3)):
         s = replace(s, segment_roles=roles)
         analyzer = WiretapAnalyzer(s, SequenceModel(kind="hamming", K=s.n))
-        for side, info, parity, pads in (
-            ("x", "v1", "q1", analyzer._tx[1]), ("y", "u2", "q2", analyzer._ty[1])
-        ):
+        for side, info, parity in (("x", "v1", "q1"), ("y", "u2", "q2")):
             n_info = len((s.x_segments if side == "x" else s.y_segments)[info])
             names = [info] * n_info + [parity] * s.parity_len
             role = [roles.get(name, "private") for name in names]
             for r in ("private", "common"):
                 assert s.role_positions(side, r) == [i for i, v in enumerate(role) if v == r]
-            assert pads == {
-                i: (i - n_info, side)
-                for i, name in enumerate(names) if name == parity and role[i] == "common"
-            }
+            # The pad mask's bits are positions; the evaluator shifts them
+            # down by the info length to pad columns.
+            assert analyzer._pads[side] == sum(
+                1 << i for i, name in enumerate(names) if name == parity and role[i] == "common"
+            )
 
 
 @pytest.mark.parametrize("rows", [40, 5000], ids=["table-larger", "table-smaller"])
@@ -363,23 +364,22 @@ def test_memo_skips_a_variable_without_chunks(scheme, hamming7, base, extra):
     # no chunk: adding either to an entropy set adds no kernel entry, only
     # the padded read's fresh bit, and every value equals a fresh analyzer's.
     analyzer = WiretapAnalyzer(scheme, hamming7)
-    assert analyzer._tx[1][2] == (0, "x")  # a padded common-role parity bit
-    ev = analyzer.evaluation(base)
+    assert analyzer._pads["x"] >> 2 & 1  # a padded common-role parity bit
     sets_of_names = [("ty",), ("x", "ty"), ("y", "ty"), ("x", "y", "ty")]
     if extra == "tx":
         sets_of_names += [("z",), ("ty", "z"), ("y", "ty", "z")]
     else:
         sets_of_names += [("tx",), ("tx", "ty"), ("x", "tx", "ty")]
-    without = {names: ev.H(*names) for names in sets_of_names}
-    sets, memo = analyzer.entropy_sets, len(analyzer._entropy_memo)
+    without = {names: H(analyzer, base, *names) for names in sets_of_names}
+    sets, memo = analyzer.entropy_sets, len(analyzer._class_values)
     bonus = 1.0 if extra == "tx" else 0.0
     for names, value in without.items():
-        assert ev.H(*names, extra) == value + bonus
-    assert (analyzer.entropy_sets, len(analyzer._entropy_memo)) == (sets, memo)
-    fresh = WiretapAnalyzer(scheme, hamming7).evaluation(base)
+        assert H(analyzer, base, *names, extra) == value + bonus
+    assert (analyzer.entropy_sets, len(analyzer._class_values)) == (sets, memo)
+    fresh = WiretapAnalyzer(scheme, hamming7)
     for names in without:
-        assert ev.H(*names, extra) == fresh.H(*names, extra)
-        assert ev.H(*names) == fresh.H(*names)
+        assert H(analyzer, base, *names, extra) == H(fresh, base, *names, extra)
+        assert H(analyzer, base, *names) == H(fresh, base, *names)
 
 
 def random_systematic_scheme(k: int, n: int, v1: tuple, u2: tuple, seed: int) -> PartitionScheme:
@@ -431,7 +431,7 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
     shared = WiretapAnalyzer(s, model)
     for p in patterns:
         fresh = WiretapAnalyzer(s, model)
-        assert shared.pattern_checks(p) == fresh.pattern_checks(p)
+        assert shared.pattern_checks([p]) == fresh.pattern_checks([p])
         for target in ("x", "y", "xy"):
             assert shared.exact_leakage(target, p) == fresh.exact_leakage(target, p)
     for mu_tx, mu_ty in [(1, 2), (2, 1), (0, 3)]:
@@ -453,7 +453,7 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
 
     def results(analyzer, p):
         leaks = [analyzer.exact_leakage(target, p) for target in ("x", "y", "xy")]
-        return analyzer.pattern_checks(p), leaks
+        return analyzer.pattern_checks([p]), leaks
 
     expected = [results(WiretapAnalyzer(s, model), p) for p in wider]
     packed = []
@@ -519,7 +519,7 @@ def assert_kernel_inputs(analyzer: WiretapAnalyzer, seen: list[tuple[int, object
     pairs, each counted as its run of rows (one integer for even runs), and
     every other one over all rows."""
     table = analyzer.model.table
-    keys = list(analyzer._entropy_memo)
+    keys = list(readable_memo(analyzer))
     assert len(keys) == len(seen)
     for key, (size, weights) in zip(keys, seen):
         if table.weights is None and not reads_z(key):
@@ -531,7 +531,7 @@ def assert_kernel_inputs(analyzer: WiretapAnalyzer, seen: list[tuple[int, object
 
 def assert_memo_equals_full_table(analyzer: WiretapAnalyzer) -> None:
     kernel = full_table_kernel(analyzer.scheme, analyzer.model)
-    for key, value in analyzer._entropy_memo.items():
+    for key, value in readable_memo(analyzer).items():
         assert value == kernel(key), key
 
 
@@ -542,9 +542,8 @@ def test_reference_sweep_counts_z_free_sets_on_1024_pairs(scheme, hamming7, monk
     # value is == the full-table kernel of its set.
     seen = spy_kernel_rows(monkeypatch)
     analyzer = WiretapAnalyzer(scheme, hamming7)
-    for p in sample_patterns(scheme, 100, seed=0, mu_values=range(8)):
-        analyzer.pattern_checks(p)
-    keys = list(analyzer._entropy_memo)
+    analyzer.pattern_checks(sample_patterns(scheme, 100, seed=0, mu_values=range(8)))
+    keys = list(readable_memo(analyzer))
     assert len(keys) == len(seen) == analyzer.entropy_sets == 1284
     assert (hamming7.table.pairs, hamming7.table.rows) == (1024, 8192)
     assert (hamming7.table.runs == 8).all()
@@ -561,7 +560,7 @@ def test_pair_table_equals_full_table_on_a_10_6_sweep(monkeypatch):
     seen = spy_kernel_rows(monkeypatch)
     analyzer = WiretapAnalyzer(s, model)
     for p in sample_patterns(s, 4, seed=42, mu_values=(0, 4, 10)):
-        analyzer.pattern_checks(p)
+        analyzer.pattern_checks([p])
         analyzer.exact_leakage("xy", p)
     analyzer.minmax_oracle(1, 2)
     assert (model.table.pairs, model.table.rows) == (11_264, 123_904)
@@ -615,7 +614,7 @@ def test_pair_table_equals_full_table_over_random_schemes(k, parity, model_name,
         analyzer = WiretapAnalyzer(s, model)
         seed = data.draw(st.integers(0, 999), label="patterns")
         for p in sample_patterns(s, 3, seed=seed, mu_values=(0, data.draw(st.integers(1, n)))):
-            analyzer.pattern_checks(p)
+            analyzer.pattern_checks([p])
             analyzer.exact_leakage("xy", p)
     assert_kernel_inputs(analyzer, seen)
     assert_memo_equals_full_table(analyzer)
@@ -668,7 +667,7 @@ def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
             assert got == pytest.approx(expected, abs=1e-9), (tx, ty, mu, target)
     # Every Z-free set was counted on the pairs, and every memo entry is ==
     # the count of its code over the rows.
-    assert sum(not reads_z(key) for key in analyzer._entropy_memo) > 1
+    assert sum(not reads_z(key) for key in readable_memo(analyzer)) > 1
     assert_kernel_inputs(analyzer, seen)
     assert_memo_equals_full_table(analyzer)
 
@@ -720,16 +719,14 @@ def test_row_buffer_equals_full_table_on_wide_and_padded_sets(monkeypatch):
     seen = spy_row_code_dtypes(monkeypatch, model.table)
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     px, py = s.info_len("x"), s.info_len("y")
-    assert analyzer._tx[1][px] == (0, "x") and analyzer._ty[1][py] == (0, "y")
+    assert analyzer._pads["x"] >> px & 1 and analyzer._pads["y"] >> py & 1
 
-    wide = analyzer.evaluation(pattern(tx=range(lx), ty=range(ly), mu=n))
-    wide.H("tx", "ty", "x", "y", "z")
+    H(analyzer, pattern(tx=range(lx), ty=range(ly), mu=n), "tx", "ty", "x", "y", "z")
     assert seen == [np.dtype(np.int64)]
-    padded = analyzer.evaluation(pattern(tx=[px], ty=[py], mu=3))
     for names in [("tx", "ty", "z"), ("tx", "ty", "y", "z"), ("tx", "ty", "x", "y", "z")]:
-        padded.H(*names)
+        H(analyzer, pattern(tx=[px], ty=[py], mu=3), *names)
     assert np.dtype(np.int32) in seen
-    keys = list(analyzer._entropy_memo)
+    keys = list(readable_memo(analyzer))
     assert any(key[1] and reads_z(key) for key in keys)
     assert_memo_equals_full_table(analyzer)
 
@@ -775,12 +772,12 @@ def test_row_buffer_carries_no_state_between_sets(name):
 
     def run(order):
         analyzer = WiretapAnalyzer(s, model)
-        values = {(p, c): analyzer.evaluation(p).H(*c) for p, c in order}
+        values = {(p, c): H(analyzer, p, *c) for p, c in order}
         return analyzer, values
 
     forward, forward_values = run(asks)
     backward, backward_values = run(asks[::-1])
     assert forward_values == backward_values
-    assert forward._entropy_memo == backward._entropy_memo
-    assert any(map(reads_z, forward._entropy_memo))
+    assert readable_memo(forward) == readable_memo(backward)
+    assert any(map(reads_z, readable_memo(forward)))
     assert_memo_equals_full_table(forward)

@@ -185,6 +185,18 @@ def test_joint_decode_refuses_syndromes_of_the_wrong_length(scheme, hamming7):
         joint_decode(tx, Syndrome((0,) + ty.bits), hamming7, scheme)
 
 
+@pytest.mark.parametrize("bit", [2, True], ids=["two", "bool"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_joint_decode_refuses_non_binary_syndrome_bits(scheme, hamming7, side, bit):
+    # A 2 or a bool among the bits used to end in int()'s base-2 ValueError;
+    # it is refused as a usage error naming the syndrome, on either side.
+    tx, ty = encode_x(bits("1011001"), scheme), encode_y(bits("1011011"), scheme)
+    bad = Syndrome((bit, 0, 0, 0, 0))
+    args = (bad, ty) if side == "x" else (tx, bad)
+    with pytest.raises(UsageError, match=f"t_{side} must hold bits 0/1"):
+        joint_decode(*args, hamming7, scheme)
+
+
 def test_decode_candidates_contain_truth_everywhere(scheme, hamming7):
     # group all support pairs by their syndrome pair; each group is exactly
     # the candidate set joint_decode would return
