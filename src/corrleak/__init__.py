@@ -31,10 +31,8 @@ from .gf2 import Gf2Matrix, rank
 from .info import InfoSummary, JointPmf
 from .leakage import (
     BoundColumns,
-    BoundReport,
     CurveRow,
     FormulaMinMax,
-    LeakageValue,
     WiretapAnalyzer,
     WiretapPattern,
     extremal_max_pattern,

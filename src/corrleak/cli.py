@@ -46,7 +46,7 @@ from .errors import (
     float_field,
     int_field,
 )
-from .leakage import WiretapAnalyzer, grid_curve_rows, sample_patterns, z_trace_rows
+from .leakage import DELTA, WiretapAnalyzer, grid_curve_rows, sample_patterns, z_trace_rows
 from .seqmodel import build_model, sequence_summary
 from .swcodec import (
     PartitionScheme,
@@ -275,7 +275,7 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
                     "target": target,
                     "lhs_bits": c.lhs_bits[i],
                     "rhs_bits": c.rhs_bits[i],
-                    "delta": c.delta,
+                    "delta": DELTA,
                     "holds": c.holds[i],
                     "identity_residual": c.residual[i],
                 }
@@ -328,7 +328,10 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
 
 def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Path]:
     s = ctx.scheme
-    if tx is None or ty is None:
+    if (tx is None) != (ty is None):
+        missing = "--ty" if ty is None else "--tx"
+        raise UsageError(f"decode: {missing} is missing; pass both --tx and --ty, or neither")
+    if tx is None:
         if not ctx.scenario.get("golden"):
             raise ValidationError("decode: pass --tx/--ty or add scenario.golden")
         tx, ty = _golden_syndromes(ctx)

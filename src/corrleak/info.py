@@ -205,7 +205,8 @@ class SupportTable:
 
     Raises ``InternalConsistencyError`` when the runs do not cover the rows,
     a run's Z codes do not ascend, or a Z code does not fit ``z_width`` bits
-    of an int32 (``SUPPORT_GUARD`` keeps every model's Z code below 27 bits).
+    of an int32 (``SUPPORT_GUARD`` keeps the Z code of every model but a
+    one-row iid law below 27 bits).
     """
 
     def __init__(self, x, y, runs, z, probs, z_width: int):

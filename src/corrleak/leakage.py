@@ -50,13 +50,13 @@ class WiretapPattern:
     ty_positions: frozenset[int] = frozenset()
     mu: int = 0
 
-    def validate(self, s: PartitionScheme, K: int) -> None:
+    def validate(self, lx: int, ly: int, K: int) -> None:
         """Raise ``UsageError`` naming the field unless every position is an
-        integer bit of its syndrome and ``mu`` an integer in 0..K; a bool or
-        a float is refused, never read as a number."""
+        integer bit of its syndrome (``lx`` / ``ly`` bits) and ``mu`` an integer
+        in 0..K; a bool or a float is refused, never read as a number."""
         for field, values, top in (
-            ("tx_positions", self.tx_positions, s.syndrome_len("x") - 1),
-            ("ty_positions", self.ty_positions, s.syndrome_len("y") - 1),
+            ("tx_positions", self.tx_positions, lx - 1),
+            ("ty_positions", self.ty_positions, ly - 1),
             ("mu", (self.mu,), K),
         ):
             for v in values:
@@ -67,35 +67,12 @@ class WiretapPattern:
 
 
 @dataclass(frozen=True)
-class LeakageValue:
-    """Exact leakage of one target under one pattern."""
-
-    target: str
-    total_bits: float
-    per_symbol_bits: float
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Exact left side vs. bound right side, with every term spelled out."""
-
-    target: str
-    lhs_bits: float          # exact leakage, bits per symbol
-    rhs_bits: float          # bound value, bits per symbol (slack excluded)
-    term_breakdown: Mapping[str, float]
-    delta: float = DELTA
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs_bits <= self.rhs_bits + self.delta
-
-
-@dataclass(frozen=True)
 class BoundColumns:
-    """The bound reports and identity residuals of one target over a
-    sequence of patterns, as columns with one entry per pattern; ``terms``
-    holds the nine mutual-information terms, ``constants`` the three
-    entropies the right side adds to every pattern's terms."""
+    """The bound verdicts and identity residuals of one target over a
+    sequence of patterns, as columns with one entry per pattern: the exact
+    leakage (``lhs_bits``) and the bound (``rhs_bits``) in bits per symbol,
+    ``holds`` when the left side is at most the right plus ``DELTA``, and in
+    ``terms`` the nine mutual-information terms in bits."""
 
     target: str
     lhs_bits: list[float]
@@ -103,15 +80,6 @@ class BoundColumns:
     holds: list[bool]
     residual: list[float]
     terms: dict[str, list[float]]
-    constants: dict[str, float]
-    delta: float = DELTA
-
-    def report(self, i: int) -> BoundReport:
-        """The bound report of pattern ``i``."""
-        terms = {name: values[i] for name, values in self.terms.items()}
-        return BoundReport(
-            self.target, self.lhs_bits[i], self.rhs_bits[i], {**terms, **self.constants}
-        )
 
 
 #: The nine mutual-information terms of the chain-rule expansion of
@@ -236,12 +204,6 @@ class WiretapAnalyzer:
         common = [s.role_positions(side, "common") for side in "xy"]
         self.h_private_x, self.h_private_y = h(*private, "tx", "ty")
         (self.h_common,) = h(*common, "tx ty")
-        self._bound_constants = {
-            t: {"h(v_private)": private, "h(v_common)": self.h_common, "h(target_seq)": total}
-            for t, private, total in (
-                ("x", self.h_private_x, self.h_x_total), ("y", self.h_private_y, self.h_y_total)
-            )
-        }
 
     # -- the evaluator ---------------------------------------------------------
 
@@ -263,11 +225,16 @@ class WiretapAnalyzer:
         syndrome bits and mu: the clear bits read sit at their positions,
         and the pad columns read on both sides at the T_X field's padded
         positions, which no clear bit takes.  That is 2 + l_x + l_y +
-        bit_length(K) bits, with l_x, l_y <= n = K.  A Hamming support holds
-        at least 2**K triples and an iid one has 3K axes, so ``SUPPORT_GUARD``
-        and numpy keep K <= 26, and the key within 2 + 52 + 5 = 59 bits."""
+        bit_length(K) bits, with l_x, l_y <= n = K.  A Hamming support, and
+        an iid one whose per-symbol alphabet product is at least 2, holds at
+        least 2**K triples, so ``SUPPORT_GUARD`` keeps K <= 26 and the key
+        within 2 + 52 + 5 = 59 bits.  Only a one-row iid law (every alphabet
+        1) passes the guard at any K; a key of its past 63 bits raises
+        ``InternalConsistencyError`` when the analyzer is built, as its table
+        does for a Z code past 31 bits."""
+        lx, ly = self._width["tx"], self._width["ty"]
         for p in patterns:
-            p.validate(self.scheme, self.K)
+            p.validate(lx, ly, self.K)
         self.entropy_calls += len(patterns) * len(sets)
         tx = np.array([_mask(p.tx_positions) for p in patterns], dtype=np.int64)
         ty = np.array([_mask(p.ty_positions) for p in patterns], dtype=np.int64)
@@ -319,10 +286,12 @@ class WiretapAnalyzer:
             value = h[ac] + h[bc] - h[abc]
             terms[name] = value - h[c] if c else value
         h_t, h_obs, h_t_obs = h[_names("t", t=t)], h[_names("tx ty z")], h[_names("t tx ty z", t=t)]
-        private, common, target = self._bound_constants[t].values()
+        private, target = (
+            (self.h_private_x, self.h_x_total) if t == "x" else (self.h_private_y, self.h_y_total)
+        )
         # Left to right, so each sum rounds as its written-out form would.
         recon = h_t
-        rhs = private + common - target
+        rhs = private + self.h_common - target
         for name, (sign, *_) in _TERMS.items():
             recon = recon - sign * terms[name]
             rhs = rhs + sign * terms[name]
@@ -331,27 +300,6 @@ class WiretapAnalyzer:
         rhs = rhs / self.K
         return {"lhs_bits": lhs, "rhs_bits": rhs, "holds": lhs <= rhs + DELTA,
                 "residual": np.abs(h_t_obs - h_obs - recon), **terms}
-
-    def _bound_columns(
-        self, patterns: Iterable[WiretapPattern], targets: Sequence[str]
-    ) -> dict[str, BoundColumns]:
-        if bad := [t for t in targets if t not in ("x", "y")]:
-            raise UsageError(f"bound target must be 'x' or 'y', got {bad[0]!r}")
-        sets = list(set().union(*(_CHECK_SETS[t] for t in targets)))
-        fields = ("lhs_bits", "rhs_bits", "holds", "residual", *_TERMS)
-        columns = {t: {name: [] for name in fields} for t in targets}
-        for block in _blocks(patterns):
-            h = self._entropies(block, sets)
-            for t in targets:
-                for name, values in self._check(h, t).items():
-                    columns[t][name] += values.tolist()
-        return {
-            t: BoundColumns(
-                t, **{name: c.pop(name) for name in fields[:4]}, terms=c,
-                constants=self._bound_constants[t],
-            )
-            for t, c in columns.items()
-        }
 
     def _leakage(self, target: str, patterns: Iterable[WiretapPattern]) -> Iterator[np.ndarray]:
         """Total leakage of ``target`` under each pattern, in bits, one array
@@ -369,27 +317,33 @@ class WiretapAnalyzer:
 
     # -- public operations -------------------------------------------------------
 
-    def exact_leakage(self, target: str, pattern: WiretapPattern) -> LeakageValue:
-        """L = H(target^K) - H(target^K | observed bits), exact."""
-        total = next(self._leakage(target, [pattern])).item()
-        return LeakageValue(target=target, total_bits=total, per_symbol_bits=total / self.K)
+    def leakages(self, target: str, patterns: Iterable[WiretapPattern]) -> list[float]:
+        """L = H(target^K) - H(target^K | observed bits) under each pattern,
+        exact, in total bits; ``target`` is ``"x"``, ``"y"`` or ``"xy"``."""
+        return [v for values in self._leakage(target, patterns) for v in values.tolist()]
 
-    def bound_report(self, target: str, pattern: WiretapPattern) -> BoundReport:
-        """Exact leakage against the common/private-portion upper bound.
-
-        The right side combines the nine observation mutual-information
-        terms with the entropy of the target's private channel portion and
-        the joint entropy of the common portions of both syndromes.
-        """
-        return self._bound_columns([pattern], (target,))[target].report(0)
-
-    def pattern_checks(self, patterns: Iterable[WiretapPattern]) -> dict[str, BoundColumns]:
-        """Bound reports and identity residuals of both targets, ``"y"`` then
-        ``"x"``, over a sequence of patterns: the sweep commands' workhorse.
-        Each block of ``BLOCK`` patterns takes one evaluator call for the 20
-        sets both checks read, so the sweep's working memory beyond its
-        result columns does not grow with its length."""
-        return self._bound_columns(patterns, ("y", "x"))
+    def pattern_checks(
+        self, patterns: Iterable[WiretapPattern], targets: Sequence[str] = ("y", "x")
+    ) -> dict[str, BoundColumns]:
+        """Exact leakage against the common/private-portion upper bound, and
+        the identity residual, of each target over a sequence of patterns.
+        Each block of ``BLOCK`` patterns takes one evaluator call for every
+        set the checks read (20 for both targets), so the sweep's working
+        memory beyond its result columns does not grow with its length."""
+        if bad := [t for t in targets if t not in ("x", "y")]:
+            raise UsageError(f"bound target must be 'x' or 'y', got {bad[0]!r}")
+        sets = list(set().union(*(_CHECK_SETS[t] for t in targets)))
+        fields = ("lhs_bits", "rhs_bits", "holds", "residual", *_TERMS)
+        columns = {t: {name: [] for name in fields} for t in targets}
+        for block in _blocks(patterns):
+            h = self._entropies(block, sets)
+            for t in targets:
+                for name, values in self._check(h, t).items():
+                    columns[t][name] += values.tolist()
+        return {
+            t: BoundColumns(t, **{name: c.pop(name) for name in fields[:4]}, terms=c)
+            for t, c in columns.items()
+        }
 
     def minmax_oracle(self, mu_tx: int, mu_ty: int) -> tuple[float, float]:
         """Min and max joint-target leakage over all position subsets of the
@@ -573,15 +527,14 @@ def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -
     as one batch."""
     grid = list(itertools.product(range(mu_tx_max + 1), range(mu_ty_max + 1)))
     formulas = [minmax_curves(analyzer.scheme, *size) for size in grid]
-    bounds = analyzer._bound_columns([extremal_max_pattern(*size) for size in grid], ("y",))["y"]
+    bound = analyzer.pattern_checks([extremal_max_pattern(*size) for size in grid], ("y",))["y"]
     rows = []
     for i, (size, formula) in enumerate(zip(grid, formulas)):
         omin, omax = analyzer.minmax_oracle(*size)
-        bound = bounds.report(i)
         rows.append(CurveRow(
             *size, 0, float(formula.min_bits), float(formula.max_bits_corrected),
-            float(formula.max_bits_verbatim), omin, omax, bound.lhs_bits, bound.rhs_bits,
-            bound.holds, _match_label(formula, omax),
+            float(formula.max_bits_verbatim), omin, omax, bound.lhs_bits[i], bound.rhs_bits[i],
+            bound.holds[i], _match_label(formula, omax),
         ))
     return rows
 
@@ -592,7 +545,8 @@ def z_trace_rows(
     h_xy: Optional[float] = None,
     h_x_given_y: Optional[float] = None,
 ) -> list[CurveRow]:
-    """Leakage-from-Z trace: closed form vs. enumeration at each mu.
+    """Leakage-from-Z trace: closed form vs. enumeration at each mu, the
+    enumerated leakages and the Y-target bounds each as one batch.
 
     The sequence-level constants default to the model's exact values.
     """
@@ -600,15 +554,16 @@ def z_trace_rows(
         h_xy = analyzer.h_xy_total
     if h_x_given_y is None:
         h_x_given_y = analyzer.h_xy_total - analyzer.h_y_total
+    patterns = [WiretapPattern(mu=mu) for mu in mu_values]
+    oracles = analyzer.leakages("xy", patterns)
+    bound = analyzer.pattern_checks(patterns, ("y",))["y"]
     rows = []
-    for mu in mu_values:
+    for i, (mu, oracle) in enumerate(zip(mu_values, oracles)):
         formula = z_mu_leakage(mu, analyzer.K, h_xy, h_x_given_y)
-        pattern = WiretapPattern(mu=mu)
-        oracle = analyzer.exact_leakage("xy", pattern).total_bits
-        bound = analyzer.bound_report("y", pattern)
         rows.append(CurveRow(
-            0, 0, mu, formula, formula, formula, oracle, oracle, bound.lhs_bits, bound.rhs_bits,
-            bound.holds, "both" if abs(formula - oracle) <= DELTA else "neither",
+            0, 0, mu, formula, formula, formula, oracle, oracle, bound.lhs_bits[i],
+            bound.rhs_bits[i], bound.holds[i],
+            "both" if abs(formula - oracle) <= DELTA else "neither",
         ))
     return rows
 

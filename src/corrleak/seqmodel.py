@@ -115,9 +115,11 @@ class SequenceModel:
         cell = np.transpose(self.base.probs, (1, 0, 2))  # type: ignore[union-attr]
         p = cell
         for _ in range(K - 1):
-            p = np.multiply.outer(p, cell)
-        # axes (y0, x0, z0, y1, ...) -> (y0..y_K-1, x0..x_K-1, z0..z_K-1)
-        p = p.transpose([3 * i + v for v in range(3) for i in range(K)]).ravel()
+            # Each (y, x, z) word takes one more symbol as its last digit.
+            p = (p[:, None, :, None, :, None] * cell[None, :, None, :, None, :]).reshape(
+                [a * b for a, b in zip(p.shape, cell.shape)]
+            )
+        p = p.ravel()
         idx = np.flatnonzero(p > ZERO_EPS)
         probs = p[idx]
         pair, z = np.divmod(idx, nz**K)

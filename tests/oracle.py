@@ -31,7 +31,7 @@ from corrleak.cipher import CipherScheme
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
-from corrleak.leakage import BoundReport, LeakageValue, WiretapPattern
+from corrleak.leakage import DELTA, WiretapPattern
 from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
 
@@ -599,6 +599,29 @@ class _Evaluation:
 
 
 @dataclass(frozen=True)
+class LeakageValue:
+    """Exact leakage of one target under one pattern."""
+
+    target: str
+    total_bits: float
+    per_symbol_bits: float
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Exact left side vs. bound right side, with every term spelled out."""
+
+    target: str
+    lhs_bits: float          # exact leakage, bits per symbol
+    rhs_bits: float          # bound value, bits per symbol (slack excluded)
+    term_breakdown: Mapping[str, float]
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs_bits <= self.rhs_bits + DELTA
+
+
+@dataclass(frozen=True)
 class ReferenceCheck:
     """Identity residuals and bound reports of both targets for one pattern."""
 
@@ -711,7 +734,7 @@ class ReferenceAnalyzer:
         return value + bonus
 
     def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
-        pattern.validate(self.scheme, self.K)
+        pattern.validate(self.scheme.syndrome_len("x"), self.scheme.syndrome_len("y"), self.K)
         tx = self._syndrome_var("x", sorted(pattern.tx_positions))
         ty = self._syndrome_var("y", sorted(pattern.ty_positions))
         z = _Var(("z", pattern.mu), [], None, range(pattern.mu))

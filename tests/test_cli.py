@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -9,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from corrleak import WiretapAnalyzer, WiretapPattern, build_model, extremal_max_pattern
 from corrleak.cli import load_scenario, main
 from corrleak.errors import ValidationError
+from corrleak.leakage import _CHECK_SETS
+from corrleak.swcodec import PartitionScheme
+from oracle import ReferenceAnalyzer
 
 
 def run(args):
@@ -138,6 +143,49 @@ def test_curves_default_grid_stops_at_a_short_syndrome(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     assert run(args) == 2
     assert "scenario.sweep.mu_tx_max: must lie in 0..4, got 5" in capsys.readouterr().err
+
+
+def test_curves_checks_the_grid_and_the_z_trace_in_three_batches(tmp_path, monkeypatch):
+    # On reference_k7 (a 6 x 6 grid, mu_z in 0..7), the grid's bounds take
+    # one evaluator call, and so do the Z trace's leakages and its bounds;
+    # the other calls are the analyzer's constants and the oracle's subset
+    # pairs, one block per grid point.  Every Z-trace value is == the
+    # per-pattern reference, with the same repr.
+    calls = []
+    real = WiretapAnalyzer._entropies
+
+    def spy(self, patterns, sets):
+        calls.append((list(patterns), set(sets)))
+        return real(self, patterns, sets)
+
+    monkeypatch.setattr(WiretapAnalyzer, "_entropies", spy)
+    args = ["curves", "--scenario", "reference_k7", "--out", str(tmp_path), "--format", "json"]
+    assert run(args) == 0
+    grid = [extremal_max_pattern(*size) for size in itertools.product(range(6), range(6))]
+    trace = [WiretapPattern(mu=mu) for mu in range(8)]
+    leakage_sets = {
+        frozenset({"x", "y"}), frozenset({"tx", "ty", "z"}), frozenset({"x", "y", "tx", "ty", "z"})
+    }
+    assert [ps for ps, sets in calls if sets == _CHECK_SETS["y"]] == [grid, trace]
+    leakages = [ps for ps, sets in calls if sets == leakage_sets]
+    assert len(leakages) == 36 + 1 and leakages.count(trace) == 1
+    assert len(calls) == 3 + 1 + 36 + 1 + 1
+
+    scenario = load_scenario("reference_k7")
+    reference = ReferenceAnalyzer(
+        PartitionScheme.from_json(scenario["scheme"]), build_model(scenario["model"])
+    )
+    rows = json.loads((tmp_path / "curves.json").read_text())["rows"][-len(trace):]
+    for row, p in zip(rows, trace, strict=True):
+        assert (row["mu_tx"], row["mu_ty"], row["mu_z"]) == (0, 0, p.mu)
+        oracle = reference.exact_leakage("xy", p).total_bits
+        bound = reference.bound_report("y", p)
+        for got, expected in (
+            (row["oracle_min"], oracle), (row["oracle_max"], oracle),
+            (row["bound_lhs"], bound.lhs_bits), (row["bound_rhs"], bound.rhs_bits),
+            (row["bound_holds"], bound.holds),
+        ):
+            assert (got, repr(got)) == (expected, repr(expected)), (p.mu, row)
 
 
 def test_verify_bounds_all_hold(tmp_path):
@@ -458,23 +506,29 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
             "region", ("scheme", "y_segments"), {"u2": [0, 1], "a2": [3, 4], "q2": [2, 5, 6]},
             "scheme.y_segments.q2", id="segments-q2-off-parity",
         ),
+        # A lone syndrome flag was dropped, and the golden pair decoded.
+        pytest.param("decode --tx 00000", (), None, "--ty is missing", id="decode-lone-tx"),
+        pytest.param("decode --ty 10111", (), None, "--tx is missing", id="decode-lone-ty"),
     ],
 )
 def test_exit_code_field_diagnostic(tmp_path, capsys, command, path, value, field):
-    # A malformed field of the bundled scenario exits 2 with a one-line
-    # diagnostic that names the field, not with a traceback.
+    # A malformed field of the bundled scenario, or a malformed set of
+    # command flags (``path`` empty), exits 2 with a one-line diagnostic that
+    # names the field or flag, not with a traceback.
     scenario = load_scenario("reference_k7")
-    *parents, last = path
-    node = scenario
-    for key in parents:
-        node = node[key]
-    if value is DELETE:
-        del node[last]
-    else:
-        node[last] = value
+    if path:
+        *parents, last = path
+        node = scenario
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
     scenario_path = tmp_path / "malformed.json"
     scenario_path.write_text(json.dumps(scenario).replace(json.dumps(HUGE_INT), HUGE_INT))
-    assert run([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+    args = [*command.split(), "--scenario", str(scenario_path), "--out", str(tmp_path)]
+    assert run(args) == 2
     err = capsys.readouterr().err
     assert field in err
     assert len(err.splitlines()) == 1

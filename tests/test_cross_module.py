@@ -54,8 +54,8 @@ def test_iid_model_identity_and_bound(iid_uniform_analyzer):
 
 def test_iid_independent_sources_leak_nothing_crosswise(iid_uniform_analyzer):
     # with fully independent sources, T_X says nothing about Y
-    val = iid_uniform_analyzer.exact_leakage("y", WiretapPattern(frozenset(range(5))))
-    assert val.total_bits == pytest.approx(0.0, abs=1e-9)
+    (val,) = iid_uniform_analyzer.leakages("y", [WiretapPattern(frozenset(range(5)))])
+    assert val == pytest.approx(0.0, abs=1e-9)
 
 
 def test_nearly_uniform_iid_law_uses_its_weights(scheme):
@@ -80,21 +80,23 @@ def all_private_scheme() -> PartitionScheme:
 def test_unmasked_parity_leaks_in_the_clear(hamming7):
     an = WiretapAnalyzer(all_private_scheme(), hamming7)
     # a single parity bit is a uniform function of the sources: 1 bit leaked
-    val = an.exact_leakage("xy", WiretapPattern(frozenset({2}), frozenset()))
-    assert val.total_bits == pytest.approx(1.0, abs=1e-9)
+    (val,) = an.leakages("xy", [WiretapPattern(frozenset({2}), frozenset())])
+    assert val == pytest.approx(1.0, abs=1e-9)
     # with no common-designated segments the portion bound loses its slack
     assert an.h_common == pytest.approx(0.0, abs=1e-12)
 
 
 def test_masked_parity_leaks_nothing_alone(scheme, analyzer):
-    val = analyzer.exact_leakage("xy", WiretapPattern(frozenset({2}), frozenset()))
-    assert val.total_bits == pytest.approx(0.0, abs=1e-12)
+    val, pair, cross = analyzer.leakages("xy", [
+        WiretapPattern(frozenset({2}), frozenset()),
+        WiretapPattern(frozenset({2}), frozenset({2})),
+        WiretapPattern(frozenset({2}), frozenset({3})),
+    ])
+    assert val == pytest.approx(0.0, abs=1e-12)
     # but the aligned pair reveals exactly one bit
-    pair = analyzer.exact_leakage("xy", WiretapPattern(frozenset({2}), frozenset({2})))
-    assert pair.total_bits == pytest.approx(1.0, abs=1e-9)
+    assert pair == pytest.approx(1.0, abs=1e-9)
     # and misaligned parity bits reveal nothing
-    cross = analyzer.exact_leakage("xy", WiretapPattern(frozenset({2}), frozenset({3})))
-    assert cross.total_bits == pytest.approx(0.0, abs=1e-12)
+    assert cross == pytest.approx(0.0, abs=1e-12)
 
 
 def test_analyzer_rejects_mismatched_model(scheme):

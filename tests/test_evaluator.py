@@ -57,17 +57,25 @@ def check_floats(checks, i: int, reference) -> list[tuple]:
             (f"{t} residual", c.residual[i], residual),
             (f"{t} holds", c.holds[i], bound.holds),
         ]
-        report = c.report(i)
-        assert list(report.term_breakdown) == list(bound.term_breakdown)
+        # The reference's breakdown ends in the three bound constants, which
+        # the caller compares as the analyzers' attributes.
+        assert list(c.terms) == list(bound.term_breakdown)[:-3]
         out += [
-            (f"{t} {name}", report.term_breakdown[name], value)
-            for name, value in bound.term_breakdown.items()
+            (f"{t} {name}", values[i], bound.term_breakdown[name])
+            for name, values in c.terms.items()
         ]
     return out
 
 
+#: The analyzer's entropy constants, three of which every bound adds.
+CONSTANTS = ("h_x_total", "h_y_total", "h_xy_total", "h_private_x", "h_private_y", "h_common")
+
+
 def assert_batch_equals_reference(s, model, patterns, sizes) -> WiretapAnalyzer:
     analyzer, reference = WiretapAnalyzer(s, model), ReferenceAnalyzer(s, model)
+    for name in CONSTANTS:
+        got, expected = getattr(analyzer, name), getattr(reference, name)
+        assert (got, repr(got)) == (expected, repr(expected)), name
     checks = analyzer.pattern_checks(patterns)
     for i, p in enumerate(patterns):
         for what, got, expected in check_floats(checks, i, reference.pattern_check(p)):
@@ -76,9 +84,9 @@ def assert_batch_equals_reference(s, model, patterns, sizes) -> WiretapAnalyzer:
     assert analyzer.entropy_calls == reference.entropy_calls
     assert analyzer.entropy_sets == reference.entropy_sets
     assert readable_memo(analyzer) == reference._entropy_memo
-    for p in patterns:
-        for target in ("x", "y", "xy"):
-            got, expected = analyzer.exact_leakage(target, p), reference.exact_leakage(target, p)
+    for target in ("x", "y", "xy"):
+        for p, got in zip(patterns, analyzer.leakages(target, patterns), strict=True):
+            expected = reference.exact_leakage(target, p).total_bits
             assert (got, repr(got)) == (expected, repr(expected)), p
     for mu_tx, mu_ty in sizes:
         got, expected = analyzer.minmax_oracle(mu_tx, mu_ty), reference.minmax_oracle(mu_tx, mu_ty)
@@ -151,9 +159,15 @@ def test_wide_low_rate_scheme_packs_its_keys_within_an_int64():
     assert analyzer._shift["x"] == 46
 
 
+def row(c, i: int) -> tuple:
+    """Pattern ``i``'s entries of one target's bound columns."""
+    terms = {name: values[i] for name, values in c.terms.items()}
+    return c.target, c.lhs_bits[i], c.rhs_bits[i], c.holds[i], c.residual[i], terms
+
+
 def test_single_pattern_operations_equal_rows_of_one_sweep(scheme, hamming7):
-    # One path: the single-pattern operations are rows of the batched sweep,
-    # and a sweep counts what its patterns count one at a time.
+    # One path: one-pattern and one-target calls are rows of the batched
+    # sweep, and a sweep counts what its patterns count one at a time.
     patterns = sample_patterns(scheme, 30, seed=11, mu_values=(0, 2, 7))
     batch = WiretapAnalyzer(scheme, hamming7)
     checks = batch.pattern_checks(patterns)
@@ -163,19 +177,17 @@ def test_single_pattern_operations_equal_rows_of_one_sweep(scheme, hamming7):
         single.pattern_checks([p])
     assert counts == (single.entropy_calls, single.entropy_sets)
     assert counts[0] == 6 + 20 * len(patterns)
-    leaks = {
-        t: np.concatenate(list(batch._leakage(t, patterns))).tolist() for t in ("x", "y", "xy")
-    }
+    leaks = {t: batch.leakages(t, patterns) for t in ("x", "y", "xy")}
     for i, p in enumerate(patterns):
         one = single.pattern_checks([p])
         for t in ("y", "x"):
-            assert single.bound_report(t, p) == checks[t].report(i)
-            assert one[t].report(0) == checks[t].report(i)
+            assert row(single.pattern_checks([p], (t,))[t], 0) == row(checks[t], i)
+            assert row(one[t], 0) == row(checks[t], i)
             assert one[t].residual == [checks[t].residual[i]]
             assert one[t].holds == [checks[t].holds[i]]
-            assert single.exact_leakage(t, p).per_symbol_bits == checks[t].lhs_bits[i]
+            assert single.leakages(t, [p])[0] / single.K == checks[t].lhs_bits[i]
         for t, values in leaks.items():
-            assert single.exact_leakage(t, p).total_bits == values[i]
+            assert single.leakages(t, [p]) == [values[i]]
 
 
 def test_results_do_not_depend_on_the_block_size(scheme, hamming7, monkeypatch):
@@ -202,6 +214,8 @@ def test_pattern_checks_take_any_iterable_and_no_pattern(analyzer):
     for t, c in analyzer.pattern_checks([]).items():
         assert (c.target, c.lhs_bits, c.residual, c.holds) == (t, [], [], [])
         assert all(v == [] for v in c.terms.values())
+    assert analyzer.leakages("xy", iter(patterns)) == analyzer.leakages("xy", patterns)
+    assert analyzer.leakages("xy", []) == []
 
 
 def sweep_transient(analyzer, patterns) -> int:
@@ -248,7 +262,7 @@ def test_sweep_memory_does_not_grow_with_its_length(scheme, hamming7):
 def test_pattern_validation_refuses_non_integers(analyzer, field, kwargs):
     # A float ended in a numpy or int() TypeError, and a bool was read as 1.
     with pytest.raises(UsageError, match=f"^{field}: expected an integer"):
-        analyzer.exact_leakage("xy", WiretapPattern(**kwargs))
+        analyzer.leakages("xy", [WiretapPattern(**kwargs)])
 
 
 def test_pattern_validation_takes_numpy_integers(analyzer):
@@ -256,7 +270,7 @@ def test_pattern_validation_takes_numpy_integers(analyzer):
     numpy_ints = WiretapPattern(
         frozenset(map(np.int64, (0, 3))), frozenset({np.int8(2)}), np.int64(4)
     )
-    assert analyzer.exact_leakage("xy", numpy_ints) == analyzer.exact_leakage("xy", plain)
+    assert analyzer.leakages("xy", [numpy_ints]) == analyzer.leakages("xy", [plain])
 
 
 @pytest.mark.parametrize("skewed_pattern", [0, -1], ids=["first", "last"])
@@ -264,8 +278,8 @@ def test_minmax_oracle_refuses_a_negative_leakage_anywhere_in_its_block(
     analyzer, monkeypatch, skewed_pattern
 ):
     # A joint entropy pushed 100 bits up makes one pattern's leakage
-    # negative; the oracle checks every pattern of the block, as the
-    # per-pattern exact_leakage did, instead of taking the min past it.
+    # negative; the oracle checks every pattern of the block, as
+    # ``leakages`` does, instead of taking the min past it.
     real = analyzer._entropies
     joint = frozenset({"x", "y", "tx", "ty", "z"})
 

@@ -23,7 +23,7 @@ from corrleak import (
     z_trace_rows,
 )
 from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
-from corrleak.leakage import _rank_term, sample_patterns
+from corrleak.leakage import DELTA, _rank_term, sample_patterns
 from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
     enumeration_equivocation,
@@ -53,41 +53,42 @@ def H(analyzer, p, *names):
 
 def test_pattern_validation(scheme, analyzer):
     with pytest.raises(UsageError):
-        analyzer.exact_leakage("y", pattern(tx=[5]))
+        analyzer.leakages("y", [pattern(tx=[5])])
     with pytest.raises(UsageError):
-        analyzer.exact_leakage("y", pattern(mu=8))
+        analyzer.leakages("y", [pattern(mu=8)])
     with pytest.raises(UsageError):
-        analyzer.exact_leakage("nope", pattern())
+        analyzer.leakages("nope", [pattern()])
     with pytest.raises(UsageError):
-        analyzer.bound_report("xy", pattern())
+        analyzer.pattern_checks([pattern()], ("xy",))
 
 
 def test_empty_pattern_leaks_nothing(analyzer):
-    val = analyzer.exact_leakage("y", pattern())
-    assert val.total_bits == pytest.approx(0.0, abs=1e-12)
-    assert val.per_symbol_bits == pytest.approx(0.0, abs=1e-12)
+    (val,) = analyzer.leakages("y", [pattern()])
+    assert val == pytest.approx(0.0, abs=1e-12)
+    assert val / analyzer.K == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_pattern_definitional(analyzer):
     full = pattern(tx=range(5), ty=range(5), mu=7)
-    val = analyzer.exact_leakage("y", full)
+    (val,) = analyzer.leakages("y", [full])
     equiv = H(analyzer, full, "y", "tx", "ty", "z") - H(analyzer, full, "tx", "ty", "z")
-    assert val.total_bits == pytest.approx(analyzer.h_y_total - equiv, abs=1e-9)
-    assert val.per_symbol_bits == pytest.approx(val.total_bits / 7, abs=1e-12)
+    assert val == pytest.approx(analyzer.h_y_total - equiv, abs=1e-9)
+    # the bound's left side is the same leakage per symbol
+    lhs = analyzer.pattern_checks([full], ("y",))["y"].lhs_bits
+    assert lhs == [pytest.approx(val / 7, abs=1e-12)]
 
 
 def test_z_only_joint_leakage_is_four_bits(analyzer):
     # 10 - (log2 8 + 3): full Z leaves 3 bits of y-ball freedom plus H(X|Y)
-    val = analyzer.exact_leakage("xy", pattern(mu=7))
-    assert val.total_bits == pytest.approx(4.0, abs=1e-9)
+    assert analyzer.leakages("xy", [pattern(mu=7)]) == [pytest.approx(4.0, abs=1e-9)]
 
 
 def test_exact_leakage_matches_enumeration_oracle(scheme, hamming7, analyzer):
     # cross-check the fast engine against the plain dictionary oracle
-    val = analyzer.exact_leakage("y", pattern(mu=3))
+    (val,) = analyzer.leakages("y", [pattern(mu=3)])
     h_y = enumeration_equivocation([], "y", hamming7)
     h_y_given = enumeration_equivocation([z_prefix_observable(3)], "y", hamming7)
-    assert val.total_bits == pytest.approx(h_y - h_y_given, abs=1e-9)
+    assert val == pytest.approx(h_y - h_y_given, abs=1e-9)
 
 
 def test_decomposition_residual_small_everywhere(analyzer):
@@ -103,24 +104,24 @@ def test_decomposition_residual_small_everywhere(analyzer):
 
 def test_mu_zero_kills_z_terms(analyzer):
     checks = analyzer.pattern_checks([pattern(tx=[0, 1], ty=[0, 1], mu=0)])
-    for name, value in checks["y"].report(0).term_breakdown.items():
+    for name, (value,) in checks["y"].terms.items():
         if "z" in name and name.startswith("i("):
             assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bound_empty_pattern(analyzer):
-    rep = analyzer.bound_report("y", pattern())
-    assert rep.lhs_bits == pytest.approx(0.0, abs=1e-12)
-    assert rep.lhs_bits <= rep.rhs_bits + rep.delta
+    rep = analyzer.pattern_checks([pattern()], ("y",))["y"]
+    assert rep.lhs_bits[0] == pytest.approx(0.0, abs=1e-12)
+    assert rep.lhs_bits[0] <= rep.rhs_bits[0] + DELTA
+    assert rep.holds == [True]
 
 
 def test_bound_full_wiretap_both_targets(analyzer):
     full = pattern(tx=range(5), ty=range(5), mu=7)
-    for target in ("x", "y"):
-        rep = analyzer.bound_report(target, full)
-        assert rep.holds
+    for rep in analyzer.pattern_checks([full], ("x", "y")).values():
+        assert rep.holds == [True]
         # the desk-scale margin is exactly (2 + 6 - 7)/7 = 1/7
-        assert rep.rhs_bits - rep.lhs_bits == pytest.approx(1 / 7, abs=1e-9)
+        assert rep.rhs_bits[0] - rep.lhs_bits[0] == pytest.approx(1 / 7, abs=1e-9)
 
 
 def test_bound_random_patterns_hold(scheme, analyzer):
@@ -153,6 +154,7 @@ def test_bound_holds_on_full_extremal_sweep(scheme, analyzer):
 
 def test_monotone_under_pattern_growth(scheme, analyzer):
     rng = np.random.default_rng(8)
+    smalls, bigs = [], []
     for _ in range(500):
         a = int(rng.integers(0, 6))
         b = int(rng.integers(0, 6))
@@ -163,8 +165,9 @@ def test_monotone_under_pattern_growth(scheme, analyzer):
         extra_tx = tx | {int(v) for v in rng.choice(5, size=min(5, a + 1), replace=False)}
         big = WiretapPattern(frozenset(extra_tx), ty, min(7, mu + int(rng.integers(0, 3))))
         assert is_subset_of(small, big)
-        lo = analyzer.exact_leakage("xy", small).total_bits
-        hi = analyzer.exact_leakage("xy", big).total_bits
+        smalls.append(small)
+        bigs.append(big)
+    for lo, hi in zip(analyzer.leakages("xy", smalls), analyzer.leakages("xy", bigs)):
         assert hi >= lo - 1e-9
 
 
@@ -236,9 +239,9 @@ def test_z_mu_leakage_domain():
 
 
 def test_z_mu_matches_enumeration_all_mu(analyzer):
-    for mu in range(8):
+    oracles = analyzer.leakages("xy", [pattern(mu=mu) for mu in range(8)])
+    for mu, oracle in enumerate(oracles):
         formula = z_mu_leakage(mu, 7, 10.0, 3.0)
-        oracle = analyzer.exact_leakage("xy", pattern(mu=mu)).total_bits
         assert formula == pytest.approx(oracle, abs=1e-9)
 
 
@@ -275,11 +278,11 @@ def test_memo_shared_across_patterns_matches_fresh_analyzers(scheme, hamming7):
         checks = shared.pattern_checks([p])
         assert checks == WiretapAnalyzer(scheme, hamming7).pattern_checks([p])
         fresh = WiretapAnalyzer(scheme, hamming7)
-        assert checks["y"].report(0) == fresh.bound_report("y", p)
-        assert checks["x"].report(0) == fresh.bound_report("x", p)
+        assert checks["y"] == fresh.pattern_checks([p], ("y",))["y"]
+        assert checks["x"] == fresh.pattern_checks([p], ("x",))["x"]
         for target in ("x", "y", "xy"):
-            fresh = WiretapAnalyzer(scheme, hamming7).exact_leakage(target, p)
-            assert shared.exact_leakage(target, p) == fresh
+            fresh = WiretapAnalyzer(scheme, hamming7).leakages(target, [p])
+            assert shared.leakages(target, [p]) == fresh
     sizes = [(2, 3), (0, 5), (5, 5), (3, 1), (1, 0)]
     for mu_tx, mu_ty in sizes:
         fresh = WiretapAnalyzer(scheme, hamming7).minmax_oracle(mu_tx, mu_ty)
@@ -433,7 +436,7 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
         fresh = WiretapAnalyzer(s, model)
         assert shared.pattern_checks([p]) == fresh.pattern_checks([p])
         for target in ("x", "y", "xy"):
-            assert shared.exact_leakage(target, p) == fresh.exact_leakage(target, p)
+            assert shared.leakages(target, [p]) == fresh.leakages(target, [p])
     for mu_tx, mu_ty in [(1, 2), (2, 1), (0, 3)]:
         fresh = WiretapAnalyzer(s, model).minmax_oracle(mu_tx, mu_ty)
         assert shared.minmax_oracle(mu_tx, mu_ty) == fresh
@@ -452,7 +455,7 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
     assert wider
 
     def results(analyzer, p):
-        leaks = [analyzer.exact_leakage(target, p) for target in ("x", "y", "xy")]
+        leaks = [analyzer.leakages(target, [p]) for target in ("x", "y", "xy")]
         return analyzer.pattern_checks([p]), leaks
 
     expected = [results(WiretapAnalyzer(s, model), p) for p in wider]
@@ -561,7 +564,7 @@ def test_pair_table_equals_full_table_on_a_10_6_sweep(monkeypatch):
     analyzer = WiretapAnalyzer(s, model)
     for p in sample_patterns(s, 4, seed=42, mu_values=(0, 4, 10)):
         analyzer.pattern_checks([p])
-        analyzer.exact_leakage("xy", p)
+        analyzer.leakages("xy", [p])
     analyzer.minmax_oracle(1, 2)
     assert (model.table.pairs, model.table.rows) == (11_264, 123_904)
     assert (model.table.runs == 11).all()
@@ -615,7 +618,7 @@ def test_pair_table_equals_full_table_over_random_schemes(k, parity, model_name,
         seed = data.draw(st.integers(0, 999), label="patterns")
         for p in sample_patterns(s, 3, seed=seed, mu_values=(0, data.draw(st.integers(1, n)))):
             analyzer.pattern_checks([p])
-            analyzer.exact_leakage("xy", p)
+            analyzer.leakages("xy", [p])
     assert_kernel_inputs(analyzer, seen)
     assert_memo_equals_full_table(analyzer)
 
@@ -663,7 +666,7 @@ def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
         ]
         for target, h in unconditional.items():
             expected = max(0.0, h - enumeration_equivocation(observed, target, model))
-            got = analyzer.exact_leakage(target, pattern(tx, ty, mu)).total_bits
+            (got,) = analyzer.leakages(target, [pattern(tx, ty, mu)])
             assert got == pytest.approx(expected, abs=1e-9), (tx, ty, mu, target)
     # Every Z-free set was counted on the pairs, and every memo entry is ==
     # the count of its code over the rows.

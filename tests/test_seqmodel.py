@@ -76,6 +76,20 @@ def test_iid_k1_is_base_pmf():
         assert t.prob == pytest.approx(base.probs[t.x[0], t.y[0], t.z[0]], abs=1e-15)
 
 
+def test_iid_table_builds_past_64_numpy_axes():
+    # A one-row law (every alphabet 1) passes the guard at any K, and a law
+    # with one binary alphabet at K = 22 holds 2**22 triples: both took 3K
+    # numpy axes, past numpy's 64.  At K = 22 one Z symbol has mass 0, so
+    # the one row left is Z = 1...1.
+    one_row = SequenceModel(kind="iid", K=30, base=JointPmf(np.ones((1, 1, 1)))).table
+    wide = build_model(
+        {"kind": "iid", "K": 22, "pmf": {"alphabets": [1, 1, 2], "probs": [0.0, 1.0]}}
+    ).table
+    for table, z in ((one_row, 0), (wide, (1 << 22) - 1)):
+        assert (table.rows, table.pairs, table.p) == (1, 1, 1.0)
+        assert (table.x.tolist(), table.y.tolist(), table.z.tolist()) == ([0], [0], [z])
+
+
 def test_iid_per_symbol_entropy_matches_base():
     rng = np.random.default_rng(1)
     flat = rng.dirichlet(np.ones(8))
