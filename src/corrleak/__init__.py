@@ -11,8 +11,6 @@ from .cipher import (
     RegionQuery,
     RegionVerdict,
     SecurityMeasurement,
-    alpha_defaults,
-    derive_key_sizes,
     desk_scheme,
     guaranteed_level,
     measure_security,

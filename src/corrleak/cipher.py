@@ -64,14 +64,12 @@ class CipherScheme:
     key_assignment: Mapping[str, Optional[str]] = field(
         default_factory=lambda: dict(BRANCHES["reused-pad"])
     )
-    rounding_errors: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("m_x", "m_y", "m_x1", "m_y1", "m_cx", "m_cy"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         object.__setattr__(self, "key_assignment", dict(self.key_assignment))
-        object.__setattr__(self, "rounding_errors", dict(self.rounding_errors))
         for comp, key in self.key_assignment.items():
             if comp not in ("x1", "cx", "y1", "cy"):
                 raise ValidationError(f"unknown codeword component {comp!r}")
@@ -97,57 +95,6 @@ def _branch_assignment(branch: str) -> dict[str, Optional[str]]:
     if branch not in BRANCHES:
         raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
     return dict(BRANCHES[branch])
-
-
-# -- key-size derivation --------------------------------------------------------
-
-
-def _pow2_size(rate_bits: float, K: int, errors: dict[str, float], name: str) -> int:
-    """Nearest integer >= 1 to 2**(K*rate), recording the rounding error."""
-    exact = 2.0 ** (K * rate_bits)
-    size = max(1, round(exact))
-    errors[name] = abs(size - exact)
-    return size
-
-
-def derive_key_sizes(info: InfoSummary, K: int, h_target: float, case: str) -> CipherScheme:
-    """Sub-codeword and key alphabet sizes for a security target.
-
-    For targets above the shared information the first sub-codewords are
-    split off and padded; at or below it only the common component carries a
-    key.  ``h_target`` is the governing level: the joint target for the
-    "joint" case, the larger individual target otherwise.
-    """
-    if case not in CASES:
-        raise UsageError(f"unknown case {case!r}; expected one of {CASES}")
-    limit = info.h_xy if case == "joint" else max(info.h_x, info.h_y)
-    if not 0 <= h_target <= limit + 1e-12:
-        raise DomainError(f"h_target={h_target} outside 0..{limit:.6g} for case {case!r}")
-
-    errors: dict[str, float] = {}
-    m_x = _pow2_size(info.h_x_given_y, K, errors, "m_x")
-    m_y = _pow2_size(info.h_y_given_x, K, errors, "m_y")
-    if h_target > info.i_xy:
-        m_y1 = _pow2_size(h_target - info.i_xy, K, errors, "m_y1")
-        m_x1 = min(_pow2_size(info.h_x_given_y, K, errors, "m_x1"), m_y1)
-        m_cx = _pow2_size(info.i_xy, K, errors, "m_cx")
-        m_cy = 1
-        assignment = BRANCHES["reused-pad"]
-    else:
-        m_x1 = m_y1 = 1
-        m_cx = _pow2_size(h_target, K, errors, "m_cx")
-        m_cy = _pow2_size(max(0.0, info.i_xy - h_target), K, errors, "m_cy")
-        assignment = BRANCHES["common-only"]
-    return CipherScheme(
-        m_x=m_x,
-        m_y=m_y,
-        m_x1=m_x1,
-        m_y1=m_y1,
-        m_cx=m_cx,
-        m_cy=m_cy,
-        key_assignment=assignment,
-        rounding_errors=errors,
-    )
 
 
 # -- region predicates ------------------------------------------------------------
@@ -272,16 +219,6 @@ def guaranteed_level(h_target: float, alpha_cx: float, alpha_cy: float, i_xyz: f
     """The level a keyed construction guarantees once the wiretapped source's
     correlated portions are discounted: h_target - a_cx - a_cy + i(x;y;z)."""
     return h_target - alpha_cx - alpha_cy + i_xyz
-
-
-def alpha_defaults(info: InfoSummary, mu: int, K: int) -> tuple[float, float, float]:
-    """Per-symbol shares of the wiretapped source correlated with X, with Y,
-    and private to Z: (mu/K) * (I(X;Z), I(Y;Z), H(Z|X,Y))."""
-    if K < 1 or not 0 <= mu <= K:
-        raise DomainError(f"need 0 <= mu <= K with K >= 1, got mu={mu}, K={K}")
-    frac = mu / K
-    h_z_given_xy = info.h_z - info.i_xz - info.i_yz + info.i_xyz
-    return frac * info.i_xz, frac * info.i_yz, frac * h_z_given_xy
 
 
 # -- exact security measurement -----------------------------------------------

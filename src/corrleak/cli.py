@@ -16,7 +16,8 @@ all reproduction commands are deterministic, and identical scenario input
 yields byte-identical output.
 
 Exit status: 0 on success, 2 on a validation/usage error, 3 when an
-enumeration would exceed the support guard.
+enumeration would exceed a capacity guard: the support guard, or a Z code
+or class key past its integer width.
 """
 
 from __future__ import annotations
@@ -228,15 +229,14 @@ def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
 
 
 def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
+    if "z_trace" in ctx.scenario:
+        raise ValidationError(
+            "scenario.z_trace: not a setting; the Z trace takes H(X,Y) and H(X|Y) from the model"
+        )
     ctx.log("sweeping the wiretap grid against the brute-force oracle")
     mu_tx_max, mu_ty_max = ctx.grid_size("x"), ctx.grid_size("y")
     rows = grid_curve_rows(ctx.analyzer, mu_tx_max, mu_ty_max)
-    trace_cfg = ctx.section("z_trace")
-    h_xy, h_x_given_y = (
-        None if trace_cfg.get(k) is None else float_field(trace_cfg[k], f"scenario.z_trace.{k}")
-        for k in ("h_xy_bits", "h_x_given_y_bits")
-    )
-    rows += z_trace_rows(ctx.analyzer, ctx.mu_z_values(), h_xy=h_xy, h_x_given_y=h_x_given_y)
+    rows += z_trace_rows(ctx.analyzer, ctx.mu_z_values())
     ctx.log_entropy_counters()
     dicts = [asdict(r) for r in rows]
     disagree = sorted(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError, int_field
+from .errors import CapacityError, InternalConsistencyError, ValidationError, int_field
 
 #: Probabilities below this are exact zeros.
 ZERO_EPS = 1e-15
@@ -203,15 +203,16 @@ class SupportTable:
     counts; otherwise ``weights`` holds the row probabilities.  A set reads
     a prefix of the ``z_width``-bit Z code, column 0 most significant.
 
-    Raises ``InternalConsistencyError`` when the runs do not cover the rows,
-    a run's Z codes do not ascend, or a Z code does not fit ``z_width`` bits
-    of an int32 (``SUPPORT_GUARD`` keeps the Z code of every model but a
-    one-row iid law below 27 bits).
+    Raises ``CapacityError`` when ``z_width`` passes the 31 bits of an int32
+    (``SUPPORT_GUARD`` keeps the Z code of every model but a one-row iid law
+    below 27 bits), and ``InternalConsistencyError`` when the runs do not
+    cover the rows, a run's Z codes do not ascend, or a Z code does not fit
+    ``z_width`` bits.
     """
 
     def __init__(self, x, y, runs, z, probs, z_width: int):
         if z_width > 31:
-            raise InternalConsistencyError(f"a {z_width}-bit Z code does not fit int32")
+            raise CapacityError(f"a {z_width}-bit Z code does not fit int32")
         if z.size and (z.min() < 0 or int(z.max()) >> z_width):
             raise InternalConsistencyError(f"a Z code does not fit {z_width} bits")
         z = z.astype(np.int32, copy=False)

@@ -27,11 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import log2
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, UsageError, is_int
+from .errors import CapacityError, DomainError, InternalConsistencyError, UsageError, is_int
 from .gf2 import Gf2Matrix, rank
 from .info import column_code
 from .seqmodel import SequenceModel
@@ -138,9 +138,9 @@ def _bits(mask: int) -> tuple[int, ...]:
 def _key_shifts(widths: Mapping[str, int]) -> dict[str, int]:
     """The shift of each field when fields of the given bit widths are packed
     into one int64 key, the first field most significant; past 63 bits,
-    ``InternalConsistencyError``."""
+    ``CapacityError``."""
     if (used := sum(widths.values())) > 63:
-        raise InternalConsistencyError(f"a {used}-bit class key does not fit an int64")
+        raise CapacityError(f"a {used}-bit class key does not fit an int64")
     names = list(widths)[::-1]
     return dict(zip(names, itertools.accumulate([widths[n] for n in names], initial=0)))
 
@@ -230,8 +230,8 @@ class WiretapAnalyzer:
         least 2**K triples, so ``SUPPORT_GUARD`` keeps K <= 26 and the key
         within 2 + 52 + 5 = 59 bits.  Only a one-row iid law (every alphabet
         1) passes the guard at any K; a key of its past 63 bits raises
-        ``InternalConsistencyError`` when the analyzer is built, as its table
-        does for a Z code past 31 bits."""
+        ``CapacityError`` when the analyzer is built, as its table does for a
+        Z code past 31 bits."""
         lx, ly = self._width["tx"], self._width["ty"]
         for p in patterns:
             p.validate(lx, ly, self.K)
@@ -380,10 +380,6 @@ class FormulaMinMax:
     min_bits: int
     max_bits_corrected: int
     max_bits_verbatim: int
-    min_case: str
-    max_case: str
-    rank_term_min: int
-    rank_term_max: int
 
 
 def _rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
@@ -409,33 +405,27 @@ def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
         raise UsageError(f"mu_ty must lie in 0..{l_iy + l_p}, got {mu_ty}")
 
     # Maximum: info bits first, leftover parity picks aligned from column 0.
-    if mu_tx <= l_ix and mu_ty <= l_iy:
-        max_case = "info-only"
+    if mu_tx <= l_ix and mu_ty <= l_iy:  # info bits only
         x_par, y_par = 0, 0
         base_corr = base_verb = mu_tx + mu_ty
-    elif mu_tx > l_ix and mu_ty > l_iy:
-        max_case = "both-over-info"
+    elif mu_tx > l_ix and mu_ty > l_iy:  # both over their info lengths
         x_par, y_par = mu_tx - l_ix, mu_ty - l_iy
         aligned = min(x_par, y_par)
         base_corr = l_ix + l_iy + aligned
         base_verb = l_ix + l_iy + mu_tx + aligned
-    elif mu_tx > l_ix:
-        max_case = "x-over-info"
+    elif mu_tx > l_ix:  # X over its info length
         x_par, y_par = mu_tx - l_ix, 0
         base_corr = base_verb = mu_ty + l_ix
-    else:
-        max_case = "y-over-info"
+    else:  # Y over its info length
         x_par, y_par = 0, mu_ty - l_iy
         base_corr = base_verb = mu_tx + l_iy
     rt_max = _rank_term(s, range(max(x_par, y_par)))
 
     # Minimum: parity bits first, chosen to overlap as little as possible.
     px, py = min(mu_tx, l_p), min(mu_ty, l_p)
-    if mu_tx <= l_p and mu_ty <= l_p:
-        min_case = "parity-first"
+    if mu_tx <= l_p and mu_ty <= l_p:  # parity bits only
         base_min = max(0, mu_tx + mu_ty - l_p)
-    else:
-        min_case = "parity-saturated"
+    else:  # a side past the parity length
         base_min = mu_tx + mu_ty - l_p
     union = sorted(set(range(px)) | set(range(l_p - py, l_p)))
     rt_min = _rank_term(s, union)
@@ -446,10 +436,6 @@ def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
         min_bits=base_min + rt_min,
         max_bits_corrected=base_corr + rt_max,
         max_bits_verbatim=base_verb + rt_max,
-        min_case=min_case,
-        max_case=max_case,
-        rank_term_min=rt_min,
-        rank_term_max=rt_max,
     )
 
 
@@ -539,21 +525,11 @@ def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -
     return rows
 
 
-def z_trace_rows(
-    analyzer: WiretapAnalyzer,
-    mu_values: Sequence[int],
-    h_xy: Optional[float] = None,
-    h_x_given_y: Optional[float] = None,
-) -> list[CurveRow]:
+def z_trace_rows(analyzer: WiretapAnalyzer, mu_values: Sequence[int]) -> list[CurveRow]:
     """Leakage-from-Z trace: closed form vs. enumeration at each mu, the
-    enumerated leakages and the Y-target bounds each as one batch.
-
-    The sequence-level constants default to the model's exact values.
-    """
-    if h_xy is None:
-        h_xy = analyzer.h_xy_total
-    if h_x_given_y is None:
-        h_x_given_y = analyzer.h_xy_total - analyzer.h_y_total
+    enumerated leakages and the Y-target bounds each as one batch.  The
+    closed form takes the model's exact H(X, Y) and H(X | Y)."""
+    h_xy, h_x_given_y = analyzer.h_xy_total, analyzer.h_xy_total - analyzer.h_y_total
     patterns = [WiretapPattern(mu=mu) for mu in mu_values]
     oracles = analyzer.leakages("xy", patterns)
     bound = analyzer.pattern_checks(patterns, ("y",))["y"]

@@ -11,11 +11,12 @@ three-sort conditional entropy over per-row codes, which the table's
 ``conditional_entropy`` must match bit for bit, the Shannon measures of
 a per-symbol ``JointPmf`` tensor, which the per-symbol summary of an iid
 sequence model must match, the per-codeword cipher, which the folded pads
-of ``measure_security`` must agree with, the candidate counts behind the
-leakage of a Z prefix, and the analyzer one pattern and one entropy set at a
-time (``ReferenceAnalyzer``), which the package's block evaluator must equal
-float for float.  The tests check the fast paths against it;
-nothing under ``src/`` imports it.
+of ``measure_security`` must agree with, the paper's key-size rule
+(``derive_key_sizes``, ``alpha_defaults``), which no command reaches, the
+candidate counts behind the leakage of a Z prefix, and the analyzer one
+pattern and one entropy set at a time (``ReferenceAnalyzer``), which the
+package's block evaluator must equal float for float.  The tests check the
+fast paths against it; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Un
 
 import numpy as np
 
-from corrleak.cipher import CipherScheme
+from corrleak.cipher import BRANCHES, CASES, CipherScheme
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
@@ -409,6 +410,75 @@ def decrypt_ciphertexts(
     wy1 = _masked(w2[0], "y1", keys, scheme, -1)
     wcy = _masked(w2[2], "cy", keys, scheme, -1)
     return wx1 + scheme.m_x1 * w1[1], wy1 + scheme.m_y1 * w2[1], wcx, wcy
+
+
+# -- the paper's key-size rule ---------------------------------------------------
+#
+# Index spaces and keys sized from rates, for example m_cx = 2**(K * I(X;Y)).
+# ``cipher-sim`` sizes its keys from the syndrome segments instead
+# (``desk_scheme``): ``measure_security`` refuses the rate-derived sizes,
+# because they do not match the partition's segment sizes.
+
+
+def _pow2_size(rate_bits: float, K: int, errors: dict[str, float], name: str) -> int:
+    """Nearest integer >= 1 to 2**(K*rate), recording the rounding error."""
+    exact = 2.0 ** (K * rate_bits)
+    size = max(1, round(exact))
+    errors[name] = abs(size - exact)
+    return size
+
+
+def derive_key_sizes(
+    info: InfoSummary, K: int, h_target: float, case: str
+) -> tuple[CipherScheme, dict[str, float]]:
+    """Sub-codeword and key alphabet sizes for a security target, and the
+    rounding error of every size taken from a rate.
+
+    For targets above the shared information the first sub-codewords are
+    split off and padded; at or below it only the common component carries a
+    key.  ``h_target`` is the governing level: the joint target for the
+    "joint" case, the larger individual target otherwise.
+    """
+    if case not in CASES:
+        raise UsageError(f"unknown case {case!r}; expected one of {CASES}")
+    limit = info.h_xy if case == "joint" else max(info.h_x, info.h_y)
+    if not 0 <= h_target <= limit + 1e-12:
+        raise DomainError(f"h_target={h_target} outside 0..{limit:.6g} for case {case!r}")
+
+    errors: dict[str, float] = {}
+    m_x = _pow2_size(info.h_x_given_y, K, errors, "m_x")
+    m_y = _pow2_size(info.h_y_given_x, K, errors, "m_y")
+    if h_target > info.i_xy:
+        m_y1 = _pow2_size(h_target - info.i_xy, K, errors, "m_y1")
+        m_x1 = min(_pow2_size(info.h_x_given_y, K, errors, "m_x1"), m_y1)
+        m_cx = _pow2_size(info.i_xy, K, errors, "m_cx")
+        m_cy = 1
+        assignment = BRANCHES["reused-pad"]
+    else:
+        m_x1 = m_y1 = 1
+        m_cx = _pow2_size(h_target, K, errors, "m_cx")
+        m_cy = _pow2_size(max(0.0, info.i_xy - h_target), K, errors, "m_cy")
+        assignment = BRANCHES["common-only"]
+    scheme = CipherScheme(
+        m_x=m_x,
+        m_y=m_y,
+        m_x1=m_x1,
+        m_y1=m_y1,
+        m_cx=m_cx,
+        m_cy=m_cy,
+        key_assignment=assignment,
+    )
+    return scheme, errors
+
+
+def alpha_defaults(info: InfoSummary, mu: int, K: int) -> tuple[float, float, float]:
+    """Per-symbol shares of the wiretapped source correlated with X, with Y,
+    and private to Z: (mu/K) * (I(X;Z), I(Y;Z), H(Z|X,Y))."""
+    if K < 1 or not 0 <= mu <= K:
+        raise DomainError(f"need 0 <= mu <= K with K >= 1, got mu={mu}, K={K}")
+    frac = mu / K
+    h_z_given_xy = info.h_z - info.i_xz - info.i_yz + info.i_xyz
+    return frac * info.i_xz, frac * info.i_yz, frac * h_z_given_xy
 
 
 # -- Shannon measures of a per-symbol pmf tensor -------------------------------

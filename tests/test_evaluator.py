@@ -17,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corrleak import InternalConsistencyError, UsageError, WiretapAnalyzer, WiretapPattern
+from corrleak import (
+    CapacityError, InternalConsistencyError, UsageError, WiretapAnalyzer, WiretapPattern,
+)
 from corrleak import leakage
 from corrleak.cli import load_scenario
 from corrleak.leakage import BLOCK, _key_shifts, sample_patterns
@@ -108,34 +110,68 @@ def test_batch_equals_per_set_reference_on_benchmark_sweeps(name, seed):
     assert_batch_equals_reference(s, model, patterns, sizes)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+#: A random systematic [k + parity, k] scheme under a Hamming, uneven-run or
+#: weighted law; ``scheme_case`` draws the rest.
+RANDOM_SCHEMES = dict(
     k=st.integers(2, 4),
     parity=st.integers(1, 3),
     model_name=st.sampled_from(["hamming-1-1", "hamming-2-0", "iid-uneven", "iid-weighted"]),
     data=st.data(),
 )
-def test_batch_equals_per_set_reference_over_random_schemes(k, parity, model_name, data):
-    # Random systematic schemes under Hamming, uneven-run and weighted laws,
-    # with the empty and the full pattern at mu = 0 and mu = K among them.
+
+
+def scheme_case(k: int, parity: int, model_name: str, data, count: int):
+    """Scheme, model and patterns of one ``RANDOM_SCHEMES`` draw: ``count``
+    sampled patterns at mu = 0 and one drawn mu, then the empty and the full
+    pattern at mu = 0 and mu = K."""
     n = k + parity
     v1 = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)), label="v1")))
     u2 = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)), label="u2")))
     s = random_systematic_scheme(k, n, v1, u2, seed=data.draw(st.integers(0, 999), label="code"))
-    model = MODELS[model_name](n)
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     seed = data.draw(st.integers(0, 999), label="patterns")
-    patterns = sample_patterns(s, 3, seed=seed, mu_values=(0, data.draw(st.integers(1, n))))
+    patterns = sample_patterns(s, count, seed=seed, mu_values=(0, data.draw(st.integers(1, n))))
     full = (frozenset(range(lx)), frozenset(range(ly)))
     patterns += [WiretapPattern(mu=mu) for mu in (0, n)]
     patterns += [WiretapPattern(*full, mu) for mu in (0, n)]
+    return s, MODELS[model_name](n), patterns
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**RANDOM_SCHEMES)
+def test_batch_equals_per_set_reference_over_random_schemes(k, parity, model_name, data):
+    # Random systematic schemes under Hamming, uneven-run and weighted laws,
+    # with the empty and the full pattern at mu = 0 and mu = K among them.
+    s, model, patterns = scheme_case(k, parity, model_name, data, count=3)
+    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     sizes = [(0, 0), (1, 1), (lx, ly), (min(2, lx), 1)]
     assert_batch_equals_reference(s, model, patterns, sizes)
 
 
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**RANDOM_SCHEMES)
+def test_bound_gap_is_one_constant_per_scheme_model_and_target(k, parity, model_name, data):
+    # The bound's right side adds the nine chain-rule terms, whose signed sum
+    # is the leakage itself, to h_private_t + h_common - H(t).  So wherever
+    # the left side is positive (not clamped at 0), rhs - lhs is that
+    # constant over K, the same for every pattern, up to rounding.
+    s, model, patterns = scheme_case(k, parity, model_name, data, count=10)
+    analyzer = WiretapAnalyzer(s, model)
+    checks = analyzer.pattern_checks(patterns)
+    for t, c in checks.items():
+        private, h_t = (
+            (analyzer.h_private_x, analyzer.h_x_total) if t == "x"
+            else (analyzer.h_private_y, analyzer.h_y_total)
+        )
+        constant = (private + analyzer.h_common - h_t) / model.K
+        gaps = [rhs - lhs for lhs, rhs in zip(c.lhs_bits, c.rhs_bits) if lhs > 0.0]
+        assert gaps  # the full pattern at mu = K leaks
+        assert max(abs(gap - constant) for gap in gaps) <= 1e-12, (t, constant, gaps)
+
+
 def test_key_shifts_refuse_a_key_past_63_bits():
     assert _key_shifts({"a": 1, "b": 40, "c": 22}) == {"a": 62, "b": 22, "c": 0}
-    with pytest.raises(InternalConsistencyError, match="64-bit class key"):
+    with pytest.raises(CapacityError, match="64-bit class key"):
         _key_shifts({"a": 1, "b": 40, "c": 23})
 
 

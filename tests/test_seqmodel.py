@@ -313,7 +313,8 @@ def test_hamming_k10_table_build_peaks_under_10_bytes_per_row():
 
 def test_support_table_refuses_a_broken_run():
     # Sort-free prefix classes need each pair's rows to be one run with Z
-    # strictly ascending, and Z codes that fit the table's int32 Z width.
+    # strictly ascending, and Z codes that fit the table's Z width; a width
+    # past an int32 is a capacity limit.
     x, y = np.array([0, 1]), np.array([0, 0])
     runs, probs = np.array([2, 2]), 0.25
     assert SupportTable(x, y, runs, np.array([0, 1, 0, 3]), probs, 2).rows == 4
@@ -324,7 +325,7 @@ def test_support_table_refuses_a_broken_run():
         SupportTable(x, y, np.array([2, 1]), np.array([0, 1, 0, 3]), probs, 2)
     with pytest.raises(InternalConsistencyError, match="fit"):
         SupportTable(x, y, runs, np.array([0, 1, 0, 4]), probs, 2)
-    with pytest.raises(InternalConsistencyError, match="int32"):
+    with pytest.raises(CapacityError, match="int32"):
         SupportTable(x, y, runs, np.array([0, 1, 0, 3]), probs, 32)
     # A pair that spans two runs would split its rows across classes.
     split = SupportTable(np.array([0, 0]), y, runs, np.array([0, 1, 2, 3]), probs, 2)
