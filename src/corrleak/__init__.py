@@ -6,12 +6,10 @@ enumeration at desk scale."""
 from .cipher import (
     BRANCHES,
     CASES,
-    CipherScheme,
     Constraint,
     RegionQuery,
     RegionVerdict,
     SecurityMeasurement,
-    desk_scheme,
     guaranteed_level,
     measure_security,
     region_membership,

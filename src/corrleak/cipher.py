@@ -1,33 +1,34 @@
-"""One-time-pad cipher constructions over index spaces and rate-region checks.
+"""One-time-pad cipher over the syndrome portions, and rate-region checks.
 
-Plaintexts are integers in index spaces I_M = {0, .., M-1}.  The pad
-operation on an index space is addition modulo that component's alphabet
-size, which is exactly invertible for any fixed key value.  The default
-codeword layout masks the first sub-codeword of X with *Y's* key component
-(the same pad also masks Y's first sub-codeword); an independent-pads
-variant is available so the effect of the shared pad can be measured rather
-than argued about.
+A codeword sends four portions of the two syndromes, each read as an
+integer in its index space I_M = {0, .., M-1}, M = 2**(portion width):
+``x1`` and ``cx``, the private and common bits of T_X, and ``y1`` and
+``cy``, those of T_Y.  A branch (``BRANCHES``) names the key that pads each
+portion, by addition modulo the portion's size; a key ``k<portion>`` is as
+wide as the portion it is named after.  The ``reused-pad`` branch masks
+X's private portion with *Y's* private key, so the cost of the shared pad
+can be measured rather than argued about.
 
 Security levels are exact conditional entropies per symbol over the source
 support.  Uniform keys are folded in analytically: a key whose masked
-components all share its size leaves only their differences mod that size
+portions all share its size leaves only their differences mod that size
 visible, as the leakage analyzer does for its shared parity pad.  Only a key
-that masks a component of another size (a shared pad over unequal sizes) is
+that masks a portion of another size (a shared pad over unequal widths) is
 enumerated together with the support rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from math import ceil, log2, prod
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
+from math import log2, prod
+from typing import Optional
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError, ValidationError, float_field
-from .info import InfoSummary, code_entropy, column_code, pack_chunks
+from .info import InfoSummary, code_entropy, pack_chunks
 from .seqmodel import SequenceModel
-from .swcodec import PartitionScheme, require_code_model, support_syndromes
+from .swcodec import PartitionScheme, require_code_model, syndrome_portions
 
 #: Empirical desk-scale slack when comparing measured levels to targets.
 SECURITY_EPS = 0.05
@@ -40,62 +41,13 @@ MEASURE_BYTES_GUARD = 1 << 32
 #: Security cases: which uncertainty the construction must keep high.
 CASES = ("joint", "individual", "y-only")
 
-#: Codeword component -> key-component name (None = sent in the clear).
+#: Codeword portion -> the key that pads it (None = sent in the clear).
 BRANCHES: dict[str, dict[str, Optional[str]]] = {
     "none": {"x1": None, "cx": None, "y1": None, "cy": None},
     "common-only": {"x1": None, "cx": "kcx", "y1": None, "cy": None},
     "reused-pad": {"x1": "ky1", "cx": "kcx", "y1": "ky1", "cy": "kcy"},
     "independent-pads": {"x1": "kx1", "cx": "kcx", "y1": "ky1", "cy": "kcy"},
 }
-
-_KEY_SIZES = {"kx1": "m_x1", "ky1": "m_y1", "kcx": "m_cx", "kcy": "m_cy"}
-
-
-@dataclass(frozen=True)
-class CipherScheme:
-    """Alphabet sizes of the sub-codewords plus the key assignment."""
-
-    m_x: int
-    m_y: int
-    m_x1: int
-    m_y1: int
-    m_cx: int
-    m_cy: int
-    key_assignment: Mapping[str, Optional[str]] = field(
-        default_factory=lambda: dict(BRANCHES["reused-pad"])
-    )
-
-    def __post_init__(self):
-        for name in ("m_x", "m_y", "m_x1", "m_y1", "m_cx", "m_cy"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        object.__setattr__(self, "key_assignment", dict(self.key_assignment))
-        for comp, key in self.key_assignment.items():
-            if comp not in ("x1", "cx", "y1", "cy"):
-                raise ValidationError(f"unknown codeword component {comp!r}")
-            if key is not None and key not in _KEY_SIZES:
-                raise ValidationError(f"unknown key component {key!r}")
-
-    @property
-    def m_x2(self) -> int:
-        """Ceiling split of the W_X index space by m_x1."""
-        return ceil(self.m_x / self.m_x1)
-
-    @property
-    def m_y2(self) -> int:
-        return ceil(self.m_y / self.m_y1)
-
-    def key_sizes(self) -> dict[str, int]:
-        """Alphabet size of every key component the assignment actually uses."""
-        used = sorted({k for k in self.key_assignment.values() if k is not None})
-        return {k: getattr(self, _KEY_SIZES[k]) for k in used}
-
-
-def _branch_assignment(branch: str) -> dict[str, Optional[str]]:
-    if branch not in BRANCHES:
-        raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
-    return dict(BRANCHES[branch])
-
 
 # -- region predicates ------------------------------------------------------------
 
@@ -234,36 +186,19 @@ class SecurityMeasurement:
     key_bits: float  # total key material, bits per symbol
 
 
-def desk_scheme(s: PartitionScheme, branch: str = "reused-pad") -> CipherScheme:
-    """Cipher scheme whose index spaces are the syndrome bit patterns of the
-    partition: W_X/W_Y are the private-role segments read as integers and
-    W_CX/W_CY the common-role segments.  The first sub-codewords cover the
-    whole private spaces (so the pads, when present, cover every private
-    bit)."""
-    m_x = 1 << len(s.role_positions("x", "private"))
-    m_y = 1 << len(s.role_positions("y", "private"))
-    return CipherScheme(
-        m_x=m_x,
-        m_y=m_y,
-        m_x1=m_x,
-        m_y1=m_y,
-        m_cx=1 << len(s.role_positions("x", "common")),
-        m_cy=1 << len(s.role_positions("y", "common")),
-        key_assignment=_branch_assignment(branch),
-    )
-
-
 def measure_security(
-    scheme: CipherScheme, model: SequenceModel, s: PartitionScheme, mu: int = 0
+    s: PartitionScheme, model: SequenceModel, branch: str, mu: int = 0
 ) -> SecurityMeasurement:
     """Exact per-symbol conditional entropies of the sources given both
-    codewords and the leaked Z prefix.
+    codewords of ``branch`` and the leaked Z prefix of ``mu`` columns.
 
-    A key of size m whose masked components all have size m folds: the
-    codewords then show only each component's difference from the first
+    A key of size m whose masked portions all have size m folds: the
+    codewords then show only each portion's difference from the first
     one, mod m, and the key's log2(m) fresh bits cancel between H(obs) and
     H(obs, target).  Any other key is enumerated together with the rows.
     """
+    if branch not in BRANCHES:
+        raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
     require_code_model(s, model, "measurement")
     if not 0 <= mu <= model.K:
         raise DomainError(f"mu must lie in 0..{model.K}, got {mu}")
@@ -272,29 +207,21 @@ def measure_security(
     # The rows collapsed to what the measurement sees: (x, y, leaked z
     # prefix).  Unobserved z symbols only add multiplicity.
     x, y, z, probs = model.table.prefix_classes(mu)
-    tx, ty = support_syndromes(s, x, y)
+    portions = syndrome_portions(s, x, y)
     n_rows = x.size
 
-    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
-    wx, wcx = (column_code(tx, lx, s.role_positions("x", r)) for r in ("private", "common"))
-    wy, wcy = (column_code(ty, ly, s.role_positions("y", r)) for r in ("private", "common"))
-    if wx.size and (wx.max() >= scheme.m_x or wy.max() >= scheme.m_y):
-        raise UsageError("scheme index spaces are smaller than the syndrome portions")
-    if wcx.size and (wcx.max() >= scheme.m_cx or wcy.max() >= scheme.m_cy):
-        raise UsageError("scheme common spaces are smaller than the syndrome portions")
-
-    # Alphabet size of every codeword component, in codeword order.
-    sizes = {
-        "x1": scheme.m_x1, "x2": scheme.m_x2, "cx": scheme.m_cx,
-        "y1": scheme.m_y1, "y2": scheme.m_y2, "cy": scheme.m_cy,
-    }
-    key_sizes = scheme.key_sizes()
-    masked = {k: [c for c in sizes if scheme.key_assignment.get(c) == k] for k in key_sizes}
+    # Alphabet size of every portion, in codeword order; a key k<portion>
+    # is as wide as its portion.
+    sizes = {c: 1 << width for c, (_, width) in portions.items()}
+    assignment = BRANCHES[branch]
+    key_sizes = {k: sizes[k[1:]] for k in sorted({k for k in assignment.values() if k})}
+    masked = {k: [c for c in sizes if assignment[c] == k] for k in key_sizes}
     enumerated = [k for k, m in key_sizes.items() if any(sizes[c] != m for c in masked[k])]
     key_space = prod(key_sizes[k] for k in enumerated)
     # Peak int64 words per cell: 17, plus two per enumerated key (its index
-    # row and the temporaries of padding a component); tracemalloc reads
-    # 16.1 and 18.1 words with none and one enumerated key.
+    # row and the temporaries of padding a portion); tracemalloc reads 17.1
+    # and 16.6 words on the K=10 Hamming model's 123,904 mu=10 classes with
+    # none and with one 8-valued enumerated key.
     peak_bytes = 8 * (17 + 2 * len(enumerated)) * n_rows * key_space
     if peak_bytes > MEASURE_BYTES_GUARD:
         raise CapacityError(
@@ -309,10 +236,7 @@ def measure_security(
     )
     pads = dict(zip(enumerated, key_values))
     weights = probs[idx] / key_space
-    values = {
-        "x1": wx[idx] % scheme.m_x1, "x2": wx[idx] // scheme.m_x1, "cx": wcx[idx],
-        "y1": wy[idx] % scheme.m_y1, "y2": wy[idx] // scheme.m_y1, "cy": wcy[idx],
-    }
+    values = {c: code[idx] for c, (code, _) in portions.items()}
     for key, comps in masked.items():
         if key in pads:
             for c in comps:
@@ -322,7 +246,7 @@ def measure_security(
             for c in comps[1:]:
                 values[c] = (values[c] - first) % sizes[c]
 
-    obs = [(code, (sizes[c] - 1).bit_length()) for c, code in values.items()]
+    obs = [(code, portions[c][1]) for c, code in values.items()]
     obs.append((z[idx], mu))
     x_chunk = (x[idx], K)
     y_chunk = (y[idx], K)

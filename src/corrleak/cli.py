@@ -33,7 +33,6 @@ from pathlib import Path
 from .cipher import (
     BRANCHES,
     RegionQuery,
-    desk_scheme,
     guaranteed_level,
     measure_security,
     region_membership,
@@ -392,8 +391,7 @@ def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     rows = []
     for branch in branches:
         ctx.log(f"measuring branch {branch}")
-        scheme = desk_scheme(ctx.scheme, branch=branch)
-        m = measure_security(scheme, ctx.model, ctx.scheme, mu=mu)
+        m = measure_security(ctx.scheme, ctx.model, branch, mu=mu)
         rows.append(
             {
                 "branch": branch,

@@ -117,18 +117,20 @@ def pack_chunks(chunks: Iterable[tuple[np.ndarray, int]], rows: int) -> np.ndarr
 
 def column_code(code: np.ndarray, width: int, cols: Sequence[int]) -> np.ndarray:
     """Columns ``cols`` of a code packed from ``width`` bit columns, column 0
-    most significant, packed the same way.  A prefix is a shift of the code;
-    other columns take one gather through a lookup table over all
-    ``2**width`` codes (width is at most K in the package)."""
+    most significant, packed the same way.  A prefix is a shift of the code.
+    Other columns take one gather through a lookup table over all
+    ``2**width`` codes when that table is no larger than the code, and are
+    taken bit by bit from the code itself otherwise."""
     cols = list(cols)
     if cols == list(range(len(cols))):
         return code if len(cols) == width else code >> (width - len(cols))
-    values = np.arange(1 << width, dtype=np.int64)
-    table = np.zeros(values.size, dtype=np.int64)
+    gather = (1 << width) <= code.size
+    values = np.arange(1 << width, dtype=np.int64) if gather else code
+    out = np.zeros(values.size, dtype=np.int64)
     for c in cols:
-        table <<= 1
-        table |= (values >> (width - 1 - c)) & 1
-    return table[code]
+        out <<= 1
+        out |= (values >> (width - 1 - c)) & 1
+    return out[code] if gather else out
 
 
 def code_entropy(code: np.ndarray, weights: int | np.ndarray | None = 1) -> float:
@@ -283,7 +285,8 @@ class SupportTable:
         # p_joint * log2(p_joint / p_obs), taken in place: each array is one float per bin.
         np.log2(np.divide(p_joint, p_obs, out=p_obs), out=p_obs)
         p_obs *= p_joint
-        return float(-np.cumsum(p_obs, out=p_obs)[-1])
+        # 0.0 - total, not -total: a determined T gives +0.0, never -0.0.
+        return 0.0 - float(np.cumsum(p_obs, out=p_obs)[-1])
 
     @cached_property
     def _buffer(self) -> np.ndarray:

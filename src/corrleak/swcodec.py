@@ -257,6 +257,22 @@ def support_syndromes(
     return out[0], out[1]
 
 
+def syndrome_portions(
+    s: PartitionScheme, x: np.ndarray, y: np.ndarray
+) -> dict[str, tuple[np.ndarray, int]]:
+    """The four channel portions of every pair of word codes ``x``, ``y`` as
+    ``(code, width)`` chunks, in codeword order: ``x1`` and ``cx``, the
+    private and common role positions of T_X, then ``y1`` and ``cy``, those
+    of T_Y, each read as one integer, its first position most significant."""
+    tx, ty = support_syndromes(s, x, y)
+    portions = {}
+    for side, t in (("x", tx), ("y", ty)):
+        for name, role in ((f"{side}1", "private"), (f"c{side}", "common")):
+            cols = s.role_positions(side, role)
+            portions[name] = (column_code(t, s.syndrome_len(side), cols), len(cols))
+    return portions
+
+
 def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> None:
     """Raise ``UsageError`` unless the model is binary with K equal to the code length."""
     if model.K != s.n or not model.is_binary:
@@ -353,13 +369,8 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     require_code_model(s, model, "the condition report")
     K = model.K
     t = model.table
-    TX, TY = support_syndromes(s, t.x, t.y)
-    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
-    x_private, y_private = s.role_positions("x", "private"), s.role_positions("y", "private")
-    x_common, y_common = s.role_positions("x", "common"), s.role_positions("y", "common")
     # The channel portions, selected on the pairs as chunks of the table.
-    w_x, w_cx = [(column_code(TX, lx, c), len(c)) for c in (x_private, x_common)]
-    w_y, w_cy = [(column_code(TY, ly, c), len(c)) for c in (y_private, y_common)]
+    w_x, w_cx, w_y, w_cy = syndrome_portions(s, t.x, t.y).values()
 
     def h(*chunks: tuple[np.ndarray, int], mu: int = 0) -> float:
         return t.entropy(chunks, mu) / K
@@ -372,8 +383,8 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     i_xy = h_x + h_y - h_xy
 
     h_wx, h_wy, h_wcx, h_wcy = h(w_x), h(w_y), h(w_cx), h(w_cy)
-    log_mx = len(x_private) / K
-    log_my = len(y_private) / K
+    log_mx = w_x[1] / K
+    log_my = w_y[1] / K
 
     rows = [
         ConditionRow(

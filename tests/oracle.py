@@ -10,8 +10,9 @@ dictionary-based conditional entropy over observables of a triple, a
 three-sort conditional entropy over per-row codes, which the table's
 ``conditional_entropy`` must match bit for bit, the Shannon measures of
 a per-symbol ``JointPmf`` tensor, which the per-symbol summary of an iid
-sequence model must match, the per-codeword cipher, which the folded pads
-of ``measure_security`` must agree with, the paper's key-size rule
+sequence model must match, the per-codeword cipher over general index-space
+sizes (``CipherSizes``), which the folded pads of ``measure_security`` must
+agree with, the paper's key-size rule
 (``derive_key_sizes``, ``alpha_defaults``), which no command reaches, the
 candidate counts behind the leakage of a Z prefix, and the analyzer one
 pattern and one entropy set at a time (``ReferenceAnalyzer``), which the
@@ -22,13 +23,13 @@ fast paths against it; nothing under ``src/`` imports it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log2
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from corrleak.cipher import BRANCHES, CASES, CipherScheme
+from corrleak.cipher import BRANCHES, CASES
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
@@ -351,6 +352,30 @@ def bit_observable(which: str, positions: Sequence[int]) -> Observable:
 # -- the per-codeword cipher ----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CipherSizes:
+    """Index-space sizes of the per-codeword cipher, in general: W_X and W_Y
+    of ``m_x`` / ``m_y`` values, each split into a first sub-codeword of
+    ``m_x1`` / ``m_y1`` values and the rest, the common spaces ``m_cx`` /
+    ``m_cy``, and the key that pads each of x1, cx, y1 and cy.  A key
+    ``k<component>`` has the size of that component."""
+
+    m_x: int
+    m_y: int
+    m_x1: int
+    m_y1: int
+    m_cx: int
+    m_cy: int
+    key_assignment: Mapping[str, str | None] = field(
+        default_factory=lambda: dict(BRANCHES["reused-pad"])
+    )
+
+    def key_sizes(self) -> dict[str, int]:
+        """Size of every key the assignment uses, by key name."""
+        used = sorted({k for k in self.key_assignment.values() if k is not None})
+        return {k: getattr(self, f"m_{k[1:]}") for k in used}
+
+
 def split_index(w: int, m1: int) -> tuple[int, int]:
     """Split an index into (w mod m1, (w - w mod m1) / m1); w = w1 + m1*w2."""
     if m1 < 1:
@@ -361,7 +386,7 @@ def split_index(w: int, m1: int) -> tuple[int, int]:
     return w1, (w - w1) // m1
 
 
-def _masked(value: int, comp: str, keys: Mapping[str, int], scheme: CipherScheme, sign: int) -> int:
+def _masked(value: int, comp: str, keys: Mapping[str, int], scheme: CipherSizes, sign: int) -> int:
     key_name = scheme.key_assignment.get(comp)
     if key_name is None:
         return value
@@ -375,7 +400,7 @@ def build_ciphertexts(
     wcx: int,
     wcy: int,
     keys: Mapping[str, int],
-    scheme: CipherScheme,
+    scheme: CipherSizes,
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Assemble the two codewords (masked X split, clear X remainder, masked
     common X) and the Y analogue."""
@@ -402,7 +427,7 @@ def decrypt_ciphertexts(
     w1: tuple[int, int, int],
     w2: tuple[int, int, int],
     keys: Mapping[str, int],
-    scheme: CipherScheme,
+    scheme: CipherSizes,
 ) -> tuple[int, int, int, int]:
     """Invert ``build_ciphertexts``: returns (wx, wy, wcx, wcy)."""
     wx1 = _masked(w1[0], "x1", keys, scheme, -1)
@@ -415,9 +440,8 @@ def decrypt_ciphertexts(
 # -- the paper's key-size rule ---------------------------------------------------
 #
 # Index spaces and keys sized from rates, for example m_cx = 2**(K * I(X;Y)).
-# ``cipher-sim`` sizes its keys from the syndrome segments instead
-# (``desk_scheme``): ``measure_security`` refuses the rate-derived sizes,
-# because they do not match the partition's segment sizes.
+# ``cipher-sim`` sizes every index space and key from the width of its
+# syndrome portion instead, so the rate-derived sizes drive no measurement.
 
 
 def _pow2_size(rate_bits: float, K: int, errors: dict[str, float], name: str) -> int:
@@ -430,7 +454,7 @@ def _pow2_size(rate_bits: float, K: int, errors: dict[str, float], name: str) ->
 
 def derive_key_sizes(
     info: InfoSummary, K: int, h_target: float, case: str
-) -> tuple[CipherScheme, dict[str, float]]:
+) -> tuple[CipherSizes, dict[str, float]]:
     """Sub-codeword and key alphabet sizes for a security target, and the
     rounding error of every size taken from a rate.
 
@@ -459,7 +483,7 @@ def derive_key_sizes(
         m_cx = _pow2_size(h_target, K, errors, "m_cx")
         m_cy = _pow2_size(max(0.0, info.i_xy - h_target), K, errors, "m_cy")
         assignment = BRANCHES["common-only"]
-    scheme = CipherScheme(
+    scheme = CipherSizes(
         m_x=m_x,
         m_y=m_y,
         m_x1=m_x1,

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from corrleak import (
-    CipherScheme,
     Gf2Matrix,
     RegionQuery,
     WiretapPattern,
@@ -29,7 +28,7 @@ from corrleak import (
 from corrleak.cipher import BRANCHES
 from corrleak.info import InfoSummary
 from corrleak.leakage import sample_patterns
-from oracle import build_ciphertexts, decrypt_ciphertexts, z_consistency_counts
+from oracle import CipherSizes, build_ciphertexts, decrypt_ciphertexts, z_consistency_counts
 
 
 def _report(n: int, failures: list, msg: str, dt: float):
@@ -172,7 +171,7 @@ def test_criterion_6_counting_identities():
     _report(6, failures, "counts match exhaustive neighbour enumeration for mu=1..7", dt)
 
 
-def _exhaustive_secrecy_and_roundtrip(sch: CipherScheme, failures: list):
+def _exhaustive_secrecy_and_roundtrip(sch: CipherSizes, failures: list):
     """I(plaintext; ciphertext) with independent pads, plus exact roundtrip,
     both by full enumeration of plaintexts x keys."""
     sch = replace(sch, key_assignment=BRANCHES["independent-pads"])
@@ -204,8 +203,8 @@ def test_criterion_7_cipher_perfect_secrecy():
     failures = []
     t0 = perf_counter()
     schemes = [
-        CipherScheme(m_x=8, m_y=4, m_x1=8, m_y1=4, m_cx=3, m_cy=2),
-        CipherScheme(m_x=4, m_y=4, m_x1=4, m_y1=4, m_cx=4, m_cy=4),
+        CipherSizes(m_x=8, m_y=4, m_x1=8, m_y1=4, m_cx=3, m_cy=2),
+        CipherSizes(m_x=4, m_y=4, m_x1=4, m_y1=4, m_cx=4, m_cy=4),
     ]
     worst = 0.0
     for sch in schemes:

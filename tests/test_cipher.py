@@ -9,14 +9,11 @@ import pytest
 import corrleak.cipher as cipher_module
 from corrleak import (
     CapacityError,
-    CipherScheme,
     DomainError,
     Gf2Matrix,
     InfoSummary,
     RegionQuery,
     UsageError,
-    ValidationError,
-    desk_scheme,
     measure_security,
     region_membership,
 )
@@ -25,6 +22,7 @@ from corrleak.info import SupportTable
 from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
 from oracle import (
+    CipherSizes,
     alpha_defaults,
     build_ciphertexts,
     decrypt_ciphertexts,
@@ -53,25 +51,15 @@ def test_split_index_roundtrip_exhaustive():
             assert w == w1 + m1 * w2
 
 
-def test_scheme_ceiling_split():
-    sch = CipherScheme(m_x=10, m_y=8, m_x1=4, m_y1=4, m_cx=2, m_cy=2)
-    assert sch.m_x2 == 3 and sch.m_y2 == 2
-    with pytest.raises(ValidationError):
-        CipherScheme(m_x=0, m_y=8, m_x1=4, m_y1=4, m_cx=2, m_cy=2)
-    with pytest.raises(ValidationError):
-        CipherScheme(m_x=8, m_y=8, m_x1=4, m_y1=4, m_cx=2, m_cy=2,
-                     key_assignment={"x1": "bad-key"})
-
-
 def test_zero_keys_are_identity():
-    sch = CipherScheme(m_x=8, m_y=8, m_x1=4, m_y1=4, m_cx=4, m_cy=4)
+    sch = CipherSizes(m_x=8, m_y=8, m_x1=4, m_y1=4, m_cx=4, m_cy=4)
     w1, w2 = build_ciphertexts(5, 6, 3, 2, {}, replace(sch, key_assignment=BRANCHES["none"]))
     assert w1 == (*split_index(5, 4), 3)
     assert w2 == (*split_index(6, 4), 2)
 
 
 def test_default_masks_x1_with_y_key():
-    sch = CipherScheme(m_x=8, m_y=8, m_x1=4, m_y1=4, m_cx=4, m_cy=4)
+    sch = CipherSizes(m_x=8, m_y=8, m_x1=4, m_y1=4, m_cx=4, m_cy=4)
     keys = {"ky1": 3, "kcx": 0, "kcy": 0}
     w1, w2 = build_ciphertexts(5, 6, 0, 0, keys, sch)  # reused-pad default
     wx1, _ = split_index(5, 4)
@@ -81,7 +69,7 @@ def test_default_masks_x1_with_y_key():
 
 
 def test_roundtrip_exhaustive_small():
-    sch = CipherScheme(m_x=8, m_y=6, m_x1=4, m_y1=3, m_cx=3, m_cy=2)
+    sch = CipherSizes(m_x=8, m_y=6, m_x1=4, m_y1=3, m_cx=3, m_cy=2)
     for branch in ("none", "common-only", "reused-pad", "independent-pads"):
         keyed = replace(sch, key_assignment=BRANCHES[branch])
         for wx, wy, wcx, wcy in itertools.product(range(8), range(6), range(3), range(2)):
@@ -91,7 +79,7 @@ def test_roundtrip_exhaustive_small():
 
 
 def test_component_range_checks():
-    sch = CipherScheme(m_x=4, m_y=4, m_x1=2, m_y1=2, m_cx=2, m_cy=2)
+    sch = CipherSizes(m_x=4, m_y=4, m_x1=2, m_y1=2, m_cx=2, m_cy=2)
     with pytest.raises(UsageError):
         build_ciphertexts(4, 0, 0, 0, {}, sch)
     with pytest.raises(UsageError):
@@ -101,7 +89,7 @@ def test_component_range_checks():
         build_ciphertexts(0, 0, 0, 0, {"ky1": 2}, reused)
 
 
-def perfect_secrecy_mi(sch: CipherScheme, branch: str) -> float:
+def perfect_secrecy_mi(sch: CipherSizes, branch: str) -> float:
     """Exhaustive I(plaintext; ciphertext) in bits, by dictionary counting."""
     sch = replace(sch, key_assignment=BRANCHES[branch])
     key_sizes = sch.key_sizes()
@@ -125,13 +113,13 @@ def perfect_secrecy_mi(sch: CipherScheme, branch: str) -> float:
 
 def test_perfect_secrecy_with_independent_full_pads():
     # full-length pads on every component: ciphertext carries nothing
-    sch = CipherScheme(m_x=4, m_y=4, m_x1=4, m_y1=4, m_cx=3, m_cy=2)
+    sch = CipherSizes(m_x=4, m_y=4, m_x1=4, m_y1=4, m_cx=3, m_cy=2)
     assert perfect_secrecy_mi(sch, "independent-pads") < 1e-9
 
 
 def test_reused_pad_is_not_perfectly_secret():
     # the shared pad leaks the difference of the two first parts
-    sch = CipherScheme(m_x=4, m_y=4, m_x1=4, m_y1=4, m_cx=1, m_cy=1)
+    sch = CipherSizes(m_x=4, m_y=4, m_x1=4, m_y1=4, m_cx=1, m_cy=1)
     assert perfect_secrecy_mi(sch, "reused-pad") > 0.5
 
 
@@ -275,7 +263,7 @@ def test_alpha_defaults():
 
 
 def test_measure_security_no_keys_matches_equivocation(scheme, hamming7):
-    m = measure_security(desk_scheme(scheme, branch="none"), hamming7, scheme, mu=0)
+    m = measure_security(scheme, hamming7, "none", mu=0)
     obs = [syndrome_observable(scheme, "x"), syndrome_observable(scheme, "y")]
     for attr, target in (("h_x_hat", "x"), ("h_y_hat", "y"), ("h_xy_hat", "xy")):
         oracle = enumeration_equivocation(obs, target, hamming7) / 7
@@ -283,7 +271,7 @@ def test_measure_security_no_keys_matches_equivocation(scheme, hamming7):
 
 
 def test_measure_security_full_independent_pads(scheme, hamming7):
-    m = measure_security(desk_scheme(scheme, branch="independent-pads"), hamming7, scheme, mu=0)
+    m = measure_security(scheme, hamming7, "independent-pads", mu=0)
     summary = sequence_summary(hamming7)
     assert m.h_x_hat == pytest.approx(summary.h_x, abs=1e-9)
     assert m.h_y_hat == pytest.approx(summary.h_y, abs=1e-9)
@@ -291,10 +279,8 @@ def test_measure_security_full_independent_pads(scheme, hamming7):
 
 
 def test_measure_security_reused_pad_costs_secrecy(scheme, hamming7):
-    reused = measure_security(desk_scheme(scheme, branch="reused-pad"), hamming7, scheme, mu=0)
-    indep = measure_security(
-        desk_scheme(scheme, branch="independent-pads"), hamming7, scheme, mu=0
-    )
+    reused = measure_security(scheme, hamming7, "reused-pad", mu=0)
+    indep = measure_security(scheme, hamming7, "independent-pads", mu=0)
     assert reused.h_xy_hat <= indep.h_xy_hat + 1e-9
     assert reused.h_xy_hat < indep.h_xy_hat - 0.1  # the reuse is measurably weaker
 
@@ -303,7 +289,7 @@ def test_measured_levels_never_exceed_unconditional(scheme, hamming7):
     summary = sequence_summary(hamming7)
     for branch in ("none", "common-only", "reused-pad", "independent-pads"):
         for mu in (0, 4):
-            m = measure_security(desk_scheme(scheme, branch=branch), hamming7, scheme, mu=mu)
+            m = measure_security(scheme, hamming7, branch, mu=mu)
             assert m.h_xy_hat <= summary.h_xy + 1e-9
             assert m.h_x_hat <= summary.h_x + 1e-9
 
@@ -318,20 +304,19 @@ def test_cipher_branches_share_one_prefix_collapse(scheme, monkeypatch):
     monkeypatch.setattr(
         SupportTable, "prefix_classes", lambda self, mu: seen.append(real(self, mu)) or seen[-1]
     )
-    shared = {b: measure_security(desk_scheme(scheme, branch=b), model, scheme, mu=4) for b in BRANCHES}
+    shared = {b: measure_security(scheme, model, b, mu=4) for b in BRANCHES}
     monkeypatch.undo()
     assert len(seen) == len(BRANCHES) == 4
     assert all(classes is seen[0] for classes in seen)
     assert list(model.table._classes) == [4]
     for branch, m in shared.items():
         fresh = SequenceModel(kind="hamming", K=7)
-        assert m == measure_security(desk_scheme(scheme, branch=branch), fresh, scheme, mu=4)
+        assert m == measure_security(scheme, fresh, branch, mu=4)
 
 
 def test_measure_security_mu_reduces_uncertainty(scheme, hamming7):
-    sch = desk_scheme(scheme, branch="independent-pads")
-    base = measure_security(sch, hamming7, scheme, mu=0)
-    leaked = measure_security(sch, hamming7, scheme, mu=7)
+    base = measure_security(scheme, hamming7, "independent-pads", mu=0)
+    leaked = measure_security(scheme, hamming7, "independent-pads", mu=7)
     assert leaked.h_xy_hat < base.h_xy_hat - 0.1
 
 
@@ -346,7 +331,17 @@ def partition(rows: list[str], v1: tuple[int, ...], u2: tuple[int, ...]) -> Part
     )
 
 
-def cipher_oracle(cipher: CipherScheme, model, s: PartitionScheme, mu_values):
+def partition_sizes(s: PartitionScheme, branch: str) -> CipherSizes:
+    """The per-codeword cipher of a partition's syndrome portions: every index
+    space as wide as its portion, the first sub-codewords the whole private
+    spaces, and the keys of ``branch``."""
+    m_x, m_cx, m_y, m_cy = (
+        1 << len(s.role_positions(side, role)) for side in "xy" for role in ("private", "common")
+    )
+    return CipherSizes(m_x, m_y, m_x, m_y, m_cx, m_cy, BRANCHES[branch])
+
+
+def cipher_oracle(cipher: CipherSizes, model, s: PartitionScheme, mu_values):
     """Per mu: H(x | ct, z-prefix), H(y | ...), H(xy | ...) per symbol, by
     sending every support triple with every key tuple through build_ciphertexts."""
     key_sizes = cipher.key_sizes()
@@ -382,54 +377,54 @@ def cipher_oracle(cipher: CipherScheme, model, s: PartitionScheme, mu_values):
 
 
 ORACLE_CASES = {
-    # name: (generator rows, v1, u2, full_split)
-    "equal-split": (["1011", "0101"], (1,), (0,), True),
+    # name: (generator rows, v1, u2)
+    "equal-split": (["1011", "0101"], (1,), (0,)),
     # Both private parts are bits 0..1: a reused pad shows y1 - x1 mod 4.
-    "equal-split-wide": (["10001", "01001", "00101", "00011"], (0, 1), (0, 1), True),
-    "v1-longer": (["10011", "01010", "00111"], (1, 2), (0,), True),
-    "u2-longer": (["10011", "01010", "00111"], (2,), (0, 1), True),
-    "v1-longer-partial": (["10011", "01010", "00111"], (1, 2), (0,), False),
+    "equal-split-wide": (["10001", "01001", "00101", "00011"], (0, 1), (0, 1)),
+    "v1-longer": (["10011", "01010", "00111"], (1, 2), (0,)),
+    "u2-longer": (["10011", "01010", "00111"], (2,), (0, 1)),
 }
-
-
-#: Pads across components: kx1 covers both first parts, ky1 covers cx.
-CROSSED_PADS = {"x1": "kx1", "cx": "ky1", "y1": "kx1", "cy": "kcy"}
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_measure_security_matches_key_enumeration_oracle(case):
     # The equal splits fold every branch's keys; |v1| != |u2| leaves
     # reused-pad's shared key over two sizes, which measure_security
-    # enumerates, and CROSSED_PADS enumerates two keys there.
-    rows, v1, u2, full_split = ORACLE_CASES[case]
+    # enumerates.
+    rows, v1, u2 = ORACLE_CASES[case]
     s = partition(rows, v1, u2)
-    desk = desk_scheme(s) if full_split else replace(desk_scheme(s), m_x1=1, m_y1=1)
     model = SequenceModel(kind="hamming", K=s.n, d_xy_max=1, d_yz_max=0)
-    for name, assignment in [*BRANCHES.items(), ("crossed", CROSSED_PADS)]:
-        cipher = replace(desk, key_assignment=assignment)
-        for mu, expected in cipher_oracle(cipher, model, s, (0, 2)).items():
-            m = measure_security(cipher, model, s, mu=mu)
+    for branch in BRANCHES:
+        for mu, expected in cipher_oracle(partition_sizes(s, branch), model, s, (0, 2)).items():
+            m = measure_security(s, model, branch, mu=mu)
             assert (m.h_x_hat, m.h_y_hat, m.h_xy_hat) == pytest.approx(expected, abs=1e-12), (
-                name, mu
+                branch, mu
             )
 
 
-def test_measure_security_refuses_over_budget_cells_before_allocating(
-    scheme, hamming7, monkeypatch
-):
-    # A reused y1 pad over a 2**15 index space does not fold against the
-    # 4-valued x1, so it is enumerated with the 1,024 (x, y) rows: 2**25
-    # cells, within SUPPORT_GUARD, but their arrays would pass the byte guard.
-    cipher = replace(desk_scheme(scheme, branch="reused-pad"), m_y=1 << 15, m_y1=1 << 15)
-    assert 1024 * (1 << 15) <= SUPPORT_GUARD
-    assert 8 * 17 * 1024 * (1 << 15) > MEASURE_BYTES_GUARD
+def test_measure_security_refuses_an_unknown_branch(scheme, hamming7):
+    with pytest.raises(UsageError, match="unknown branch 'crossed'"):
+        measure_security(scheme, hamming7, "crossed")
+
+
+def test_measure_security_refuses_over_budget_cells_before_allocating(monkeypatch):
+    # A [12,10] code sending one info bit of X and all ten of Y: reused-pad's
+    # 1,024-valued y1 pad does not fold against the 2-valued x1, so it is
+    # enumerated with the 53,248 (x, y) classes of the K=12 model, within
+    # SUPPORT_GUARD, but their cell arrays would pass the byte guard.
+    rows = ["".join("1" if j == i else "0" for j in range(10)) + format(i % 3 + 1, "02b")
+            for i in range(10)]
+    s = partition(rows, (0,), tuple(range(10)))
+    model = SequenceModel(kind="hamming", K=12)
+    assert model.table.pairs * 1024 <= SUPPORT_GUARD
+    assert 8 * 19 * model.table.pairs * 1024 > MEASURE_BYTES_GUARD
 
     def unreachable(*args, **kwargs):
         raise AssertionError("cell arrays allocated")
 
     monkeypatch.setattr(cipher_module.np, "indices", unreachable)
-    with pytest.raises(CapacityError, match="MiB"):
-        measure_security(cipher, hamming7, scheme, mu=0)
+    with pytest.raises(CapacityError, match="53248 support rows x 1024 enumerated keys"):
+        measure_security(s, model, "reused-pad", mu=0)
 
 
 def test_measure_security_folds_keys_past_the_enumeration_guard():
@@ -439,9 +434,9 @@ def test_measure_security_folds_keys_past_the_enumeration_guard():
     rows = ["".join("1" if j == i else "0" for j in range(6)) + c for i, c in enumerate(columns)]
     s = partition(rows, (3, 4, 5), (0, 1, 2))
     model = SequenceModel(kind="hamming", K=10)
-    cipher = desk_scheme(s, branch="independent-pads")
-    assert 11_264 * math.prod(cipher.key_sizes().values()) > SUPPORT_GUARD
-    m = measure_security(cipher, model, s, mu=0)
+    # independent-pads keys every portion: one key bit per syndrome bit.
+    assert 11_264 << (s.syndrome_len("x") + s.syndrome_len("y")) > SUPPORT_GUARD
+    m = measure_security(s, model, "independent-pads", mu=0)
     summary = sequence_summary(model)
     assert m.h_x_hat == pytest.approx(summary.h_x, abs=1e-9)
     assert m.h_y_hat == pytest.approx(summary.h_y, abs=1e-9)

@@ -84,6 +84,30 @@ def test_analyze_json_format(tmp_path):
     assert quantities["h_xy"]["total_bits"] == pytest.approx(10.0, abs=1e-9)
 
 
+def test_determined_targets_print_zero_not_minus_zero(tmp_path):
+    # With d_xy = 0 every support row has x = y, so h(x|y,z), h(y|x,z) and
+    # h(y|x) are exactly 0; they print as 0, never as -0 or -0.0.
+    scenario = load_scenario("reference_k7")
+    scenario["model"]["d_xy"] = 0
+    path = tmp_path / "determined.json"
+    path.write_text(json.dumps(scenario))
+    for fmt in ("csv", "json"):
+        assert run(["analyze", "--scenario", str(path), "--out", str(tmp_path), "--format", fmt]) == 0
+    lines = (tmp_path / "conditions.csv").read_text().splitlines()
+    assert "x_private_rate:lower,h(x|y,z),0,h(w_x)/k,0.285714286,0.285714286" in lines
+    assert not [line for line in lines if "-0" in line.split(",")]
+
+    def negative_zeros(node):
+        if isinstance(node, dict):
+            return sum(negative_zeros(v) for v in node.values())
+        if isinstance(node, list):
+            return sum(negative_zeros(v) for v in node)
+        return isinstance(node, float) and node == 0 and math.copysign(1, node) < 0
+
+    payload = json.loads((tmp_path / "analyze.json").read_text())
+    assert negative_zeros(payload) == 0
+
+
 def test_curves_deterministic_and_rederivable(tmp_path, analyzer):
     scenario = {
         "name": "mini",
@@ -342,6 +366,30 @@ def test_exit_code_capacity_guard_on_a_width_limit(tmp_path, capsys, K, command,
     err = capsys.readouterr().err
     assert err.startswith("corrleak: capacity guard:") and limit in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "cipher-sim"])
+def test_one_row_law_selects_wide_syndrome_portions_bit_by_bit(tmp_path, command):
+    # The [31,2] scheme's 29-bit common portions are not a prefix of its
+    # 30-bit syndromes.  A one-row law takes their bits from its one code
+    # rather than through a 2**30-entry lookup table.  The command runs in a
+    # child process that limits its own address space to 1 GiB before it
+    # imports anything, so that such a table fails there and cannot take
+    # the machine's memory.
+    path = tmp_path / "one_row.json"
+    path.write_text(json.dumps(_one_row_scenario(31)))
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from corrleak.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, command, "--scenario", str(path), "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 DELETE = object()

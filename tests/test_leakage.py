@@ -345,9 +345,9 @@ def test_role_positions_and_pad_map_follow_the_segment_names(scheme, roles):
 
 @pytest.mark.parametrize("rows", [40, 5000], ids=["table-larger", "table-smaller"])
 def test_column_code_equals_packing_the_columns(rows):
-    # A column subset of a packed code, by shift or by table gather, is the
-    # code packed from those columns, whether the 2**width table is larger
-    # or smaller than the code.
+    # A column subset of a packed code is the code packed from those
+    # columns, by shift, by reading the bits of each code (the 2**width
+    # table is larger than the code) or by table gather (it is smaller).
     bits = np.random.default_rng(rows).integers(0, 2, size=(rows, 10)).astype(np.uint8)
     code = pack_bits(bits)
     for cols in ([0], [9], [1], [0, 1, 2], [3, 7], [0, 2, 9], [8, 9], list(range(10)), [4, 4]):
