@@ -41,12 +41,8 @@ from .leakage import (
 from .seqmodel import SequenceModel, build_model, sequence_summary
 from .swcodec import (
     ConditionRow,
-    DecodeResult,
     PartitionScheme,
-    Syndrome,
     decode_ambiguity_rate,
-    encode_x,
-    encode_y,
     joint_decode,
     prototype_condition_report,
     reference_scheme,

@@ -30,6 +30,8 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .cipher import (
     BRANCHES,
     RegionQuery,
@@ -50,11 +52,9 @@ from .leakage import DELTA, WiretapAnalyzer, grid_curve_rows, sample_patterns, z
 from .seqmodel import build_model, sequence_summary
 from .swcodec import (
     PartitionScheme,
-    Syndrome,
-    encode_x,
-    encode_y,
     joint_decode,
     prototype_condition_report,
+    support_syndromes,
 )
 
 
@@ -114,12 +114,21 @@ def _require_range(field: str, value: int, upper: int) -> None:
         raise ValidationError(f"{field}: must lie in 0..{upper}, got {value}")
 
 
+def _is_bits(value, width: int) -> bool:
+    """True for a string of exactly ``width`` ASCII 0/1 characters."""
+    return isinstance(value, str) and len(value) == width and set(value) <= {"0", "1"}
+
+
 class _Context:
     """Parsed scenario pieces shared by the commands."""
 
     def __init__(self, scenario: dict, verbose: bool):
         self.scenario = scenario
         self.verbose = verbose
+        # The name heads every output as a comment line, so it is one line.
+        self.name = scenario.get("name", "?")
+        if not isinstance(self.name, str) or "".join(self.name.splitlines()) != self.name:
+            raise ValidationError(f"scenario.name: expected a one-line string, got {self.name!r}")
         if "model" not in scenario:
             raise ValidationError("scenario.model: missing")
         if "scheme" not in scenario:
@@ -176,19 +185,18 @@ class _Context:
         self.log(f"entropy: {a.entropy_calls} calls, {a.entropy_sets} sets computed")
 
 
-def _golden_syndromes(ctx: _Context) -> tuple[str, str]:
-    """T_X and T_Y of the ``scenario.golden`` word pair, as 0/1 strings."""
-    golden = ctx.section("golden")
-    syndromes = []
-    for side, encode in (("x", encode_x), ("y", encode_y)):
-        word = golden.get(side)
-        try:
-            syndromes.append(encode([int(b) for b in word], ctx.scheme).as_string())
-        except (TypeError, ValueError) as exc:
+def _golden_syndromes(ctx: _Context) -> tuple[int, int]:
+    """The syndrome codes T_X and T_Y of the ``scenario.golden`` word pair."""
+    golden, n = ctx.section("golden"), ctx.scheme.n
+    for side in "xy":
+        if not _is_bits(golden.get(side), n):
             raise ValidationError(
-                f"scenario.golden.{side}: expected {ctx.scheme.n} bits of 0/1, got {word!r}"
-            ) from exc
-    return syndromes[0], syndromes[1]
+                f"scenario.golden.{side}: expected {n} bits of 0/1, got {golden.get(side)!r}"
+            )
+    tx, ty = support_syndromes(
+        ctx.scheme, np.array([int(golden["x"], 2)]), np.array([int(golden["y"], 2)])
+    )
+    return int(tx[0]), int(ty[0])
 
 
 def _golden_comments(ctx: _Context) -> list[str]:
@@ -196,11 +204,12 @@ def _golden_comments(ctx: _Context) -> list[str]:
     if not golden:
         return []
     tx, ty = _golden_syndromes(ctx)
-    return [f"x={golden['x']} y={golden['y']}", f"t_x={tx} t_y={ty}"]
+    lx, ly = ctx.scheme.syndrome_len("x"), ctx.scheme.syndrome_len("y")
+    return [f"x={golden['x']} y={golden['y']}", f"t_x={tx:0{lx}b} t_y={ty:0{ly}b}"]
 
 
 def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
-    comments = [f"scenario={ctx.scenario.get('name', '?')}"] + _golden_comments(ctx)
+    comments = [f"scenario={ctx.name}"] + _golden_comments(ctx)
     info = sequence_summary(ctx.model)
     K = ctx.model.K
     summary_rows = [
@@ -245,7 +254,7 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
             if abs(r.formula_max - r.formula_max_verbatim) > 1e-12
         }
     )
-    comments = [f"scenario={ctx.scenario.get('name', '?')}"]
+    comments = [f"scenario={ctx.name}"]
     comments.append(
         "max-formula variants disagree at: "
         + (";".join(f"({a},{b})" for a, b in disagree) if disagree else "none")
@@ -280,7 +289,7 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
                 }
             )
     ctx.log_entropy_counters()
-    comments = [f"scenario={ctx.scenario.get('name', '?')}", f"seed={seed}"]
+    comments = [f"scenario={ctx.name}", f"seed={seed}"]
     return _emit(out, fmt, "bounds", comments, rows, list(rows[0]))
 
 
@@ -321,12 +330,13 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
                 "domain_note": verdict.domain_note,
             }
         )
-    comments = [f"scenario={ctx.scenario.get('name', '?')}"]
+    comments = [f"scenario={ctx.name}"]
     return _emit(out, fmt, "region", comments, rows, list(rows[0]))
 
 
 def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Path]:
     s = ctx.scheme
+    n, lx, ly = s.n, s.syndrome_len("x"), s.syndrome_len("y")
     if (tx is None) != (ty is None):
         missing = "--ty" if ty is None else "--tx"
         raise UsageError(f"decode: {missing} is missing; pass both --tx and --ty, or neither")
@@ -334,29 +344,26 @@ def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Pat
         if not ctx.scenario.get("golden"):
             raise ValidationError("decode: pass --tx/--ty or add scenario.golden")
         tx, ty = _golden_syndromes(ctx)
-    if len(tx) != s.syndrome_len("x") or any(c not in "01" for c in tx):
-        raise UsageError(f"--tx must be {s.syndrome_len('x')} bits of 0/1, got {tx!r}")
-    if len(ty) != s.syndrome_len("y") or any(c not in "01" for c in ty):
-        raise UsageError(f"--ty must be {s.syndrome_len('y')} bits of 0/1, got {ty!r}")
-    result = joint_decode(
-        Syndrome(tuple(int(b) for b in tx)),
-        Syndrome(tuple(int(b) for b in ty)),
-        ctx.model,
-        s,
-    )
+    else:
+        for flag, bits, length in (("--tx", tx, lx), ("--ty", ty, ly)):
+            if not _is_bits(bits, length):
+                raise UsageError(f"{flag} must be {length} bits of 0/1, got {bits!r}")
+        tx, ty = int(tx, 2), int(ty, 2)
+    candidates = joint_decode(tx, ty, ctx.model, s)
     rows = [
         {
             "candidate": i,
-            "x_bits": "".join(str(b) for b in x),
-            "y_bits": "".join(str(b) for b in y),
-            "x_hex": format(int("".join(str(b) for b in x), 2), "#04x"),
-            "y_hex": format(int("".join(str(b) for b in y), 2), "#04x"),
+            "x_bits": f"{x:0{n}b}",
+            "y_bits": f"{y:0{n}b}",
+            "x_hex": f"{x:#04x}",
+            "y_hex": f"{y:#04x}",
         }
-        for i, (x, y) in enumerate(result.candidates)
+        for i, (x, y) in enumerate(candidates)
     ]
     comments = [
-        f"scenario={ctx.scenario.get('name', '?')}",
-        f"t_x={tx} t_y={ty} candidates={len(rows)} unique={str(result.unique).lower()}",
+        f"scenario={ctx.name}",
+        f"t_x={tx:0{lx}b} t_y={ty:0{ly}b} candidates={len(rows)} "
+        f"unique={str(len(rows) == 1).lower()}",
     ]
     # Explicit fields: a decode may have no candidates.
     fields = ["candidate", "x_bits", "y_bits", "x_hex", "y_hex"]
@@ -407,7 +414,7 @@ def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
                 ),
             }
         )
-    comments = [f"scenario={ctx.scenario.get('name', '?')}"]
+    comments = [f"scenario={ctx.name}"]
     return _emit(out, fmt, "cipher", comments, rows, list(rows[0]))
 
 

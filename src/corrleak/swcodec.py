@@ -7,13 +7,13 @@ combination ``P1^T a1 + q1``; source Y transmits ``u2`` plus
 ``P2^T a2 + q2``.  ``P1^T`` / ``P2^T`` are the transposed row blocks of the
 parity part of G selected by the ``a1`` / ``a2`` positions.  ``SEGMENTS``
 names each side's (info, keyed, parity) segments, and ``PartitionScheme``
-alone reads it: the scheme gives every syndrome length and role position,
-and a ``Syndrome`` carries only its bits.  Each side's segment layout and
-parity block fold into one generator, ``G_X`` / ``G_Y``, so a syndrome is
-the matrix product ``x . G_X`` (``y . G_Y``).  Over a support table it is
-one int64 code per pair, packed like the word codes, and each of its bits
-is the parity of the popcount of the word code ANDed with the packed
-generator column.
+alone reads it: the scheme gives every syndrome length and role position.
+Each side's segment layout and parity block fold into one generator,
+``G_X`` / ``G_Y``, so a syndrome is the matrix product ``x . G_X``
+(``y . G_Y``).  ``support_syndromes``, the one encoder, takes word codes
+and gives one int64 syndrome code per word, packed like the word codes, and
+each of its bits is the parity of the popcount of the word code ANDed with
+the packed generator column.
 
 The receiver resolves both words from the two syndromes by exhaustive
 search constrained by the correlation model; at this scale exhaustive coset
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, is_int
+from .errors import CapacityError, UsageError, ValidationError, is_int
 from .gf2 import Gf2Matrix
 from .info import column_code, pack_chunks
 from .seqmodel import SequenceModel
@@ -43,27 +43,6 @@ from .seqmodel import SequenceModel
 #: the parity segment.
 SEGMENTS = {"x": ("v1", "a1", "q1"), "y": ("u2", "a2", "q2")}
 DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common"}
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    """Transmitted channel information: one side's syndrome bits, the info
-    segment followed by the parity bits.  Its lengths are the scheme's
-    (``PartitionScheme.syndrome_len``)."""
-
-    bits: tuple[int, ...]
-
-    def as_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def _as_bits(word: Iterable[int], n: int, what: str) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in word)
-    if len(bits) != n:
-        raise UsageError(f"{what} has length {len(bits)}, expected {n}")
-    if any(b not in (0, 1) for b in bits):
-        raise UsageError(f"{what} must be binary")
-    return bits
 
 
 @dataclass(frozen=True)
@@ -222,20 +201,6 @@ def reference_scheme() -> PartitionScheme:
 # -- encoding ----------------------------------------------------------------
 
 
-def encode_x(x: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_X = x . G_X mod 2, one vector-matrix product for any n: the v1
-    segment followed by P1^T a1 + q1."""
-    t = np.array(_as_bits(x, s.n, "x")) @ s.g_x.cells % 2
-    return Syndrome(tuple(t.tolist()))
-
-
-def encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_Y = y . G_Y mod 2, one vector-matrix product for any n: the u2
-    segment followed by P2^T a2 + q2."""
-    t = np.array(_as_bits(y, s.n, "y")) @ s.g_y.cells % 2
-    return Syndrome(tuple(t.tolist()))
-
-
 def support_syndromes(
     s: PartitionScheme, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +209,10 @@ def support_syndromes(
     syndrome bit 0 most significant, so that ``info.column_code`` selects its
     segments.  Bit j is the parity of the popcount of the word code ANDed
     with column j of the generator, packed as the word is.  Raises
-    ``UsageError`` for a code outside 0..2**n-1."""
+    ``UsageError`` for a code outside 0..2**n-1, and ``CapacityError`` when
+    an n-bit word does not fit an int64 code."""
+    if s.n > 63:
+        raise CapacityError(f"a {s.n}-bit word does not fit an int64 word code")
     out = []
     for code, g in ((x, s.g_x), (y, s.g_y)):
         if code.ndim != 1 or code.size and (code.min() < 0 or code.max() >> s.n):
@@ -282,47 +250,28 @@ def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> N
 # -- decoding ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of a joint decode: all source pairs consistent with both syndromes."""
-
-    candidates: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def unique(self) -> bool:
-        return len(self.candidates) == 1
-
-
 def joint_decode(
-    tx: Syndrome, ty: Syndrome, model: SequenceModel, s: PartitionScheme
-) -> DecodeResult:
-    """Exhaustive search over the model support for pairs matching both syndromes.
+    tx: int, ty: int, model: SequenceModel, s: PartitionScheme
+) -> list[tuple[int, int]]:
+    """Every pair of the model's support whose syndrome codes are ``tx`` and
+    ``ty``, as (x, y) word codes in ascending order: one pair when the
+    syndromes decode uniquely, several when they are ambiguous and none when
+    they are inconsistent.
 
     The syndromes are functions of the (x, y) pair, so they are matched on
-    the distinct pairs of the support table only: each pair's syndrome codes
-    are compared with the integers of the given syndromes' bits.  Raises
-    ``UsageError`` unless each syndrome has the scheme's length
-    (``syndrome_len``), since an integer compare ignores leading zeros, and
-    holds only the integers 0 and 1 (a bool is refused).
-
-    Ambiguity (several candidates) and inconsistency (none) are reported in
-    the result, not raised.
+    the distinct pairs of the support table only.  Raises ``UsageError``
+    unless each syndrome is an integer code (a bool is refused) in
+    0..2**syndrome_len-1.
     """
     require_code_model(s, model, "decode")
     for t, side in ((tx, "x"), (ty, "y")):
-        if len(t.bits) != (length := s.syndrome_len(side)):
-            raise UsageError(f"t_{side} must have {length} bits, got {len(t.bits)}")
-        if any(not is_int(b) or b not in (0, 1) for b in t.bits):
-            raise UsageError(f"t_{side} must hold bits 0/1, got {t.bits!r}")
+        length = s.syndrome_len(side)
+        if not is_int(t) or not 0 <= t < 1 << length:
+            raise UsageError(f"t_{side} must be a code in 0..2**{length}-1, got {t!r}")
     x, y = model.table.x, model.table.y
     TX, TY = support_syndromes(s, x, y)
-    hit = (TX == int(tx.as_string(), 2)) & (TY == int(ty.as_string(), 2))
-    n = s.n
-    pairs = [
-        tuple((code >> (2 * n - 1 - i)) & 1 for i in range(2 * n))
-        for code in np.unique((x[hit] << n) | y[hit]).tolist()
-    ]
-    return DecodeResult(candidates=tuple((r[:n], r[n:]) for r in pairs))
+    hit = (TX == tx) & (TY == ty)
+    return sorted(set(zip(x[hit].tolist(), y[hit].tolist())))
 
 
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:

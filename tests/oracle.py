@@ -35,7 +35,7 @@ from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
 from corrleak.leakage import DELTA, WiretapPattern
 from corrleak.seqmodel import SequenceModel
-from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
+from corrleak.swcodec import PartitionScheme, support_syndromes
 
 # -- support stream ----------------------------------------------------------
 
@@ -245,24 +245,24 @@ def p2_t(s: PartitionScheme) -> Gf2Matrix:
     return Gf2Matrix(s.parity_block.cells[list(s.y_segments["a2"]), :].T)
 
 
-def formula_encode_x(x: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_X: the v1 segment followed by P1^T a1 + q1."""
+def formula_encode_x(x: Iterable[int], s: PartitionScheme) -> tuple[int, ...]:
+    """The bits of T_X: the v1 segment followed by P1^T a1 + q1."""
     bits = tuple(int(b) for b in x)
     a1 = [bits[p] for p in s.x_segments["a1"]]
     v1 = [bits[p] for p in s.x_segments["v1"]]
     q1 = [bits[p] for p in sorted(s.x_segments["q1"])]
     parity = [pa ^ qb for pa, qb in zip(mat_vec_mul(p1_t(s), a1), q1)]
-    return Syndrome(bits=tuple(v1 + parity))
+    return tuple(v1 + parity)
 
 
-def formula_encode_y(y: Iterable[int], s: PartitionScheme) -> Syndrome:
-    """T_Y: the u2 segment followed by P2^T a2 + q2."""
+def formula_encode_y(y: Iterable[int], s: PartitionScheme) -> tuple[int, ...]:
+    """The bits of T_Y: the u2 segment followed by P2^T a2 + q2."""
     bits = tuple(int(b) for b in y)
     u2 = [bits[p] for p in s.y_segments["u2"]]
     a2 = [bits[p] for p in s.y_segments["a2"]]
     q2 = [bits[p] for p in sorted(s.y_segments["q2"])]
     parity = [pa ^ qb for pa, qb in zip(mat_vec_mul(p2_t(s), a2), q2)]
-    return Syndrome(bits=tuple(u2 + parity))
+    return tuple(u2 + parity)
 
 
 def h_surgery_rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
@@ -323,7 +323,7 @@ def syndrome_observable(s: PartitionScheme, side: str, positions=None) -> Observ
     sel = None if positions is None else tuple(sorted(positions))
 
     def fn(t: SequenceTriple) -> Hashable:
-        bits = enc(getattr(t, side), s).bits
+        bits = enc(getattr(t, side), s)
         return bits if sel is None else tuple(bits[i] for i in sel)
 
     return fn

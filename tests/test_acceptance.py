@@ -18,8 +18,6 @@ from corrleak import (
     Gf2Matrix,
     RegionQuery,
     WiretapPattern,
-    encode_x,
-    encode_y,
     minmax_curves,
     rank,
     region_membership,
@@ -28,6 +26,7 @@ from corrleak import (
 from corrleak.cipher import BRANCHES
 from corrleak.info import InfoSummary
 from corrleak.leakage import sample_patterns
+from corrleak.swcodec import support_syndromes
 from oracle import CipherSizes, build_ciphertexts, decrypt_ciphertexts, z_consistency_counts
 
 
@@ -48,16 +47,15 @@ def sweep(scheme, analyzer):
 
 def test_criterion_1_golden_syndromes(scheme):
     failures = []
-    x = [int(b) for b in "1011001"]
-    y = [int(b) for b in "1011011"]
-    tx = encode_x(x, scheme).as_string()
-    ty = encode_y(y, scheme).as_string()
+    x, y = np.array([0b1011001]), np.array([0b1011011])
+    codes = support_syndromes(scheme, x, y)
+    tx, ty = (f"{t[0]:05b}" for t in codes)
     if tx != "11100":
         failures.append(f"T_X={tx}, expected 11100")
     if ty != "10111":
         failures.append(f"T_Y={ty}, expected 10111")
     per_pair = min(
-        timeit.repeat(lambda: (encode_x(x, scheme), encode_y(y, scheme)), number=100, repeat=5)
+        timeit.repeat(lambda: support_syndromes(scheme, x, y), number=100, repeat=5)
     ) / 100
     if per_pair >= 1e-3:
         failures.append(f"encode pair took {per_pair * 1e3:.3f} ms, budget 1 ms")

@@ -355,7 +355,7 @@ def cipher_oracle(cipher: CipherSizes, model, s: PartitionScheme, mu_values):
         return value
 
     for t in iter_support(model):
-        tx, ty = formula_encode_x(t.x, s).bits, formula_encode_y(t.y, s).bits
+        tx, ty = formula_encode_x(t.x, s), formula_encode_y(t.y, s)
         plain = (index(tx, "x", "private"), index(ty, "y", "private"),
                  index(tx, "x", "common"), index(ty, "y", "common"))
         p = t.prob / len(key_tuples)

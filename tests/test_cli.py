@@ -427,6 +427,23 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
         pytest.param(
             "decode", ("golden", "x"), "10a1001", "scenario.golden.x", id="golden-x-not-bits"
         ),
+        # A golden word is a string of ASCII 0/1: a list of bits, a list of
+        # bools and Unicode digits used to be encoded and echoed raw.
+        pytest.param(
+            "analyze", ("golden", "x"), [1, 0, 1, 1, 0, 0, 1], "scenario.golden.x",
+            id="golden-x-int-list",
+        ),
+        pytest.param(
+            "analyze", ("golden", "y"), [True, False, True, True, False, True, True],
+            "scenario.golden.y", id="golden-y-bool-list",
+        ),
+        pytest.param(
+            "decode", ("golden", "x"), "\uff11011001", "scenario.golden.x",
+            id="golden-x-unicode-digit",
+        ),
+        # The name heads every output as a comment line.
+        pytest.param("region", ("name",), "a\nb,c", "scenario.name", id="name-line-break"),
+        pytest.param("analyze", ("name",), ["ref"], "scenario.name", id="name-not-string"),
         pytest.param(
             "cipher-sim", ("cipher", "h_target_xy"), "high", "scenario.cipher.h_target_xy",
             id="cipher-h-target-not-number",

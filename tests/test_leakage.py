@@ -644,8 +644,8 @@ def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
 
     def xor_observable(col):
         def fn(t):
-            bit_x = formula_encode_x(t.x, s).bits[info_x + col]
-            return bit_x ^ formula_encode_y(t.y, s).bits[info_y + col]
+            bit_x = formula_encode_x(t.x, s)[info_x + col]
+            return bit_x ^ formula_encode_y(t.y, s)[info_y + col]
 
         return fn
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import corrleak.swcodec as swcodec_module
 from corrleak import (
+    CapacityError,
     Gf2Matrix,
     InternalConsistencyError,
     JointPmf,
@@ -16,14 +17,12 @@ from corrleak import (
     UsageError,
     ValidationError,
     decode_ambiguity_rate,
-    encode_x,
-    encode_y,
     joint_decode,
     prototype_condition_report,
     sequence_summary,
 )
 from corrleak.info import PACK_LIMIT_BITS, SupportTable
-from corrleak.swcodec import PartitionScheme, Syndrome, support_syndromes
+from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
     bit_observable,
     code_conditional_entropy,
@@ -42,52 +41,50 @@ from oracle import (
 )
 
 
-def bits(s: str) -> list[int]:
-    return [int(c) for c in s]
+def encode(s: PartitionScheme, x: str, y: str) -> tuple[str, str]:
+    """T_X of the word ``x`` and T_Y of the word ``y``, words and syndromes
+    written as 0/1 strings, by the one encoder."""
+    tx, ty = support_syndromes(s, np.array([int(x, 2)]), np.array([int(y, 2)]))
+    return f"{tx[0]:0{s.syndrome_len('x')}b}", f"{ty[0]:0{s.syndrome_len('y')}b}"
+
+
+def pack(bits: tuple[int, ...]) -> int:
+    """The integer code of a bit tuple, the first bit most significant."""
+    return int("".join(map(str, bits)), 2)
 
 
 def test_golden_syndromes(scheme):
-    assert encode_x(bits("1011001"), scheme).as_string() == "11100"
-    assert encode_y(bits("1011011"), scheme).as_string() == "10111"
+    assert encode(scheme, "1011001", "1011011") == ("11100", "10111")
 
 
 def test_encode_zero_words(scheme):
-    assert encode_x(bits("0000000"), scheme).as_string() == "00000"
-    assert encode_y(bits("0000000"), scheme).as_string() == "00000"
+    assert encode(scheme, "0000000", "0000000") == ("00000", "00000")
 
 
 def test_encode_hand_worked_variants(scheme):
     # x = 0111010: a1=01, v1=11, q1=010; parity = P1^T(0,1) + 010
+    # y = 0011011: u2=00, a2=11, q2=011; parity = (1,0,0) + (0,1,1)
     p1t_col = mat_vec_mul(p1_t(scheme), [0, 1])
     parity = tuple(a ^ b for a, b in zip(p1t_col, (0, 1, 0)))
-    assert encode_x(bits("0111010"), scheme).bits == (1, 1) + parity
-    assert encode_x(bits("0111010"), scheme).as_string() == "11100"
-    # y = 0011011: u2=00, a2=11, q2=011; parity = (1,0,0) + (0,1,1)
-    assert encode_y(bits("0011011"), scheme).as_string() == "00111"
+    tx, ty = encode(scheme, "0111010", "0011011")
+    assert tuple(map(int, tx)) == (1, 1) + parity
+    assert (tx, ty) == ("11100", "00111")
 
 
 def test_syndrome_parts(scheme):
-    t = encode_x(bits("1011001"), scheme)
+    tx, _ = encode(scheme, "1011001", "1011011")
     info = scheme.info_len("x")
-    assert t.bits[:info] == (1, 1)
-    assert t.bits[info:] == (1, 0, 0)
-    assert info == 2 and scheme.parity_len == 3 and len(t.bits) == scheme.syndrome_len("x")
-
-
-def test_encode_length_mismatch(scheme):
-    with pytest.raises(UsageError):
-        encode_x([1, 0, 1], scheme)
+    assert tx[:info] == "11"
+    assert tx[info:] == "100"
+    assert info == 2 and scheme.parity_len == 3 and len(tx) == scheme.syndrome_len("x")
 
 
 def test_encode_linearity_all_pairs(scheme):
-    words = [tuple((w >> i) & 1 for i in range(7)) for w in range(128)]
-    tx = {w: encode_x(w, scheme).bits for w in words}
-    ty = {w: encode_y(w, scheme).bits for w in words}
-    for a in words:
-        for b in words:
-            s = tuple(x ^ y for x, y in zip(a, b))
-            assert tx[s] == tuple(x ^ y for x, y in zip(tx[a], tx[b]))
-            assert ty[s] == tuple(x ^ y for x, y in zip(ty[a], ty[b]))
+    words = np.arange(1 << scheme.n)
+    tx, ty = support_syndromes(scheme, words, words)
+    a, b = np.meshgrid(words, words)
+    assert (tx[a ^ b] == tx[a] ^ tx[b]).all()
+    assert (ty[a ^ b] == ty[a] ^ ty[b]).all()
 
 
 def random_systematic_scheme(rng, k: int, n: int) -> PartitionScheme:
@@ -105,13 +102,16 @@ def random_systematic_scheme(rng, k: int, n: int) -> PartitionScheme:
 
 
 def test_encode_matches_generator_matrix(scheme):
-    # The matrix encoder equals the paper's per-word formula on every word of
-    # the reference [7,4] scheme and of a seeded random [10,6] scheme.
+    # The generator encoder equals the paper's per-word formula on every word
+    # of the reference [7,4] scheme and of a seeded random [10,6] scheme.
     assert scheme.g_x is scheme.g_x and scheme.parity_block is scheme.parity_block  # built once
     for s in (scheme, random_systematic_scheme(np.random.default_rng(7), 6, 10)):
-        for w in itertools.product((0, 1), repeat=s.n):
-            assert encode_x(w, s) == formula_encode_x(w, s)
-            assert encode_y(w, s) == formula_encode_y(w, s)
+        words = np.arange(1 << s.n)
+        tx, ty = support_syndromes(s, words, words)
+        digits = word_digits(words, 2, s.n).tolist()
+        for side, t, formula in (("x", tx, formula_encode_x), ("y", ty, formula_encode_y)):
+            got = word_digits(t, 2, s.syndrome_len(side)).tolist()
+            assert [tuple(g) for g in got] == [formula(w, s) for w in digits]
 
 
 def test_support_syndromes_match_formula_encoder():
@@ -124,8 +124,8 @@ def test_support_syndromes_match_formula_encoder():
     assert tx.dtype == ty.dtype == np.int64
     tx, ty = (word_digits(t, 2, s.syndrome_len(side)) for t, side in zip((tx, ty), "xy"))
     for x, t_x, y, t_y in zip(X.tolist(), tx.tolist(), Y.tolist(), ty.tolist()):
-        assert tuple(t_x) == formula_encode_x(x, s).bits
-        assert tuple(t_y) == formula_encode_y(y, s).bits
+        assert tuple(t_x) == formula_encode_x(x, s)
+        assert tuple(t_y) == formula_encode_y(y, s)
 
 
 @pytest.mark.parametrize(
@@ -149,51 +149,54 @@ def test_support_syndromes_refuse_a_word_table_of_the_wrong_width(scheme, words)
 
 
 def test_encode_words_longer_than_one_packed_slice():
-    # Words of more than PACK_LIMIT_BITS bits are encoded slice by slice.
+    # Words of more than PACK_LIMIT_BITS bits, up to the 63 bits of an int64
+    # word code, are encoded whole; a 64-bit word is refused as past capacity.
     rng = np.random.default_rng(9)
-    s = random_systematic_scheme(rng, 64, 70)
+    s = random_systematic_scheme(rng, 57, 63)
     assert s.n > PACK_LIMIT_BITS
-    for w in rng.integers(0, 2, size=(8, s.n)).tolist():
-        assert encode_x(w, s) == formula_encode_x(w, s)
-        assert encode_y(w, s) == formula_encode_y(w, s)
+    digits = rng.integers(0, 2, size=(8, s.n))
+    digits[0] = 1
+    words = np.array([pack(w) for w in digits.tolist()])
+    assert words.dtype == np.int64 and words[0] == (1 << 63) - 1
+    tx, ty = support_syndromes(s, words, words[::-1])
+    for side, t, formula, w in (
+        ("x", tx, formula_encode_x, digits), ("y", ty, formula_encode_y, digits[::-1])
+    ):
+        got = word_digits(t, 2, s.syndrome_len(side)).tolist()
+        assert [tuple(g) for g in got] == [formula(x, s) for x in w.tolist()]
+    wide = random_systematic_scheme(rng, 58, 64)
+    with pytest.raises(CapacityError, match="64-bit word"):
+        support_syndromes(wide, words, words)
 
 
 def test_joint_decode_golden_pair(scheme, hamming7):
-    tx = encode_x(bits("1011001"), scheme)
-    ty = encode_y(bits("1011011"), scheme)
-    result = joint_decode(tx, ty, hamming7, scheme)
-    truth = (tuple(bits("1011001")), tuple(bits("1011011")))
-    assert truth in result.candidates
-    assert result.unique
+    tx, ty = (int(t, 2) for t in encode(scheme, "1011001", "1011011"))
+    assert joint_decode(tx, ty, hamming7, scheme) == [(0b1011001, 0b1011011)]
 
 
 def test_joint_decode_zero_pair(scheme, hamming7):
-    zeros = Syndrome(bits=(0,) * 5)
-    result = joint_decode(zeros, zeros, hamming7, scheme)
-    assert ((0,) * 7, (0,) * 7) in result.candidates
+    assert (0, 0) in joint_decode(0, 0, hamming7, scheme)
 
 
 def test_joint_decode_refuses_syndromes_of_the_wrong_length(scheme, hamming7):
-    # Syndromes are matched as integers, so a short or long t_x would match
-    # the pair whose 5-bit syndrome has that value; the scheme's lengths
-    # are enforced instead.
-    tx, ty = encode_x(bits("1011001"), scheme), encode_y(bits("1011011"), scheme)
-    for wrong in ((1, 0, 0), (0,) * 6):
-        with pytest.raises(UsageError, match="t_x must have 5 bits"):
-            joint_decode(Syndrome(wrong), ty, hamming7, scheme)
-    with pytest.raises(UsageError, match="t_y must have 5 bits"):
-        joint_decode(tx, Syndrome((0,) + ty.bits), hamming7, scheme)
+    # A syndrome is a code of the scheme's length: a code past 2**5, the
+    # value of a longer syndrome, or a negative one is refused on either side.
+    tx, ty = (int(t, 2) for t in encode(scheme, "1011001", "1011011"))
+    for wrong in (1 << 5, -1):
+        with pytest.raises(UsageError, match=r"t_x must be a code in 0\.\.2\*\*5-1"):
+            joint_decode(wrong, ty, hamming7, scheme)
+        with pytest.raises(UsageError, match=r"t_y must be a code in 0\.\.2\*\*5-1"):
+            joint_decode(tx, wrong, hamming7, scheme)
 
 
-@pytest.mark.parametrize("bit", [2, True], ids=["two", "bool"])
+@pytest.mark.parametrize("code", [True, 28.0, "11100"], ids=["bool", "float", "str"])
 @pytest.mark.parametrize("side", ["x", "y"])
-def test_joint_decode_refuses_non_binary_syndrome_bits(scheme, hamming7, side, bit):
-    # A 2 or a bool among the bits used to end in int()'s base-2 ValueError;
-    # it is refused as a usage error naming the syndrome, on either side.
-    tx, ty = encode_x(bits("1011001"), scheme), encode_y(bits("1011011"), scheme)
-    bad = Syndrome((bit, 0, 0, 0, 0))
-    args = (bad, ty) if side == "x" else (tx, bad)
-    with pytest.raises(UsageError, match=f"t_{side} must hold bits 0/1"):
+def test_joint_decode_refuses_non_binary_syndrome_bits(scheme, hamming7, side, code):
+    # A syndrome is an integer code: a bool, a float or a string of bits is
+    # refused as a usage error naming the syndrome, on either side.
+    tx, ty = (int(t, 2) for t in encode(scheme, "1011001", "1011011"))
+    args = (code, ty) if side == "x" else (tx, code)
+    with pytest.raises(UsageError, match=f"t_{side} must be a code"):
         joint_decode(*args, hamming7, scheme)
 
 
@@ -205,7 +208,7 @@ def test_decode_candidates_contain_truth_everywhere(scheme, hamming7):
     for t in iter_support(hamming7):
         pairs.add((t.x, t.y))
     for x, y in pairs:
-        key = (formula_encode_x(x, scheme).bits, formula_encode_y(y, scheme).bits)
+        key = (formula_encode_x(x, scheme), formula_encode_y(y, scheme))
         groups.setdefault(key, set()).add((x, y))
     assert all(members for members in groups.values())
     # measured ambiguity: how much mass decodes non-uniquely
@@ -231,7 +234,7 @@ def test_enumeration_equivocation_syndrome(scheme, hamming7):
     preimages = sum(
         1
         for w in itertools.product((0, 1), repeat=7)
-        if formula_encode_y(w, scheme).as_string() == "10111"
+        if formula_encode_y(w, scheme) == (1, 0, 1, 1, 1)
     )
     assert got == pytest.approx(math.log2(preimages), abs=1e-9)
     assert got == pytest.approx(2.0, abs=1e-9)
@@ -353,14 +356,14 @@ def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
     groups = {}
     for x, y in pairs:
         groups.setdefault(
-            (formula_encode_x(x, s).bits, formula_encode_y(y, s).bits), []
+            (formula_encode_x(x, s), formula_encode_y(y, s)), []
         ).append((x, y))
     ambiguous = sum(pairs[m] for ms in groups.values() if len(ms) > 1 for m in ms)
     assert ambiguous > 0.1
     assert decode_ambiguity_rate(s, model) == pytest.approx(ambiguous, abs=1e-9)
     for (tx, ty), members in groups.items():
-        result = joint_decode(Syndrome(tx), Syndrome(ty), model, s)
-        assert result.candidates == tuple(sorted(members))
+        codes = sorted((pack(x), pack(y)) for x, y in members)
+        assert joint_decode(pack(tx), pack(ty), model, s) == codes
 
     h_wx, h_wcx = h["x"] - H("x", w_x), h["x"] - H("x", w_cx)
     h_wy, h_wcy = h["y"] - H("y", w_y), h["y"] - H("y", w_cy)
@@ -419,12 +422,9 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     )
     model = make_model()
     X, Y, _ = support_digits(model)
-    queries = {(encode_x(x, s).bits, encode_y(y, s).bits) for x, y in zip(X.tolist(), Y.tolist())}
+    queries = set(zip(*(t.tolist() for t in support_syndromes(s, pack_bits(X), pack_bits(Y)))))
     report = prototype_condition_report(s, model)
-    decoded = {
-        (tx, ty): joint_decode(Syndrome(tx), Syndrome(ty), model, s)
-        for tx, ty in queries
-    }
+    decoded = {(tx, ty): joint_decode(tx, ty, model, s) for tx, ty in queries}
 
     x, y, z, probs = support_arrays(model)
     assert model.table.weights is None and model.table.pairs < x.size
@@ -439,7 +439,7 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     assert prototype_condition_report(s, model)[1:] == report[1:]
     assert report[0].label == "decode_error"
     for (tx, ty), result in decoded.items():
-        assert joint_decode(Syndrome(tx), Syndrome(ty), model, s) == result
+        assert joint_decode(tx, ty, model, s) == result
 
 
 def weighted_k5_case() -> tuple[PartitionScheme, SequenceModel]:
@@ -471,7 +471,7 @@ def test_decode_ambiguity_rate_sums_the_pair_masses_in_x_y_order():
     )
     mass = np.bincount(pair, weights=probs)
     syndromes = [
-        formula_encode_x(x, s).bits + formula_encode_y(y, s).bits
+        formula_encode_x(x, s) + formula_encode_y(y, s)
         for x, y in zip(X[first].tolist(), Y[first].tolist())
     ]
     _, group, size = np.unique(syndromes, axis=0, return_inverse=True, return_counts=True)
@@ -515,12 +515,12 @@ CONDITIONAL_MODELS = {
 
 def _private_syndromes(s: PartitionScheme, side: str, words: np.ndarray, K: int) -> np.ndarray:
     """The private syndrome bits of each word code, packed, by the paper's formula."""
-    encode = formula_encode_x if side == "x" else formula_encode_y
+    formula = formula_encode_x if side == "x" else formula_encode_y
     private = s.role_positions(side, "private")
     values, inv = np.unique(words, return_inverse=True)
     codes = []
     for digits in word_digits(values, 2, K).tolist():
-        bits = encode(digits, s).bits
+        bits = formula(digits, s)
         codes.append(sum(bits[p] << i for i, p in enumerate(reversed(private))))
     return np.array(codes, dtype=np.int64)[inv]
 
