@@ -24,11 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+
+# corrleak makes no BLAS call (its one matmul is int64, which numpy computes
+# without BLAS), yet OpenBLAS starts a pool of OPENBLAS_NUM_THREADS threads
+# when numpy loads, and each idle worker costs CPU time. Pin the pool to one
+# thread before the first import that loads numpy; no result depends on it.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -396,8 +396,17 @@ def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
 
     The parity-matrix rank term uses the extremal column choices of each
     case: aligned low columns for the maximum, maximally mismatched columns
-    for the minimum.
+    for the minimum.  The cases hold only for the complementary split, where
+    X's keyed segment ``a1`` and Y's transmitted segment ``u2`` hold the same
+    positions; any other partition is refused with ``DomainError``.
     """
+    a1, u2 = s.x_segments["a1"], s.y_segments["u2"]
+    if set(a1) != set(u2):
+        raise DomainError(
+            f"scheme.x_segments.a1 {list(a1)} and scheme.y_segments.u2 {list(u2)}: the min/max"
+            " leakage formulas hold only for the complementary split, where a1 and u2 hold"
+            " the same positions"
+        )
     l_ix, l_iy, l_p = s.info_len("x"), s.info_len("y"), s.parity_len
     if not 0 <= mu_tx <= l_ix + l_p:
         raise UsageError(f"mu_tx must lie in 0..{l_ix + l_p}, got {mu_tx}")

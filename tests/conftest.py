@@ -1,6 +1,7 @@
 import pytest
 
-from corrleak import SequenceModel, WiretapAnalyzer
+from corrleak.leakage import WiretapAnalyzer
+from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import reference_scheme
 
 

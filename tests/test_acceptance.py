@@ -14,18 +14,10 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from corrleak import (
-    Gf2Matrix,
-    RegionQuery,
-    WiretapPattern,
-    minmax_curves,
-    rank,
-    region_membership,
-    z_mu_leakage,
-)
-from corrleak.cipher import BRANCHES
+from corrleak.cipher import BRANCHES, RegionQuery, region_membership
+from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import InfoSummary
-from corrleak.leakage import sample_patterns
+from corrleak.leakage import WiretapPattern, minmax_curves, sample_patterns, z_mu_leakage
 from corrleak.swcodec import support_syndromes
 from oracle import CipherSizes, build_ciphertexts, decrypt_ciphertexts, z_consistency_counts
 

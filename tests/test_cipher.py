@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 import corrleak.cipher as cipher_module
-from corrleak import (
-    CapacityError,
-    DomainError,
-    Gf2Matrix,
-    InfoSummary,
+from corrleak.cipher import (
+    BRANCHES,
+    MEASURE_BYTES_GUARD,
     RegionQuery,
-    UsageError,
     measure_security,
     region_membership,
 )
-from corrleak.cipher import BRANCHES, MEASURE_BYTES_GUARD
-from corrleak.info import SupportTable
+from corrleak.errors import CapacityError, DomainError, UsageError
+from corrleak.gf2 import Gf2Matrix
+from corrleak.info import InfoSummary, SupportTable
 from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
 from oracle import (

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from corrleak import WiretapAnalyzer, WiretapPattern, build_model, extremal_max_pattern
 from corrleak.cli import load_scenario, main
 from corrleak.errors import ValidationError
-from corrleak.leakage import _CHECK_SETS
+from corrleak.leakage import WiretapAnalyzer, WiretapPattern, _CHECK_SETS, extremal_max_pattern
+from corrleak.seqmodel import build_model
 from corrleak.swcodec import PartitionScheme
 from oracle import ReferenceAnalyzer
 
@@ -601,6 +601,11 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
         pytest.param(
             "region", ("scheme", "y_segments"), {"u2": [0, 1], "a2": [3, 4], "q2": [2, 5, 6]},
             "scheme.y_segments.q2", id="segments-q2-off-parity",
+        ),
+        pytest.param(
+            "curves", ("scheme", "y_segments"), {"u2": [2, 3], "a2": [0, 1], "q2": [4, 5, 6]},
+            "scheme.x_segments.a1 [0, 1] and scheme.y_segments.u2 [2, 3]",
+            id="curves-split-not-complementary",
         ),
         # A lone syndrome flag was dropped, and the golden pair decoded.
         pytest.param("decode --tx 00000", (), None, "--ty is missing", id="decode-lone-tx"),

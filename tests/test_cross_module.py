@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from corrleak import JointPmf, SequenceModel, WiretapAnalyzer, WiretapPattern
 from corrleak.gf2 import Gf2Matrix
+from corrleak.info import JointPmf
+from corrleak.leakage import WiretapAnalyzer, WiretapPattern
+from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import PartitionScheme, reference_scheme
 from oracle import entropy, iter_support, marginal, mutual_information, submatrix
 

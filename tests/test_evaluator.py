@@ -17,12 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corrleak import (
-    CapacityError, InternalConsistencyError, UsageError, WiretapAnalyzer, WiretapPattern,
-)
 from corrleak import leakage
 from corrleak.cli import load_scenario
-from corrleak.leakage import BLOCK, _key_shifts, sample_patterns
+from corrleak.errors import CapacityError, InternalConsistencyError, UsageError
+from corrleak.leakage import BLOCK, WiretapAnalyzer, WiretapPattern, _key_shifts, sample_patterns
 from corrleak.seqmodel import SequenceModel, build_model
 from corrleak.swcodec import PartitionScheme
 from oracle import ReferenceAnalyzer, readable_memo

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from corrleak import Gf2Matrix, UsageError, ValidationError, rank
+from corrleak.errors import UsageError, ValidationError
+from corrleak.gf2 import Gf2Matrix, rank
 from oracle import mat_vec_mul
 
 

@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrleak import InternalConsistencyError, JointPmf, UsageError, ValidationError
-from corrleak.info import (
-    PACK_LIMIT_BITS,
-    code_entropy,
-    pack_chunks,
-)
+from corrleak.errors import InternalConsistencyError, UsageError, ValidationError
+from corrleak.info import JointPmf, PACK_LIMIT_BITS, code_entropy, pack_chunks
 from oracle import (
     conditional_mutual_information,
     entropy,

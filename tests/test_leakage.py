@@ -9,21 +9,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import corrleak.info as info_module
-from corrleak import (
-    DomainError,
-    Gf2Matrix,
-    SequenceModel,
-    UsageError,
+from corrleak.errors import DomainError, UsageError
+from corrleak.gf2 import Gf2Matrix
+from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
+from corrleak.leakage import (
+    DELTA,
     WiretapAnalyzer,
     WiretapPattern,
+    _rank_term,
     extremal_max_pattern,
     grid_curve_rows,
     minmax_curves,
+    sample_patterns,
     z_mu_leakage,
     z_trace_rows,
 )
-from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
-from corrleak.leakage import DELTA, _rank_term, sample_patterns
+from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
     enumeration_equivocation,
@@ -198,6 +199,33 @@ def test_minmax_formula_range_check(scheme):
         minmax_curves(scheme, 6, 0)
     with pytest.raises(UsageError):
         minmax_curves(scheme, 0, -1)
+
+
+def test_minmax_formulas_hold_exactly_on_the_complementary_splits(scheme, hamming7):
+    # Over all 36 two-plus-two partitions of the reference [7,4] generator,
+    # the formulas equal the oracle at every grid point on the 6 where a1
+    # and u2 are the same set, and are refused on the other 30.
+    refused, matched = 0, 0
+    for a1, u2 in itertools.product(itertools.combinations(range(4), 2), repeat=2):
+        s = PartitionScheme(
+            scheme.generator,
+            {"a1": a1, "v1": tuple(sorted({0, 1, 2, 3} - set(a1))), "q1": (4, 5, 6)},
+            {"u2": u2, "a2": tuple(sorted({0, 1, 2, 3} - set(u2))), "q2": (4, 5, 6)},
+        )
+        if a1 != u2:
+            with pytest.raises(DomainError, match=r"x_segments\.a1 \[.*y_segments\.u2 \["):
+                minmax_curves(s, 0, 0)
+            refused += 1
+            continue
+        analyzer = WiretapAnalyzer(s, hamming7)
+        for size in itertools.product(range(6), repeat=2):
+            f = minmax_curves(s, *size)
+            omin, omax = analyzer.minmax_oracle(*size)
+            assert f.min_bits == pytest.approx(omin, abs=DELTA), (a1, size)
+            assert any(m == pytest.approx(omax, abs=DELTA)
+                       for m in (f.max_bits_corrected, f.max_bits_verbatim)), (a1, size)
+        matched += 1
+    assert (refused, matched) == (30, 6)
 
 
 def test_minmax_oracle_monotone_spot(analyzer):

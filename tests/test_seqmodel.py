@@ -7,17 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrleak import (
-    CapacityError,
-    DomainError,
-    InternalConsistencyError,
-    JointPmf,
-    SequenceModel,
-    ValidationError,
-    build_model,
-)
-from corrleak.seqmodel import sequence_summary
-from corrleak.info import SupportTable
+from corrleak.errors import CapacityError, DomainError, InternalConsistencyError, ValidationError
+from corrleak.info import JointPmf, SupportTable
+from corrleak.seqmodel import SequenceModel, build_model, sequence_summary
 from oracle import (
     iter_support,
     pack_bits,

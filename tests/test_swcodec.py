@@ -8,21 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrleak.swcodec as swcodec_module
-from corrleak import (
-    CapacityError,
-    Gf2Matrix,
-    InternalConsistencyError,
-    JointPmf,
-    SequenceModel,
-    UsageError,
-    ValidationError,
+from corrleak.errors import CapacityError, InternalConsistencyError, UsageError, ValidationError
+from corrleak.gf2 import Gf2Matrix
+from corrleak.info import JointPmf, PACK_LIMIT_BITS, SupportTable
+from corrleak.seqmodel import SequenceModel, sequence_summary
+from corrleak.swcodec import (
+    PartitionScheme,
     decode_ambiguity_rate,
     joint_decode,
     prototype_condition_report,
-    sequence_summary,
+    support_syndromes,
 )
-from corrleak.info import PACK_LIMIT_BITS, SupportTable
-from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
     bit_observable,
     code_conditional_entropy,
