@@ -69,10 +69,7 @@ class RegionQuery:
     i_xyz: float = 0.0
 
     def __post_init__(self):
-        for name in ("r_x", "r_y", "r_kx", "r_ky"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        for name in ("h_x", "h_y", "h_xy"):
+        for name in ("r_x", "r_y", "r_kx", "r_ky", "h_x", "h_y", "h_xy"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
@@ -87,8 +84,15 @@ class RegionQuery:
             raise ValidationError(f"bad region query: {exc}") from exc
 
 
+#: The report column of each region constraint's verdict, in report order.
+REGION_COLUMNS = ("rate_x_ok", "rate_y_ok", "rate_sum_ok", "key_sum_ok")
+
+
 @dataclass(frozen=True)
 class Constraint:
+    """A region inequality ``lhs >= rhs``, its display name and report column."""
+
+    column: str
     name: str
     lhs: float
     rhs: float
@@ -128,7 +132,7 @@ def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVer
                 violated=(),
                 domain_note=f"h_xy={q.h_xy:.6g} outside 0..{limit:.6g}",
             )
-        key_constraint = Constraint("r_kx + r_ky >= h_xy", q.r_kx + q.r_ky, q.h_xy)
+        key_constraint = Constraint("key_sum_ok", "r_kx + r_ky >= h_xy", q.r_kx + q.r_ky, q.h_xy)
     else:
         limit_x = info.h_x - q.alpha_cx
         limit_y = info.h_y - q.alpha_cy
@@ -143,13 +147,13 @@ def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVer
                 ),
             )
         key_constraint = Constraint(
-            "r_kx + r_ky >= max(h_x, h_y)", q.r_kx + q.r_ky, max(q.h_x, q.h_y)
+            "key_sum_ok", "r_kx + r_ky >= max(h_x, h_y)", q.r_kx + q.r_ky, max(q.h_x, q.h_y)
         )
 
     constraints = (
-        Constraint("r_x >= h(x|y)", q.r_x, info.h_x_given_y),
-        Constraint("r_y >= h(y|x)", q.r_y, info.h_y_given_x),
-        Constraint("r_x + r_y >= h(x,y)", q.r_x + q.r_y, info.h_xy),
+        Constraint("rate_x_ok", "r_x >= h(x|y)", q.r_x, info.h_x_given_y),
+        Constraint("rate_y_ok", "r_y >= h(y|x)", q.r_y, info.h_y_given_x),
+        Constraint("rate_sum_ok", "r_x + r_y >= h(x,y)", q.r_x + q.r_y, info.h_xy),
         key_constraint,
     )
     violated = tuple(c.name for c in constraints if not c.satisfied)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .cipher import (
     BRANCHES,
+    REGION_COLUMNS,
     RegionQuery,
     guaranteed_level,
     measure_security,
@@ -271,22 +272,25 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
 
 
 def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Path]:
-    patterns = sample_patterns(
+    tx, ty, mu = sample_patterns(
         ctx.scheme, ctx.sweep("random_patterns", 100), seed, ctx.mu_z_values()
     )
-    if not patterns:
+    if not mu.size:
         raise ValidationError("scenario.sweep.random_patterns: sweep produced no patterns")
-    ctx.log(f"checking {len(patterns)} patterns")
-    checks = ctx.analyzer.pattern_checks(patterns)
+    ctx.log(f"checking {mu.size} patterns")
+    checks = ctx.analyzer.pattern_checks(tx, ty, mu)
     rows = []
-    for i, pattern in enumerate(patterns):
+    for i, (*masks, mu_z) in enumerate(zip(tx.tolist(), ty.tolist(), mu.tolist())):
+        tx_positions, ty_positions = (  # the positions each mask reads, ascending
+            ";".join(str(p) for p in range(m.bit_length()) if m >> p & 1) for m in masks
+        )
         for target, c in checks.items():
             rows.append(
                 {
                     "pattern": i,
-                    "tx_positions": ";".join(str(p) for p in sorted(pattern.tx_positions)),
-                    "ty_positions": ";".join(str(p) for p in sorted(pattern.ty_positions)),
-                    "mu_z": pattern.mu,
+                    "tx_positions": tx_positions,
+                    "ty_positions": ty_positions,
+                    "mu_z": mu_z,
                     "target": target,
                     "lhs_bits": c.lhs_bits[i],
                     "rhs_bits": c.rhs_bits[i],
@@ -318,7 +322,7 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
             verdict = region_membership(q, case, info)
         except UsageError as exc:  # an unknown case
             raise ValidationError(f"scenario.region_queries[{i}].case: {exc}") from exc
-        flags = {c.name: c.satisfied for c in verdict.constraints}
+        flags = {c.column: c.satisfied for c in verdict.constraints}
         rows.append(
             {
                 "case": case,
@@ -327,12 +331,7 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
                     "alpha_cx", "alpha_cy", "alpha_z", "i_xyz",
                 )},
                 "status": verdict.status,
-                "rate_x_ok": flags.get("r_x >= h(x|y)", ""),
-                "rate_y_ok": flags.get("r_y >= h(y|x)", ""),
-                "rate_sum_ok": flags.get("r_x + r_y >= h(x,y)", ""),
-                "key_sum_ok": next(
-                    (ok for name, ok in flags.items() if name.startswith("r_kx + r_ky")), ""
-                ),
+                **{column: flags.get(column, "") for column in REGION_COLUMNS},
                 "violated": ";".join(verdict.violated),
                 "domain_note": verdict.domain_note,
             }

@@ -2,8 +2,9 @@
 
 Observation model
 -----------------
-A wiretap pattern names bit positions of the two syndromes plus a count
-``mu`` of leaked Z symbols, always the prefix of Z.  Bits that belong to
+A wiretap pattern is the int masks of the T_X and T_Y bits read (bit
+``1 << i`` reads syndrome position i, the syndrome's first bit being 0) and a
+count ``mu`` of leaked Z symbols, always the prefix of Z.  Bits that belong to
 private-role segments are observed in the clear.  Parity bits whose segment
 role is "common" are protected by a one-time pad that is *shared per parity
 column* between the two syndromes: a single padded bit reveals nothing,
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InternalConsistencyError, UsageError, is_int
+from .errors import CapacityError, DomainError, InternalConsistencyError, UsageError
 from .gf2 import Gf2Matrix, rank
 from .info import column_code
 from .seqmodel import SequenceModel
@@ -42,44 +43,17 @@ DELTA = 1e-9
 
 
 @dataclass(frozen=True)
-class WiretapPattern:
-    """Wiretapped positions: subsets of T_X and T_Y bits plus the first ``mu``
-    symbols of Z, the leaked prefix that ``z_mu_leakage`` is stated for."""
-
-    tx_positions: frozenset[int] = frozenset()
-    ty_positions: frozenset[int] = frozenset()
-    mu: int = 0
-
-    def validate(self, lx: int, ly: int, K: int) -> None:
-        """Raise ``UsageError`` naming the field unless every position is an
-        integer bit of its syndrome (``lx`` / ``ly`` bits) and ``mu`` an integer
-        in 0..K; a bool or a float is refused, never read as a number."""
-        for field, values, top in (
-            ("tx_positions", self.tx_positions, lx - 1),
-            ("ty_positions", self.ty_positions, ly - 1),
-            ("mu", (self.mu,), K),
-        ):
-            for v in values:
-                if not is_int(v):
-                    raise UsageError(f"{field}: expected an integer, got {v!r}")
-                if not 0 <= v <= top:
-                    raise UsageError(f"{field} out of range 0..{top}, got {v}")
-
-
-@dataclass(frozen=True)
 class BoundColumns:
     """The bound verdicts and identity residuals of one target over a
     sequence of patterns, as columns with one entry per pattern: the exact
     leakage (``lhs_bits``) and the bound (``rhs_bits``) in bits per symbol,
-    ``holds`` when the left side is at most the right plus ``DELTA``, and in
-    ``terms`` the nine mutual-information terms in bits."""
+    and ``holds`` when the left side is at most the right plus ``DELTA``."""
 
     target: str
     lhs_bits: list[float]
     rhs_bits: list[float]
     holds: list[bool]
     residual: list[float]
-    terms: dict[str, list[float]]
 
 
 #: The nine mutual-information terms of the chain-rule expansion of
@@ -121,14 +95,14 @@ _TERM_SETS = {
 _CHECK_SETS = {t: {s for sets in _TERM_SETS[t].values() for s in sets if s} for t in "xy"}
 
 
-def _blocks(patterns: Iterable[WiretapPattern]) -> Iterator[list[WiretapPattern]]:
-    it = iter(patterns)
-    while block := list(itertools.islice(it, BLOCK)):
-        yield block
-
-
 def _mask(positions: Iterable[int]) -> int:
     return sum(1 << int(p) for p in positions)
+
+
+def _subset_masks(length: int, size: int) -> np.ndarray:
+    """The mask of every subset of ``length`` positions with at most ``size`` members."""
+    subsets = (c for k in range(size + 1) for c in itertools.combinations(range(length), k))
+    return np.array([_mask(c) for c in subsets], dtype=np.int64)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -155,7 +129,8 @@ class WiretapAnalyzer:
     Z is a function of the source pair (x, y), so it is kept per distinct
     pair of the support table, which takes every kernel entropy.
 
-    Each public operation takes its patterns in blocks of ``BLOCK``, asks
+    Each public operation takes its patterns as int arrays ``tx``, ``ty``
+    and ``mu`` that broadcast, in blocks of ``BLOCK``, asks
     the one evaluator, ``_entropies``, for every set it needs over a whole
     block, and sums its terms as array expressions over the block, in the
     order of their written-out form.  Kernel entropies are memoised by
@@ -193,7 +168,7 @@ class WiretapAnalyzer:
 
         def h(tx: Sequence[int], ty: Sequence[int], *specs: str) -> list[float]:
             names = [_names(spec) for spec in specs]
-            values = self._entropies([WiretapPattern(frozenset(tx), frozenset(ty))], names)
+            values = self._entropies(np.array([_mask(tx)]), np.array([_mask(ty)]), 0, names)
             return [values[n].item() for n in names]
 
         self.h_x_total, self.h_y_total, self.h_xy_total = h((), (), "x", "y", "x y")
@@ -207,11 +182,33 @@ class WiretapAnalyzer:
 
     # -- the evaluator ---------------------------------------------------------
 
+    def _blocks(self, tx, ty, mu) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The patterns ``(tx, ty, mu)`` in int64 slices of ``BLOCK``, never
+        the whole input copied, after one check that raises ``UsageError``
+        naming the field: integer scalars or 1-D arrays (no bool or float
+        dtype) whose lengths broadcast, masks in 0..2**l-1, ``mu`` in 0..K."""
+        tops = {f: (1 << self._width[f]) - 1 for f in ("tx", "ty")} | {"mu": self.K}
+        arrays = dict(zip(tops, map(np.asarray, (tx, ty, mu))))
+        for (field, top), a in zip(tops.items(), arrays.values()):
+            if a.dtype.kind not in "iu":
+                raise UsageError(f"{field}: expected integers, got dtype {a.dtype}")
+            if a.ndim > 1:
+                raise UsageError(f"{field}: expected one dimension, got shape {a.shape}")
+            if a.size and not 0 <= (lo := a.min().item()) <= (hi := a.max().item()) <= top:
+                raise UsageError(f"{field} out of range 0..{top}, got {lo if lo < 0 else hi}")
+        try:
+            columns = np.broadcast_arrays(*map(np.atleast_1d, arrays.values()))
+        except ValueError:
+            lengths = ", ".join(f"{field} {a.size}" for field, a in arrays.items())
+            raise UsageError(f"pattern lengths do not broadcast: {lengths}") from None
+        for start in range(0, len(columns[0]), BLOCK):
+            yield tuple(a[start : start + BLOCK].astype(np.int64) for a in columns)
+
     def _entropies(
-        self, patterns: Sequence[WiretapPattern], sets: Sequence[frozenset[str]]
+        self, tx, ty, mu, sets: Sequence[frozenset[str]]
     ) -> dict[frozenset[str], np.ndarray]:
-        """H of each name set under each pattern of a block, in bits: one
-        float64 array per set, one entry per pattern.
+        """H of each name set under each pattern ``(tx, ty, mu)`` of a block,
+        in bits: one float64 array per set, one entry per pattern.
 
         The observation class of a (pattern, set) pair is the set's X and Y
         flags, the clear bits it reads of each side, its Z prefix length
@@ -232,18 +229,12 @@ class WiretapAnalyzer:
         1) passes the guard at any K; a key of its past 63 bits raises
         ``CapacityError`` when the analyzer is built, as its table does for a
         Z code past 31 bits."""
-        lx, ly = self._width["tx"], self._width["ty"]
-        for p in patterns:
-            p.validate(lx, ly, self.K)
-        self.entropy_calls += len(patterns) * len(sets)
-        tx = np.array([_mask(p.tx_positions) for p in patterns], dtype=np.int64)
-        ty = np.array([_mask(p.ty_positions) for p in patterns], dtype=np.int64)
-        mu = np.array([p.mu for p in patterns], dtype=np.int64)
         shift, pads, info = self._shift, self._pads, self._info
         fields = np.stack(np.broadcast_arrays(
             1 << shift["x"], 1 << shift["y"], (tx & ~pads["x"]) << shift["tx"],
             (ty & ~pads["y"]) << shift["ty"], mu << shift["z"],
         ))
+        self.entropy_calls += fields.shape[1] * len(sets)
         # One row per set: which of x, y, tx, ty, z it reads.  The fields
         # hold disjoint bits, so a row's product with them is their OR.
         reads = np.array([[n in names for n in ("x", "y", "tx", "ty", "z")] for names in sets])
@@ -299,65 +290,66 @@ class WiretapAnalyzer:
         lhs = np.where(lhs > 0.0, lhs, 0.0) / self.K  # max(0.0, lhs); np.maximum keeps -0.0
         rhs = rhs / self.K
         return {"lhs_bits": lhs, "rhs_bits": rhs, "holds": lhs <= rhs + DELTA,
-                "residual": np.abs(h_t_obs - h_obs - recon), **terms}
+                "residual": np.abs(h_t_obs - h_obs - recon)}
 
-    def _leakage(self, target: str, patterns: Iterable[WiretapPattern]) -> Iterator[np.ndarray]:
-        """Total leakage of ``target`` under each pattern, in bits, one array
-        per block; a value below ``-DELTA`` raises ``InternalConsistencyError``,
-        one in ``-DELTA..0`` reads 0.0."""
-        if target not in ("x", "xy", "y"):
-            raise UsageError(f"target must be one of ['x', 'xy', 'y'], got {target!r}")
+    def _leakage(self, target: str, tx, ty, mu) -> np.ndarray:
+        """Total leakage of ``target`` under each pattern of a block, in bits;
+        a value below ``-DELTA`` raises ``InternalConsistencyError``, one in
+        ``-DELTA..0`` reads 0.0."""
         sets = [_names(*target), _names("tx ty z"), _names(*target, "tx ty z")]
-        for block in _blocks(patterns):
-            h = self._entropies(block, sets)
-            total = h[sets[0]] + h[sets[1]] - h[sets[2]]
-            if (negative := total[total < -DELTA]).size:
-                raise InternalConsistencyError(f"negative leakage {negative[0].item()!r}")
-            yield np.where(total > 0.0, total, 0.0)
+        h = self._entropies(tx, ty, mu, sets)
+        total = h[sets[0]] + h[sets[1]] - h[sets[2]]
+        if (negative := total[total < -DELTA]).size:
+            raise InternalConsistencyError(f"negative leakage {negative[0].item()!r}")
+        return np.where(total > 0.0, total, 0.0)
 
     # -- public operations -------------------------------------------------------
 
-    def leakages(self, target: str, patterns: Iterable[WiretapPattern]) -> list[float]:
+    def leakages(self, target: str, tx, ty, mu) -> list[float]:
         """L = H(target^K) - H(target^K | observed bits) under each pattern,
         exact, in total bits; ``target`` is ``"x"``, ``"y"`` or ``"xy"``."""
-        return [v for values in self._leakage(target, patterns) for v in values.tolist()]
+        if target not in ("x", "xy", "y"):
+            raise UsageError(f"target must be one of ['x', 'xy', 'y'], got {target!r}")
+        blocks = self._blocks(tx, ty, mu)
+        return [v for block in blocks for v in self._leakage(target, *block).tolist()]
 
     def pattern_checks(
-        self, patterns: Iterable[WiretapPattern], targets: Sequence[str] = ("y", "x")
+        self, tx, ty, mu, targets: Sequence[str] = ("y", "x")
     ) -> dict[str, BoundColumns]:
         """Exact leakage against the common/private-portion upper bound, and
-        the identity residual, of each target over a sequence of patterns.
-        Each block of ``BLOCK`` patterns takes one evaluator call for every
-        set the checks read (20 for both targets), so the sweep's working
-        memory beyond its result columns does not grow with its length."""
+        the identity residual, of each target under each pattern.  Each
+        block of ``BLOCK`` patterns takes one evaluator call for every set
+        the checks read (20 for both targets), so the sweep's working memory
+        beyond its result columns does not grow with its length."""
         if bad := [t for t in targets if t not in ("x", "y")]:
             raise UsageError(f"bound target must be 'x' or 'y', got {bad[0]!r}")
         sets = list(set().union(*(_CHECK_SETS[t] for t in targets)))
-        fields = ("lhs_bits", "rhs_bits", "holds", "residual", *_TERMS)
-        columns = {t: {name: [] for name in fields} for t in targets}
-        for block in _blocks(patterns):
-            h = self._entropies(block, sets)
+        names = ("lhs_bits", "rhs_bits", "holds", "residual")
+        columns = {t: {name: [] for name in names} for t in targets}
+        for block in self._blocks(tx, ty, mu):
+            h = self._entropies(*block, sets)
             for t in targets:
                 for name, values in self._check(h, t).items():
                     columns[t][name] += values.tolist()
-        return {
-            t: BoundColumns(t, **{name: c.pop(name) for name in fields[:4]}, terms=c)
-            for t, c in columns.items()
-        }
+        return {t: BoundColumns(t, **c) for t, c in columns.items()}
 
-    def minmax_oracle(self, mu_tx: int, mu_ty: int) -> tuple[float, float]:
-        """Min and max joint-target leakage over all position subsets of the
-        given sizes (mu = 0); the brute-force ground truth for the curves."""
-        lx, ly = self.scheme.syndrome_len("x"), self.scheme.syndrome_len("y")
-        if not 0 <= mu_tx <= lx or not 0 <= mu_ty <= ly:
+    def minmax_oracle(self, mu_tx_max: int, mu_ty_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """Min and max joint-target leakage (mu = 0) over all position subsets
+        of each size pair up to the given sizes, as arrays indexed ``[mu_tx,
+        mu_ty]``: the brute-force ground truth for the curves, in one pass
+        over every pair of subset masks, ``BLOCK`` pairs at a time."""
+        lx, ly = self._width["tx"], self._width["ty"]
+        if not 0 <= mu_tx_max <= lx or not 0 <= mu_ty_max <= ly:
             raise UsageError(f"subset sizes must lie in 0..{lx} / 0..{ly}")
-        lo, hi = float("inf"), float("-inf")
-        for values in self._leakage("xy", (
-            WiretapPattern(frozenset(tx), frozenset(ty))
-            for tx in itertools.combinations(range(lx), mu_tx)
-            for ty in itertools.combinations(range(ly), mu_ty)
-        )):
-            lo, hi = min(lo, values.min().item()), max(hi, values.max().item())
+        mx, my = _subset_masks(lx, mu_tx_max), _subset_masks(ly, mu_ty_max)
+        size_x, size_y = np.bitwise_count(mx), np.bitwise_count(my)
+        lo = np.full((mu_tx_max + 1, mu_ty_max + 1), np.inf)
+        hi, pairs = -lo, mx.size * my.size
+        for start in range(0, pairs, BLOCK):
+            i, j = np.divmod(np.arange(start, min(start + BLOCK, pairs)), my.size)
+            values = self._leakage("xy", mx[i], my[j], 0)
+            np.minimum.at(lo, (size_x[i], size_y[j]), values)
+            np.maximum.at(hi, (size_x[i], size_y[j]), values)
         return lo, hi
 
 
@@ -448,14 +440,6 @@ def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
     )
 
 
-def extremal_max_pattern(mu_tx: int, mu_ty: int, mu: int = 0) -> WiretapPattern:
-    """The deterministic wiretap pattern behind the maximum-leakage case:
-    info positions first, then aligned parity columns from column 0.  A
-    syndrome is its info bits followed by its parity bits, so that is the
-    first ``mu_tx`` bits of T_X and the first ``mu_ty`` of T_Y."""
-    return WiretapPattern(frozenset(range(mu_tx)), frozenset(range(mu_ty)), mu)
-
-
 # -- leakage from the wiretapped source ------------------------------------------
 
 
@@ -519,17 +503,19 @@ def _match_label(formula: FormulaMinMax, oracle_max: float) -> str:
 def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -> list[CurveRow]:
     """Sweep the (mu_tx, mu_ty) grid: formulas, oracle, and the Y-target
     bound at the maximum-leakage extremal pattern, all grid points' bounds
-    as one batch."""
+    as one batch.  That pattern reads info bits, then aligned parity columns
+    from column 0: the first ``mu_tx`` bits of T_X and ``mu_ty`` of T_Y."""
     grid = list(itertools.product(range(mu_tx_max + 1), range(mu_ty_max + 1)))
     formulas = [minmax_curves(analyzer.scheme, *size) for size in grid]
-    bound = analyzer.pattern_checks([extremal_max_pattern(*size) for size in grid], ("y",))["y"]
+    mu_tx, mu_ty = np.array(grid).T
+    bound = analyzer.pattern_checks((1 << mu_tx) - 1, (1 << mu_ty) - 1, 0, ("y",))["y"]
+    lo, hi = (values.ravel().tolist() for values in analyzer.minmax_oracle(mu_tx_max, mu_ty_max))
     rows = []
-    for i, (size, formula) in enumerate(zip(grid, formulas)):
-        omin, omax = analyzer.minmax_oracle(*size)
+    for i, (size, formula) in enumerate(zip(grid, formulas)):  # the oracle's row-major order
         rows.append(CurveRow(
             *size, 0, float(formula.min_bits), float(formula.max_bits_corrected),
-            float(formula.max_bits_verbatim), omin, omax, bound.lhs_bits[i], bound.rhs_bits[i],
-            bound.holds[i], _match_label(formula, omax),
+            float(formula.max_bits_verbatim), lo[i], hi[i], bound.lhs_bits[i], bound.rhs_bits[i],
+            bound.holds[i], _match_label(formula, hi[i]),
         ))
     return rows
 
@@ -539,9 +525,8 @@ def z_trace_rows(analyzer: WiretapAnalyzer, mu_values: Sequence[int]) -> list[Cu
     enumerated leakages and the Y-target bounds each as one batch.  The
     closed form takes the model's exact H(X, Y) and H(X | Y)."""
     h_xy, h_x_given_y = analyzer.h_xy_total, analyzer.h_xy_total - analyzer.h_y_total
-    patterns = [WiretapPattern(mu=mu) for mu in mu_values]
-    oracles = analyzer.leakages("xy", patterns)
-    bound = analyzer.pattern_checks(patterns, ("y",))["y"]
+    oracles = analyzer.leakages("xy", 0, 0, mu_values)
+    bound = analyzer.pattern_checks(0, 0, mu_values, ("y",))["y"]
     rows = []
     for i, (mu, oracle) in enumerate(zip(mu_values, oracles)):
         formula = z_mu_leakage(mu, analyzer.K, h_xy, h_x_given_y)
@@ -555,16 +540,17 @@ def z_trace_rows(analyzer: WiretapAnalyzer, mu_values: Sequence[int]) -> list[Cu
 
 def sample_patterns(
     s: PartitionScheme, count: int, seed: int, mu_values: Sequence[int]
-) -> list[WiretapPattern]:
-    """Deterministic random wiretap patterns for bound/identity sweeps."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic random wiretap patterns ``(tx, ty, mu)`` for bound and
+    identity sweeps: each random pair of subsets with every ``mu`` in turn."""
     rng = np.random.default_rng(seed)
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
-    out = []
+    masks = []
     for _ in range(count):
         a = int(rng.integers(0, lx + 1))
         b = int(rng.integers(0, ly + 1))
-        tx = frozenset(int(v) for v in rng.choice(lx, size=a, replace=False))
-        ty = frozenset(int(v) for v in rng.choice(ly, size=b, replace=False))
-        for mu in mu_values:
-            out.append(WiretapPattern(tx, ty, int(mu)))
-    return out
+        tx = _mask(rng.choice(lx, size=a, replace=False))
+        masks.append((tx, _mask(rng.choice(ly, size=b, replace=False))))
+    mu = np.asarray(mu_values, dtype=np.int64)
+    tx, ty = np.array(masks, dtype=np.int64).reshape(-1, 2).T
+    return np.repeat(tx, mu.size), np.repeat(ty, mu.size), np.tile(mu, count)

@@ -242,9 +242,16 @@ def syndrome_portions(
 
 
 def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> None:
-    """Raise ``UsageError`` unless the model is binary with K equal to the code length."""
-    if model.K != s.n or not model.is_binary:
-        raise UsageError(f"{what} needs a binary model with K equal to the code length")
+    """Raise ``UsageError`` naming the field unless the model is binary with K = n."""
+    if not model.is_binary:
+        raise UsageError(
+            f"model.pmf.alphabets: {what} needs a binary law, got {list(model.alphabet_sizes)}"
+        )
+    if model.K != s.n:
+        raise UsageError(
+            f"model.K: {what} needs K equal to the code length n={s.n} of scheme.generator,"
+            f" got K={model.K}"
+        )
 
 
 # -- decoding ----------------------------------------------------------------

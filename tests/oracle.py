@@ -33,7 +33,7 @@ from corrleak.cipher import BRANCHES, CASES
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
-from corrleak.leakage import DELTA, WiretapPattern
+from corrleak.leakage import DELTA
 from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import PartitionScheme, support_syndromes
 
@@ -212,13 +212,41 @@ def submatrix(m: Gf2Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> G
     return Gf2Matrix(m.cells[np.ix_(list(row_idx), list(col_idx))])
 
 
-def is_subset_of(small: WiretapPattern, big: WiretapPattern) -> bool:
+#: One wiretap pattern: the T_X mask, the T_Y mask (bit ``1 << i`` reads
+#: syndrome position i) and the Z prefix length mu.
+Pattern = tuple[int, int, int]
+
+
+def mask_of(positions: Iterable[int]) -> int:
+    """The wiretap mask that reads the given syndrome positions."""
+    return sum(1 << int(p) for p in set(positions))
+
+
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """The syndrome positions that a wiretap mask reads, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def pattern(tx: Iterable[int] = (), ty: Iterable[int] = (), mu: int = 0) -> Pattern:
+    """The pattern that reads the given T_X and T_Y positions and ``mu`` Z symbols."""
+    return mask_of(tx), mask_of(ty), mu
+
+
+def pattern_arrays(patterns: Iterable[Pattern]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch of pattern triples as the analyzer's int64 arrays ``(tx, ty, mu)``."""
+    tx, ty, mu = np.array(list(patterns), dtype=np.int64).reshape(-1, 3).T
+    return tx, ty, mu
+
+
+def pattern_triples(tx, ty, mu) -> list[Pattern]:
+    """The pattern triples of a batch of pattern arrays (or scalars) that broadcast."""
+    columns = np.broadcast_arrays(*map(np.atleast_1d, (tx, ty, mu)))
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def is_subset_of(small: Pattern, big: Pattern) -> bool:
     """Every position ``small`` wiretaps, ``big`` wiretaps too."""
-    return (
-        small.tx_positions <= big.tx_positions
-        and small.ty_positions <= big.ty_positions
-        and small.mu <= big.mu
-    )
+    return small[0] & ~big[0] == 0 and small[1] & ~big[1] == 0 and small[2] <= big[2]
 
 
 # -- the paper's per-word encoder ----------------------------------------------
@@ -734,10 +762,7 @@ def readable_memo(analyzer) -> dict[tuple, float]:
     ``both`` lists the pad columns read on both sides, which the key holds at
     the padded positions of its T_X field."""
 
-    def bits(mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    pads, out = analyzer._pads, {}
+    bits, pads, out = mask_bits, analyzer._pads, {}
     for key, value in analyzer._class_values.items():
         field = {n: key >> analyzer._shift[n] & (1 << w) - 1 for n, w in analyzer._width.items()}
         parts = [(side, cols) for side in "xy" if (cols := bits(field["t" + side] & ~pads[side]))]
@@ -749,8 +774,8 @@ def readable_memo(analyzer) -> dict[tuple, float]:
 
 
 class ReferenceAnalyzer:
-    """The analyzer one pattern and one entropy set at a time: each set's
-    kernel value memoised under the readable key that ``readable_memo``
+    """The analyzer one pattern (a ``Pattern`` triple of ints) and one
+    entropy set at a time: each set's kernel value memoised under the readable key that ``readable_memo``
     decodes the package's class keys to, one fresh bit added per pad column read, and each
     term written out as a sum of Python floats.  The package's block
     evaluator must equal it ``==`` on every float and in both counters
@@ -827,17 +852,17 @@ class ReferenceAnalyzer:
             self.entropy_sets += 1
         return value + bonus
 
-    def _pattern_vars(self, pattern: WiretapPattern) -> dict[str, _Var]:
-        pattern.validate(self.scheme.syndrome_len("x"), self.scheme.syndrome_len("y"), self.K)
-        tx = self._syndrome_var("x", sorted(pattern.tx_positions))
-        ty = self._syndrome_var("y", sorted(pattern.ty_positions))
-        z = _Var(("z", pattern.mu), [], None, range(pattern.mu))
+    def _pattern_vars(self, pattern: Pattern) -> dict[str, _Var]:
+        tx_mask, ty_mask, mu = pattern
+        tx = self._syndrome_var("x", mask_bits(tx_mask))
+        ty = self._syndrome_var("y", mask_bits(ty_mask))
+        z = _Var(("z", mu), [], None, range(mu))
         return {"tx": tx, "ty": ty, "z": z, "x": self._x_var, "y": self._y_var}
 
-    def evaluation(self, pattern: WiretapPattern) -> _Evaluation:
+    def evaluation(self, pattern: Pattern) -> _Evaluation:
         return _Evaluation(self, self._pattern_vars(pattern))
 
-    def exact_leakage(self, target: str, pattern: WiretapPattern) -> LeakageValue:
+    def exact_leakage(self, target: str, pattern: Pattern) -> LeakageValue:
         tgt = {"x": ("x",), "y": ("y",), "xy": ("x", "y")}[target]
         ev = self.evaluation(pattern)
         total = ev.H(*tgt) + ev.H("tx", "ty", "z") - ev.H(*tgt, "tx", "ty", "z")
@@ -846,10 +871,10 @@ class ReferenceAnalyzer:
         total = max(0.0, total)
         return LeakageValue(target=target, total_bits=total, per_symbol_bits=total / self.K)
 
-    def bound_report(self, target: str, pattern: WiretapPattern) -> BoundReport:
+    def bound_report(self, target: str, pattern: Pattern) -> BoundReport:
         return self._check(self.evaluation(pattern), target)[1]
 
-    def pattern_check(self, pattern: WiretapPattern) -> ReferenceCheck:
+    def pattern_check(self, pattern: Pattern) -> ReferenceCheck:
         ev = self.evaluation(pattern)
         residual_y, bound_y = self._check(ev, "y")
         residual_x, bound_x = self._check(ev, "x")
@@ -896,8 +921,6 @@ class ReferenceAnalyzer:
         lo, hi = float("inf"), float("-inf")
         for tx_sel in itertools.combinations(range(lx), mu_tx):
             for ty_sel in itertools.combinations(range(ly), mu_ty):
-                val = self.exact_leakage(
-                    "xy", WiretapPattern(frozenset(tx_sel), frozenset(ty_sel), 0)
-                ).total_bits
+                val = self.exact_leakage("xy", pattern(tx_sel, ty_sel)).total_bits
                 lo, hi = min(lo, val), max(hi, val)
         return lo, hi

@@ -17,9 +17,15 @@ import pytest
 from corrleak.cipher import BRANCHES, RegionQuery, region_membership
 from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import InfoSummary
-from corrleak.leakage import WiretapPattern, minmax_curves, sample_patterns, z_mu_leakage
+from corrleak.leakage import minmax_curves, sample_patterns, z_mu_leakage
 from corrleak.swcodec import support_syndromes
-from oracle import CipherSizes, build_ciphertexts, decrypt_ciphertexts, z_consistency_counts
+from oracle import (
+    CipherSizes,
+    build_ciphertexts,
+    decrypt_ciphertexts,
+    pattern_triples,
+    z_consistency_counts,
+)
 
 
 def _report(n: int, failures: list, msg: str, dt: float):
@@ -33,8 +39,8 @@ def sweep(scheme, analyzer):
     """Shared sweep for criteria 3 and 4: mu 0..7 x 100 random patterns."""
     t0 = perf_counter()
     patterns = sample_patterns(scheme, 100, seed=2026, mu_values=range(8))
-    checks = analyzer.pattern_checks(patterns)
-    return patterns, checks, perf_counter() - t0
+    checks = analyzer.pattern_checks(*patterns)
+    return pattern_triples(*patterns), checks, perf_counter() - t0
 
 
 def test_criterion_1_golden_syndromes(scheme):
@@ -62,8 +68,7 @@ def test_criterion_2_z_observation_trace(analyzer):
     ) > 1e-9:
         failures.append("model constants are not (10, 3)")
     values = {}
-    patterns = [WiretapPattern(frozenset(), frozenset(), mu) for mu in range(8)]
-    for mu, oracle in enumerate(analyzer.leakages("xy", patterns)):
+    for mu, oracle in enumerate(analyzer.leakages("xy", 0, 0, range(8))):
         formula = z_mu_leakage(mu, 7, 10.0, 3.0)
         values[mu] = formula
         if abs(formula - oracle) > 1e-9:
@@ -109,10 +114,11 @@ def test_criterion_5_minmax_curves(scheme, analyzer):
     failures = []
     t0 = perf_counter()
     flagged = []
+    lo, hi = analyzer.minmax_oracle(5, 5)
     for mu_tx in range(6):
         for mu_ty in range(6):
             f = minmax_curves(scheme, mu_tx, mu_ty)
-            omin, omax = analyzer.minmax_oracle(mu_tx, mu_ty)
+            omin, omax = lo[mu_tx, mu_ty], hi[mu_tx, mu_ty]
             if f.min_bits > omin + 1e-9:
                 failures.append(f"({mu_tx},{mu_ty}): formula min {f.min_bits} > oracle {omin}")
             if omax > max(f.max_bits_corrected, f.max_bits_verbatim) + 1e-9:

@@ -12,10 +12,10 @@ import pytest
 
 from corrleak.cli import load_scenario, main
 from corrleak.errors import ValidationError
-from corrleak.leakage import WiretapAnalyzer, WiretapPattern, _CHECK_SETS, extremal_max_pattern
+from corrleak.leakage import WiretapAnalyzer, _CHECK_SETS
 from corrleak.seqmodel import build_model
 from corrleak.swcodec import PartitionScheme
-from oracle import ReferenceAnalyzer
+from oracle import ReferenceAnalyzer, pattern_triples
 
 
 def run(args):
@@ -129,10 +129,12 @@ def test_curves_deterministic_and_rederivable(tmp_path, analyzer):
     lines = [l for l in b1.decode().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    lo, hi = analyzer.minmax_oracle(2, 2)
     for row in rows:
         if row["mu_z"] == "0":
-            f = minmax_curves(analyzer.scheme, int(row["mu_tx"]), int(row["mu_ty"]))
-            omin, omax = analyzer.minmax_oracle(int(row["mu_tx"]), int(row["mu_ty"]))
+            size = int(row["mu_tx"]), int(row["mu_ty"])
+            f = minmax_curves(analyzer.scheme, *size)
+            omin, omax = lo[size], hi[size]
             assert float(row["formula_min"]) == pytest.approx(f.min_bits, abs=1e-9)
             assert float(row["oracle_min"]) == pytest.approx(omin, abs=1e-9)
             assert float(row["oracle_max"]) == pytest.approx(omax, abs=1e-9)
@@ -172,28 +174,32 @@ def test_curves_default_grid_stops_at_a_short_syndrome(tmp_path, capsys):
 def test_curves_checks_the_grid_and_the_z_trace_in_three_batches(tmp_path, monkeypatch):
     # On reference_k7 (a 6 x 6 grid, mu_z in 0..7), the grid's bounds take
     # one evaluator call, and so do the Z trace's leakages and its bounds;
-    # the other calls are the analyzer's constants and the oracle's subset
-    # pairs, one block per grid point.  Every Z-trace value is == the
-    # per-pattern reference, with the same repr.
+    # the other calls are the analyzer's constants and the oracle, one block
+    # of all 32 x 32 subset pairs of the grid.  Every Z-trace value is ==
+    # the per-pattern reference, with the same repr.
     calls = []
     real = WiretapAnalyzer._entropies
 
-    def spy(self, patterns, sets):
-        calls.append((list(patterns), set(sets)))
-        return real(self, patterns, sets)
+    def spy(self, tx, ty, mu, sets):
+        calls.append((pattern_triples(tx, ty, mu), set(sets)))
+        return real(self, tx, ty, mu, sets)
 
     monkeypatch.setattr(WiretapAnalyzer, "_entropies", spy)
     args = ["curves", "--scenario", "reference_k7", "--out", str(tmp_path), "--format", "json"]
     assert run(args) == 0
-    grid = [extremal_max_pattern(*size) for size in itertools.product(range(6), range(6))]
-    trace = [WiretapPattern(mu=mu) for mu in range(8)]
+    # The extremal max pattern of (a, b) reads the first a bits of T_X and b of T_Y.
+    sizes = itertools.product(range(6), range(6))
+    grid = [((1 << a) - 1, (1 << b) - 1, 0) for a, b in sizes]
+    trace = [(0, 0, mu) for mu in range(8)]
     leakage_sets = {
         frozenset({"x", "y"}), frozenset({"tx", "ty", "z"}), frozenset({"x", "y", "tx", "ty", "z"})
     }
     assert [ps for ps, sets in calls if sets == _CHECK_SETS["y"]] == [grid, trace]
     leakages = [ps for ps, sets in calls if sets == leakage_sets]
-    assert len(leakages) == 36 + 1 and leakages.count(trace) == 1
-    assert len(calls) == 3 + 1 + 36 + 1 + 1
+    assert len(leakages) == 1 + 1 and leakages.count(trace) == 1
+    (oracle,) = [ps for ps in leakages if ps != trace]
+    assert sorted(oracle) == list(itertools.product(range(32), range(32), [0]))
+    assert len(calls) == 3 + 1 + 1 + 1 + 1
 
     scenario = load_scenario("reference_k7")
     reference = ReferenceAnalyzer(
@@ -201,7 +207,7 @@ def test_curves_checks_the_grid_and_the_z_trace_in_three_batches(tmp_path, monke
     )
     rows = json.loads((tmp_path / "curves.json").read_text())["rows"][-len(trace):]
     for row, p in zip(rows, trace, strict=True):
-        assert (row["mu_tx"], row["mu_ty"], row["mu_z"]) == (0, 0, p.mu)
+        assert (row["mu_tx"], row["mu_ty"], row["mu_z"]) == (0, 0, p[2])
         oracle = reference.exact_leakage("xy", p).total_bits
         bound = reference.bound_report("y", p)
         for got, expected in (
@@ -209,7 +215,7 @@ def test_curves_checks_the_grid_and_the_z_trace_in_three_batches(tmp_path, monke
             (row["bound_lhs"], bound.lhs_bits), (row["bound_rhs"], bound.rhs_bits),
             (row["bound_holds"], bound.holds),
         ):
-            assert (got, repr(got)) == (expected, repr(expected)), (p.mu, row)
+            assert (got, repr(got)) == (expected, repr(expected)), (p, row)
 
 
 def test_verify_bounds_all_hold(tmp_path):
@@ -239,6 +245,33 @@ def test_region_command(tmp_path):
     assert run(["region", "--scenario", "reference_k7", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "region.csv").read_text()
     assert "inside" in text and "outside" in text
+
+
+def test_region_json_reads_each_flag_by_its_column(tmp_path):
+    # An out-of-domain query leaves its four flag cells empty and gives its
+    # note; an individual query that fails only its key sum reads
+    # key_sum_ok false and names that constraint.
+    scenario = load_scenario("reference_k7")
+    scenario["region_queries"] = [
+        {"case": "joint", "query": {"r_x": 0.5, "r_y": 1.0, "r_kx": 0.6, "r_ky": 0.6,
+                                    "h_xy": 5.0}},
+        {"case": "individual", "query": {"r_x": 0.5, "r_y": 1.0, "r_kx": 0.2, "r_ky": 0.2,
+                                         "h_x": 0.6, "h_y": 0.8}},
+    ]
+    path = tmp_path / "queries.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run(["region", "--scenario", str(path), "--out", str(out), "--format", "json"]) == 0
+    flags = ("rate_x_ok", "rate_y_ok", "rate_sum_ok", "key_sum_ok")
+    domain, keyed = json.loads((out / "region.json").read_text())["rows"]
+    assert domain["status"] == "out_of_domain"
+    assert [domain[f] for f in flags] == ["", "", "", ""]
+    assert domain["violated"] == ""
+    assert domain["domain_note"].startswith("h_xy=5 outside 0..")
+    assert keyed["status"] == "outside"
+    assert [keyed[f] for f in flags] == [True, True, True, False]
+    assert keyed["violated"] == "r_kx + r_ky >= max(h_x, h_y)"
+    assert keyed["domain_note"] == ""
 
 
 def test_cipher_sim_command(tmp_path):
@@ -606,6 +639,20 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
             "curves", ("scheme", "y_segments"), {"u2": [2, 3], "a2": [0, 1], "q2": [4, 5, 6]},
             "scheme.x_segments.a1 [0, 1] and scheme.y_segments.u2 [2, 3]",
             id="curves-split-not-complementary",
+        ),
+        # A model that does not fit the code named no field.
+        pytest.param(
+            "analyze", ("model",),
+            {"kind": "iid", "K": 3, "pmf": {"alphabets": [2, 2, 2], "probs": [0.125] * 8}},
+            "model.K: the condition report needs K equal to the code length n=7 of"
+            " scheme.generator, got K=3",
+            id="analyze-iid-k-not-code-length",
+        ),
+        pytest.param(
+            "curves", ("model",),
+            {"kind": "iid", "K": 7, "pmf": {"alphabets": [3, 2, 2], "probs": [1 / 12] * 12}},
+            "model.pmf.alphabets: analyzer needs a binary law, got [3, 2, 2]",
+            id="curves-ternary-law",
         ),
         # A lone syndrome flag was dropped, and the golden pair decoded.
         pytest.param("decode --tx 00000", (), None, "--ty is missing", id="decode-lone-tx"),

@@ -5,10 +5,18 @@ import pytest
 
 from corrleak.gf2 import Gf2Matrix
 from corrleak.info import JointPmf
-from corrleak.leakage import WiretapAnalyzer, WiretapPattern
+from corrleak.leakage import WiretapAnalyzer
 from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import PartitionScheme, reference_scheme
-from oracle import entropy, iter_support, marginal, mutual_information, submatrix
+from oracle import (
+    entropy,
+    iter_support,
+    marginal,
+    mutual_information,
+    pattern,
+    pattern_arrays,
+    submatrix,
+)
 
 
 def test_composite_selector_mutual_information():
@@ -44,10 +52,10 @@ def iid_uniform_analyzer(scheme):
 def test_iid_model_identity_and_bound(iid_uniform_analyzer):
     an = iid_uniform_analyzer
     assert an.h_xy_total == pytest.approx(14.0, abs=1e-9)
-    checks = an.pattern_checks([
-        WiretapPattern(frozenset({0, 3}), frozenset({1, 4}), 2),
-        WiretapPattern(frozenset(range(5)), frozenset(range(5)), 7),
-    ])
+    checks = an.pattern_checks(*pattern_arrays([
+        pattern({0, 3}, {1, 4}, 2),
+        pattern(range(5), range(5), 7),
+    ]))
     for c in checks.values():
         assert max(c.residual) < 1e-9
         # independent uniform sources also satisfy the portion bound
@@ -56,7 +64,7 @@ def test_iid_model_identity_and_bound(iid_uniform_analyzer):
 
 def test_iid_independent_sources_leak_nothing_crosswise(iid_uniform_analyzer):
     # with fully independent sources, T_X says nothing about Y
-    (val,) = iid_uniform_analyzer.leakages("y", [WiretapPattern(frozenset(range(5)))])
+    (val,) = iid_uniform_analyzer.leakages("y", *pattern(range(5)))
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
@@ -82,18 +90,18 @@ def all_private_scheme() -> PartitionScheme:
 def test_unmasked_parity_leaks_in_the_clear(hamming7):
     an = WiretapAnalyzer(all_private_scheme(), hamming7)
     # a single parity bit is a uniform function of the sources: 1 bit leaked
-    (val,) = an.leakages("xy", [WiretapPattern(frozenset({2}), frozenset())])
+    (val,) = an.leakages("xy", *pattern({2}))
     assert val == pytest.approx(1.0, abs=1e-9)
     # with no common-designated segments the portion bound loses its slack
     assert an.h_common == pytest.approx(0.0, abs=1e-12)
 
 
 def test_masked_parity_leaks_nothing_alone(scheme, analyzer):
-    val, pair, cross = analyzer.leakages("xy", [
-        WiretapPattern(frozenset({2}), frozenset()),
-        WiretapPattern(frozenset({2}), frozenset({2})),
-        WiretapPattern(frozenset({2}), frozenset({3})),
-    ])
+    val, pair, cross = analyzer.leakages("xy", *pattern_arrays([
+        pattern({2}),
+        pattern({2}, {2}),
+        pattern({2}, {3}),
+    ]))
     assert val == pytest.approx(0.0, abs=1e-12)
     # but the aligned pair reveals exactly one bit
     assert pair == pytest.approx(1.0, abs=1e-9)

@@ -15,9 +15,7 @@ from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
 from corrleak.leakage import (
     DELTA,
     WiretapAnalyzer,
-    WiretapPattern,
     _rank_term,
-    extremal_max_pattern,
     grid_curve_rows,
     minmax_curves,
     sample_patterns,
@@ -27,12 +25,18 @@ from corrleak.leakage import (
 from corrleak.seqmodel import SequenceModel
 from corrleak.swcodec import PartitionScheme, support_syndromes
 from oracle import (
+    ReferenceAnalyzer,
     enumeration_equivocation,
     formula_encode_x,
     formula_encode_y,
     h_surgery_rank_term,
     is_subset_of,
+    mask_bits,
+    mask_of,
     pack_bits,
+    pattern,
+    pattern_arrays,
+    pattern_triples,
     readable_memo,
     support_arrays,
     support_digits,
@@ -42,76 +46,79 @@ from oracle import (
 )
 
 
-def pattern(tx=(), ty=(), mu=0):
-    return WiretapPattern(frozenset(tx), frozenset(ty), mu)
-
-
 def H(analyzer, p, *names):
     """H of one entropy set under one pattern, through the analyzer's evaluator."""
     names = frozenset(names)
-    return analyzer._entropies([p], [names])[names].item()
+    return analyzer._entropies(*(np.array([v]) for v in p), [names])[names].item()
+
+
+def oracle_lists(analyzer, mu_tx_max, mu_ty_max):
+    """The analyzer's oracle min and max grids as nested lists of floats."""
+    return [values.tolist() for values in analyzer.minmax_oracle(mu_tx_max, mu_ty_max)]
 
 
 def test_pattern_validation(scheme, analyzer):
     with pytest.raises(UsageError):
-        analyzer.leakages("y", [pattern(tx=[5])])
+        analyzer.leakages("y", *pattern(tx=[5]))
     with pytest.raises(UsageError):
-        analyzer.leakages("y", [pattern(mu=8)])
+        analyzer.leakages("y", *pattern(mu=8))
     with pytest.raises(UsageError):
-        analyzer.leakages("nope", [pattern()])
+        analyzer.leakages("nope", *pattern())
     with pytest.raises(UsageError):
-        analyzer.pattern_checks([pattern()], ("xy",))
+        analyzer.pattern_checks(*pattern(), ("xy",))
 
 
 def test_empty_pattern_leaks_nothing(analyzer):
-    (val,) = analyzer.leakages("y", [pattern()])
+    (val,) = analyzer.leakages("y", *pattern())
     assert val == pytest.approx(0.0, abs=1e-12)
     assert val / analyzer.K == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_pattern_definitional(analyzer):
     full = pattern(tx=range(5), ty=range(5), mu=7)
-    (val,) = analyzer.leakages("y", [full])
+    (val,) = analyzer.leakages("y", *full)
     equiv = H(analyzer, full, "y", "tx", "ty", "z") - H(analyzer, full, "tx", "ty", "z")
     assert val == pytest.approx(analyzer.h_y_total - equiv, abs=1e-9)
     # the bound's left side is the same leakage per symbol
-    lhs = analyzer.pattern_checks([full], ("y",))["y"].lhs_bits
+    lhs = analyzer.pattern_checks(*full, ("y",))["y"].lhs_bits
     assert lhs == [pytest.approx(val / 7, abs=1e-12)]
 
 
 def test_z_only_joint_leakage_is_four_bits(analyzer):
     # 10 - (log2 8 + 3): full Z leaves 3 bits of y-ball freedom plus H(X|Y)
-    assert analyzer.leakages("xy", [pattern(mu=7)]) == [pytest.approx(4.0, abs=1e-9)]
+    assert analyzer.leakages("xy", 0, 0, 7) == [pytest.approx(4.0, abs=1e-9)]
 
 
 def test_exact_leakage_matches_enumeration_oracle(scheme, hamming7, analyzer):
     # cross-check the fast engine against the plain dictionary oracle
-    (val,) = analyzer.leakages("y", [pattern(mu=3)])
+    (val,) = analyzer.leakages("y", *pattern(mu=3))
     h_y = enumeration_equivocation([], "y", hamming7)
     h_y_given = enumeration_equivocation([z_prefix_observable(3)], "y", hamming7)
     assert val == pytest.approx(h_y - h_y_given, abs=1e-9)
 
 
 def test_decomposition_residual_small_everywhere(analyzer):
-    checks = analyzer.pattern_checks([
+    checks = analyzer.pattern_checks(*pattern_arrays([
         pattern(),
         pattern(tx=[0, 2], ty=[1, 4], mu=0),
         pattern(tx=range(5), ty=range(5), mu=7),
         pattern(tx=[3], ty=[], mu=5),
-    ])
+    ]))
     for c in checks.values():
         assert len(c.residual) == 4 and max(c.residual) < 1e-9
 
 
-def test_mu_zero_kills_z_terms(analyzer):
-    checks = analyzer.pattern_checks([pattern(tx=[0, 1], ty=[0, 1], mu=0)])
-    for name, (value,) in checks["y"].terms.items():
+def test_mu_zero_kills_z_terms(scheme, hamming7):
+    # The nine terms stay inside the package's bound sum, so read them from
+    # the per-pattern reference, whose bound columns the package equals.
+    report = ReferenceAnalyzer(scheme, hamming7).bound_report("y", pattern([0, 1], [0, 1], 0))
+    for name, value in report.term_breakdown.items():
         if "z" in name and name.startswith("i("):
             assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bound_empty_pattern(analyzer):
-    rep = analyzer.pattern_checks([pattern()], ("y",))["y"]
+    rep = analyzer.pattern_checks(*pattern(), ("y",))["y"]
     assert rep.lhs_bits[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.lhs_bits[0] <= rep.rhs_bits[0] + DELTA
     assert rep.holds == [True]
@@ -119,14 +126,14 @@ def test_bound_empty_pattern(analyzer):
 
 def test_bound_full_wiretap_both_targets(analyzer):
     full = pattern(tx=range(5), ty=range(5), mu=7)
-    for rep in analyzer.pattern_checks([full], ("x", "y")).values():
+    for rep in analyzer.pattern_checks(*full, ("x", "y")).values():
         assert rep.holds == [True]
         # the desk-scale margin is exactly (2 + 6 - 7)/7 = 1/7
         assert rep.rhs_bits[0] - rep.lhs_bits[0] == pytest.approx(1 / 7, abs=1e-9)
 
 
 def test_bound_random_patterns_hold(scheme, analyzer):
-    checks = analyzer.pattern_checks(sample_patterns(scheme, 25, seed=7, mu_values=(0, 3, 7)))
+    checks = analyzer.pattern_checks(*sample_patterns(scheme, 25, seed=7, mu_values=(0, 3, 7)))
     assert all(checks["y"].holds) and all(checks["x"].holds)
 
 
@@ -136,7 +143,7 @@ def extremal_min_pattern(scheme, mu_tx, mu_ty, mu):
     px, py = min(mu_tx, l_p), min(mu_ty, l_p)
     tx = {l_ix + c for c in range(px)} | set(range(mu_tx - px))
     ty = {l_iy + c for c in range(l_p - py, l_p)} | set(range(mu_ty - py))
-    return WiretapPattern(frozenset(tx), frozenset(ty), mu)
+    return pattern(tx, ty, mu)
 
 
 def test_bound_holds_on_full_extremal_sweep(scheme, analyzer):
@@ -145,10 +152,10 @@ def test_bound_holds_on_full_extremal_sweep(scheme, analyzer):
         p
         for mu_tx, mu_ty, mu in itertools.product(range(6), range(6), range(8))
         for p in (
-            extremal_max_pattern(mu_tx, mu_ty, mu), extremal_min_pattern(scheme, mu_tx, mu_ty, mu)
+            pattern(range(mu_tx), range(mu_ty), mu), extremal_min_pattern(scheme, mu_tx, mu_ty, mu)
         )
     ]
-    for c in analyzer.pattern_checks(patterns).values():
+    for c in analyzer.pattern_checks(*pattern_arrays(patterns)).values():
         assert len(c.holds) == 6 * 6 * 8 * 2
         assert all(c.holds) and max(c.residual) < 1e-9
 
@@ -160,15 +167,16 @@ def test_monotone_under_pattern_growth(scheme, analyzer):
         a = int(rng.integers(0, 6))
         b = int(rng.integers(0, 6))
         mu = int(rng.integers(0, 8))
-        tx = frozenset(int(v) for v in rng.choice(5, size=a, replace=False))
-        ty = frozenset(int(v) for v in rng.choice(5, size=b, replace=False))
-        small = WiretapPattern(tx, ty, mu)
-        extra_tx = tx | {int(v) for v in rng.choice(5, size=min(5, a + 1), replace=False)}
-        big = WiretapPattern(frozenset(extra_tx), ty, min(7, mu + int(rng.integers(0, 3))))
+        tx = mask_of(rng.choice(5, size=a, replace=False))
+        ty = mask_of(rng.choice(5, size=b, replace=False))
+        small = (tx, ty, mu)
+        extra_tx = tx | mask_of(rng.choice(5, size=min(5, a + 1), replace=False))
+        big = (extra_tx, ty, min(7, mu + int(rng.integers(0, 3))))
         assert is_subset_of(small, big)
         smalls.append(small)
         bigs.append(big)
-    for lo, hi in zip(analyzer.leakages("xy", smalls), analyzer.leakages("xy", bigs)):
+    leaks = [analyzer.leakages("xy", *pattern_arrays(ps)) for ps in (smalls, bigs)]
+    for lo, hi in zip(*leaks):
         assert hi >= lo - 1e-9
 
 
@@ -178,7 +186,7 @@ def test_minmax_formula_examples(scheme, analyzer):
     f22 = minmax_curves(scheme, 2, 2)
     assert f22.max_bits_corrected == 4
     f55 = minmax_curves(scheme, 5, 5)
-    omin, omax = analyzer.minmax_oracle(5, 5)
+    omin, omax = (values[5, 5] for values in analyzer.minmax_oracle(5, 5))
     assert f55.min_bits == f55.max_bits_corrected == omin == omax
     assert f55.max_bits_corrected != f55.max_bits_verbatim  # the stray-term variant differs here
 
@@ -217,10 +225,10 @@ def test_minmax_formulas_hold_exactly_on_the_complementary_splits(scheme, hammin
                 minmax_curves(s, 0, 0)
             refused += 1
             continue
-        analyzer = WiretapAnalyzer(s, hamming7)
+        lo, hi = WiretapAnalyzer(s, hamming7).minmax_oracle(5, 5)
         for size in itertools.product(range(6), repeat=2):
             f = minmax_curves(s, *size)
-            omin, omax = analyzer.minmax_oracle(*size)
+            omin, omax = lo[size], hi[size]
             assert f.min_bits == pytest.approx(omin, abs=DELTA), (a1, size)
             assert any(m == pytest.approx(omax, abs=DELTA)
                        for m in (f.max_bits_corrected, f.max_bits_verbatim)), (a1, size)
@@ -229,21 +237,31 @@ def test_minmax_formulas_hold_exactly_on_the_complementary_splits(scheme, hammin
 
 
 def test_minmax_oracle_monotone_spot(analyzer):
-    _, m22 = analyzer.minmax_oracle(2, 2)
-    _, m32 = analyzer.minmax_oracle(3, 2)
-    _, m23 = analyzer.minmax_oracle(2, 3)
+    _, hi = analyzer.minmax_oracle(3, 3)
+    m22, m32, m23 = hi[2, 2], hi[3, 2], hi[2, 3]
     assert m32 >= m22 - 1e-9 and m23 >= m22 - 1e-9
 
 
-def test_extremal_max_pattern_layout(scheme):
-    p = extremal_max_pattern(4, 1)
-    assert p.tx_positions == frozenset({0, 1, 2, 3})
-    assert p.ty_positions == frozenset({0})
-    # Info positions first, then parity columns from column 0, at every size.
-    for count in range(scheme.syndrome_len("x") + 1):
-        info = min(count, scheme.info_len("x"))
-        picks = set(range(info)) | {scheme.info_len("x") + c for c in range(count - info)}
-        assert extremal_max_pattern(count, 0).tx_positions == picks
+def test_extremal_max_pattern_layout(scheme, analyzer):
+    # The maximum-leakage pattern reads info positions first, then parity
+    # columns from column 0: at every size, the first bits of the syndrome.
+    def picks(side, count):
+        info = min(count, scheme.info_len(side))
+        return set(range(info)) | {scheme.info_len(side) + c for c in range(count - info)}
+
+    assert mask_bits(mask_of(picks("x", 4))) == (0, 1, 2, 3)
+    for side in "xy":
+        for count in range(scheme.syndrome_len(side) + 1):
+            assert mask_of(picks(side, count)) == (1 << count) - 1
+    # The grid's bound columns are the checks of those patterns.
+    sizes = list(itertools.product(range(6), range(6)))
+    patterns = [pattern(picks("x", a), picks("y", b)) for a, b in sizes]
+    bound = analyzer.pattern_checks(*pattern_arrays(patterns), ("y",))["y"]
+    rows = grid_curve_rows(analyzer, 5, 5)
+    assert [(r.mu_tx, r.mu_ty) for r in rows] == sizes
+    assert [(r.bound_lhs, r.bound_rhs, r.bound_holds) for r in rows] == list(
+        zip(bound.lhs_bits, bound.rhs_bits, bound.holds)
+    )
 
 
 def test_z_mu_leakage_endpoints():
@@ -267,7 +285,7 @@ def test_z_mu_leakage_domain():
 
 
 def test_z_mu_matches_enumeration_all_mu(analyzer):
-    oracles = analyzer.leakages("xy", [pattern(mu=mu) for mu in range(8)])
+    oracles = analyzer.leakages("xy", 0, 0, range(8))
     for mu, oracle in enumerate(oracles):
         formula = z_mu_leakage(mu, 7, 10.0, 3.0)
         assert formula == pytest.approx(oracle, abs=1e-9)
@@ -289,32 +307,37 @@ def test_grid_rows_and_z_trace(analyzer):
 def test_sample_patterns_deterministic(scheme):
     a = sample_patterns(scheme, 5, seed=3, mu_values=(0, 2))
     b = sample_patterns(scheme, 5, seed=3, mu_values=(0, 2))
-    assert a == b
+    assert all(x.dtype == np.int64 and x.shape == (10,) for x in a)
+    assert pattern_triples(*a) == pattern_triples(*b)
     c = sample_patterns(scheme, 5, seed=4, mu_values=(0, 2))
-    assert a != c
+    assert pattern_triples(*a) != pattern_triples(*c)
+    # Each draw of subsets is taken with every mu value in turn.
+    tx, ty, mu = a
+    assert (tx[::2] == tx[1::2]).all() and (ty[::2] == ty[1::2]).all()
+    assert mu.tolist() == [0, 2] * 5
 
 
 # -- the analyzer's cross-pattern entropy memo ---------------------------------------
 
 
 def test_memo_shared_across_patterns_matches_fresh_analyzers(scheme, hamming7):
-    patterns = sample_patterns(scheme, 13, seed=21, mu_values=(0, 2, 5, 7))
+    patterns = pattern_triples(*sample_patterns(scheme, 13, seed=21, mu_values=(0, 2, 5, 7)))
     random.Random(22).shuffle(patterns)
     assert len(patterns) >= 50
     shared = WiretapAnalyzer(scheme, hamming7)
     for p in patterns:
-        checks = shared.pattern_checks([p])
-        assert checks == WiretapAnalyzer(scheme, hamming7).pattern_checks([p])
+        checks = shared.pattern_checks(*p)
+        assert checks == WiretapAnalyzer(scheme, hamming7).pattern_checks(*p)
         fresh = WiretapAnalyzer(scheme, hamming7)
-        assert checks["y"] == fresh.pattern_checks([p], ("y",))["y"]
-        assert checks["x"] == fresh.pattern_checks([p], ("x",))["x"]
+        assert checks["y"] == fresh.pattern_checks(*p, ("y",))["y"]
+        assert checks["x"] == fresh.pattern_checks(*p, ("x",))["x"]
         for target in ("x", "y", "xy"):
-            fresh = WiretapAnalyzer(scheme, hamming7).leakages(target, [p])
-            assert shared.leakages(target, [p]) == fresh
+            fresh = WiretapAnalyzer(scheme, hamming7).leakages(target, *p)
+            assert shared.leakages(target, *p) == fresh
     sizes = [(2, 3), (0, 5), (5, 5), (3, 1), (1, 0)]
     for mu_tx, mu_ty in sizes:
-        fresh = WiretapAnalyzer(scheme, hamming7).minmax_oracle(mu_tx, mu_ty)
-        assert shared.minmax_oracle(mu_tx, mu_ty) == fresh
+        fresh = oracle_lists(WiretapAnalyzer(scheme, hamming7), mu_tx, mu_ty)
+        assert oracle_lists(shared, mu_tx, mu_ty) == fresh
     assert 0 < shared.entropy_sets < shared.entropy_calls
 
 
@@ -457,34 +480,34 @@ def test_memo_matches_fresh_analyzers_over_schemes(code, split, monkeypatch):
     k, n, seed, make_model = MEMO_CODES[code]
     s = random_systematic_scheme(k, n, *MEMO_SPLITS[split](k), seed=seed)
     model = make_model()
-    patterns = sample_patterns(s, 6, seed=seed, mu_values=(0, 3, n))
+    patterns = pattern_triples(*sample_patterns(s, 6, seed=seed, mu_values=(0, 3, n)))
     random.Random(seed).shuffle(patterns)
     shared = WiretapAnalyzer(s, model)
     for p in patterns:
         fresh = WiretapAnalyzer(s, model)
-        assert shared.pattern_checks([p]) == fresh.pattern_checks([p])
+        assert shared.pattern_checks(*p) == fresh.pattern_checks(*p)
         for target in ("x", "y", "xy"):
-            assert shared.leakages(target, [p]) == fresh.leakages(target, [p])
+            assert shared.leakages(target, *p) == fresh.leakages(target, *p)
     for mu_tx, mu_ty in [(1, 2), (2, 1), (0, 3)]:
-        fresh = WiretapAnalyzer(s, model).minmax_oracle(mu_tx, mu_ty)
-        assert shared.minmax_oracle(mu_tx, mu_ty) == fresh
+        fresh = oracle_lists(WiretapAnalyzer(s, model), mu_tx, mu_ty)
+        assert oracle_lists(shared, mu_tx, mu_ty) == fresh
 
     # Reading one more pad column on the x side only adds a fresh bit outside
     # the memo: no new kernel entry and no packing by the support table.
     wider = []
-    for p in patterns:
-        read_y = {i - s.info_len("y") for i in p.ty_positions if i >= s.info_len("y")}
+    for tx, ty, mu in patterns:
+        read_y = {i - s.info_len("y") for i in mask_bits(ty) if i >= s.info_len("y")}
         free = [
             i for i in range(s.info_len("x"), s.syndrome_len("x"))
-            if i not in p.tx_positions and i - s.info_len("x") not in read_y
+            if not tx >> i & 1 and i - s.info_len("x") not in read_y
         ]
         if free:
-            wider.append(WiretapPattern(p.tx_positions | {free[0]}, p.ty_positions, p.mu))
+            wider.append((tx | 1 << free[0], ty, mu))
     assert wider
 
     def results(analyzer, p):
-        leaks = [analyzer.leakages(target, [p]) for target in ("x", "y", "xy")]
-        return analyzer.pattern_checks([p]), leaks
+        leaks = [analyzer.leakages(target, *p) for target in ("x", "y", "xy")]
+        return analyzer.pattern_checks(*p), leaks
 
     expected = [results(WiretapAnalyzer(s, model), p) for p in wider]
     packed = []
@@ -573,7 +596,7 @@ def test_reference_sweep_counts_z_free_sets_on_1024_pairs(scheme, hamming7, monk
     # value is == the full-table kernel of its set.
     seen = spy_kernel_rows(monkeypatch)
     analyzer = WiretapAnalyzer(scheme, hamming7)
-    analyzer.pattern_checks(sample_patterns(scheme, 100, seed=0, mu_values=range(8)))
+    analyzer.pattern_checks(*sample_patterns(scheme, 100, seed=0, mu_values=range(8)))
     keys = list(readable_memo(analyzer))
     assert len(keys) == len(seen) == analyzer.entropy_sets == 1284
     assert (hamming7.table.pairs, hamming7.table.rows) == (1024, 8192)
@@ -590,9 +613,9 @@ def test_pair_table_equals_full_table_on_a_10_6_sweep(monkeypatch):
     model = SequenceModel(kind="hamming", K=10)
     seen = spy_kernel_rows(monkeypatch)
     analyzer = WiretapAnalyzer(s, model)
-    for p in sample_patterns(s, 4, seed=42, mu_values=(0, 4, 10)):
-        analyzer.pattern_checks([p])
-        analyzer.leakages("xy", [p])
+    for p in pattern_triples(*sample_patterns(s, 4, seed=42, mu_values=(0, 4, 10))):
+        analyzer.pattern_checks(*p)
+        analyzer.leakages("xy", *p)
     analyzer.minmax_oracle(1, 2)
     assert (model.table.pairs, model.table.rows) == (11_264, 123_904)
     assert (model.table.runs == 11).all()
@@ -644,9 +667,10 @@ def test_pair_table_equals_full_table_over_random_schemes(k, parity, model_name,
         seen = spy_kernel_rows(mp)
         analyzer = WiretapAnalyzer(s, model)
         seed = data.draw(st.integers(0, 999), label="patterns")
-        for p in sample_patterns(s, 3, seed=seed, mu_values=(0, data.draw(st.integers(1, n)))):
-            analyzer.pattern_checks([p])
-            analyzer.leakages("xy", [p])
+        mu_values = (0, data.draw(st.integers(1, n)))
+        for p in pattern_triples(*sample_patterns(s, 3, seed=seed, mu_values=mu_values)):
+            analyzer.pattern_checks(*p)
+            analyzer.leakages("xy", *p)
     assert_kernel_inputs(analyzer, seen)
     assert_memo_equals_full_table(analyzer)
 
@@ -694,7 +718,7 @@ def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
         ]
         for target, h in unconditional.items():
             expected = max(0.0, h - enumeration_equivocation(observed, target, model))
-            (got,) = analyzer.leakages(target, [pattern(tx, ty, mu)])
+            (got,) = analyzer.leakages(target, *pattern(tx, ty, mu))
             assert got == pytest.approx(expected, abs=1e-9), (tx, ty, mu, target)
     # Every Z-free set was counted on the pairs, and every memo entry is ==
     # the count of its code over the rows.
@@ -795,8 +819,8 @@ def test_row_buffer_carries_no_state_between_sets(name):
     model = BUFFER_MODELS[name]()
     n = model.K
     s = random_systematic_scheme(n - 2, n, (0, 1), (2,), seed=len(name))
-    patterns = sample_patterns(s, 3, seed=7, mu_values=(0, 2, n))
-    patterns.append(WiretapPattern(frozenset({0}), frozenset({1}), 1))
+    patterns = pattern_triples(*sample_patterns(s, 3, seed=7, mu_values=(0, 2, n)))
+    patterns.append(pattern({0}, {1}, 1))
     names = ("tx", "ty", "x", "y", "z")
     subsets = [c for r in range(1, 6) for c in itertools.combinations(names, r)]
     asks = [(p, c) for p in patterns for c in subsets]
