@@ -132,7 +132,7 @@ def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVer
                 violated=(),
                 domain_note=f"h_xy={q.h_xy:.6g} outside 0..{limit:.6g}",
             )
-        key_constraint = Constraint("key_sum_ok", "r_kx + r_ky >= h_xy", q.r_kx + q.r_ky, q.h_xy)
+        key_sum = ("r_kx + r_ky >= h_xy", q.r_kx + q.r_ky, q.h_xy)
     else:
         limit_x = info.h_x - q.alpha_cx
         limit_y = info.h_y - q.alpha_cy
@@ -146,15 +146,16 @@ def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVer
                     f"h_y={q.h_y:.6g} outside 0..{limit_y:.6g}"
                 ),
             )
-        key_constraint = Constraint(
-            "key_sum_ok", "r_kx + r_ky >= max(h_x, h_y)", q.r_kx + q.r_ky, max(q.h_x, q.h_y)
-        )
+        key_sum = ("r_kx + r_ky >= max(h_x, h_y)", q.r_kx + q.r_ky, max(q.h_x, q.h_y))
 
-    constraints = (
-        Constraint("rate_x_ok", "r_x >= h(x|y)", q.r_x, info.h_x_given_y),
-        Constraint("rate_y_ok", "r_y >= h(y|x)", q.r_y, info.h_y_given_x),
-        Constraint("rate_sum_ok", "r_x + r_y >= h(x,y)", q.r_x + q.r_y, info.h_xy),
-        key_constraint,
+    inequalities = (
+        ("r_x >= h(x|y)", q.r_x, info.h_x_given_y),
+        ("r_y >= h(y|x)", q.r_y, info.h_y_given_x),
+        ("r_x + r_y >= h(x,y)", q.r_x + q.r_y, info.h_xy),
+        key_sum,
+    )
+    constraints = tuple(
+        Constraint(column, *row) for column, row in zip(REGION_COLUMNS, inequalities, strict=True)
     )
     violated = tuple(c.name for c in constraints if not c.satisfied)
     return RegionVerdict(

@@ -56,7 +56,7 @@ from .errors import (
     float_field,
     int_field,
 )
-from .leakage import DELTA, WiretapAnalyzer, grid_curve_rows, sample_patterns, z_trace_rows
+from .leakage import DELTA, WiretapAnalyzer, _bits, grid_curve_rows, sample_patterns, z_trace_rows
 from .seqmodel import build_model, sequence_summary
 from .swcodec import (
     PartitionScheme,
@@ -281,9 +281,7 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
     checks = ctx.analyzer.pattern_checks(tx, ty, mu)
     rows = []
     for i, (*masks, mu_z) in enumerate(zip(tx.tolist(), ty.tolist(), mu.tolist())):
-        tx_positions, ty_positions = (  # the positions each mask reads, ascending
-            ";".join(str(p) for p in range(m.bit_length()) if m >> p & 1) for m in masks
-        )
+        tx_positions, ty_positions = (";".join(map(str, _bits(m))) for m in masks)
         for target, c in checks.items():
             rows.append(
                 {

@@ -190,7 +190,7 @@ class WiretapAnalyzer:
         tops = {f: (1 << self._width[f]) - 1 for f in ("tx", "ty")} | {"mu": self.K}
         arrays = dict(zip(tops, map(np.asarray, (tx, ty, mu))))
         for (field, top), a in zip(tops.items(), arrays.values()):
-            if a.dtype.kind not in "iu":
+            if a.size and a.dtype.kind not in "iu":  # np.asarray([]) is float64
                 raise UsageError(f"{field}: expected integers, got dtype {a.dtype}")
             if a.ndim > 1:
                 raise UsageError(f"{field}: expected one dimension, got shape {a.shape}")
@@ -553,4 +553,4 @@ def sample_patterns(
         masks.append((tx, _mask(rng.choice(ly, size=b, replace=False))))
     mu = np.asarray(mu_values, dtype=np.int64)
     tx, ty = np.array(masks, dtype=np.int64).reshape(-1, 2).T
-    return np.repeat(tx, mu.size), np.repeat(ty, mu.size), np.tile(mu, count)
+    return np.repeat(tx, mu.size), np.repeat(ty, mu.size), np.tile(mu, len(masks))

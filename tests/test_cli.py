@@ -562,6 +562,10 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
             id="sweep-random-patterns-fractional",
         ),
         pytest.param(
+            "verify-bounds", ("sweep", "random_patterns"), -1, "scenario.sweep.random_patterns",
+            id="sweep-random-patterns-negative",
+        ),
+        pytest.param(
             "cipher-sim", ("cipher", "mu"), 0.9, "scenario.cipher.mu", id="cipher-mu-fractional"
         ),
         pytest.param(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from corrleak import leakage
 from corrleak.cli import load_scenario
 from corrleak.errors import CapacityError, InternalConsistencyError, UsageError
-from corrleak.leakage import BLOCK, WiretapAnalyzer, _key_shifts, sample_patterns
+from corrleak.leakage import BLOCK, WiretapAnalyzer, _key_shifts, sample_patterns, z_trace_rows
 from corrleak.seqmodel import SequenceModel, build_model
 from corrleak.swcodec import PartitionScheme
 from oracle import ReferenceAnalyzer, pattern, pattern_arrays, pattern_triples, readable_memo
@@ -160,10 +160,14 @@ def test_bound_gap_is_one_constant_per_scheme_model_and_target(k, parity, model_
         )
         constant = (private + analyzer.h_common - h_t) / model.K
         gaps = [rhs - lhs for lhs, rhs in zip(c.lhs_bits, c.rhs_bits) if lhs > 0.0]
-        # A target may leak under no pattern, so have no gap to check: under
-        # the weighted law (Z constant) with no clear info bit, the patterns
-        # read only raw parity XORs, functions of x ^ y, which is independent
-        # of Y.
+        if not gaps:
+            # Then the target leaks nothing even to the full pattern at
+            # mu = K.  That happens: under the weighted law, X = Y ^ N with N
+            # independent of Y, so with no clear info bit every pattern reads
+            # only parity XORs of x ^ y, and Y leaks nothing.
+            full = ((1 << s.syndrome_len("x")) - 1, (1 << s.syndrome_len("y")) - 1, model.K)
+            leak = ReferenceAnalyzer(s, model).exact_leakage(t, full).total_bits
+            assert abs(leak) <= 1e-12, (t, leak)
         assert all(abs(gap - constant) <= 1e-12 for gap in gaps), (t, constant, gaps)
 
 
@@ -241,19 +245,22 @@ def test_results_do_not_depend_on_the_block_size(scheme, hamming7, monkeypatch):
 
 
 def test_pattern_checks_take_any_iterable_and_no_pattern(analyzer):
-    # Lists, tuples, arrays and broadcast scalars give the same columns, and
-    # no pattern gives empty ones.
+    # Lists, tuples, ranges, arrays and broadcast scalars give the same
+    # columns; no pattern, a plain empty list as well as a typed empty
+    # array, gives empty ones.
     tx, ty, mu = sample_patterns(analyzer.scheme, 4, seed=3, mu_values=(0, 5))
     lists = (tx.tolist(), tuple(ty.tolist()), mu.tolist())
     assert analyzer.pattern_checks(*lists) == analyzer.pattern_checks(tx, ty, mu)
     assert analyzer.leakages("xy", *lists) == analyzer.leakages("xy", tx, ty, mu)
     assert analyzer.leakages("y", tx, ty, 5) == analyzer.leakages("y", tx, ty, [5] * len(tx))
     zeros = [0] * 8
-    assert analyzer.leakages("y", 0, 0, range(8)) == analyzer.leakages("y", zeros, zeros, range(8))
-    empty = np.array([], dtype=np.int64)
-    for t, c in analyzer.pattern_checks(empty, empty, empty).items():
-        assert (c.target, c.lhs_bits, c.rhs_bits, c.residual, c.holds) == (t, [], [], [], [])
-    assert analyzer.leakages("xy", empty, 0, 0) == []
+    ramp = list(range(8))
+    assert analyzer.leakages("y", 0, 0, range(8)) == analyzer.leakages("y", zeros, zeros, ramp)
+    for empty in ([], np.array([], dtype=np.int64)):
+        for t, c in analyzer.pattern_checks(empty, empty, empty).items():
+            assert (c.target, c.lhs_bits, c.rhs_bits, c.residual, c.holds) == (t, [], [], [], [])
+        assert analyzer.leakages("xy", empty, 0, 0) == []
+        assert z_trace_rows(analyzer, empty) == []
 
 
 def sweep_transient(analyzer, patterns) -> int:
