@@ -55,6 +55,7 @@ from .errors import (
     ValidationError,
     float_field,
     int_field,
+    is_bits,
 )
 from .leakage import DELTA, WiretapAnalyzer, _bits, grid_curve_rows, sample_patterns, z_trace_rows
 from .seqmodel import build_model, sequence_summary
@@ -120,11 +121,6 @@ def load_scenario(ref: str) -> dict:
 def _require_range(field: str, value: int, upper: int) -> None:
     if not 0 <= value <= upper:
         raise ValidationError(f"{field}: must lie in 0..{upper}, got {value}")
-
-
-def _is_bits(value, width: int) -> bool:
-    """True for a string of exactly ``width`` ASCII 0/1 characters."""
-    return isinstance(value, str) and len(value) == width and set(value) <= {"0", "1"}
 
 
 class _Context:
@@ -197,7 +193,7 @@ def _golden_syndromes(ctx: _Context) -> tuple[int, int]:
     """The syndrome codes T_X and T_Y of the ``scenario.golden`` word pair."""
     golden, n = ctx.section("golden"), ctx.scheme.n
     for side in "xy":
-        if not _is_bits(golden.get(side), n):
+        if not is_bits(golden.get(side), n):
             raise ValidationError(
                 f"scenario.golden.{side}: expected {n} bits of 0/1, got {golden.get(side)!r}"
             )
@@ -350,7 +346,7 @@ def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Pat
         tx, ty = _golden_syndromes(ctx)
     else:
         for flag, bits, length in (("--tx", tx, lx), ("--ty", ty, ly)):
-            if not _is_bits(bits, length):
+            if not is_bits(bits, length):
                 raise UsageError(f"{flag} must be {length} bits of 0/1, got {bits!r}")
         tx, ty = int(tx, 2), int(ty, 2)
     candidates = joint_decode(tx, ty, ctx.model, s)

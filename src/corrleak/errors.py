@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the integer and number
-field checks that turn a malformed input field into a ``ValidationError``."""
+"""Exception types shared across the toolkit, and the 0/1-string, integer
+and number field checks that turn a malformed input field into an error."""
 
 import math
 import numbers
@@ -32,6 +32,11 @@ class InternalConsistencyError(ToolkitError, RuntimeError):
 def is_int(value) -> bool:
     """True for an int or a numpy integer, never for a bool."""
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_bits(value, width: int) -> bool:
+    """True for a string of exactly ``width`` ASCII 0/1 characters."""
+    return isinstance(value, str) and len(value) == width and set(value) <= {"0", "1"}
 
 
 def int_field(value, field: str) -> int:

@@ -33,10 +33,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, InternalConsistencyError, UsageError
-from .gf2 import Gf2Matrix, rank
 from .info import column_code
 from .seqmodel import SequenceModel
-from .swcodec import PartitionScheme, require_code_model, support_syndromes
+from .swcodec import PartitionScheme, require_code_model, support_syndromes, xor_basis
 
 #: Slack for exact-enumeration bound verdicts (rounding tolerance only).
 DELTA = 1e-9
@@ -380,7 +379,7 @@ def _rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
     every row outside C, so the difference is |C| - rank(P_C), with P_C the
     rows C of P: the columns C of the parity block P^T."""
     cols = list(parity_cols)
-    return len(cols) - rank(Gf2Matrix(s.parity_block.cells[:, cols]))
+    return len(cols) - len(xor_basis(s.parity_columns[c] for c in cols))
 
 
 def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import CapacityError, UsageError, ValidationError, is_int
-from .gf2 import Gf2Matrix
+from .errors import CapacityError, UsageError, ValidationError, is_bits, is_int
 from .info import column_code, pack_chunks
 from .seqmodel import SequenceModel
 
@@ -47,24 +46,42 @@ DEFAULT_ROLES = {"v1": "private", "u2": "private", "q1": "common", "q2": "common
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Generator matrix plus the segment partition that defines both encoders."""
+    """The generator matrix, as its '0'/'1' row strings, plus the segment
+    partition that defines both encoders.  Only the scheme reads the rows;
+    everything else uses the int masks derived from them."""
 
-    generator: Gf2Matrix
+    generator: tuple[str, ...]
     x_segments: Mapping[str, tuple[int, ...]]
     y_segments: Mapping[str, tuple[int, ...]]
     segment_roles: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_ROLES))
 
     def __post_init__(self):
-        g = self.generator
-        k, n = g.rows, g.cols
+        rows = self.generator
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, str) for r in rows):
+            raise ValidationError(
+                f"scheme.generator.rows: expected a list of 0/1 strings, got {rows!r}"
+            )
+        if not rows:
+            raise ValidationError("scheme.generator.rows: matrix needs at least one row")
+        k, n = len(rows), len(rows[0])
+        for r, text in enumerate(rows):
+            if len(text) != n:
+                raise ValidationError(
+                    f"scheme.generator.rows: row {r} has length {len(text)}, expected {n}"
+                )
+            if not is_bits(text, n):
+                raise ValidationError(
+                    f"scheme.generator.rows: row {r} contains characters other than 0/1"
+                )
         if n <= k:
             raise ValidationError(
                 f"scheme.generator.rows: generator must be wider than tall, got {k}x{n}"
             )
-        if not np.array_equal(g.cells[:, :k], np.eye(k, dtype=np.uint8)):
+        if any(row[:k] != "0" * i + "1" + "0" * (k - 1 - i) for i, row in enumerate(rows)):
             raise ValidationError(
                 "scheme.generator.rows: generator must start with an identity block"
             )
+        object.__setattr__(self, "generator", tuple(rows))
         object.__setattr__(self, "x_segments", {s: tuple(v) for s, v in self.x_segments.items()})
         object.__setattr__(self, "y_segments", {s: tuple(v) for s, v in self.y_segments.items()})
         object.__setattr__(self, "segment_roles", dict(self.segment_roles))
@@ -107,11 +124,11 @@ class PartitionScheme:
 
     @property
     def k(self) -> int:
-        return self.generator.rows
+        return len(self.generator)
 
     @property
     def n(self) -> int:
-        return self.generator.cols
+        return len(self.generator[0])
 
     @property
     def parity_len(self) -> int:
@@ -123,33 +140,37 @@ class PartitionScheme:
     def syndrome_len(self, side: str) -> int:
         return self.info_len(side) + self.parity_len
 
-    # -- derived matrices ---------------------------------------------------
+    # -- derived masks ------------------------------------------------------
 
     @cached_property
-    def parity_block(self) -> Gf2Matrix:
-        """The P^T block of G (k x (n-k))."""
-        return Gf2Matrix(self.generator.cells[:, self.k :])
+    def parity_columns(self) -> tuple[int, ...]:
+        """Column j of the parity block P^T as a k-bit mask, row 0 most significant."""
+        return tuple(
+            int("".join(row[self.k + j] for row in self.generator), 2)
+            for j in range(self.parity_len)
+        )
 
-    def _encoder_matrix(self, side: str) -> Gf2Matrix:
+    def _encoder_columns(self, side: str) -> tuple[int, ...]:
+        # Each syndrome bit reads one info position, or one parity position
+        # plus the keyed positions that the parity column's P^T bits select.
         info, keyed, _ = self._segments(side)
-        m = np.zeros((self.n, len(info) + self.parity_len), dtype=np.uint8)
-        for j, p in enumerate(info):
-            m[p, j] = 1
-        for p in keyed:
-            m[p, len(info) :] = self.parity_block.cells[p]
-        # The parity segment is positions k..n-1, one identity column each.
-        m[self.k :, len(info) :] = np.eye(self.parity_len, dtype=np.uint8)
-        return Gf2Matrix(m)
+        n, k = self.n, self.k
+        keyed_mask = sum(1 << n - 1 - p for p in keyed)
+        return tuple(1 << n - 1 - p for p in info) + tuple(
+            column << n - k & keyed_mask | 1 << n - 1 - k - j
+            for j, column in enumerate(self.parity_columns)
+        )
 
     @cached_property
-    def g_x(self) -> Gf2Matrix:
-        """Generator mapping a source word x to its syndrome: T_X = x . G_X."""
-        return self._encoder_matrix("x")
+    def g_x(self) -> tuple[int, ...]:
+        """The columns of G_X, which maps a source word x to its syndrome
+        T_X = x . G_X, as n-bit masks packed like word codes."""
+        return self._encoder_columns("x")
 
     @cached_property
-    def g_y(self) -> Gf2Matrix:
-        """Generator mapping a source word y to its syndrome: T_Y = y . G_Y."""
-        return self._encoder_matrix("y")
+    def g_y(self) -> tuple[int, ...]:
+        """The columns of G_Y (T_Y = y . G_Y), packed as ``g_x`` is."""
+        return self._encoder_columns("y")
 
     def role_positions(self, side: str, role: str) -> list[int]:
         """Syndrome bit positions of T_X ('x') or T_Y ('y') whose segment has
@@ -165,10 +186,8 @@ class PartitionScheme:
     @classmethod
     def from_json(cls, data: dict) -> "PartitionScheme":
         try:
-            try:
-                generator = Gf2Matrix.from_json(data["generator"])
-            except ValidationError as exc:
-                raise ValidationError(f"scheme.generator.rows: {exc}") from exc
+            generator = data["generator"]
+            rows = generator.get("rows") if isinstance(generator, dict) else None
             x_segments, y_segments = data["x_segments"], data["y_segments"]
             roles = data.get("segment_roles", DEFAULT_ROLES)
             for name, value in [
@@ -182,7 +201,7 @@ class PartitionScheme:
                         raise ValidationError(
                             f"scheme.{name}.{seg}: expected a list of positions, got {positions!r}"
                         )
-            return cls(generator, x_segments, y_segments, roles)
+            return cls(rows, x_segments, y_segments, roles)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad scheme JSON: {exc}") from exc
 
@@ -190,9 +209,8 @@ class PartitionScheme:
 def reference_scheme() -> PartitionScheme:
     """The bundled rate-5/7 worked example: a [7,4] systematic code with
     two-bit keyed/transmitted splits on each source."""
-    g = Gf2Matrix.from_rows(["1000101", "0100110", "0010111", "0001011"])
     return PartitionScheme(
-        generator=g,
+        generator=("1000101", "0100110", "0010111", "0001011"),
         x_segments={"a1": (0, 1), "v1": (2, 3), "q1": (4, 5, 6)},
         y_segments={"u2": (0, 1), "a2": (2, 3), "q2": (4, 5, 6)},
     )
@@ -214,13 +232,13 @@ def support_syndromes(
     if s.n > 63:
         raise CapacityError(f"a {s.n}-bit word does not fit an int64 word code")
     out = []
-    for code, g in ((x, s.g_x), (y, s.g_y)):
+    for code, columns in ((x, s.g_x), (y, s.g_y)):
         if code.ndim != 1 or code.size and (code.min() < 0 or code.max() >> s.n):
             raise UsageError(f"word codes must be one array of integers in 0..2**{s.n}-1")
         syndrome = np.zeros(code.size, dtype=np.int64)
-        for column in g.cells.T.tolist():
+        for column in columns:
             syndrome <<= 1
-            syndrome |= np.bitwise_count(code & int("".join(map(str, column)), 2)) & 1
+            syndrome |= np.bitwise_count(code & column) & 1
         out.append(syndrome)
     return out[0], out[1]
 
@@ -239,6 +257,20 @@ def syndrome_portions(
             cols = s.role_positions(side, role)
             portions[name] = (column_code(t, s.syndrome_len(side), cols), len(cols))
     return portions
+
+
+def xor_basis(masks: Iterable[int]) -> list[int]:
+    """A basis of the GF(2) span of the int ``masks``, one vector per leading
+    bit in descending order: each mask is reduced by the basis so far and
+    kept when anything is left, so the basis length is the masks' rank."""
+    basis: list[int] = []
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
 
 
 def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> None:

@@ -1,11 +1,13 @@
 """Per-triple and per-symbol reference oracle for the tests.
 
 The package computes every result from one numpy support table of integer
-word codes and encodes words through the generator matrices ``G_X`` /
-``G_Y``.  This module keeps a second, independent route to the same
-numbers: a plain Python stream of support triples, the words of the table
+word codes and encodes words through the int column masks of the generator
+matrices ``G_X`` / ``G_Y``.  This module keeps a second, independent route
+to the same numbers: a plain Python stream of support triples, the words of the table
 as digit arrays and their packing back into codes (``word_digits``,
-``pack_bits``), the paper's per-word syndrome formula ``P1^T a1 + q1``, a
+``pack_bits``), the generator as a uint8 0/1 array (``generator_cells``)
+with a Gaussian-elimination ``rank``, which the package's ``xor_basis``
+must match, the paper's per-word syndrome formula ``P1^T a1 + q1``, a
 dictionary-based conditional entropy over observables of a triple, a
 three-sort conditional entropy over per-row codes, which the table's
 ``conditional_entropy`` must match bit for bit, the Shannon measures of
@@ -31,7 +33,6 @@ import numpy as np
 
 from corrleak.cipher import BRANCHES, CASES
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
-from corrleak.gf2 import Gf2Matrix, rank
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
 from corrleak.leakage import DELTA
 from corrleak.seqmodel import SequenceModel
@@ -208,8 +209,40 @@ def support_digits(model: SequenceModel) -> tuple[np.ndarray, np.ndarray, np.nda
     return word_digits(x, nx, model.K), word_digits(y, ny, model.K), word_digits(z, nz, model.K)
 
 
-def submatrix(m: Gf2Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Gf2Matrix:
-    return Gf2Matrix(m.cells[np.ix_(list(row_idx), list(col_idx))])
+# -- dense GF(2) matrices -------------------------------------------------------
+
+
+def generator_cells(s: PartitionScheme) -> np.ndarray:
+    """The scheme's generator rows as a k x n uint8 0/1 array."""
+    return np.array([[int(ch) for ch in row] for row in s.generator], dtype=np.uint8)
+
+
+def rank(cells: np.ndarray) -> int:
+    """GF(2) rank of a 0/1 array via Gaussian elimination on uint8 rows."""
+    work = np.array(cells, dtype=np.uint8)
+    n_rows, n_cols = work.shape
+    pivot_row = 0
+    for col in range(n_cols):
+        hit = -1
+        for r in range(pivot_row, n_rows):
+            if work[r, col]:
+                hit = r
+                break
+        if hit < 0:
+            continue
+        if hit != pivot_row:
+            work[[pivot_row, hit]] = work[[hit, pivot_row]]
+        for r in range(pivot_row + 1, n_rows):
+            if work[r, col]:
+                work[r] ^= work[pivot_row]
+        pivot_row += 1
+        if pivot_row == n_rows:
+            break
+    return pivot_row
+
+
+def submatrix(m: np.ndarray, row_idx: Sequence[int], col_idx: Sequence[int]) -> np.ndarray:
+    return m[np.ix_(list(row_idx), list(col_idx))]
 
 
 #: One wiretap pattern: the T_X mask, the T_Y mask (bit ``1 << i`` reads
@@ -252,25 +285,30 @@ def is_subset_of(small: Pattern, big: Pattern) -> bool:
 # -- the paper's per-word encoder ----------------------------------------------
 
 
-def mat_vec_mul(m: Gf2Matrix, v: Iterable[int]) -> tuple[int, ...]:
+def mat_vec_mul(m: np.ndarray, v: Iterable[int]) -> tuple[int, ...]:
     """XOR-accumulated product m @ v over GF(2)."""
     vec = np.asarray(list(v), dtype=np.uint8)
-    if vec.ndim != 1 or vec.size != m.cols:
-        raise UsageError(f"vector length {vec.size} does not match {m.cols} columns")
+    if vec.ndim != 1 or vec.size != m.shape[1]:
+        raise UsageError(f"vector length {vec.size} does not match {m.shape[1]} columns")
     if not np.all((vec == 0) | (vec == 1)):
         raise UsageError("vector entries must be 0 or 1")
-    out = (m.cells @ vec.astype(np.int64)) % 2
+    out = (m.astype(np.int64) @ vec.astype(np.int64)) % 2
     return tuple(int(b) for b in out)
 
 
-def p1_t(s: PartitionScheme) -> Gf2Matrix:
+def parity_cells(s: PartitionScheme) -> np.ndarray:
+    """The parity block P^T of the generator (k x (n-k))."""
+    return generator_cells(s)[:, s.k :]
+
+
+def p1_t(s: PartitionScheme) -> np.ndarray:
     """Transposed a1-rows of the parity block ((n-k) x |a1|)."""
-    return Gf2Matrix(s.parity_block.cells[list(s.x_segments["a1"]), :].T)
+    return parity_cells(s)[list(s.x_segments["a1"]), :].T
 
 
-def p2_t(s: PartitionScheme) -> Gf2Matrix:
+def p2_t(s: PartitionScheme) -> np.ndarray:
     """Transposed a2-rows of the parity block ((n-k) x |a2|)."""
-    return Gf2Matrix(s.parity_block.cells[list(s.y_segments["a2"]), :].T)
+    return parity_cells(s)[list(s.y_segments["a2"]), :].T
 
 
 def formula_encode_x(x: Iterable[int], s: PartitionScheme) -> tuple[int, ...]:
@@ -297,9 +335,9 @@ def h_surgery_rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
     """The min/max curves' rank term by column surgery on H = [P | I_(n-k)]:
     rank(H) minus the rank of H without the identity columns of
     ``parity_cols``."""
-    h = np.hstack([s.parity_block.cells.T, np.eye(s.parity_len, dtype=np.uint8)])
+    h = np.hstack([parity_cells(s).T, np.eye(s.parity_len, dtype=np.uint8)])
     kept = np.delete(h, [s.k + c for c in parity_cols], axis=1)
-    return rank(Gf2Matrix(h)) - rank(Gf2Matrix(kept))
+    return rank(h) - rank(kept)
 
 
 # -- dictionary equivocation ---------------------------------------------------

@@ -15,7 +15,6 @@ from corrleak.cipher import (
     region_membership,
 )
 from corrleak.errors import CapacityError, DomainError, UsageError
-from corrleak.gf2 import Gf2Matrix
 from corrleak.info import InfoSummary, SupportTable
 from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
@@ -323,7 +322,7 @@ def partition(rows: list[str], v1: tuple[int, ...], u2: tuple[int, ...]) -> Part
     k, n = len(rows), len(rows[0])
     parity = tuple(range(k, n))
     return PartitionScheme(
-        generator=Gf2Matrix.from_rows(rows),
+        generator=rows,
         x_segments={"a1": tuple(p for p in range(k) if p not in v1), "v1": v1, "q1": parity},
         y_segments={"u2": u2, "a2": tuple(p for p in range(k) if p not in u2), "q2": parity},
     )

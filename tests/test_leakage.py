@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import corrleak.info as info_module
 from corrleak.errors import DomainError, UsageError
-from corrleak.gf2 import Gf2Matrix
 from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
 from corrleak.leakage import (
     DELTA,
@@ -444,7 +443,7 @@ def random_systematic_scheme(k: int, n: int, v1: tuple, u2: tuple, seed: int) ->
         for i, p in enumerate(parity)
     ]
     return PartitionScheme(
-        generator=Gf2Matrix.from_rows(rows),
+        generator=rows,
         x_segments={"a1": tuple(p for p in range(k) if p not in v1), "v1": v1,
                     "q1": tuple(range(k, n))},
         y_segments={"u2": u2, "a2": tuple(p for p in range(k) if p not in u2),
@@ -681,7 +680,7 @@ def test_uneven_pairs_count_on_the_pairs_and_match_the_oracle(monkeypatch):
     # count of its code over the rows, and every leakage equals the
     # dictionary oracle's.
     s = PartitionScheme(
-        generator=Gf2Matrix.from_rows(["1011", "0110"]),
+        generator=["1011", "0110"],
         x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
         y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3)},
     )
