@@ -10,11 +10,10 @@ X's private portion with *Y's* private key, so the cost of the shared pad
 can be measured rather than argued about.
 
 Security levels are exact conditional entropies per symbol over the source
-support.  Uniform keys are folded in analytically: a key whose masked
-portions all share its size leaves only their differences mod that size
-visible, as the leakage analyzer does for its shared parity pad.  Only a key
-that masks a portion of another size (a shared pad over unequal widths) is
-enumerated together with the support rows.
+support.  Uniform keys are folded in analytically, as the leakage analyzer
+does for its shared parity pad: a key no narrower than any portion it masks
+leaves only differences of portions visible.  Only a key narrower than a
+portion it masks is enumerated together with the support rows.
 """
 
 from __future__ import annotations
@@ -25,18 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, UsageError, ValidationError, float_field
+from .errors import DomainError, UsageError, ValidationError, check_budget, float_field
 from .info import InfoSummary, code_entropy, pack_chunks
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, syndrome_portions
 
 #: Empirical desk-scale slack when comparing measured levels to targets.
 SECURITY_EPS = 0.05
-
-#: Bytes that the (row, enumerated key) cell arrays of ``measure_security``
-#: may take at their peak; a larger enumeration raises ``CapacityError``
-#: before any cell array is allocated.
-MEASURE_BYTES_GUARD = 1 << 32
 
 #: Security cases: which uncertainty the construction must keep high.
 CASES = ("joint", "individual", "y-only")
@@ -197,9 +191,10 @@ def measure_security(
     """Exact per-symbol conditional entropies of the sources given both
     codewords of ``branch`` and the leaked Z prefix of ``mu`` columns.
 
-    A key of size m whose masked portions all have size m folds: the
-    codewords then show only each portion's difference from the first
-    one, mod m, and the key's log2(m) fresh bits cancel between H(obs) and
+    A key k of size m whose masked portions all have sizes m' <= m (so m'
+    divides m) folds: the first portion ``own`` of size m shows c = (own + k)
+    mod m, uniform and independent of the sources, and another portion p
+    shows (p - own + c) mod m'; c's log2(m) bits cancel between H(obs) and
     H(obs, target).  Any other key is enumerated together with the rows.
     """
     if branch not in BRANCHES:
@@ -221,19 +216,13 @@ def measure_security(
     assignment = BRANCHES[branch]
     key_sizes = {k: sizes[k[1:]] for k in sorted({k for k in assignment.values() if k})}
     masked = {k: [c for c in sizes if assignment[c] == k] for k in key_sizes}
-    enumerated = [k for k, m in key_sizes.items() if any(sizes[c] != m for c in masked[k])]
+    enumerated = [k for k, m in key_sizes.items() if any(sizes[c] > m for c in masked[k])]
     key_space = prod(key_sizes[k] for k in enumerated)
-    # Peak int64 words per cell: 17, plus two per enumerated key (its index
-    # row and the temporaries of padding a portion); tracemalloc reads 17.1
-    # and 16.6 words on the K=10 Hamming model's 123,904 mu=10 classes with
-    # none and with one 8-valued enumerated key.
-    peak_bytes = 8 * (17 + 2 * len(enumerated)) * n_rows * key_space
-    if peak_bytes > MEASURE_BYTES_GUARD:
-        raise CapacityError(
-            f"{n_rows} support rows x {key_space} enumerated keys need about "
-            f"{peak_bytes >> 20} MiB of cell arrays, over the guard of "
-            f"{MEASURE_BYTES_GUARD >> 20} MiB"
-        )
+    # Peak int64 words per cell: 17, plus two per enumerated key (its index row and
+    # the temporaries of padding a portion); tracemalloc reads 17.1 and 16.6 words on
+    # the K=10 Hamming model's 123,904 mu=10 classes with none and one 8-valued key.
+    what = f"{n_rows} support rows x {key_space} enumerated keys"
+    check_budget(8 * (17 + 2 * len(enumerated)) * n_rows * key_space, what)
 
     # Row index and enumerated key values of every (row, key tuple) cell.
     idx, *key_values = np.indices((n_rows, *(key_sizes[k] for k in enumerated))).reshape(
@@ -247,6 +236,8 @@ def measure_security(
             for c in comps:
                 values[c] = (values[c] + pads[key]) % sizes[c]
         else:
+            # Stable: the first portion as wide as the key leads.
+            comps.sort(key=lambda c: sizes[c] < key_sizes[key])
             first = values.pop(comps[0])
             for c in comps[1:]:
                 values[c] = (values[c] - first) % sizes[c]

@@ -16,8 +16,8 @@ all reproduction commands are deterministic, and identical scenario input
 yields byte-identical output.
 
 Exit status: 0 on success, 2 on a validation/usage error, 3 when an
-enumeration would exceed a capacity guard: the support guard, or a Z code
-or class key past its integer width.
+enumeration would exceed the memory budget or the memory at hand
+(``MemoryError``), or a word, Z code or class key would pass its int width.
 """
 
 from __future__ import annotations
@@ -458,13 +458,10 @@ def main(argv=None) -> int:
             files = cmd_decode(ctx, out, args.format, args.tx, args.ty)
         else:
             files = cmd_cipher_sim(ctx, out, args.format)
-    except CapacityError as exc:
-        print(f"corrleak: capacity guard: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:  # MemoryError: a limit below the budget
+        print(f"corrleak: capacity guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except ToolkitError as exc:
-        print(f"corrleak: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"corrleak: {exc}", file=sys.stderr)
         return 2
     for f in files:

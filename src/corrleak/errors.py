@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the 0/1-string, integer
-and number field checks that turn a malformed input field into an error."""
+"""Exception types and the memory budget shared across the toolkit, and the
+checks that turn a malformed 0/1-string, integer or number field into an error."""
 
 import math
 import numbers
@@ -22,11 +22,24 @@ class DomainError(ToolkitError, ValueError):
 
 
 class CapacityError(ToolkitError):
-    """A requested enumeration exceeds the configured support guard."""
+    """A requested enumeration exceeds the memory budget or an integer width."""
 
 
 class InternalConsistencyError(ToolkitError, RuntimeError):
     """A computed quantity violated an exact identity beyond tolerance."""
+
+
+#: Bytes that the arrays of one enumeration may take at their peak.
+MEMORY_BUDGET = 1 << 32
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise ``CapacityError`` when ``what`` would take more than ``MEMORY_BUDGET`` bytes."""
+    if nbytes > MEMORY_BUDGET:  # nbytes may have thousands of digits: name its power of two
+        raise CapacityError(
+            f"{what} would take at least 2**{nbytes.bit_length() - 1} bytes, over the "
+            f"memory budget of 2**{MEMORY_BUDGET.bit_length() - 1}"
+        )
 
 
 def is_int(value) -> bool:

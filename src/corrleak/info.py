@@ -206,8 +206,8 @@ class SupportTable:
     a prefix of the ``z_width``-bit Z code, column 0 most significant.
 
     Raises ``CapacityError`` when ``z_width`` passes the 31 bits of an int32
-    (``SUPPORT_GUARD`` keeps the Z code of every model but a one-row iid law
-    below 27 bits), and ``InternalConsistencyError`` when the runs do not
+    (the memory budget keeps a binary Z code below 27 bits unless the law
+    has one nonzero cell), and ``InternalConsistencyError`` when the runs do not
     cover the rows, a run's Z codes do not ascend, or a Z code does not fit
     ``z_width`` bits.
     """

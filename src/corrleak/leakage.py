@@ -222,10 +222,10 @@ class WiretapAnalyzer:
         and the pad columns read on both sides at the T_X field's padded
         positions, which no clear bit takes.  That is 2 + l_x + l_y +
         bit_length(K) bits, with l_x, l_y <= n = K.  A Hamming support, and
-        an iid one whose per-symbol alphabet product is at least 2, holds at
-        least 2**K triples, so ``SUPPORT_GUARD`` keeps K <= 26 and the key
-        within 2 + 52 + 5 = 59 bits.  Only a one-row iid law (every alphabet
-        1) passes the guard at any K; a key of its past 63 bits raises
+        an iid one whose law has at least two nonzero cells, holds at least
+        2**K rows, so the memory budget (64 bytes a row) keeps K <= 26 and
+        the key within 2 + 52 + 5 = 59 bits.  Only a law with one nonzero
+        cell passes the budget at any K; a key of its past 63 bits raises
         ``CapacityError`` when the analyzer is built, as its table does for a
         Z code past 31 bits."""
         shift, pads, info = self._shift, self._pads, self._info

@@ -9,14 +9,13 @@ import pytest
 import corrleak.cipher as cipher_module
 from corrleak.cipher import (
     BRANCHES,
-    MEASURE_BYTES_GUARD,
     RegionQuery,
     measure_security,
     region_membership,
 )
-from corrleak.errors import CapacityError, DomainError, UsageError
+from corrleak.errors import MEMORY_BUDGET, CapacityError, DomainError, UsageError
 from corrleak.info import InfoSummary, SupportTable
-from corrleak.seqmodel import SUPPORT_GUARD, SequenceModel, sequence_summary
+from corrleak.seqmodel import SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
 from oracle import (
     CipherSizes,
@@ -385,9 +384,8 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_measure_security_matches_key_enumeration_oracle(case):
-    # The equal splits fold every branch's keys; |v1| != |u2| leaves
-    # reused-pad's shared key over two sizes, which measure_security
-    # enumerates.
+    # Every key folds but reused-pad's shared key under |v1| > |u2|: it is
+    # narrower than X's private portion, so measure_security enumerates it.
     rows, v1, u2 = ORACLE_CASES[case]
     s = partition(rows, v1, u2)
     model = SequenceModel(kind="hamming", K=s.n, d_xy_max=1, d_yz_max=0)
@@ -404,35 +402,60 @@ def test_measure_security_refuses_an_unknown_branch(scheme, hamming7):
         measure_security(scheme, hamming7, "crossed")
 
 
+# The [12,10] code of the two tests below: ten info bits, two parity bits.
+CODE_12_10 = [
+    "".join("1" if j == i else "0" for j in range(10)) + format(i % 3 + 1, "02b")
+    for i in range(10)
+]
+
+
 def test_measure_security_refuses_over_budget_cells_before_allocating(monkeypatch):
-    # A [12,10] code sending one info bit of X and all ten of Y: reused-pad's
-    # 1,024-valued y1 pad does not fold against the 2-valued x1, so it is
-    # enumerated with the 53,248 (x, y) classes of the K=12 model, within
-    # SUPPORT_GUARD, but their cell arrays would pass the byte guard.
-    rows = ["".join("1" if j == i else "0" for j in range(10)) + format(i % 3 + 1, "02b")
-            for i in range(10)]
-    s = partition(rows, (0,), tuple(range(10)))
+    # The [12,10] code sending all ten info bits of X and nine of Y: reused-pad's
+    # 512-valued y1 pad is narrower than the 1,024-valued x1, so it is
+    # enumerated with the 692,224 classes of the K=12 model at mu = K, whose
+    # table fits the memory budget but whose cell arrays would not.
+    s = partition(CODE_12_10, tuple(range(10)), tuple(range(9)))
     model = SequenceModel(kind="hamming", K=12)
-    assert model.table.pairs * 1024 <= SUPPORT_GUARD
-    assert 8 * 19 * model.table.pairs * 1024 > MEASURE_BYTES_GUARD
+    assert 64 * model.table.rows <= MEMORY_BUDGET
+    assert 8 * 19 * model.table.rows * 512 > MEMORY_BUDGET
 
     def unreachable(*args, **kwargs):
         raise AssertionError("cell arrays allocated")
 
     monkeypatch.setattr(cipher_module.np, "indices", unreachable)
-    with pytest.raises(CapacityError, match="53248 support rows x 1024 enumerated keys"):
-        measure_security(s, model, "reused-pad", mu=0)
+    with pytest.raises(CapacityError, match="692224 support rows x 512 enumerated keys"):
+        measure_security(s, model, "reused-pad", mu=12)
+
+
+def test_measure_security_folds_a_shared_key_wider_than_a_portion_it_masks(monkeypatch):
+    # The same code sending one info bit of X and all ten of Y: reused-pad's
+    # 1,024-valued y1 pad also masks the 2-valued x1 and folds against y1,
+    # so no (class, key) cell is built.
+    s = partition(CODE_12_10, (0,), tuple(range(10)))
+    model = SequenceModel(kind="hamming", K=12)
+    indices = np.indices
+
+    def one_axis(shape):
+        assert len(shape) == 1, "a key was enumerated"
+        return indices(shape)
+
+    monkeypatch.setattr(cipher_module.np, "indices", one_axis)
+    m = measure_security(s, model, "reused-pad", mu=0)
+    summary = sequence_summary(model)
+    for level, bound in ((m.h_x_hat, summary.h_x), (m.h_y_hat, summary.h_y),
+                         (m.h_xy_hat, summary.h_xy)):
+        assert -1e-12 <= level <= bound + 1e-12
 
 
 def test_measure_security_folds_keys_past_the_enumeration_guard():
     # [10,6] shortened Hamming code at K=10: 11,264 (x, y) rows x 16,384
-    # independent-pad key tuples would exceed SUPPORT_GUARD if enumerated.
+    # independent-pad key tuples would exceed the memory budget if enumerated.
     columns = [format(v, "04b") for v in range(16) if bin(v).count("1") >= 2][:6]
     rows = ["".join("1" if j == i else "0" for j in range(6)) + c for i, c in enumerate(columns)]
     s = partition(rows, (3, 4, 5), (0, 1, 2))
     model = SequenceModel(kind="hamming", K=10)
     # independent-pads keys every portion: one key bit per syndrome bit.
-    assert 11_264 << (s.syndrome_len("x") + s.syndrome_len("y")) > SUPPORT_GUARD
+    assert 8 * 17 * (11_264 << (s.syndrome_len("x") + s.syndrome_len("y"))) > MEMORY_BUDGET
     m = measure_security(s, model, "independent-pads", mu=0)
     summary = sequence_summary(model)
     assert m.h_x_hat == pytest.approx(summary.h_x, abs=1e-9)

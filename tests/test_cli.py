@@ -425,6 +425,65 @@ def test_one_row_law_selects_wide_syndrome_portions_bit_by_bit(tmp_path, command
     assert proc.returncode == 0, proc.stderr
 
 
+def _systematic_scenario(model: dict) -> dict:
+    """``model`` over a systematic [K, K-4] code (parity columns the first
+    weight->=2 4-bit values) with the complementary split."""
+    K = model["K"]
+    k = K - 4
+    columns = [format(v, "04b") for v in range(16) if bin(v).count("1") >= 2][:k]
+    rows = ["".join("1" if j == i else "0" for j in range(k)) + c for i, c in enumerate(columns)]
+    head, tail, parity = list(range(k // 2)), list(range(k // 2, k)), list(range(k, K))
+    return {
+        "name": "memory-limit",
+        "model": model,
+        "scheme": {
+            "generator": {"rows": rows},
+            "x_segments": {"a1": head, "v1": tail, "q1": parity},
+            "y_segments": {"u2": head, "a2": tail, "q2": parity},
+        },
+    }
+
+
+def _flip_law(x_flip: float, z_flip: float) -> list[float]:
+    """Y uniform, X = Y xor Bern(x_flip), Z = Y xor Bern(z_flip), in [x, y, z] order."""
+    return [
+        0.5 * (x_flip if x != y else 1 - x_flip) * (z_flip if z != y else 1 - z_flip)
+        for x, y, z in itertools.product((0, 1), repeat=3)
+    ]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is a Linux limit")
+@pytest.mark.parametrize(
+    "K, law, code",
+    [
+        # 2**24 weighted rows fit the memory budget but not 1 GiB of address
+        # space: the refused allocation is a capacity limit, exit 3.
+        pytest.param(8, _flip_law(0.1, 0.2), 3, id="iid_k5-law-k8"),
+        # X = Y: four nonzero cells, 2**20 rows.
+        pytest.param(10, _flip_law(0.0, 0.2), 0, id="sparse-law-k10"),
+    ],
+)
+def test_analyze_under_a_1gib_address_space_limit(tmp_path, K, law, code):
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    model = {"kind": "iid", "K": K, "pmf": {"alphabets": [2, 2, 2], "probs": law}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_systematic_scenario(model)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrleak", "analyze", "--scenario", str(path),
+         "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("corrleak: capacity guard:")
+        assert "Traceback" not in proc.stderr
+
+
 DELETE = object()
 # Written as a bare integer literal past Python's 4,300-digit int conversion limit.
 HUGE_INT = "1" + "0" * 5000

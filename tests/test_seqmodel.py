@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrleak.errors import CapacityError, DomainError, InternalConsistencyError, ValidationError
+from corrleak.errors import (
+    MEMORY_BUDGET,
+    CapacityError,
+    DomainError,
+    InternalConsistencyError,
+    ValidationError,
+)
 from corrleak.info import JointPmf, SupportTable
 from corrleak.seqmodel import SequenceModel, build_model, sequence_summary
 from oracle import (
@@ -154,8 +161,89 @@ def test_z_consistency_domain_errors():
 
 
 def test_capacity_guard():
-    with pytest.raises(CapacityError):
-        SequenceModel(kind="hamming", K=9, d_xy_max=9, d_yz_max=9)
+    # 2**27 rows at 64 bytes each pass the memory budget: the table refuses
+    # them when it is built, not the model.
+    model = SequenceModel(kind="hamming", K=9, d_xy_max=9, d_yz_max=9)
+    assert 64 * model.support_size() > MEMORY_BUDGET
+    with pytest.raises(CapacityError, match="2\\*\\*27 rows"):
+        model.table
+
+
+def _pmf_with_cells(shape, cells) -> JointPmf:
+    """A law over alphabets ``shape`` with mass only on ``cells``, a dict of
+    (x, y, z) -> probability."""
+    probs = np.zeros(shape)
+    for cell, p in cells.items():
+        probs[cell] = p
+    return JointPmf(probs)
+
+
+@pytest.mark.parametrize(
+    "shape, cells, K, widths",
+    [
+        # An X word of 20 symbols of a 100-letter alphabet needs 133 bits.
+        ((100, 2, 2), {(99, 0, 0): 0.5, (0, 1, 1): 0.5}, 20, "133-bit X and 20-bit Y"),
+        # Each word fits an int64, but an (x, y) pair code needs 120 bits:
+        # packing it would fail past the ranked X code.
+        ((1000, 1000, 2), {(999, 999, 0): 0.5, (0, 1, 1): 0.5}, 6, "60-bit X and 60-bit Y"),
+    ],
+    ids=["wide-x", "wide-pair"],
+)
+def test_table_refuses_wide_words_before_building(monkeypatch, shape, cells, K, widths):
+    # Two nonzero cells give 2**K rows, well inside the memory budget.
+    model = SequenceModel(kind="iid", K=K, base=_pmf_with_cells(shape, cells))
+    assert model.support_size() == 1 << K
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("support arrays built")
+
+    monkeypatch.setattr(SequenceModel, "_iid_pairs", unreachable)
+    with pytest.raises(CapacityError, match=f"{widths} words pass 62 bits"):
+        model.table
+
+
+@st.composite
+def sparse_laws(draw):
+    """Small laws with zero cells: integer cell weights 0..4, some cell positive."""
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    weights = draw(st.lists(st.integers(0, 4), min_size=int(np.prod(shape)),
+                            max_size=int(np.prod(shape))).filter(any))
+    probs = np.array(weights, dtype=float).reshape(shape)
+    return JointPmf(probs / probs.sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=sparse_laws(), K=st.integers(1, 3))
+def test_nonzero_cell_table_equals_the_dense_threshold_reference(base, K):
+    # Wherever the reference's product threshold drops no row of positive
+    # probability, the table built from the nonzero cells is the reference's
+    # support bit for bit: codes, runs and probabilities.
+    model = SequenceModel(kind="iid", K=K, base=base)
+    x, y, z, probs = support_arrays(model)
+    assert x.size == model.support_size() == np.count_nonzero(base.probs) ** K
+    table = model.table
+    first = np.cumsum(table.runs) - table.runs
+    assert (table.x == x[first]).all() and (table.y == y[first]).all()
+    assert (np.repeat(table.x, table.runs) == x).all()
+    assert (np.repeat(table.y, table.runs) == y).all()
+    assert (table.z == z).all()
+    pair = y * base.alphabet_sizes[0] ** K + x
+    assert (np.diff(pair[first]) > 0).all() and table.rows == x.size
+    assert (probs == (table.p if table.weights is None else table.weights)).all()
+
+
+def test_nonzero_cell_table_keeps_rows_below_the_product_threshold():
+    # A 1e-9 cell: the rows that take it twice have probability 1e-18, which
+    # the reference's threshold drops.  The table keeps them, and its mass
+    # sums to 1.
+    cells = {c: 0.125 for c in itertools.product((0, 1), repeat=3)}
+    cells[0, 0, 0], cells[1, 1, 1] = 1e-9, 0.25 - 1e-9
+    model = SequenceModel(kind="iid", K=2, base=_pmf_with_cells((2, 2, 2), cells))
+    assert support_arrays(model)[0].size == 63
+    table = model.table
+    assert table.rows == model.support_size() == 64
+    assert abs(math.fsum(table.weights.tolist()) - 1) <= 1e-12
+    assert table.weights.min() == 1e-9 * 1e-9
 
 
 def test_build_model_json():
