@@ -1,6 +1,6 @@
 """Command-line front end: load a scenario, run an analysis, emit CSV/JSON.
 
-Commands::
+Commands, each run by the ``cmd_*`` function that ``COMMANDS`` maps it to::
 
     analyze        info summary, golden syndromes, prototype-condition gaps
     curves         min/max leakage grid plus the Z-observation trace
@@ -212,7 +212,7 @@ def _golden_comments(ctx: _Context) -> list[str]:
     return [f"x={golden['x']} y={golden['y']}", f"t_x={tx:0{lx}b} t_y={ty:0{ly}b}"]
 
 
-def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
+def cmd_analyze(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
     comments = [f"scenario={ctx.name}"] + _golden_comments(ctx)
     info = sequence_summary(ctx.model)
     K = ctx.model.K
@@ -224,7 +224,7 @@ def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     cond_rows = [
         {**asdict(r), "gap": r.gap} for r in prototype_condition_report(ctx.scheme, ctx.model)
     ]
-    if fmt == "json":
+    if args.format == "json":
         path = out / "analyze.json"
         _write_json(
             path,
@@ -240,7 +240,7 @@ def cmd_analyze(ctx: _Context, out: Path, fmt: str) -> list[Path]:
     return [p1, p2]
 
 
-def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
+def cmd_curves(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
     if "z_trace" in ctx.scenario:
         raise ValidationError(
             "scenario.z_trace: not a setting; the Z trace takes H(X,Y) and H(X|Y) from the model"
@@ -264,12 +264,12 @@ def cmd_curves(ctx: _Context, out: Path, fmt: str) -> list[Path]:
         + (";".join(f"({a},{b})" for a, b in disagree) if disagree else "none")
         + "; see variant_match for the oracle-confirmed variant"
     )
-    return _emit(out, fmt, "curves", comments, dicts, list(dicts[0]))
+    return _emit(out, args.format, "curves", comments, dicts, list(dicts[0]))
 
 
-def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Path]:
+def cmd_verify_bounds(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
     tx, ty, mu = sample_patterns(
-        ctx.scheme, ctx.sweep("random_patterns", 100), seed, ctx.mu_z_values()
+        ctx.scheme, ctx.sweep("random_patterns", 100), args.seed, ctx.mu_z_values()
     )
     if not mu.size:
         raise ValidationError("scenario.sweep.random_patterns: sweep produced no patterns")
@@ -294,11 +294,11 @@ def cmd_verify_bounds(ctx: _Context, out: Path, fmt: str, seed: int) -> list[Pat
                 }
             )
     ctx.log_entropy_counters()
-    comments = [f"scenario={ctx.name}", f"seed={seed}"]
-    return _emit(out, fmt, "bounds", comments, rows, list(rows[0]))
+    comments = [f"scenario={ctx.name}", f"seed={args.seed}"]
+    return _emit(out, args.format, "bounds", comments, rows, list(rows[0]))
 
 
-def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
+def cmd_region(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
     queries = ctx.scenario.get("region_queries", [])
     if not queries:
         raise ValidationError("scenario.region_queries: missing or empty")
@@ -320,10 +320,7 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
         rows.append(
             {
                 "case": case,
-                **{k: getattr(q, k) for k in (
-                    "r_x", "r_y", "r_kx", "r_ky", "h_x", "h_y", "h_xy",
-                    "alpha_cx", "alpha_cy", "alpha_z", "i_xyz",
-                )},
+                **asdict(q),
                 "status": verdict.status,
                 **{column: flags.get(column, "") for column in REGION_COLUMNS},
                 "violated": ";".join(verdict.violated),
@@ -331,11 +328,11 @@ def cmd_region(ctx: _Context, out: Path, fmt: str) -> list[Path]:
             }
         )
     comments = [f"scenario={ctx.name}"]
-    return _emit(out, fmt, "region", comments, rows, list(rows[0]))
+    return _emit(out, args.format, "region", comments, rows, list(rows[0]))
 
 
-def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Path]:
-    s = ctx.scheme
+def cmd_decode(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
+    s, tx, ty = ctx.scheme, args.tx, args.ty
     n, lx, ly = s.n, s.syndrome_len("x"), s.syndrome_len("y")
     if (tx is None) != (ty is None):
         missing = "--ty" if ty is None else "--tx"
@@ -367,10 +364,10 @@ def cmd_decode(ctx: _Context, out: Path, fmt: str, tx: str, ty: str) -> list[Pat
     ]
     # Explicit fields: a decode may have no candidates.
     fields = ["candidate", "x_bits", "y_bits", "x_hex", "y_hex"]
-    return _emit(out, fmt, "decode", comments, rows, fields)
+    return _emit(out, args.format, "decode", comments, rows, fields)
 
 
-def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
+def cmd_cipher_sim(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
     cfg = ctx.section("cipher")
     mu = int_field(cfg.get("mu", 0), "scenario.cipher.mu")
     _require_range("scenario.cipher.mu", mu, ctx.model.K)
@@ -415,7 +412,18 @@ def cmd_cipher_sim(ctx: _Context, out: Path, fmt: str) -> list[Path]:
             }
         )
     comments = [f"scenario={ctx.name}"]
-    return _emit(out, fmt, "cipher", comments, rows, list(rows[0]))
+    return _emit(out, args.format, "cipher", comments, rows, list(rows[0]))
+
+
+#: Each command's name and the function that runs it, in help order.
+COMMANDS = {
+    "analyze": cmd_analyze,
+    "curves": cmd_curves,
+    "verify-bounds": cmd_verify_bounds,
+    "region": cmd_region,
+    "cipher-sim": cmd_cipher_sim,
+    "decode": cmd_decode,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,10 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="corrleak",
         description="Exact leakage analysis for correlated sources over an eavesdropped channel",
     )
-    parser.add_argument(
-        "command",
-        choices=["analyze", "curves", "verify-bounds", "region", "cipher-sim", "decode"],
-    )
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--scenario", required=True, help="scenario file or bundled name")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -446,18 +451,7 @@ def main(argv=None) -> int:
         ctx = _Context(scenario, args.verbose)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "analyze":
-            files = cmd_analyze(ctx, out, args.format)
-        elif args.command == "curves":
-            files = cmd_curves(ctx, out, args.format)
-        elif args.command == "verify-bounds":
-            files = cmd_verify_bounds(ctx, out, args.format, args.seed)
-        elif args.command == "region":
-            files = cmd_region(ctx, out, args.format)
-        elif args.command == "decode":
-            files = cmd_decode(ctx, out, args.format, args.tx, args.ty)
-        else:
-            files = cmd_cipher_sim(ctx, out, args.format)
+        files = COMMANDS[args.command](ctx, out, args)
     except (CapacityError, MemoryError) as exc:  # MemoryError: a limit below the budget
         print(f"corrleak: capacity guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

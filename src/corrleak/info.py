@@ -299,30 +299,20 @@ class SupportTable:
         int32 when the code fits 31 bits, overwritten by the next call.
 
         The buffer gets the Z prefix by one right shift of the Z code, shifted
-        past ``tail``.  The pair chunks are packed into one code on the pairs,
-        ``head`` above a gap as wide as Z and ``tail``, and that code is
-        spread over each pair's rows and ORed in: by broadcasting when every
-        pair spans the same number of rows, by one ``np.repeat`` otherwise.
-        If the code would pass ``PACK_LIMIT_BITS``, ``head`` is re-ranked
-        on the pairs first, which keeps its order."""
-        lead = pack_chunks(head, self.pairs)
+        past ``tail``.  ``pack_chunks`` packs ``head``, then ``tail`` in a
+        chunk as wide as Z and ``tail``, into one code on the pairs, and alone
+        decides when ``head`` is re-ranked.  That code is spread over each
+        pair's rows and ORed in: by broadcasting when every pair spans the
+        same number of rows, by one ``np.repeat`` otherwise.  The int32 view
+        needs room for the Z prefix even when the pair code is narrower."""
         trail = pack_chunks(tail, self.pairs)
         trail_width = int(trail.max()).bit_length()
         gap = mu + trail_width
-        lead_width = int(lead.max()).bit_length()
-        if lead_width + gap > PACK_LIMIT_BITS:
-            lead = np.unique(lead, return_inverse=True)[1]
-            lead_width = int(lead.max()).bit_length()
-            if lead_width + gap > PACK_LIMIT_BITS:
-                raise InternalConsistencyError(
-                    f"{lead_width} ranked bits do not fit beside {gap} row bits"
-                )
+        code = pack_chunks([*head, (trail, gap)], self.pairs)
         buf = self._buffer
-        if lead_width + gap <= 31:
+        if max(int(code.max()).bit_length(), gap) <= 31:
             buf = buf.view(np.int32)[: self.rows]
-        lead <<= gap
-        lead |= trail
-        pair_code = lead.astype(buf.dtype, copy=False)
+        pair_code = code.astype(buf.dtype, copy=False)
         if self._run:
             rows, spread = buf.reshape(self.pairs, self._run), pair_code[:, None]
         else:

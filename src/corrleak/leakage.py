@@ -126,7 +126,8 @@ class WiretapAnalyzer:
     ``x`` (X), ``y`` (Y), ``tx`` (T_X), ``ty`` (T_Y) and ``z`` (the leaked Z
     prefix), with shared-pad bits folded in analytically.  Every column but
     Z is a function of the source pair (x, y), so it is kept per distinct
-    pair of the support table, which takes every kernel entropy.
+    pair of the support table, which takes every kernel entropy.  So is the
+    raw parity XOR, whose pad columns read on both sides a set takes as one chunk.
 
     Each public operation takes its patterns as int arrays ``tx``, ``ty``
     and ``mu`` that broadcast, in blocks of ``BLOCK``, asks
@@ -153,12 +154,9 @@ class WiretapAnalyzer:
             side: _mask(i for i in s.role_positions(side, "common") if i >= self._info[side])
             for side in "xy"
         }
-        # Raw parity XOR per pad column (the pads cancel in the pair): both
-        # codes end in the parity bits, so column c is one bit of tx ^ ty.
-        raw = tx ^ ty
-        self._xor_col = [
-            ((raw >> (s.parity_len - 1 - c)) & 1).astype(np.uint8) for c in range(s.parity_len)
-        ]
+        # The raw parity XOR (the pads cancel in the pair): both codes end in
+        # the parity bits, so pad column c is parity column c of tx ^ ty.
+        self._xor = (tx ^ ty) & (1 << s.parity_len) - 1
         self._width = {"x": 1, "y": 1, "tx": lx, "ty": ly, "z": self.K.bit_length()}
         self._shift = _key_shifts(self._width)
         self._class_values: dict[int, float] = {}
@@ -253,7 +251,7 @@ class WiretapAnalyzer:
     def _kernel(self, key: int) -> float:
         """The kernel entropy of the class packed in ``key``, memoised: the
         clear syndrome columns read of T_X, then of T_Y, then X, Y, the Z
-        prefix and the XOR bit of each pad column read on both sides."""
+        prefix and the raw parity XOR of the pad columns read on both sides."""
         field = {name: key >> self._shift[name] & (1 << w) - 1 for name, w in self._width.items()}
         head = [
             (column_code(*self._syndromes[side], cols), len(cols))
@@ -261,7 +259,7 @@ class WiretapAnalyzer:
         ]
         t, both = self._table, _bits((field["tx"] & self._pads["x"]) >> self._info["x"])
         head += [(word, self.K) for word, name in zip((t.x, t.y), "xy") if field[name]]
-        xor, mu = [(self._xor_col[c], 1) for c in both], field["z"]
+        xor, mu = [(column_code(self._xor, self.scheme.parity_len, both), len(both))], field["z"]
         value = t.entropy(head, mu, xor) if mu else t.entropy(head + xor)
         self._class_values[key] = value
         self.entropy_sets += 1

@@ -15,6 +15,9 @@ code.  Every pair's rows are adjacent, so ``SequenceModel.table``, the one
 straight as the distinct (x, y) pairs with their run lengths and one Z code
 per row; no per-row X or Y code is kept.  A table past the memory budget
 is refused before it is built.
+
+``SequenceModel`` checks its fields, naming each as its scenario field
+(``model.K``, ``model.d_xy``, ...), so ``build_model`` only parses JSON.
 """
 
 from __future__ import annotations
@@ -42,15 +45,16 @@ class SequenceModel:
 
     def __post_init__(self):
         if self.kind not in ("iid", "hamming"):
-            raise ValidationError(f"unknown model kind {self.kind!r}")
+            raise ValidationError(f"model.kind: unknown kind {self.kind!r}")
         if self.K < 1:
-            raise ValidationError(f"K must be >= 1, got {self.K}")
+            raise ValidationError(f"model.K: must be >= 1, got {self.K}")
         if self.kind == "iid":
             if self.base is None:
-                raise ValidationError("iid model requires a base JointPmf")
-        else:
-            if not 0 <= self.d_xy_max <= self.K or not 0 <= self.d_yz_max <= self.K:
-                raise ValidationError("distance bounds must lie in 0..K")
+                raise ValidationError("model.pmf: required for iid models")
+            return
+        for field, d in (("d_xy", self.d_xy_max), ("d_yz", self.d_yz_max)):
+            if not 0 <= d <= self.K:
+                raise ValidationError(f"model.{field}: must lie in 0..{self.K}, got {d}")
 
     @property
     def alphabet_sizes(self) -> tuple[int, int, int]:
@@ -137,25 +141,17 @@ def build_model(spec: dict) -> SequenceModel:
     """
     if not isinstance(spec, dict):
         raise ValidationError("model spec must be a JSON object")
-    kind = spec.get("kind")
-    if kind not in ("hamming", "iid"):
-        raise ValidationError(f"model.kind: unknown kind {kind!r}")
-    K = int_field(spec.get("K", 0), "model.K")
-    if K < 1:
-        raise ValidationError(f"model.K: must be >= 1, got {K}")
+    kind, K = spec.get("kind"), int_field(spec.get("K", 0), "model.K")
     if kind == "hamming":
         d_xy, d_yz = (int_field(spec.get(f, 1), f"model.{f}") for f in ("d_xy", "d_yz"))
-        for f, d in (("d_xy", d_xy), ("d_yz", d_yz)):
-            if not 0 <= d <= K:
-                raise ValidationError(f"model.{f}: must lie in 0..{K}, got {d}")
-        return SequenceModel(kind="hamming", K=K, d_xy_max=d_xy, d_yz_max=d_yz)
-    if "pmf" not in spec:
-        raise ValidationError("model.pmf: required for iid models")
-    try:
-        base = JointPmf.from_json(spec["pmf"])
-    except ValidationError as exc:
-        raise ValidationError(f"model.pmf: {exc}") from exc
-    return SequenceModel(kind="iid", K=K, base=base)
+        return SequenceModel(kind=kind, K=K, d_xy_max=d_xy, d_yz_max=d_yz)
+    base = None
+    if "pmf" in spec:
+        try:
+            base = JointPmf.from_json(spec["pmf"])
+        except ValidationError as exc:
+            raise ValidationError(f"model.pmf: {exc}") from exc
+    return SequenceModel(kind=kind, K=K, base=base)
 
 
 def sequence_summary(model: SequenceModel) -> InfoSummary:

@@ -730,16 +730,26 @@ def test_row_code_orders_rows_as_their_chunk_tuples(hamming7):
     # Pair chunks are spread out to the rows around the Z columns, which are
     # written into the table's row buffer: the shared (read-only, int32) Z
     # code is never written, and a constant leading chunk still orders
-    # nothing.
+    # nothing.  7 Z columns above a 25-bit tail take 32 bits, so the row code
+    # is int64 even with no head or a constant one, where the pair code is
+    # the 25-bit tail alone.
     table = hamming7.table
     x, _, z, _ = support_arrays(hamming7)
     assert (np.repeat(table.x, table.runs) == x).all()
-    bit = table.x & 1
-    for lead in (np.zeros(table.pairs, dtype=np.int64), table.x):
-        code = table._row_code([(lead, 7)], 7, [(bit, 1)])
-        rows = [(np.repeat(lead, table.runs), 7), (z, 7), (np.repeat(bit, table.runs), 1)]
-        expected = pack_chunks(rows, z.size)
-        rank = np.unique(expected, return_inverse=True)[1]
+    bit, zero = table.x & 1, np.zeros(table.pairs, dtype=np.int64)
+    wide = np.random.default_rng(25).integers(0, 1 << 25, size=table.pairs)
+    cases = [
+        ([(zero, 7)], [(bit, 1)], np.int32),
+        ([(table.x, 7)], [(bit, 1)], np.int32),
+        ([], [(wide, 25)], np.int64),
+        ([(zero, 7)], [(wide, 25)], np.int64),
+    ]
+    for head, tail, dtype in cases:
+        code = table._row_code(head, 7, tail)
+        assert code.dtype == dtype
+        spread = [(np.repeat(c, table.runs), w) for c, w in head + tail]
+        rows = [*spread[: len(head)], (z, 7), *spread[len(head) :]]
+        rank = np.unique(pack_chunks(rows, z.size), return_inverse=True)[1]
         assert (np.unique(code, return_inverse=True)[1] == rank).all()
     assert (table.z == z).all() and not table.z.flags.writeable
     assert table.z.dtype == np.int32

@@ -253,10 +253,31 @@ def test_build_model_json():
         {"kind": "iid", "K": 2, "pmf": {"alphabets": [2, 2, 2], "probs": [0.125] * 8}}
     )
     assert m2.kind == "iid" and m2.support_size() == 64
+    # An iid spec's distance bounds are never read.
+    m3 = build_model(
+        {"kind": "iid", "K": 2, "d_xy": 0.5, "pmf": {"alphabets": [2, 2, 2], "probs": [0.125] * 8}}
+    )
+    assert m3.support_size() == 64
     with pytest.raises(ValidationError):
         build_model({"kind": "markov", "K": 3})
     with pytest.raises(ValidationError):
         build_model({"kind": "iid", "K": 3})
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"kind": "markov", "K": 3}, "model.kind"),
+        ({"kind": "hamming", "K": 0}, "model.K"),
+        ({"kind": "iid", "K": 3}, "model.pmf"),
+        ({"kind": "hamming", "K": 3, "d_xy_max": 4}, "model.d_xy"),
+        ({"kind": "hamming", "K": 3, "d_yz_max": -1}, "model.d_yz"),
+    ],
+)
+def test_sequence_model_names_the_field_it_refuses(fields, name):
+    # The model itself checks its fields, with the messages the CLI prints.
+    with pytest.raises(ValidationError, match=rf"^{name}: "):
+        SequenceModel(**fields)
 
 
 def _iid_with_zero_cell() -> SequenceModel:
