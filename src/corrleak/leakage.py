@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InternalConsistencyError, UsageError
+from .errors import CapacityError, DomainError, InternalConsistencyError, UsageError, is_int
 from .info import column_code
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes, xor_basis
@@ -535,19 +535,121 @@ def z_trace_rows(analyzer: WiretapAnalyzer, mu_values: Sequence[int]) -> list[Cu
     return rows
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+class _DefaultRng:
+    """numpy's ``default_rng(seed)`` stream, draw for draw, for the two
+    calls ``sample_patterns`` makes, in integer Python.  numpy seeds PCG64
+    (O'Neill, 2014) through ``SeedSequence``, draws 32-bit words, and bounds
+    them with Lemire's rejection (ACM TOMACS, 2019).  ``state``, ``inc``,
+    ``has_uint32`` and ``uinteger`` are the fields of numpy's
+    ``bit_generator.state``."""
+
+    def __init__(self, seed: int):
+        # SeedSequence: the seed's 32-bit words hashed into a pool of four,
+        # every pool word mixed into every other, then generate_state(4, uint64).
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return value ^ value >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const, halves = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _M32
+            value = value * const & _M32
+            halves.append(value ^ value >> 16)
+        w = [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+        # pcg64_set_seed: state and increment are the words taken high half first.
+        self.inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        self.state = 0
+        self._step()
+        self.state = (self.state + (w[0] << 64 | w[1])) & _M128
+        self._step()
+        self.has_uint32 = self.uinteger = 0
+
+    def _step(self) -> None:
+        self.state = (self.state * _PCG_MULT + self.inc) & _M128
+
+    def _next32(self) -> int:
+        """The low half of a fresh XSL-RR output; its high half is kept for
+        the next call."""
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        self._step()
+        x, rot = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
+        out = (x >> rot | x << (64 - rot)) & _M64
+        self.has_uint32, self.uinteger = 1, out >> 32
+        return out & _M32
+
+    def _bounded(self, top: int) -> int:
+        """Uniform in ``0..top`` (``top`` < 2**32 - 1), by 32-bit Lemire rejection."""
+        if top == 0:
+            return 0
+        m = self._next32() * (top + 1)
+        if m & _M32 <= top:
+            threshold = (1 << 32) % (top + 1)
+            while m & _M32 < threshold:
+                m = self._next32() * (top + 1)
+        return m >> 32
+
+    def integers(self, high: int) -> int:
+        """``Generator.integers(0, high)``."""
+        return self._bounded(high - 1)
+
+    def choice(self, pop_size: int, size: int) -> list[int]:
+        """``Generator.choice(pop_size, size, replace=False)``: Floyd's
+        algorithm, which takes ``j`` itself when its draw repeats, then a
+        Fisher-Yates shuffle of the picks.  numpy tail-shuffles instead when
+        ``pop_size`` > 10000, which no syndrome (at most 63 bits) reaches."""
+        picks: list[int] = []
+        for j in range(pop_size - size, pop_size):
+            val = self._bounded(j)
+            picks.append(j if val in picks else val)
+        for i in range(size - 1, 0, -1):
+            j = self._bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+
 def sample_patterns(
     s: PartitionScheme, count: int, seed: int, mu_values: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic random wiretap patterns ``(tx, ty, mu)`` for bound and
-    identity sweeps: each random pair of subsets with every ``mu`` in turn."""
-    rng = np.random.default_rng(seed)
+    identity sweeps: each random pair of subsets with every ``mu`` in turn.
+    The subsets are drawn from numpy's ``default_rng(seed)`` stream
+    (SeedSequence, PCG64), reproduced in the package: per pair, a size
+    ``integers(0, l + 1)`` for each side's syndrome length ``l``, then each
+    side's ``choice(l, size, replace=False)``."""
+    if not is_int(seed) or seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = _DefaultRng(int(seed))
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     masks = []
     for _ in range(count):
-        a = int(rng.integers(0, lx + 1))
-        b = int(rng.integers(0, ly + 1))
-        tx = _mask(rng.choice(lx, size=a, replace=False))
-        masks.append((tx, _mask(rng.choice(ly, size=b, replace=False))))
+        a, b = rng.integers(lx + 1), rng.integers(ly + 1)
+        masks.append((_mask(rng.choice(lx, a)), _mask(rng.choice(ly, b))))
     mu = np.asarray(mu_values, dtype=np.int64)
     tx, ty = np.array(masks, dtype=np.int64).reshape(-1, 2).T
     return np.repeat(tx, mu.size), np.repeat(ty, mu.size), np.tile(mu, len(masks))

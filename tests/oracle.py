@@ -16,7 +16,8 @@ sequence model must match, the per-codeword cipher over general index-space
 sizes (``CipherSizes``), which the folded pads of ``measure_security`` must
 agree with, the paper's key-size rule
 (``derive_key_sizes``, ``alpha_defaults``), which no command reaches, the
-candidate counts behind the leakage of a Z prefix, and the analyzer one
+candidate counts behind the leakage of a Z prefix, the pattern sampler on
+numpy's own generator (``sample_patterns``), and the analyzer one
 pattern and one entropy set at a time (``ReferenceAnalyzer``), which the
 package's block evaluator must equal float for float.  The tests check the
 fast paths against it; nothing under ``src/`` imports it.
@@ -275,6 +276,24 @@ def pattern_triples(tx, ty, mu) -> list[Pattern]:
     """The pattern triples of a batch of pattern arrays (or scalars) that broadcast."""
     columns = np.broadcast_arrays(*map(np.atleast_1d, (tx, ty, mu)))
     return list(zip(*(c.tolist() for c in columns)))
+
+
+def sample_patterns(
+    s: PartitionScheme, count: int, seed: int, mu_values: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pattern sampler on numpy's own ``default_rng(seed)``, which
+    ``leakage.sample_patterns`` reproduces without ``numpy.random``."""
+    rng = np.random.default_rng(seed)
+    lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
+    masks = []
+    for _ in range(count):
+        a = int(rng.integers(0, lx + 1))
+        b = int(rng.integers(0, ly + 1))
+        tx = mask_of(rng.choice(lx, size=a, replace=False))
+        masks.append((tx, mask_of(rng.choice(ly, size=b, replace=False))))
+    mu = np.asarray(mu_values, dtype=np.int64)
+    tx, ty = np.array(masks, dtype=np.int64).reshape(-1, 2).T
+    return np.repeat(tx, mu.size), np.repeat(ty, mu.size), np.tile(mu, len(masks))
 
 
 def is_subset_of(small: Pattern, big: Pattern) -> bool:

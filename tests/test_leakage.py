@@ -9,11 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import corrleak.info as info_module
+from corrleak.cli import load_scenario
 from corrleak.errors import DomainError, UsageError
 from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
 from corrleak.leakage import (
     DELTA,
     WiretapAnalyzer,
+    _DefaultRng,
     _rank_term,
     grid_curve_rows,
     minmax_curves,
@@ -37,6 +39,7 @@ from oracle import (
     pattern_arrays,
     pattern_triples,
     readable_memo,
+    sample_patterns as numpy_sample_patterns,
     support_arrays,
     support_digits,
     syndrome_observable,
@@ -305,7 +308,7 @@ def test_grid_rows_and_z_trace(analyzer):
 
 def test_sample_patterns_deterministic(scheme):
     a = sample_patterns(scheme, 5, seed=3, mu_values=(0, 2))
-    b = sample_patterns(scheme, 5, seed=3, mu_values=(0, 2))
+    b = sample_patterns(scheme, 5, seed=np.int64(3), mu_values=(0, 2))
     assert all(x.dtype == np.int64 and x.shape == (10,) for x in a)
     assert pattern_triples(*a) == pattern_triples(*b)
     c = sample_patterns(scheme, 5, seed=4, mu_values=(0, 2))
@@ -314,6 +317,69 @@ def test_sample_patterns_deterministic(scheme):
     tx, ty, mu = a
     assert (tx[::2] == tx[1::2]).all() and (ty[::2] == ty[1::2]).all()
     assert mu.tolist() == [0, 2] * 5
+
+
+
+class _Lengths:
+    """A stand-in scheme with the given syndrome lengths, all the sampler reads."""
+
+    def __init__(self, lx: int, ly: int):
+        self.lengths = {"x": lx, "y": ly}
+
+    def syndrome_len(self, side: str) -> int:
+        return self.lengths[side]
+
+
+@given(
+    seed=st.integers(0, 2**80),
+    count=st.integers(0, 40),
+    lx=st.integers(0, 62),
+    ly=st.integers(0, 62),
+    mu=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6),
+)
+def test_sample_patterns_reproduces_numpys_default_rng_stream(seed, count, lx, ly, mu):
+    got = sample_patterns(_Lengths(lx, ly), count, seed, mu)
+    want = numpy_sample_patterns(_Lengths(lx, ly), count, seed, mu)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    # The same calls, draw for draw and in choice order, leave the same state.
+    ours, theirs = _DefaultRng(seed), np.random.default_rng(seed)
+    for _ in range(count):
+        for length in (lx, ly):
+            size = ours.integers(length + 1)
+            assert size == theirs.integers(0, length + 1)
+            assert ours.choice(length, size) == theirs.choice(length, size, replace=False).tolist()
+    state = theirs.bit_generator.state
+    assert (ours.state, ours.inc, ours.has_uint32, ours.uinteger) == (
+        state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+    )
+
+
+@given(seed=st.integers(0, 2**80), highs=st.lists(st.integers(1, 2**32 - 1), max_size=20))
+def test_default_rng_integers_rejects_as_numpy_does_on_wide_bounds(seed, highs):
+    # Bounds near 2**32 reject about half their first draws, which a
+    # syndrome's bound of at most 64 almost never does.
+    ours, theirs = _DefaultRng(seed), np.random.default_rng(seed)
+    assert [ours.integers(h) for h in highs] == [theirs.integers(0, h) for h in highs]
+    assert ours.state == theirs.bit_generator.state["state"]["state"]
+
+def test_sample_patterns_pins_the_first_reference_k7_patterns_at_seed_0():
+    # A change to numpy's default_rng stream fails here by name, not only as
+    # a moved verify-bounds digest.
+    s = PartitionScheme.from_json(load_scenario("reference_k7")["scheme"])
+    tx, ty, mu = sample_patterns(s, 5, 0, (0, 7))
+    assert tx.tolist() == [31, 31, 30, 30, 29, 29, 13, 13, 31, 31]
+    assert ty.tolist() == [14, 14, 14, 14, 31, 31, 28, 28, 14, 14]
+    assert mu.tolist() == [0, 7] * 5
+    assert [a.tolist() for a in numpy_sample_patterns(s, 5, 0, (0, 7))] == [
+        tx.tolist(), ty.tolist(), mu.tolist()
+    ]
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), True, 1.0, "3", None])
+def test_sample_patterns_refuses_a_seed_that_is_not_a_nonnegative_integer(scheme, seed):
+    with pytest.raises(UsageError, match="seed"):
+        sample_patterns(scheme, 3, seed, (0,))
 
 
 # -- the analyzer's cross-pattern entropy memo ---------------------------------------

@@ -1,5 +1,6 @@
-"""Start-up: ``import corrleak`` loads no numpy, and a process that imports
-the CLI runs one thread even when the caller asks OpenBLAS for more."""
+"""Start-up: ``import corrleak`` loads no numpy, a process that imports
+the CLI runs one thread even when the caller asks OpenBLAS for more, and
+``verify-bounds`` draws its patterns without ``numpy.random`` or OpenSSL."""
 
 import os
 import subprocess
@@ -30,3 +31,21 @@ def test_cli_process_starts_without_numpy_blas_pool_or_random(tmp_path):
     if threads:  # /proc/self/task lists one entry per thread, where it exists
         assert int(threads) == 1
     assert numpy_random == "False"
+
+
+VERIFY_BOUNDS = """
+import sys
+from corrleak import cli
+assert cli.main(["verify-bounds", "--scenario", "reference_k7", "--out", "out"]) == 0
+print(*(name in sys.modules for name in ("numpy.random", "secrets", "_hashlib")))
+"""
+
+
+def test_verify_bounds_loads_no_numpy_random_or_openssl(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_BOUNDS],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False False"
