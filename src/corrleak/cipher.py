@@ -118,7 +118,7 @@ def region_membership(q: RegionQuery, case: str, info: InfoSummary) -> RegionVer
         return region_membership(replace(q, h_x=0.0), "individual", info)
 
     if case == "joint":
-        limit = info.h_xy - q.alpha_cx - q.alpha_cy + q.i_xyz
+        limit = guaranteed_level(info.h_xy, q.alpha_cx, q.alpha_cy, q.i_xyz)
         if not 0 <= q.h_xy <= limit + 1e-12:
             return RegionVerdict(
                 status="out_of_domain",

@@ -11,6 +11,9 @@ Commands, each run by the ``cmd_*`` function that ``COMMANDS`` maps it to::
 
 Every command takes ``--scenario`` (a path or a bundled name such as
 ``reference_k7``), ``--out``, ``--format csv|json`` and ``--verbose``.
+A command returns its output stem, its note lines and its tables, and
+``main`` alone writes them (``_emit``), the note lines headed by
+``scenario=<name>``.
 ``--seed`` only affects the randomized pattern sweep of ``verify-bounds``;
 all reproduction commands are deterministic, and identical scenario input
 yields byte-identical output.
@@ -75,27 +78,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, fieldnames, rows, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(fieldnames))
-    for row in rows:
-        lines.append(",".join(_fmt(row[name]) for name in fieldnames))
-    path.write_text("\n".join(lines) + "\n")
+#: What a command returns: its output stem, its note lines and its tables,
+#: each JSON key mapped to the table's rows and CSV fields.
+Output = tuple[str, list[str], dict[str, tuple[list[dict], list[str]]]]
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _emit(out: Path, fmt: str, stem: str, comments, rows, fields) -> list[Path]:
-    """Write ``<stem>.json`` (header plus rows) or ``<stem>.csv``; return its path."""
+def _emit(out: Path, fmt: str, stem: str, notes: list[str], tables: dict) -> list[Path]:
+    """Write a command's ``tables`` (JSON key -> ``(rows, fields)``) under
+    ``out`` and return the paths: ``<stem>.json``, the ``header`` lines
+    ``notes`` plus every table, or one CSV per table, ``<stem>.csv`` for the
+    first and ``<key>.csv`` for each later one, each headed by ``notes`` as
+    comment lines."""
     if fmt == "json":
-        path = out / f"{stem}.json"
-        _write_json(path, {"header": comments, "rows": rows})
+        payload = {"header": notes, **{key: rows for key, (rows, _) in tables.items()}}
+        texts = {out / f"{stem}.json": json.dumps(payload, indent=2, sort_keys=True)}
     else:
-        path = out / f"{stem}.csv"
-        _write_csv(path, fields, rows, comments)
-    return [path]
+        texts = {}
+        for i, (key, (rows, fields)) in enumerate(tables.items()):
+            lines = [f"# {c}" for c in notes] + [",".join(fields)]
+            lines += [",".join(_fmt(row[name]) for name in fields) for row in rows]
+            texts[out / f"{key if i else stem}.csv"] = "\n".join(lines)
+    for path, text in texts.items():
+        path.write_text(text + "\n")
+    return list(texts)
 
 
 def load_scenario(ref: str) -> dict:
@@ -203,7 +208,7 @@ def _golden_syndromes(ctx: _Context) -> tuple[int, int]:
     return int(tx[0]), int(ty[0])
 
 
-def _golden_comments(ctx: _Context) -> list[str]:
+def _golden_notes(ctx: _Context) -> list[str]:
     golden = ctx.scenario.get("golden")
     if not golden:
         return []
@@ -212,35 +217,26 @@ def _golden_comments(ctx: _Context) -> list[str]:
     return [f"x={golden['x']} y={golden['y']}", f"t_x={tx:0{lx}b} t_y={ty:0{ly}b}"]
 
 
-def cmd_analyze(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
-    comments = [f"scenario={ctx.name}"] + _golden_comments(ctx)
+def cmd_analyze(ctx: _Context, args: argparse.Namespace) -> Output:
+    notes = _golden_notes(ctx)
     info = sequence_summary(ctx.model)
     K = ctx.model.K
-    summary_rows = [
+    summary = [
         {"quantity": name, "per_symbol_bits": val, "total_bits": val * K}
         for name, val in vars(info).items()
     ]
     ctx.log("evaluating prototype-code conditions")
-    cond_rows = [
-        {**asdict(r), "gap": r.gap} for r in prototype_condition_report(ctx.scheme, ctx.model)
+    conditions = [
+        {**asdict(r), "gap": r.gap}
+        for r in prototype_condition_report(ctx.scheme, ctx.model, info)
     ]
-    if args.format == "json":
-        path = out / "analyze.json"
-        _write_json(
-            path,
-            {"header": comments, "summary": summary_rows, "conditions": cond_rows},
-        )
-        return [path]
-    p1 = out / "analyze.csv"
-    _write_csv(p1, ["quantity", "per_symbol_bits", "total_bits"], summary_rows, comments)
-    p2 = out / "conditions.csv"
-    _write_csv(
-        p2, ["label", "lhs_name", "lhs_bits", "rhs_name", "rhs_bits", "gap"], cond_rows, comments
-    )
-    return [p1, p2]
+    return "analyze", notes, {
+        "summary": (summary, list(summary[0])),
+        "conditions": (conditions, list(conditions[0])),
+    }
 
 
-def cmd_curves(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
+def cmd_curves(ctx: _Context, args: argparse.Namespace) -> Output:
     if "z_trace" in ctx.scenario:
         raise ValidationError(
             "scenario.z_trace: not a setting; the Z trace takes H(X,Y) and H(X|Y) from the model"
@@ -258,16 +254,15 @@ def cmd_curves(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]
             if abs(r.formula_max - r.formula_max_verbatim) > 1e-12
         }
     )
-    comments = [f"scenario={ctx.name}"]
-    comments.append(
+    note = (
         "max-formula variants disagree at: "
         + (";".join(f"({a},{b})" for a, b in disagree) if disagree else "none")
         + "; see variant_match for the oracle-confirmed variant"
     )
-    return _emit(out, args.format, "curves", comments, dicts, list(dicts[0]))
+    return "curves", [note], {"rows": (dicts, list(dicts[0]))}
 
 
-def cmd_verify_bounds(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
+def cmd_verify_bounds(ctx: _Context, args: argparse.Namespace) -> Output:
     tx, ty, mu = sample_patterns(
         ctx.scheme, ctx.sweep("random_patterns", 100), args.seed, ctx.mu_z_values()
     )
@@ -294,14 +289,15 @@ def cmd_verify_bounds(ctx: _Context, out: Path, args: argparse.Namespace) -> lis
                 }
             )
     ctx.log_entropy_counters()
-    comments = [f"scenario={ctx.name}", f"seed={args.seed}"]
-    return _emit(out, args.format, "bounds", comments, rows, list(rows[0]))
+    return "bounds", [f"seed={args.seed}"], {"rows": (rows, list(rows[0]))}
 
 
-def cmd_region(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
+def cmd_region(ctx: _Context, args: argparse.Namespace) -> Output:
     queries = ctx.scenario.get("region_queries", [])
     if not queries:
         raise ValidationError("scenario.region_queries: missing or empty")
+    if not isinstance(queries, list):
+        raise ValidationError(f"scenario.region_queries: must be a list, got {queries!r}")
     info = sequence_summary(ctx.model)
     rows = []
     for i, entry in enumerate(queries):
@@ -327,11 +323,10 @@ def cmd_region(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]
                 "domain_note": verdict.domain_note,
             }
         )
-    comments = [f"scenario={ctx.name}"]
-    return _emit(out, args.format, "region", comments, rows, list(rows[0]))
+    return "region", [], {"rows": (rows, list(rows[0]))}
 
 
-def cmd_decode(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
+def cmd_decode(ctx: _Context, args: argparse.Namespace) -> Output:
     s, tx, ty = ctx.scheme, args.tx, args.ty
     n, lx, ly = s.n, s.syndrome_len("x"), s.syndrome_len("y")
     if (tx is None) != (ty is None):
@@ -357,17 +352,16 @@ def cmd_decode(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]
         }
         for i, (x, y) in enumerate(candidates)
     ]
-    comments = [
-        f"scenario={ctx.name}",
+    note = (
         f"t_x={tx:0{lx}b} t_y={ty:0{ly}b} candidates={len(rows)} "
-        f"unique={str(len(rows) == 1).lower()}",
-    ]
+        f"unique={str(len(rows) == 1).lower()}"
+    )
     # Explicit fields: a decode may have no candidates.
     fields = ["candidate", "x_bits", "y_bits", "x_hex", "y_hex"]
-    return _emit(out, args.format, "decode", comments, rows, fields)
+    return "decode", [note], {"rows": (rows, fields)}
 
 
-def cmd_cipher_sim(ctx: _Context, out: Path, args: argparse.Namespace) -> list[Path]:
+def cmd_cipher_sim(ctx: _Context, args: argparse.Namespace) -> Output:
     cfg = ctx.section("cipher")
     mu = int_field(cfg.get("mu", 0), "scenario.cipher.mu")
     _require_range("scenario.cipher.mu", mu, ctx.model.K)
@@ -411,8 +405,7 @@ def cmd_cipher_sim(ctx: _Context, out: Path, args: argparse.Namespace) -> list[P
                 ),
             }
         )
-    comments = [f"scenario={ctx.name}"]
-    return _emit(out, args.format, "cipher", comments, rows, list(rows[0]))
+    return "cipher", [], {"rows": (rows, list(rows[0]))}
 
 
 #: Each command's name and the function that runs it, in help order.
@@ -451,7 +444,8 @@ def main(argv=None) -> int:
         ctx = _Context(scenario, args.verbose)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        files = COMMANDS[args.command](ctx, out, args)
+        stem, notes, tables = COMMANDS[args.command](ctx, args)
+        files = _emit(out, args.format, stem, [f"scenario={ctx.name}", *notes], tables)
     except (CapacityError, MemoryError) as exc:  # MemoryError: a limit below the budget
         print(f"corrleak: capacity guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

@@ -260,7 +260,7 @@ class WiretapAnalyzer:
         t, both = self._table, _bits((field["tx"] & self._pads["x"]) >> self._info["x"])
         head += [(word, self.K) for word, name in zip((t.x, t.y), "xy") if field[name]]
         xor, mu = [(column_code(self._xor, self.scheme.parity_len, both), len(both))], field["z"]
-        value = t.entropy(head, mu, xor) if mu else t.entropy(head + xor)
+        value = t.entropy(head, mu, xor)
         self._class_values[key] = value
         self.entropy_sets += 1
         return value

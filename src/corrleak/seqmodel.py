@@ -83,6 +83,10 @@ class SequenceModel:
         ascending.  A binary Z code has K bit columns.  Raises ``CapacityError``
         before building when its rows at 64 bytes each (commands peak at 47 to
         66) pass the memory budget, or an (x, y) pair code passes 62 bits."""
+        if self.kind == "hamming":
+            # Every Hamming support holds at least 2**K rows: refuse on that
+            # before the balls are summed, which takes minutes at K = 20000.
+            check_budget(64 << self.K, f"a support of at least 2**{self.K} rows")
         rows = self.support_size()
         check_budget(64 * rows, f"a support of at least 2**{rows.bit_length() - 1} rows")
         wx, wy, wz = ((n**self.K - 1).bit_length() for n in self.alphabet_sizes)

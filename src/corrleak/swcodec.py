@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, UsageError, ValidationError, is_bits, is_int
-from .info import column_code, pack_chunks
+from .info import InfoSummary, column_code, pack_chunks
 from .seqmodel import SequenceModel
 
 #: Each side's word segments as (info, keyed, parity).  The syndrome is the
@@ -206,16 +206,6 @@ class PartitionScheme:
             raise ValidationError(f"bad scheme JSON: {exc}") from exc
 
 
-def reference_scheme() -> PartitionScheme:
-    """The bundled rate-5/7 worked example: a [7,4] systematic code with
-    two-bit keyed/transmitted splits on each source."""
-    return PartitionScheme(
-        generator=("1000101", "0100110", "0010111", "0001011"),
-        x_segments={"a1": (0, 1), "v1": (2, 3), "q1": (4, 5, 6)},
-        y_segments={"u2": (0, 1), "a2": (2, 3), "q2": (4, 5, 6)},
-    )
-
-
 # -- encoding ----------------------------------------------------------------
 
 
@@ -348,11 +338,15 @@ class ConditionRow:
         return self.rhs_bits - self.lhs_bits
 
 
-def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list[ConditionRow]:
+def prototype_condition_report(
+    s: PartitionScheme, model: SequenceModel, info: InfoSummary
+) -> list[ConditionRow]:
     """Evaluate every prototype-code condition exactly and report signed gaps.
 
     Rates are per symbol; the private/common channel portions are read off
-    the role-designated syndrome segments of the bundled partition.
+    the role-designated syndrome segments of the bundled partition.  H(X),
+    H(Y), H(Z) and H(X,Y) are read from ``info``, the model's
+    ``sequence_summary``.
     """
     require_code_model(s, model, "the condition report")
     K = model.K
@@ -360,17 +354,14 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     # The channel portions, selected on the pairs as chunks of the table.
     w_x, w_cx, w_y, w_cy = syndrome_portions(s, t.x, t.y).values()
 
-    def h(*chunks: tuple[np.ndarray, int], mu: int = 0) -> float:
-        return t.entropy(chunks, mu) / K
-
     X, Y = (t.x, K), (t.y, K)
-    h_x, h_y, h_z, h_xy = h(X), h(Y), h(mu=K), h(X, Y)
+    h_x, h_y, h_z, h_xy = info.h_x, info.h_y, info.h_z, info.h_xy
     h_x_given_yz = t.conditional_entropy([Y], K, [X]) / K
     h_y_given_xz = t.conditional_entropy([X], K, [Y]) / K
     h_y_given_x = t.conditional_entropy([X], 0, [Y]) / K
     i_xy = h_x + h_y - h_xy
 
-    h_wx, h_wy, h_wcx, h_wcy = h(w_x), h(w_y), h(w_cx), h(w_cy)
+    h_wx, h_wy, h_wcx, h_wcy = (t.entropy([w]) / K for w in (w_x, w_y, w_cx, w_cy))
     log_mx = w_x[1] / K
     log_my = w_y[1] / K
 

@@ -3,7 +3,7 @@ from hypothesis import settings
 
 from corrleak.leakage import WiretapAnalyzer
 from corrleak.seqmodel import SequenceModel
-from corrleak.swcodec import reference_scheme
+from oracle import reference_scheme
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a pass or a failure depends on the code alone.

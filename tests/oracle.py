@@ -2,9 +2,10 @@
 
 The package computes every result from one numpy support table of integer
 word codes and encodes words through the int column masks of the generator
-matrices ``G_X`` / ``G_Y``.  This module keeps a second, independent route
-to the same numbers: a plain Python stream of support triples, the words of the table
-as digit arrays and their packing back into codes (``word_digits``,
+matrices ``G_X`` / ``G_Y``.  This module keeps the scheme of the bundled
+``reference_k7`` scenario (``reference_scheme``) and a second, independent
+route to the same numbers: a plain Python stream of support triples, the
+words of the table as digit arrays and their packing back into codes (``word_digits``,
 ``pack_bits``), the generator as a uint8 0/1 array (``generator_cells``)
 with a Gaussian-elimination ``rank``, which the package's ``xor_basis``
 must match, the paper's per-word syndrome formula ``P1^T a1 + q1``, a
@@ -33,6 +34,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Un
 import numpy as np
 
 from corrleak.cipher import BRANCHES, CASES
+from corrleak.cli import load_scenario
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
 from corrleak.leakage import DELTA
@@ -211,6 +213,12 @@ def support_digits(model: SequenceModel) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 # -- dense GF(2) matrices -------------------------------------------------------
+
+
+def reference_scheme() -> PartitionScheme:
+    """The scheme of the bundled ``reference_k7`` scenario: a [7,4]
+    systematic code with two-bit keyed/transmitted splits on each source."""
+    return PartitionScheme.from_json(load_scenario("reference_k7")["scheme"])
 
 
 def generator_cells(s: PartitionScheme) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 
 from corrleak.cli import load_scenario, main
 from corrleak.errors import ValidationError
+from corrleak.info import SupportTable
 from corrleak.leakage import WiretapAnalyzer, _CHECK_SETS
 from corrleak.seqmodel import build_model
 from corrleak.swcodec import PartitionScheme
@@ -82,6 +83,21 @@ def test_analyze_json_format(tmp_path):
     assert any("t_x=11100" in line for line in payload["header"])
     quantities = {row["quantity"]: row for row in payload["summary"]}
     assert quantities["h_xy"]["total_bits"] == pytest.approx(10.0, abs=1e-9)
+
+
+def test_analyze_takes_each_table_entropy_once(tmp_path, monkeypatch):
+    # The summary takes 7 entropies of the table; the condition report reads
+    # H(X), H(Y), H(Z) and H(X,Y) from it and adds its 4 portion entropies.
+    calls = []
+    entropy = SupportTable.entropy
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return entropy(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupportTable, "entropy", counted)
+    assert run(["analyze", "--scenario", "reference_k7", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 11
 
 
 def test_determined_targets_print_zero_not_minus_zero(tmp_path):
@@ -362,6 +378,26 @@ def test_exit_code_capacity_guard_past_4300_digits(tmp_path, capsys, model):
     err = capsys.readouterr().err
     assert "capacity guard" in err and "2**" in err
     assert len(err.splitlines()) == 1 and len(err) < 200
+
+
+def test_hamming_support_past_the_budget_exits_before_its_balls_are_summed(tmp_path):
+    # Every Hamming support holds at least 2**K rows, so K = 20000 is refused
+    # at once; summing the binomials of its d_xy = 20000 ball takes minutes.
+    scenario = {
+        "name": "wide",
+        "model": {"kind": "hamming", "K": 20000, "d_xy": 20000},
+        "scheme": load_scenario("reference_k7")["scheme"],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scenario))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrleak", "analyze", "--scenario", str(path), "--out",
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("corrleak: capacity guard: a support of at least 2**20000 rows")
 
 
 def _one_row_scenario(K: int) -> dict:
@@ -665,6 +701,24 @@ def _iid_model(probs: list[float], alphabets=(2, 2, 2)) -> dict:
         pytest.param(
             "region", ("region_queries", 1, "case"), "both", "scenario.region_queries[1].case",
             id="query-case-unknown",
+        ),
+        # The queries are a non-empty list; a scalar is not iterated.
+        pytest.param(
+            "region", ("region_queries",), DELETE, "scenario.region_queries: missing or empty",
+            id="queries-missing",
+        ),
+        pytest.param(
+            "region", ("region_queries",), [], "scenario.region_queries: missing or empty",
+            id="queries-empty",
+        ),
+        *(
+            pytest.param(
+                "region", ("region_queries",), value, "scenario.region_queries: must be a list",
+                id=f"queries-{name}",
+            )
+            for name, value in [
+                ("integer", 5), ("true", True), ("string", "joint"), ("object", {"case": "joint"})
+            ]
         ),
         pytest.param("analyze", ("model", "d_xy"), 8, "model.d_xy", id="model-d-xy-past-k"),
         pytest.param("curves", ("model", "d_yz"), -1, "model.d_yz", id="model-d-yz-negative"),

@@ -6,7 +6,7 @@ import pytest
 from corrleak.info import JointPmf
 from corrleak.leakage import WiretapAnalyzer
 from corrleak.seqmodel import SequenceModel
-from corrleak.swcodec import PartitionScheme, reference_scheme
+from corrleak.swcodec import PartitionScheme
 from oracle import (
     entropy,
     generator_cells,
@@ -15,6 +15,7 @@ from oracle import (
     mutual_information,
     pattern,
     pattern_arrays,
+    reference_scheme,
     submatrix,
 )
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrleak.errors import UsageError, ValidationError
-from corrleak.swcodec import PartitionScheme, reference_scheme, xor_basis
-from oracle import generator_cells, mat_vec_mul, p1_t, p2_t, rank
+from corrleak.swcodec import PartitionScheme, xor_basis
+from oracle import generator_cells, mat_vec_mul, p1_t, p2_t, rank, reference_scheme
 
 G_ROWS = ["1000101", "0100110", "0010111", "0001011"]
 GX_ROWS = ["00101", "00110", "10000", "01000", "00100", "00010", "00001"]

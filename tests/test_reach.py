@@ -2,9 +2,9 @@
 what a command reads.
 
 Runs the six commands in-process on the benchmark's three workloads, in CSV
-and in JSON (only JSON reaches ``cli._write_json``), under ``sys.setprofile``,
-and requires every function defined in ``src/corrleak/`` to be entered,
-apart from the few the README lists as kept although no command reaches them.
+and in JSON, under ``sys.setprofile``, and requires every function defined
+in ``src/corrleak/`` to be entered, apart from any the README lists as kept
+although no command reaches them.
 The same runs load each scenario as JSON objects that record every key read
 from them, and every key of the three workloads' scenarios must be read.
 """
@@ -27,7 +27,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: Functions no command reaches, as ``module.qualname``; the README's list
 #: of them gives each one's reason.
-KEPT = {"swcodec.reference_scheme"}
+KEPT: set[str] = set()
 
 
 class ReadRecorder(dict):

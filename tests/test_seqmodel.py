@@ -169,6 +169,17 @@ def test_capacity_guard():
         model.table
 
 
+def test_hamming_table_refuses_2_to_the_k_rows_before_sizing_its_balls(monkeypatch):
+    # 2**27 rows alone pass the memory budget at 64 bytes each.
+    def unreachable(self):
+        raise AssertionError("support size computed")
+
+    monkeypatch.setattr(SequenceModel, "support_size", unreachable)
+    model = SequenceModel(kind="hamming", K=27, d_xy_max=0, d_yz_max=0)
+    with pytest.raises(CapacityError, match="2\\*\\*27 rows"):
+        model.table
+
+
 def _pmf_with_cells(shape, cells) -> JointPmf:
     """A law over alphabets ``shape`` with mass only on ``cells``, a dict of
     (x, y, z) -> probability."""

@@ -242,7 +242,8 @@ def test_enumeration_equivocation_z_prefix(scheme, hamming7):
 
 
 def test_prototype_condition_report(scheme, hamming7):
-    rows = {r.label: r for r in prototype_condition_report(scheme, hamming7)}
+    info = sequence_summary(hamming7)
+    rows = {r.label: r for r in prototype_condition_report(scheme, hamming7, info)}
     err = rows["decode_error"]
     assert 0.0 <= err.lhs_bits <= 1.0
     assert err.lhs_bits == pytest.approx(0.0, abs=1e-12)
@@ -380,7 +381,7 @@ def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
         (portions, h["xy"]),
         (h["z"], H("z", w_y)),
     ]
-    rows = prototype_condition_report(s, model)
+    rows = prototype_condition_report(s, model, sequence_summary(model))
     assert len(rows) == len(oracle)
     for row, (lhs, rhs) in zip(rows, oracle):
         scale = 1.0 if row.label == "decode_error" else K
@@ -418,7 +419,7 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     model = make_model()
     X, Y, _ = support_digits(model)
     queries = set(zip(*(t.tolist() for t in support_syndromes(s, pack_bits(X), pack_bits(Y)))))
-    report = prototype_condition_report(s, model)
+    report = prototype_condition_report(s, model, sequence_summary(model))
     decoded = {(tx, ty): joint_decode(tx, ty, model, s) for tx, ty in queries}
 
     x, y, z, probs = support_arrays(model)
@@ -431,7 +432,7 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
         every_row.prefix_classes(0)
     monkeypatch.setitem(model.__dict__, "table", every_row)
     monkeypatch.setattr(swcodec_module, "decode_ambiguity_rate", lambda s, model: 0.0)
-    assert prototype_condition_report(s, model)[1:] == report[1:]
+    assert prototype_condition_report(s, model, sequence_summary(model))[1:] == report[1:]
     assert report[0].label == "decode_error"
     for (tx, ty), result in decoded.items():
         assert joint_decode(tx, ty, model, s) == result
@@ -558,7 +559,7 @@ def test_report_conditionals_equal_the_three_sort_oracle(name, data):
         ("y_unc_given_x_private", "rhs"): (y, v_x),
         ("z_unc_given_y_private", "rhs"): (z, v_y),
     }
-    rows = {r.label: r for r in prototype_condition_report(s, model)}
+    rows = {r.label: r for r in prototype_condition_report(s, model, sequence_summary(model))}
     for (label, side), (target, observed) in want.items():
         got = getattr(rows[label], f"{side}_bits")
         assert got == code_conditional_entropy(target, observed, probs) / K, label
@@ -593,7 +594,7 @@ def test_condition_report_on_the_k10_hamming_model_peaks_under_80_bytes_per_row(
     table = model.table
     tracemalloc.start()
     try:
-        prototype_condition_report(s, model)
+        prototype_condition_report(s, model, sequence_summary(model))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
