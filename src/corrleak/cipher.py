@@ -10,21 +10,24 @@ X's private portion with *Y's* private key, so the cost of the shared pad
 can be measured rather than argued about.
 
 Security levels are exact conditional entropies per symbol over the source
-support.  Uniform keys are folded in analytically, as the leakage analyzer
-does for its shared parity pad: a key no narrower than any portion it masks
-leaves only differences of portions visible.  Only a key narrower than a
-portion it masks is enumerated together with the support rows.
+support.  Every uniform key is folded in by one rule, as the leakage
+analyzer does for its shared parity pad: conditioned on the ciphertext of
+the portion it is named after, a key leaves only shifted differences of
+portions visible.  A key no narrower than any portion it masks costs four
+class entropies; a narrower key of size m is averaged over its m
+ciphertexts, at four class entropies each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import log2, prod
+from itertools import product
+from math import fsum, log2
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, UsageError, ValidationError, check_budget, float_field
+from .errors import DomainError, UsageError, ValidationError, float_field
 from .info import InfoSummary, code_entropy, pack_chunks
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, syndrome_portions
@@ -191,11 +194,15 @@ def measure_security(
     """Exact per-symbol conditional entropies of the sources given both
     codewords of ``branch`` and the leaked Z prefix of ``mu`` columns.
 
-    A key k of size m whose masked portions all have sizes m' <= m (so m'
-    divides m) folds: the first portion ``own`` of size m shows c = (own + k)
-    mod m, uniform and independent of the sources, and another portion p
-    shows (p - own + c) mod m'; c's log2(m) bits cancel between H(obs) and
-    H(obs, target).  Any other key is enumerated together with the rows.
+    One rule folds every key.  A key k of size m shows its lead portion
+    ``own``, the first portion it masks that is m wide, as u = (own + k) mod
+    m, uniform and independent of the sources, and every other portion p it
+    masks, of size m', as (p + (u - own) mod m) mod m'.  Given u the
+    codewords are a function of the sources, so each level is the mean over
+    u of class entropies.  When m' divides m for every such p, the terms are
+    shifts of the term at u = 0, and that one term is taken: four class
+    entropies.  A key narrower than a portion it masks is averaged over its
+    m values of u: m x 4 class entropies.
     """
     if branch not in BRANCHES:
         raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
@@ -208,53 +215,42 @@ def measure_security(
     # prefix).  Unobserved z symbols only add multiplicity.
     x, y, z, probs = model.table.prefix_classes(mu)
     portions = syndrome_portions(s, x, y)
-    n_rows = x.size
 
     # Alphabet size of every portion, in codeword order; a key k<portion>
     # is as wide as its portion.
     sizes = {c: 1 << width for c, (_, width) in portions.items()}
     assignment = BRANCHES[branch]
     key_sizes = {k: sizes[k[1:]] for k in sorted({k for k in assignment.values() if k})}
-    masked = {k: [c for c in sizes if assignment[c] == k] for k in key_sizes}
-    enumerated = [k for k, m in key_sizes.items() if any(sizes[c] > m for c in masked[k])]
-    key_space = prod(key_sizes[k] for k in enumerated)
-    # Peak int64 words per cell: 17, plus two per enumerated key (its index row and
-    # the temporaries of padding a portion); tracemalloc reads 17.1 and 16.6 words on
-    # the K=10 Hamming model's 123,904 mu=10 classes with none and one 8-valued key.
-    what = f"{n_rows} support rows x {key_space} enumerated keys"
-    check_budget(8 * (17 + 2 * len(enumerated)) * n_rows * key_space, what)
+    # Each key's masked portions, lead first: stable, so the first portion
+    # exactly as wide as the key leads.
+    masked = {
+        k: sorted((c for c in sizes if assignment[c] == k), key=lambda c: sizes[c] != m)
+        for k, m in key_sizes.items()
+    }
+    averaged = [k for k, m in key_sizes.items() if any(sizes[c] > m for c in masked[k])]
+    x_chunk, y_chunk = (x, K), (y, K)
 
-    # Row index and enumerated key values of every (row, key tuple) cell.
-    idx, *key_values = np.indices((n_rows, *(key_sizes[k] for k in enumerated))).reshape(
-        len(enumerated) + 1, -1
-    )
-    pads = dict(zip(enumerated, key_values))
-    weights = probs[idx] / key_space
-    values = {c: code[idx] for c, (code, _) in portions.items()}
-    for key, comps in masked.items():
-        if key in pads:
-            for c in comps:
-                values[c] = (values[c] + pads[key]) % sizes[c]
-        else:
-            # Stable: the first portion as wide as the key leads.
-            comps.sort(key=lambda c: sizes[c] < key_sizes[key])
-            first = values.pop(comps[0])
-            for c in comps[1:]:
-                values[c] = (values[c] - first) % sizes[c]
+    def levels(u: dict[str, int]) -> tuple[float, float, float]:
+        """H(x | obs), H(y | obs) and H(x, y | obs) in bits, with each key's
+        lead ciphertext at ``u`` (0 when absent)."""
+        codes = {c: code for c, (code, _) in portions.items()}
+        for key, (lead, *others) in masked.items():
+            own = codes.pop(lead)
+            for c in others:
+                codes[c] = (codes[c] + (u.get(key, 0) - own) % key_sizes[key]) % sizes[c]
+        obs = [(code, portions[c][1]) for c, code in codes.items()]
+        obs.append((z, mu))
 
-    obs = [(code, portions[c][1]) for c, code in values.items()]
-    obs.append((z[idx], mu))
-    x_chunk = (x[idx], K)
-    y_chunk = (y[idx], K)
+        def h(*targets: tuple[np.ndarray, int]) -> float:
+            return code_entropy(pack_chunks(obs + list(targets), x.size), probs)
 
-    def h(*targets: tuple[np.ndarray, int]) -> float:
-        return code_entropy(pack_chunks(obs + list(targets), idx.size), weights)
+        h_obs = h()
+        return h(x_chunk) - h_obs, h(y_chunk) - h_obs, h(x_chunk, y_chunk) - h_obs
 
-    h_obs = h()
+    terms = [
+        levels(dict(zip(averaged, u)))
+        for u in product(*(range(key_sizes[k]) for k in averaged))
+    ]
+    h_x, h_y, h_xy = (fsum(t) / len(terms) / K for t in zip(*terms))
     key_bits = sum(log2(v) for v in key_sizes.values())
-    return SecurityMeasurement(
-        h_x_hat=(h(x_chunk) - h_obs) / model.K,
-        h_y_hat=(h(y_chunk) - h_obs) / model.K,
-        h_xy_hat=(h(x_chunk, y_chunk) - h_obs) / model.K,
-        key_bits=key_bits / model.K,
-    )
+    return SecurityMeasurement(h_x_hat=h_x, h_y_hat=h_y, h_xy_hat=h_xy, key_bits=key_bits / K)

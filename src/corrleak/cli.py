@@ -263,11 +263,10 @@ def cmd_curves(ctx: _Context, args: argparse.Namespace) -> Output:
 
 
 def cmd_verify_bounds(ctx: _Context, args: argparse.Namespace) -> Output:
-    tx, ty, mu = sample_patterns(
-        ctx.scheme, ctx.sweep("random_patterns", 100), args.seed, ctx.mu_z_values()
-    )
-    if not mu.size:
+    count = ctx.sweep("random_patterns", 100)
+    if count < 1:
         raise ValidationError("scenario.sweep.random_patterns: sweep produced no patterns")
+    tx, ty, mu = sample_patterns(ctx.scheme, count, args.seed, ctx.mu_z_values())
     ctx.log(f"checking {mu.size} patterns")
     checks = ctx.analyzer.pattern_checks(tx, ty, mu)
     rows = []

@@ -641,9 +641,11 @@ def sample_patterns(
     The subsets are drawn from numpy's ``default_rng(seed)`` stream
     (SeedSequence, PCG64), reproduced in the package: per pair, a size
     ``integers(0, l + 1)`` for each side's syndrome length ``l``, then each
-    side's ``choice(l, size, replace=False)``."""
-    if not is_int(seed) or seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    side's ``choice(l, size, replace=False)``.  A ``count`` or ``seed`` that is
+    negative, a bool or not an integer is refused with ``UsageError``."""
+    for name, value in (("count", count), ("seed", seed)):
+        if not is_int(value) or value < 0:
+            raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
     rng = _DefaultRng(int(seed))
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     masks = []

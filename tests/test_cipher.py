@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ from corrleak.cipher import (
     measure_security,
     region_membership,
 )
-from corrleak.errors import MEMORY_BUDGET, CapacityError, DomainError, UsageError
-from corrleak.info import InfoSummary, SupportTable
+from corrleak.errors import MEMORY_BUDGET, DomainError, UsageError
+from corrleak.info import InfoSummary, JointPmf, SupportTable
 from corrleak.seqmodel import SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
 from oracle import (
@@ -372,23 +373,37 @@ def cipher_oracle(cipher: CipherSizes, model, s: PartitionScheme, mu_values):
     return out
 
 
+def hamming_law(K: int) -> SequenceModel:
+    return SequenceModel(kind="hamming", K=K, d_xy_max=1, d_yz_max=0)
+
+
+def weighted_law(K: int) -> SequenceModel:
+    """Four cells of unequal mass, Z a noisy copy of Y: weighted rows, 4**K of them."""
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0], probs[1, 0, 0], probs[0, 1, 1], probs[1, 1, 0] = 0.4, 0.1, 0.3, 0.2
+    return SequenceModel(kind="iid", K=K, base=JointPmf(probs))
+
+
 ORACLE_CASES = {
-    # name: (generator rows, v1, u2)
-    "equal-split": (["1011", "0101"], (1,), (0,)),
+    # name: (generator rows, v1, u2, model of length n)
+    "equal-split": (["1011", "0101"], (1,), (0,), hamming_law),
     # Both private parts are bits 0..1: a reused pad shows y1 - x1 mod 4.
-    "equal-split-wide": (["10001", "01001", "00101", "00011"], (0, 1), (0, 1)),
-    "v1-longer": (["10011", "01010", "00111"], (1, 2), (0,)),
-    "u2-longer": (["10011", "01010", "00111"], (2,), (0, 1)),
+    "equal-split-wide": (["10001", "01001", "00101", "00011"], (0, 1), (0, 1), hamming_law),
+    "v1-longer": (["10011", "01010", "00111"], (1, 2), (0,), hamming_law),
+    "u2-longer": (["10011", "01010", "00111"], (2,), (0, 1), hamming_law),
+    # reused-pad's 2-valued y1 key pads the 8-valued x1.
+    "v1-four-times-longer": (["10011", "01010", "00111"], (0, 1, 2), (0,), hamming_law),
+    "v1-longer-weighted": (["1011", "0101"], (0, 1), (0,), weighted_law),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_measure_security_matches_key_enumeration_oracle(case):
     # Every key folds but reused-pad's shared key under |v1| > |u2|: it is
-    # narrower than X's private portion, so measure_security enumerates it.
-    rows, v1, u2 = ORACLE_CASES[case]
+    # narrower than X's private portion, so measure_security averages over it.
+    rows, v1, u2, law = ORACLE_CASES[case]
     s = partition(rows, v1, u2)
-    model = SequenceModel(kind="hamming", K=s.n, d_xy_max=1, d_yz_max=0)
+    model = law(s.n)
     for branch in BRANCHES:
         for mu, expected in cipher_oracle(partition_sizes(s, branch), model, s, (0, 2)).items():
             m = measure_security(s, model, branch, mu=mu)
@@ -409,42 +424,51 @@ CODE_12_10 = [
 ]
 
 
-def test_measure_security_refuses_over_budget_cells_before_allocating(monkeypatch):
-    # The [12,10] code sending all ten info bits of X and nine of Y: reused-pad's
-    # 512-valued y1 pad is narrower than the 1,024-valued x1, so it is
-    # enumerated with the 692,224 classes of the K=12 model at mu = K, whose
-    # table fits the memory budget but whose cell arrays would not.
-    s = partition(CODE_12_10, tuple(range(10)), tuple(range(9)))
+def entropy_calls(monkeypatch) -> list:
+    """One entry per ``code_entropy`` call that ``measure_security`` makes."""
+    seen = []
+    real = cipher_module.code_entropy
+    monkeypatch.setattr(cipher_module, "code_entropy", lambda *a: seen.append(None) or real(*a))
+    return seen
+
+
+def assert_within_summary(m, model) -> None:
+    summary = sequence_summary(model)
+    for level, bound in ((m.h_x_hat, summary.h_x), (m.h_y_hat, summary.h_y),
+                         (m.h_xy_hat, summary.h_xy)):
+        assert -1e-12 <= level <= bound + 1e-12
+
+
+def test_measure_security_averages_a_narrow_key_in_class_sized_memory(monkeypatch):
+    # The [12,10] code sending all ten info bits of X and four of Y: reused-pad's
+    # 16-valued y1 pad is narrower than the 1,024-valued x1, so the levels are
+    # averaged over the 16 values of y1's ciphertext, four class entropies
+    # each, one class-sized code at a time rather than (class, key) cells.
+    s = partition(CODE_12_10, tuple(range(10)), tuple(range(4)))
     model = SequenceModel(kind="hamming", K=12)
-    assert 64 * model.table.rows <= MEMORY_BUDGET
-    assert 8 * 19 * model.table.rows * 512 > MEMORY_BUDGET
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("cell arrays allocated")
-
-    monkeypatch.setattr(cipher_module.np, "indices", unreachable)
-    with pytest.raises(CapacityError, match="692224 support rows x 512 enumerated keys"):
-        measure_security(s, model, "reused-pad", mu=12)
+    classes = model.table.prefix_classes(0)[0].size
+    calls = entropy_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        m = measure_security(s, model, "reused-pad", mu=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * classes * 8
+    assert len(calls) == 4 * 16
+    assert_within_summary(m, model)
 
 
 def test_measure_security_folds_a_shared_key_wider_than_a_portion_it_masks(monkeypatch):
     # The same code sending one info bit of X and all ten of Y: reused-pad's
     # 1,024-valued y1 pad also masks the 2-valued x1 and folds against y1,
-    # so no (class, key) cell is built.
+    # so the levels take four class entropies.
     s = partition(CODE_12_10, (0,), tuple(range(10)))
     model = SequenceModel(kind="hamming", K=12)
-    indices = np.indices
-
-    def one_axis(shape):
-        assert len(shape) == 1, "a key was enumerated"
-        return indices(shape)
-
-    monkeypatch.setattr(cipher_module.np, "indices", one_axis)
+    calls = entropy_calls(monkeypatch)
     m = measure_security(s, model, "reused-pad", mu=0)
-    summary = sequence_summary(model)
-    for level, bound in ((m.h_x_hat, summary.h_x), (m.h_y_hat, summary.h_y),
-                         (m.h_xy_hat, summary.h_xy)):
-        assert -1e-12 <= level <= bound + 1e-12
+    assert len(calls) == 4
+    assert_within_summary(m, model)
 
 
 def test_measure_security_folds_keys_past_the_enumeration_guard():

@@ -382,6 +382,12 @@ def test_sample_patterns_refuses_a_seed_that_is_not_a_nonnegative_integer(scheme
         sample_patterns(scheme, 3, seed, (0,))
 
 
+@pytest.mark.parametrize("count", [-2, np.int64(-1), True, 2.0, "3", None])
+def test_sample_patterns_refuses_a_count_that_is_not_a_nonnegative_integer(scheme, count):
+    with pytest.raises(UsageError, match="count"):
+        sample_patterns(scheme, count, 0, (0,))
+
+
 # -- the analyzer's cross-pattern entropy memo ---------------------------------------
 
 
