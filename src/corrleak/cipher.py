@@ -23,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product
 from math import fsum, log2
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainError, UsageError, ValidationError, float_field
-from .info import InfoSummary, code_entropy, pack_chunks
-from .seqmodel import SequenceModel
+from .seqmodel import InfoSummary, SequenceModel
 from .swcodec import PartitionScheme, require_code_model, syndrome_portions
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Empirical desk-scale slack when comparing measured levels to targets.
 SECURITY_EPS = 0.05
@@ -204,6 +204,8 @@ def measure_security(
     entropies.  A key narrower than a portion it masks is averaged over its
     m values of u: m x 4 class entropies.
     """
+    from .info import code_entropy, pack_chunks
+
     if branch not in BRANCHES:
         raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
     require_code_model(s, model, "measurement")

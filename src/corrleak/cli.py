@@ -21,6 +21,9 @@ yields byte-identical output.
 Exit status: 0 on success, 2 on a validation/usage error, 3 when an
 enumeration would exceed the memory budget or the memory at hand
 (``MemoryError``), or a word, Z code or class key would pass its int width.
+
+This module loads no numpy: a command imports what builds or reads its
+table when it runs, so ``region`` on a Hamming model never loads numpy.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from dataclasses import asdict
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # corrleak makes no BLAS call (its one matmul is int64, which numpy computes
 # without BLAS), yet OpenBLAS starts a pool of OPENBLAS_NUM_THREADS threads
 # when numpy loads, and each idle worker costs CPU time. Pin the pool to one
-# thread before the first import that loads numpy; no result depends on it.
+# thread before any import can load numpy; no result depends on it.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import numpy as np
 
 from .cipher import (
     BRANCHES,
@@ -60,14 +62,11 @@ from .errors import (
     int_field,
     is_bits,
 )
-from .leakage import DELTA, WiretapAnalyzer, _bits, grid_curve_rows, sample_patterns, z_trace_rows
 from .seqmodel import build_model, sequence_summary
-from .swcodec import (
-    PartitionScheme,
-    joint_decode,
-    prototype_condition_report,
-    support_syndromes,
-)
+from .swcodec import PartitionScheme, joint_decode, prototype_condition_report, support_syndromes
+
+if TYPE_CHECKING:
+    from .leakage import WiretapAnalyzer
 
 
 def _fmt(value) -> str:
@@ -147,6 +146,8 @@ class _Context:
 
     @cached_property
     def analyzer(self) -> WiretapAnalyzer:
+        from .leakage import WiretapAnalyzer
+
         self.log("building enumeration engine")
         return WiretapAnalyzer(self.scheme, self.model)
 
@@ -202,6 +203,8 @@ def _golden_syndromes(ctx: _Context) -> tuple[int, int]:
             raise ValidationError(
                 f"scenario.golden.{side}: expected {n} bits of 0/1, got {golden.get(side)!r}"
             )
+    import numpy as np
+
     tx, ty = support_syndromes(
         ctx.scheme, np.array([int(golden["x"], 2)]), np.array([int(golden["y"], 2)])
     )
@@ -219,6 +222,9 @@ def _golden_notes(ctx: _Context) -> list[str]:
 
 def cmd_analyze(ctx: _Context, args: argparse.Namespace) -> Output:
     notes = _golden_notes(ctx)
+    # The table is built where the summary once built it, so that a model
+    # past the budget exits 3 before the condition report checks model.K.
+    ctx.model.table
     info = sequence_summary(ctx.model)
     K = ctx.model.K
     summary = [
@@ -237,6 +243,8 @@ def cmd_analyze(ctx: _Context, args: argparse.Namespace) -> Output:
 
 
 def cmd_curves(ctx: _Context, args: argparse.Namespace) -> Output:
+    from .leakage import grid_curve_rows, z_trace_rows
+
     if "z_trace" in ctx.scenario:
         raise ValidationError(
             "scenario.z_trace: not a setting; the Z trace takes H(X,Y) and H(X|Y) from the model"
@@ -263,6 +271,8 @@ def cmd_curves(ctx: _Context, args: argparse.Namespace) -> Output:
 
 
 def cmd_verify_bounds(ctx: _Context, args: argparse.Namespace) -> Output:
+    from .leakage import DELTA, _bits, sample_patterns
+
     count = ctx.sweep("random_patterns", 100)
     if count < 1:
         raise ValidationError("scenario.sweep.random_patterns: sweep produced no patterns")
@@ -374,6 +384,8 @@ def cmd_cipher_sim(ctx: _Context, args: argparse.Namespace) -> Output:
         )
     if not branches:
         raise ValidationError("scenario.cipher.branches: must name at least one branch")
+    # Built where the summary once built it, as in cmd_analyze.
+    ctx.model.table
     info = sequence_summary(ctx.model)
     target = cfg.get("h_target_xy")
     guaranteed = ""

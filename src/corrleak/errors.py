@@ -22,7 +22,8 @@ class DomainError(ToolkitError, ValueError):
 
 
 class CapacityError(ToolkitError):
-    """A requested enumeration exceeds the memory budget or an integer width."""
+    """A requested enumeration exceeds the memory budget or an integer width,
+    or a structural sum its work budget."""
 
 
 class InternalConsistencyError(ToolkitError, RuntimeError):

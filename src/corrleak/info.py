@@ -59,6 +59,19 @@ class JointPmf:
     def alphabet_sizes(self) -> tuple[int, int, int]:
         return tuple(self.probs.shape)  # type: ignore[return-value]
 
+    @property
+    def nonzero_cells(self) -> int:
+        """Cells of probability above ``ZERO_EPS``."""
+        return int((self.probs > ZERO_EPS).sum())
+
+    def entropy(self, variables: str) -> float:
+        """H of the marginal law of ``variables`` (letters of "xyz"), in bits,
+        cells of at most ``ZERO_EPS`` counted as zeros."""
+        cells = np.where(self.probs > ZERO_EPS, self.probs, 0.0)
+        mass = cells.sum(axis=tuple(i for i, v in enumerate("xyz") if v not in variables))
+        # 0.0 - sum, not -sum: a law on one outcome gives +0.0, never -0.0.
+        return 0.0 - float(_xlogx_sum(mass[mass > 0]))
+
     @classmethod
     def from_json(cls, data: dict) -> "JointPmf":
         try:
@@ -372,19 +385,3 @@ class SupportTable:
             self._classes[mu] = classes
         return self._classes[mu]
 
-
-@dataclass(frozen=True)
-class InfoSummary:
-    """The standard single, joint and conditional measures of a law of
-    (X, Y, Z), in bits per symbol."""
-
-    h_x: float
-    h_y: float
-    h_z: float
-    h_xy: float
-    h_x_given_y: float
-    h_y_given_x: float
-    i_xy: float
-    i_xz: float
-    i_yz: float
-    i_xyz: float

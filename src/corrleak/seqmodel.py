@@ -16,6 +16,11 @@ straight as the distinct (x, y) pairs with their run lengths and one Z code
 per row; no per-row X or Y code is kept.  A table past the memory budget
 is refused before it is built.
 
+``sequence_summary`` builds no table: it takes the seven entropies of the
+summary from the model's structure (``sequence_entropies``).  This module
+loads numpy only to build a table, and ``info`` only then or to parse an
+iid law, so ``region`` on a Hamming model runs without either.
+
 ``SequenceModel`` checks its fields, naming each as its scenario field
 (``model.K``, ``model.d_xy``, ...), so ``build_model`` only parses JSON.
 """
@@ -24,13 +29,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, prod
-from typing import Optional
-
-import numpy as np
+from math import fsum, log2
+from typing import TYPE_CHECKING, Optional
 
 from .errors import CapacityError, ValidationError, check_budget, int_field
-from .info import PACK_LIMIT_BITS, ZERO_EPS, InfoSummary, JointPmf, SupportTable
+
+if TYPE_CHECKING:
+    from .info import JointPmf, SupportTable
+
+#: Binomial terms times K that the structural summary of a Hamming model may
+#: take, each term an operation on integers of up to 2K bits: seconds at most.
+STRUCTURE_BUDGET = 1 << 32
+
+
+@dataclass(frozen=True)
+class InfoSummary:
+    """The standard single, joint and conditional measures of a law of
+    (X, Y, Z), in bits per symbol."""
+
+    h_x: float
+    h_y: float
+    h_z: float
+    h_xy: float
+    h_x_given_y: float
+    h_y_given_x: float
+    i_xy: float
+    i_xz: float
+    i_yz: float
+    i_xyz: float
 
 
 @dataclass(frozen=True)
@@ -70,10 +96,9 @@ class SequenceModel:
         """Number of support rows: (nonzero cells of the law)**K for an iid
         model; 2**K times the sizes of the x and z balls around y otherwise."""
         if self.kind == "iid":
-            nonzero = (self.base.probs > ZERO_EPS).sum().item()  # type: ignore[union-attr]
-            return nonzero**self.K
-        balls = (sum(comb(self.K, i) for i in range(d + 1)) for d in (self.d_xy_max, self.d_yz_max))
-        return (1 << self.K) * prod(balls)
+            return self.base.nonzero_cells**self.K  # type: ignore[union-attr]
+        balls = ball_volume(self.K, self.d_xy_max) * ball_volume(self.K, self.d_yz_max)
+        return (1 << self.K) * balls
 
     @cached_property
     def table(self) -> SupportTable:
@@ -83,9 +108,11 @@ class SequenceModel:
         ascending.  A binary Z code has K bit columns.  Raises ``CapacityError``
         before building when its rows at 64 bytes each (commands peak at 47 to
         66) pass the memory budget, or an (x, y) pair code passes 62 bits."""
+        from .info import PACK_LIMIT_BITS, SupportTable
+
         if self.kind == "hamming":
             # Every Hamming support holds at least 2**K rows: refuse on that
-            # before the balls are summed, which takes minutes at K = 20000.
+            # first, naming 2**K rather than the product of the balls.
             check_budget(64 << self.K, f"a support of at least 2**{self.K} rows")
         rows = self.support_size()
         check_budget(64 * rows, f"a support of at least 2**{rows.bit_length() - 1} rows")
@@ -100,6 +127,8 @@ class SequenceModel:
         """Each y's x and z words are y XOR the offsets of weight <= d,
         sorted per y: y's pairs take its x words, and every pair's run is
         y's z words.  One probability stands for every row."""
+        import numpy as np
+
         ys = np.arange(1 << self.K, dtype=np.int64)
         weight = np.bitwise_count(ys)
         x_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_xy_max], axis=1)
@@ -114,6 +143,10 @@ class SequenceModel:
         digits of its words, its probability their product taken left to
         right.  One lexsort puts the rows in (y, x, z) order; reordering one
         array at a time keeps the build's peak at about 44 bytes a row."""
+        import numpy as np
+
+        from .info import ZERO_EPS
+
         nx, ny, nz = self.alphabet_sizes
         cell = np.transpose(self.base.probs, (1, 0, 2))  # type: ignore[union-attr]
         symbols = np.argwhere(cell > ZERO_EPS)  # (y, x, z) of each nonzero cell
@@ -151,6 +184,8 @@ def build_model(spec: dict) -> SequenceModel:
         return SequenceModel(kind=kind, K=K, d_xy_max=d_xy, d_yz_max=d_yz)
     base = None
     if "pmf" in spec:
+        from .info import JointPmf
+
         try:
             base = JointPmf.from_json(spec["pmf"])
         except ValidationError as exc:
@@ -158,19 +193,92 @@ def build_model(spec: dict) -> SequenceModel:
     return SequenceModel(kind=kind, K=K, base=base)
 
 
+def ball_volume(K: int, d: int) -> int:
+    """V(K, d), the number of K-bit words of weight at most ``d``, each
+    binomial C(K, i) taken from the one before it."""
+    total = term = 1
+    for i in range(min(d, K)):
+        term = term * (K - i) // (i + 1)
+        total += term
+    return total
+
+
+def _xor_entropy(K: int, a: int, b: int) -> float:
+    """H(e1 XOR e2) in bits, for independent e1 and e2 uniform on the K-bit
+    balls of radii ``a`` and ``b`` (MacWilliams & Sloane, 1977, ch. 1 and 5).
+
+    The law of v = e1 XOR e2 depends on its weight w alone.  An e1 with i
+    ones on v's support and j off it gives an e2 with w - i on and j off,
+    so c_w, the sum of C(w, i) C(K - w, j) over i + j <= a and
+    w - i + j <= b, counts the pairs that give one v of weight w.  The
+    radii are symmetric, so let b be the smaller: w - i and j then take at
+    most b + 1 values each, and the sum over j is a prefix sum.  Each of the
+    C(K, w) words of weight w has probability c_w / N, N = V(K, a) V(K, b).
+    Masses are ratios of integers and logs are taken of integers, so no
+    large K overflows a float."""
+    a, b = max(a, b), min(a, b)
+    n = ball_volume(K, a) * ball_volume(K, b)
+    log_n = log2(n)
+    terms = []
+    words = 1  # C(K, w)
+    for w in range(min(K, a + b) + 1):
+        prefix, off = [], 1  # prefix[j]: C(K - w, j') summed over j' <= j
+        for j in range(b + 1):
+            prefix.append(off + (prefix[-1] if prefix else 0))
+            off = off * (K - w - j) // (j + 1)
+        count, on = 0, 1  # on: C(w, k) for e2's k = w - i ones on v's support
+        for k in range(min(w, b) + 1):
+            j_max = min(a - w + k, b - k)
+            if j_max >= 0:
+                count += on * prefix[j_max]
+            on = on * (w - k) // (k + 1)
+        if count:
+            terms.append(words * count / n * (log_n - log2(count)))
+        words = words * (K - w) // (w + 1)
+    return fsum(terms)
+
+
+def sequence_entropies(model: SequenceModel) -> tuple[float, ...]:
+    """H(X), H(Y), H(Z), H(X,Y), H(X,Z), H(Y,Z) and H(X,Y,Z) of the length-K
+    sequences, in bits, from the model's structure; no table is built.
+
+    * iid: K times the entropy of each per-symbol marginal, the symbols
+      being independent (Cover & Thomas, *Elements of Information Theory*,
+      2nd ed., 2006, section 2.5).  Cells of at most ``ZERO_EPS`` count as
+      zeros, as in the table.
+    * Hamming: Y is uniform, X = Y XOR e1 and Z = Y XOR e2 for independent
+      e1 and e2 uniform on the balls of radii d_xy and d_yz.  So H(X) =
+      H(Y) = H(Z) = K, H(X,Y) = K + log2 V(K, d_xy), H(Y,Z) = K +
+      log2 V(K, d_yz), H(X,Y,Z) = K + both logs and H(X,Z) = K +
+      H(e1 XOR e2).  Raises ``CapacityError`` when the sums would take more
+      than ``STRUCTURE_BUDGET``.
+    """
+    K = model.K
+    if model.kind == "iid":
+        sets = ("x", "y", "z", "xy", "xz", "yz", "xyz")
+        return tuple(K * model.base.entropy(v) for v in sets)  # type: ignore[union-attr]
+    a, b = model.d_xy_max, model.d_yz_max
+    work = (min(K, a + b) + 1) * (min(a, b) + 1) * K
+    if work > STRUCTURE_BUDGET:
+        raise CapacityError(
+            f"H(e1 xor e2) at K={K}, d_xy={a}, d_yz={b} would take at least"
+            f" 2**{work.bit_length() - 1} bit operations, over the budget of"
+            f" 2**{STRUCTURE_BUDGET.bit_length() - 1}"
+        )
+    log_a, log_b = log2(ball_volume(K, a)), log2(ball_volume(K, b))
+    h = float(K)
+    return h, h, h, K + log_a, K + _xor_entropy(K, a, b), K + log_b, K + log_a + log_b
+
+
 def sequence_summary(model: SequenceModel) -> InfoSummary:
-    """Per-symbol information summary of the sequence law, by enumeration.
+    """Per-symbol information summary of the sequence law, from the seven
+    entropies of ``sequence_entropies``.
 
     Sequence-level entropies are divided by K, so for iid models these agree
     with the base pmf's summary.
     """
-    t = model.table
     K = model.K
-    nx, ny, _ = model.alphabet_sizes
-    X, Y = (t.x, (nx**K - 1).bit_length()), (t.y, (ny**K - 1).bit_length())
-    Z, H = t.z_width, t.entropy
-    hx, hy, hz = H([X]), H([Y]), H([], Z)
-    hxy, hxz, hyz, hxyz = H([X, Y]), H([X], Z), H([Y], Z), H([X, Y], Z)
+    hx, hy, hz, hxy, hxz, hyz, hxyz = sequence_entropies(model)
     i_xy = hx + hy - hxy
     i_xy_given_z = hxz + hyz - hxyz - hz
     return InfoSummary(

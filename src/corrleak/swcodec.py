@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import CapacityError, UsageError, ValidationError, is_bits, is_int
-from .info import InfoSummary, column_code, pack_chunks
-from .seqmodel import SequenceModel
+from .seqmodel import InfoSummary, SequenceModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Each side's word segments as (info, keyed, parity).  The syndrome is the
 #: info segment followed by the parity bits: P^T of the keyed segment plus
@@ -104,7 +104,7 @@ class PartitionScheme:
                 f"{field}: segments must be exactly {sorted(names)}, got {sorted(segs)}"
             )
         for name, positions in segs.items():
-            if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in positions):
+            if not all(is_int(p) for p in positions):
                 raise ValidationError(
                     f"{field}.{name}: positions must be integers, got {list(positions)!r}"
                 )
@@ -219,6 +219,8 @@ def support_syndromes(
     with column j of the generator, packed as the word is.  Raises
     ``UsageError`` for a code outside 0..2**n-1, and ``CapacityError`` when
     an n-bit word does not fit an int64 code."""
+    import numpy as np
+
     if s.n > 63:
         raise CapacityError(f"a {s.n}-bit word does not fit an int64 word code")
     out = []
@@ -240,6 +242,8 @@ def syndrome_portions(
     ``(code, width)`` chunks, in codeword order: ``x1`` and ``cx``, the
     private and common role positions of T_X, then ``y1`` and ``cy``, those
     of T_Y, each read as one integer, its first position most significant."""
+    from .info import column_code
+
     tx, ty = support_syndromes(s, x, y)
     portions = {}
     for side, t in (("x", tx), ("y", ty)):
@@ -308,6 +312,10 @@ def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     uniquely, clamped to 1 (an iid law's float row probabilities may sum
     past 1).  The pair masses are the table's classes with no Z prefix, in
     (x, y) order, and the ambiguous ones are summed in that order."""
+    import numpy as np
+
+    from .info import pack_chunks
+
     require_code_model(s, model, "decode")
     x, y, _, mass = model.table.prefix_classes(0)
     tx, ty = support_syndromes(s, x, y)

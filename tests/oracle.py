@@ -11,7 +11,9 @@ with a Gaussian-elimination ``rank``, which the package's ``xor_basis``
 must match, the paper's per-word syndrome formula ``P1^T a1 + q1``, a
 dictionary-based conditional entropy over observables of a triple, a
 three-sort conditional entropy over per-row codes, which the table's
-``conditional_entropy`` must match bit for bit, the Shannon measures of
+``conditional_entropy`` must match bit for bit, the seven summary
+entropies taken over the model's table (``table_entropies``), which the
+structural ``sequence_entropies`` must match, the Shannon measures of
 a per-symbol ``JointPmf`` tensor, which the per-symbol summary of an iid
 sequence model must match, the per-codeword cipher over general index-space
 sizes (``CipherSizes``), which the folded pads of ``measure_security`` must
@@ -36,9 +38,9 @@ import numpy as np
 from corrleak.cipher import BRANCHES, CASES
 from corrleak.cli import load_scenario
 from corrleak.errors import DomainError, InternalConsistencyError, UsageError, ValidationError
-from corrleak.info import MASS_TOL, ZERO_EPS, InfoSummary, JointPmf, column_code
+from corrleak.info import MASS_TOL, ZERO_EPS, JointPmf, column_code
 from corrleak.leakage import DELTA
-from corrleak.seqmodel import SequenceModel
+from corrleak.seqmodel import InfoSummary, SequenceModel
 from corrleak.swcodec import PartitionScheme, support_syndromes
 
 # -- support stream ----------------------------------------------------------
@@ -210,6 +212,18 @@ def support_digits(model: SequenceModel) -> tuple[np.ndarray, np.ndarray, np.nda
     x, y, z, _ = support_arrays(model)
     nx, ny, nz = model.alphabet_sizes
     return word_digits(x, nx, model.K), word_digits(y, ny, model.K), word_digits(z, nz, model.K)
+
+
+def table_entropies(model: SequenceModel) -> tuple[float, ...]:
+    """H(X), H(Y), H(Z), H(X,Y), H(X,Z), H(Y,Z) and H(X,Y,Z) in bits, taken
+    over the model's support table: the reference for the structural
+    ``seqmodel.sequence_entropies``."""
+    t = model.table
+    K = model.K
+    nx, ny, _ = model.alphabet_sizes
+    X, Y = (t.x, (nx**K - 1).bit_length()), (t.y, (ny**K - 1).bit_length())
+    Z, H = t.z_width, t.entropy
+    return H([X]), H([Y]), H([], Z), H([X, Y]), H([X], Z), H([Y], Z), H([X, Y], Z)
 
 
 # -- dense GF(2) matrices -------------------------------------------------------

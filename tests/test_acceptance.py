@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from corrleak.cipher import BRANCHES, RegionQuery, region_membership
-from corrleak.info import InfoSummary
+from corrleak.seqmodel import InfoSummary
 from corrleak.leakage import minmax_curves, sample_patterns, z_mu_leakage
 from corrleak.swcodec import support_syndromes, xor_basis
 from oracle import (

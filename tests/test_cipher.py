@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import corrleak.cipher as cipher_module
+import corrleak.info as info_module
 from corrleak.cipher import (
     BRANCHES,
     RegionQuery,
@@ -15,8 +15,8 @@ from corrleak.cipher import (
     region_membership,
 )
 from corrleak.errors import MEMORY_BUDGET, DomainError, UsageError
-from corrleak.info import InfoSummary, JointPmf, SupportTable
-from corrleak.seqmodel import SequenceModel, sequence_summary
+from corrleak.info import JointPmf, SupportTable
+from corrleak.seqmodel import InfoSummary, SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
 from oracle import (
     CipherSizes,
@@ -427,8 +427,8 @@ CODE_12_10 = [
 def entropy_calls(monkeypatch) -> list:
     """One entry per ``code_entropy`` call that ``measure_security`` makes."""
     seen = []
-    real = cipher_module.code_entropy
-    monkeypatch.setattr(cipher_module, "code_entropy", lambda *a: seen.append(None) or real(*a))
+    real = info_module.code_entropy
+    monkeypatch.setattr(info_module, "code_entropy", lambda *a: seen.append(None) or real(*a))
     return seen
 
 

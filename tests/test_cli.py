@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from corrleak.leakage import WiretapAnalyzer, _CHECK_SETS
 from corrleak.seqmodel import build_model
 from corrleak.swcodec import PartitionScheme
 from oracle import ReferenceAnalyzer, pattern_triples
+from test_perfbench import load_perfbench
 
 
 def run(args):
@@ -86,8 +88,9 @@ def test_analyze_json_format(tmp_path):
 
 
 def test_analyze_takes_each_table_entropy_once(tmp_path, monkeypatch):
-    # The summary takes 7 entropies of the table; the condition report reads
-    # H(X), H(Y), H(Z) and H(X,Y) from it and adds its 4 portion entropies.
+    # The summary takes no entropy of the table, as it comes from the model's
+    # structure; the condition report reads H(X), H(Y), H(Z) and H(X,Y) from
+    # it and takes only its 4 portion entropies from the table.
     calls = []
     entropy = SupportTable.entropy
 
@@ -97,7 +100,7 @@ def test_analyze_takes_each_table_entropy_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SupportTable, "entropy", counted)
     assert run(["analyze", "--scenario", "reference_k7", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 11
+    assert len(calls) == 4
 
 
 def test_determined_targets_print_zero_not_minus_zero(tmp_path):
@@ -398,6 +401,34 @@ def test_hamming_support_past_the_budget_exits_before_its_balls_are_summed(tmp_p
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("corrleak: capacity guard: a support of at least 2**20000 rows")
+
+
+@pytest.mark.parametrize(
+    "workload, model",
+    [
+        ("iid_k5", {"K": 64}),
+        ("hamming_k10", {"K": 60, "d_xy": 3, "d_yz": 2}),
+    ],
+    ids=["iid-k64", "hamming-k60"],
+)
+def test_region_at_scale_builds_no_table(tmp_path, monkeypatch, workload, model):
+    # region reads only the summary, which comes from the model's structure:
+    # 8**64 rows of iid_k5's law, or 2**60 * V(60, 3) * V(60, 2) Hamming rows,
+    # take no table and well under a second.
+    scenario = getattr(load_perfbench("scenarios"), f"{workload}_scenario")()
+    scenario["model"].update(model)
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps(scenario))
+    built = []
+    init = SupportTable.__init__
+    monkeypatch.setattr(
+        SupportTable, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
+    start = time.perf_counter()
+    assert run(["region", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+    assert len((tmp_path / "region.csv").read_text().splitlines()) > 2
 
 
 def _one_row_scenario(K: int) -> dict:

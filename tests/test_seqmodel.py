@@ -16,7 +16,13 @@ from corrleak.errors import (
     ValidationError,
 )
 from corrleak.info import JointPmf, SupportTable
-from corrleak.seqmodel import SequenceModel, build_model, sequence_summary
+from corrleak.seqmodel import (
+    SequenceModel,
+    ball_volume,
+    build_model,
+    sequence_entropies,
+    sequence_summary,
+)
 from oracle import (
     iter_support,
     pack_bits,
@@ -25,6 +31,7 @@ from oracle import (
     summarize,
     support_arrays,
     support_digits,
+    table_entropies,
     z_consistency_counts,
 )
 
@@ -255,6 +262,64 @@ def test_nonzero_cell_table_keeps_rows_below_the_product_threshold():
     assert table.rows == model.support_size() == 64
     assert abs(math.fsum(table.weights.tolist()) - 1) <= 1e-12
     assert table.weights.min() == 1e-9 * 1e-9
+
+
+#: Every Hamming model with K <= 10 and radii 0..3 whose table holds at most 2**20 rows.
+SMALL_HAMMING = [
+    (K, a, b)
+    for K in range(1, 11)
+    for a, b in itertools.product(range(min(3, K) + 1), repeat=2)
+    if (1 << K) * ball_volume(K, a) * ball_volume(K, b) <= 1 << 20
+]
+
+
+@pytest.mark.parametrize("K, d_xy, d_yz", SMALL_HAMMING)
+def test_hamming_structure_equals_the_table(K, d_xy, d_yz):
+    # Ball volumes and the weight classes of e1 XOR e2 give the seven
+    # entropies that the table counts, and all seven are the table's floats
+    # at reference_k7's (7, 1, 1).
+    model = SequenceModel(kind="hamming", K=K, d_xy_max=d_xy, d_yz_max=d_yz)
+    structure, table = sequence_entropies(model), table_entropies(model)
+    assert structure == pytest.approx(table, abs=1e-12, rel=0)
+    if (K, d_xy, d_yz) == (7, 1, 1):
+        assert structure == table == (7, 7, 7, 10, 11.75, 10, 13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=sparse_laws(), data=st.data())
+def test_iid_structure_equals_the_table(base, data):
+    # K times the per-symbol entropies, at every K <= 6 whose table holds at
+    # most 2**18 rows.
+    cells = base.nonzero_cells
+    K = data.draw(st.integers(1, max(k for k in range(1, 7) if cells**k <= 1 << 18)), label="K")
+    model = SequenceModel(kind="iid", K=K, base=base)
+    assert sequence_entropies(model) == pytest.approx(table_entropies(model), abs=1e-12, rel=0)
+
+
+def test_iid_structure_counts_cells_below_zero_eps_as_zeros():
+    # A 1e-16 cell holds no row of the table, and no mass of the structure:
+    # its entropies are those of the law with that cell exactly 0.
+    cells = {c: 0.125 for c in itertools.product((0, 1), repeat=3)}
+    cells[0, 0, 0], cells[1, 1, 1] = 1e-16, 0.25 - 1e-16
+    model = SequenceModel(kind="iid", K=3, base=_pmf_with_cells((2, 2, 2), cells))
+    cells[0, 0, 0] = 0.0
+    zeroed = SequenceModel(kind="iid", K=3, base=_pmf_with_cells((2, 2, 2), cells))
+    assert model.support_size() == zeroed.support_size() == 7**3
+    assert sequence_entropies(model) == sequence_entropies(zeroed)
+    assert sequence_entropies(model) == pytest.approx(table_entropies(model), abs=1e-12, rel=0)
+
+
+def test_hamming_structure_scales_past_float_range_within_its_budget():
+    # At K = 20000 the ball volumes and word counts are integers of
+    # thousands of digits: their ratios and logs stay finite.  Past the
+    # budget the weight-class sum is refused before it starts.
+    model = SequenceModel(kind="hamming", K=20000, d_xy_max=20000, d_yz_max=1)
+    h = sequence_entropies(model)
+    assert h[3] == 40000 and h[4] == pytest.approx(40000, abs=1e-9)
+    assert h[5] == 20000 + math.log2(20001)
+    wide = SequenceModel(kind="hamming", K=20000, d_xy_max=20000, d_yz_max=20000)
+    with pytest.raises(CapacityError, match="H\\(e1 xor e2\\) at K=20000"):
+        sequence_entropies(wide)
 
 
 def test_build_model_json():

@@ -297,6 +297,28 @@ def test_scheme_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "position, accepted",
+    [(1, True), (np.int64(1), True), (True, False), (1.0, False), ("1", False)],
+    ids=["int", "np-int64", "bool", "float", "str"],
+)
+def test_segment_positions_take_the_one_integer_rule(position, accepted):
+    # errors.is_int decides: an int or a numpy integer, never a bool, a
+    # float of integral value or a string of digits.
+    def make():
+        return PartitionScheme(
+            generator=["1000101", "0100110", "0010111", "0001011"],
+            x_segments={"a1": (0, position), "v1": (2, 3), "q1": (4, 5, 6)},
+            y_segments={"u2": (0, 1), "a2": (2, 3), "q2": (4, 5, 6)},
+        )
+
+    if accepted:
+        assert make().x_segments["a1"] == (0, 1)
+    else:
+        with pytest.raises(ValidationError, match="a1: positions must be integers"):
+            make()
+
+
 def test_roles_default(scheme):
     assert scheme.role_positions("x", "private") == [0, 1]    # v1 segment
     assert scheme.role_positions("x", "common") == [2, 3, 4]  # parity
