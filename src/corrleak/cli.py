@@ -23,7 +23,8 @@ enumeration would exceed the memory budget or the memory at hand
 (``MemoryError``), or a word, Z code or class key would pass its int width.
 
 This module loads no numpy: a command imports what builds or reads its
-table when it runs, so ``region`` on a Hamming model never loads numpy.
+table when it runs, so ``region`` and ``decode`` on a Hamming model never
+load numpy.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .errors import (
     is_bits,
 )
 from .seqmodel import build_model, sequence_summary
-from .swcodec import PartitionScheme, joint_decode, prototype_condition_report, support_syndromes
+from .swcodec import PartitionScheme, joint_decode, prototype_condition_report, word_syndrome
 
 if TYPE_CHECKING:
     from .leakage import WiretapAnalyzer
@@ -203,12 +204,7 @@ def _golden_syndromes(ctx: _Context) -> tuple[int, int]:
             raise ValidationError(
                 f"scenario.golden.{side}: expected {n} bits of 0/1, got {golden.get(side)!r}"
             )
-    import numpy as np
-
-    tx, ty = support_syndromes(
-        ctx.scheme, np.array([int(golden["x"], 2)]), np.array([int(golden["y"], 2)])
-    )
-    return int(tx[0]), int(ty[0])
+    return tuple(word_syndrome(ctx.scheme, side, int(golden[side], 2)) for side in "xy")
 
 
 def _golden_notes(ctx: _Context) -> list[str]:

@@ -250,24 +250,30 @@ def sequence_entropies(model: SequenceModel) -> tuple[float, ...]:
       e1 and e2 uniform on the balls of radii d_xy and d_yz.  So H(X) =
       H(Y) = H(Z) = K, H(X,Y) = K + log2 V(K, d_xy), H(Y,Z) = K +
       log2 V(K, d_yz), H(X,Y,Z) = K + both logs and H(X,Z) = K +
-      H(e1 XOR e2).  Raises ``CapacityError`` when the sums would take more
-      than ``STRUCTURE_BUDGET``.
+      H(e1 XOR e2).  When either radius is K, that ball is all of F2^K and
+      e1 XOR e2 is uniform, so H(X,Z) = 2K exactly.  Otherwise raises
+      ``CapacityError`` when the sums would take more than
+      ``STRUCTURE_BUDGET``.
     """
     K = model.K
     if model.kind == "iid":
         sets = ("x", "y", "z", "xy", "xz", "yz", "xyz")
         return tuple(K * model.base.entropy(v) for v in sets)  # type: ignore[union-attr]
     a, b = model.d_xy_max, model.d_yz_max
-    work = (min(K, a + b) + 1) * (min(a, b) + 1) * K
-    if work > STRUCTURE_BUDGET:
-        raise CapacityError(
-            f"H(e1 xor e2) at K={K}, d_xy={a}, d_yz={b} would take at least"
-            f" 2**{work.bit_length() - 1} bit operations, over the budget of"
-            f" 2**{STRUCTURE_BUDGET.bit_length() - 1}"
-        )
-    log_a, log_b = log2(ball_volume(K, a)), log2(ball_volume(K, b))
     h = float(K)
-    return h, h, h, K + log_a, K + _xor_entropy(K, a, b), K + log_b, K + log_a + log_b
+    if K in (a, b):
+        h_xor = h
+    else:
+        work = (min(K, a + b) + 1) * (min(a, b) + 1) * K
+        if work > STRUCTURE_BUDGET:
+            raise CapacityError(
+                f"H(e1 xor e2) at K={K}, d_xy={a}, d_yz={b} would take at least"
+                f" 2**{work.bit_length() - 1} bit operations, over the budget of"
+                f" 2**{STRUCTURE_BUDGET.bit_length() - 1}"
+            )
+        h_xor = _xor_entropy(K, a, b)
+    log_a, log_b = log2(ball_volume(K, a)), log2(ball_volume(K, b))
+    return h, h, h, K + log_a, K + h_xor, K + log_b, K + log_a + log_b
 
 
 def sequence_summary(model: SequenceModel) -> InfoSummary:

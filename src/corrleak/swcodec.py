@@ -10,14 +10,15 @@ names each side's (info, keyed, parity) segments, and ``PartitionScheme``
 alone reads it: the scheme gives every syndrome length and role position.
 Each side's segment layout and parity block fold into one generator,
 ``G_X`` / ``G_Y``, so a syndrome is the matrix product ``x . G_X``
-(``y . G_Y``).  ``support_syndromes``, the one encoder, takes word codes
-and gives one int64 syndrome code per word, packed like the word codes, and
-each of its bits is the parity of the popcount of the word code ANDed with
-the packed generator column.
+(``y . G_Y``).  Each bit of a syndrome is the parity of the popcount of
+the word code ANDed with the packed generator column: ``support_syndromes``
+encodes arrays of word codes into int64 syndrome codes, packed like the
+word codes, and ``word_syndrome`` one int word into an int.
 
-The receiver resolves both words from the two syndromes by exhaustive
-search constrained by the correlation model; at this scale exhaustive coset
-search is exact and doubles as the reference decoder.
+The receiver resolves both words from the two syndromes by an exact search
+of their syndrome cosets (``syndrome_coset``), constrained by the
+correlation model; it builds no support table and, on a Hamming model,
+loads no numpy.
 
 Segment roles ("private" / "common") mark which syndrome parts count as the
 private and common information portions when leakage bounds are evaluated;
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import CapacityError, UsageError, ValidationError, is_bits, is_int
-from .seqmodel import InfoSummary, SequenceModel
+from .errors import MEMORY_BUDGET, CapacityError, UsageError, ValidationError, is_bits, is_int
+from .seqmodel import InfoSummary, SequenceModel, ball_volume
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,6 +164,12 @@ class PartitionScheme:
         )
 
     @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Row i of G = [I_k | P^T] as an n-bit mask packed like word codes:
+        position i and the parity positions of P^T's row i."""
+        return tuple(int(row, 2) for row in self.generator)
+
+    @cached_property
     def g_x(self) -> tuple[int, ...]:
         """The columns of G_X, which maps a source word x to its syndrome
         T_X = x . G_X, as n-bit masks packed like word codes."""
@@ -235,6 +243,42 @@ def support_syndromes(
     return out[0], out[1]
 
 
+def word_syndrome(s: PartitionScheme, side: str, word: int) -> int:
+    """T_X (``side`` 'x') or T_Y ('y') of one word code in 0..2**n-1, packed
+    as ``support_syndromes`` packs it: bit j is the parity of the popcount
+    of the word ANDed with column j of G_X (G_Y)."""
+    t = 0
+    for column in s.g_x if side == "x" else s.g_y:
+        t = t << 1 | (word & column).bit_count() & 1
+    return t
+
+
+def syndrome_coset(
+    s: PartitionScheme, side: str, t: int, zeros: int = 0, ones: int = 0
+) -> list[int]:
+    """Every word code whose syndrome on ``side`` is ``t`` and whose keyed
+    bits are 0 at the positions of the word mask ``zeros`` and 1 at those of
+    ``ones``: 2**|keyed| words when neither mask holds a keyed position.
+    The syndrome fixes the info segment and leaves the keyed one free; its
+    parity bits are the parity segment XOR P^T of the keyed bits alone.  So
+    the coset is the word with t's info bits, no keyed bits and t's parity
+    bits, XOR every sum of the generator rows of the keyed positions, each
+    row a word of syndrome 0 on this side whose one keyed bit is its own."""
+    info, keyed, _ = s._segments(side)
+    length, n = s.syndrome_len(side), s.n
+    word = t & (1 << s.parity_len) - 1
+    for i, p in enumerate(info):
+        word |= (t >> length - 1 - i & 1) << n - 1 - p
+    coset = [word]
+    for p in keyed:
+        row, bit = s.row_masks[p], 1 << n - 1 - p
+        if ones & bit:
+            coset = [w ^ row for w in coset]
+        elif not zeros & bit:
+            coset += [w ^ row for w in coset]
+    return coset
+
+
 def syndrome_portions(
     s: PartitionScheme, x: np.ndarray, y: np.ndarray
 ) -> dict[str, tuple[np.ndarray, int]]:
@@ -291,20 +335,89 @@ def joint_decode(
     syndromes decode uniquely, several when they are ambiguous and none when
     they are inconsistent.
 
-    The syndromes are functions of the (x, y) pair, so they are matched on
-    the distinct pairs of the support table only.  Raises ``UsageError``
-    unless each syndrome is an integer code (a bool is refused) in
-    0..2**syndrome_len-1.
+    The pairs are searched in the syndrome cosets, and no table is built.
+    On a Hamming model x = y XOR e with wt(e) <= d_xy, and T_X is linear, so
+    the ball's offsets are bucketed by their X syndrome and each y of T_Y's
+    coset takes the bucket of ``tx ^ T_X(y)``.  On an iid law each y of
+    T_Y's coset takes the words of T_X's coset whose every (x_i, y_i) cell
+    has a Z cell above ``ZERO_EPS``, the table's rule; the keyed bits that
+    the empty cells force, y's and then x's given y, are fixed before each
+    coset is spanned.  Raises ``UsageError`` unless each syndrome is an
+    integer code (a bool is refused) in 0..2**syndrome_len-1, and
+    ``CapacityError`` before the search when it would take more steps or
+    candidates than the memory budget admits support rows
+    (``MEMORY_BUDGET // 64``).
     """
     require_code_model(s, model, "decode")
     for t, side in ((tx, "x"), (ty, "y")):
         length = s.syndrome_len(side)
         if not is_int(t) or not 0 <= t < 1 << length:
             raise UsageError(f"t_{side} must be a code in 0..2**{length}-1, got {t!r}")
-    x, y = model.table.x, model.table.y
-    TX, TY = support_syndromes(s, x, y)
-    hit = (TX == tx) & (TY == ty)
-    return sorted(set(zip(x[hit].tolist(), y[hit].tolist())))
+    tx, ty = int(tx), int(ty)
+    if model.kind == "hamming":
+        # Each y of T_Y's coset takes at most the whole ball, so the steps and
+        # the candidates are both at most |coset_y| * V(n, d_xy).
+        _refuse_past_budget(_coset_size(s, "y") * ball_volume(s.n, model.d_xy_max))
+        buckets: dict[int, list[int]] = {}
+        for w in range(model.d_xy_max + 1):
+            for ones in combinations(range(s.n), w):
+                e = sum(1 << p for p in ones)
+                buckets.setdefault(word_syndrome(s, "x", e), []).append(e)
+        return sorted(
+            (y ^ e, y)
+            for y in syndrome_coset(s, "y", ty)
+            for e in buckets.get(tx ^ word_syndrome(s, "x", y), ())
+        )
+    from .info import ZERO_EPS
+
+    probs = model.base.probs  # type: ignore[union-attr]
+    nx, ny, _ = model.alphabet_sizes
+    # The (x_i, y_i) cells of no support row, symbol 1 of a size-1 alphabet among them.
+    empty = {
+        (a, b) for a in (0, 1) for b in (0, 1)
+        if a >= nx or b >= ny or not (probs[a, b] > ZERO_EPS).any()
+    }
+    full = (1 << s.n) - 1
+    # y_i is never b where neither (0, b) nor (1, b) is a cell; likewise x_i and a.
+    y_zeros = full if {(0, 1), (1, 1)} <= empty else 0
+    y_ones = full if {(0, 0), (1, 0)} <= empty else 0
+    x_fixed = {(1, 0), (1, 1)} <= empty or {(0, 0), (0, 1)} <= empty
+    size_y = 1 if y_zeros | y_ones else _coset_size(s, "y")
+    size_x = 1 if x_fixed else _coset_size(s, "x")
+    # Each y takes at most all of T_X's coset, and over all of F2^n the
+    # words its cells allow are the support's (4 - |empty|)**n pairs.
+    _refuse_past_budget(size_y + min(size_x * size_y, (4 - len(empty)) ** s.n))
+    pairs = []
+    for y in syndrome_coset(s, "y", ty, y_zeros, y_ones):
+        if y & (y_zeros | y_ones) != y_ones:
+            continue
+        at = (~y & full, y)  # the positions where y_i is 0, and where it is 1
+        zeros = ones = 0  # the positions where x_i must be 0, and must be 1
+        for a, b in empty:
+            if a:
+                zeros |= at[b]
+            else:
+                ones |= at[b]
+        if not zeros & ones:
+            coset_x = syndrome_coset(s, "x", tx, zeros, ones)
+            pairs += [(x, y) for x in coset_x if x & (zeros | ones) == ones]
+    return sorted(pairs)
+
+
+def _coset_size(s: PartitionScheme, side: str) -> int:
+    """2**|keyed|, the words of one syndrome's coset on ``side``."""
+    return 1 << len(s._segments(side)[1])
+
+
+def _refuse_past_budget(work: int) -> None:
+    """Raise ``CapacityError`` when a decoding search takes more steps or
+    candidates than the memory budget admits support rows."""
+    rows = MEMORY_BUDGET // 64
+    if work > rows:
+        raise CapacityError(
+            f"decoding searches at least 2**{work.bit_length() - 1} words, over the"
+            f" 2**{rows.bit_length() - 1} support rows of the memory budget"
+        )
 
 
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:

@@ -13,7 +13,9 @@ dictionary-based conditional entropy over observables of a triple, a
 three-sort conditional entropy over per-row codes, which the table's
 ``conditional_entropy`` must match bit for bit, the seven summary
 entropies taken over the model's table (``table_entropies``), which the
-structural ``sequence_entropies`` must match, the Shannon measures of
+structural ``sequence_entropies`` must match, the table decoder
+(``table_decode``), which matches the syndromes of every pair of that
+table and which the coset search of ``joint_decode`` must equal, the Shannon measures of
 a per-symbol ``JointPmf`` tensor, which the per-symbol summary of an iid
 sequence model must match, the per-codeword cipher over general index-space
 sizes (``CipherSizes``), which the folded pads of ``measure_security`` must
@@ -224,6 +226,21 @@ def table_entropies(model: SequenceModel) -> tuple[float, ...]:
     X, Y = (t.x, (nx**K - 1).bit_length()), (t.y, (ny**K - 1).bit_length())
     Z, H = t.z_width, t.entropy
     return H([X]), H([Y]), H([], Z), H([X, Y]), H([X], Z), H([Y], Z), H([X, Y], Z)
+
+
+def table_decode(
+    model: SequenceModel, s: PartitionScheme
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """The candidates of every syndrome pair over the model's support
+    table: each (t_x, t_y) that some pair of the table encodes to, mapped
+    to those (x, y) word codes in ascending order.  A syndrome pair that is
+    missing has no candidate.  The reference for ``swcodec.joint_decode``."""
+    x, y = model.table.x, model.table.y
+    tx, ty = support_syndromes(s, x, y)
+    groups: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for key, pair in zip(zip(tx.tolist(), ty.tolist()), zip(x.tolist(), y.tolist())):
+        groups.setdefault(key, set()).add(pair)
+    return {key: sorted(pairs) for key, pairs in groups.items()}
 
 
 # -- dense GF(2) matrices -------------------------------------------------------

@@ -408,8 +408,10 @@ def test_hamming_support_past_the_budget_exits_before_its_balls_are_summed(tmp_p
     [
         ("iid_k5", {"K": 64}),
         ("hamming_k10", {"K": 60, "d_xy": 3, "d_yz": 2}),
+        # Both radii full: e1 xor e2 is uniform, so no weight class is summed.
+        ("hamming_k10", {"K": 2000, "d_xy": 2000, "d_yz": 2000}),
     ],
-    ids=["iid-k64", "hamming-k60"],
+    ids=["iid-k64", "hamming-k60", "hamming-k2000-full-radii"],
 )
 def test_region_at_scale_builds_no_table(tmp_path, monkeypatch, workload, model):
     # region reads only the summary, which comes from the model's structure:
@@ -429,6 +431,114 @@ def test_region_at_scale_builds_no_table(tmp_path, monkeypatch, workload, model)
     assert time.perf_counter() - start < 1.0
     assert built == []
     assert len((tmp_path / "region.csv").read_text().splitlines()) > 2
+
+
+def _hamming_31_26_scenario(d_xy: int) -> dict:
+    """The [31,26] Hamming code (parity columns every 5-bit value of weight
+    >= 2) with a 13/13 complementary split, under a Hamming model of radius
+    ``d_xy``, and a golden pair at distance 1."""
+    columns = [format(v, "05b") for v in range(32) if bin(v).count("1") >= 2]
+    rows = ["".join("1" if j == i else "0" for j in range(26)) + c for i, c in enumerate(columns)]
+    head, tail, parity = list(range(13)), list(range(13, 26)), list(range(26, 31))
+    y = "1011001110001011100101101100101"
+    x = y[:20] + str(1 - int(y[20])) + y[21:]
+    return {
+        "name": "hamming-31-26",
+        "model": {"kind": "hamming", "K": 31, "d_xy": d_xy, "d_yz": 1},
+        "scheme": {
+            "generator": {"rows": rows},
+            "x_segments": {"a1": head, "v1": tail, "q1": parity},
+            "y_segments": {"u2": head, "a2": tail, "q2": parity},
+        },
+        "golden": {"x": x, "y": y},
+    }
+
+
+def test_decode_of_a_31_26_hamming_code_builds_no_table(tmp_path, monkeypatch):
+    # 2**31 words take a support of 2**36 rows, past the memory budget; the
+    # coset search reads the 2**13 words of T_Y's coset and the 32 words of
+    # the unit ball, and finds the golden pair alone.
+    scenario = _hamming_31_26_scenario(d_xy=1)
+    path = tmp_path / "h31.json"
+    path.write_text(json.dumps(scenario))
+    built = []
+    init = SupportTable.__init__
+    monkeypatch.setattr(
+        SupportTable, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
+    start = time.perf_counter()
+    assert run(["decode", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert built == []
+    x, y = scenario["golden"]["x"], scenario["golden"]["y"]
+    rows = (tmp_path / "decode.csv").read_text().splitlines()
+    assert "candidates=1 unique=true" in rows[1]
+    assert rows[-1] == f"0,{x},{y},{int(x, 2):#04x},{int(y, 2):#04x}"
+
+
+def _keyed_scenario(model: dict, info: int) -> dict:
+    """``model`` over a systematic [K, K-3] code (parity column of row i the
+    3-bit value i % 7 + 1) whose first ``info`` message bits are info bits on
+    both sides and whose other message bits are keyed on both sides."""
+    K = model["K"]
+    k = K - 3
+    rows = [
+        "".join("1" if j == i else "0" for j in range(k)) + format(i % 7 + 1, "03b")
+        for i in range(k)
+    ]
+    head, tail, parity = list(range(info)), list(range(info, k)), list(range(k, K))
+    return {
+        "name": "keyed",
+        "model": model,
+        "scheme": {
+            "generator": {"rows": rows},
+            "x_segments": {"v1": head, "a1": tail, "q1": parity},
+            "y_segments": {"u2": head, "a2": tail, "q2": parity},
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "scenario, syndromes",
+    [
+        # 2**13 words of T_Y's coset, each taking up to V(31, 10) ~ 2**26.2 offsets.
+        pytest.param(_hamming_31_26_scenario(d_xy=10), [], id="31-26-radius-10"),
+        # Every message bit of a [17,14] code keyed: 2**14 words of T_Y's
+        # coset, each taking up to V(17, 6) = 21,778 offsets, about 2**28.4
+        # candidates in all, though the coset and the ball are 2**15.4 words.
+        pytest.param(
+            _keyed_scenario({"kind": "hamming", "K": 17, "d_xy": 6, "d_yz": 1}, info=0),
+            ["--tx", "101", "--ty", "101"],
+            id="17-14-keyed-radius-6",
+        ),
+    ],
+)
+def test_decode_past_the_work_guard_exits_3(tmp_path, capsys, scenario, syndromes):
+    # More steps or candidates than the 2**26 support rows that the memory
+    # budget admits: refused before the search starts.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["decode", "--scenario", str(path), "--out", str(tmp_path), *syndromes]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("corrleak: capacity guard: decoding searches")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "decode.csv").exists()
+
+
+def test_decode_of_a_one_row_law_fixes_the_keyed_bits_of_both_sides(tmp_path):
+    # X = Y = 0 is the law's one pair.  Its empty cells fix every keyed bit
+    # of y and x, so the 2**28 words of T_Y's coset over 28 keyed bits are
+    # never spanned: one candidate for the all-zero syndromes, none when y's
+    # info bit is 1.
+    model = {"kind": "iid", "K": 32, "pmf": {"alphabets": [1, 1, 1], "probs": [1.0]}}
+    path = tmp_path / "one_row.json"
+    path.write_text(json.dumps(_keyed_scenario(model, info=1)))
+    for ty, found in (("0000", 1), ("1000", 0)):
+        args = ["decode", "--scenario", str(path), "--out", str(tmp_path)]
+        assert run([*args, "--tx", "0000", "--ty", ty]) == 0
+        rows = (tmp_path / "decode.csv").read_text().splitlines()
+        assert f"candidates={found} " in rows[1]
+        assert rows[3:] == ([f"0,{'0' * 32},{'0' * 32},0x00,0x00"] if found else [])
 
 
 def _one_row_scenario(K: int) -> dict:

@@ -264,25 +264,29 @@ def test_nonzero_cell_table_keeps_rows_below_the_product_threshold():
     assert table.weights.min() == 1e-9 * 1e-9
 
 
-#: Every Hamming model with K <= 10 and radii 0..3 whose table holds at most 2**20 rows.
+#: Every Hamming model with K <= 10 and radii 0..3 whose table holds at most
+#: 2**20 rows, and two with a full radius at K = 7 and 8.
 SMALL_HAMMING = [
     (K, a, b)
     for K in range(1, 11)
     for a, b in itertools.product(range(min(3, K) + 1), repeat=2)
     if (1 << K) * ball_volume(K, a) * ball_volume(K, b) <= 1 << 20
-]
+] + [(7, 7, 2), (8, 1, 8)]
 
 
 @pytest.mark.parametrize("K, d_xy, d_yz", SMALL_HAMMING)
 def test_hamming_structure_equals_the_table(K, d_xy, d_yz):
     # Ball volumes and the weight classes of e1 XOR e2 give the seven
     # entropies that the table counts, and all seven are the table's floats
-    # at reference_k7's (7, 1, 1).
+    # at reference_k7's (7, 1, 1).  A full radius makes e1 XOR e2 uniform,
+    # so H(X,Z) is 2K exactly.
     model = SequenceModel(kind="hamming", K=K, d_xy_max=d_xy, d_yz_max=d_yz)
     structure, table = sequence_entropies(model), table_entropies(model)
     assert structure == pytest.approx(table, abs=1e-12, rel=0)
     if (K, d_xy, d_yz) == (7, 1, 1):
         assert structure == table == (7, 7, 7, 10, 11.75, 10, 13)
+    if K in (d_xy, d_yz):
+        assert structure[4] == 2 * K
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,12 +316,15 @@ def test_iid_structure_counts_cells_below_zero_eps_as_zeros():
 def test_hamming_structure_scales_past_float_range_within_its_budget():
     # At K = 20000 the ball volumes and word counts are integers of
     # thousands of digits: their ratios and logs stay finite.  Past the
-    # budget the weight-class sum is refused before it starts.
-    model = SequenceModel(kind="hamming", K=20000, d_xy_max=20000, d_yz_max=1)
+    # budget the weight-class sum is refused before it starts, unless a
+    # radius is full and e1 XOR e2 is uniform.
+    model = SequenceModel(kind="hamming", K=20000, d_xy_max=19999, d_yz_max=1)
     h = sequence_entropies(model)
-    assert h[3] == 40000 and h[4] == pytest.approx(40000, abs=1e-9)
+    assert h[3] == 20000 + math.log2(2**20000 - 1) and h[4] == pytest.approx(40000, abs=1e-9)
     assert h[5] == 20000 + math.log2(20001)
-    wide = SequenceModel(kind="hamming", K=20000, d_xy_max=20000, d_yz_max=20000)
+    full = SequenceModel(kind="hamming", K=20000, d_xy_max=20000, d_yz_max=20000)
+    assert sequence_entropies(full) == (20000, 20000, 20000, 40000, 40000, 40000, 60000)
+    wide = SequenceModel(kind="hamming", K=20000, d_xy_max=19999, d_yz_max=19999)
     with pytest.raises(CapacityError, match="H\\(e1 xor e2\\) at K=20000"):
         sequence_entropies(wide)
 

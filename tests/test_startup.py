@@ -1,7 +1,8 @@
 """Start-up: ``import corrleak`` and ``import corrleak.cli`` load no numpy,
 a process that runs a command runs one thread even when the caller asks
-OpenBLAS for more, ``region`` on a Hamming model never loads numpy, and
-``verify-bounds`` draws its patterns without ``numpy.random`` or OpenSSL."""
+OpenBLAS for more, ``region`` and ``decode`` on a Hamming model never load
+numpy, and ``verify-bounds`` draws its patterns without ``numpy.random`` or
+OpenSSL."""
 
 import json
 import os
@@ -62,6 +63,36 @@ def test_region_on_a_hamming_model_loads_no_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False False False"
+
+
+DECODE = """
+import sys
+from corrleak import cli
+tx, ty = sys.argv[2:]
+assert cli.main(["decode", "--scenario", "reference_k7", "--out", "golden"]) == 0
+assert cli.main(["decode", "--scenario", sys.argv[1], "--tx", tx, "--ty", ty, "--out", "k10"]) == 0
+print(*(name in sys.modules for name in ("numpy", "corrleak.info", "corrleak.leakage")))
+"""
+
+
+def test_decode_on_a_hamming_model_loads_no_numpy(tmp_path):
+    # The golden pair of reference_k7 and a --tx/--ty query of hamming_k10
+    # are decoded in their syndrome cosets: no table, so neither numpy nor
+    # the modules that build and read tables.
+    scenarios = load_perfbench("scenarios")
+    scenario = scenarios.hamming_k10_scenario()
+    path = tmp_path / "hamming_k10.json"
+    path.write_text(json.dumps(scenario))
+    x, y = scenarios.decode_query(scenario, 5)
+    query = [scenarios.encode(w, scenario["scheme"], side) for w, side in ((x, "x"), (y, "y"))]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", DECODE, str(path), *query],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False False"
+    assert f",{x},{y}," in (tmp_path / "k10" / "decode.csv").read_text()
 
 
 VERIFY_BOUNDS = """

@@ -4,13 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corrleak.swcodec as swcodec_module
 from corrleak.errors import CapacityError, InternalConsistencyError, UsageError, ValidationError
 from corrleak.info import JointPmf, PACK_LIMIT_BITS, SupportTable
-from corrleak.seqmodel import SequenceModel, sequence_summary
+from corrleak.seqmodel import SequenceModel, build_model, sequence_summary
 from corrleak.swcodec import (
     PartitionScheme,
     decode_ambiguity_rate,
@@ -28,12 +28,15 @@ from oracle import (
     mat_vec_mul,
     p1_t,
     pack_bits,
+    reference_scheme,
     support_arrays,
     support_digits,
     syndrome_observable,
+    table_decode,
     word_digits,
     z_prefix_observable,
 )
+from test_perfbench import load_perfbench
 
 
 def encode(s: PartitionScheme, x: str, y: str) -> tuple[str, str]:
@@ -211,6 +214,95 @@ def test_decode_candidates_contain_truth_everywhere(scheme, hamming7):
     expected = sum(len(m) for m in groups.values() if len(m) > 1) / len(pairs)
     assert rate == pytest.approx(expected, abs=1e-12)
     assert rate == pytest.approx(0.0, abs=1e-12)
+
+
+def assert_decodes_like_the_table(s: PartitionScheme, model: SequenceModel) -> None:
+    """The coset search equals the table decoder on every syndrome pair."""
+    table = table_decode(model, s)
+    for tx in range(1 << s.syndrome_len("x")):
+        for ty in range(1 << s.syndrome_len("y")):
+            assert joint_decode(tx, ty, model, s) == table.get((tx, ty), []), (tx, ty)
+
+
+def workload_case(name: str) -> tuple[PartitionScheme, SequenceModel]:
+    scenario = getattr(load_perfbench("scenarios"), f"{name}_scenario")()
+    return PartitionScheme.from_json(scenario["scheme"]), build_model(scenario["model"])
+
+
+def k4_scheme() -> PartitionScheme:
+    """A [4,2] code with the complementary split."""
+    return PartitionScheme(
+        generator=["1011", "0110"],
+        x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
+        y_segments={"u2": (0,), "a2": (1,), "q2": (2, 3)},
+    )
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        pytest.param(lambda: (reference_scheme(), SequenceModel(kind="hamming", K=7)),
+                     id="reference_k7"),
+        pytest.param(lambda: workload_case("hamming_k10"), id="hamming_k10"),
+        pytest.param(lambda: workload_case("iid_k5"), id="iid_k5"),
+        pytest.param(lambda: (k4_scheme(), SequenceModel(kind="iid", K=4, base=uneven_law())),
+                     id="uneven-k4"),
+        pytest.param(
+            lambda: (k4_scheme(), SequenceModel(kind="iid", K=4, base=JointPmf(np.ones((1, 1, 1))))),
+            id="one-row-k4",
+        ),
+    ],
+)
+def test_joint_decode_equals_the_table_decoder_on_every_syndrome_pair(make_case):
+    # 1,024, 16,384, 256, 64 and 64 syndrome pairs: unique, ambiguous and
+    # inconsistent ones, under equal-weight, uneven and one-row laws.
+    assert_decodes_like_the_table(*make_case())
+
+
+@st.composite
+def decode_models(draw, K: int) -> SequenceModel:
+    """A Hamming model with d_xy in 0..3, or a binary iid law with zero cells,
+    alphabets of size 1 among them.  Decoding reads no Z, so d_yz stays at
+    most 1 and the tables small."""
+    if draw(st.booleans(), label="hamming"):
+        d_xy, d_yz = draw(st.integers(0, min(3, K))), draw(st.integers(0, 1))
+        return SequenceModel(kind="hamming", K=K, d_xy_max=d_xy, d_yz_max=d_yz)
+    shape = tuple(draw(st.integers(1, 2)) for _ in range(3))
+    size = math.prod(shape)
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+    probs = np.array(weights, dtype=float).reshape(shape)
+    return SequenceModel(kind="iid", K=K, base=JointPmf(probs / probs.sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 5), parity=st.integers(1, 3), seed=st.integers(0, 999), data=st.data())
+def test_joint_decode_equals_the_table_decoder_on_random_schemes(k, parity, seed, data):
+    # Random systematic schemes at n <= 8 with random, unsorted splits, of
+    # at most 2**12 syndrome pairs.
+    s = random_systematic_scheme(np.random.default_rng(seed), k, k + parity)
+    assume(s.syndrome_len("x") + s.syndrome_len("y") <= 12)
+    assert_decodes_like_the_table(s, data.draw(decode_models(s.n), label="model"))
+
+
+def test_iid_decode_takes_the_support_not_the_product_of_the_cosets():
+    # X = Y = Z, and every message bit keyed on both sides of a [17,14] code:
+    # the two cosets hold 2**14 words each, 2**28 pairs, past the 2**26 rows
+    # of the memory budget.  Each y allows one x, so the guard counts at most
+    # 2**14 + 2**17 steps, and every syndrome pair (t, t) has 2**14 candidates.
+    parity = np.random.default_rng(3).integers(0, 2, size=(14, 3))
+    rows = [format(1 << 13 - i, "014b") + "".join(map(str, p)) for i, p in enumerate(parity)]
+    s = PartitionScheme(
+        generator=rows,
+        x_segments={"a1": range(14), "v1": (), "q1": (14, 15, 16)},
+        y_segments={"u2": (), "a2": range(14), "q2": (14, 15, 16)},
+    )
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = probs[1, 1, 1] = 0.5
+    model = SequenceModel(kind="iid", K=17, base=JointPmf(probs))
+    table = table_decode(model, s)
+    assert len(table[5, 5]) == 1 << 14
+    assert joint_decode(5, 5, model, s) == table[5, 5]
+    assert joint_decode(5, 6, model, s) == []
 
 
 def test_enumeration_equivocation_unconditional(scheme, hamming7):
