@@ -13,9 +13,12 @@ Security levels are exact conditional entropies per symbol over the source
 support.  Every uniform key is folded in by one rule, as the leakage
 analyzer does for its shared parity pad: conditioned on the ciphertext of
 the portion it is named after, a key leaves only shifted differences of
-portions visible.  A key no narrower than any portion it masks costs four
-class entropies; a narrower key of size m is averaged over its m
-ciphertexts, at four class entropies each.
+portions visible.  Every entropy is one ``SupportTable.entropy`` call on
+the model's table, the call the leakage analyzer makes: the portions are
+chunks on its (x, y) pairs, and the leaked Z prefix is read off its rows.
+A key no narrower than any portion it masks costs four entropies; a
+narrower key of size m is averaged over its m ciphertexts, at four
+entropies each.
 """
 
 from __future__ import annotations
@@ -199,13 +202,13 @@ def measure_security(
     m, uniform and independent of the sources, and every other portion p it
     masks, of size m', as (p + (u - own) mod m) mod m'.  Given u the
     codewords are a function of the sources, so each level is the mean over
-    u of class entropies.  When m' divides m for every such p, the terms are
-    shifts of the term at u = 0, and that one term is taken: four class
-    entropies.  A key narrower than a portion it masks is averaged over its
-    m values of u: m x 4 class entropies.
+    u of entropies of the model's support table, each taken by
+    ``SupportTable.entropy`` with the portions as chunks on its pairs and
+    the Z prefix as its ``mu`` columns.  When m' divides m for every such p,
+    the terms are shifts of the term at u = 0, and that one term is taken:
+    four entropies.  A key narrower than a portion it masks is averaged over
+    its m values of u: m x 4 entropies.
     """
-    from .info import code_entropy, pack_chunks
-
     if branch not in BRANCHES:
         raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
     require_code_model(s, model, "measurement")
@@ -213,10 +216,8 @@ def measure_security(
         raise DomainError(f"mu must lie in 0..{model.K}, got {mu}")
 
     K = model.K
-    # The rows collapsed to what the measurement sees: (x, y, leaked z
-    # prefix).  Unobserved z symbols only add multiplicity.
-    x, y, z, probs = model.table.prefix_classes(mu)
-    portions = syndrome_portions(s, x, y)
+    table = model.table
+    portions = syndrome_portions(s, table.x, table.y)
 
     # Alphabet size of every portion, in codeword order; a key k<portion>
     # is as wide as its portion.
@@ -230,7 +231,7 @@ def measure_security(
         for k, m in key_sizes.items()
     }
     averaged = [k for k, m in key_sizes.items() if any(sizes[c] > m for c in masked[k])]
-    x_chunk, y_chunk = (x, K), (y, K)
+    x_chunk, y_chunk = (table.x, K), (table.y, K)
 
     def levels(u: dict[str, int]) -> tuple[float, float, float]:
         """H(x | obs), H(y | obs) and H(x, y | obs) in bits, with each key's
@@ -241,10 +242,9 @@ def measure_security(
             for c in others:
                 codes[c] = (codes[c] + (u.get(key, 0) - own) % key_sizes[key]) % sizes[c]
         obs = [(code, portions[c][1]) for c, code in codes.items()]
-        obs.append((z, mu))
 
         def h(*targets: tuple[np.ndarray, int]) -> float:
-            return code_entropy(pack_chunks(obs + list(targets), x.size), probs)
+            return table.entropy(obs, mu, targets)
 
         h_obs = h()
         return h(x_chunk) - h_obs, h(y_chunk) - h_obs, h(x_chunk, y_chunk) - h_obs

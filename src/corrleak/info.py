@@ -252,7 +252,6 @@ class SupportTable:
         self.pairs, self.rows = x.size, z.size
         # Rows per pair when every pair spans the same number of rows.
         self._run = int(runs[0]) if bool((runs == runs[0]).all()) else None
-        self._classes: dict[int, tuple[np.ndarray, ...]] = {}
 
     def entropy(
         self,
@@ -339,49 +338,3 @@ class SupportTable:
         if head or tail:
             rows |= spread
         return buf
-
-    def prefix_classes(self, mu: int) -> tuple[np.ndarray, ...]:
-        """The rows collapsed to their distinct (x, y, Z prefix of ``mu``
-        columns), as read-only ``(x, y, z prefix, probability)`` arrays with
-        one entry per class, in ascending (x, y, prefix) order; a class's
-        probability is summed over its rows in row order.  Built once per
-        ``mu`` and shared by every caller.
-
-        Z ascends within each pair's run, so a class is a run of rows that
-        starts a pair or a new prefix, and only the pairs are sorted.  A
-        class of m equal-weight rows gets the m-th running sum of ``p``,
-        the float that adding its rows' probabilities one by one gives.
-        Raises ``InternalConsistencyError`` when two runs hold the same
-        pair, whose rows would then split across classes."""
-        if mu not in self._classes:
-            edge = np.zeros(self.rows, dtype=bool)
-            if mu:
-                prefix = self.z >> (self.z_width - mu)
-                np.not_equal(prefix[1:], prefix[:-1], out=edge[1:])
-                del prefix
-            starts = np.cumsum(self.runs) - self.runs
-            edge[starts] = True
-            first = np.flatnonzero(edge)
-            # Classes per pair, and the classes re-laid pair by pair in
-            # (x, y) order, each pair's classes kept in prefix order.
-            pair_first = np.searchsorted(first, starts)
-            count = np.diff(pair_first, append=first.size)
-            order = np.lexsort((self.y, self.x))
-            x, y = self.x[order], self.y[order]
-            if ((x[1:] == x[:-1]) & (y[1:] == y[:-1])).any():
-                raise InternalConsistencyError("an (x, y) pair spans two runs of rows")
-            count = count[order]
-            offset = pair_first[order] - (np.cumsum(count) - count)
-            keep = np.repeat(offset, count) + np.arange(first.size)
-            if self.weights is None:
-                size = np.diff(first, append=self.rows)[keep]
-                mass = np.cumsum(np.full(int(size.max()), self.p))[size - 1]
-            else:
-                mass = np.bincount(np.cumsum(edge) - 1, weights=self.weights)[keep]
-            prefix = (self.z[first[keep]] >> (self.z_width - mu)).astype(np.int64)
-            classes = (np.repeat(x, count), np.repeat(y, count), prefix, mass)
-            for arr in classes:
-                arr.flags.writeable = False
-            self._classes[mu] = classes
-        return self._classes[mu]
-

@@ -33,7 +33,15 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import MEMORY_BUDGET, CapacityError, UsageError, ValidationError, is_bits, is_int
+from .errors import (
+    MEMORY_BUDGET,
+    CapacityError,
+    InternalConsistencyError,
+    UsageError,
+    ValidationError,
+    is_bits,
+    is_int,
+)
 from .seqmodel import InfoSummary, SequenceModel, ball_volume
 
 if TYPE_CHECKING:
@@ -423,18 +431,26 @@ def _refuse_past_budget(work: int) -> None:
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     """Probability mass of source pairs whose syndrome pair does not decode
     uniquely, clamped to 1 (an iid law's float row probabilities may sum
-    past 1).  The pair masses are the table's classes with no Z prefix, in
-    (x, y) order, and the ambiguous ones are summed in that order."""
+    past 1).  The table's pairs are grouped by their packed syndrome pair:
+    the mass is ``p`` times the ambiguous pairs' rows under an equal-weight
+    law, and the sum of those rows' ``weights`` otherwise.  Raises
+    ``InternalConsistencyError`` when an (x, y) pair spans two runs of rows,
+    since that pair would share its syndrome pair with itself."""
     import numpy as np
 
     from .info import pack_chunks
 
     require_code_model(s, model, "decode")
-    x, y, _, mass = model.table.prefix_classes(0)
-    tx, ty = support_syndromes(s, x, y)
-    syndromes = pack_chunks([(tx, s.syndrome_len("x")), (ty, s.syndrome_len("y"))], x.size)
+    t, K = model.table, model.K
+    if np.unique(pack_chunks([(t.x, K), (t.y, K)], t.pairs)).size < t.pairs:
+        raise InternalConsistencyError("an (x, y) pair spans two runs of rows")
+    tx, ty = support_syndromes(s, t.x, t.y)
+    syndromes = pack_chunks([(tx, s.syndrome_len("x")), (ty, s.syndrome_len("y"))], t.pairs)
     _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
-    return min(1.0, float(mass[size[group] > 1].sum()))
+    ambiguous = size[group] > 1
+    if t.weights is None:
+        return min(1.0, t.p * int(t.runs[ambiguous].sum()))
+    return min(1.0, float(t.weights[np.repeat(ambiguous, t.runs)].sum()))
 
 
 # -- prototype-code condition report ------------------------------------------

@@ -178,20 +178,6 @@ def support_arrays(model: SequenceModel) -> tuple[np.ndarray, ...]:
     return idx // NZ % NX, idx // (NX * NZ), idx % NZ, p[idx]
 
 
-def prefix_classes(model: SequenceModel, mu: int) -> tuple[np.ndarray, ...]:
-    """The support rows collapsed by one ``np.unique`` to their distinct
-    (x, y, Z prefix of ``mu`` columns): ``(x, y, z prefix, probability)``
-    arrays in ascending (x, y, prefix) order, each class's probability
-    summed over its rows in row order."""
-    x, y, z, probs = support_arrays(model)
-    z_width = (max(model.alphabet_sizes[2], 2) ** model.K - 1).bit_length()
-    prefix = z >> (z_width - mu)
-    _, keep, inv = np.unique(
-        np.stack([x, y, prefix], axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    return x[keep], y[keep], prefix[keep], np.bincount(inv.ravel(), weights=probs)
-
-
 def code_conditional_entropy(
     target: np.ndarray, observed: np.ndarray, probs: np.ndarray
 ) -> float:

@@ -14,7 +14,7 @@ from corrleak.cipher import (
     measure_security,
     region_membership,
 )
-from corrleak.errors import MEMORY_BUDGET, DomainError, UsageError
+from corrleak.errors import DomainError, UsageError
 from corrleak.info import JointPmf, SupportTable
 from corrleak.seqmodel import InfoSummary, SequenceModel, sequence_summary
 from corrleak.swcodec import PartitionScheme
@@ -291,21 +291,19 @@ def test_measured_levels_never_exceed_unconditional(scheme, hamming7):
             assert m.h_x_hat <= summary.h_x + 1e-9
 
 
-def test_cipher_branches_share_one_prefix_collapse(scheme, monkeypatch):
-    # cipher-sim measures every branch on one model at one mu: the support
-    # table collapses its rows to (x, y, z prefix) classes once, and every
-    # branch measures what it measures on a fresh model.
+def test_cipher_branches_share_one_support_table(scheme, monkeypatch):
+    # cipher-sim measures every branch on one model at one mu: the four
+    # branches read the one support table the model builds, and every branch
+    # measures what it measures on a fresh model.
     model = SequenceModel(kind="hamming", K=7)
-    seen = []
-    real = SupportTable.prefix_classes
+    built = []
+    real = SupportTable.__init__
     monkeypatch.setattr(
-        SupportTable, "prefix_classes", lambda self, mu: seen.append(real(self, mu)) or seen[-1]
+        SupportTable, "__init__", lambda self, *a: built.append(None) or real(self, *a)
     )
     shared = {b: measure_security(scheme, model, b, mu=4) for b in BRANCHES}
     monkeypatch.undo()
-    assert len(seen) == len(BRANCHES) == 4
-    assert all(classes is seen[0] for classes in seen)
-    assert list(model.table._classes) == [4]
+    assert len(built) == 1 and len(shared) == len(BRANCHES) == 4
     for branch, m in shared.items():
         fresh = SequenceModel(kind="hamming", K=7)
         assert m == measure_security(scheme, fresh, branch, mu=4)
@@ -405,7 +403,9 @@ def test_measure_security_matches_key_enumeration_oracle(case):
     s = partition(rows, v1, u2)
     model = law(s.n)
     for branch in BRANCHES:
-        for mu, expected in cipher_oracle(partition_sizes(s, branch), model, s, (0, 2)).items():
+        for mu, expected in cipher_oracle(
+            partition_sizes(s, branch), model, s, (0, 2, s.n)
+        ).items():
             m = measure_security(s, model, branch, mu=mu)
             assert (m.h_x_hat, m.h_y_hat, m.h_xy_hat) == pytest.approx(expected, abs=1e-12), (
                 branch, mu
@@ -442,11 +442,12 @@ def assert_within_summary(m, model) -> None:
 def test_measure_security_averages_a_narrow_key_in_class_sized_memory(monkeypatch):
     # The [12,10] code sending all ten info bits of X and four of Y: reused-pad's
     # 16-valued y1 pad is narrower than the 1,024-valued x1, so the levels are
-    # averaged over the 16 values of y1's ciphertext, four class entropies
-    # each, one class-sized code at a time rather than (class, key) cells.
+    # averaged over the 16 values of y1's ciphertext, four table entropies
+    # each, one pair-sized code (the classes at mu=0) at a time rather than
+    # (pair, key) cells.
     s = partition(CODE_12_10, tuple(range(10)), tuple(range(4)))
     model = SequenceModel(kind="hamming", K=12)
-    classes = model.table.prefix_classes(0)[0].size
+    pairs = model.table.pairs
     calls = entropy_calls(monkeypatch)
     tracemalloc.start()
     try:
@@ -454,7 +455,7 @@ def test_measure_security_averages_a_narrow_key_in_class_sized_memory(monkeypatc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * classes * 8
+    assert peak < 16 * pairs * 8
     assert len(calls) == 4 * 16
     assert_within_summary(m, model)
 
@@ -462,7 +463,7 @@ def test_measure_security_averages_a_narrow_key_in_class_sized_memory(monkeypatc
 def test_measure_security_folds_a_shared_key_wider_than_a_portion_it_masks(monkeypatch):
     # The same code sending one info bit of X and all ten of Y: reused-pad's
     # 1,024-valued y1 pad also masks the 2-valued x1 and folds against y1,
-    # so the levels take four class entropies.
+    # so the levels take four table entropies.
     s = partition(CODE_12_10, (0,), tuple(range(10)))
     model = SequenceModel(kind="hamming", K=12)
     calls = entropy_calls(monkeypatch)
@@ -471,16 +472,19 @@ def test_measure_security_folds_a_shared_key_wider_than_a_portion_it_masks(monke
     assert_within_summary(m, model)
 
 
-def test_measure_security_folds_keys_past_the_enumeration_guard():
-    # [10,6] shortened Hamming code at K=10: 11,264 (x, y) rows x 16,384
-    # independent-pad key tuples would exceed the memory budget if enumerated.
+def test_measure_security_independent_pads_give_the_summary_levels_on_the_10_6_code(
+    monkeypatch,
+):
+    # [10,6] shortened Hamming code at K=10: independent-pads keys every
+    # portion with a key as wide as it, so every key folds and the levels
+    # take four entropies; they are the unconditional ones.
     columns = [format(v, "04b") for v in range(16) if bin(v).count("1") >= 2][:6]
     rows = ["".join("1" if j == i else "0" for j in range(6)) + c for i, c in enumerate(columns)]
     s = partition(rows, (3, 4, 5), (0, 1, 2))
     model = SequenceModel(kind="hamming", K=10)
-    # independent-pads keys every portion: one key bit per syndrome bit.
-    assert 8 * 17 * (11_264 << (s.syndrome_len("x") + s.syndrome_len("y"))) > MEMORY_BUDGET
+    calls = entropy_calls(monkeypatch)
     m = measure_security(s, model, "independent-pads", mu=0)
+    assert len(calls) == 4
     summary = sequence_summary(model)
     assert m.h_x_hat == pytest.approx(summary.h_x, abs=1e-9)
     assert m.h_y_hat == pytest.approx(summary.h_y, abs=1e-9)

@@ -23,10 +23,10 @@ from corrleak.seqmodel import (
     sequence_entropies,
     sequence_summary,
 )
+from corrleak.swcodec import PartitionScheme, decode_ambiguity_rate
 from oracle import (
     iter_support,
     pack_bits,
-    prefix_classes,
     sorted_ball,
     summarize,
     support_arrays,
@@ -437,50 +437,6 @@ def test_support_codes_and_pairs_match_the_digits(model):
     assert model.table is table  # built once per model
 
 
-def _iid_k5_law() -> JointPmf:
-    """Y uniform, X = Y xor Bern(0.1), Z = Y xor Bern(0.2): every cell weighted."""
-    probs = np.zeros((2, 2, 2))
-    for x, y, z in itertools.product((0, 1), repeat=3):
-        probs[x, y, z] = 0.5 * (0.9 if x == y else 0.1) * (0.8 if z == y else 0.2)
-    return JointPmf(probs)
-
-
-# Model kind -> (model of length K, the K range drawn).
-CLASS_MODELS = {
-    "hamming-1-1": (lambda K: SequenceModel(kind="hamming", K=K), (1, 7)),
-    "hamming-2-1": (lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=2), (2, 6)),
-    "hamming-1-2": (lambda K: SequenceModel(kind="hamming", K=K, d_yz_max=2), (2, 6)),
-    "hamming-2-2": (
-        lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=2, d_yz_max=2), (2, 6)
-    ),
-    "iid-zero-cell": (lambda K: SequenceModel(kind="iid", K=K, base=_iid_with_zero_cell().base),
-                      (1, 3)),
-    "iid-uniform": (
-        lambda K: SequenceModel(kind="iid", K=K, base=JointPmf(np.full((2, 2, 2), 0.125))), (1, 4)
-    ),
-    "iid-k5-weighted": (lambda K: SequenceModel(kind="iid", K=K, base=_iid_k5_law()), (1, 5)),
-}
-
-
-@settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(sorted(CLASS_MODELS)), data=st.data())
-def test_prefix_classes_equal_the_unique_collapse(name, data):
-    # The sort-free classes (runs of rows, only the pairs sorted) are == the
-    # oracle's np.unique collapse of the rows, all four arrays, at every mu:
-    # uneven runs (the zero cell), equal weights on runs longer than K+1
-    # (uniform iid), running-sum masses and row-order float masses.
-    make, (lo, hi) = CLASS_MODELS[name]
-    model = make(data.draw(st.integers(lo, hi), label="K"))
-    table = model.table
-    assert (table.weights is None) == (name != "iid-zero-cell" and name != "iid-k5-weighted")
-    for mu in range(table.z_width + 1):
-        got, want = table.prefix_classes(mu), prefix_classes(model, mu)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), mu
-            assert not a.flags.writeable
-        assert table.prefix_classes(mu) is got  # built once per mu
-
-
 def test_hamming_k10_table_build_peaks_under_10_bytes_per_row():
     # The table keeps the pairs and one int32 Z code per row; building it
     # allocates no per-row X, Y or probability array.
@@ -495,10 +451,10 @@ def test_hamming_k10_table_build_peaks_under_10_bytes_per_row():
     assert peak <= 10 * table.rows, peak / table.rows
 
 
-def test_support_table_refuses_a_broken_run():
-    # Sort-free prefix classes need each pair's rows to be one run with Z
-    # strictly ascending, and Z codes that fit the table's Z width; a width
-    # past an int32 is a capacity limit.
+def test_support_table_refuses_a_broken_run(monkeypatch):
+    # The table needs each pair's rows to be one run with Z strictly
+    # ascending, and Z codes that fit the table's Z width; a width past an
+    # int32 is a capacity limit.
     x, y = np.array([0, 1]), np.array([0, 0])
     runs, probs = np.array([2, 2]), 0.25
     assert SupportTable(x, y, runs, np.array([0, 1, 0, 3]), probs, 2).rows == 4
@@ -511,7 +467,15 @@ def test_support_table_refuses_a_broken_run():
         SupportTable(x, y, runs, np.array([0, 1, 0, 4]), probs, 2)
     with pytest.raises(CapacityError, match="int32"):
         SupportTable(x, y, runs, np.array([0, 1, 0, 3]), probs, 32)
-    # A pair that spans two runs would split its rows across classes.
+    # A pair that spans two runs would share its syndrome pair with itself,
+    # so the decode-error rate, which groups distinct pairs, refuses it.
     split = SupportTable(np.array([0, 0]), y, runs, np.array([0, 1, 2, 3]), probs, 2)
+    model = SequenceModel(kind="hamming", K=2)
+    monkeypatch.setitem(model.__dict__, "table", split)
+    s = PartitionScheme(
+        generator=["11"],
+        x_segments={"a1": (), "v1": (0,), "q1": (1,)},
+        y_segments={"u2": (0,), "a2": (), "q2": (1,)},
+    )
     with pytest.raises(InternalConsistencyError, match="two runs"):
-        split.prefix_classes(0)
+        decode_ambiguity_rate(s, model)

@@ -522,9 +522,8 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     # condition report, which encode the distinct pairs only, give exactly
     # what encoding every support row as a pair of its own gives: a table of
     # the same equal-weight rows, reordered so that every run is one row.
-    # The decode_error row is left out: it sums the masses of the table's
-    # prefix classes, which refuse a pair that spans two runs, and is
-    # checked on its own.
+    # The decode_error row is left out: it groups the table's pairs, refuses
+    # a pair that spans two runs, and is checked on its own.
     s = PartitionScheme(
         generator=["1011", "0110"],
         x_segments={"a1": (0,), "v1": (1,), "q1": (2, 3)},
@@ -542,9 +541,9 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     runs = np.ones(x.size, dtype=np.int64)
     every_row = SupportTable(x[order], y[order], runs, z[order], probs[order], model.K)
     assert every_row.pairs == x.size
-    with pytest.raises(InternalConsistencyError, match="two runs"):
-        every_row.prefix_classes(0)
     monkeypatch.setitem(model.__dict__, "table", every_row)
+    with pytest.raises(InternalConsistencyError, match="two runs"):
+        decode_ambiguity_rate(s, model)
     monkeypatch.setattr(swcodec_module, "decode_ambiguity_rate", lambda s, model: 0.0)
     assert prototype_condition_report(s, model, sequence_summary(model))[1:] == report[1:]
     assert report[0].label == "decode_error"
@@ -566,32 +565,62 @@ def weighted_k5_case() -> tuple[PartitionScheme, SequenceModel]:
     return s, SequenceModel(kind="iid", K=5, base=JointPmf(probs))
 
 
-def test_decode_ambiguity_rate_sums_the_pair_masses_in_x_y_order():
-    # The rate is the float of the per-pair formula: each pair's mass summed
-    # over its rows in row order, then the ambiguous masses summed in (x, y)
-    # order, and clamped to 1.  Summing them in the (y, x) order of the
-    # support rows moves the last place on this law.  Every pair of this law
-    # is ambiguous and its float row probabilities sum past 1, so the clamp
-    # gives exactly 1.
-    s, model = weighted_k5_case()
+def _ambiguous_rows(s: PartitionScheme, model: SequenceModel) -> np.ndarray:
+    """Per support row of the oracle's expansion: whether another (x, y) pair
+    of the support has the same syndrome pair, by the paper's formulas."""
     X, Y, _ = support_digits(model)
-    probs = support_arrays(model)[3]
     _, first, pair = np.unique(
         pack_bits(np.hstack([X, Y])), return_index=True, return_inverse=True
     )
-    mass = np.bincount(pair, weights=probs)
     syndromes = [
         formula_encode_x(x, s) + formula_encode_y(y, s)
         for x, y in zip(X[first].tolist(), Y[first].tolist())
     ]
     _, group, size = np.unique(syndromes, axis=0, return_inverse=True, return_counts=True)
-    ambiguous = size[group.ravel()] > 1
-    expected = float(mass[ambiguous].sum())
-    yx = np.argsort(pack_bits(np.hstack([Y[first], X[first]])))
-    assert float(mass[yx][ambiguous[yx]].sum()) != expected
-    assert expected > 1.0
-    rate = decode_ambiguity_rate(s, model)
-    assert rate == min(1.0, expected) and rate <= 1.0
+    return (size[group.ravel()] > 1)[pair.ravel()]
+
+
+def test_decode_ambiguity_rate_sums_the_ambiguous_rows():
+    # A weighted law's rate is the sum of the ambiguous rows' probabilities
+    # in row order, ==.  On this law (no cell with x = 1, y = 0) about half
+    # the pairs are ambiguous and the sum stays below 1, so no clamp hides
+    # its float.
+    s, _ = weighted_k5_case()
+    probs = np.zeros((2, 2, 2))
+    for (x, y), p in {(0, 0): 0.5, (1, 1): 0.3, (0, 1): 0.2}.items():
+        probs[x, y, y], probs[x, y, 1 - y] = 0.8 * p, 0.2 * p
+    model = SequenceModel(kind="iid", K=5, base=JointPmf(probs))
+    ambiguous = _ambiguous_rows(s, model)
+    expected = float(support_arrays(model)[3][ambiguous].sum())
+    assert model.table.weights is not None and 0 < ambiguous.mean() < 1
+    assert 0 < expected < 1.0
+    assert decode_ambiguity_rate(s, model) == expected
+    # Every pair of this law is ambiguous and its float row probabilities
+    # sum past 1: the clamp gives exactly 1.
+    s, model = weighted_k5_case()
+    assert _ambiguous_rows(s, model).all() and model.table.weights.sum() > 1.0
+    assert decode_ambiguity_rate(s, model) == 1.0
+    # An equal-weight law: the ambiguous rows over all rows, here 28 of 29.
+    model = SequenceModel(kind="hamming", K=7, d_xy_max=2)
+    ambiguous = _ambiguous_rows(reference_scheme(), model)
+    assert ambiguous.mean() == pytest.approx(28 / 29, abs=1e-15)
+    rate = decode_ambiguity_rate(reference_scheme(), model)
+    assert rate == pytest.approx(ambiguous.sum() / ambiguous.size, abs=1e-12)
+
+
+def test_decode_ambiguity_rate_counts_the_rows_of_uneven_runs():
+    # Four cells of mass 1/4, two of them on the (0, 0) cell pair: every row
+    # has the same probability, but a pair spans 1 to 32 rows.  The rate
+    # counts each ambiguous pair's rows, not the pair once.
+    s, _ = weighted_k5_case()
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = probs[0, 0, 1] = probs[0, 1, 0] = probs[1, 1, 0] = 0.25
+    model = SequenceModel(kind="iid", K=5, base=JointPmf(probs))
+    table = model.table
+    assert table.weights is None and table.runs.min() == 1 and table.runs.max() == 32
+    ambiguous = _ambiguous_rows(s, model)
+    assert 0 < ambiguous.mean() < 1
+    assert decode_ambiguity_rate(s, model) == ambiguous.mean()
 
 
 def _weighted_law(zero_cell: bool) -> JointPmf:
