@@ -244,7 +244,9 @@ def measure_security(
         obs = [(code, portions[c][1]) for c, code in codes.items()]
 
         def h(*targets: tuple[np.ndarray, int]) -> float:
-            return table.entropy(obs, mu, targets)
+            # Targets go in the head, where ``pack_chunks`` re-ranks between
+            # chunks: x and y are 2K bits, too wide to share a chunk with Z.
+            return table.entropy([*obs, *targets], mu)
 
         h_obs = h()
         return h(x_chunk) - h_obs, h(y_chunk) - h_obs, h(x_chunk, y_chunk) - h_obs

@@ -412,6 +412,30 @@ def test_measure_security_matches_key_enumeration_oracle(case):
             )
 
 
+def test_measure_security_answers_past_62_packed_bits_on_the_15_11_code():
+    # The [15,11] Hamming code sending six info bits of X and five of Y, on
+    # pairs at distance <= 1 with z = y: 2**19 pairs.  Sent in the clear the
+    # codewords rank to 19 bits, and with x, y (30 bits) and a Z prefix of 14
+    # or 15 columns the set passes the 62 bits of one packed code, so x and y
+    # must be packed apart from the Z prefix.  Both codewords decode every
+    # pair, so nothing is left; independent pads leave the Z prefix's part.
+    columns = [format(v, "04b") for v in range(16) if bin(v).count("1") >= 2]
+    rows = ["".join("1" if j == i else "0" for j in range(11)) + c for i, c in enumerate(columns)]
+    s = partition(rows, tuple(range(5, 11)), tuple(range(5)))
+    model = SequenceModel(kind="hamming", K=15, d_xy_max=1, d_yz_max=0)
+    # H(x | y's first 14 bits): e's first 14 bits (offsets 0 and e_14
+    # agree there) and x's last bit, which y's unseen bit makes uniform.
+    h_x_14 = 14 / 16 * 4 + 2 / 16 * 3 + 1
+    for mu, h_x in ((14, h_x_14), (15, 4)):
+        clear = measure_security(s, model, "none", mu=mu)
+        assert (clear.h_x_hat, clear.h_y_hat, clear.h_xy_hat) == pytest.approx((0, 0, 0), abs=1e-12)
+        padded = measure_security(s, model, "independent-pads", mu=mu)
+        expected = (h_x / 15, (15 - mu) / 15, (15 - mu + 4) / 15)
+        assert (padded.h_x_hat, padded.h_y_hat, padded.h_xy_hat) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
 def test_measure_security_refuses_an_unknown_branch(scheme, hamming7):
     with pytest.raises(UsageError, match="unknown branch 'crossed'"):
         measure_security(scheme, hamming7, "crossed")
