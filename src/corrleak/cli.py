@@ -230,7 +230,7 @@ def cmd_analyze(ctx: _Context, args: argparse.Namespace) -> Output:
     ctx.log("evaluating prototype-code conditions")
     conditions = [
         {**asdict(r), "gap": r.gap}
-        for r in prototype_condition_report(ctx.scheme, ctx.model, info)
+        for r in prototype_condition_report(ctx.scheme, ctx.model)
     ]
     return "analyze", notes, {
         "summary": (summary, list(summary[0])),

@@ -272,13 +272,13 @@ class SupportTable:
             return code_entropy(code, self._run or self.runs)
         return code_entropy(self._row_code(head, mu, tail), self.weights)
 
-    def conditional_entropy(self, head, mu: int = 0, tail=()) -> float:
-        """H(T | O) in bits, T the last part of the set that ``entropy`` takes (its
-        last ``tail`` chunk, else the Z prefix, else its last ``head`` chunk), O
-        the rest.  Terms are summed by ``np.cumsum`` in (o, t) order and masses over
-        rows in row order; H(O,T) - H(O) or a pairwise sum moves the last place."""
-        width = mu if mu and not tail else int((tail or head)[-1][0].max()).bit_length()
-        code = self._row_code(head, mu, tail)  # T in the low ``width`` bits
+    def conditional_entropy(self, head, mu: int = 0) -> float:
+        """H(T | O) in bits, T the Z prefix of the set that ``entropy`` takes
+        when ``mu`` > 0, else its last ``head`` chunk, O the rest.  Terms are
+        summed by ``np.cumsum`` in (o, t) order and masses over rows in row
+        order; H(O,T) - H(O) or a pairwise sum moves the last place."""
+        width = mu or int(head[-1][0].max()).bit_length()
+        code = self._row_code(head, mu, ())  # T in the low ``width`` bits
         if self.weights is None:
             code.sort()
             first = _run_starts(code)
@@ -313,13 +313,20 @@ class SupportTable:
         The buffer gets the Z prefix by one right shift of the Z code, shifted
         past ``tail``.  ``pack_chunks`` packs ``head``, then ``tail`` in a
         chunk as wide as Z and ``tail``, into one code on the pairs, and alone
-        decides when ``head`` is re-ranked.  That code is spread over each
+        decides when ``head`` is re-ranked.  ``tail`` is ranked first when it
+        would not fit beside a ranked ``head``, and a set that still does not
+        fit raises ``CapacityError``.  The pair code is spread over each
         pair's rows and ORed in: by broadcasting when every pair spans the
         same number of rows, by one ``np.repeat`` otherwise.  The int32 view
         needs room for the Z prefix even when the pair code is narrower."""
         trail = pack_chunks(tail, self.pairs)
+        lead = min(sum(w for _, w in head), (self.pairs - 1).bit_length())
+        if lead + mu + int(trail.max()).bit_length() > PACK_LIMIT_BITS:
+            trail = np.unique(trail, return_inverse=True)[1]  # ranks keep the rows' order
         trail_width = int(trail.max()).bit_length()
         gap = mu + trail_width
+        if lead + gap > PACK_LIMIT_BITS:
+            raise CapacityError(f"a {gap}-bit Z prefix and tail do not fit beside {lead} bits")
         code = pack_chunks([*head, (trail, gap)], self.pairs)
         buf = self._buffer
         if max(int(code.max()).bit_length(), gap) <= 31:

@@ -42,7 +42,7 @@ from .errors import (
     is_bits,
     is_int,
 )
-from .seqmodel import InfoSummary, SequenceModel, ball_volume
+from .seqmodel import SequenceModel, ball_volume, sequence_entropies
 
 if TYPE_CHECKING:
     import numpy as np
@@ -475,29 +475,22 @@ class ConditionRow:
         return self.rhs_bits - self.lhs_bits
 
 
-def prototype_condition_report(
-    s: PartitionScheme, model: SequenceModel, info: InfoSummary
-) -> list[ConditionRow]:
+def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list[ConditionRow]:
     """Evaluate every prototype-code condition exactly and report signed gaps.
 
     Rates are per symbol; the private/common channel portions are read off
-    the role-designated syndrome segments of the bundled partition.  H(X),
-    H(Y), H(Z) and H(X,Y) are read from ``info``, the model's
-    ``sequence_summary``.
+    the role-designated syndrome segments of the bundled partition.  The
+    source law's own entropies come from ``sequence_entropies``; the table
+    answers only what depends on the code.
     """
     require_code_model(s, model, "the condition report")
     K = model.K
+    hx, hy, hz, hxy, hxz, hyz, hxyz = sequence_entropies(model)
+    h_x, h_y, h_z, h_xy = hx / K, hy / K, hz / K, hxy / K
+    i_xy = h_x + h_y - h_xy
     t = model.table
     # The channel portions, selected on the pairs as chunks of the table.
     w_x, w_cx, w_y, w_cy = syndrome_portions(s, t.x, t.y).values()
-
-    X, Y = (t.x, K), (t.y, K)
-    h_x, h_y, h_z, h_xy = info.h_x, info.h_y, info.h_z, info.h_xy
-    h_x_given_yz = t.conditional_entropy([Y], K, [X]) / K
-    h_y_given_xz = t.conditional_entropy([X], K, [Y]) / K
-    h_y_given_x = t.conditional_entropy([X], 0, [Y]) / K
-    i_xy = h_x + h_y - h_xy
-
     h_wx, h_wy, h_wcx, h_wcy = (t.entropy([w]) / K for w in (w_x, w_y, w_cx, w_cy))
     log_mx = w_x[1] / K
     log_my = w_y[1] / K
@@ -507,12 +500,12 @@ def prototype_condition_report(
             "decode_error", "pr(decode wrong)", decode_ambiguity_rate(s, model),
             "asymptotic target", 0.0,
         ),
-        ConditionRow("x_private_rate:lower", "h(x|y,z)", h_x_given_yz, "h(w_x)/k", h_wx),
+        ConditionRow("x_private_rate:lower", "h(x|y,z)", (hxyz - hyz) / K, "h(w_x)/k", h_wx),
         ConditionRow("x_private_rate:middle", "h(w_x)/k", h_wx, "log2(m_x)/k", log_mx),
-        ConditionRow("x_private_rate:upper", "log2(m_x)/k", log_mx, "h(x|y,z)", h_x_given_yz),
-        ConditionRow("y_private_rate:lower", "h(y|x,z)", h_y_given_xz, "h(w_y)/k", h_wy),
+        ConditionRow("x_private_rate:upper", "log2(m_x)/k", log_mx, "h(x|y,z)", (hxyz - hyz) / K),
+        ConditionRow("y_private_rate:lower", "h(y|x,z)", (hxyz - hxz) / K, "h(w_y)/k", h_wy),
         ConditionRow("y_private_rate:middle", "h(w_y)/k", h_wy, "log2(m_y)/k", log_my),
-        ConditionRow("y_private_rate:upper", "log2(m_y)/k", log_my, "h(y|x)", h_y_given_x),
+        ConditionRow("y_private_rate:upper", "log2(m_y)/k", log_my, "h(y|x)", (hxy - hx) / K),
         ConditionRow(
             "common_rate:lower", "i(x;y)", i_xy, "(h(w_cx)+h(w_cy))/k", h_wcx + h_wcy
         ),
@@ -521,11 +514,11 @@ def prototype_condition_report(
         ),
         ConditionRow(
             "x_unc_given_y_private", "h(x)", h_x,
-            "h(x^k|v_y)/k", t.conditional_entropy([w_y], 0, [X]) / K,
+            "h(x^k|v_y)/k", t.conditional_entropy([w_y, (t.x, K)]) / K,
         ),
         ConditionRow(
             "y_unc_given_x_private", "h(y)", h_y,
-            "h(y^k|v_x)/k", t.conditional_entropy([w_x], 0, [Y]) / K,
+            "h(y^k|v_x)/k", t.conditional_entropy([w_x, (t.y, K)]) / K,
         ),
         ConditionRow(
             "joint_rate_sum:lower", "h(x,y)", h_xy,

@@ -11,7 +11,8 @@ with a Gaussian-elimination ``rank``, which the package's ``xor_basis``
 must match, the paper's per-word syndrome formula ``P1^T a1 + q1``, a
 dictionary-based conditional entropy over observables of a triple, a
 three-sort conditional entropy over per-row codes, which the table's
-``conditional_entropy`` must match bit for bit, the seven summary
+``conditional_entropy`` must match bit for bit and the condition report's
+structural conditionals within 1e-12, the seven summary
 entropies taken over the model's table (``table_entropies``), which the
 structural ``sequence_entropies`` must match, the table decoder
 (``table_decode``), which matches the syndromes of every pair of that

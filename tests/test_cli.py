@@ -89,18 +89,32 @@ def test_analyze_json_format(tmp_path):
 
 def test_analyze_takes_each_table_entropy_once(tmp_path, monkeypatch):
     # The summary takes no entropy of the table, as it comes from the model's
-    # structure; the condition report reads H(X), H(Y), H(Z) and H(X,Y) from
-    # it and takes only its 4 portion entropies from the table.
+    # structure; the condition report reads H(X), H(Y), H(Z), H(X,Y) and the
+    # three conditionals of the law from it too, and takes from the table
+    # only its 4 portion entropies and the 3 conditionals given a portion.
     calls = []
-    entropy = SupportTable.entropy
+    for name in ("entropy", "conditional_entropy"):
+        def counted(self, *args, name=name, real=getattr(SupportTable, name)):
+            calls.append(name)
+            return real(self, *args)
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return entropy(self, *args, **kwargs)
-
-    monkeypatch.setattr(SupportTable, "entropy", counted)
+        monkeypatch.setattr(SupportTable, name, counted)
     assert run(["analyze", "--scenario", "reference_k7", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 4
+    assert (calls.count("entropy"), calls.count("conditional_entropy")) == (4, 3)
+
+
+@pytest.mark.parametrize("workload", ["ref_k7", "hamming_k10", "iid_k5"])
+def test_analyze_prints_one_float_for_h_y_given_x(tmp_path, workload):
+    # The summary's h_y_given_x and the right side of y_private_rate:upper
+    # are one quantity of the source law, taken once from its structure.
+    scenarios = load_perfbench("scenarios")
+    w = scenarios.make_workload(workload, 0, tmp_path)
+    assert run(scenarios.command_argv(w, "analyze", tmp_path, 0, "json")) == 0
+    payload = json.loads((tmp_path / "analyze.json").read_text())
+    summary = {row["quantity"]: row["per_symbol_bits"] for row in payload["summary"]}
+    (upper,) = [row for row in payload["conditions"] if row["label"] == "y_private_rate:upper"]
+    assert upper["rhs_name"] == "h(y|x)"
+    assert upper["rhs_bits"] == summary["h_y_given_x"]
 
 
 def test_determined_targets_print_zero_not_minus_zero(tmp_path):
@@ -633,18 +647,18 @@ def _flip_law(x_flip: float, z_flip: float) -> list[float]:
 @pytest.mark.parametrize(
     "K, law, code",
     [
-        # 2**24 weighted rows fit the memory budget but not 1 GiB of address
-        # space: the refused allocation is a capacity limit, exit 3.
+        # 2**24 weighted rows fit the memory budget but not 512 MiB of
+        # address space: the refused allocation is a capacity limit, exit 3.
         pytest.param(8, _flip_law(0.1, 0.2), 3, id="iid_k5-law-k8"),
         # X = Y: four nonzero cells, 2**20 rows.
         pytest.param(10, _flip_law(0.0, 0.2), 0, id="sparse-law-k10"),
     ],
 )
-def test_analyze_under_a_1gib_address_space_limit(tmp_path, K, law, code):
+def test_analyze_under_a_512mib_address_space_limit(tmp_path, K, law, code):
     import resource
 
     def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
     model = {"kind": "iid", "K": K, "pmf": {"alphabets": [2, 2, 2], "probs": law}}
     path = tmp_path / "scenario.json"

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import corrleak.info as info_module
 from corrleak.cli import load_scenario
-from corrleak.errors import DomainError, UsageError
-from corrleak.info import JointPmf, code_entropy, column_code, pack_chunks
+from corrleak.errors import CapacityError, DomainError, UsageError
+from corrleak.info import JointPmf, SupportTable, code_entropy, column_code, pack_chunks
 from corrleak.leakage import (
     DELTA,
     WiretapAnalyzer,
@@ -882,6 +882,30 @@ def test_row_code_re_ranks_a_lead_past_62_bits(hamming7):
             (np.repeat(wide, table.runs), 20)]
     rank = np.unique(pack_chunks(rows, z.size), return_inverse=True)[1]
     assert (np.unique(code, return_inverse=True)[1] == rank).all()
+
+
+def test_entropy_ranks_a_wide_tail_beside_a_z_prefix(hamming7):
+    # A 7-bit head, 7 Z columns and a 50-bit tail pass 62 bits even with the
+    # head ranked, so the tail is ranked on its own.  Ranks keep the rows'
+    # order: the entropy is == the count of the rows' (head, Z, tail) tuples.
+    table = hamming7.table
+    x, _, z, _ = support_arrays(hamming7)
+    wide = np.random.default_rng(50).integers(0, 1 << 50, size=table.pairs)
+    tuples = np.stack([x, z, np.repeat(wide, table.runs)], axis=1)
+    rank = np.unique(tuples, axis=0, return_inverse=True)[1].ravel()
+    assert table.entropy([(table.x, 7)], 7, [(wide, 50)]) == code_entropy(rank)
+
+
+def test_entropy_refuses_a_set_that_cannot_fit_with_its_tail_ranked():
+    # 2**16 pairs of one row each: a ranked head and a ranked tail take 16
+    # bits each, and with 31 Z columns the set passes 62 bits.
+    pairs = 1 << 16
+    words = np.arange(pairs, dtype=np.int64)
+    z = np.random.default_rng(31).integers(0, 1 << 31, size=pairs)
+    ones = np.ones(pairs, dtype=np.int64)
+    table = SupportTable(words, 0 * words, ones, z, ones / pairs, 31)
+    with pytest.raises(CapacityError, match="do not fit beside 16 bits"):
+        table.entropy([(table.x, 16)], 31, [(words << 24, 40)])
 
 
 BUFFER_MODELS = {

@@ -334,8 +334,7 @@ def test_enumeration_equivocation_z_prefix(scheme, hamming7):
 
 
 def test_prototype_condition_report(scheme, hamming7):
-    info = sequence_summary(hamming7)
-    rows = {r.label: r for r in prototype_condition_report(scheme, hamming7, info)}
+    rows = {r.label: r for r in prototype_condition_report(scheme, hamming7)}
     err = rows["decode_error"]
     assert 0.0 <= err.lhs_bits <= 1.0
     assert err.lhs_bits == pytest.approx(0.0, abs=1e-12)
@@ -350,6 +349,16 @@ def test_prototype_condition_report(scheme, hamming7):
     assert rows["x_private_rate:lower"].lhs_bits == pytest.approx(3 / 7, abs=1e-9)
     # gaps are signed and reported, not judged
     assert rows["x_private_rate:lower"].gap == pytest.approx(-1 / 7, abs=1e-9)
+    # The law's three conditionals, taken from its structure, are == the
+    # three-sort oracle over the support rows.
+    x, y, z, probs = support_arrays(hamming7)
+    for (label, side), (target, observed) in {
+        ("x_private_rate:lower", "lhs"): (x, (y << 7) | z),
+        ("y_private_rate:lower", "lhs"): (y, (x << 7) | z),
+        ("y_private_rate:upper", "rhs"): (y, x),
+    }.items():
+        got = getattr(rows[label], f"{side}_bits")
+        assert got == code_conditional_entropy(target, observed, probs) / 7, label
 
 
 def test_scheme_json_roundtrip(scheme):
@@ -495,7 +504,7 @@ def test_support_table_paths_match_oracle_on_weighted_ambiguous_model():
         (portions, h["xy"]),
         (h["z"], H("z", w_y)),
     ]
-    rows = prototype_condition_report(s, model, sequence_summary(model))
+    rows = prototype_condition_report(s, model)
     assert len(rows) == len(oracle)
     for row, (lhs, rhs) in zip(rows, oracle):
         scale = 1.0 if row.label == "decode_error" else K
@@ -532,7 +541,7 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     model = make_model()
     X, Y, _ = support_digits(model)
     queries = set(zip(*(t.tolist() for t in support_syndromes(s, pack_bits(X), pack_bits(Y)))))
-    report = prototype_condition_report(s, model, sequence_summary(model))
+    report = prototype_condition_report(s, model)
     decoded = {(tx, ty): joint_decode(tx, ty, model, s) for tx, ty in queries}
 
     x, y, z, probs = support_arrays(model)
@@ -545,7 +554,7 @@ def test_pair_encoding_equals_row_encoding(monkeypatch, make_model):
     with pytest.raises(InternalConsistencyError, match="two runs"):
         decode_ambiguity_rate(s, model)
     monkeypatch.setattr(swcodec_module, "decode_ambiguity_rate", lambda s, model: 0.0)
-    assert prototype_condition_report(s, model, sequence_summary(model))[1:] == report[1:]
+    assert prototype_condition_report(s, model)[1:] == report[1:]
     assert report[0].label == "decode_error"
     for (tx, ty), result in decoded.items():
         assert joint_decode(tx, ty, model, s) == result
@@ -667,10 +676,12 @@ def _private_syndromes(s: PartitionScheme, side: str, words: np.ndarray, K: int)
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(CONDITIONAL_MODELS)), data=st.data())
 def test_report_conditionals_equal_the_three_sort_oracle(name, data):
-    # The six Slepian-Wolf conditionals of the report come from the table's
-    # row code and are == the oracle's three np.unique sorts over the
-    # per-row codes of the support rows, on random systematic schemes:
-    # equal-weight runs, uneven runs, running-sum and row-order masses.
+    # The report's six Slepian-Wolf conditionals against the oracle's three
+    # np.unique sorts over the per-row codes of the support rows, on random
+    # systematic schemes: equal-weight runs, uneven runs, running-sum and
+    # row-order masses.  The three given a portion come from the table's row
+    # code and are ==; the three of the law alone come from its structure
+    # and lie within 1e-12.
     make, (lo, hi) = CONDITIONAL_MODELS[name]
     K = data.draw(st.integers(lo, hi), label="K")
     k = data.draw(st.integers(1, K - 1), label="k")
@@ -694,37 +705,42 @@ def test_report_conditionals_equal_the_three_sort_oracle(name, data):
 
     x, y, z, probs = support_arrays(model)
     v_x, v_y = (_private_syndromes(s, side, w, K) for side, w in (("x", x), ("y", y)))
-    want = {
+    structural = {
         ("x_private_rate:lower", "lhs"): (x, (y << K) | z),
         ("y_private_rate:lower", "lhs"): (y, (x << K) | z),
         ("y_private_rate:upper", "rhs"): (y, x),
+    }
+    coded = {
         ("x_unc_given_y_private", "rhs"): (x, v_y),
         ("y_unc_given_x_private", "rhs"): (y, v_x),
         ("z_unc_given_y_private", "rhs"): (z, v_y),
     }
-    rows = {r.label: r for r in prototype_condition_report(s, model, sequence_summary(model))}
-    for (label, side), (target, observed) in want.items():
-        got = getattr(rows[label], f"{side}_bits")
-        assert got == code_conditional_entropy(target, observed, probs) / K, label
+    rows = {r.label: r for r in prototype_condition_report(s, model)}
+    for want, tol in ((structural, 1e-12), (coded, 0.0)):
+        for (label, side), (target, observed) in want.items():
+            got = getattr(rows[label], f"{side}_bits")
+            expected = code_conditional_entropy(target, observed, probs) / K
+            assert abs(got - expected) <= tol, label
 
-    # The target is the last part of any set: a later tail chunk, the Z
-    # columns, or the last head chunk, whatever lies in front of it.  A
-    # chunk may declare more bits than its codes use.
+    # The target is the Z columns, or with none the last head chunk,
+    # whatever lies in front of it.  A chunk may declare more bits than its
+    # codes use.
     X, Y = (table.x, K), (table.y, K)
-    assert table.conditional_entropy([Y], K, [(table.x, K + 2)]) == code_conditional_entropy(
-        x, (y << K) | z, probs
+    assert table.conditional_entropy([Y, (table.x, K + 2)]) == code_conditional_entropy(
+        x, y, probs
     )
     assert table.conditional_entropy([Y, X]) == code_conditional_entropy(x, y, probs)
-    assert table.conditional_entropy([X], 1, [Y, X]) == code_conditional_entropy(
-        x, (((x << 1) | z >> (K - 1)) << K) | y, probs
+    assert table.conditional_entropy([Y, X], K) == code_conditional_entropy(
+        z, (y << K) | x, probs
     )
     assert table.conditional_entropy([], K) == code_conditional_entropy(z, 0 * z, probs)
 
 
-def test_condition_report_on_the_k10_hamming_model_peaks_under_80_bytes_per_row():
-    # The report's conditionals are taken on the table's row code: it
-    # spreads no X, Y, syndrome or probability column over the rows and
-    # runs no per-call np.unique sorts on an equal-weight law.
+def test_condition_report_on_the_k10_hamming_model_peaks_under_20_bytes_per_row():
+    # The law's conditionals come from its structure and the three given a
+    # portion from the table's row code: the report sorts no full-Z row
+    # code, spreads no X, Y, syndrome or probability column over the rows
+    # and runs no per-call np.unique sorts on an equal-weight law.
     columns = [format(v, "04b") for v in range(16) if bin(v).count("1") >= 2][:6]
     rows = ["".join("1" if j == i else "0" for j in range(6)) + c for i, c in enumerate(columns)]
     parity = tuple(range(6, 10))
@@ -737,9 +753,9 @@ def test_condition_report_on_the_k10_hamming_model_peaks_under_80_bytes_per_row(
     table = model.table
     tracemalloc.start()
     try:
-        prototype_condition_report(s, model, sequence_summary(model))
+        prototype_condition_report(s, model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert table.rows == 123_904 and table.weights is None
-    assert peak <= 80 * table.rows, peak / table.rows
+    assert peak <= 20 * table.rows, peak / table.rows
