@@ -218,8 +218,7 @@ def _golden_notes(ctx: _Context) -> list[str]:
 
 def cmd_analyze(ctx: _Context, args: argparse.Namespace) -> Output:
     notes = _golden_notes(ctx)
-    # The table is built where the summary once built it, so that a model
-    # past the budget exits 3 before the condition report checks model.K.
+    # A model past the memory budget exits 3 here, before the report's K check can exit 2.
     ctx.model.table
     info = sequence_summary(ctx.model)
     K = ctx.model.K
@@ -380,7 +379,7 @@ def cmd_cipher_sim(ctx: _Context, args: argparse.Namespace) -> Output:
         )
     if not branches:
         raise ValidationError("scenario.cipher.branches: must name at least one branch")
-    # Built where the summary once built it, as in cmd_analyze.
+    # A model past the memory budget exits 3 here, before a later check can exit 2.
     ctx.model.table
     info = sequence_summary(ctx.model)
     target = cfg.get("h_target_xy")

@@ -6,10 +6,10 @@ entropy in the package is an entropy of such a code, taken by the one
 kernel ``code_entropy``.  ``SupportTable`` is the one table of a sequence
 model: its distinct (x, y) pairs with their run lengths, and one Z code
 per row (plus one probability per row only for a weighted law).  It
-counts a set that reads no Z on the pairs and codes every other set over
-the rows in one reused buffer.  ``JointPmf`` is the validated per-symbol
-law of (X, Y, Z) that an iid sequence model extends.  Probabilities below
-``ZERO_EPS`` are treated as exact zeros.
+counts a set that reads no Z on the pairs under every law, and codes
+every other set over the rows in one reused buffer.  ``JointPmf`` is the
+validated per-symbol law of (X, Y, Z) that an iid sequence model extends.
+Probabilities below ``ZERO_EPS`` are treated as exact zeros.
 """
 
 from __future__ import annotations
@@ -215,8 +215,10 @@ class SupportTable:
     as int32.  ``probs`` is one probability per row or one for every row.
     When every row has the same probability the table keeps only that value,
     ``p``, and ``weights`` is None, so that entropies come from integer
-    counts; otherwise ``weights`` holds the row probabilities.  A set reads
-    a prefix of the ``z_width``-bit Z code, column 0 most significant.
+    counts; otherwise ``weights`` holds the row probabilities.  A pair
+    counts as ``pair_weights``: its rows (one integer for even runs), or
+    under a weighted law its rows' probabilities summed by ``np.add.reduceat``.
+    A set reads a prefix of the ``z_width``-bit Z code, column 0 most significant.
 
     Raises ``CapacityError`` when ``z_width`` passes the 31 bits of an int32
     (the memory budget keeps a binary Z code below 27 bits unless the law
@@ -241,17 +243,19 @@ class SupportTable:
             raise InternalConsistencyError("the Z codes of a pair's run do not ascend")
         del rising, last
         self.x, self.y, self.runs, self.z = x, y, runs, z
+        # Rows per pair when every pair spans the same number of rows.
+        self._run = int(runs[0]) if bool((runs == runs[0]).all()) else None
         if np.ndim(probs) and (probs != probs[0]).any():
             self.p, self.weights = None, probs
+            self.pair_weights = np.add.reduceat(probs, np.cumsum(runs) - runs)
         else:
             self.p, self.weights = float(np.ravel(probs)[0]), None
-        for arr in (x, y, runs, z, self.weights):
-            if arr is not None:
+            self.pair_weights = self._run or runs
+        for arr in (x, y, runs, z, self.weights, self.pair_weights):
+            if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
         self.z_width = z_width
         self.pairs, self.rows = x.size, z.size
-        # Rows per pair when every pair spans the same number of rows.
-        self._run = int(runs[0]) if bool((runs == runs[0]).all()) else None
 
     def entropy(
         self,
@@ -263,37 +267,33 @@ class SupportTable:
         columns and the pair chunks ``tail``, in bits.  A chunk is ``(code, width)``
         with one code per pair; the set is packed in that order.
 
-        Under an equal-weight law a set that reads no Z is counted on the
-        pairs, each pair's code counted ``runs`` times: the bins, their order
-        and their integer counts are those of the rows, and so is the float.
+        A set that reads no Z is counted on the pairs with ``pair_weights``:
+        under an equal-weight law its bins and counts, and so its float, are
+        those of the rows; a weighted law sums pair masses in code order.
         Every other set is coded over the rows in the table's row buffer."""
-        if not mu and self.weights is None:
-            code = pack_chunks([*head, *tail], self.pairs)
-            return code_entropy(code, self._run or self.runs)
+        if not mu:
+            return code_entropy(pack_chunks([*head, *tail], self.pairs), self.pair_weights)
         return code_entropy(self._row_code(head, mu, tail), self.weights)
 
     def conditional_entropy(self, head, mu: int = 0) -> float:
         """H(T | O) in bits, T the Z prefix of the set that ``entropy`` takes
-        when ``mu`` > 0, else its last ``head`` chunk, O the rest.  Terms are
-        summed by ``np.cumsum`` in (o, t) order and masses over rows in row
-        order; H(O,T) - H(O) or a pairwise sum moves the last place."""
+        when ``mu`` > 0, else its last ``head`` chunk, O the rest: H(O,T) - H(O)
+        under a weighted law.  Under an equal-weight law the terms are summed
+        by ``np.cumsum`` in (o, t) order, a bin of m rows taking the m-th
+        running sum of ``p``, since a difference would move the last place."""
+        if self.weights is not None:
+            return self.entropy(head, mu) - self.entropy(head if mu else head[:-1])
         width = mu or int(head[-1][0].max()).bit_length()
         code = self._row_code(head, mu, ())  # T in the low ``width`` bits
-        if self.weights is None:
-            code.sort()
-            first = _run_starts(code)
-            o_first = _run_starts(code[first[:-1]] >> width)
-            count, o_count = np.diff(first), np.diff(first[o_first])
-            del first
-            run = np.cumsum(np.full(int(o_count.max()), self.p))  # m rows: p added m times
-            p_joint = run[count - 1]
-            del count
-            p_obs = run[np.repeat(o_count - 1, np.diff(o_first))]
-        else:
-            bins, inv = np.unique(code, return_inverse=True)
-            o_rank = np.unique(bins >> width, return_inverse=True)[1]
-            p_joint = np.bincount(inv, weights=self.weights)
-            p_obs = np.bincount(o_rank[inv], weights=self.weights)[o_rank]
+        code.sort()
+        first = _run_starts(code)
+        o_first = _run_starts(code[first[:-1]] >> width)
+        count, o_count = np.diff(first), np.diff(first[o_first])
+        del first
+        run = np.cumsum(np.full(int(o_count.max()), self.p))  # m rows: p added m times
+        p_joint = run[count - 1]
+        del count
+        p_obs = run[np.repeat(o_count - 1, np.diff(o_first))]
         # p_joint * log2(p_joint / p_obs), taken in place: each array is one float per bin.
         np.log2(np.divide(p_joint, p_obs, out=p_obs), out=p_obs)
         p_obs *= p_joint

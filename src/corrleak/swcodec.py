@@ -433,7 +433,7 @@ def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     uniquely, clamped to 1 (an iid law's float row probabilities may sum
     past 1).  The table's pairs are grouped by their packed syndrome pair:
     the mass is ``p`` times the ambiguous pairs' rows under an equal-weight
-    law, and the sum of those rows' ``weights`` otherwise.  Raises
+    law, and the sum of those pairs' ``pair_weights`` otherwise.  Raises
     ``InternalConsistencyError`` when an (x, y) pair spans two runs of rows,
     since that pair would share its syndrome pair with itself."""
     import numpy as np
@@ -450,7 +450,7 @@ def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     ambiguous = size[group] > 1
     if t.weights is None:
         return min(1.0, t.p * int(t.runs[ambiguous].sum()))
-    return min(1.0, float(t.weights[np.repeat(ambiguous, t.runs)].sum()))
+    return min(1.0, float(t.pair_weights[ambiguous].sum()))
 
 
 # -- prototype-code condition report ------------------------------------------

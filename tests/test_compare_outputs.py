@@ -67,12 +67,35 @@ def test_every_kind_of_difference_is_counted(tmp_path):
         "gone.csv: only in the parent",
         "bounds.json: rows +0/-1, 0 floats moved (max |delta| 0), 0 booleans flipped,"
         " 0 strings changed, 0 other values changed",
-        "curves.csv: bytes differ",
+        "curves.csv: rows +0/-0, 1 floats moved (max |delta| 1), 0 booleans flipped,"
+        " 0 strings changed, 0 other values changed",
         "curves.json: rows +1/-0, 2 floats moved (max |delta| 0.5), 1 booleans flipped,"
         " 1 strings changed, 1 other values changed",
     ]
     assert totals["json_outputs"] == 2 and totals["max_delta"] == 0.5
     assert (totals["rows_added"], totals["rows_removed"], totals["floats_moved"]) == (1, 1, 2)
+
+
+def test_a_csv_that_differs_is_summarised_cell_by_cell(tmp_path):
+    # Comment lines compare as strings, true/false as booleans and numbers
+    # as floats, whatever their spelling; a row past the shorter file counts
+    # as added.  The totals keep counting JSON outputs only.
+    old, new = tmp_path / "old", tmp_path / "new"
+    write(old, "conditions.csv", "# scenario=s\nlabel,gap,holds\nc1,-1.94e-15,true\nc2,1,false\n")
+    write(new, "conditions.csv", "# scenario=t\nlabel,gap,holds\nc1,-3.33e-16,false\nc2,1.0,false\n"
+          "c3,2,true\n")
+    write(old, "other.txt", "a")
+    write(new, "other.txt", "b")
+    totals = fresh_totals()
+    assert tool.compare_dirs(old, new, totals) == [
+        "conditions.csv: rows +1/-0, 1 floats moved (max |delta| 1.61e-15), 1 booleans flipped,"
+        " 1 strings changed, 0 other values changed",
+        "other.txt: bytes differ",
+    ]
+    assert totals == fresh_totals()
+    assert tool.parse_csv("# n\nx,y\n0.5,true\n") == {
+        "comments": ["# n"], "rows": [["x", "y"], [0.5, True]]
+    }
 
 
 def test_type_changes_and_missing_keys_count_as_other_values():

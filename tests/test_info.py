@@ -1,5 +1,6 @@
 from collections import Counter
-from math import log2
+from itertools import product
+from math import fsum, log2
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrleak.errors import InternalConsistencyError, UsageError, ValidationError
-from corrleak.info import JointPmf, PACK_LIMIT_BITS, code_entropy, pack_chunks
+from corrleak.info import JointPmf, PACK_LIMIT_BITS, SupportTable, code_entropy, pack_chunks
+from corrleak.seqmodel import SequenceModel
 from oracle import (
     conditional_mutual_information,
     entropy,
@@ -310,6 +312,58 @@ def test_code_entropy_counts_integer_multiplicities_as_repeated_rows(code, data,
         assert code.min() >= 2 * code.size
     expected = code_entropy(np.repeat(code, mult))
     assert code_entropy(code.copy(), mult) == expected
+
+
+def weighted_iid_table(zero_cell: bool) -> SupportTable:
+    """Y uniform, X = Y xor Bern(0.1), Z = Y xor Bern(0.2) at K=3: every
+    pair spans 8 rows, or with the cell (1, 0, 1) dropped 1 to 8 rows."""
+    probs = np.array([
+        0.5 * (0.9 if x == y else 0.1) * (0.8 if z == y else 0.2)
+        for x, y, z in product((0, 1), repeat=3)
+    ]).reshape(2, 2, 2)
+    if zero_cell:
+        probs[1, 0, 1] = 0.0
+    return SequenceModel(kind="iid", K=3, base=JointPmf(probs / probs.sum())).table
+
+
+def uneven_weighted_table() -> SupportTable:
+    """Six pairs of 1 to 5 rows, random row probabilities and Z codes."""
+    rng = np.random.default_rng(23)
+    runs = np.array([1, 3, 2, 4, 1, 5])
+    z = np.concatenate([np.sort(rng.choice(8, size=r, replace=False)) for r in runs])
+    pairs = np.arange(runs.size, dtype=np.int64)
+    probs = rng.random(z.size)
+    return SupportTable(pairs % 3, pairs // 3, runs, z, probs / probs.sum(), 3)
+
+
+WEIGHTED_TABLES = {
+    "even-runs": lambda: weighted_iid_table(False),
+    "zero-cell": lambda: weighted_iid_table(True),
+    "uneven-runs": uneven_weighted_table,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_TABLES))
+def test_weighted_sets_that_read_no_z_count_the_pair_masses(name):
+    # A weighted table sums each pair's row probabilities once; a set that
+    # reads no Z is counted on the pairs with those masses, within 1e-12 of
+    # its code spread over the rows, and a conditional is the difference
+    # of two entropies, ==.
+    table = WEIGHTED_TABLES[name]()
+    assert table.weights is not None
+    assert (name == "even-runs") == bool((table.runs == table.runs[0]).all())
+    ends = np.cumsum(table.runs)
+    for mass, start, end in zip(table.pair_weights, ends - table.runs, ends):
+        assert mass == pytest.approx(fsum(table.weights[start:end]), rel=1e-15, abs=0)
+    width = max(int(table.x.max()), int(table.y.max())).bit_length()
+    X, Y = (table.x, width), (table.y, width)
+    for head, tail in [([X], []), ([Y], []), ([X, Y], []), ([Y], [X]), ([], [])]:
+        spread = np.repeat(pack_chunks([*head, *tail], table.pairs), table.runs)
+        expected = code_entropy(spread, table.weights)
+        assert abs(table.entropy(head, 0, tail) - expected) <= 1e-12
+    for head, mu in [([Y, X], 0), ([X], 0), ([], 1), ([Y], 1), ([Y, X], table.z_width)]:
+        expected = table.entropy(head, mu) - table.entropy(head if mu else head[:-1])
+        assert table.conditional_entropy(head, mu) == expected
 
 
 def test_pack_chunks_leaves_its_inputs_unchanged():

@@ -640,24 +640,31 @@ def spy_kernel_rows(monkeypatch) -> list[tuple[int, object]]:
 
 
 def assert_kernel_inputs(analyzer: WiretapAnalyzer, seen: list[tuple[int, object]]) -> None:
-    """Under an equal-weight law every Z-free memo entry was counted on the
-    pairs, each counted as its run of rows (one integer for even runs), and
-    every other one over all rows."""
+    """Under every law each Z-free memo entry was counted on the pairs with
+    the table's ``pair_weights`` (under an equal-weight law, each pair as
+    its run of rows, one integer for even runs), and every other one over
+    all rows with the row weights."""
     table = analyzer.model.table
     keys = list(readable_memo(analyzer))
     assert len(keys) == len(seen)
     for key, (size, weights) in zip(keys, seen):
-        if table.weights is None and not reads_z(key):
-            assert size == table.pairs, key
-            assert (np.broadcast_to(weights, size) == table.runs).all(), key
-        else:
+        if reads_z(key):
             assert size == table.rows and weights is table.weights, key
+            continue
+        assert size == table.pairs and weights is table.pair_weights, key
+        if table.weights is None:
+            assert (np.broadcast_to(weights, size) == table.runs).all(), key
 
 
 def assert_memo_equals_full_table(analyzer: WiretapAnalyzer) -> None:
+    """Every memo entry is == the full-table kernel of its set, except a
+    Z-free set of a weighted law: its pair masses are summed before the
+    bins, so it lies within 1e-12."""
     kernel = full_table_kernel(analyzer.scheme, analyzer.model)
+    weighted = analyzer.model.table.weights is not None
     for key, value in readable_memo(analyzer).items():
-        assert value == kernel(key), key
+        tol = 1e-12 if weighted and not reads_z(key) else 0.0
+        assert abs(value - kernel(key)) <= tol, key
 
 
 def test_reference_sweep_counts_z_free_sets_on_1024_pairs(scheme, hamming7, monkeypatch):
@@ -709,12 +716,22 @@ def constant_pair_law() -> JointPmf:
     return JointPmf(probs)
 
 
+def weighted_varying_z_law() -> JointPmf:
+    """Cells (0,0,0), (0,0,1), (0,1,0) and (1,1,0) at 0.4, 0.1, 0.2 and 0.3:
+    weighted rows, and a pair has 2**(cells x = y = 0) rows, so the pair
+    masses of a Z-free set sum several rows."""
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0], probs[0, 0, 1], probs[0, 1, 0], probs[1, 1, 0] = 0.4, 0.1, 0.2, 0.3
+    return JointPmf(probs)
+
+
 MODELS = {
     "hamming-1-1": lambda K: SequenceModel(kind="hamming", K=K),
     "hamming-2-0": lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=2, d_yz_max=0),
     "hamming-0-2": lambda K: SequenceModel(kind="hamming", K=K, d_xy_max=0, d_yz_max=2),
     "iid-uneven": lambda K: SequenceModel(kind="iid", K=K, base=uneven_equal_weight_law()),
     "iid-weighted": lambda K: SequenceModel(kind="iid", K=K, base=weighted_iid_law()),
+    "iid-weighted-z": lambda K: SequenceModel(kind="iid", K=K, base=weighted_varying_z_law()),
     "iid-one-pair": lambda K: SequenceModel(kind="iid", K=K, base=constant_pair_law()),
 }
 

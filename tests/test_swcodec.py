@@ -590,20 +590,25 @@ def _ambiguous_rows(s: PartitionScheme, model: SequenceModel) -> np.ndarray:
 
 
 def test_decode_ambiguity_rate_sums_the_ambiguous_rows():
-    # A weighted law's rate is the sum of the ambiguous rows' probabilities
-    # in row order, ==.  On this law (no cell with x = 1, y = 0) about half
-    # the pairs are ambiguous and the sum stays below 1, so no clamp hides
-    # its float.
+    # A weighted law's rate is the sum of the ambiguous pairs' masses,
+    # ==, and within 1e-15 of the sum over the ambiguous rows.  On this law
+    # (no cell with x = 1, y = 0) about half the pairs are ambiguous and the
+    # sum stays below 1, so no clamp hides its float.
     s, _ = weighted_k5_case()
     probs = np.zeros((2, 2, 2))
     for (x, y), p in {(0, 0): 0.5, (1, 1): 0.3, (0, 1): 0.2}.items():
         probs[x, y, y], probs[x, y, 1 - y] = 0.8 * p, 0.2 * p
     model = SequenceModel(kind="iid", K=5, base=JointPmf(probs))
+    table = model.table
     ambiguous = _ambiguous_rows(s, model)
-    expected = float(support_arrays(model)[3][ambiguous].sum())
-    assert model.table.weights is not None and 0 < ambiguous.mean() < 1
-    assert 0 < expected < 1.0
-    assert decode_ambiguity_rate(s, model) == expected
+    pairs = ambiguous[np.cumsum(table.runs) - table.runs]
+    assert (np.repeat(pairs, table.runs) == ambiguous).all()
+    row_sum = float(support_arrays(model)[3][ambiguous].sum())
+    assert table.weights is not None and 0 < ambiguous.mean() < 1
+    assert 0 < row_sum < 1.0
+    rate = decode_ambiguity_rate(s, model)
+    assert rate == float(table.pair_weights[pairs].sum())
+    assert abs(rate - row_sum) <= 1e-15
     # Every pair of this law is ambiguous and its float row probabilities
     # sum past 1: the clamp gives exactly 1.
     s, model = weighted_k5_case()
@@ -678,10 +683,11 @@ def _private_syndromes(s: PartitionScheme, side: str, words: np.ndarray, K: int)
 def test_report_conditionals_equal_the_three_sort_oracle(name, data):
     # The report's six Slepian-Wolf conditionals against the oracle's three
     # np.unique sorts over the per-row codes of the support rows, on random
-    # systematic schemes: equal-weight runs, uneven runs, running-sum and
-    # row-order masses.  The three given a portion come from the table's row
-    # code and are ==; the three of the law alone come from its structure
-    # and lie within 1e-12.
+    # systematic schemes: equal-weight runs, uneven runs and weighted laws.
+    # The three given a portion come from the table and are == on an
+    # equal-weight law; a weighted law takes them as a difference of two
+    # entropies, within 1e-12 of the oracle's exact sum, as are the three of
+    # the law alone, which come from its structure.
     make, (lo, hi) = CONDITIONAL_MODELS[name]
     K = data.draw(st.integers(lo, hi), label="K")
     k = data.draw(st.integers(1, K - 1), label="k")
@@ -716,24 +722,27 @@ def test_report_conditionals_equal_the_three_sort_oracle(name, data):
         ("z_unc_given_y_private", "rhs"): (z, v_y),
     }
     rows = {r.label: r for r in prototype_condition_report(s, model)}
-    for want, tol in ((structural, 1e-12), (coded, 0.0)):
+    weighted = table.weights is not None
+    tol = 1e-12 if weighted else 0.0
+    for want, want_tol in ((structural, 1e-12), (coded, tol)):
         for (label, side), (target, observed) in want.items():
             got = getattr(rows[label], f"{side}_bits")
-            expected = code_conditional_entropy(target, observed, probs) / K
-            assert abs(got - expected) <= tol, label
+            expected = code_conditional_entropy(target, observed, probs, exact=weighted) / K
+            assert abs(got - expected) <= want_tol, label
 
     # The target is the Z columns, or with none the last head chunk,
     # whatever lies in front of it.  A chunk may declare more bits than its
-    # codes use.
+    # codes use.  In total bits, so == on an equal-weight law.
     X, Y = (table.x, K), (table.y, K)
-    assert table.conditional_entropy([Y, (table.x, K + 2)]) == code_conditional_entropy(
-        x, y, probs
-    )
-    assert table.conditional_entropy([Y, X]) == code_conditional_entropy(x, y, probs)
-    assert table.conditional_entropy([Y, X], K) == code_conditional_entropy(
-        z, (y << K) | x, probs
-    )
-    assert table.conditional_entropy([], K) == code_conditional_entropy(z, 0 * z, probs)
+    for head, mu, target, observed in [
+        ([Y, (table.x, K + 2)], 0, x, y),
+        ([Y, X], 0, x, y),
+        ([Y, X], K, z, (y << K) | x),
+        ([], K, z, 0 * z),
+    ]:
+        got = table.conditional_entropy(head, mu)
+        expected = code_conditional_entropy(target, observed, probs, exact=weighted)
+        assert abs(got - expected) <= tol
 
 
 def test_condition_report_on_the_k10_hamming_model_peaks_under_20_bytes_per_row():

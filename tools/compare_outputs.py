@@ -14,15 +14,19 @@ path outside both trees.  The output directory is blanked out of stdout and
 stderr, which echo it.
 
 A run matches when its exit code, stdout, stderr and output files are the
-same.  Output files are compared byte for byte; a JSON output that differs
-is also summarised: rows added and removed, floats moved with the largest
-|delta|, booleans flipped and strings changed.  Exit status 0 when every run
+same.  Output files are compared byte for byte; a JSON or CSV output that
+differs is also summarised: rows added and removed, floats moved with the
+largest |delta|, booleans flipped and strings changed.  A CSV is read as its
+comment lines and its rows of cells, ``true`` and ``false`` as booleans and
+numbers as floats.  The closing totals count the JSON outputs only, since
+each CSV holds the same rows as its JSON twin.  Exit status 0 when every run
 matches, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -71,6 +75,24 @@ def json_report(old, new) -> dict:
     return tally
 
 
+def parse_csv(text: str) -> dict:
+    """A CSV output as ``{"comments": [...], "rows": [[cell, ...], ...]}``,
+    ``true`` and ``false`` read as booleans and numbers as floats."""
+    lines = text.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    rows = csv.reader(line for line in lines if not line.startswith("#"))
+    return {"comments": comments, "rows": [[_cell(c) for c in row] for row in rows]}
+
+
+def _cell(text: str):
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def describe(t: dict) -> str:
     """One line of the counts of ``json_report``."""
     return (
@@ -81,8 +103,9 @@ def describe(t: dict) -> str:
 
 
 def compare_dirs(old: Path, new: Path, totals: dict) -> list[str]:
-    """One line per output file that differs between two output directories;
-    the differences of every JSON output both hold are added to ``totals``."""
+    """One line per output file that differs between two output directories,
+    summarised for a JSON or CSV output; the differences of every JSON output
+    both hold are added to ``totals``."""
     names = [{p.name for p in d.iterdir()} if d.is_dir() else set() for d in (old, new)]
     problems = [
         f"{name}: only in {'the parent' if name in names[0] else 'this tree'}"
@@ -98,6 +121,9 @@ def compare_dirs(old: Path, new: Path, totals: dict) -> list[str]:
                 totals[key] += t[key]
             if a != b:
                 problems.append(f"{name}: {describe(t)}")
+        elif a != b and name.endswith(".csv"):
+            t = json_report(parse_csv(a.decode()), parse_csv(b.decode()))
+            problems.append(f"{name}: {describe(t)}")
         elif a != b:
             problems.append(f"{name}: bytes differ")
     return problems
