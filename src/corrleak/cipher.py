@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from math import fsum, log2
+from math import fsum, log2, prod
 from typing import TYPE_CHECKING, Optional
 
-from .errors import DomainError, UsageError, ValidationError, float_field
+from .errors import DomainError, UsageError, ValidationError, check_work, float_field
 from .seqmodel import InfoSummary, SequenceModel
 from .swcodec import PartitionScheme, require_code_model, syndrome_portions
 
@@ -207,7 +207,8 @@ def measure_security(
     the Z prefix as its ``mu`` columns.  When m' divides m for every such p,
     the terms are shifts of the term at u = 0, and that one term is taken:
     four entropies.  A key narrower than a portion it masks is averaged over
-    its m values of u: m x 4 entropies.
+    its m values of u: m x 4 entropies.  Each is charged first to the work budget
+    (``errors.check_work``) at the rows it codes (pairs at mu = 0) + 2**11 steps.
     """
     if branch not in BRANCHES:
         raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
@@ -231,6 +232,9 @@ def measure_security(
         for k, m in key_sizes.items()
     }
     averaged = [k for k, m in key_sizes.items() if any(sizes[c] > m for c in masked[k])]
+    values = prod(key_sizes[k] for k in averaged)
+    steps = 4 * values * ((table.rows if mu else table.pairs) + (1 << 11))
+    check_work(steps, f"measuring {branch} at mu={mu} over 2**{values.bit_length() - 1} key values")
     x_chunk, y_chunk = (table.x, K), (table.y, K)
 
     def levels(u: dict[str, int]) -> tuple[float, float, float]:

@@ -18,9 +18,9 @@ A command returns its output stem, its note lines and its tables, and
 all reproduction commands are deterministic, and identical scenario input
 yields byte-identical output.
 
-Exit status: 0 on success, 2 on a validation/usage error, 3 when an
-enumeration would exceed the memory budget or the memory at hand
-(``MemoryError``), or a word, Z code or class key would pass its int width.
+Exit status: 0 on success, 2 on a validation/usage error, 3 when a computation
+would exceed the memory budget, the memory at hand (``MemoryError``) or the
+work budget, or a word, Z code or class key would pass its int width.
 
 This module loads no numpy: a command imports what builds or reads its
 table when it runs, so ``region`` and ``decode`` on a Hamming model never

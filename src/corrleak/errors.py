@@ -1,5 +1,5 @@
-"""Exception types and the memory budget shared across the toolkit, and the
-checks that turn a malformed 0/1-string, integer or number field into an error."""
+"""Exception types, the memory and work budgets shared across the toolkit, and
+the checks that turn a malformed 0/1-string, integer or number field into an error."""
 
 import math
 import numbers
@@ -22,8 +22,8 @@ class DomainError(ToolkitError, ValueError):
 
 
 class CapacityError(ToolkitError):
-    """A requested enumeration exceeds the memory budget or an integer width,
-    or a structural sum its work budget."""
+    """A requested computation exceeds the memory budget, the work budget or
+    an integer width."""
 
 
 class InternalConsistencyError(ToolkitError, RuntimeError):
@@ -40,6 +40,20 @@ def check_budget(nbytes: int, what: str) -> None:
         raise CapacityError(
             f"{what} would take at least 2**{nbytes.bit_length() - 1} bytes, over the "
             f"memory budget of 2**{MEMORY_BUDGET.bit_length() - 1}"
+        )
+
+
+#: Steps that one exact computation may take.  A step is one element that the
+#: entropy kernel codes or one operation on big integers: about a minute.
+WORK_BUDGET = 1 << 32
+
+
+def check_work(steps: int, what: str) -> None:
+    """Raise ``CapacityError`` when ``what`` would take more than ``WORK_BUDGET`` steps."""
+    if steps > WORK_BUDGET:
+        raise CapacityError(
+            f"{what} would take at least 2**{steps.bit_length() - 1} steps, over the "
+            f"work budget of 2**{WORK_BUDGET.bit_length() - 1}"
         )
 
 

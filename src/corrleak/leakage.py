@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import log2
+from math import comb, log2, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InternalConsistencyError, UsageError, is_int
+from .errors import (CapacityError, DomainError, InternalConsistencyError, UsageError,
+                     check_work, is_int)
 from .info import column_code
 from .seqmodel import SequenceModel
 from .swcodec import PartitionScheme, require_code_model, support_syndromes, xor_basis
@@ -334,14 +335,18 @@ class WiretapAnalyzer:
         """Min and max joint-target leakage (mu = 0) over all position subsets
         of each size pair up to the given sizes, as arrays indexed ``[mu_tx,
         mu_ty]``: the brute-force ground truth for the curves, in one pass
-        over every pair of subset masks, ``BLOCK`` pairs at a time."""
+        over every pair of subset masks, ``BLOCK`` pairs at a time, charged
+        first to the work budget (``errors.check_work``) at the table's pairs each."""
         lx, ly = self._width["tx"], self._width["ty"]
         if not 0 <= mu_tx_max <= lx or not 0 <= mu_ty_max <= ly:
             raise UsageError(f"subset sizes must lie in 0..{lx} / 0..{ly}")
+        pairs = prod(sum(comb(n, k) for k in range(m + 1))
+                     for n, m in ((lx, mu_tx_max), (ly, mu_ty_max)))
+        check_work(pairs * self._table.pairs, f"the min/max oracle over {pairs} subset pairs")
         mx, my = _subset_masks(lx, mu_tx_max), _subset_masks(ly, mu_ty_max)
         size_x, size_y = np.bitwise_count(mx), np.bitwise_count(my)
         lo = np.full((mu_tx_max + 1, mu_ty_max + 1), np.inf)
-        hi, pairs = -lo, mx.size * my.size
+        hi = -lo
         for start in range(0, pairs, BLOCK):
             i, j = np.divmod(np.arange(start, min(start + BLOCK, pairs)), my.size)
             values = self._leakage("xy", mx[i], my[j], 0)
@@ -505,8 +510,8 @@ def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -
     grid = list(itertools.product(range(mu_tx_max + 1), range(mu_ty_max + 1)))
     formulas = [minmax_curves(analyzer.scheme, *size) for size in grid]
     mu_tx, mu_ty = np.array(grid).T
-    bound = analyzer.pattern_checks((1 << mu_tx) - 1, (1 << mu_ty) - 1, 0, ("y",))["y"]
     lo, hi = (values.ravel().tolist() for values in analyzer.minmax_oracle(mu_tx_max, mu_ty_max))
+    bound = analyzer.pattern_checks((1 << mu_tx) - 1, (1 << mu_ty) - 1, 0, ("y",))["y"]
     rows = []
     for i, (size, formula) in enumerate(zip(grid, formulas)):  # the oracle's row-major order
         rows.append(CurveRow(

@@ -32,14 +32,10 @@ from functools import cached_property
 from math import fsum, log2
 from typing import TYPE_CHECKING, Optional
 
-from .errors import CapacityError, ValidationError, check_budget, int_field
+from .errors import CapacityError, ValidationError, check_budget, check_work, int_field
 
 if TYPE_CHECKING:
     from .info import JointPmf, SupportTable
-
-#: Binomial terms times K that the structural summary of a Hamming model may
-#: take, each term an operation on integers of up to 2K bits: seconds at most.
-STRUCTURE_BUDGET = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -216,6 +212,8 @@ def _xor_entropy(K: int, a: int, b: int) -> float:
     C(K, w) words of weight w has probability c_w / N, N = V(K, a) V(K, b).
     Masses are ratios of integers and logs are taken of integers, so no
     large K overflows a float."""
+    terms = (min(K, a + b) + 1) * (min(a, b) + 1)  # each on integers of up to 2K bits
+    check_work(terms * K, f"H(e1 xor e2) at K={K}, d_xy={a}, d_yz={b}")
     a, b = max(a, b), min(a, b)
     n = ball_volume(K, a) * ball_volume(K, b)
     log_n = log2(n)
@@ -251,9 +249,9 @@ def sequence_entropies(model: SequenceModel) -> tuple[float, ...]:
       H(Y) = H(Z) = K, H(X,Y) = K + log2 V(K, d_xy), H(Y,Z) = K +
       log2 V(K, d_yz), H(X,Y,Z) = K + both logs and H(X,Z) = K +
       H(e1 XOR e2).  When either radius is K, that ball is all of F2^K and
-      e1 XOR e2 is uniform, so H(X,Z) = 2K exactly.  Otherwise raises
-      ``CapacityError`` when the sums would take more than
-      ``STRUCTURE_BUDGET``.
+      e1 XOR e2 is uniform, so H(X,Z) = 2K exactly.  Otherwise the sums
+      are charged to the work budget (``errors.check_work``) at their
+      binomial terms times K steps.
     """
     K = model.K
     if model.kind == "iid":
@@ -261,17 +259,7 @@ def sequence_entropies(model: SequenceModel) -> tuple[float, ...]:
         return tuple(K * model.base.entropy(v) for v in sets)  # type: ignore[union-attr]
     a, b = model.d_xy_max, model.d_yz_max
     h = float(K)
-    if K in (a, b):
-        h_xor = h
-    else:
-        work = (min(K, a + b) + 1) * (min(a, b) + 1) * K
-        if work > STRUCTURE_BUDGET:
-            raise CapacityError(
-                f"H(e1 xor e2) at K={K}, d_xy={a}, d_yz={b} would take at least"
-                f" 2**{work.bit_length() - 1} bit operations, over the budget of"
-                f" 2**{STRUCTURE_BUDGET.bit_length() - 1}"
-            )
-        h_xor = _xor_entropy(K, a, b)
+    h_xor = h if K in (a, b) else _xor_entropy(K, a, b)
     log_a, log_b = log2(ball_volume(K, a)), log2(ball_volume(K, b))
     return h, h, h, K + log_a, K + h_xor, K + log_b, K + log_a + log_b
 

@@ -34,11 +34,11 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
-    MEMORY_BUDGET,
     CapacityError,
     InternalConsistencyError,
     UsageError,
     ValidationError,
+    check_work,
     is_bits,
     is_int,
 )
@@ -351,10 +351,10 @@ def joint_decode(
     has a Z cell above ``ZERO_EPS``, the table's rule; the keyed bits that
     the empty cells force, y's and then x's given y, are fixed before each
     coset is spanned.  Raises ``UsageError`` unless each syndrome is an
-    integer code (a bool is refused) in 0..2**syndrome_len-1, and
-    ``CapacityError`` before the search when it would take more steps or
-    candidates than the memory budget admits support rows
-    (``MEMORY_BUDGET // 64``).
+    integer code (a bool is refused) in 0..2**syndrome_len-1.  Before it
+    starts, the search is charged to the work budget (``errors.check_work``)
+    at 64 steps for each word it may take, a bound on its steps and on its
+    candidates alike, so it refuses past 2**26 words.
     """
     require_code_model(s, model, "decode")
     for t, side in ((tx, "x"), (ty, "y")):
@@ -365,7 +365,7 @@ def joint_decode(
     if model.kind == "hamming":
         # Each y of T_Y's coset takes at most the whole ball, so the steps and
         # the candidates are both at most |coset_y| * V(n, d_xy).
-        _refuse_past_budget(_coset_size(s, "y") * ball_volume(s.n, model.d_xy_max))
+        check_work(64 * _coset_size(s, "y") * ball_volume(s.n, model.d_xy_max), "decoding searches")
         buckets: dict[int, list[int]] = {}
         for w in range(model.d_xy_max + 1):
             for ones in combinations(range(s.n), w):
@@ -394,7 +394,7 @@ def joint_decode(
     size_x = 1 if x_fixed else _coset_size(s, "x")
     # Each y takes at most all of T_X's coset, and over all of F2^n the
     # words its cells allow are the support's (4 - |empty|)**n pairs.
-    _refuse_past_budget(size_y + min(size_x * size_y, (4 - len(empty)) ** s.n))
+    check_work(64 * (size_y + min(size_x * size_y, (4 - len(empty)) ** s.n)), "decoding searches")
     pairs = []
     for y in syndrome_coset(s, "y", ty, y_zeros, y_ones):
         if y & (y_zeros | y_ones) != y_ones:
@@ -415,17 +415,6 @@ def joint_decode(
 def _coset_size(s: PartitionScheme, side: str) -> int:
     """2**|keyed|, the words of one syndrome's coset on ``side``."""
     return 1 << len(s._segments(side)[1])
-
-
-def _refuse_past_budget(work: int) -> None:
-    """Raise ``CapacityError`` when a decoding search takes more steps or
-    candidates than the memory budget admits support rows."""
-    rows = MEMORY_BUDGET // 64
-    if work > rows:
-        raise CapacityError(
-            f"decoding searches at least 2**{work.bit_length() - 1} words, over the"
-            f" 2**{rows.bit_length() - 1} support rows of the memory budget"
-        )
 
 
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
