@@ -207,8 +207,8 @@ def measure_security(
     the Z prefix as its ``mu`` columns.  When m' divides m for every such p,
     the terms are shifts of the term at u = 0, and that one term is taken:
     four entropies.  A key narrower than a portion it masks is averaged over
-    its m values of u: m x 4 entropies.  Each is charged first to the work budget
-    (``errors.check_work``) at the rows it codes (pairs at mu = 0) + 2**11 steps.
+    its m values of u: m x 4 entropies, charged first to the work budget
+    (``errors.check_work``) at the table's ``steps(mu)`` each.
     """
     if branch not in BRANCHES:
         raise UsageError(f"unknown branch {branch!r}; expected one of {sorted(BRANCHES)}")
@@ -233,7 +233,7 @@ def measure_security(
     }
     averaged = [k for k, m in key_sizes.items() if any(sizes[c] > m for c in masked[k])]
     values = prod(key_sizes[k] for k in averaged)
-    steps = 4 * values * ((table.rows if mu else table.pairs) + (1 << 11))
+    steps = 4 * values * table.steps(mu)
     check_work(steps, f"measuring {branch} at mu={mu} over 2**{values.bit_length() - 1} key values")
     x_chunk, y_chunk = (table.x, K), (table.y, K)
 

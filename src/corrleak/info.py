@@ -5,8 +5,8 @@ deterministic function of the outcome is an integer code per row, and every
 entropy in the package is an entropy of such a code, taken by the one
 kernel ``code_entropy``.  ``SupportTable`` is the one table of a sequence
 model: its distinct (x, y) pairs with their run lengths, and one Z code
-per row (plus one probability per row only for a weighted law).  It
-counts a set that reads no Z on the pairs under every law, and codes
+per row (plus one probability per row only for a weighted law).  It alone
+counts: a Z-free set, conditionals too, on the pairs under every law, and
 every other set over the rows in one reused buffer.  ``JointPmf`` is the
 validated per-symbol law of (X, Y, Z) that an iid sequence model extends.
 Probabilities below ``ZERO_EPS`` are treated as exact zeros.
@@ -263,31 +263,29 @@ class SupportTable:
         mu: int = 0,
         tail: Sequence[tuple[np.ndarray, int]] = (),
     ) -> float:
-        """H of the joint of the pair chunks ``head``, the Z prefix of ``mu``
-        columns and the pair chunks ``tail``, in bits.  A chunk is ``(code, width)``
-        with one code per pair; the set is packed in that order.
-
-        A set that reads no Z is counted on the pairs with ``pair_weights``:
-        under an equal-weight law its bins and counts, and so its float, are
-        those of the rows; a weighted law sums pair masses in code order.
-        Every other set is coded over the rows in the table's row buffer."""
-        if not mu:
-            return code_entropy(pack_chunks([*head, *tail], self.pairs), self.pair_weights)
-        return code_entropy(self._row_code(head, mu, tail), self.weights)
+        """H of the joint of the pair chunks ``head``, the Z prefix of ``mu`` columns
+        and the pair chunks ``tail``, in bits, counted as ``_counted`` says.  A chunk
+        is ``(code, width)`` with one code per pair; the set is packed in that order."""
+        return code_entropy(*self._counted(head, mu, tail))
 
     def conditional_entropy(self, head, mu: int = 0) -> float:
         """H(T | O) in bits, T the Z prefix of the set that ``entropy`` takes
         when ``mu`` > 0, else its last ``head`` chunk, O the rest: H(O,T) - H(O)
-        under a weighted law.  Under an equal-weight law the terms are summed
-        by ``np.cumsum`` in (o, t) order, a bin of m rows taking the m-th
-        running sum of ``p``, since a difference would move the last place."""
+        under a weighted law.  Under an equal-weight law, binned as ``entropy``
+        counts, the terms are summed by ``np.cumsum`` in (o, t) order, a bin of m
+        rows taking the m-th running sum of ``p``: a difference would move the last place."""
         if self.weights is not None:
             return self.entropy(head, mu) - self.entropy(head if mu else head[:-1])
         width = mu or int(head[-1][0].max()).bit_length()
-        code = self._row_code(head, mu, ())  # T in the low ``width`` bits
-        code.sort()
-        first = _run_starts(code)
+        code, runs = self._counted(head, mu)  # T in the low ``width`` bits
+        if isinstance(runs, np.ndarray):  # uneven runs: each moves with its pair's code
+            order = code.argsort(kind="stable")
+            code, runs = code[order], np.cumsum(runs[order])
+        else:
+            code.sort()
+        first = _run_starts(code)  # each bin's first entry, then its first row
         o_first = _run_starts(code[first[:-1]] >> width)
+        first = np.r_[0, runs][first] if isinstance(runs, np.ndarray) else first * (runs or 1)
         count, o_count = np.diff(first), np.diff(first[o_first])
         del first
         run = np.cumsum(np.full(int(o_count.max()), self.p))  # m rows: p added m times
@@ -300,6 +298,24 @@ class SupportTable:
         # 0.0 - total, not -total: a determined T gives +0.0, never -0.0.
         return 0.0 - float(np.cumsum(p_obs, out=p_obs)[-1])
 
+    def mass(self, pairs: np.ndarray) -> float:
+        """Probability of a bool mask's pairs, clamped to 1 (row floats may sum past 1)."""
+        if self.weights is None:
+            return min(1.0, self.p * int(self.runs[pairs].sum()))
+        return min(1.0, float(self.pair_weights[pairs].sum()))
+
+    def steps(self, mu: int) -> int:
+        """One ``entropy``'s work at a ``mu``-column Z prefix: its codes plus 2**11 steps."""
+        return (self.rows if mu else self.pairs) + (1 << 11)
+
+    def _counted(self, head, mu: int, tail=()):
+        """A set's code and each entry's count for ``code_entropy``: the pairs with
+        ``pair_weights`` when it reads no Z, so an equal-weight law bins it as
+        its rows would, and else the rows with ``weights``."""
+        if not mu:
+            return pack_chunks([*head, *tail], self.pairs), self.pair_weights
+        return self._row_code(head, mu, tail), self.weights
+
     @cached_property
     def _buffer(self) -> np.ndarray:
         """Scratch space for one row code, rewritten by every ``_row_code``."""
@@ -307,7 +323,7 @@ class SupportTable:
 
     def _row_code(self, head, mu: int, tail) -> np.ndarray:
         """One code per row, ordering rows as the tuples of ``head``, the Z
-        prefix of ``mu`` columns and ``tail`` do: a view of the row buffer,
+        prefix of ``mu`` >= 1 columns and ``tail`` do: a view of the row buffer,
         int32 when the code fits 31 bits, overwritten by the next call.
 
         The buffer gets the Z prefix by one right shift of the Z code, shifted
@@ -336,9 +352,6 @@ class SupportTable:
             rows, spread = buf.reshape(self.pairs, self._run), pair_code[:, None]
         else:
             rows, spread = buf, np.repeat(pair_code, self.runs)
-        if not mu:
-            rows[...] = spread
-            return buf
         np.right_shift(self.z, self.z_width - mu, out=buf)
         if trail_width:
             buf <<= trail_width

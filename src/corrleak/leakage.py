@@ -119,6 +119,13 @@ def _key_shifts(widths: Mapping[str, int]) -> dict[str, int]:
     return dict(zip(names, itertools.accumulate([widths[n] for n in names], initial=0)))
 
 
+def _nonnegative(total: np.ndarray) -> np.ndarray:
+    """Leakages in bits: one below ``-DELTA`` is an error, one up to 0 reads +0.0."""
+    if (negative := total[total < -DELTA]).size:
+        raise InternalConsistencyError(f"negative leakage {negative[0].item()!r}")
+    return np.where(total > 0.0, total, 0.0)
+
+
 class WiretapAnalyzer:
     """Exact enumeration engine for one (scheme, model) pair.
 
@@ -284,22 +291,16 @@ class WiretapAnalyzer:
         for name, (sign, *_) in _TERMS.items():
             recon = recon - sign * terms[name]
             rhs = rhs + sign * terms[name]
-        lhs = h_t + h_obs - h_t_obs
-        lhs = np.where(lhs > 0.0, lhs, 0.0) / self.K  # max(0.0, lhs); np.maximum keeps -0.0
+        lhs = _nonnegative(h_t + h_obs - h_t_obs) / self.K
         rhs = rhs / self.K
         return {"lhs_bits": lhs, "rhs_bits": rhs, "holds": lhs <= rhs + DELTA,
                 "residual": np.abs(h_t_obs - h_obs - recon)}
 
     def _leakage(self, target: str, tx, ty, mu) -> np.ndarray:
-        """Total leakage of ``target`` under each pattern of a block, in bits;
-        a value below ``-DELTA`` raises ``InternalConsistencyError``, one in
-        ``-DELTA..0`` reads 0.0."""
+        """Total leakage of ``target`` under each pattern of a block, in bits."""
         sets = [_names(*target), _names("tx ty z"), _names(*target, "tx ty z")]
         h = self._entropies(tx, ty, mu, sets)
-        total = h[sets[0]] + h[sets[1]] - h[sets[2]]
-        if (negative := total[total < -DELTA]).size:
-            raise InternalConsistencyError(f"negative leakage {negative[0].item()!r}")
-        return np.where(total > 0.0, total, 0.0)
+        return _nonnegative(h[sets[0]] + h[sets[1]] - h[sets[2]])
 
     # -- public operations -------------------------------------------------------
 
@@ -336,13 +337,13 @@ class WiretapAnalyzer:
         of each size pair up to the given sizes, as arrays indexed ``[mu_tx,
         mu_ty]``: the brute-force ground truth for the curves, in one pass
         over every pair of subset masks, ``BLOCK`` pairs at a time, charged
-        first to the work budget (``errors.check_work``) at the table's pairs each."""
+        first to the work budget (``errors.check_work``) at the table's ``steps(0)`` each."""
         lx, ly = self._width["tx"], self._width["ty"]
         if not 0 <= mu_tx_max <= lx or not 0 <= mu_ty_max <= ly:
             raise UsageError(f"subset sizes must lie in 0..{lx} / 0..{ly}")
         pairs = prod(sum(comb(n, k) for k in range(m + 1))
                      for n, m in ((lx, mu_tx_max), (ly, mu_ty_max)))
-        check_work(pairs * self._table.pairs, f"the min/max oracle over {pairs} subset pairs")
+        check_work(pairs * self._table.steps(0), f"the min/max oracle over {pairs} subset pairs")
         mx, my = _subset_masks(lx, mu_tx_max), _subset_masks(ly, mu_ty_max)
         size_x, size_y = np.bitwise_count(mx), np.bitwise_count(my)
         lo = np.full((mu_tx_max + 1, mu_ty_max + 1), np.inf)

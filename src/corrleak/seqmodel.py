@@ -190,10 +190,13 @@ def build_model(spec: dict) -> SequenceModel:
 
 
 def ball_volume(K: int, d: int) -> int:
-    """V(K, d), the number of K-bit words of weight at most ``d``, each
-    binomial C(K, i) taken from the one before it."""
+    """V(K, d), the K-bit words of weight at most ``d``: 2**K for d >= K, else d
+    binomials C(K, i), each from the one before, after a charge of d x K steps."""
+    if d >= K:
+        return 1 << K
+    check_work(d * K, f"the ball volume V({K}, {d})")
     total = term = 1
-    for i in range(min(d, K)):
+    for i in range(d):
         term = term * (K - i) // (i + 1)
         total += term
     return total

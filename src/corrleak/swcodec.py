@@ -419,10 +419,8 @@ def _coset_size(s: PartitionScheme, side: str) -> int:
 
 def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     """Probability mass of source pairs whose syndrome pair does not decode
-    uniquely, clamped to 1 (an iid law's float row probabilities may sum
-    past 1).  The table's pairs are grouped by their packed syndrome pair:
-    the mass is ``p`` times the ambiguous pairs' rows under an equal-weight
-    law, and the sum of those pairs' ``pair_weights`` otherwise.  Raises
+    uniquely.  The table's pairs are grouped by their packed syndrome pair,
+    and ``SupportTable.mass`` takes the mass of the ambiguous ones.  Raises
     ``InternalConsistencyError`` when an (x, y) pair spans two runs of rows,
     since that pair would share its syndrome pair with itself."""
     import numpy as np
@@ -436,10 +434,7 @@ def decode_ambiguity_rate(s: PartitionScheme, model: SequenceModel) -> float:
     tx, ty = support_syndromes(s, t.x, t.y)
     syndromes = pack_chunks([(tx, s.syndrome_len("x")), (ty, s.syndrome_len("y"))], t.pairs)
     _, group, size = np.unique(syndromes, return_inverse=True, return_counts=True)
-    ambiguous = size[group] > 1
-    if t.weights is None:
-        return min(1.0, t.p * int(t.runs[ambiguous].sum()))
-    return min(1.0, float(t.pair_weights[ambiguous].sum()))
+    return t.mass(size[group] > 1)
 
 
 # -- prototype-code condition report ------------------------------------------

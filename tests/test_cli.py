@@ -104,6 +104,24 @@ def test_analyze_takes_each_table_entropy_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["ref_k7", "hamming_k10", "iid_k5"])
+def test_no_command_codes_a_row_code_without_z(tmp_path, monkeypatch, workload):
+    # A set that reads no Z is counted on the pairs, conditionals included:
+    # every command of the workload codes rows only for a Z prefix.
+    scenarios = load_perfbench("scenarios")
+    w = scenarios.make_workload(workload, 0, tmp_path)
+    seen, real = [], SupportTable._row_code
+
+    def spy(self, head, mu, tail):
+        seen.append(mu)
+        return real(self, head, mu, tail)
+
+    monkeypatch.setattr(SupportTable, "_row_code", spy)
+    for command in w.commands:
+        assert run(scenarios.command_argv(w, command, tmp_path / command, 0)) == 0, command
+    assert seen and 0 not in seen
+
+
+@pytest.mark.parametrize("workload", ["ref_k7", "hamming_k10", "iid_k5"])
 def test_analyze_prints_one_float_for_h_y_given_x(tmp_path, workload):
     # The summary's h_y_given_x and the right side of y_private_rate:upper
     # are one quantity of the source law, taken once from its structure.
@@ -424,8 +442,10 @@ def test_hamming_support_past_the_budget_exits_before_its_balls_are_summed(tmp_p
         ("hamming_k10", {"K": 60, "d_xy": 3, "d_yz": 2}),
         # Both radii full: e1 xor e2 is uniform, so no weight class is summed.
         ("hamming_k10", {"K": 2000, "d_xy": 2000, "d_yz": 2000}),
+        # Full balls hold 2**K words, taken without a sum.
+        ("hamming_k10", {"K": 10**6, "d_xy": 10**6, "d_yz": 10**6}),
     ],
-    ids=["iid-k64", "hamming-k60", "hamming-k2000-full-radii"],
+    ids=["iid-k64", "hamming-k60", "hamming-k2000-full-radii", "hamming-k1e6-full-radii"],
 )
 def test_region_at_scale_builds_no_table(tmp_path, monkeypatch, workload, model):
     # region reads only the summary, which comes from the model's structure:

@@ -1,6 +1,8 @@
+import ast
 from collections import Counter
 from itertools import product
 from math import fsum, log2
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +13,14 @@ from corrleak.errors import InternalConsistencyError, UsageError, ValidationErro
 from corrleak.info import JointPmf, PACK_LIMIT_BITS, SupportTable, code_entropy, pack_chunks
 from corrleak.seqmodel import SequenceModel
 from oracle import (
+    code_conditional_entropy,
     conditional_mutual_information,
     entropy,
     marginal,
     mutual_information,
     pack_bits,
     summarize,
+    support_arrays,
     triple_mutual_information,
 )
 
@@ -364,6 +368,88 @@ def test_weighted_sets_that_read_no_z_count_the_pair_masses(name):
     for head, mu in [([Y, X], 0), ([X], 0), ([], 1), ([Y], 1), ([Y, X], table.z_width)]:
         expected = table.entropy(head, mu) - table.entropy(head if mu else head[:-1])
         assert table.conditional_entropy(head, mu) == expected
+
+
+def uneven_equal_weight_law() -> JointPmf:
+    """Cells (0,0,0), (0,0,1) and (1,1,0), 1/3 each: every row has weight
+    3**-K, and a pair has 2**(zeros of y) rows."""
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = probs[0, 0, 1] = probs[1, 1, 0] = 1 / 3
+    return JointPmf(probs)
+
+
+#: Equal-weight models of length K: Hamming balls of radii 0..3, whose
+#: pairs all span one run length, and an iid law whose runs are uneven.
+EQUAL_WEIGHT_MODELS = {
+    **{
+        f"hamming-{a}-{b}": lambda K, a=a, b=b: SequenceModel(
+            kind="hamming", K=K, d_xy_max=min(a, K), d_yz_max=min(b, K)
+        )
+        for a, b in product(range(4), repeat=2)
+    },
+    "iid-uneven": lambda K: SequenceModel(kind="iid", K=K, base=uneven_equal_weight_law()),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(EQUAL_WEIGHT_MODELS)),
+    K=st.integers(2, 5),
+    data=st.data(),
+)
+def test_equal_weight_conditionals_equal_the_row_oracle_bit_for_bit(name, K, data):
+    # H(T | O) on an equal-weight law, T the Z prefix when mu > 0 and the
+    # last head chunk at mu = 0, equals the oracle's sum over the support
+    # rows, ==.  Each chunk is a masked x, y or x xor y, per pair for the
+    # table and per row for the oracle; the observation packs them first
+    # chunk most significant, as the table orders its bins.
+    model = EQUAL_WEIGHT_MODELS[name](K)
+    table = model.table
+    assert table.weights is None
+    full = (1 << K) - 1
+    specs = data.draw(st.lists(
+        st.tuples(st.sampled_from(["x", "y", "x^y"]), st.integers(0, full)), max_size=3
+    ), label="chunks")
+    mu = data.draw(st.integers(0 if specs else 1, K), label="mu")
+
+    def chunk(spec, x, y):
+        word, mask = spec
+        return {"x": x, "y": y, "x^y": x ^ y}[word] & mask
+
+    head = [(chunk(spec, table.x, table.y), K) for spec in specs]
+    x, y, z, probs = support_arrays(model)
+    rows = [chunk(spec, x, y) for spec in specs]
+    if mu:
+        target, observed = z >> (K - mu), rows
+    else:
+        target, observed = rows[-1], rows[:-1]
+    packed = np.zeros(z.size, dtype=np.int64)
+    for code in observed:
+        packed = packed << K | code
+    expected = code_conditional_entropy(target, packed, probs)
+    assert table.conditional_entropy(head, mu) == expected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "corrleak"
+#: The fields and helpers through which a support table counts its rows.
+TABLE_COUNTING = {"p", "weights", "pair_weights", "runs", "rows", "_run", "_row_code", "_buffer"}
+
+
+def test_only_info_reads_how_a_table_counts_its_rows():
+    # The counting rule, the law's weighting and the cost of an entropy stay
+    # behind SupportTable: every other module takes entropies, masses and
+    # steps from its methods and reads no attribute of these names.
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.stem for p in modules} >= {"info", "cipher", "leakage", "seqmodel", "swcodec"}
+    for path in modules:
+        reads = sorted(
+            (node.lineno, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in TABLE_COUNTING
+        )
+        if path.stem == "info":
+            assert {attr for _, attr in reads} == TABLE_COUNTING
+        else:
+            assert reads == [], path.name
 
 
 def test_pack_chunks_leaves_its_inputs_unchanged():

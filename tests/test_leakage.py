@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import corrleak.info as info_module
 from corrleak.cli import load_scenario
-from corrleak.errors import CapacityError, DomainError, UsageError
+from corrleak.errors import CapacityError, DomainError, InternalConsistencyError, UsageError
 from corrleak.info import JointPmf, SupportTable, code_entropy, column_code, pack_chunks
 from corrleak.leakage import (
     DELTA,
     WiretapAnalyzer,
     _DefaultRng,
+    _names,
     _rank_term,
     grid_curve_rows,
     minmax_curves,
@@ -124,6 +125,28 @@ def test_bound_empty_pattern(analyzer):
     assert rep.lhs_bits[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.lhs_bits[0] <= rep.rhs_bits[0] + DELTA
     assert rep.holds == [True]
+
+
+def test_bound_checks_refuse_a_negative_leakage_as_the_leakages_do(scheme, hamming7, monkeypatch):
+    # H(y, T_X, T_Y, Z) inflated by 5 bits makes the leakage of y about -5
+    # bits under every pattern: the bound's left side is not clamped to 0
+    # but raises, as the leakage itself does, so verify-bounds and curves stop.
+    analyzer = WiretapAnalyzer(scheme, hamming7)
+    real, inflated = analyzer._entropies, _names("y tx ty z")
+
+    def entropies(tx, ty, mu, sets):
+        h = real(tx, ty, mu, sets)
+        return {names: v + 5.0 if names == inflated else v for names, v in h.items()}
+
+    monkeypatch.setattr(analyzer, "_entropies", entropies)
+    for check in (
+        lambda: analyzer.leakages("y", *pattern()),
+        lambda: analyzer.pattern_checks(*pattern(), ("y",)),
+        lambda: grid_curve_rows(analyzer, 1, 1),
+        lambda: z_trace_rows(analyzer, [0, 7]),
+    ):
+        with pytest.raises(InternalConsistencyError, match="^negative leakage -"):
+            check()
 
 
 def test_bound_full_wiretap_both_targets(analyzer):

@@ -1,11 +1,12 @@
 """The one work budget.  Every exact computation whose length a scenario sets
 is charged to ``errors.check_work`` before it starts: the cipher's narrow-key
-average, the min/max oracle's subset pairs, the joint decoder's search and
-the Hamming structural sum.  Only ``errors`` holds a budget or names one in
-a refusal."""
+average, the min/max oracle's subset pairs, the joint decoder's search, the
+Hamming structural sum and a ball volume short of the whole space.  Only
+``errors`` holds a budget or names one in a refusal."""
 
 import ast
 import json
+import time
 from math import comb
 from pathlib import Path
 
@@ -17,10 +18,10 @@ import corrleak.leakage as leakage_module
 import corrleak.seqmodel as seqmodel_module
 import corrleak.swcodec as swcodec_module
 from corrleak.cipher import measure_security
-from corrleak.cli import main
+from corrleak.cli import load_scenario, main
 from corrleak.errors import WORK_BUDGET, CapacityError, check_work
 from corrleak.leakage import WiretapAnalyzer, grid_curve_rows
-from corrleak.seqmodel import SequenceModel, build_model, sequence_entropies
+from corrleak.seqmodel import SequenceModel, ball_volume, build_model, sequence_entropies
 from corrleak.swcodec import PartitionScheme, joint_decode
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corrleak"
@@ -120,11 +121,31 @@ def test_the_15_11_default_grid_is_refused_before_any_entropy(monkeypatch):
     with pytest.raises(CapacityError, match="the min/max oracle over 243716 subset pairs"):
         grid_curve_rows(analyzer, 5, 5)
     # Subsets of at most 5 of T_X's 10 bits and of T_Y's 9 bits, each pair
-    # charged the table's 2**15 * 16 pairs.
+    # charged one entropy on the table's 2**15 * 16 pairs plus 2**11 steps.
     subsets = [sum(comb(length, k) for k in range(6)) for length in (10, 9)]
     assert subsets == [638, 382] and model.table.pairs == 2**19
-    assert seen == [(638 * 382 * 2**19, False)]
+    assert seen == [(638 * 382 * (2**19 + 2**11), False)]
     assert calls == []
+
+
+def test_the_one_row_k29_oracle_is_charged_an_entropy_per_subset_pair(monkeypatch):
+    # The [29,2] code keying one message bit of each side: T_X and T_Y are 28
+    # bits each over a one-pair table, so each subset pair costs the 2**11
+    # steps of one entropy's bookkeeping, not its one pair.  The (4, 4) grid's
+    # 24,158**2 subset pairs are refused at once; the (2, 2) grid's 407**2
+    # answer, every leakage of a one-row law being 0.
+    one_row = {**ONE_ROW, "K": 29}
+    s, model = parse(scenario(["1" * 27, "10" * 13 + "1"], [1], [0], one_row))
+    assert (s.syndrome_len("x"), s.syndrome_len("y"), model.table.pairs) == (28, 28, 1)
+    analyzer = WiretapAnalyzer(s, model)
+    seen = charges(monkeypatch, leakage_module)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="the min/max oracle over 583608964 subset pairs"):
+        analyzer.minmax_oracle(4, 4)
+    assert time.perf_counter() - start < 1.0
+    lo, hi = analyzer.minmax_oracle(2, 2)
+    assert (lo == 0.0).all() and (hi == 0.0).all()
+    assert seen == [(24_158**2 * (1 + 2**11), False), (407**2 * (1 + 2**11), True)]
 
 
 def test_the_12_10_nine_bit_key_at_mu_12_is_charged_its_rows(monkeypatch):
@@ -175,6 +196,31 @@ def test_the_structural_sum_passes_at_2_to_the_32_steps_and_is_refused_one_past(
     with pytest.raises(Stop if within else CapacityError, match=f"H\\(e1 xor e2\\) at K={K}"):
         sequence_entropies(SequenceModel(kind="hamming", K=K, d_xy_max=d_xy, d_yz_max=0))
     assert seen == [(steps, within)]
+
+
+def test_a_ball_volume_is_charged_its_terms_unless_the_ball_is_full(monkeypatch):
+    # V(K, K) = 2**K is taken without a sum; V(K, d) for d < K sums d
+    # binomials of up to K bits, charged d x K steps.
+    seen = charges(monkeypatch, seqmodel_module)
+    assert ball_volume(10**6, 10**6) == 1 << 10**6
+    assert ball_volume(7, 6) == 2**7 - 1 and ball_volume(7, 0) == 1
+    with pytest.raises(CapacityError, match="^the ball volume V\\(1000000, 999999\\) would take"):
+        ball_volume(10**6, 10**6 - 1)
+    assert seen == [(42, True), (0, True), ((10**6 - 1) * 10**6, False)]
+
+
+def test_region_at_k_a_million_with_one_radius_short_exits_3_at_once(tmp_path, capsys):
+    # region reads the summary alone; with d_xy = K - 1 its ball volume is
+    # refused before any term is summed (both radii K answer at once, as
+    # tests/test_cli.py's region-at-scale test shows).
+    K = 10**6
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**load_scenario("reference_k7"), "model": hamming(K, K - 1, K)}))
+    start = time.perf_counter()
+    assert main(["region", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith(f"corrleak: capacity guard: the ball volume V({K}, {K - 1}) would take")
 
 
 @pytest.mark.parametrize(
