@@ -361,17 +361,13 @@ class WiretapAnalyzer:
 
 @dataclass(frozen=True)
 class FormulaMinMax:
-    """Closed-form minimum and maximum leakage at one wiretap size pair.
-
-    Two values are kept for the maximum: one from the case rule that adds
-    the full mu_tx count on top of both info lengths when both wiretap
-    counts exceed them (``max_bits_verbatim``) and one without that extra
-    term (``max_bits_corrected``).  Reports mark which one the brute-force
-    oracle confirms; neither is silently preferred here.
+    """Closed-form minimum and maximum leakage at one wiretap size pair, the
+    three expressions of ``minmax_curves``.  The verbatim maximum adds the
+    full mu_tx count once both wiretap counts pass their info lengths, the
+    case rule's extra term; the corrected one leaves it out.  Reports mark
+    which one the brute-force oracle confirms; neither is silently preferred.
     """
 
-    mu_tx: int
-    mu_ty: int
     min_bits: int
     max_bits_corrected: int
     max_bits_verbatim: int
@@ -387,13 +383,22 @@ def _rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
 
 
 def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
-    """Evaluate the minimum/maximum leakage case formulas for the joint target.
+    """The minimum/maximum leakage formulas for the joint target, each one
+    expression.  With ``x_par = max(0, mu_tx - l_ix)``, ``y_par = max(0,
+    mu_ty - l_iy)``, ``aligned = min(x_par, y_par)`` and ``r`` the rank term
+    of a set of parity columns:
 
-    The parity-matrix rank term uses the extremal column choices of each
-    case: aligned low columns for the maximum, maximally mismatched columns
-    for the minimum.  The cases hold only for the complementary split, where
-    X's keyed segment ``a1`` and Y's transmitted segment ``u2`` hold the same
-    positions; any other partition is refused with ``DomainError``.
+    * corrected maximum ``min(mu_tx, l_ix) + min(mu_ty, l_iy) + aligned +
+      r(low max(x_par, y_par) columns)``: info bits first, then parity
+      columns aligned from column 0;
+    * verbatim maximum: the corrected one plus mu_tx when ``aligned > 0``;
+    * minimum ``max(0, mu_tx + mu_ty - l_p) + r(low min(mu_tx, l_p) columns
+      and high min(mu_ty, l_p) columns)``: parity bits first, overlapping
+      as little as possible.
+
+    They hold only for the complementary split, where X's keyed segment
+    ``a1`` and Y's transmitted segment ``u2`` hold the same positions; any
+    other partition is refused with ``DomainError``.
     """
     a1, u2 = s.x_segments["a1"], s.y_segments["u2"]
     if set(a1) != set(u2):
@@ -407,40 +412,13 @@ def minmax_curves(s: PartitionScheme, mu_tx: int, mu_ty: int) -> FormulaMinMax:
         raise UsageError(f"mu_tx must lie in 0..{l_ix + l_p}, got {mu_tx}")
     if not 0 <= mu_ty <= l_iy + l_p:
         raise UsageError(f"mu_ty must lie in 0..{l_iy + l_p}, got {mu_ty}")
-
-    # Maximum: info bits first, leftover parity picks aligned from column 0.
-    if mu_tx <= l_ix and mu_ty <= l_iy:  # info bits only
-        x_par, y_par = 0, 0
-        base_corr = base_verb = mu_tx + mu_ty
-    elif mu_tx > l_ix and mu_ty > l_iy:  # both over their info lengths
-        x_par, y_par = mu_tx - l_ix, mu_ty - l_iy
-        aligned = min(x_par, y_par)
-        base_corr = l_ix + l_iy + aligned
-        base_verb = l_ix + l_iy + mu_tx + aligned
-    elif mu_tx > l_ix:  # X over its info length
-        x_par, y_par = mu_tx - l_ix, 0
-        base_corr = base_verb = mu_ty + l_ix
-    else:  # Y over its info length
-        x_par, y_par = 0, mu_ty - l_iy
-        base_corr = base_verb = mu_tx + l_iy
-    rt_max = _rank_term(s, range(max(x_par, y_par)))
-
-    # Minimum: parity bits first, chosen to overlap as little as possible.
-    px, py = min(mu_tx, l_p), min(mu_ty, l_p)
-    if mu_tx <= l_p and mu_ty <= l_p:  # parity bits only
-        base_min = max(0, mu_tx + mu_ty - l_p)
-    else:  # a side past the parity length
-        base_min = mu_tx + mu_ty - l_p
-    union = sorted(set(range(px)) | set(range(l_p - py, l_p)))
-    rt_min = _rank_term(s, union)
-
-    return FormulaMinMax(
-        mu_tx=mu_tx,
-        mu_ty=mu_ty,
-        min_bits=base_min + rt_min,
-        max_bits_corrected=base_corr + rt_max,
-        max_bits_verbatim=base_verb + rt_max,
-    )
+    x_par, y_par = max(0, mu_tx - l_ix), max(0, mu_ty - l_iy)
+    aligned = min(x_par, y_par)
+    corrected = (min(mu_tx, l_ix) + min(mu_ty, l_iy) + aligned
+                 + _rank_term(s, range(max(x_par, y_par))))
+    low_x, high_y = range(min(mu_tx, l_p)), range(l_p - min(mu_ty, l_p), l_p)
+    min_bits = max(0, mu_tx + mu_ty - l_p) + _rank_term(s, sorted({*low_x, *high_y}))
+    return FormulaMinMax(min_bits, corrected, corrected + mu_tx * (aligned > 0))
 
 
 # -- leakage from the wiretapped source ------------------------------------------
@@ -491,9 +469,9 @@ class CurveRow:
     variant_match: str
 
 
-def _match_label(formula: FormulaMinMax, oracle_max: float) -> str:
-    corr = abs(formula.max_bits_corrected - oracle_max) <= DELTA
-    verb = abs(formula.max_bits_verbatim - oracle_max) <= DELTA
+def _match_label(corrected: float, verbatim: float, oracle: float) -> str:
+    corr = abs(corrected - oracle) <= DELTA
+    verb = abs(verbatim - oracle) <= DELTA
     if corr and verb:
         return "both"
     if corr:
@@ -515,10 +493,10 @@ def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -
     bound = analyzer.pattern_checks((1 << mu_tx) - 1, (1 << mu_ty) - 1, 0, ("y",))["y"]
     rows = []
     for i, (size, formula) in enumerate(zip(grid, formulas)):  # the oracle's row-major order
+        corr, verb = float(formula.max_bits_corrected), float(formula.max_bits_verbatim)
         rows.append(CurveRow(
-            *size, 0, float(formula.min_bits), float(formula.max_bits_corrected),
-            float(formula.max_bits_verbatim), lo[i], hi[i], bound.lhs_bits[i], bound.rhs_bits[i],
-            bound.holds[i], _match_label(formula, hi[i]),
+            *size, 0, float(formula.min_bits), corr, verb, lo[i], hi[i], bound.lhs_bits[i],
+            bound.rhs_bits[i], bound.holds[i], _match_label(corr, verb, hi[i]),
         ))
     return rows
 
@@ -535,8 +513,7 @@ def z_trace_rows(analyzer: WiretapAnalyzer, mu_values: Sequence[int]) -> list[Cu
         formula = z_mu_leakage(mu, analyzer.K, h_xy, h_x_given_y)
         rows.append(CurveRow(
             0, 0, mu, formula, formula, formula, oracle, oracle, bound.lhs_bits[i],
-            bound.rhs_bits[i], bound.holds[i],
-            "both" if abs(formula - oracle) <= DELTA else "neither",
+            bound.rhs_bits[i], bound.holds[i], _match_label(formula, formula, oracle),
         ))
     return rows
 

@@ -471,7 +471,7 @@ def prototype_condition_report(s: PartitionScheme, model: SequenceModel) -> list
     K = model.K
     hx, hy, hz, hxy, hxz, hyz, hxyz = sequence_entropies(model)
     h_x, h_y, h_z, h_xy = hx / K, hy / K, hz / K, hxy / K
-    i_xy = h_x + h_y - h_xy
+    i_xy = (hx + hy - hxy) / K
     t = model.table
     # The channel portions, selected on the pairs as chunks of the table.
     w_x, w_cx, w_y, w_cy = syndrome_portions(s, t.x, t.y).values()

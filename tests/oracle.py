@@ -23,6 +23,8 @@ sequence model must match, the per-codeword cipher over general index-space
 sizes (``CipherSizes``), which the folded pads of ``measure_security`` must
 agree with, the paper's key-size rule
 (``derive_key_sizes``, ``alpha_defaults``), which no command reaches, the
+paper's min/max leakage case table (``minmax_case_table``), which the
+package's three expressions must equal, the
 candidate counts behind the leakage of a Z prefix, the pattern sampler on
 numpy's own generator (``sample_patterns``), and the analyzer one
 pattern and one entropy set at a time (``ReferenceAnalyzer``), which the
@@ -388,6 +390,41 @@ def h_surgery_rank_term(s: PartitionScheme, parity_cols: Sequence[int]) -> int:
     h = np.hstack([parity_cells(s).T, np.eye(s.parity_len, dtype=np.uint8)])
     kept = np.delete(h, [s.k + c for c in parity_cols], axis=1)
     return rank(h) - rank(kept)
+
+
+def minmax_case_table(
+    s: PartitionScheme, mu_tx: int, mu_ty: int
+) -> tuple[tuple[int, int, int], tuple[str, str]]:
+    """The min/max leakage formulas as the paper's case table, written out
+    case by case: ``(min_bits, max_bits_corrected, max_bits_verbatim)`` and
+    the names of the maximum's and the minimum's case.  The maximum has four
+    cases (which side passes its info length), the minimum two (whether a
+    side passes the parity length).  The rank term is the column surgery
+    ``h_surgery_rank_term``."""
+    l_ix, l_iy, l_p = s.info_len("x"), s.info_len("y"), s.parity_len
+    if mu_tx <= l_ix and mu_ty <= l_iy:
+        max_case, x_par, y_par = "info only", 0, 0
+        base_corr = base_verb = mu_tx + mu_ty
+    elif mu_tx > l_ix and mu_ty > l_iy:
+        max_case, x_par, y_par = "both over info", mu_tx - l_ix, mu_ty - l_iy
+        aligned = min(x_par, y_par)
+        base_corr = l_ix + l_iy + aligned
+        base_verb = l_ix + l_iy + mu_tx + aligned
+    elif mu_tx > l_ix:
+        max_case, x_par, y_par = "x over info", mu_tx - l_ix, 0
+        base_corr = base_verb = mu_ty + l_ix
+    else:
+        max_case, x_par, y_par = "y over info", 0, mu_ty - l_iy
+        base_corr = base_verb = mu_tx + l_iy
+    rt_max = h_surgery_rank_term(s, range(max(x_par, y_par)))
+
+    px, py = min(mu_tx, l_p), min(mu_ty, l_p)
+    if mu_tx <= l_p and mu_ty <= l_p:
+        min_case, base_min = "parity only", max(0, mu_tx + mu_ty - l_p)
+    else:
+        min_case, base_min = "side past parity", mu_tx + mu_ty - l_p
+    rt_min = h_surgery_rank_term(s, sorted(set(range(px)) | set(range(l_p - py, l_p))))
+    return (base_min + rt_min, base_corr + rt_max, base_verb + rt_max), (max_case, min_case)
 
 
 # -- dictionary equivocation ---------------------------------------------------

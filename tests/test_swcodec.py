@@ -229,6 +229,20 @@ def workload_case(name: str) -> tuple[PartitionScheme, SequenceModel]:
     return PartitionScheme.from_json(scenario["scheme"]), build_model(scenario["model"])
 
 
+@pytest.mark.parametrize("workload", ["ref_k7", "hamming_k10", "iid_k5"])
+def test_condition_report_takes_i_xy_from_the_summary(workload):
+    # The common-rate rows' i(x;y) and the summary's are one float: the
+    # report takes (h(x) + h(y) - h(x,y)) / K of the same totals.
+    if workload == "ref_k7":
+        s, model = reference_scheme(), SequenceModel(kind="hamming", K=7)
+    else:
+        s, model = workload_case(workload)
+    rows = {row.label: row for row in prototype_condition_report(s, model)}
+    i_xy = sequence_summary(model).i_xy
+    assert rows["common_rate:lower"].lhs_name == "i(x;y)"
+    assert rows["common_rate:lower"].lhs_bits == rows["common_rate:upper"].rhs_bits == i_xy
+
+
 def k4_scheme() -> PartitionScheme:
     """A [4,2] code with the complementary split."""
     return PartitionScheme(
@@ -760,6 +774,9 @@ def test_condition_report_on_the_k10_hamming_model_peaks_under_20_bytes_per_row(
     )
     model = SequenceModel(kind="hamming", K=10)
     table = model.table
+    # numpy's first plain np.unique imports numpy.ma, about 0.5 MB of module
+    # objects that are not the report's; take that one-time cost here.
+    np.unique(np.zeros(1, dtype=np.int64))
     tracemalloc.start()
     try:
         prototype_condition_report(s, model)
