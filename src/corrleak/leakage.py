@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (CapacityError, DomainError, InternalConsistencyError, UsageError,
                      check_work, is_int)
 from .info import column_code
-from .seqmodel import SequenceModel
+from .seqmodel import SequenceModel, sequence_entropies
 from .swcodec import PartitionScheme, require_code_model, support_syndromes, xor_basis
 
 #: Slack for exact-enumeration bound verdicts (rounding tolerance only).
@@ -144,7 +144,8 @@ class WiretapAnalyzer:
     order of their written-out form.  Kernel entropies are memoised by
     observation class (``_class_values``) across blocks and operations.
     ``entropy_calls`` counts the sets asked for, each distinct set once per
-    pattern, and ``entropy_sets`` the kernel evaluations.
+    pattern, and ``entropy_sets`` the kernel evaluations.  Beyond its memo,
+    the engine keeps only the code's syndromes and three portion constants.
     """
 
     def __init__(self, s: PartitionScheme, model: SequenceModel):
@@ -176,7 +177,6 @@ class WiretapAnalyzer:
             values = self._entropies(np.array([_mask(tx)]), np.array([_mask(ty)]), 0, names)
             return [values[n].item() for n in names]
 
-        self.h_x_total, self.h_y_total, self.h_xy_total = h((), (), "x", "y", "x y")
         # Private/common channel-portion entropies used by the bound right side:
         # the private portion of one syndrome, and the common portion taken
         # jointly across both syndromes (the common information is shared).
@@ -274,20 +274,18 @@ class WiretapAnalyzer:
         return value
 
     def _check(self, h: Mapping[frozenset[str], np.ndarray], t: str) -> dict[str, np.ndarray]:
-        """The bound and identity columns of target ``t`` over a block, from
-        one pass over the nine mutual-information terms of the chain-rule
-        expansion of H(t | T_Y, T_X, Z^mu)."""
+        """The bound and identity columns of target ``t`` over a block, from one
+        pass over the nine chain-rule terms of H(t | T_Y, T_X, Z^mu); the bound
+        adds them to h_private_t + h_common - H(t), H(t) read off the block."""
         terms = {}
         for name, (ac, bc, abc, c) in _TERM_SETS[t].items():
             value = h[ac] + h[bc] - h[abc]
             terms[name] = value - h[c] if c else value
         h_t, h_obs, h_t_obs = h[_names("t", t=t)], h[_names("tx ty z")], h[_names("t tx ty z", t=t)]
-        private, target = (
-            (self.h_private_x, self.h_x_total) if t == "x" else (self.h_private_y, self.h_y_total)
-        )
+        private = self.h_private_x if t == "x" else self.h_private_y
         # Left to right, so each sum rounds as its written-out form would.
         recon = h_t
-        rhs = private + self.h_common - target
+        rhs = private + self.h_common - h_t
         for name, (sign, *_) in _TERMS.items():
             recon = recon - sign * terms[name]
             rhs = rhs + sign * terms[name]
@@ -504,13 +502,14 @@ def grid_curve_rows(analyzer: WiretapAnalyzer, mu_tx_max: int, mu_ty_max: int) -
 def z_trace_rows(analyzer: WiretapAnalyzer, mu_values: Sequence[int]) -> list[CurveRow]:
     """Leakage-from-Z trace: closed form vs. enumeration at each mu, the
     enumerated leakages and the Y-target bounds each as one batch.  The
-    closed form takes the model's exact H(X, Y) and H(X | Y)."""
-    h_xy, h_x_given_y = analyzer.h_xy_total, analyzer.h_xy_total - analyzer.h_y_total
+    closed form takes the model's exact H(X, Y) and H(X | Y) from
+    ``sequence_entropies``, not from the support table."""
+    _, h_y, _, h_xy, *_ = sequence_entropies(analyzer.model)
     oracles = analyzer.leakages("xy", 0, 0, mu_values)
     bound = analyzer.pattern_checks(0, 0, mu_values, ("y",))["y"]
     rows = []
     for i, (mu, oracle) in enumerate(zip(mu_values, oracles)):
-        formula = z_mu_leakage(mu, analyzer.K, h_xy, h_x_given_y)
+        formula = z_mu_leakage(mu, analyzer.K, h_xy, h_xy - h_y)
         rows.append(CurveRow(
             0, 0, mu, formula, formula, formula, oracle, oracle, bound.lhs_bits[i],
             bound.rhs_bits[i], bound.holds[i], _match_label(formula, formula, oracle),
@@ -625,16 +624,19 @@ def sample_patterns(
     (SeedSequence, PCG64), reproduced in the package: per pair, a size
     ``integers(0, l + 1)`` for each side's syndrome length ``l``, then each
     side's ``choice(l, size, replace=False)``.  A ``count`` or ``seed`` that is
-    negative, a bool or not an integer is refused with ``UsageError``."""
+    negative, a bool or not an integer is refused with ``UsageError``.  Before
+    the first draw, each (pattern, mu) is charged 2**11 steps to the work
+    budget (``errors.check_work``): drawing it, checking it and its rows."""
     for name, value in (("count", count), ("seed", seed)):
         if not is_int(value) or value < 0:
             raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
+    mu = np.asarray(mu_values, dtype=np.int64)
+    check_work(count * mu.size << 11, f"a sweep of {count} patterns at {mu.size} mu values")
     rng = _DefaultRng(int(seed))
     lx, ly = s.syndrome_len("x"), s.syndrome_len("y")
     masks = []
     for _ in range(count):
         a, b = rng.integers(lx + 1), rng.integers(ly + 1)
         masks.append((_mask(rng.choice(lx, a)), _mask(rng.choice(ly, b))))
-    mu = np.asarray(mu_values, dtype=np.int64)
     tx, ty = np.array(masks, dtype=np.int64).reshape(-1, 2).T
     return np.repeat(tx, mu.size), np.repeat(ty, mu.size), np.tile(mu, len(masks))

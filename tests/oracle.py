@@ -927,9 +927,6 @@ class ReferenceAnalyzer:
         self.entropy_sets = 0
         self._x_var = _Var(("X",), [], (t.x, self.K), range(self.K))
         self._y_var = _Var(("Y",), [], (t.y, self.K), range(self.K))
-        self.h_x_total = self._set_entropy([self._x_var])
-        self.h_y_total = self._set_entropy([self._y_var])
-        self.h_xy_total = self._set_entropy([self._x_var, self._y_var])
         self.h_private_x = self._set_entropy([self._side_var("x", "private")])
         self.h_private_y = self._set_entropy([self._side_var("y", "private")])
         self.h_common = self._set_entropy(
@@ -1022,9 +1019,8 @@ class ReferenceAnalyzer:
         }
         h_t, h_obs, h_t_obs = ev.H(t), ev.H("tx", "ty", "z"), ev.H(t, "tx", "ty", "z")
         h_private = self.h_private_x if t == "x" else self.h_private_y
-        h_target = self.h_x_total if t == "x" else self.h_y_total
         recon = h_t
-        rhs_total = h_private + self.h_common - h_target
+        rhs_total = h_private + self.h_common - h_t
         for name, sign in _TERM_SIGNS.items():
             recon -= sign * terms[name]
             rhs_total += sign * terms[name]
@@ -1036,7 +1032,7 @@ class ReferenceAnalyzer:
                 **terms,
                 "h(v_private)": h_private,
                 "h(v_common)": self.h_common,
-                "h(target_seq)": h_target,
+                "h(target_seq)": h_t,
             },
         )
         return abs(h_t_obs - h_obs - recon), report

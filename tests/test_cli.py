@@ -63,8 +63,8 @@ def test_verbose_logs_entropy_counters(tmp_path, capsys):
         counts[command] = tuple(int(v) for v in found[0])
         for name, digest in expected[command].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-    assert counts["verify-bounds"] == (16006, 1284)
-    assert counts["curves"] == (3674, 290)
+    assert counts["verify-bounds"] == (16003, 1283)
+    assert counts["curves"] == (3671, 289)
 
 
 def test_analyze_golden_header(tmp_path):
@@ -225,7 +225,7 @@ def test_curves_default_grid_stops_at_a_short_syndrome(tmp_path, capsys):
 def test_curves_checks_the_grid_and_the_z_trace_in_three_batches(tmp_path, monkeypatch):
     # On reference_k7 (a 6 x 6 grid, mu_z in 0..7), the grid's bounds take
     # one evaluator call, and so do the Z trace's leakages and its bounds;
-    # the other calls are the analyzer's constants and the oracle, one block
+    # the other calls are the analyzer's two constants and the oracle, one block
     # of all 32 x 32 subset pairs of the grid.  Every Z-trace value is ==
     # the per-pattern reference, with the same repr.
     calls = []
@@ -250,7 +250,7 @@ def test_curves_checks_the_grid_and_the_z_trace_in_three_batches(tmp_path, monke
     assert len(leakages) == 1 + 1 and leakages.count(trace) == 1
     (oracle,) = [ps for ps in leakages if ps != trace]
     assert sorted(oracle) == list(itertools.product(range(32), range(32), [0]))
-    assert len(calls) == 3 + 1 + 1 + 1 + 1
+    assert len(calls) == 2 + 1 + 1 + 1 + 1
 
     scenario = load_scenario("reference_k7")
     reference = ReferenceAnalyzer(

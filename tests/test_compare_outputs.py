@@ -118,3 +118,23 @@ def test_the_output_directory_is_blanked_out_of_stdout(tmp_path):
     assert code == 0 and (out / "decode.csv").is_file()
     assert stdout == f"{tool.OUT_MARK}/decode.csv\n"
     assert stderr == ""
+
+
+def test_a_run_that_differs_shows_its_first_changed_line_of_each_stream():
+    # The --verbose counter line of stderr, a line that one stdout lacks and
+    # a line that differs only in its ending are each shown old -> new.
+    log = "corrleak: building enumeration engine\ncorrleak: entropy: {} calls, {} sets computed\n"
+    old = (0, "<out>/bounds.csv\n", log.format(16006, 1284))
+    assert tool.run_differences(old, old) == []
+    assert tool.run_differences(old, (0, "<out>/bounds.csv\n", log.format(16003, 1283))) == [
+        "stderr differs at line 2: 'corrleak: entropy: 16006 calls, 1284 sets computed\\n'"
+        " -> 'corrleak: entropy: 16003 calls, 1283 sets computed\\n'"
+    ]
+    assert tool.run_differences(old, (3, "<out>/bounds.csv\n<out>/x.csv\n", old[2] + "!")) == [
+        "exit code differs: 0 -> 3",
+        "stdout differs at line 2: None -> '<out>/x.csv\\n'",
+        "stderr differs at line 3: None -> '!'",
+    ]
+    assert tool.run_differences((0, "a\n", ""), (0, "a", "")) == [
+        "stdout differs at line 1: 'a\\n' -> 'a'"
+    ]

@@ -18,6 +18,7 @@ from oracle import (
     reference_scheme,
     submatrix,
 )
+from test_leakage import H
 
 
 def test_composite_selector_mutual_information():
@@ -51,7 +52,7 @@ def iid_uniform_analyzer(scheme):
 
 def test_iid_model_identity_and_bound(iid_uniform_analyzer):
     an = iid_uniform_analyzer
-    assert an.h_xy_total == pytest.approx(14.0, abs=1e-9)
+    assert H(an, pattern(), "x", "y") == pytest.approx(14.0, abs=1e-9)
     checks = an.pattern_checks(*pattern_arrays([
         pattern({0, 3}, {1, 4}, 2),
         pattern(range(5), range(5), 7),
@@ -74,7 +75,7 @@ def test_nearly_uniform_iid_law_uses_its_weights(scheme):
     cells = np.array([0.125 * (1.0014 if x == 0 else 0.9986) for x in (0, 1) for _ in range(4)])
     base = JointPmf(cells.reshape(2, 2, 2))
     an = WiretapAnalyzer(scheme, SequenceModel(kind="iid", K=7, base=base))
-    assert an.h_x_total == pytest.approx(7 * entropy(marginal(base, "x")), abs=1e-9)
+    assert H(an, pattern(), "x") == pytest.approx(7 * entropy(marginal(base, "x")), abs=1e-9)
 
 
 def all_private_scheme() -> PartitionScheme:

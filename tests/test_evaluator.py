@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from corrleak import leakage
 from corrleak.cli import load_scenario
 from corrleak.errors import CapacityError, InternalConsistencyError, UsageError
-from corrleak.leakage import BLOCK, WiretapAnalyzer, _key_shifts, sample_patterns, z_trace_rows
-from corrleak.seqmodel import SequenceModel, build_model
+from corrleak.leakage import (BLOCK, WiretapAnalyzer, _key_shifts, sample_patterns, z_mu_leakage,
+                              z_trace_rows)
+from corrleak.seqmodel import SequenceModel, build_model, sequence_entropies
 from corrleak.swcodec import PartitionScheme
 from oracle import ReferenceAnalyzer, pattern, pattern_arrays, pattern_triples, readable_memo
 from test_leakage import MODELS, random_systematic_scheme
@@ -60,8 +61,8 @@ def check_floats(checks, i: int, reference) -> list[tuple]:
     return out
 
 
-#: The analyzer's entropy constants, three of which every bound adds.
-CONSTANTS = ("h_x_total", "h_y_total", "h_xy_total", "h_private_x", "h_private_y", "h_common")
+#: The analyzer's entropy constants, two of which every bound adds.
+CONSTANTS = ("h_private_x", "h_private_y", "h_common")
 
 
 def assert_batch_equals_reference(s, model, patterns, grid=None) -> WiretapAnalyzer:
@@ -104,6 +105,22 @@ def test_batch_equals_per_set_reference_on_benchmark_sweeps(name, seed):
     # every grid point's oracle min and max, == float for float.
     s, model, patterns, grid = benchmark_sweep(name, seed)
     assert_batch_equals_reference(s, model, patterns, grid)
+
+
+@pytest.mark.parametrize("name", ["ref_k7", "hamming_k10", "iid_k5"])
+def test_z_trace_formula_takes_the_models_exact_entropies(name):
+    # The closed form reads H(X, Y) and H(X | Y) = H(X, Y) - H(Y) of the
+    # model's structure, not of its support table, whose sums differ from
+    # them in the last bits on hamming_k10 and iid_k5 (iid_k5's table reads
+    # H(Y) = 5.0000000000000036, the structure 4.999999999999999).
+    s, model, _, _ = benchmark_sweep(name, 0)
+    _, h_y, _, h_xy, *_ = sequence_entropies(model)
+    rows = z_trace_rows(WiretapAnalyzer(s, model), range(model.K + 1))
+    assert [row.mu_z for row in rows] == list(range(model.K + 1))
+    for row in rows:
+        expected = z_mu_leakage(row.mu_z, model.K, h_xy, h_xy - h_y)
+        for got in (row.formula_min, row.formula_max, row.formula_max_verbatim):
+            assert (got, repr(got)) == (expected, repr(expected)), row
 
 
 #: A random systematic [k + parity, k] scheme under a Hamming, uneven-run or
@@ -152,11 +169,11 @@ def test_bound_gap_is_one_constant_per_scheme_model_and_target(k, parity, model_
     # constant over K, the same for every pattern, up to rounding.
     s, model, patterns = scheme_case(k, parity, model_name, data, count=10)
     analyzer = WiretapAnalyzer(s, model)
+    h_x, h_y, *_ = sequence_entropies(model)
     checks = analyzer.pattern_checks(*patterns)
     for t, c in checks.items():
         private, h_t = (
-            (analyzer.h_private_x, analyzer.h_x_total) if t == "x"
-            else (analyzer.h_private_y, analyzer.h_y_total)
+            (analyzer.h_private_x, h_x) if t == "x" else (analyzer.h_private_y, h_y)
         )
         constant = (private + analyzer.h_common - h_t) / model.K
         gaps = [rhs - lhs for lhs, rhs in zip(c.lhs_bits, c.rhs_bits) if lhs > 0.0]
@@ -213,7 +230,7 @@ def test_single_pattern_operations_equal_rows_of_one_sweep(scheme, hamming7):
     for p in triples:
         single.pattern_checks(*p)
     assert counts == (single.entropy_calls, single.entropy_sets)
-    assert counts[0] == 6 + 20 * len(triples)
+    assert counts[0] == 3 + 20 * len(triples)
     leaks = {t: batch.leakages(t, *patterns) for t in ("x", "y", "xy")}
     for i, p in enumerate(triples):
         one = single.pattern_checks(*p)

@@ -1,8 +1,8 @@
 """The one work budget.  Every exact computation whose length a scenario sets
 is charged to ``errors.check_work`` before it starts: the cipher's narrow-key
-average, the min/max oracle's subset pairs, the joint decoder's search, the
-Hamming structural sum and a ball volume short of the whole space.  Only
-``errors`` holds a budget or names one in a refusal."""
+average, the min/max oracle's subset pairs, a bound sweep's patterns, the
+joint decoder's search, the Hamming structural sum and a ball volume short of
+the whole space.  Only ``errors`` holds a budget or names one in a refusal."""
 
 import ast
 import json
@@ -20,7 +20,7 @@ import corrleak.swcodec as swcodec_module
 from corrleak.cipher import measure_security
 from corrleak.cli import load_scenario, main
 from corrleak.errors import WORK_BUDGET, CapacityError, check_work
-from corrleak.leakage import WiretapAnalyzer, grid_curve_rows
+from corrleak.leakage import WiretapAnalyzer, grid_curve_rows, sample_patterns
 from corrleak.seqmodel import SequenceModel, ball_volume, build_model, sequence_entropies
 from corrleak.swcodec import PartitionScheme, joint_decode
 
@@ -240,6 +240,38 @@ def test_a_command_past_the_work_budget_exits_3(tmp_path, capsys, command, sc, m
     assert err.startswith(f"corrleak: capacity guard: {message} would take at least 2**")
     assert err.endswith(" steps, over the work budget of 2**32\n")
     assert len(err.splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_a_sweep_is_charged_2_to_the_11_steps_per_pattern_and_mu(monkeypatch):
+    # reference_k7's 100 x 8 sweep and the [13,9] probe's 10 x 4 answer; at
+    # 2**18 patterns of 8 mu values the charge reaches the budget exactly,
+    # and one pattern more is refused before its first draw.
+    s, _ = parse(load_scenario("reference_k7"))
+    seen = charges(monkeypatch, leakage_module)
+    assert sample_patterns(s, 100, 0, range(8))[0].size == 800
+    assert sample_patterns(parse(HAMMING_13_9)[0], 10, 0, [0, 3, 6, 10])[0].size == 40
+    assert seen == [(800 * 2**11, True), (40 * 2**11, True)]
+    seen = charges(monkeypatch, leakage_module, stop=True)
+    with pytest.raises(Stop):
+        sample_patterns(s, 2**18, 0, range(8))
+    with pytest.raises(CapacityError, match="^a sweep of 262145 patterns at 8 mu values would"):
+        sample_patterns(s, 2**18 + 1, 0, range(8))
+    assert seen == [(2**32, True), ((2**18 + 1) * 8 * 2**11, False)]
+
+
+def test_a_sweep_of_10_to_the_12_patterns_exits_3_in_under_a_second(tmp_path, capsys):
+    sc = load_scenario("reference_k7")
+    sc["sweep"] = {**sc["sweep"], "random_patterns": 10**12}
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(sc))
+    start = time.perf_counter()
+    assert main(["verify-bounds", "--scenario", str(path), "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "corrleak: capacity guard: a sweep of 1000000000000 patterns at 8 mu values would take"
+        " at least 2**53 steps, over the work budget of 2**32\n"
+    )
     assert list(out.iterdir()) == []
 
 

@@ -14,19 +14,21 @@ path outside both trees.  The output directory is blanked out of stdout and
 stderr, which echo it.
 
 A run matches when its exit code, stdout, stderr and output files are the
-same.  Output files are compared byte for byte; a JSON or CSV output that
-differs is also summarised: rows added and removed, floats moved with the
-largest |delta|, booleans flipped and strings changed.  A CSV is read as its
-comment lines and its rows of cells, ``true`` and ``false`` as booleans and
-numbers as floats.  The closing totals count the JSON outputs only, since
-each CSV holds the same rows as its JSON twin.  Exit status 0 when every run
-matches, 1 otherwise.
+same.  A stdout or stderr that differs is shown by its first line that
+differs, old -> new.  Output files are compared byte for byte; a JSON or CSV
+output that differs is also summarised: rows added and removed, floats moved
+with the largest |delta|, booleans flipped and strings changed.  A CSV is
+read as its comment lines and its rows of cells, ``true`` and ``false`` as
+booleans and numbers as floats.  The closing totals count the JSON outputs
+only, since each CSV holds the same rows as its JSON twin.  Exit status 0
+when every run matches, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -129,6 +131,19 @@ def compare_dirs(old: Path, new: Path, totals: dict) -> list[str]:
     return problems
 
 
+def run_differences(old: tuple, new: tuple) -> list[str]:
+    """One line per part of two runs' ``(exit code, stdout, stderr)`` that
+    differs, as ``old -> new``: the exit codes, or the first line of stdout
+    or stderr that differs, with its line ending (None past a text's end)."""
+    problems = [f"exit code differs: {old[0]} -> {new[0]}"] if old[0] != new[0] else []
+    for what, a, b in zip(("stdout", "stderr"), old[1:], new[1:]):
+        if a != b:
+            lines = itertools.zip_longest(a.splitlines(keepends=True), b.splitlines(keepends=True))
+            i, (a, b) = next((i, pair) for i, pair in enumerate(lines, 1) if pair[0] != pair[1])
+            problems.append(f"{what} differs at line {i}: {a!r} -> {b!r}")
+    return problems
+
+
 def run_cli(tree: Path, args: list[str], out: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one ``--verbose`` CLI run of ``tree``,
     with the output directory blanked out."""
@@ -170,11 +185,7 @@ def main(argv=None) -> int:
                             run_cli(tree, command_argv(w, command, out, seed, fmt), out)
                             for tree, out in zip((parent, ROOT), outs)
                         ]
-                        problems = [
-                            f"{what} differs"
-                            for what, a, b in zip(("exit code", "stdout", "stderr"), *results)
-                            if a != b
-                        ] + compare_dirs(*outs, totals)
+                        problems = run_differences(*results) + compare_dirs(*outs, totals)
                         runs += 1
                         differ += bool(problems)
                         print(f"{label}: exit {results[1][0]}, " + ("; ".join(problems) or "same"))
