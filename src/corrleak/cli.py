@@ -266,7 +266,8 @@ def cmd_curves(ctx: _Context, args: argparse.Namespace) -> Output:
 
 
 def cmd_verify_bounds(ctx: _Context, args: argparse.Namespace) -> Output:
-    from .leakage import DELTA, _bits, sample_patterns
+    from .leakage import DELTA, sample_patterns
+    from .linear import bits
 
     count = ctx.sweep("random_patterns", 100)
     if count < 1:
@@ -276,7 +277,7 @@ def cmd_verify_bounds(ctx: _Context, args: argparse.Namespace) -> Output:
     checks = ctx.analyzer.pattern_checks(tx, ty, mu)
     rows = []
     for i, (*masks, mu_z) in enumerate(zip(tx.tolist(), ty.tolist(), mu.tolist())):
-        tx_positions, ty_positions = (";".join(map(str, _bits(m))) for m in masks)
+        tx_positions, ty_positions = (";".join(map(str, bits(m))) for m in masks)
         for target, c in checks.items():
             rows.append(
                 {

@@ -27,16 +27,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, log2, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import log2
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (CapacityError, DomainError, InternalConsistencyError, UsageError,
                      check_work, is_int)
 from .info import column_code
+from .linear import ball, ball_volume, bits, mask, xor_basis
 from .seqmodel import SequenceModel, sequence_entropies
-from .swcodec import PartitionScheme, require_code_model, support_syndromes, xor_basis
+from .swcodec import PartitionScheme, require_code_model, support_syndromes
 
 #: Slack for exact-enumeration bound verdicts (rounding tolerance only).
 DELTA = 1e-9
@@ -95,20 +96,6 @@ _TERM_SETS = {
 _CHECK_SETS = {t: {s for sets in _TERM_SETS[t].values() for s in sets if s} for t in "xy"}
 
 
-def _mask(positions: Iterable[int]) -> int:
-    return sum(1 << int(p) for p in positions)
-
-
-def _subset_masks(length: int, size: int) -> np.ndarray:
-    """The mask of every subset of ``length`` positions with at most ``size`` members."""
-    subsets = (c for k in range(size + 1) for c in itertools.combinations(range(length), k))
-    return np.array([_mask(c) for c in subsets], dtype=np.int64)
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _key_shifts(widths: Mapping[str, int]) -> dict[str, int]:
     """The shift of each field when fields of the given bit widths are packed
     into one int64 key, the first field most significant; past 63 bits,
@@ -160,7 +147,7 @@ class WiretapAnalyzer:
         self._syndromes = {"x": (tx, lx), "y": (ty, ly)}
         self._info = {side: s.info_len(side) for side in "xy"}
         self._pads = {
-            side: _mask(i for i in s.role_positions(side, "common") if i >= self._info[side])
+            side: mask(i for i in s.role_positions(side, "common") if i >= self._info[side])
             for side in "xy"
         }
         # The raw parity XOR (the pads cancel in the pair): both codes end in
@@ -174,7 +161,7 @@ class WiretapAnalyzer:
 
         def h(tx: Sequence[int], ty: Sequence[int], *specs: str) -> list[float]:
             names = [_names(spec) for spec in specs]
-            values = self._entropies(np.array([_mask(tx)]), np.array([_mask(ty)]), 0, names)
+            values = self._entropies(np.array([mask(tx)]), np.array([mask(ty)]), 0, names)
             return [values[n].item() for n in names]
 
         # Private/common channel-portion entropies used by the bound right side:
@@ -263,9 +250,9 @@ class WiretapAnalyzer:
         field = {name: key >> self._shift[name] & (1 << w) - 1 for name, w in self._width.items()}
         head = [
             (column_code(*self._syndromes[side], cols), len(cols))
-            for side in "xy" if (cols := _bits(field["t" + side] & ~self._pads[side]))
+            for side in "xy" if (cols := bits(field["t" + side] & ~self._pads[side]))
         ]
-        t, both = self._table, _bits((field["tx"] & self._pads["x"]) >> self._info["x"])
+        t, both = self._table, bits((field["tx"] & self._pads["x"]) >> self._info["x"])
         head += [(word, self.K) for word, name in zip((t.x, t.y), "xy") if field[name]]
         xor, mu = [(column_code(self._xor, self.scheme.parity_len, both), len(both))], field["z"]
         value = t.entropy(head, mu, xor)
@@ -339,10 +326,9 @@ class WiretapAnalyzer:
         lx, ly = self._width["tx"], self._width["ty"]
         if not 0 <= mu_tx_max <= lx or not 0 <= mu_ty_max <= ly:
             raise UsageError(f"subset sizes must lie in 0..{lx} / 0..{ly}")
-        pairs = prod(sum(comb(n, k) for k in range(m + 1))
-                     for n, m in ((lx, mu_tx_max), (ly, mu_ty_max)))
+        pairs = ball_volume(lx, mu_tx_max) * ball_volume(ly, mu_ty_max)
         check_work(pairs * self._table.steps(0), f"the min/max oracle over {pairs} subset pairs")
-        mx, my = _subset_masks(lx, mu_tx_max), _subset_masks(ly, mu_ty_max)
+        mx, my = np.array(ball(lx, mu_tx_max)), np.array(ball(ly, mu_ty_max))
         size_x, size_y = np.bitwise_count(mx), np.bitwise_count(my)
         lo = np.full((mu_tx_max + 1, mu_ty_max + 1), np.inf)
         hi = -lo
@@ -428,9 +414,10 @@ def z_mu_leakage(mu: int, K: int, h_xy: float, h_x_given_y: float) -> float:
 
     The candidate-counting behind it: ``2**(K-mu)`` sequences repeated
     ``K-mu+1`` times plus ``mu * 2**(K-mu)`` singletons, out of
-    ``2**(K-mu) * (K+1)`` weighted candidates.  ``mu = 0`` is evaluated as
-    the formula's continuous extension (and equals 0 for the bundled
-    constants).
+    ``2**(K-mu) * (K+1)`` weighted candidates.  At ``mu = 0`` it reads
+    H(Y) - K, so it is 0 only for a uniform Y.  The value is not clamped at
+    0 as an enumerated leakage is: a negative value shows a miss of the
+    closed form, which the Z trace labels ``neither``.
     """
     if not 0 <= mu <= K:
         raise DomainError(f"mu must lie in 0..K, got mu={mu}, K={K}")
@@ -637,6 +624,6 @@ def sample_patterns(
     masks = []
     for _ in range(count):
         a, b = rng.integers(lx + 1), rng.integers(ly + 1)
-        masks.append((_mask(rng.choice(lx, a)), _mask(rng.choice(ly, b))))
+        masks.append((mask(rng.choice(lx, a)), mask(rng.choice(ly, b))))
     tx, ty = np.array(masks, dtype=np.int64).reshape(-1, 2).T
     return np.repeat(tx, mu.size), np.repeat(ty, mu.size), np.tile(mu, len(masks))

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum, log2
+from math import log2
 from typing import TYPE_CHECKING, Optional
 
-from .errors import CapacityError, ValidationError, check_budget, check_work, int_field
+from .errors import CapacityError, ValidationError, check_budget, int_field
+from .linear import ball, ball_volume, xor_entropy
 
 if TYPE_CHECKING:
     from .info import JointPmf, SupportTable
@@ -126,9 +127,9 @@ class SequenceModel:
         import numpy as np
 
         ys = np.arange(1 << self.K, dtype=np.int64)
-        weight = np.bitwise_count(ys)
-        x_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_xy_max], axis=1)
-        z_ball = np.sort(ys[:, None] ^ ys[weight <= self.d_yz_max], axis=1).astype(np.int32)
+        x_off, z_off = (np.array(ball(self.K, d)) for d in (self.d_xy_max, self.d_yz_max))
+        x_ball = np.sort(ys[:, None] ^ x_off, axis=1)
+        z_ball = np.sort(ys[:, None] ^ z_off, axis=1).astype(np.int32)
         bx, bz = x_ball.shape[1], z_ball.shape[1]
         z = np.broadcast_to(z_ball[:, None, :], (ys.size, bx, bz)).ravel()
         runs = np.full(ys.size * bx, bz)
@@ -189,56 +190,6 @@ def build_model(spec: dict) -> SequenceModel:
     return SequenceModel(kind=kind, K=K, base=base)
 
 
-def ball_volume(K: int, d: int) -> int:
-    """V(K, d), the K-bit words of weight at most ``d``: 2**K for d >= K, else d
-    binomials C(K, i), each from the one before, after a charge of d x K steps."""
-    if d >= K:
-        return 1 << K
-    check_work(d * K, f"the ball volume V({K}, {d})")
-    total = term = 1
-    for i in range(d):
-        term = term * (K - i) // (i + 1)
-        total += term
-    return total
-
-
-def _xor_entropy(K: int, a: int, b: int) -> float:
-    """H(e1 XOR e2) in bits, for independent e1 and e2 uniform on the K-bit
-    balls of radii ``a`` and ``b`` (MacWilliams & Sloane, 1977, ch. 1 and 5).
-
-    The law of v = e1 XOR e2 depends on its weight w alone.  An e1 with i
-    ones on v's support and j off it gives an e2 with w - i on and j off,
-    so c_w, the sum of C(w, i) C(K - w, j) over i + j <= a and
-    w - i + j <= b, counts the pairs that give one v of weight w.  The
-    radii are symmetric, so let b be the smaller: w - i and j then take at
-    most b + 1 values each, and the sum over j is a prefix sum.  Each of the
-    C(K, w) words of weight w has probability c_w / N, N = V(K, a) V(K, b).
-    Masses are ratios of integers and logs are taken of integers, so no
-    large K overflows a float."""
-    terms = (min(K, a + b) + 1) * (min(a, b) + 1)  # each on integers of up to 2K bits
-    check_work(terms * K, f"H(e1 xor e2) at K={K}, d_xy={a}, d_yz={b}")
-    a, b = max(a, b), min(a, b)
-    n = ball_volume(K, a) * ball_volume(K, b)
-    log_n = log2(n)
-    terms = []
-    words = 1  # C(K, w)
-    for w in range(min(K, a + b) + 1):
-        prefix, off = [], 1  # prefix[j]: C(K - w, j') summed over j' <= j
-        for j in range(b + 1):
-            prefix.append(off + (prefix[-1] if prefix else 0))
-            off = off * (K - w - j) // (j + 1)
-        count, on = 0, 1  # on: C(w, k) for e2's k = w - i ones on v's support
-        for k in range(min(w, b) + 1):
-            j_max = min(a - w + k, b - k)
-            if j_max >= 0:
-                count += on * prefix[j_max]
-            on = on * (w - k) // (k + 1)
-        if count:
-            terms.append(words * count / n * (log_n - log2(count)))
-        words = words * (K - w) // (w + 1)
-    return fsum(terms)
-
-
 def sequence_entropies(model: SequenceModel) -> tuple[float, ...]:
     """H(X), H(Y), H(Z), H(X,Y), H(X,Z), H(Y,Z) and H(X,Y,Z) of the length-K
     sequences, in bits, from the model's structure; no table is built.
@@ -262,7 +213,7 @@ def sequence_entropies(model: SequenceModel) -> tuple[float, ...]:
         return tuple(K * model.base.entropy(v) for v in sets)  # type: ignore[union-attr]
     a, b = model.d_xy_max, model.d_yz_max
     h = float(K)
-    h_xor = h if K in (a, b) else _xor_entropy(K, a, b)
+    h_xor = h if K in (a, b) else xor_entropy(K, a, b)
     log_a, log_b = log2(ball_volume(K, a)), log2(ball_volume(K, b))
     return h, h, h, K + log_a, K + h_xor, K + log_b, K + log_a + log_b
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     CapacityError,
@@ -42,7 +41,8 @@ from .errors import (
     is_bits,
     is_int,
 )
-from .seqmodel import SequenceModel, ball_volume, sequence_entropies
+from .linear import ball, ball_volume
+from .seqmodel import SequenceModel, sequence_entropies
 
 if TYPE_CHECKING:
     import numpy as np
@@ -305,20 +305,6 @@ def syndrome_portions(
     return portions
 
 
-def xor_basis(masks: Iterable[int]) -> list[int]:
-    """A basis of the GF(2) span of the int ``masks``, one vector per leading
-    bit in descending order: each mask is reduced by the basis so far and
-    kept when anything is left, so the basis length is the masks' rank."""
-    basis: list[int] = []
-    for v in masks:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
-
-
 def require_code_model(s: PartitionScheme, model: SequenceModel, what: str) -> None:
     """Raise ``UsageError`` naming the field unless the model is binary with K = n."""
     if not model.is_binary:
@@ -367,10 +353,8 @@ def joint_decode(
         # the candidates are both at most |coset_y| * V(n, d_xy).
         check_work(64 * _coset_size(s, "y") * ball_volume(s.n, model.d_xy_max), "decoding searches")
         buckets: dict[int, list[int]] = {}
-        for w in range(model.d_xy_max + 1):
-            for ones in combinations(range(s.n), w):
-                e = sum(1 << p for p in ones)
-                buckets.setdefault(word_syndrome(s, "x", e), []).append(e)
+        for e in ball(s.n, model.d_xy_max):
+            buckets.setdefault(word_syndrome(s, "x", e), []).append(e)
         return sorted(
             (y ^ e, y)
             for y in syndrome_coset(s, "y", ty)

@@ -17,7 +17,8 @@ import pytest
 from corrleak.cipher import BRANCHES, RegionQuery, region_membership
 from corrleak.seqmodel import InfoSummary, sequence_entropies
 from corrleak.leakage import minmax_curves, sample_patterns, z_mu_leakage
-from corrleak.swcodec import support_syndromes, xor_basis
+from corrleak.linear import xor_basis
+from corrleak.swcodec import support_syndromes
 from oracle import (
     CipherSizes,
     build_ciphertexts,

@@ -123,6 +123,26 @@ def test_z_trace_formula_takes_the_models_exact_entropies(name):
             assert (got, repr(got)) == (expected, repr(expected)), row
 
 
+def test_z_trace_formula_is_printed_unclamped_and_labelled_against_the_oracle():
+    # At mu = 0 the closed form reads H(Y) - K, which is 0 only for a uniform
+    # Y.  On iid_k5's scheme under a law with Y ~ Bern(0.3) (X and Z flip Y
+    # with probability 0.1 and 0.2) it reads -0.5935 bits, where the oracle,
+    # which enumerates the support, reads 0 up to rounding.  The column stays
+    # unclamped, so the row reads `neither`; clamped, it would read `both`.
+    s, _, _, _ = benchmark_sweep("iid_k5", 0)
+    probs = [
+        (0.3 if y else 0.7) * (0.9 if x == y else 0.1) * (0.8 if z == y else 0.2)
+        for x, y, z in itertools.product((0, 1), repeat=3)
+    ]
+    model = build_model({"kind": "iid", "K": 5, "pmf": {"alphabets": [2, 2, 2], "probs": probs}})
+    _, h_y, *_ = sequence_entropies(model)
+    (row,) = z_trace_rows(WiretapAnalyzer(s, model), [0])
+    assert row.formula_min == row.formula_max == row.formula_max_verbatim == h_y - model.K
+    assert round(row.formula_min, 4) == -0.5935
+    assert 0.0 <= row.oracle_min <= leakage.DELTA
+    assert row.variant_match == "neither"
+
+
 #: A random systematic [k + parity, k] scheme under a Hamming, uneven-run or
 #: weighted law; ``scheme_case`` draws the rest.
 RANDOM_SCHEMES = dict(

@@ -1,6 +1,13 @@
-"""The package's one GF(2) routine, ``swcodec.xor_basis``, and the int masks
-that ``PartitionScheme`` derives from its generator rows, against the uint8
-Gaussian elimination of ``oracle.rank``."""
+"""``corrleak.linear``, the package's binary-word arithmetic: ``xor_basis``
+and the int masks that ``PartitionScheme`` derives from its generator rows
+against the uint8 Gaussian elimination of ``oracle.rank``, ``ball`` against
+the subset loop it replaced, and the module boundary that keeps this
+arithmetic, numpy-free, in ``linear`` alone."""
+
+import ast
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrleak.errors import UsageError, ValidationError
-from corrleak.swcodec import PartitionScheme, xor_basis
+from corrleak.linear import ball, ball_volume, xor_basis
+from corrleak.swcodec import PartitionScheme
 from oracle import generator_cells, mat_vec_mul, p1_t, p2_t, rank, reference_scheme
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "corrleak"
 
 G_ROWS = ["1000101", "0100110", "0010111", "0001011"]
 GX_ROWS = ["00101", "00110", "10000", "01000", "00100", "00010", "00001"]
@@ -161,3 +171,74 @@ def test_xor_basis_length_is_the_gaussian_elimination_rank(m):
     # Rows (up to 63-bit masks) and columns (up to 20-bit masks) of random
     # 0/1 matrices: the basis length is the rank, whichever side is masked.
     assert xor_rank(row_masks(m)) == xor_rank(column_masks(m)) == rank(m)
+
+
+@pytest.mark.parametrize("K", range(11))
+def test_ball_lists_each_word_of_weight_at_most_d_once_in_subset_order(K):
+    # The order of the loop that the decoder's buckets and the oracle's masks
+    # were built by: by weight, then in combinations order.
+    for d in range(K + 1):
+        masks = ball(K, d)
+        assert masks == [
+            sum(1 << p for p in c) for w in range(d + 1) for c in combinations(range(K), w)
+        ]
+        assert set(masks) == {m for m in range(1 << K) if m.bit_count() <= d}
+        assert len(masks) == ball_volume(K, d)
+
+
+#: The names that only ``linear`` defines.
+LINEAR_NAMES = {"ball", "ball_volume", "xor_entropy", "xor_basis", "mask", "bits"}
+
+
+def imports(path: Path) -> list[tuple[int, str, str]]:
+    """(relative level, module, name) of every name that ``path`` imports;
+    a plain ``import m`` gives (0, m, "")."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.level, node.module or "", alias.name) for alias in node.names]
+    return found
+
+
+def test_linear_imports_only_the_standard_library_and_errors():
+    for level, module, name in imports(SRC / "linear.py"):
+        if level:
+            assert (level, module) == (1, "errors"), name
+        else:
+            assert module.split(".")[0] in sys.stdlib_module_names, module
+
+
+def test_only_linear_enumerates_and_counts_balls_and_spans_gf2():
+    # Ball enumeration, binomial sums and GF(2) spans live in linear alone:
+    # no other module imports combinations or comb, or defines its names.
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.stem for p in modules} >= {"linear", "leakage", "seqmodel", "swcodec", "cli"}
+    for path in modules:
+        if path.stem == "linear":
+            continue
+        tree = ast.parse(path.read_text())
+        assert not {
+            name for level, module, name in imports(path)
+            if (module, name) in {("itertools", "combinations"), ("math", "comb")}
+        }, path.name
+        assert not {
+            f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in {("itertools", "combinations"), ("math", "comb")}
+        }, path.name
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & LINEAR_NAMES, path.name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    for path in sorted(SRC.glob("*.py")):
+        private = [
+            (module, name) for level, module, name in imports(path)
+            if (level or module.split(".")[0] == "corrleak") and name.startswith("_")
+        ]
+        assert private == [], path.name

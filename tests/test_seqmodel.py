@@ -16,13 +16,8 @@ from corrleak.errors import (
     ValidationError,
 )
 from corrleak.info import JointPmf, SupportTable
-from corrleak.seqmodel import (
-    SequenceModel,
-    ball_volume,
-    build_model,
-    sequence_entropies,
-    sequence_summary,
-)
+from corrleak.linear import ball_volume
+from corrleak.seqmodel import SequenceModel, build_model, sequence_entropies, sequence_summary
 from corrleak.swcodec import PartitionScheme, decode_ambiguity_rate
 from oracle import (
     iter_support,

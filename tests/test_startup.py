@@ -1,8 +1,8 @@
 """Start-up: ``import corrleak`` and ``import corrleak.cli`` load no numpy,
 a process that runs a command runs one thread even when the caller asks
-OpenBLAS for more, ``region`` and ``decode`` on a Hamming model never load
-numpy, and ``verify-bounds`` draws its patterns without ``numpy.random`` or
-OpenSSL."""
+OpenBLAS for more, ``region`` and ``decode`` on a Hamming model load
+``corrleak.linear`` but never numpy, and ``verify-bounds`` draws its
+patterns without ``numpy.random`` or OpenSSL."""
 
 import json
 import os
@@ -47,13 +47,15 @@ import sys
 from corrleak import cli
 for scenario in sys.argv[1:]:
     assert cli.main(["region", "--scenario", scenario, "--out", "out"]) == 0
-print(*(name in sys.modules for name in ("numpy", "corrleak.info", "corrleak.leakage")))
+modules = ("numpy", "corrleak.info", "corrleak.leakage", "corrleak.linear")
+print(*(name in sys.modules for name in modules))
 """
 
 
 def test_region_on_a_hamming_model_loads_no_numpy(tmp_path):
-    # The summary of a Hamming model comes from ball volumes: region loads
-    # neither numpy nor the modules that build and read tables.
+    # The summary of a Hamming model comes from ball volumes, which the
+    # numpy-free linear module counts: region loads neither numpy nor the
+    # modules that build and read tables.
     scenario = tmp_path / "hamming_k10.json"
     scenario.write_text(json.dumps(load_perfbench("scenarios").hamming_k10_scenario()))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -62,7 +64,7 @@ def test_region_on_a_hamming_model_loads_no_numpy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False False"
+    assert proc.stdout.splitlines()[-1] == "False False False True"
 
 
 DECODE = """
@@ -71,14 +73,16 @@ from corrleak import cli
 tx, ty = sys.argv[2:]
 assert cli.main(["decode", "--scenario", "reference_k7", "--out", "golden"]) == 0
 assert cli.main(["decode", "--scenario", sys.argv[1], "--tx", tx, "--ty", ty, "--out", "k10"]) == 0
-print(*(name in sys.modules for name in ("numpy", "corrleak.info", "corrleak.leakage")))
+modules = ("numpy", "corrleak.info", "corrleak.leakage", "corrleak.linear")
+print(*(name in sys.modules for name in modules))
 """
 
 
 def test_decode_on_a_hamming_model_loads_no_numpy(tmp_path):
     # The golden pair of reference_k7 and a --tx/--ty query of hamming_k10
-    # are decoded in their syndrome cosets: no table, so neither numpy nor
-    # the modules that build and read tables.
+    # are decoded in their syndrome cosets, the d_xy ball's offsets listed by
+    # the numpy-free linear module: no table, so neither numpy nor the
+    # modules that build and read tables.
     scenarios = load_perfbench("scenarios")
     scenario = scenarios.hamming_k10_scenario()
     path = tmp_path / "hamming_k10.json"
@@ -91,7 +95,7 @@ def test_decode_on_a_hamming_model_loads_no_numpy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False False"
+    assert proc.stdout.splitlines()[-1] == "False False False True"
     assert f",{x},{y}," in (tmp_path / "k10" / "decode.csv").read_text()
 
 

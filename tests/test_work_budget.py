@@ -15,13 +15,14 @@ import pytest
 import corrleak.cipher as cipher_module
 import corrleak.info as info_module
 import corrleak.leakage as leakage_module
-import corrleak.seqmodel as seqmodel_module
+import corrleak.linear as linear_module
 import corrleak.swcodec as swcodec_module
 from corrleak.cipher import measure_security
 from corrleak.cli import load_scenario, main
 from corrleak.errors import WORK_BUDGET, CapacityError, check_work
 from corrleak.leakage import WiretapAnalyzer, grid_curve_rows, sample_patterns
-from corrleak.seqmodel import SequenceModel, ball_volume, build_model, sequence_entropies
+from corrleak.linear import ball_volume
+from corrleak.seqmodel import SequenceModel, build_model, sequence_entropies
 from corrleak.swcodec import PartitionScheme, joint_decode
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corrleak"
@@ -191,7 +192,7 @@ def test_decode_passes_at_2_to_the_26_words_and_is_refused_one_word_past(monkeyp
 def test_the_structural_sum_passes_at_2_to_the_32_steps_and_is_refused_one_past(
     monkeypatch, K, d_xy, steps
 ):
-    seen = charges(monkeypatch, seqmodel_module, stop=True)
+    seen = charges(monkeypatch, linear_module, stop=True)
     within = steps <= WORK_BUDGET
     with pytest.raises(Stop if within else CapacityError, match=f"H\\(e1 xor e2\\) at K={K}"):
         sequence_entropies(SequenceModel(kind="hamming", K=K, d_xy_max=d_xy, d_yz_max=0))
@@ -201,7 +202,7 @@ def test_the_structural_sum_passes_at_2_to_the_32_steps_and_is_refused_one_past(
 def test_a_ball_volume_is_charged_its_terms_unless_the_ball_is_full(monkeypatch):
     # V(K, K) = 2**K is taken without a sum; V(K, d) for d < K sums d
     # binomials of up to K bits, charged d x K steps.
-    seen = charges(monkeypatch, seqmodel_module)
+    seen = charges(monkeypatch, linear_module)
     assert ball_volume(10**6, 10**6) == 1 << 10**6
     assert ball_volume(7, 6) == 2**7 - 1 and ball_volume(7, 0) == 1
     with pytest.raises(CapacityError, match="^the ball volume V\\(1000000, 999999\\) would take"):
